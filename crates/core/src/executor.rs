@@ -49,6 +49,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+#[cfg(unix)]
+use std::{io::Write as _, os::unix::net::UnixStream, sync::atomic::fence, sync::OnceLock};
 
 /// Run-index stride between retry attempts of one case. Each attempt `k`
 /// runs with base `k * ATTEMPT_STRIDE`, and within an attempt the harness
@@ -59,9 +61,10 @@ pub const ATTEMPT_STRIDE: u64 = 1 << 20;
 
 /// A cooperative cancellation flag shared between the party requesting the
 /// stop (a SIGINT/SIGTERM handler, a server drain path, a test) and the
-/// executors honouring it. Deliberately nothing but an `AtomicBool`:
-/// [`CancelToken::cancel`] is a single atomic store, so it is
-/// async-signal-safe and may be called straight from a signal handler.
+/// executors honouring it. [`CancelToken::cancel`] is async-signal-safe
+/// and may be called straight from a signal handler: it is one atomic swap
+/// and, when a waiter registered a wake socket with
+/// [`CancelToken::set_wake`], at most one `write(2)` of one byte to it.
 ///
 /// Cancellation is observed at job-claim boundaries — attempts already in
 /// flight finish (and are journaled) before the worker stops, so a
@@ -69,6 +72,10 @@ pub const ATTEMPT_STRIDE: u64 = 1 << 20;
 #[derive(Debug, Default)]
 pub struct CancelToken {
     flag: AtomicBool,
+    /// Write end of the waiter's socket pair. Owned by the token, so the
+    /// descriptor stays open for as long as anyone can call `cancel`.
+    #[cfg(unix)]
+    wake: OnceLock<UnixStream>,
 }
 
 impl CancelToken {
@@ -78,14 +85,45 @@ impl CancelToken {
         Arc::new(CancelToken::default())
     }
 
-    /// Request cancellation. Async-signal-safe.
+    /// Request cancellation. Async-signal-safe: the first call swaps the
+    /// flag and writes one byte to the wake socket, if one is registered;
+    /// later calls only swap, so the socket's buffer can never fill and the
+    /// write never blocks.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::SeqCst);
+        if self.flag.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        #[cfg(unix)]
+        {
+            // Pairs with the fence in `set_wake`: either that call sees the
+            // flag, or this one sees the registered socket.
+            fence(Ordering::SeqCst);
+            if let Some(wake) = self.wake.get() {
+                let _ = (&*wake).write(&[1]);
+            }
+        }
     }
 
     /// Has cancellation been requested?
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Register the write end of a socket pair whose other end a thread
+    /// blocks reading: the first [`CancelToken::cancel`] writes one byte to
+    /// it. Returns whether the token was already cancelled, in which case
+    /// no byte may ever arrive and the caller must not wait for one. Fails
+    /// if a wake socket is already registered.
+    #[cfg(unix)]
+    pub fn set_wake(&self, wake: UnixStream) -> std::io::Result<bool> {
+        self.wake.set(wake).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                "cancel token already has a wake socket",
+            )
+        })?;
+        fence(Ordering::SeqCst);
+        Ok(self.is_cancelled())
     }
 }
 
@@ -930,6 +968,40 @@ mod tests {
             assert_eq!(results.len(), ran.load(Ordering::SeqCst));
             token.flag.store(false, Ordering::SeqCst);
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn first_cancel_writes_one_wake_byte() {
+        use std::io::Read as _;
+        let token = CancelToken::default();
+        let (mut rx, tx) = UnixStream::pair().unwrap();
+        assert!(!token.set_wake(tx).unwrap(), "fresh token is not cancelled");
+        token.cancel();
+        token.cancel();
+        assert!(token.is_cancelled());
+        rx.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 4];
+        assert_eq!(rx.read(&mut buf).unwrap(), 1, "exactly one wake byte");
+        assert_eq!(
+            rx.read(&mut buf).map_err(|e| e.kind()),
+            Err(std::io::ErrorKind::WouldBlock),
+            "repeat cancels write nothing"
+        );
+        let (_, second) = UnixStream::pair().unwrap();
+        assert!(token.set_wake(second).is_err(), "one wake socket per token");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn set_wake_after_cancel_reports_it() {
+        let token = CancelToken::default();
+        token.cancel();
+        let (_rx, tx) = UnixStream::pair().unwrap();
+        assert!(
+            token.set_wake(tx).unwrap(),
+            "a waiter registering late must not wait for a byte that never comes"
+        );
     }
 
     #[test]

@@ -14,13 +14,16 @@
 //!    still waits its turn each cycle, so an interactive tenant's single
 //!    submission pops within one rotation instead of behind the sweep.
 //!
-//! The queue is a plain `Mutex` + `Condvar`: pops block (with timeout) so
-//! the dispatcher thread sleeps when idle, and [`FairScheduler::close`]
-//! wakes every waiter for shutdown.
+//! The queue is a plain `Mutex` + `Condvar`. [`FairScheduler::pop_wait`]
+//! blocks until an item may be handed out, so the dispatcher thread sleeps
+//! when idle and wakes on [`FairScheduler::push`],
+//! [`FairScheduler::set_paused`] and [`FairScheduler::close`]. The pause
+//! flag lives under the queue's own lock: a popper re-checks it on every
+//! wake-up, so an item pushed after a pause is never handed out until the
+//! matching resume.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +60,9 @@ struct SchedState<T> {
     rotation: VecDeque<String>,
     /// Total queued items across all tenants.
     len: usize,
+    /// Paused: pushes are admitted but [`FairScheduler::pop_wait`] hands
+    /// nothing out.
+    paused: bool,
     closed: bool,
 }
 
@@ -75,6 +81,7 @@ impl<T> FairScheduler<T> {
                 queues: BTreeMap::new(),
                 rotation: VecDeque::new(),
                 len: 0,
+                paused: false,
                 closed: false,
             }),
             available: Condvar::new(),
@@ -118,31 +125,22 @@ impl<T> FairScheduler<T> {
         Ok(depth)
     }
 
-    /// Pop the next item under the rotation, blocking up to `timeout`.
-    /// `None` on timeout or when the queue is closed and empty.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
+    /// Pop the next item under the rotation, blocking while the queue is
+    /// empty or paused. `None` once the queue is closed; items still queued
+    /// then stay for [`FairScheduler::drain`].
+    pub fn pop_wait(&self) -> Option<T> {
         let mut state = self.state.lock().expect("scheduler lock");
         loop {
-            if let Some(item) = Self::pop_locked(&mut state) {
-                return Some(item);
-            }
             if state.closed {
                 return None;
             }
-            let (next, wait) = self
-                .available
-                .wait_timeout(state, timeout)
-                .expect("scheduler lock");
-            state = next;
-            if wait.timed_out() {
-                return Self::pop_locked(&mut state);
+            if !state.paused {
+                if let Some(item) = Self::pop_locked(&mut state) {
+                    return Some(item);
+                }
             }
+            state = self.available.wait(state).expect("scheduler lock");
         }
-    }
-
-    /// Pop without blocking.
-    pub fn try_pop(&self) -> Option<T> {
-        Self::pop_locked(&mut self.state.lock().expect("scheduler lock"))
     }
 
     fn pop_locked(state: &mut SchedState<T>) -> Option<T> {
@@ -176,16 +174,23 @@ impl<T> FairScheduler<T> {
         self.len() == 0
     }
 
-    /// Close the queue: subsequent pushes fail with [`PushError::Closed`]
-    /// and every blocked popper wakes (draining remaining items first).
-    pub fn close(&self) {
-        self.state.lock().expect("scheduler lock").closed = true;
+    /// Pause or resume handing items out. Pushes are still admitted while
+    /// paused; resuming wakes every blocked popper.
+    pub fn set_paused(&self, paused: bool) {
+        self.state.lock().expect("scheduler lock").paused = paused;
         self.available.notify_all();
     }
 
-    /// Has [`FairScheduler::close`] been called?
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("scheduler lock").closed
+    /// Is the queue paused?
+    pub fn is_paused(&self) -> bool {
+        self.state.lock().expect("scheduler lock").paused
+    }
+
+    /// Close the queue: subsequent pushes fail with [`PushError::Closed`]
+    /// and every blocked popper wakes and returns `None`.
+    pub fn close(&self) {
+        self.state.lock().expect("scheduler lock").closed = true;
+        self.available.notify_all();
     }
 
     /// Remove and return every queued item (rotation order), e.g. to mark
@@ -203,8 +208,9 @@ impl<T> FairScheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Instant;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::{Arc, Barrier};
+    use std::time::Duration;
 
     #[test]
     fn fifo_within_a_single_tenant() {
@@ -212,8 +218,7 @@ mod tests {
         for i in 0..5 {
             q.push("a", 1, i).unwrap();
         }
-        let popped: Vec<i32> = std::iter::from_fn(|| q.try_pop()).collect();
-        assert_eq!(popped, vec![0, 1, 2, 3, 4]);
+        assert_eq!(q.drain(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -223,7 +228,7 @@ mod tests {
             q.push("bulk", 1, format!("bulk{i}")).unwrap();
         }
         q.push("interactive", 1, "urgent".to_string()).unwrap();
-        let popped: Vec<String> = std::iter::from_fn(|| q.try_pop()).collect();
+        let popped = q.drain();
         let pos = popped.iter().position(|s| s == "urgent").unwrap();
         assert!(
             pos <= 1,
@@ -240,10 +245,9 @@ mod tests {
         for i in 0..2 {
             q.push("light", 1, format!("l{i}")).unwrap();
         }
-        let popped: Vec<String> = std::iter::from_fn(|| q.try_pop()).collect();
         // heavy pops 3 per visit, light 1: h0 h1 h2 l0 h3 h4 h5 l1.
         assert_eq!(
-            popped,
+            q.drain(),
             vec!["h0", "h1", "h2", "l0", "h3", "h4", "h5", "l1"]
         );
     }
@@ -257,54 +261,86 @@ mod tests {
         assert_eq!(q.push("t", 1, 99), Err(PushError::Full(3)));
         assert_eq!(q.push("other", 1, 99), Err(PushError::Full(3)));
         // Popping one frees one slot.
-        assert_eq!(q.try_pop(), Some(0));
+        assert_eq!(q.pop_wait(), Some(0));
         assert_eq!(q.push("t", 1, 99), Ok(3));
+    }
+
+    /// Run `pop_wait` on its own thread; the receiver yields its result.
+    /// Returns once the popper is about to call `pop_wait`.
+    fn spawn_popper(q: &Arc<FairScheduler<u32>>) -> mpsc::Receiver<Option<u32>> {
+        let (tx, rx) = mpsc::channel();
+        let ready = Arc::new(Barrier::new(2));
+        let (q, popper_ready) = (Arc::clone(q), Arc::clone(&ready));
+        std::thread::spawn(move || {
+            popper_ready.wait();
+            let _ = tx.send(q.pop_wait());
+        });
+        ready.wait();
+        rx
+    }
+
+    /// How long a popper must stay blocked for a test to call it blocked.
+    const STILL_BLOCKED: Duration = Duration::from_millis(50);
+    /// How long a woken popper may take to return.
+    const WAKE_BOUND: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn paused_queue_hands_nothing_out_until_resumed() {
+        let q = Arc::new(FairScheduler::new(4));
+        q.set_paused(true);
+        let popped = spawn_popper(&q);
+        // The push wakes the popper, which must see the pause and block on.
+        q.push("t", 1, 7).unwrap();
+        assert_eq!(
+            popped.recv_timeout(STILL_BLOCKED),
+            Err(RecvTimeoutError::Timeout),
+            "an item pushed while paused must not be handed out"
+        );
+        assert!(q.is_paused());
+        q.set_paused(false);
+        assert_eq!(
+            popped.recv_timeout(WAKE_BOUND),
+            Ok(Some(7)),
+            "resume must wake the blocked popper"
+        );
+        assert!(!q.is_paused());
     }
 
     #[test]
     fn close_rejects_pushes_and_wakes_poppers() {
-        let q = Arc::new(FairScheduler::<u32>::new(4));
-        let waiter = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_timeout(Duration::from_secs(30)))
-        };
-        // Give the waiter a moment to block, then close.
-        std::thread::sleep(Duration::from_millis(20));
-        let started = Instant::now();
+        let q = Arc::new(FairScheduler::new(4));
+        let popped = spawn_popper(&q);
+        assert_eq!(
+            popped.recv_timeout(STILL_BLOCKED),
+            Err(RecvTimeoutError::Timeout),
+            "an idle queue blocks its popper"
+        );
         q.close();
-        assert_eq!(waiter.join().unwrap(), None);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "close must wake the popper promptly"
+        assert_eq!(
+            popped.recv_timeout(WAKE_BOUND),
+            Ok(None),
+            "close must wake the popper"
         );
         assert_eq!(q.push("t", 1, 1), Err(PushError::Closed));
     }
 
     #[test]
-    fn close_drains_remaining_items_before_returning_none() {
-        let q = FairScheduler::new(4);
-        q.push("t", 1, 7).unwrap();
+    fn close_wakes_a_paused_popper_and_leaves_items_for_drain() {
+        let q = Arc::new(FairScheduler::new(4));
+        q.set_paused(true);
+        q.push("a", 1, 7).unwrap();
+        q.push("b", 1, 8).unwrap();
+        let popped = spawn_popper(&q);
+        assert_eq!(
+            popped.recv_timeout(STILL_BLOCKED),
+            Err(RecvTimeoutError::Timeout)
+        );
         q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(7));
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
-    }
-
-    #[test]
-    fn drain_empties_everything() {
-        let q = FairScheduler::new(16);
-        q.push("a", 1, 1).unwrap();
-        q.push("b", 1, 2).unwrap();
-        q.push("a", 1, 3).unwrap();
-        let drained = q.drain();
-        assert_eq!(drained.len(), 3);
+        assert_eq!(popped.recv_timeout(WAKE_BOUND), Ok(None));
+        // Closed and no longer paused: pop_wait still hands nothing out.
+        q.set_paused(false);
+        assert_eq!(q.pop_wait(), None);
+        assert_eq!(q.drain(), vec![7, 8]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_timeout_returns_none_when_idle() {
-        let q = FairScheduler::<u32>::new(4);
-        let started = Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(15)), None);
-        assert!(started.elapsed() >= Duration::from_millis(10));
     }
 }

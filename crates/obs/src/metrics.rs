@@ -70,6 +70,10 @@ pub struct ServerCounters {
     pub breaker_open: u64,
     /// Closed→open breaker transitions since start.
     pub breaker_trips_total: u64,
+    /// Live HTTP connections, each holding one thread (gauge).
+    pub connections_live: u64,
+    /// Connections answered 503 at the connection cap since start.
+    pub connections_shed_total: u64,
 }
 
 /// Render the campaign server's Prometheus series. Kept separate from
@@ -101,6 +105,18 @@ pub fn render_server_metrics(c: &ServerCounters) -> String {
     out.push_str("# HELP accvv_server_breaker_trips_total Closed-to-open breaker transitions.\n");
     out.push_str("# TYPE accvv_server_breaker_trips_total counter\n");
     let _ = writeln!(out, "accvv_server_breaker_trips_total {}", c.breaker_trips_total);
+    out.push_str("# HELP accvv_server_connections Live HTTP connections, one thread each.\n");
+    out.push_str("# TYPE accvv_server_connections gauge\n");
+    let _ = writeln!(out, "accvv_server_connections {}", c.connections_live);
+    out.push_str(
+        "# HELP accvv_server_connections_shed_total Connections answered 503 at the connection cap.\n",
+    );
+    out.push_str("# TYPE accvv_server_connections_shed_total counter\n");
+    let _ = writeln!(
+        out,
+        "accvv_server_connections_shed_total {}",
+        c.connections_shed_total
+    );
     out
 }
 
@@ -435,6 +451,8 @@ mod tests {
             shared_total: 3,
             breaker_open: 1,
             breaker_trips_total: 6,
+            connections_live: 7,
+            connections_shed_total: 8,
         };
         let text = render_server_metrics(&c);
         assert!(text.contains("accvv_server_queue_depth 3"));
@@ -446,6 +464,8 @@ mod tests {
         assert!(text.contains("accvv_server_submissions_total{outcome=\"shared\"} 3"));
         assert!(text.contains("accvv_server_breaker_open 1"));
         assert!(text.contains("accvv_server_breaker_trips_total 6"));
+        assert!(text.contains("accvv_server_connections 7"));
+        assert!(text.contains("accvv_server_connections_shed_total 8"));
         // Composable with the event exposition: both are valid standalone
         // text blocks.
         let combined = format!("{}{}", render_prometheus(&[], None), text);

@@ -19,10 +19,18 @@
 //! * **Circuit breakers** — per compiler profile ([`breaker`]); a tripped
 //!   profile degrades gracefully: every case reports
 //!   `Skipped("circuit open …")` immediately.
-//! * **Graceful drain** — SIGINT/SIGTERM ([`signal`]) stops admission,
-//!   cancels in-flight work through the executor's [`CancelToken`] (the
-//!   per-submission journal makes it resumable), marks queued work
-//!   cancelled, and lets the process exit 0.
+//! * **Bounded connections** — at most [`MAX_CONNECTIONS`] connection
+//!   threads live at once; the accept thread answers the excess with
+//!   `503 Service Unavailable` + `Retry-After`.
+//! * **Graceful drain** — SIGINT/SIGTERM ([`signal`]), `POST /v1/drain` or
+//!   [`Server::drain_token`] stops admission, cancels in-flight work
+//!   through the executor's [`CancelToken`] (the per-submission journal
+//!   makes it resumable), marks queued work cancelled, and lets the
+//!   process exit 0.
+//!
+//! Nothing waits on a timer: the listener blocks in `accept()`, the
+//! scheduler in [`FairScheduler::pop_wait`], and cancelling the drain token
+//! wakes both (see [`Server::run`]).
 //!
 //! The report a completed submission stores is **byte-identical** to what
 //! `accvv run` would have printed for the same parameters — both paths go
@@ -30,15 +38,19 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("acc-server needs a Unix platform: its drain wake-up is a Unix socket pair");
+
 pub mod breaker;
 pub mod http;
 pub mod signal;
 
 use std::collections::{BTreeMap, HashMap};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read as _};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -64,6 +76,17 @@ use acc_validation::{
 
 pub use breaker::{BreakerDecision, BreakerSet, BreakerState};
 use http::{Request, Response};
+
+/// Most connection threads alive at once. A connection past the cap is
+/// answered `503` + `Retry-After` by the accept thread itself, so no
+/// stream of clients can grow the server's thread count without bound.
+/// Campaign clients hold a connection for one short request, so the cap
+/// is reached only by clients that open connections and stall.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Back-off after an `accept()` error other than `EINTR` (e.g. out of
+/// file descriptors), so a persistent error cannot spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -483,6 +506,11 @@ struct Gauges {
     cancelled: AtomicU64,
     degraded: AtomicU64,
     shared: AtomicU64,
+    /// Connection threads alive now. Only the accept thread increments it,
+    /// so its check against [`MAX_CONNECTIONS`] cannot race another
+    /// increment.
+    connections_live: AtomicU64,
+    connections_shed: AtomicU64,
 }
 
 struct QueuedSubmission {
@@ -497,7 +525,6 @@ struct ServerInner {
     store: ResultStore,
     cache: Arc<CompileCache>,
     breakers: BreakerSet,
-    paused: AtomicBool,
     drain: Arc<CancelToken>,
     counters: Gauges,
     /// Request-latency histograms keyed by normalized endpoint path, for
@@ -528,6 +555,8 @@ impl ServerInner {
             shared_total: self.counters.shared.load(Ordering::Relaxed),
             breaker_open: self.breakers.open_count() as u64,
             breaker_trips_total: self.breakers.trips_total(),
+            connections_live: self.counters.connections_live.load(Ordering::SeqCst),
+            connections_shed_total: self.counters.connections_shed.load(Ordering::Relaxed),
         }
     }
 }
@@ -544,14 +573,12 @@ impl Server {
         std::fs::create_dir_all(&config.store_dir)?;
         let store = ResultStore::open(config.store_dir.join("results.j1"))?;
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let inner = Arc::new(ServerInner {
             queue: FairScheduler::new(config.queue_cap),
             pending: Mutex::new(HashMap::new()),
             store,
             cache: CompileCache::shared(),
             breakers: BreakerSet::new(config.breaker_threshold, config.breaker_cooldown),
-            paused: AtomicBool::new(false),
             drain: CancelToken::arc(),
             counters: Gauges::default(),
             http_latency: Mutex::new(BTreeMap::new()),
@@ -582,82 +609,174 @@ impl Server {
     /// admitting, cancel the in-flight run (its journal makes it
     /// resumable), mark queued-unstarted submissions cancelled, and return
     /// the lifetime counters.
+    ///
+    /// Three threads block instead of polling: this one in `accept()`, the
+    /// scheduler in [`FairScheduler::pop_wait`], and a drain thread reading
+    /// the drain token's wake socket. The token's first
+    /// [`CancelToken::cancel`] — from a signal handler, `POST /v1/drain` or
+    /// any other holder of [`Server::drain_token`] — writes one byte there;
+    /// the drain thread then closes the queue (waking the scheduler and
+    /// refusing late pushes) and connects to the listener once to wake
+    /// `accept()`. Connection threads are scoped: `run` returns only after
+    /// every one has finished.
     pub fn run(self) -> io::Result<DrainSummary> {
-        let inner = Arc::clone(&self.inner);
-        let sched_inner = Arc::clone(&self.inner);
-        let scheduler = thread::Builder::new()
-            .name("accvv-sched".to_string())
-            .spawn(move || scheduler_loop(&sched_inner))?;
-        let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
-        while !inner.drain.is_cancelled() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let conn_inner = Arc::clone(&inner);
-                    if let Ok(handle) = thread::Builder::new()
-                        .name("accvv-conn".to_string())
-                        .spawn(move || handle_connection(stream, &conn_inner))
-                    {
-                        conns.push(handle);
-                    }
-                    conns.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    eprintln!("accvv serve: accept: {e}");
-                    thread::sleep(Duration::from_millis(50));
-                }
+        let inner = &*self.inner;
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        let cancelled_already = inner.drain.set_wake(wake_tx)?;
+        let listen_addr = self.listener.local_addr()?;
+        thread::scope(|s| {
+            thread::Builder::new()
+                .name("accvv-sched".to_string())
+                .spawn_scoped(s, || scheduler_loop(inner))?;
+            let drain = thread::Builder::new()
+                .name("accvv-drain".to_string())
+                .spawn_scoped(s, move || {
+                    drain_on_wake(inner, wake_rx, cancelled_already, listen_addr)
+                });
+            if let Err(e) = drain {
+                inner.queue.close();
+                return Err(e);
             }
-        }
-        // Drain: no new admissions, wake the scheduler, let in-flight
-        // connections finish their (short) request/response exchanges.
-        self.inner.queue.close();
-        for handle in conns {
-            let _ = handle.join();
-        }
-        let _ = scheduler.join();
-        Ok(self.inner.summary())
+            accept_loop(s, &self.listener, inner);
+            Ok(())
+        })?;
+        Ok(inner.summary())
     }
 }
 
-fn scheduler_loop(inner: &ServerInner) {
+/// The drain step every drain source reaches: wait for the drain token's
+/// wake byte, then close the queue and wake the blocked `accept()`.
+fn drain_on_wake(
+    inner: &ServerInner,
+    mut wake: UnixStream,
+    cancelled_already: bool,
+    listen_addr: SocketAddr,
+) {
+    if !cancelled_already {
+        if let Err(e) = wake.read_exact(&mut [0u8]) {
+            // Nothing could wake this thread again; drain now rather than
+            // leave a server no drain request can stop.
+            eprintln!("accvv serve: drain wake socket failed ({e}); draining");
+            inner.drain.cancel();
+        }
+    }
+    // Closing the queue together with the cancel is what keeps every 202
+    // accounted for: a push after this point fails with `Closed` (503,
+    // stored `cancelled`), and one before it is still queued when the
+    // scheduler drains the queue.
+    inner.queue.close();
+    if let Err(e) = TcpStream::connect(loopback(listen_addr)) {
+        eprintln!("accvv serve: drain could not wake the listener: {e}");
+    }
+}
+
+/// Where to connect to reach a listener bound to `addr`: a wildcard bind
+/// (`0.0.0.0`, `::`) is reached over loopback.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+fn accept_loop<'scope>(
+    s: &'scope thread::Scope<'scope, '_>,
+    listener: &TcpListener,
+    inner: &'scope ServerInner,
+) {
+    let live = &inner.counters.connections_live;
     loop {
+        let accepted = listener.accept();
+        // The drain step's self-connect lands here; anything accepted once
+        // the token has tripped is closed unanswered.
         if inner.drain.is_cancelled() {
-            break;
+            return;
         }
-        if inner.paused.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_millis(10));
-            continue;
-        }
-        // try_pop, not a blocking pop: a blocking pop started before a
-        // pause (or drain) flip would still hand over the next item pushed
-        // AFTER the flip, running work the operator believed was frozen.
-        // Re-checking both flags before every pop closes that window.
-        match inner.queue.try_pop() {
-            Some(id) => run_one(inner, id),
-            None => {
-                if inner.queue.is_closed() {
-                    break;
-                }
-                thread::sleep(Duration::from_millis(10));
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                eprintln!("accvv serve: accept: {e}");
+                thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
             }
-        }
-    }
-    // Queued-but-never-started submissions are cancelled, not silently
-    // dropped: the store records why each one never produced a report. Ids
-    // no longer pending were already resolved by a shared execution — their
-    // stored state stands.
-    for id in inner.queue.drain() {
-        if inner.pending.lock().expect("pending lock").remove(&id).is_none() {
+        };
+        if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS as u64 {
+            inner
+                .counters
+                .connections_shed
+                .fetch_add(1, Ordering::Relaxed);
+            shed_connection(stream, inner.config.retry_after_secs);
             continue;
         }
-        inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-        let _ = inner
-            .store
-            .set_state(id, "cancelled", "server drained before execution");
+        live.fetch_add(1, Ordering::SeqCst);
+        let spawned = thread::Builder::new()
+            .name("accvv-conn".to_string())
+            .spawn_scoped(s, move || {
+                let mut stream = stream;
+                // Declared after `stream`, so dropped before it: the slot is
+                // free by the time the client sees the connection close.
+                let _slot = ConnectionSlot(live);
+                handle_connection(&mut stream, inner);
+            });
+        if spawned.is_err() {
+            live.fetch_sub(1, Ordering::SeqCst);
+        }
     }
+}
+
+/// Frees a connection thread's place under [`MAX_CONNECTIONS`] when the
+/// thread ends, however it ends.
+struct ConnectionSlot<'a>(&'a AtomicU64);
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answer a connection over [`MAX_CONNECTIONS`] on the accept thread
+/// without reading its request. Shutting down the write side first sends
+/// the client the reply and end-of-stream ahead of the reset that closing
+/// with an unread request causes, so the client reads a clean 503.
+fn shed_connection(mut stream: TcpStream, retry_after_secs: u64) {
+    let _ = error_response(503, "too many open connections; retry later")
+        .with_header("Retry-After", retry_after_secs.to_string())
+        .write_to(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+fn scheduler_loop(inner: &ServerInner) {
+    while let Some(id) = inner.queue.pop_wait() {
+        if inner.drain.is_cancelled() {
+            // Popped after the cancel but before the drain step closed the
+            // queue: it never started, so it is cancelled like the rest.
+            cancel_queued(inner, id);
+        } else {
+            run_one(inner, id);
+        }
+    }
+    for id in inner.queue.drain() {
+        cancel_queued(inner, id);
+    }
+}
+
+/// Queued-but-never-started submissions are cancelled, not silently
+/// dropped: the store records why each one never produced a report. Ids no
+/// longer pending were already resolved by a shared execution — their
+/// stored state stands.
+fn cancel_queued(inner: &ServerInner, id: u64) {
+    let pending = inner.pending.lock().expect("pending lock").remove(&id);
+    if pending.is_none() {
+        return;
+    }
+    inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+    let _ = inner
+        .store
+        .set_state(id, "cancelled", "server drained before execution");
 }
 
 fn run_one(inner: &ServerInner, id: u64) {
@@ -787,15 +906,15 @@ fn share_result(inner: &ServerInner, leader: u64, spec: &SubmissionSpec, run: &S
     }
 }
 
-fn handle_connection(mut stream: TcpStream, inner: &ServerInner) {
-    let req = match http::read_request(&mut stream) {
+fn handle_connection(stream: &mut TcpStream, inner: &ServerInner) {
+    let req = match http::read_request(stream) {
         Ok(r) => r,
         Err(http::RequestError::Bad(msg)) => {
-            let _ = error_response(400, &msg).write_to(&mut stream);
+            let _ = error_response(400, &msg).write_to(stream);
             return;
         }
         Err(http::RequestError::TooLarge(msg)) => {
-            let _ = error_response(413, &msg).write_to(&mut stream);
+            let _ = error_response(413, &msg).write_to(stream);
             return;
         }
         Err(http::RequestError::Io(_)) => return,
@@ -807,7 +926,7 @@ fn handle_connection(mut stream: TcpStream, inner: &ServerInner) {
     if let Ok(mut map) = inner.http_latency.lock() {
         map.entry(label.to_string()).or_default().record(elapsed_us);
     }
-    let _ = resp.write_to(&mut stream);
+    let _ = resp.write_to(stream);
 }
 
 /// Collapse per-id paths into one label per endpoint so the metric's
@@ -842,11 +961,11 @@ fn route(inner: &ServerInner, req: &Request) -> Response {
         ("GET", "/v1/healthz") => handle_health(inner),
         ("GET", "/metrics") => handle_metrics(inner),
         ("POST", "/v1/pause") => {
-            inner.paused.store(true, Ordering::SeqCst);
+            inner.queue.set_paused(true);
             Response::json(200, "{\"state\":\"paused\"}".to_string())
         }
         ("POST", "/v1/resume") => {
-            inner.paused.store(false, Ordering::SeqCst);
+            inner.queue.set_paused(false);
             Response::json(200, "{\"state\":\"serving\"}".to_string())
         }
         ("POST", "/v1/drain") => {
@@ -1138,7 +1257,7 @@ fn handle_compact(inner: &ServerInner) -> Response {
 fn handle_health(inner: &ServerInner) -> Response {
     let state = if inner.drain.is_cancelled() {
         "draining"
-    } else if inner.paused.load(Ordering::SeqCst) {
+    } else if inner.queue.is_paused() {
         "paused"
     } else {
         "serving"
@@ -1161,7 +1280,7 @@ fn handle_health(inner: &ServerInner) -> Response {
         format!(
             "{{\"state\":\"{state}\",\"queue_depth\":{},\"admitted\":{},\"shed\":{},\
              \"completed\":{},\"shared\":{},\"cancelled\":{},\"degraded\":{},\
-             \"breakers\":{breakers}}}",
+             \"connections_live\":{},\"connections_shed\":{},\"breakers\":{breakers}}}",
             inner.queue.len(),
             s.admitted,
             s.shed,
@@ -1169,6 +1288,8 @@ fn handle_health(inner: &ServerInner) -> Response {
             s.shared,
             s.cancelled,
             s.degraded,
+            inner.counters.connections_live.load(Ordering::SeqCst),
+            inner.counters.connections_shed.load(Ordering::Relaxed),
         ),
     )
 }

@@ -1,11 +1,14 @@
 //! SIGINT/SIGTERM → [`CancelToken`], with no dependency beyond libc's
 //! `signal(2)` (already linked by std).
 //!
-//! The handler does exactly one async-signal-safe thing: store `true` into
-//! the token's atomic. All draining — finishing in-flight work, journaling,
-//! flushing telemetry sinks — happens on normal threads that poll the
-//! token. After the first signal the default disposition is restored, so a
-//! second Ctrl-C kills a wedged process the traditional way.
+//! The handler only calls [`CancelToken::cancel`], which is
+//! async-signal-safe: an atomic swap plus, when a server registered a wake
+//! socket on the token, one `write(2)` of one byte. All draining —
+//! finishing in-flight work, journaling, flushing telemetry sinks — happens
+//! on normal threads: executors check the token at job-claim boundaries,
+//! and a served process's drain thread blocks reading that wake socket.
+//! After the first signal the default disposition is restored, so a second
+//! Ctrl-C kills a wedged process the traditional way.
 
 use std::sync::{Arc, OnceLock};
 

@@ -1,7 +1,7 @@
 //! Robustness of the campaign server (ISSUE 6).
 //!
-//! Four obligations from the issue are pinned here, over a real listener
-//! (`127.0.0.1:0`) with a hand-rolled HTTP client:
+//! Five obligations are pinned here, over a real listener (`127.0.0.1:0`)
+//! with a hand-rolled HTTP client:
 //!
 //! 1. **Breakers** — a vendor profile's circuit trips after N consecutive
 //!    `Infra` verdicts, degrades admission while open, admits one half-open
@@ -14,6 +14,10 @@
 //!    and the result store still resolves every id after the fact.
 //! 4. **Byte identity** — the report served over HTTP (cold cache and warm)
 //!    equals the bytes `run_submission` produces with no cache at all.
+//! 5. **No timers, bounded threads** — a drain wakes a server blocked in
+//!    `accept()`, idle requests answer without waiting out a poll, resume
+//!    wakes the blocked scheduler, connections past the cap get 503, and a
+//!    drain racing admission never strands an admitted id in `queued`.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -27,7 +31,7 @@ use openacc_vv::harness::store::ResultStore;
 use openacc_vv::prelude::*;
 use openacc_vv::server::{
     run_submission, BreakerDecision, BreakerSet, BreakerState, DrainSummary, RunOptions,
-    ServeConfig, Server, SubmissionSpec,
+    ServeConfig, Server, SubmissionSpec, MAX_CONNECTIONS,
 };
 
 // ---------------------------------------------------------------------------
@@ -114,35 +118,46 @@ impl HttpReply {
 }
 
 fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> HttpReply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    try_http(addr, method, path, body).unwrap_or_else(|e| panic!("{method} {path}: {e}"))
+}
+
+/// One request/response exchange; `Err` when the server is unreachable or
+/// closed the connection without a well-formed reply.
+fn try_http(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> std::io::Result<HttpReply> {
+    let malformed =
+        |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
+    let mut stream = TcpStream::connect(addr)?;
     let body = body.unwrap_or("");
     let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: accvv\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(request.as_bytes()).expect("send request");
+    stream.write_all(request.as_bytes())?;
     let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
+    stream.read_to_string(&mut raw)?;
     let (head, payload) = raw
         .split_once("\r\n\r\n")
-        .expect("response has a head/body separator");
+        .ok_or_else(|| malformed("response has no head/body separator"))?;
     let mut lines = head.lines();
-    let status_line = lines.next().expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
+    let status: u16 = lines
+        .next()
+        .and_then(|status_line| status_line.split_whitespace().nth(1))
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| malformed("bad status line"))?;
     let headers = lines
         .filter_map(|l| l.split_once(": "))
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
-    HttpReply {
+    Ok(HttpReply {
         status,
         headers,
         body: payload.to_string(),
-    }
+    })
 }
 
 /// A small, fast submission: one feature prefix, one language.
@@ -679,4 +694,196 @@ fn history_survives_compaction_and_restart() {
     drain.cancel();
     handle.join().expect("second server thread panicked").expect("run");
     let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+// ---------------------------------------------------------------------------
+// 7. Event-driven serving: wake-ups instead of timers, bounded connections
+// ---------------------------------------------------------------------------
+
+/// Wait for the server thread to return, failing once `bound` has passed.
+fn join_within(
+    handle: thread::JoinHandle<std::io::Result<DrainSummary>>,
+    bound: Duration,
+) -> DrainSummary {
+    let deadline = Instant::now() + bound;
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "Server::run still running {bound:?} after the drain"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    handle
+        .join()
+        .expect("server thread panicked")
+        .expect("server run failed")
+}
+
+/// The listener blocks in `accept()`; a drain must still end `run` though
+/// no connection ever arrives.
+#[test]
+fn drain_wakes_a_server_that_never_saw_a_connection() {
+    let server = TestServer::start("wake", |_| {});
+    server.drain.cancel();
+    let summary = join_within(server.handle, Duration::from_secs(2));
+    assert_eq!(summary, DrainSummary::default());
+    let _ = std::fs::remove_dir_all(&server.store_dir);
+}
+
+/// No request waits out a poll interval: a 20 ms accept poll alone would
+/// make these 100 requests take 2 s.
+#[test]
+fn idle_server_answers_100_health_checks_in_under_a_second() {
+    let server = TestServer::start("idle", |_| {});
+    let addr = server.addr;
+    let started = Instant::now();
+    for _ in 0..100 {
+        assert_eq!(http(addr, "GET", "/v1/healthz", None).status, 200);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "100 health checks took {took:?}"
+    );
+    server.drain_and_join();
+}
+
+#[test]
+fn resume_wakes_the_blocked_scheduler() {
+    let server = TestServer::start("resume", |_| {});
+    let addr = server.addr;
+    assert_eq!(http(addr, "POST", "/v1/pause", None).status, 200);
+    let health = http(addr, "GET", "/v1/healthz", None);
+    assert_eq!(health.json_field("state").as_deref(), Some("paused"));
+    assert_eq!(http(addr, "POST", "/v1/resume", None).status, 200);
+    let health = http(addr, "GET", "/v1/healthz", None);
+    assert_eq!(health.json_field("state").as_deref(), Some("serving"));
+
+    let reply = http(
+        addr,
+        "POST",
+        "/v1/submit",
+        Some(&small_submission("resumed")),
+    );
+    assert_eq!(reply.status, 202, "{}", reply.body);
+    let id = reply.json_field("id").expect("id");
+    poll_state(addr, &id, &["done"], Duration::from_secs(30));
+    let summary = server.drain_and_join();
+    assert_eq!(summary.completed, 1);
+}
+
+#[test]
+fn connections_past_the_cap_get_503_until_released() {
+    let server = TestServer::start("conncap", |c| c.retry_after_secs = 3);
+    let addr = server.addr;
+
+    // Cap-many connections that never send a request: each holds a
+    // connection thread blocked reading its head.
+    let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect idle"))
+        .collect();
+    // Accepted in order, so this one meets the cap.
+    let over = http(addr, "GET", "/v1/healthz", None);
+    assert_eq!(over.status, 503, "{}", over.body);
+    assert_eq!(over.header("Retry-After"), Some("3"));
+    assert!(
+        over.body.contains("too many open connections"),
+        "{}",
+        over.body
+    );
+
+    // Released connections end their threads; service resumes once they
+    // have, and the live gauge returns to this one request.
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let health = loop {
+        let reply = http(addr, "GET", "/v1/healthz", None);
+        if reply.status == 200 && reply.json_field("connections_live").as_deref() == Some("1") {
+            break reply;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "connections never released: {} {}",
+            reply.status,
+            reply.body
+        );
+        thread::sleep(Duration::from_millis(5));
+    };
+    let shed: u64 = health
+        .json_field("connections_shed")
+        .and_then(|v| v.parse().ok())
+        .expect("connections_shed in /v1/healthz");
+    assert!(shed >= 1, "{}", health.body);
+
+    let metrics = http(addr, "GET", "/metrics", None);
+    assert_eq!(metrics.status, 200);
+    for needle in [
+        "# TYPE accvv_server_connections gauge",
+        "accvv_server_connections 1\n",
+        "# TYPE accvv_server_connections_shed_total counter",
+        &format!("accvv_server_connections_shed_total {shed}\n"),
+    ] {
+        assert!(
+            metrics.body.contains(needle),
+            "missing `{needle}`:\n{}",
+            metrics.body
+        );
+    }
+    server.drain_and_join();
+}
+
+/// A drain racing admission: every id the server answered 202 for must end
+/// resolved — run, cancelled while queued, or interrupted mid-run — never
+/// stranded in `queued` by a push that landed after the final queue drain.
+/// Sixteen submitters keep several requests between the drain check and
+/// the push when the drain starts; once with the scheduler paused (every
+/// admitted id is still queued at the drain), once running.
+#[test]
+fn drain_racing_submissions_strands_no_admitted_id() {
+    for paused in [true, false] {
+        let server = TestServer::start("drainrace", |c| c.queue_cap = 1024);
+        let addr = server.addr;
+        let store_path = server.store_dir.join("results.j1");
+        if paused {
+            assert_eq!(http(addr, "POST", "/v1/pause", None).status, 200);
+        }
+        let admitted = std::sync::Mutex::new(Vec::<u64>::new());
+        thread::scope(|s| {
+            for t in 0..16 {
+                let admitted = &admitted;
+                s.spawn(move || {
+                    let body = small_submission(&format!("racer-{t}"));
+                    // Submit until the drain refuses (503) or the server
+                    // closes the connection.
+                    while let Ok(reply) = try_http(addr, "POST", "/v1/submit", Some(&body)) {
+                        match reply.status {
+                            202 => {
+                                let id = reply.json_field("id").expect("id").parse().unwrap();
+                                admitted.lock().unwrap().push(id);
+                            }
+                            503 => break,
+                            other => panic!("submit answered {other}: {}", reply.body),
+                        }
+                    }
+                });
+            }
+            while admitted.lock().unwrap().len() < 16 {
+                thread::yield_now();
+            }
+            server.drain.cancel();
+        });
+        let summary = join_within(server.handle, Duration::from_secs(60));
+        let admitted = admitted.into_inner().unwrap();
+        assert_eq!(summary.admitted, admitted.len() as u64, "paused={paused}");
+
+        let store = ResultStore::open(&store_path).expect("reopen result store");
+        for id in admitted {
+            let state = store.submission(id).expect("admitted id is stored").state;
+            assert!(
+                ["done", "cancelled", "interrupted"].contains(&state.as_str()),
+                "paused={paused}: admitted submission {id} ended `{state}`"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&server.store_dir);
+    }
 }

@@ -265,9 +265,9 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
     let events_per_reference_run = recorder.snapshot().len();
 
     // 2d. The disabled instrumentation path in isolation: with no scope
-    //     installed, every call below takes the no-scope fast path (one
-    //     thread-local check) — exactly what each span/instant site in the
-    //     stack costs while telemetry is off.
+    //     installed on any thread, every call below takes the no-scope fast
+    //     path (one load of the live-scope count) — exactly what each
+    //     span/instant site in the stack costs while telemetry is off.
     let noop_calls = 2_000_000usize;
     let timing = time_median(iters, || {
         for _ in 0..noop_calls {

@@ -80,16 +80,20 @@ impl BugCatalog {
         &self.records
     }
 
-    /// Records active for a vendor release and language.
+    /// Records active for a vendor release and language (none for a version
+    /// the vendor never released).
     pub fn active(
         &self,
         vendor: VendorId,
         version: CompilerVersion,
         language: Language,
     ) -> Vec<&BugRecord> {
+        let Some(index) = vendor.version_index(version) else {
+            return Vec::new();
+        };
         self.records
             .iter()
-            .filter(|r| r.language == language && r.active_in(vendor, version))
+            .filter(|r| r.vendor == vendor && r.language == language && r.active[index])
             .collect()
     }
 
@@ -900,6 +904,37 @@ mod tests {
             catalog.count(VendorId::Reference, "1.0.0".parse().unwrap(), Language::C),
             0
         );
+    }
+
+    #[test]
+    fn active_selects_exactly_the_records_active_in_selects() {
+        let catalog = BugCatalog::paper();
+        let ids = |records: Vec<&BugRecord>| -> Vec<String> {
+            records.into_iter().map(|r| r.id.clone()).collect()
+        };
+        let vendors = VendorId::COMMERCIAL
+            .into_iter()
+            .chain([VendorId::Reference]);
+        for vendor in vendors {
+            for version in vendor.versions() {
+                for language in Language::ALL {
+                    let expected = catalog
+                        .records()
+                        .iter()
+                        .filter(|r| r.language == language && r.active_in(vendor, version))
+                        .collect();
+                    assert_eq!(
+                        ids(catalog.active(vendor, version, language)),
+                        ids(expected),
+                        "{vendor} {version} ({language})"
+                    );
+                }
+            }
+            let unreleased: CompilerVersion = "99.9.9".parse().unwrap();
+            for language in Language::ALL {
+                assert!(catalog.active(vendor, unreleased, language).is_empty());
+            }
+        }
     }
 
     #[test]

@@ -3,16 +3,23 @@
 //! A validation campaign compiles the same generated source many times —
 //! once per vendor version in a sweep, once more for every cross-test
 //! repetition, and again on retries. The pipeline is deterministic, so all
-//! of that work is redundant. [`CompileCache`] memoises it at two levels:
+//! of that work is redundant. [`CompileCache`] memoises it at two levels,
+//! each holding exactly what its key determines:
 //!
 //! * **Front-end level** — keyed by `(language, spec version, source)`.
-//!   Parse, sema, and name resolution do not depend on the vendor profile
-//!   at all, so one entry serves *every* vendor and version. This is the
-//!   level that makes an eight-version sweep pay for one parse.
+//!   Holds everything about the source that no vendor profile changes, so
+//!   one entry serves *every* vendor and version: the parsed AST with its
+//!   resolved frame layouts; the summary of what the source uses that
+//!   compile-time defects can reject (directive/clause pairs, non-constant
+//!   sizing clauses, runtime routines called), built by the first release
+//!   to compile it; and the lowered bytecode image, built by the first
+//!   release whose compile-time check passes. An eight-version sweep pays
+//!   for one parse, one usage walk and at most one lowering per source.
 //! * **Executable level** — keyed by `(vendor profile fingerprint, source)`.
-//!   The compile-time-defect walk and the resulting [`Executable`] depend on
-//!   the release's bug set, so a PGI-lowered artifact is never served to
-//!   Cray: their fingerprints differ.
+//!   The compile-time verdict and the [`Executable`] (its profile, its run
+//!   memo) depend on the release's bug set, so a PGI executable is never
+//!   served to Cray: their fingerprints differ. Executables of different
+//!   releases share the front-end entry's AST and image by `Arc`.
 //!
 //! Keys embed the *full* source text (content addressing by exact match):
 //! no hash collisions are possible, and lookups cost one hash of the
@@ -35,7 +42,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::driver::{CompileFailure, Executable};
+use crate::driver::{CompileFailure, Executable, FrontendUnit};
 
 /// The front-end artifact: parsed AST plus resolved frame layouts.
 type Frontend = (Arc<Program>, Arc<ResolvedProgram>);
@@ -47,7 +54,7 @@ type Frontend = (Arc<Program>, Arc<ResolvedProgram>);
 /// happen within a process.
 #[derive(Default)]
 pub struct CompileCache {
-    frontend: Mutex<HashMap<String, Result<Frontend, CompileFailure>>>,
+    frontend: Mutex<HashMap<String, Result<Arc<FrontendUnit>, CompileFailure>>>,
     exec: Mutex<HashMap<String, Result<Arc<Executable>, CompileFailure>>>,
     frontend_hits: AtomicU64,
     frontend_misses: AtomicU64,
@@ -124,6 +131,20 @@ impl CompileCache {
         spec: SpecVersion,
         compute: impl FnOnce() -> Result<Frontend, CompileFailure>,
     ) -> Result<Frontend, CompileFailure> {
+        self.frontend_unit(source, language, spec, compute)
+            .map(|unit| (Arc::clone(&unit.program), Arc::clone(&unit.resolved)))
+    }
+
+    /// [`frontend`](Self::frontend), returning the whole entry: the
+    /// artifact plus the usage summary and image slots every release
+    /// compiling the source fills and shares.
+    pub(crate) fn frontend_unit(
+        &self,
+        source: &str,
+        language: Language,
+        spec: SpecVersion,
+        compute: impl FnOnce() -> Result<Frontend, CompileFailure>,
+    ) -> Result<Arc<FrontendUnit>, CompileFailure> {
         let key = format!("{language:?}|{spec:?}\u{0}{source}");
         if let Some(cached) = self.frontend.lock().unwrap().get(&key) {
             self.frontend_hits.fetch_add(1, Ordering::Relaxed);
@@ -133,7 +154,8 @@ impl CompileCache {
         }
         self.frontend_misses.fetch_add(1, Ordering::Relaxed);
         acc_obs::instant_timing("cache", "frontend", vec![acc_obs::s("outcome", "miss")]);
-        let fresh = compute();
+        let fresh =
+            compute().map(|(program, resolved)| Arc::new(FrontendUnit::new(program, resolved)));
         self.frontend
             .lock()
             .unwrap()
@@ -207,7 +229,10 @@ impl fmt::Debug for CompileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bugs::BugCatalog;
+    use crate::driver::FailureKind;
     use crate::vendor::{VendorCompiler, VendorId};
+    use acc_device::{Defect, ExecProfile, TranslationTarget};
 
     const SRC: &str = "int main(void) {\n    int x = 1;\n    return x;\n}\n";
 
@@ -282,5 +307,101 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!(cache.stats().exec_hits, 1);
+    }
+
+    #[test]
+    fn releases_and_vendors_share_one_image_but_not_profiles() {
+        let cache = CompileCache::shared();
+        let compilers = [
+            VendorCompiler::new(VendorId::Caps, "3.2.3".parse().unwrap()),
+            VendorCompiler::latest(VendorId::Caps),
+            VendorCompiler::latest(VendorId::Pgi),
+            VendorCompiler::latest(VendorId::Cray),
+        ];
+        let exes: Vec<Arc<Executable>> = compilers
+            .into_iter()
+            .map(|c| {
+                c.with_cache(Arc::clone(&cache))
+                    .compile_shared(SRC, Language::C)
+                    .unwrap()
+            })
+            .collect();
+        for (i, a) in exes.iter().enumerate() {
+            for b in &exes[i + 1..] {
+                assert!(Arc::ptr_eq(&a.code, &b.code), "one image per source");
+                assert_ne!(a.profile, b.profile, "one profile per release");
+            }
+        }
+        assert_eq!(cache.frontend_entries(), 1);
+        assert_eq!(cache.exec_entries(), exes.len());
+    }
+
+    #[test]
+    fn a_rejecting_release_leaves_the_image_for_a_later_one() {
+        let src = "int main(void) {\n    int gangs = 8;\n    #pragma acc parallel num_gangs(gangs)\n    {\n    }\n    return 1;\n}\n";
+        let cache = CompileCache::shared();
+        let release = |v: &str| {
+            VendorCompiler::new(VendorId::Caps, v.parse().unwrap()).with_cache(Arc::clone(&cache))
+        };
+        let err = release("3.0.7")
+            .compile_shared(src, Language::C)
+            .unwrap_err();
+        assert_eq!(err.kind, FailureKind::InternalError);
+        assert!(
+            err.messages
+                .iter()
+                .any(|m| m.contains("`num_gangs` requires a constant expression")),
+            "{err}"
+        );
+        let unit = cache
+            .frontend_unit(src, Language::C, SpecVersion::V1_0, || {
+                unreachable!("the rejecting compile filled the front-end entry")
+            })
+            .unwrap();
+        assert!(
+            unit.image.get().is_none(),
+            "a rejected compile lowers nothing"
+        );
+
+        let exe = release("3.1.0").compile_shared(src, Language::C).unwrap();
+        let uncached = VendorCompiler::new(VendorId::Caps, "3.1.0".parse().unwrap())
+            .compile(src, Language::C)
+            .unwrap();
+        assert_eq!(exe.disassemble(), uncached.disassemble());
+        assert!(Arc::ptr_eq(unit.image.get().unwrap(), &exe.code));
+    }
+
+    #[test]
+    fn builders_leave_the_profile_equal_to_a_fresh_build() {
+        let vendor = VendorId::Pgi;
+        let version = "12.6".parse().unwrap();
+        let target = TranslationTarget::Opencl;
+        let extra = Defect::TransientMemcpyFault {
+            rate_pct: 35,
+            seed: 7,
+        };
+        // Each order ends in a different builder, so each catches that
+        // builder leaving a stale profile behind.
+        let orders = [
+            VendorCompiler::new(vendor, version)
+                .with_target(target)
+                .with_extra_defect(extra.clone()),
+            VendorCompiler::new(vendor, version)
+                .with_extra_defect(extra.clone())
+                .with_target(target),
+        ];
+        for compiler in orders {
+            for language in Language::ALL {
+                let mut fresh =
+                    ExecProfile::conforming(format!("PGI 12.6 ({language})"), vendor.mapping());
+                fresh.worker_loop_policy = vendor.worker_loop_policy();
+                fresh.target = target;
+                for bug in BugCatalog::paper().active(vendor, version, language) {
+                    fresh.inject(bug.defect.clone());
+                }
+                fresh.inject(extra.clone());
+                assert_eq!(*compiler.profile(language), fresh, "{language}");
+            }
+        }
     }
 }

@@ -5,8 +5,11 @@ use acc_ast::{Expr, Program};
 use acc_device::{Defect, ExecProfile};
 use acc_frontend::{sema, ResolvedProgram, Severity};
 use acc_spec::{ClauseKind, DeviceType, DirectiveKind, Language, RuntimeRoutine, SpecVersion};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use crate::bytecode::BytecodeProgram;
 
 /// Why compilation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,9 +51,10 @@ impl std::error::Error for CompileFailure {}
 /// A compiled test program: the parsed AST plus the behavioural profile the
 /// machine will execute it under.
 ///
-/// The AST and its resolved frame layouts are `Arc`-shared: when the
-/// compilation cache serves the same source to several vendor versions, all
-/// resulting executables point at one parse.
+/// The AST, its resolved frame layouts and its bytecode image are
+/// `Arc`-shared: when the compilation cache serves the same source to
+/// several vendor versions, all resulting executables point at one parse
+/// and one image.
 #[derive(Debug, Clone)]
 pub struct Executable {
     /// The program.
@@ -58,13 +62,15 @@ pub struct Executable {
     /// Frame slot layouts for every function (name → slot resolution done
     /// once at compile time; the interpreter indexes `Vec`-backed frames).
     pub resolved: Arc<ResolvedProgram>,
-    /// Vendor behaviour (mapping, policies, injected defects).
-    pub profile: ExecProfile,
+    /// Vendor behaviour (mapping, policies, injected defects), shared by
+    /// every executable one compiler builds for one language.
+    pub profile: Arc<ExecProfile>,
     /// The implementation-defined concrete device type.
     pub concrete_device: DeviceType,
-    /// The lowered bytecode image the VM engine executes (`Arc`-shared
-    /// through the executable cache, so a cache hit skips lowering).
-    pub code: Arc<crate::bytecode::BytecodeProgram>,
+    /// The lowered bytecode image the VM engine executes. Lowering reads
+    /// only the program and its layouts, so every release compiling the
+    /// source through one compile cache shares one image.
+    pub code: Arc<BytecodeProgram>,
     /// Memoized run results, keyed by `(knobs, env)` — execution is a pure
     /// function of the executable plus those inputs, so repeated identical
     /// runs (the repetition loops of a campaign) can replay a cached
@@ -82,9 +88,8 @@ impl Executable {
     }
 
     /// Re-run bytecode lowering from the resolved AST (bench probe for
-    /// isolating lowering cost; normal compiles lower once in
-    /// [`finish_compile`]).
-    pub fn lower_again(&self) -> crate::bytecode::BytecodeProgram {
+    /// isolating lowering cost).
+    pub fn lower_again(&self) -> BytecodeProgram {
         crate::bytecode::lower(&self.program, &self.resolved)
     }
 
@@ -132,33 +137,16 @@ pub fn frontend_compile(
 }
 
 /// The profile-specific back half: apply the vendor release's compile-time
-/// defects to an already-parsed program and produce the executable.
+/// defects to an already-parsed program and produce the executable. It
+/// lowers afresh; [`crate::vendor::VendorCompiler::compile_shared`] shares
+/// one image per source through the compile cache instead.
 pub fn finish_compile(
     program: Arc<Program>,
     resolved: Arc<ResolvedProgram>,
-    profile: ExecProfile,
+    profile: impl Into<Arc<ExecProfile>>,
     concrete_device: DeviceType,
 ) -> Result<Executable, CompileFailure> {
-    let ice = compile_time_defects(&program, &profile);
-    if !ice.is_empty() {
-        return Err(CompileFailure {
-            kind: FailureKind::InternalError,
-            messages: ice,
-        });
-    }
-    // Timing-class span: lowering only happens on an executable-cache miss,
-    // and which worker takes the miss depends on schedule.
-    acc_obs::begin_timing("lower", "bytecode", vec![]);
-    let code = Arc::new(crate::bytecode::lower(&program, &resolved));
-    acc_obs::end(vec![acc_obs::i("instrs", code.code.len() as i64)]);
-    Ok(Executable {
-        program,
-        resolved,
-        profile,
-        concrete_device,
-        code,
-        run_memo: Arc::new(std::sync::Mutex::new(std::collections::HashMap::new())),
-    })
+    FrontendUnit::new(program, resolved).finish(profile.into(), concrete_device)
 }
 
 /// Compile `source` under `profile` (already carrying the version's
@@ -168,37 +156,91 @@ pub fn finish_compile(
 pub fn compile_with_profile(
     source: &str,
     language: Language,
-    profile: ExecProfile,
+    profile: impl Into<Arc<ExecProfile>>,
     concrete_device: DeviceType,
 ) -> Result<Executable, CompileFailure> {
     let (program, resolved) = frontend_compile(source, language)?;
     finish_compile(program, resolved, profile, concrete_device)
 }
 
-/// Check the program against the profile's compile-time defects; returns the
-/// internal-error messages triggered.
-fn compile_time_defects(program: &Program, profile: &ExecProfile) -> Vec<String> {
-    let mut msgs = Vec::new();
-    for dir in program.directives() {
-        // Whole-directive rejection.
-        if profile.compile_error(dir.kind, None) {
-            msgs.push(format!(
-                "internal error: `{}` directive is not supported by this release",
-                dir.kind.name()
-            ));
+/// A source through the front end, plus what every release compiling it
+/// shares: the summary of what it uses that compile-time defects can
+/// reject, and its lowered bytecode image. Neither depends on the profile.
+/// Both are filled on first use, the image only by a release whose
+/// compile-time check passes.
+#[derive(Debug)]
+pub(crate) struct FrontendUnit {
+    pub(crate) program: Arc<Program>,
+    pub(crate) resolved: Arc<ResolvedProgram>,
+    usage: OnceLock<DefectUsage>,
+    pub(crate) image: OnceLock<Arc<BytecodeProgram>>,
+}
+
+impl FrontendUnit {
+    pub(crate) fn new(program: Arc<Program>, resolved: Arc<ResolvedProgram>) -> Self {
+        FrontendUnit {
+            program,
+            resolved,
+            usage: OnceLock::new(),
+            image: OnceLock::new(),
         }
-        for c in &dir.clauses {
-            if profile.compile_error(dir.kind, Some(c.kind())) {
-                msgs.push(format!(
-                    "internal error: `{}` clause on `{}` is not supported by this release",
-                    c.kind().name(),
-                    dir.kind.name()
-                ));
-            }
+    }
+
+    /// The back half of every compile, cached or not: check the source's
+    /// usage against the profile's compile-time defects, then build the
+    /// executable around the shared image, lowering it on first use.
+    pub(crate) fn finish(
+        &self,
+        profile: Arc<ExecProfile>,
+        concrete_device: DeviceType,
+    ) -> Result<Executable, CompileFailure> {
+        let usage = self.usage.get_or_init(|| DefectUsage::of(&self.program));
+        let ice = usage.rejections(&profile);
+        if !ice.is_empty() {
+            return Err(CompileFailure {
+                kind: FailureKind::InternalError,
+                messages: ice,
+            });
         }
-        // CAPS §V-B: variable expressions in sizing clauses rejected.
-        if profile.has(&Defect::RejectVariableSizingExpr) {
+        let code = self.image.get_or_init(|| {
+            // Timing-class span: which worker, and which release, lowers a
+            // shared image depends on schedule.
+            acc_obs::begin_timing("lower", "bytecode", vec![]);
+            let code = crate::bytecode::lower(&self.program, &self.resolved);
+            acc_obs::end(vec![acc_obs::i("instrs", code.code.len() as i64)]);
+            Arc::new(code)
+        });
+        Ok(Executable {
+            program: Arc::clone(&self.program),
+            resolved: Arc::clone(&self.resolved),
+            profile,
+            concrete_device,
+            code: Arc::clone(code),
+            run_memo: Arc::new(std::sync::Mutex::new(std::collections::HashMap::new())),
+        })
+    }
+}
+
+/// What a program uses that a release's compile-time defects can reject:
+/// the per-source half of the defect check. Sets, because each message
+/// depends only on the item and the messages are deduplicated anyway.
+#[derive(Debug, Default)]
+struct DefectUsage {
+    /// Every directive (clause `None`) and every clause on it.
+    features: BTreeSet<(DirectiveKind, Option<ClauseKind>)>,
+    /// Sizing clauses given a non-constant expression.
+    variable_sizing: BTreeSet<ClauseKind>,
+    /// Runtime routines called.
+    routines: BTreeSet<RuntimeRoutine>,
+}
+
+impl DefectUsage {
+    fn of(program: &Program) -> Self {
+        let mut usage = DefectUsage::default();
+        for dir in program.directives() {
+            usage.features.insert((dir.kind, None));
             for c in &dir.clauses {
+                usage.features.insert((dir.kind, Some(c.kind())));
                 let (kind, expr): (ClauseKind, &Expr) = match c {
                     acc_ast::AccClause::NumGangs(e) => (ClauseKind::NumGangs, e),
                     acc_ast::AccClause::NumWorkers(e) => (ClauseKind::NumWorkers, e),
@@ -206,55 +248,83 @@ fn compile_time_defects(program: &Program, profile: &ExecProfile) -> Vec<String>
                     _ => continue,
                 };
                 if !expr.is_const() {
-                    msgs.push(format!(
-                        "internal error: `{}` requires a constant expression",
-                        kind.name()
-                    ));
+                    usage.variable_sizing.insert(kind);
                 }
             }
         }
-    }
-    // Missing runtime routines (link failure).
-    let mut called: Vec<RuntimeRoutine> = Vec::new();
-    fn scan(e: &Expr, called: &mut Vec<RuntimeRoutine>) {
-        e.visit(&mut |x| {
-            if let Expr::Call { name, .. } = x {
-                if let Some(r) = RuntimeRoutine::from_symbol(name) {
-                    called.push(r);
-                }
-            }
-        })
-    }
-    for f in &program.functions {
-        for s in &f.body {
-            s.visit(&mut |st| match st {
-                acc_ast::Stmt::Call { name, args } => {
+        let called = &mut usage.routines;
+        fn scan(e: &Expr, called: &mut BTreeSet<RuntimeRoutine>) {
+            e.visit(&mut |x| {
+                if let Expr::Call { name, .. } = x {
                     if let Some(r) = RuntimeRoutine::from_symbol(name) {
-                        called.push(r);
-                    }
-                    for a in args {
-                        scan(a, &mut called);
+                        called.insert(r);
                     }
                 }
-                acc_ast::Stmt::Assign { value, .. } => scan(value, &mut called),
-                acc_ast::Stmt::DeclScalar { init: Some(e), .. } => scan(e, &mut called),
-                acc_ast::Stmt::Return(e) => scan(e, &mut called),
-                acc_ast::Stmt::If { cond, .. } => scan(cond, &mut called),
-                _ => {}
-            });
+            })
         }
-    }
-    for r in called {
-        if profile.has(&Defect::RejectRoutine(r)) {
-            msgs.push(format!(
-                "link error: undefined reference to `{}`",
-                r.symbol()
-            ));
+        for f in &program.functions {
+            for s in &f.body {
+                s.visit(&mut |st| match st {
+                    acc_ast::Stmt::Call { name, args } => {
+                        if let Some(r) = RuntimeRoutine::from_symbol(name) {
+                            called.insert(r);
+                        }
+                        for a in args {
+                            scan(a, called);
+                        }
+                    }
+                    acc_ast::Stmt::Assign { value, .. } => scan(value, called),
+                    acc_ast::Stmt::DeclScalar { init: Some(e), .. } => scan(e, called),
+                    acc_ast::Stmt::Return(e) => scan(e, called),
+                    acc_ast::Stmt::If { cond, .. } => scan(cond, called),
+                    _ => {}
+                });
+            }
         }
+        usage
     }
-    msgs.sort();
-    msgs.dedup();
-    msgs
+
+    /// The internal- and link-error messages `profile` raises for this
+    /// usage, sorted and deduplicated.
+    fn rejections(&self, profile: &ExecProfile) -> Vec<String> {
+        let mut msgs = Vec::new();
+        for &(dir, clause) in &self.features {
+            if profile.compile_error(dir, clause) {
+                msgs.push(match clause {
+                    None => format!(
+                        "internal error: `{}` directive is not supported by this release",
+                        dir.name()
+                    ),
+                    Some(c) => format!(
+                        "internal error: `{}` clause on `{}` is not supported by this release",
+                        c.name(),
+                        dir.name()
+                    ),
+                });
+            }
+        }
+        // CAPS §V-B: variable expressions in sizing clauses rejected.
+        if profile.has(&Defect::RejectVariableSizingExpr) {
+            for kind in &self.variable_sizing {
+                msgs.push(format!(
+                    "internal error: `{}` requires a constant expression",
+                    kind.name()
+                ));
+            }
+        }
+        // Missing runtime routines (link failure).
+        for &r in &self.routines {
+            if profile.has(&Defect::RejectRoutine(r)) {
+                msgs.push(format!(
+                    "link error: undefined reference to `{}`",
+                    r.symbol()
+                ));
+            }
+        }
+        msgs.sort();
+        msgs.dedup();
+        msgs
+    }
 }
 
 /// Convenience for checking whether a program *uses* a feature pair —

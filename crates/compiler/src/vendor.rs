@@ -6,17 +6,20 @@
 //! implementation choices with the defects its version carries in the
 //! [`crate::bugs::BugCatalog`].
 
-use acc_device::{ExecProfile, TranslationTarget, WorkerLoopPolicy};
+use acc_device::{Defect, ExecProfile, TranslationTarget, WorkerLoopPolicy};
 use acc_spec::version::CompilerVersion;
 use acc_spec::{DeviceType, Language, SpecVersion, VendorMapping};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use crate::bugs::BugCatalog;
 use crate::cache::CompileCache;
-use crate::driver::{
-    compile_with_profile, finish_compile, frontend_compile, CompileFailure, Executable,
-};
+use crate::driver::{compile_with_profile, frontend_compile, CompileFailure, Executable};
+
+/// The paper's catalog, built once per process: it is a constant, so every
+/// compiler reads the same one (and [`VendorCompiler::fingerprint`] need not
+/// cover it).
+static CATALOG: LazyLock<BugCatalog> = LazyLock::new(BugCatalog::paper);
 
 /// A compiler product line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -122,12 +125,40 @@ pub struct VendorCompiler {
     /// Release version.
     pub version: CompilerVersion,
     /// Software stack the node translates through.
-    pub target: TranslationTarget,
+    target: TranslationTarget,
     /// Extra defects injected on top of the catalog — used by the Titan
     /// harness to model faulty node software stacks.
-    pub extra_defects: Vec<acc_device::Defect>,
-    catalog: BugCatalog,
+    extra_defects: Vec<Defect>,
+    /// The profile per language (C, Fortran), rebuilt by every builder that
+    /// changes a field it depends on.
+    profiles: [Arc<ExecProfile>; 2],
     cache: Option<Arc<CompileCache>>,
+}
+
+/// The execution profile of a release for each language (C, Fortran): the
+/// vendor's legitimate choices plus the catalog's active defects and the
+/// extra ones.
+fn build_profiles(
+    vendor: VendorId,
+    version: CompilerVersion,
+    target: TranslationTarget,
+    extra_defects: &[Defect],
+) -> [Arc<ExecProfile>; 2] {
+    Language::ALL.map(|language| {
+        let mut p = ExecProfile::conforming(
+            format!("{} {version} ({language})", vendor.name()),
+            vendor.mapping(),
+        );
+        p.worker_loop_policy = vendor.worker_loop_policy();
+        p.target = target;
+        for bug in CATALOG.active(vendor, version, language) {
+            p.inject(bug.defect.clone());
+        }
+        for d in extra_defects {
+            p.inject(d.clone());
+        }
+        Arc::new(p)
+    })
 }
 
 impl VendorCompiler {
@@ -140,12 +171,13 @@ impl VendorCompiler {
             vendor.version_index(version).is_some(),
             "{vendor} never released {version}"
         );
+        let target = TranslationTarget::Cuda;
         VendorCompiler {
             vendor,
             version,
-            target: TranslationTarget::Cuda,
+            target,
             extra_defects: Vec::new(),
-            catalog: BugCatalog::paper(),
+            profiles: build_profiles(vendor, version, target, &[]),
             cache: None,
         }
     }
@@ -163,13 +195,18 @@ impl VendorCompiler {
     /// Select the translation stack (Titan harness, Fig. 13).
     pub fn with_target(mut self, target: TranslationTarget) -> Self {
         self.target = target;
-        self
+        self.rebuild_profiles()
     }
 
     /// Inject an extra defect on top of the catalog (a faulty node stack in
     /// the Titan harness).
-    pub fn with_extra_defect(mut self, d: acc_device::Defect) -> Self {
+    pub fn with_extra_defect(mut self, d: Defect) -> Self {
         self.extra_defects.push(d);
+        self.rebuild_profiles()
+    }
+
+    fn rebuild_profiles(mut self) -> Self {
+        self.profiles = build_profiles(self.vendor, self.version, self.target, &self.extra_defects);
         self
     }
 
@@ -191,22 +228,15 @@ impl VendorCompiler {
         format!("{} {}", self.vendor.name(), self.version)
     }
 
-    /// Build the execution profile for this release and language: the
-    /// vendor's legitimate choices plus the catalog's active defects.
-    pub fn profile(&self, language: Language) -> ExecProfile {
-        let mut p = ExecProfile::conforming(
-            format!("{} ({language})", self.label()),
-            self.vendor.mapping(),
-        );
-        p.worker_loop_policy = self.vendor.worker_loop_policy();
-        p.target = self.target;
-        for bug in self.catalog.active(self.vendor, self.version, language) {
-            p.inject(bug.defect.clone());
-        }
-        for d in &self.extra_defects {
-            p.inject(d.clone());
-        }
-        p
+    /// The execution profile for this release and language: the vendor's
+    /// legitimate choices plus the catalog's active defects. Built when the
+    /// compiler is configured and shared by every executable it compiles.
+    pub fn profile(&self, language: Language) -> Arc<ExecProfile> {
+        let slot = match language {
+            Language::C => 0,
+            Language::Fortran => 1,
+        };
+        Arc::clone(&self.profiles[slot])
     }
 
     /// Compile source text. Mirrors the real pipeline: front-end →
@@ -239,7 +269,8 @@ impl VendorCompiler {
 
     /// Compile through the attached [`CompileCache`], sharing the result.
     ///
-    /// With a cache, the front half (parse/sema/resolve) is reused across
+    /// With a cache, the front half (parse/sema/resolve), the source's
+    /// defect-usage summary and its lowered bytecode image are reused across
     /// *all* vendors and versions that see the same source, and the full
     /// executable is reused whenever this exact profile sees it again
     /// (cross-test repetitions, retries, the other tests of a campaign).
@@ -253,16 +284,11 @@ impl VendorCompiler {
         match &self.cache {
             None => self.compile(source, language).map(Arc::new),
             Some(cache) => cache.executable(&self.fingerprint(language), source, || {
-                let (program, resolved) =
-                    cache.frontend(source, language, SpecVersion::V1_0, || {
+                cache
+                    .frontend_unit(source, language, SpecVersion::V1_0, || {
                         frontend_compile(source, language)
-                    })?;
-                finish_compile(
-                    program,
-                    resolved,
-                    self.profile(language),
-                    self.vendor.concrete_device(),
-                )
+                    })?
+                    .finish(self.profile(language), self.vendor.concrete_device())
             }),
         }
     }

@@ -213,9 +213,11 @@ impl Campaign {
     fn case_policy(&self) -> CasePolicy {
         CasePolicy {
             exec_mode: self.config.exec_mode,
-            // Campaign sweeps re-run the same executable (shared through
-            // the compile cache across vendor versions) under identical
-            // knobs; the run memo replays those results.
+            // The run memo replays a re-run of one executable under
+            // identical knobs, as when a campaign runs again on a warm
+            // shared cache (`accvv bench` iterations). Executables are per
+            // release, not shared across versions, so one version sweep
+            // gets no memo hits.
             memo: true,
             ..CasePolicy::default()
         }

@@ -436,8 +436,8 @@ impl Executor {
                 step_limit: self.policy.step_limit,
                 run_index_base: attempt as u64 * ATTEMPT_STRIDE,
                 exec_mode: self.policy.exec_mode,
-                // Campaign runs repeat identical executions across versions
-                // and repetitions; let the executable's memo serve them.
+                // A suite run again on a warm shared cache repeats identical
+                // executions; let the executable's memo serve them.
                 memo: true,
             };
             run_case_with(&cases[case_index], compiler, lang, &policy)

@@ -202,7 +202,7 @@ impl LangScope {
 }
 
 /// The complete behavioural profile the machine executes under.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecProfile {
     /// Human-readable name ("CAPS 3.0.7 (C)").
     pub name: String,

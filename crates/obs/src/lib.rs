@@ -25,8 +25,9 @@
 //! Instead the driver installs a scope on the current thread with
 //! [`scope`]; the free functions [`begin`], [`end`], [`instant`],
 //! [`counter`] and friends write to that thread-local buffer, and are
-//! guaranteed no-ops (one `RefCell` borrow + `Option` check) when no scope
-//! is installed — which is always the case when telemetry is disabled.
+//! guaranteed no-ops when no scope is installed — which is always the case
+//! when telemetry is disabled: one load of a process-wide scope count while
+//! no thread records, one `RefCell` borrow + `Option` check otherwise.
 //!
 //! Sinks:
 //! * [`trace`] — deterministic JSONL (one event per line) + parser,
@@ -51,7 +52,7 @@ pub use hist::{LatencyCollector, LatencyHist};
 pub use series::{GroupBy, SeriesAgg, SeriesCounts, SeriesRow};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -264,6 +265,13 @@ thread_local! {
     static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
 }
 
+/// Scopes installed on any thread. While it is 0 no thread records, so
+/// every instrumentation call returns after one load instead of reaching
+/// the thread-local. A thread's own install is visible to it in program
+/// order, so `Relaxed` suffices: the count only skips work, and the
+/// thread-local stays the authority on whether this thread records.
+static LIVE_SCOPES: AtomicUsize = AtomicUsize::new(0);
+
 /// Guard returned by [`scope`]. On drop, closes any spans the scope left
 /// open (marking them `aborted`, which makes panics visible in the trace),
 /// flushes the buffered events into the recorder, and uninstalls the
@@ -287,6 +295,7 @@ impl Drop for ScopeGuard {
             let buf = std::mem::take(&mut c.buf);
             c.recorder.flush(buf);
         });
+        LIVE_SCOPES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -302,6 +311,7 @@ pub fn scope(recorder: &Recorder, run: u32, part: u8, job: u32, worker: u32) -> 
     if !recorder.is_enabled() {
         return ScopeGuard { active: false };
     }
+    LIVE_SCOPES.fetch_add(1, Ordering::Relaxed);
     CTX.with(|ctx| {
         *ctx.borrow_mut() = Some(Ctx {
             recorder: recorder.clone(),
@@ -320,10 +330,13 @@ pub fn scope(recorder: &Recorder, run: u32, part: u8, job: u32, worker: u32) -> 
 /// Whether a scope is installed on this thread (i.e. telemetry is live
 /// here). Lets instrumentation skip attribute construction when off.
 pub fn active() -> bool {
-    CTX.with(|ctx| ctx.borrow().is_some())
+    LIVE_SCOPES.load(Ordering::Relaxed) != 0 && CTX.with(|ctx| ctx.borrow().is_some())
 }
 
 fn with_ctx(f: impl FnOnce(&mut Ctx)) {
+    if LIVE_SCOPES.load(Ordering::Relaxed) == 0 {
+        return;
+    }
     CTX.with(|ctx| {
         if let Some(c) = ctx.borrow_mut().as_mut() {
             f(c);

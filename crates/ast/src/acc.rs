@@ -156,6 +156,50 @@ impl AccDirective {
             .filter(|c| matches!(c, AccClause::Data(..) | AccClause::Deviceptr(_)))
     }
 
+    /// Call `f` on every expression the directive holds: clause arguments
+    /// (`if`, `async`, the sizing clauses, `gang`/`worker`/`vector`,
+    /// `collapse`), data-section bounds, the `wait` tag and the `cache`
+    /// sections.
+    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr)) {
+        let sections = |refs: &[DataRef], f: &mut dyn FnMut(&Expr)| {
+            for (start, len) in refs.iter().filter_map(|r| r.section.as_ref()) {
+                f(start);
+                f(len);
+            }
+        };
+        for c in &self.clauses {
+            match c {
+                AccClause::If(e)
+                | AccClause::NumGangs(e)
+                | AccClause::NumWorkers(e)
+                | AccClause::VectorLength(e)
+                | AccClause::Collapse(e) => f(e),
+                AccClause::Async(e)
+                | AccClause::Gang(e)
+                | AccClause::Worker(e)
+                | AccClause::Vector(e) => {
+                    if let Some(e) = e {
+                        f(e);
+                    }
+                }
+                AccClause::Data(_, refs) => sections(refs, f),
+                AccClause::Reduction(..)
+                | AccClause::Deviceptr(_)
+                | AccClause::Private(_)
+                | AccClause::Firstprivate(_)
+                | AccClause::UseDevice(_)
+                | AccClause::Seq
+                | AccClause::Independent
+                | AccClause::DefaultNone
+                | AccClause::Auto => {}
+            }
+        }
+        if let Some(e) = &self.wait_arg {
+            f(e);
+        }
+        sections(&self.cache_args, f);
+    }
+
     /// Clauses that are illegal on this directive per the 1.0 feature model.
     pub fn illegal_clauses(&self) -> Vec<ClauseKind> {
         self.clauses

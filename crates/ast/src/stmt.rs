@@ -215,6 +215,41 @@ impl Stmt {
         }
     }
 
+    /// Call `f` on every expression this statement holds itself: an
+    /// initializer, an assignment's value and index, loop bounds, a
+    /// condition, call arguments, a return value, its directive's
+    /// expressions. Nested statements are [`visit`](Self::visit)'s.
+    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr)) {
+        let bounds = |l: &ForLoop, f: &mut dyn FnMut(&Expr)| {
+            f(&l.from);
+            f(&l.to);
+            f(&l.step);
+        };
+        match self {
+            Stmt::DeclScalar { init, .. } => {
+                if let Some(e) = init {
+                    f(e);
+                }
+            }
+            Stmt::DeclArray { .. } => {}
+            Stmt::Assign { target, value, .. } => {
+                if let LValue::Index { indices, .. } = target {
+                    indices.iter().for_each(&mut *f);
+                }
+                f(value);
+            }
+            Stmt::For(l) => bounds(l, f),
+            Stmt::If { cond, .. } => f(cond),
+            Stmt::Call { args, .. } => args.iter().for_each(f),
+            Stmt::Return(e) => f(e),
+            Stmt::AccBlock { dir, .. } | Stmt::AccStandalone { dir } => dir.for_each_expr(f),
+            Stmt::AccLoop { dir, l } => {
+                dir.for_each_expr(f);
+                bounds(l, f);
+            }
+        }
+    }
+
     /// Collect every directive in this statement tree (pre-order).
     pub fn directives(&self) -> Vec<&AccDirective> {
         let mut out: Vec<&AccDirective> = Vec::new();

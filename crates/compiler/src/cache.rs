@@ -10,16 +10,23 @@
 //!   Holds everything about the source that no vendor profile changes, so
 //!   one entry serves *every* vendor and version: the parsed AST with its
 //!   resolved frame layouts; the summary of what the source uses that
-//!   compile-time defects can reject (directive/clause pairs, non-constant
-//!   sizing clauses, runtime routines called), built by the first release
-//!   to compile it; and the lowered bytecode image, built by the first
+//!   defects can reach (directive/clause pairs, non-constant sizing
+//!   clauses, runtime routines called), built by the first release to
+//!   compile it; and the lowered bytecode image, built by the first
 //!   release whose compile-time check passes. An eight-version sweep pays
 //!   for one parse, one usage walk and at most one lowering per source.
+//!   The entry also holds the source's run memos, one per *observable
+//!   profile*: a release's profile without its name and without the
+//!   defects the source cannot reach, plus its device. Releases that
+//!   agree on it run the source to identical results, so they share one
+//!   memo and a sweep executes the source once per observable behaviour
+//!   (DESIGN.md §15.3).
 //! * **Executable level** — keyed by `(vendor profile fingerprint, source)`.
-//!   The compile-time verdict and the [`Executable`] (its profile, its run
-//!   memo) depend on the release's bug set, so a PGI executable is never
-//!   served to Cray: their fingerprints differ. Executables of different
-//!   releases share the front-end entry's AST and image by `Arc`.
+//!   The compile-time verdict and the [`Executable`] (its profile) depend
+//!   on the release's bug set, so a PGI executable is never served to
+//!   Cray: their fingerprints differ. Executables of different releases
+//!   share the front-end entry's AST and image by `Arc`, and its memo when
+//!   their observable profiles agree.
 //!
 //! Keys embed the *full* source text (content addressing by exact match):
 //! no hash collisions are possible, and lookups cost one hash of the
@@ -32,7 +39,8 @@
 //! compile the same key, the first insert wins and both get the same
 //! `Arc`-shared artifact (the loser's work is discarded, not duplicated in
 //! the cache). Hit/miss counters per level feed the report summary and the
-//! bench JSON.
+//! bench JSON; the run memos' hit/miss counters ride beside them on the
+//! stderr summary and in `/metrics`.
 
 use acc_ast::Program;
 use acc_frontend::ResolvedProgram;
@@ -60,6 +68,22 @@ pub struct CompileCache {
     frontend_misses: AtomicU64,
     exec_hits: AtomicU64,
     exec_misses: AtomicU64,
+    memo: Arc<MemoStats>,
+}
+
+/// Run-memo lookups of the executables compiled through one cache,
+/// counted where [`Executable::run_with_knobs`] consults a memo.
+#[derive(Debug, Default)]
+pub(crate) struct MemoStats {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl MemoStats {
+    pub(crate) fn record(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// A point-in-time snapshot of the cache counters.
@@ -73,15 +97,20 @@ pub struct CacheStats {
     pub exec_hits: u64,
     /// Executable lookups that had to run the defect walk.
     pub exec_misses: u64,
+    /// Memoized runs replayed from a run memo.
+    pub run_memo_hits: u64,
+    /// Memoized runs that executed the program.
+    pub run_memo_misses: u64,
 }
 
 impl CacheStats {
-    /// Total lookups across both levels.
+    /// Total compile lookups across both levels.
     pub fn lookups(&self) -> u64 {
         self.frontend_hits + self.frontend_misses + self.exec_hits + self.exec_misses
     }
 
-    /// Hit rate across both levels in `[0, 1]`; 0 when no lookups happened.
+    /// Compile hit rate across both levels in `[0, 1]`; 0 when no lookups
+    /// happened. Run-memo lookups are not compiles and stay out of it.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.frontend_hits + self.exec_hits;
         let total = self.lookups();
@@ -97,13 +126,28 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "frontend {}/{} hits, executable {}/{} hits ({:.1}% overall)",
+            "frontend {}/{} hits, executable {}/{} hits ({:.1}% overall), run memo {}/{} hits",
             self.frontend_hits,
             self.frontend_hits + self.frontend_misses,
             self.exec_hits,
             self.exec_hits + self.exec_misses,
-            self.hit_rate() * 100.0
+            self.hit_rate() * 100.0,
+            self.run_memo_hits,
+            self.run_memo_hits + self.run_memo_misses,
         )
+    }
+}
+
+impl From<CacheStats> for acc_obs::metrics::CacheCounters {
+    fn from(s: CacheStats) -> Self {
+        acc_obs::metrics::CacheCounters {
+            frontend_hits: s.frontend_hits,
+            frontend_misses: s.frontend_misses,
+            exec_hits: s.exec_hits,
+            exec_misses: s.exec_misses,
+            run_memo_hits: s.run_memo_hits,
+            run_memo_misses: s.run_memo_misses,
+        }
     }
 }
 
@@ -154,8 +198,13 @@ impl CompileCache {
         }
         self.frontend_misses.fetch_add(1, Ordering::Relaxed);
         acc_obs::instant_timing("cache", "frontend", vec![acc_obs::s("outcome", "miss")]);
-        let fresh =
-            compute().map(|(program, resolved)| Arc::new(FrontendUnit::new(program, resolved)));
+        let fresh = compute().map(|(program, resolved)| {
+            Arc::new(FrontendUnit::new(
+                program,
+                resolved,
+                Some(Arc::clone(&self.memo)),
+            ))
+        });
         self.frontend
             .lock()
             .unwrap()
@@ -200,6 +249,8 @@ impl CompileCache {
             frontend_misses: self.frontend_misses.load(Ordering::Relaxed),
             exec_hits: self.exec_hits.load(Ordering::Relaxed),
             exec_misses: self.exec_misses.load(Ordering::Relaxed),
+            run_memo_hits: self.memo.hits.load(Ordering::Relaxed),
+            run_memo_misses: self.memo.misses.load(Ordering::Relaxed),
         }
     }
 
@@ -334,6 +385,57 @@ mod tests {
         }
         assert_eq!(cache.frontend_entries(), 1);
         assert_eq!(cache.exec_entries(), exes.len());
+    }
+
+    #[test]
+    fn releases_that_observe_a_source_alike_share_one_run_memo() {
+        use crate::exec::RunKnobs;
+        use acc_spec::envvar::EnvConfig;
+        let cache = CompileCache::shared();
+        let compile = |c: VendorCompiler, src: &str| {
+            c.with_cache(Arc::clone(&cache))
+                .compile_shared(src, Language::C)
+                .unwrap()
+        };
+        let caps = |v: &str| VendorCompiler::new(VendorId::Caps, v.parse().unwrap());
+        let pgi = VendorCompiler::new(VendorId::Pgi, "13.8".parse().unwrap());
+        // SRC reaches no defect: releases differ only in what it cannot see.
+        let caps_old = compile(caps("3.0.7"), SRC);
+        let caps_new = compile(caps("3.3.4"), SRC);
+        let pgi_new = compile(pgi, SRC);
+        let reference = compile(VendorCompiler::reference(), SRC);
+        let cray = compile(VendorCompiler::latest(VendorId::Cray), SRC);
+        for (a, b) in [(&caps_old, &caps_new), (&pgi_new, &reference)] {
+            assert!(Arc::ptr_eq(&a.run_memo, &b.run_memo));
+            assert!(!Arc::ptr_eq(a, b), "executables stay per release");
+            assert_ne!(a.profile, b.profile, "profiles stay per release");
+        }
+        for caps in [&caps_old, &caps_new] {
+            for other in [&pgi_new, &reference, &cray] {
+                assert!(!Arc::ptr_eq(&caps.run_memo, &other.run_memo));
+            }
+        }
+        assert!(!Arc::ptr_eq(&cray.run_memo, &pgi_new.run_memo));
+
+        // The second release replays the first's run.
+        let knobs = RunKnobs {
+            memo: true,
+            ..RunKnobs::default()
+        };
+        let env = EnvConfig::empty();
+        let first = caps_old.run_with_knobs(&env, knobs);
+        assert_eq!(caps_new.run_with_knobs(&env, knobs), first);
+        let s = cache.stats();
+        assert_eq!((s.run_memo_hits, s.run_memo_misses), (1, 1));
+
+        // A defect splits the memo only where the source can reach it.
+        let update = "int main(void) {\n    int a[4];\n    #pragma acc data copy(a[0:4])\n    {\n        #pragma acc update host(a[0:4])\n    }\n    return 1;\n}\n";
+        let noop = || VendorCompiler::reference().with_extra_defect(Defect::UpdateNoop);
+        let plain = compile(noop(), SRC);
+        assert!(Arc::ptr_eq(&plain.run_memo, &reference.run_memo));
+        let with_update = compile(noop(), update);
+        let without = compile(VendorCompiler::reference(), update);
+        assert!(!Arc::ptr_eq(&with_update.run_memo, &without.run_memo));
     }
 
     #[test]

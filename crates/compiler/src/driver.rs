@@ -1,15 +1,21 @@
 //! The compile pipeline: source text → front-end → conformance checks →
 //! defect application → executable.
 
-use acc_ast::{Expr, Program};
-use acc_device::{Defect, ExecProfile};
+use acc_ast::{Expr, Program, Stmt};
+use acc_device::{Defect, ExecProfile, ObservedProfile};
 use acc_frontend::{sema, ResolvedProgram, Severity};
 use acc_spec::{ClauseKind, DeviceType, DirectiveKind, Language, RuntimeRoutine, SpecVersion};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::bytecode::BytecodeProgram;
+use crate::cache::MemoStats;
+use crate::exec::{RunKey, RunResult};
+
+/// A run memo: results of one source under one observable profile, keyed
+/// by the run's remaining inputs.
+pub type RunMemo = Arc<Mutex<HashMap<RunKey, RunResult>>>;
 
 /// Why compilation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,13 +77,17 @@ pub struct Executable {
     /// only the program and its layouts, so every release compiling the
     /// source through one compile cache shares one image.
     pub code: Arc<BytecodeProgram>,
-    /// Memoized run results, keyed by `(knobs, env)` — execution is a pure
-    /// function of the executable plus those inputs, so repeated identical
-    /// runs (the repetition loops of a campaign) can replay a cached
-    /// [`RunResult`](crate::exec::RunResult). `Arc`-shared so clones (and
-    /// executable-cache hits) share one memo. Only consulted when
-    /// `RunKnobs::memo` is set; see [`Executable::run_with_knobs`].
-    pub run_memo: Arc<std::sync::Mutex<std::collections::HashMap<String, crate::exec::RunResult>>>,
+    /// Memoized run results, keyed by the run's knobs and environment
+    /// ([`RunKey`]). A run is a pure function of the image, the profile
+    /// without its name, the device and that key, and only the defects the
+    /// source can reach matter (DESIGN.md §15.3). So every release whose
+    /// *observable profile* for this source is equal shares this memo
+    /// through the compile cache's front-end entry, and replays a result
+    /// another release computed. Only consulted when `RunKnobs::memo` is
+    /// set; see [`Executable::run_with_knobs`].
+    pub run_memo: RunMemo,
+    /// The compile cache's memo counters; `None` when compiled uncached.
+    pub(crate) memo_stats: Option<Arc<MemoStats>>,
 }
 
 impl Executable {
@@ -100,7 +110,7 @@ impl Executable {
         let mut e = self.clone();
         e.code = Arc::new(crate::bytecode::lower_unfused(&self.program, &self.resolved));
         // A distinct image must not share the fused image's memo.
-        e.run_memo = Arc::new(std::sync::Mutex::new(std::collections::HashMap::new()));
+        e.run_memo = RunMemo::default();
         e
     }
 }
@@ -146,7 +156,7 @@ pub fn finish_compile(
     profile: impl Into<Arc<ExecProfile>>,
     concrete_device: DeviceType,
 ) -> Result<Executable, CompileFailure> {
-    FrontendUnit::new(program, resolved).finish(profile.into(), concrete_device)
+    FrontendUnit::new(program, resolved, None).finish(profile.into(), concrete_device)
 }
 
 /// Compile `source` under `profile` (already carrying the version's
@@ -164,31 +174,60 @@ pub fn compile_with_profile(
 }
 
 /// A source through the front end, plus what every release compiling it
-/// shares: the summary of what it uses that compile-time defects can
-/// reject, and its lowered bytecode image. Neither depends on the profile.
-/// Both are filled on first use, the image only by a release whose
-/// compile-time check passes.
+/// shares: the summary of what it uses that defects can reach, its
+/// lowered bytecode image, and one run memo per observable profile.
+/// None of them depends on more of the profile than its key shows. The
+/// summary and image are filled on first use, the image only by a
+/// release whose compile-time check passes.
 #[derive(Debug)]
 pub(crate) struct FrontendUnit {
     pub(crate) program: Arc<Program>,
     pub(crate) resolved: Arc<ResolvedProgram>,
     usage: OnceLock<DefectUsage>,
     pub(crate) image: OnceLock<Arc<BytecodeProgram>>,
+    /// The run memos by observable profile and device. A unit sees few
+    /// (one per vendor and distinct reachable defect set), so a linear
+    /// scan finds them.
+    memos: Mutex<Vec<(DeviceType, ObservedProfile, RunMemo)>>,
+    /// The owning cache's memo counters, handed to every executable.
+    memo_stats: Option<Arc<MemoStats>>,
 }
 
 impl FrontendUnit {
-    pub(crate) fn new(program: Arc<Program>, resolved: Arc<ResolvedProgram>) -> Self {
+    pub(crate) fn new(
+        program: Arc<Program>,
+        resolved: Arc<ResolvedProgram>,
+        memo_stats: Option<Arc<MemoStats>>,
+    ) -> Self {
         FrontendUnit {
             program,
             resolved,
             usage: OnceLock::new(),
             image: OnceLock::new(),
+            memos: Mutex::new(Vec::new()),
+            memo_stats,
         }
+    }
+
+    /// The run memo every release that observes `observed` on `device`
+    /// shares for this source.
+    fn memo(&self, device: DeviceType, observed: ObservedProfile) -> RunMemo {
+        let mut memos = self.memos.lock().expect("memo table poisoned");
+        if let Some((_, _, memo)) = memos
+            .iter()
+            .find(|(d, o, _)| *d == device && *o == observed)
+        {
+            return Arc::clone(memo);
+        }
+        let memo = RunMemo::default();
+        memos.push((device, observed, Arc::clone(&memo)));
+        memo
     }
 
     /// The back half of every compile, cached or not: check the source's
     /// usage against the profile's compile-time defects, then build the
-    /// executable around the shared image, lowering it on first use.
+    /// executable around the shared image, lowering it on first use, and
+    /// the memo of its observable profile.
     pub(crate) fn finish(
         &self,
         profile: Arc<ExecProfile>,
@@ -210,27 +249,32 @@ impl FrontendUnit {
             acc_obs::end(vec![acc_obs::i("instrs", code.code.len() as i64)]);
             Arc::new(code)
         });
+        let run_memo = self.memo(concrete_device, profile.observed(|d| usage.observes(d)));
         Ok(Executable {
             program: Arc::clone(&self.program),
             resolved: Arc::clone(&self.resolved),
             profile,
             concrete_device,
             code: Arc::clone(code),
-            run_memo: Arc::new(std::sync::Mutex::new(std::collections::HashMap::new())),
+            run_memo,
+            memo_stats: self.memo_stats.clone(),
         })
     }
 }
 
-/// What a program uses that a release's compile-time defects can reject:
-/// the per-source half of the defect check. Sets, because each message
-/// depends only on the item and the messages are deduplicated anyway.
+/// What a program uses that a release's defects can reach: the
+/// per-source half of the compile-time check ([`rejections`]
+/// (Self::rejections)) and of the run memo's key ([`observes`]
+/// (Self::observes)). Sets, because each message depends only on the item
+/// and the messages are deduplicated anyway.
 #[derive(Debug, Default)]
 struct DefectUsage {
     /// Every directive (clause `None`) and every clause on it.
     features: BTreeSet<(DirectiveKind, Option<ClauseKind>)>,
     /// Sizing clauses given a non-constant expression.
     variable_sizing: BTreeSet<ClauseKind>,
-    /// Runtime routines called.
+    /// Runtime routines called anywhere: in statements, loop bounds,
+    /// array indices, clause arguments and data sections.
     routines: BTreeSet<RuntimeRoutine>,
 }
 
@@ -252,36 +296,70 @@ impl DefectUsage {
                 }
             }
         }
-        let called = &mut usage.routines;
-        fn scan(e: &Expr, called: &mut BTreeSet<RuntimeRoutine>) {
-            e.visit(&mut |x| {
-                if let Expr::Call { name, .. } = x {
-                    if let Some(r) = RuntimeRoutine::from_symbol(name) {
-                        called.insert(r);
-                    }
-                }
-            })
-        }
+        let mut call = |name: &str| {
+            if let Some(r) = RuntimeRoutine::from_symbol(name) {
+                usage.routines.insert(r);
+            }
+        };
         for f in &program.functions {
             for s in &f.body {
-                s.visit(&mut |st| match st {
-                    acc_ast::Stmt::Call { name, args } => {
-                        if let Some(r) = RuntimeRoutine::from_symbol(name) {
-                            called.insert(r);
-                        }
-                        for a in args {
-                            scan(a, called);
-                        }
+                s.visit(&mut |st| {
+                    if let Stmt::Call { name, .. } = st {
+                        call(name);
                     }
-                    acc_ast::Stmt::Assign { value, .. } => scan(value, called),
-                    acc_ast::Stmt::DeclScalar { init: Some(e), .. } => scan(e, called),
-                    acc_ast::Stmt::Return(e) => scan(e, called),
-                    acc_ast::Stmt::If { cond, .. } => scan(cond, called),
-                    _ => {}
+                    st.for_each_expr(&mut |e| {
+                        e.visit(&mut |x| {
+                            if let Expr::Call { name, .. } = x {
+                                call(name);
+                            }
+                        })
+                    });
                 });
             }
         }
         usage
+    }
+
+    /// Can a run of this program tell a profile with `defect` from one
+    /// without it? Read off the machine's profile queries (`exec.rs`,
+    /// `par.rs`; DESIGN.md §15.3). A `true` that could be `false` only
+    /// costs sharing; a wrong `false` would replay another release's
+    /// result, so each arm errs towards `true`.
+    fn observes(&self, defect: &Defect) -> bool {
+        let has_directive = |k: DirectiveKind| self.features.contains(&(k, None));
+        let has_clause = |c: ClauseKind| self.features.iter().any(|&(_, cl)| cl == Some(c));
+        match *defect {
+            Defect::IgnoreDirective(k) => has_directive(k),
+            // Clause defects apply through a combined construct's
+            // components (`ExecProfile::ignores_clause`, `hangs_on`).
+            Defect::IgnoreClause(k, c) | Defect::HangOnClause(k, c) => self
+                .features
+                .iter()
+                .any(|&(d, cl)| cl == Some(c) && d.components().contains(&k)),
+            Defect::WrongReduction(_) => has_clause(ClauseKind::Reduction),
+            Defect::FirstprivateUninitialized => has_clause(ClauseKind::Firstprivate),
+            Defect::PrivateAliasesShared => has_clause(ClauseKind::Private),
+            Defect::CollapseIgnoresInner => has_clause(ClauseKind::Collapse),
+            Defect::UpdateNoop => has_directive(DirectiveKind::Update),
+            Defect::EliminateDeadComputeRegions => {
+                self.features.iter().any(|&(d, _)| d.is_compute())
+            }
+            // Only scalars in data clauses lose their transfers; any
+            // clause at all is the conservative reading.
+            Defect::ScalarCopyOmitted => self.features.iter().any(|&(_, cl)| cl.is_some()),
+            Defect::AsyncFamilyBroken => {
+                has_clause(ClauseKind::Async)
+                    || has_directive(DirectiveKind::Wait)
+                    || self.routines.iter().any(|r| r.is_async_family())
+            }
+            Defect::RoutineReturnsConstant(r, _) => self.routines.contains(&r),
+            // Settled by `rejections` before any run: a program these
+            // reach never compiles, one they miss never sees them.
+            Defect::CompileError(..)
+            | Defect::RejectVariableSizingExpr
+            | Defect::RejectRoutine(_) => false,
+            Defect::TransientMemcpyFault { .. } | Defect::IntermittentAsyncStall { .. } => true,
+        }
     }
 
     /// The internal- and link-error messages `profile` raises for this
@@ -404,6 +482,40 @@ mod tests {
         let err = compile_with_profile(src, Language::C, profile, DeviceType::Nvidia).unwrap_err();
         assert_eq!(err.kind, FailureKind::InternalError);
         assert!(err.messages[0].contains("acc_async_test"));
+    }
+
+    #[test]
+    fn a_rejected_routine_is_found_wherever_it_is_called() {
+        let routine = RuntimeRoutine::GetNumDevices;
+        let profile = ExecProfile::reference().with_defect(Defect::RejectRoutine(routine));
+        let call = "acc_get_num_devices(acc_device_nvidia)";
+        let bodies = [
+            (
+                "loop bound",
+                format!("for (i = 0; i < {call}; i++)\n    {{\n        a[0] = i;\n    }}"),
+            ),
+            ("array index", format!("a[{call}] = 1;")),
+            (
+                "if clause",
+                format!("#pragma acc parallel if({call}) copy(a[0:4])\n    {{\n    }}"),
+            ),
+            (
+                "data section",
+                format!("#pragma acc data copy(a[0:{call}])\n    {{\n    }}"),
+            ),
+        ];
+        for (place, body) in bodies {
+            let src = format!("int main(void) {{\n    int a[4];\n    {body}\n    return 1;\n}}\n");
+            let (p, d) = reference();
+            assert!(
+                compile_with_profile(&src, Language::C, p, d).is_ok(),
+                "{place}"
+            );
+            let err = compile_with_profile(&src, Language::C, profile.clone(), DeviceType::Nvidia)
+                .expect_err(place);
+            assert_eq!(err.kind, FailureKind::InternalError, "{place}");
+            assert!(err.messages[0].contains(routine.symbol()), "{place}: {err}");
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl RunOutcome {
 }
 
 /// Result of one program execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Outcome.
     pub outcome: RunOutcome,
@@ -68,7 +68,7 @@ pub struct RunResult {
 /// Both engines share every piece of machine state (frames, device memory,
 /// clocks, fault draws) and must produce byte-identical results; the walker
 /// is kept as the reference oracle behind `--exec-mode=walk`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// The register-based bytecode VM (default; see `bytecode`/`vm`).
     #[default]
@@ -108,14 +108,6 @@ impl ExecMode {
             ExecMode::Par { .. } => "par",
         }
     }
-
-    /// The exact CLI spelling that round-trips through [`from_cli`].
-    pub fn cli_string(self) -> String {
-        match self {
-            ExecMode::Par { threads } if threads != 0 => format!("par:{threads}"),
-            m => m.name().to_string(),
-        }
-    }
 }
 
 /// Per-run execution knobs the fault-tolerant executor threads through.
@@ -140,6 +132,21 @@ pub struct RunKnobs {
     pub memo: bool,
 }
 
+/// A run-memo key: every input of a run besides the program, the profile
+/// and the device, which select the memo itself (see
+/// [`Executable::run_memo`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct RunKey {
+    /// The step budget override.
+    pub step_limit: Option<u64>,
+    /// The attempt index.
+    pub run_index: u64,
+    /// The engine.
+    pub exec_mode: ExecMode,
+    /// The ACC_* environment.
+    pub env: EnvConfig,
+}
+
 impl Executable {
     /// Run the program with an empty environment.
     pub fn run(&self) -> RunResult {
@@ -154,22 +161,30 @@ impl Executable {
     /// Run with explicit execution knobs (step budget, attempt index).
     ///
     /// When `knobs.memo` is set (and observability is not recording), the
-    /// result is memoized on the executable keyed by the full input tuple
-    /// `(step_limit, run_index, exec_mode, env)` — sound because execution
-    /// is a pure function of those inputs (DESIGN.md §15.4).
+    /// result is memoized keyed by the remaining inputs, a [`RunKey`] —
+    /// sound because execution is a pure function of those inputs and
+    /// what selects the memo (DESIGN.md §15.3).
     pub fn run_with_knobs(&self, env: &EnvConfig, knobs: RunKnobs) -> RunResult {
         if !knobs.memo || acc_obs::active() {
             return self.run_uncached(env, knobs, false).0;
         }
-        let key = format!(
-            "{:?}|{}|{}|{:?}",
-            knobs.step_limit,
-            knobs.run_index,
-            knobs.exec_mode.cli_string(),
-            env
-        );
-        if let Some(hit) = self.run_memo.lock().expect("run memo poisoned").get(&key) {
-            return hit.clone();
+        let key = RunKey {
+            step_limit: knobs.step_limit,
+            run_index: knobs.run_index,
+            exec_mode: knobs.exec_mode,
+            env: env.clone(),
+        };
+        let hit = self
+            .run_memo
+            .lock()
+            .expect("run memo poisoned")
+            .get(&key)
+            .cloned();
+        if let Some(stats) = &self.memo_stats {
+            stats.record(hit.is_some());
+        }
+        if let Some(hit) = hit {
+            return hit;
         }
         let result = self.run_uncached(env, knobs, false).0;
         self.run_memo

@@ -213,11 +213,10 @@ impl Campaign {
     fn case_policy(&self) -> CasePolicy {
         CasePolicy {
             exec_mode: self.config.exec_mode,
-            // The run memo replays a re-run of one executable under
-            // identical knobs, as when a campaign runs again on a warm
-            // shared cache (`accvv bench` iterations). Executables are per
-            // release, not shared across versions, so one version sweep
-            // gets no memo hits.
+            // The run memo replays a run under identical knobs by any
+            // release the source cannot tell apart from the one that ran
+            // it (DESIGN.md §15.3): most runs of a version sweep, and a
+            // campaign run again on a warm shared cache.
             memo: true,
             ..CasePolicy::default()
         }
@@ -352,8 +351,8 @@ impl Campaign {
 
     /// Sweep every released version of a vendor (the Fig. 8 x-axis). With a
     /// campaign cache attached, the sweep's front-end work (parse, sema,
-    /// resolution) runs once per distinct source for the *whole line* — only
-    /// the per-version defect walk repeats.
+    /// resolution, lowering) runs once per distinct source for the *whole
+    /// line*, and each source runs once per observable behaviour.
     pub fn run_vendor_line(&self, vendor: VendorId) -> CampaignResult {
         let runs = vendor
             .versions()

@@ -436,8 +436,9 @@ impl Executor {
                 step_limit: self.policy.step_limit,
                 run_index_base: attempt as u64 * ATTEMPT_STRIDE,
                 exec_mode: self.policy.exec_mode,
-                // A suite run again on a warm shared cache repeats identical
-                // executions; let the executable's memo serve them.
+                // Releases that cannot tell a source apart, and a suite
+                // run again on a warm shared cache, repeat identical
+                // executions; let the source's shared memo serve them.
                 memo: true,
             };
             run_case_with(&cases[case_index], compiler, lang, &policy)

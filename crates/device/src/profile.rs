@@ -56,8 +56,8 @@ impl TranslationTarget {
 
 /// An injected defect. Each corresponds to an observable misbehaviour; the
 /// machine and the compiler driver consult the set at the matching semantic
-/// point.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// point. Ordered so a set of defects has one canonical listing.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Defect {
     /// The directive parses but has no effect (silent wrong code). E.g. a
     /// broken `loop` directive leaves the loop running gang-redundantly.
@@ -328,6 +328,51 @@ impl ExecProfile {
     pub fn defects(&self) -> impl Iterator<Item = &Defect> {
         self.defects.iter()
     }
+
+    /// What a run can read of this profile: every field but the name,
+    /// which execution never reads, with the defects narrowed to those
+    /// `reaches` selects. Two profiles whose projections are equal run a
+    /// program that reaches no other defect to identical results.
+    pub fn observed(&self, reaches: impl Fn(&Defect) -> bool) -> ObservedProfile {
+        // Exhaustive, so a new field must be placed in or out of the key.
+        let ExecProfile {
+            name: _,
+            mapping,
+            worker_loop_policy,
+            target,
+            default_gangs,
+            default_workers,
+            default_vector,
+            kernels_auto_gangs,
+            defects,
+        } = self;
+        let mut defects: Vec<Defect> = defects.iter().filter(|d| reaches(d)).cloned().collect();
+        defects.sort_unstable();
+        ObservedProfile {
+            mapping: *mapping,
+            worker_loop_policy: *worker_loop_policy,
+            target: *target,
+            sizes: [
+                *default_gangs,
+                *default_workers,
+                *default_vector,
+                *kernels_auto_gangs,
+            ],
+            defects,
+        }
+    }
+}
+
+/// The projection [`ExecProfile::observed`] returns: the profile's
+/// behavioural fields and a subset of its defects in canonical order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObservedProfile {
+    mapping: VendorMapping,
+    worker_loop_policy: WorkerLoopPolicy,
+    target: TranslationTarget,
+    /// Default gangs, workers, vector length and `kernels` gangs.
+    sizes: [u32; 4],
+    defects: Vec<Defect>,
 }
 
 #[cfg(test)]

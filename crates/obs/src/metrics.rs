@@ -30,10 +30,15 @@ pub struct CacheCounters {
     pub exec_hits: u64,
     /// Executable-level cache misses.
     pub exec_misses: u64,
+    /// Memoized runs replayed from a run memo.
+    pub run_memo_hits: u64,
+    /// Memoized runs that executed the program.
+    pub run_memo_misses: u64,
 }
 
 impl CacheCounters {
-    /// Overall hit rate across both levels, 0.0 when no lookups happened.
+    /// Overall hit rate across both compile levels, 0.0 when no lookups
+    /// happened.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.frontend_hits + self.exec_hits;
         let total = hits + self.frontend_misses + self.exec_misses;
@@ -303,7 +308,7 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
 
     if let Some(c) = cache {
         out.push_str(
-            "# HELP accvv_compile_cache_lookups_total Compile cache lookups by level and outcome.\n",
+            "# HELP accvv_compile_cache_lookups_total Compile cache and run memo lookups by level and outcome.\n",
         );
         out.push_str("# TYPE accvv_compile_cache_lookups_total counter\n");
         for (level, outcome, v) in [
@@ -311,6 +316,8 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
             ("exec", "miss", c.exec_misses),
             ("frontend", "hit", c.frontend_hits),
             ("frontend", "miss", c.frontend_misses),
+            ("run_memo", "hit", c.run_memo_hits),
+            ("run_memo", "miss", c.run_memo_misses),
         ] {
             let _ = writeln!(
                 out,
@@ -319,7 +326,7 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
         }
         let _ = writeln!(
             out,
-            "# HELP accvv_compile_cache_hit_rate Overall compile-cache hit rate across both levels."
+            "# HELP accvv_compile_cache_hit_rate Overall compile-cache hit rate across both compile levels."
         );
         let _ = writeln!(out, "# TYPE accvv_compile_cache_hit_rate gauge");
         let _ = writeln!(out, "accvv_compile_cache_hit_rate {:.4}", c.hit_rate());
@@ -366,12 +373,14 @@ pub fn summary_table(events: &[Event], cache: Option<&CacheCounters>) -> String 
     if let Some(c) = cache {
         let _ = writeln!(
             out,
-            "  compile cache: frontend {}/{} exec {}/{} hit rate {:.1}%",
+            "  compile cache: frontend {}/{} exec {}/{} hit rate {:.1}%, run memo {}/{}",
             c.frontend_hits,
             c.frontend_hits + c.frontend_misses,
             c.exec_hits,
             c.exec_hits + c.exec_misses,
-            c.hit_rate() * 100.0
+            c.hit_rate() * 100.0,
+            c.run_memo_hits,
+            c.run_memo_hits + c.run_memo_misses,
         );
     }
     out
@@ -429,14 +438,23 @@ mod tests {
             frontend_misses: 1,
             exec_hits: 5,
             exec_misses: 3,
+            run_memo_hits: 7,
+            run_memo_misses: 2,
         };
         let text = render_prometheus(&[], Some(&c));
         assert!(text.contains(
             "accvv_compile_cache_lookups_total{level=\"frontend\",outcome=\"hit\"} 3"
         ));
+        assert!(text.contains(
+            "accvv_compile_cache_lookups_total{level=\"run_memo\",outcome=\"hit\"} 7"
+        ));
+        assert!(text.contains(
+            "accvv_compile_cache_lookups_total{level=\"run_memo\",outcome=\"miss\"} 2"
+        ));
+        // The hit rate keeps its two-level meaning: memo lookups stay out.
         assert!(text.contains("accvv_compile_cache_hit_rate 0.6667"));
         let table = summary_table(&[], Some(&c));
-        assert!(table.contains("frontend 3/4 exec 5/8"));
+        assert!(table.contains("frontend 3/4 exec 5/8 hit rate 66.7%, run memo 7/9"));
     }
 
     #[test]
@@ -516,6 +534,8 @@ mod tests {
             frontend_misses: 1,
             exec_hits: 1,
             exec_misses: 1,
+            run_memo_hits: 1,
+            run_memo_misses: 1,
         };
         let mut paths = BTreeMap::new();
         paths.insert("/metrics".to_string(), LatencyHist::new());

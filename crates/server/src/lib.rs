@@ -1296,13 +1296,7 @@ fn handle_health(inner: &ServerInner) -> Response {
 
 fn handle_metrics(inner: &ServerInner) -> Response {
     let events = inner.config.recorder.snapshot();
-    let stats = inner.cache.stats();
-    let cache = CacheCounters {
-        frontend_hits: stats.frontend_hits,
-        frontend_misses: stats.frontend_misses,
-        exec_hits: stats.exec_hits,
-        exec_misses: stats.exec_misses,
-    };
+    let cache = CacheCounters::from(inner.cache.stats());
     let mut text = render_prometheus(&events, Some(&cache));
     text.push_str(&render_server_metrics(&inner.server_counters()));
     let breakers: Vec<(String, String, u64)> = inner

@@ -40,7 +40,7 @@ impl fmt::Display for EnvVar {
 ///
 /// The real runtime reads the process environment; the simulated one receives
 /// an explicit `EnvConfig` so tests are hermetic.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct EnvConfig {
     /// Parsed `ACC_DEVICE_TYPE`, if set and valid.
     pub device_type: Option<DeviceType>,

@@ -72,8 +72,8 @@ fn print_usage() {
          \x20 accvv serve [--addr HOST:PORT] [--store DIR] [--jobs N] [--queue-cap N]\n\
          \x20            [--breaker-threshold N] [--breaker-cooldown-ms MS]\n\
          \x20            [--retry-after-secs S] [--trace-out FILE] [--metrics-out FILE]\n\
-         \x20 accvv campaign [--vendor caps|pgi|cray] [--no-cache] [--exec-mode vm|walk|par[:N]]\n\
-         \x20               [--trace-out FILE] [--metrics-out FILE]\n\
+         \x20 accvv campaign [--vendor caps|pgi|cray] [--jobs N] [--no-cache]\n\
+         \x20               [--exec-mode vm|walk|par[:N]] [--trace-out FILE] [--metrics-out FILE]\n\
          \x20 accvv bench [--iters N] [--out FILE] [--no-cache]\n\
          \x20            [--check BASELINE [--tolerance-pct P] [--overhead-pct P]]\n\
          \x20 accvv history [--store DIR] [--bucket SECS] [--since EPOCH] [--until EPOCH]\n\
@@ -155,12 +155,7 @@ impl Telemetry {
             );
         }
         if let Some(p) = &self.metrics_out {
-            let counters = cache.map(|s| obs::metrics::CacheCounters {
-                frontend_hits: s.frontend_hits,
-                frontend_misses: s.frontend_misses,
-                exec_hits: s.exec_hits,
-                exec_misses: s.exec_misses,
-            });
+            let counters = cache.map(|&s| obs::metrics::CacheCounters::from(s));
             let text = obs::metrics::render_prometheus(&events, counters.as_ref());
             openacc_vv::validation::atomic_write(p, text.as_bytes())
                 .map_err(|e| format!("--metrics-out {p}: {e}"))?;
@@ -533,9 +528,13 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     if let Some(c) = &cache {
         campaign = campaign.with_cache(Arc::clone(c));
     }
-    let threads = std::thread::available_parallelism()
+    let default_jobs = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
+    let threads: usize = parse_opt_or(args, "--jobs", default_jobs)?;
+    if threads == 0 {
+        return Err("--jobs must be at least 1 (a pool with no workers runs nothing)".to_string());
+    }
     for vendor in vendors {
         println!("=== {} ===", vendor.name());
         println!("{:>10} {:>8} {:>10}", "version", "C %", "Fortran %");

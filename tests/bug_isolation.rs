@@ -8,8 +8,10 @@
 //! observable through black-box testing.
 
 use openacc_vv::compiler::driver::compile_with_profile;
-use openacc_vv::compiler::{BugCatalog, RunOutcome, VendorId};
+use openacc_vv::compiler::{BugCatalog, CompileCache, RunOutcome, VendorCompiler, VendorId};
 use openacc_vv::device::ExecProfile;
+use openacc_vv::validation::harness::{run_case_with, CasePolicy};
+use std::sync::Arc;
 
 #[test]
 fn every_catalogued_bug_is_discoverable_in_isolation() {
@@ -47,6 +49,52 @@ fn every_catalogued_bug_is_discoverable_in_isolation() {
         failures.is_empty(),
         "{} of {checked} catalogued bugs are NOT discoverable in isolation:\n{}",
         failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// The same contract through the run memo. The reference runs each
+/// record's feature test first, on one cache shared by every record; the
+/// buggy compiler shares the reference's memo exactly when the memo key
+/// says the test cannot reach the defect. A defect the key wrongly leaves
+/// out would replay the reference's pass and hide the bug.
+#[test]
+fn every_catalogued_bug_is_discoverable_through_a_shared_run_memo() {
+    let suite = openacc_vv::testsuite::full_suite();
+    let cache = CompileCache::shared();
+    let policy = CasePolicy {
+        memo: true,
+        ..CasePolicy::default()
+    };
+    let reference = VendorCompiler::reference().with_cache(Arc::clone(&cache));
+    let mut failures: Vec<String> = Vec::new();
+    let catalog = BugCatalog::paper();
+    let records = catalog.records();
+    for record in records {
+        let case = suite
+            .iter()
+            .find(|c| c.feature == record.feature)
+            .unwrap_or_else(|| panic!("{}: no corpus test for {}", record.id, record.feature));
+        let clean = run_case_with(case, &reference, record.language, &policy);
+        assert!(clean.passed(), "{}: {:?}", record.id, clean.status);
+        let buggy = VendorCompiler::reference()
+            .with_extra_defect(record.defect.clone())
+            .with_cache(Arc::clone(&cache));
+        let r = run_case_with(case, &buggy, record.language, &policy);
+        if r.passed() {
+            failures.push(format!(
+                "{} ({} on {}): {:?} hidden by the shared memo",
+                record.id, record.language, record.feature, record.defect
+            ));
+        }
+    }
+    assert!(records.len() >= 160, "catalog unexpectedly small");
+    assert!(cache.stats().run_memo_hits > 0, "{}", cache.stats());
+    assert!(
+        failures.is_empty(),
+        "{} of {} catalogued bugs are NOT discoverable through the memo:\n{}",
+        failures.len(),
+        records.len(),
         failures.join("\n")
     );
 }

@@ -75,19 +75,23 @@ fn vendor_sweep_is_cache_transparent_and_hits() {
     let cache = CompileCache::shared();
     let plain = Campaign::new(suite());
     let cached = Campaign::new(suite()).with_cache(Arc::clone(&cache));
-    let baseline = plain.run_vendor_line(VendorId::Pgi);
-    let swept = cached.run_vendor_line(VendorId::Pgi);
-    assert_eq!(swept.runs.len(), baseline.runs.len());
-    for (c, b) in swept.runs.iter().zip(&baseline.runs) {
-        assert_eq!(render_text(c), render_text(b));
+    for vendor in VendorId::COMMERCIAL {
+        let baseline = plain.run_vendor_line(vendor);
+        let swept = cached.run_vendor_line(vendor);
+        assert_eq!(swept.runs.len(), baseline.runs.len());
+        for (c, b) in swept.runs.iter().zip(&baseline.runs) {
+            assert_eq!(render_text(c), render_text(b));
+        }
     }
     // The whole point of the sweep cache: front-end work amortises across
-    // versions, so hits dominate once the first version has populated it.
+    // versions, so hits dominate once the first version has populated it;
+    // and releases a source cannot tell apart replay each other's runs.
     let stats = cache.stats();
     assert!(
         stats.frontend_hits > stats.frontend_misses,
         "sweep should mostly hit the front-end cache: {stats}"
     );
+    assert!(stats.run_memo_hits > 0, "sweep should replay runs: {stats}");
 }
 
 // ---------------------------------------------------------------------------

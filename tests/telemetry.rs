@@ -200,12 +200,7 @@ fn metrics_expose_cache_counters_as_single_source_of_truth() {
     exec.run_suite_stats(&campaign, &VendorCompiler::reference());
     let stats = cache.stats();
     assert!(stats.lookups() > 0);
-    let counters = obs::metrics::CacheCounters {
-        frontend_hits: stats.frontend_hits,
-        frontend_misses: stats.frontend_misses,
-        exec_hits: stats.exec_hits,
-        exec_misses: stats.exec_misses,
-    };
+    let counters = obs::metrics::CacheCounters::from(stats);
     let text = obs::metrics::render_prometheus(&recorder.snapshot(), Some(&counters));
     // The exposition carries the cache's own atomics, verbatim.
     assert!(text.contains(&format!(

@@ -36,7 +36,7 @@ fn bench_suite(c: &mut Criterion) {
         b.iter(|| black_box(campaign.run_one(&reference)).results.len())
     });
 
-    // The crossbeam-parallel campaign executor (same results, fanned out).
+    // The threaded campaign sweep (same results, cases fanned out).
     g.bench_function("campaign_reference_parallel_t4", |b| {
         let campaign = Campaign::new(suite.clone());
         b.iter(|| {

@@ -41,6 +41,13 @@
 //! the cache). Hit/miss counters per level feed the report summary and the
 //! bench JSON; the run memos' hit/miss counters ride beside them on the
 //! stderr summary and in `/metrics`.
+//!
+//! Entries live as long as their cache. `accvv serve` keeps one cache for
+//! the process, so later submissions hit what earlier ones compiled. A
+//! Fig. 8 sweep instead gives each case a [`scoped`](CompileCache::scoped)
+//! cache that counts into the campaign's: the case's sources are shared by
+//! every release of the sweep and freed when the case ends, so the
+//! campaign's own cache stays empty (DESIGN.md §10, "Entry lifetime").
 
 use acc_ast::Program;
 use acc_frontend::ResolvedProgram;
@@ -55,33 +62,41 @@ use crate::driver::{CompileFailure, Executable, FrontendUnit};
 /// The front-end artifact: parsed AST plus resolved frame layouts.
 type Frontend = (Arc<Program>, Arc<ResolvedProgram>);
 
-/// A process-lifetime, thread-safe compilation cache.
+/// A thread-safe compilation cache.
 ///
-/// Entries never expire: keys are pure functions of their content, so an
-/// entry can only become stale if the compiler itself changes — which can't
-/// happen within a process.
+/// Entries never go stale: keys are pure functions of their content, so an
+/// entry could only become wrong if the compiler itself changed — which
+/// can't happen within a process. An entry lives as long as its cache, so
+/// the owner picks the lifetime: a process-wide cache keeps every entry
+/// until exit, a [`scoped`](Self::scoped) one frees its entries when it
+/// drops.
 #[derive(Default)]
 pub struct CompileCache {
     frontend: Mutex<HashMap<String, Result<Arc<FrontendUnit>, CompileFailure>>>,
     exec: Mutex<HashMap<String, Result<Arc<Executable>, CompileFailure>>>,
+    counters: Arc<Counters>,
+}
+
+/// The hit/miss counters of one cache and of every cache scoped from it.
+/// Run-memo lookups are counted where [`Executable::run_with_knobs`]
+/// consults a memo of an executable compiled through one of them.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
     frontend_hits: AtomicU64,
     frontend_misses: AtomicU64,
     exec_hits: AtomicU64,
     exec_misses: AtomicU64,
-    memo: Arc<MemoStats>,
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
 }
 
-/// Run-memo lookups of the executables compiled through one cache,
-/// counted where [`Executable::run_with_knobs`] consults a memo.
-#[derive(Debug, Default)]
-pub(crate) struct MemoStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl MemoStats {
-    pub(crate) fn record(&self, hit: bool) {
-        let counter = if hit { &self.hits } else { &self.misses };
+impl Counters {
+    pub(crate) fn record_memo(&self, hit: bool) {
+        let counter = if hit {
+            &self.memo_hits
+        } else {
+            &self.memo_misses
+        };
         counter.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -163,6 +178,18 @@ impl CompileCache {
         Arc::new(CompileCache::new())
     }
 
+    /// An empty cache that counts into this one's counters: its lookups
+    /// and run-memo hits show in this cache's [`stats`](Self::stats), its
+    /// entries do not outlive it. A sweep gives each case one, so a
+    /// source's artifacts are shared by every release that runs the case
+    /// and freed when the case ends.
+    pub fn scoped(&self) -> CompileCache {
+        CompileCache {
+            counters: Arc::clone(&self.counters),
+            ..CompileCache::default()
+        }
+    }
+
     /// Get-or-compute the front-end artifact for `(language, spec, source)`.
     ///
     /// `compute` runs outside the cache lock; concurrent racers on the same
@@ -191,18 +218,20 @@ impl CompileCache {
     ) -> Result<Arc<FrontendUnit>, CompileFailure> {
         let key = format!("{language:?}|{spec:?}\u{0}{source}");
         if let Some(cached) = self.frontend.lock().unwrap().get(&key) {
-            self.frontend_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.frontend_hits.fetch_add(1, Ordering::Relaxed);
             // Timing-class: which worker sees the hit depends on schedule.
             acc_obs::instant_timing("cache", "frontend", vec![acc_obs::s("outcome", "hit")]);
             return cached.clone();
         }
-        self.frontend_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .frontend_misses
+            .fetch_add(1, Ordering::Relaxed);
         acc_obs::instant_timing("cache", "frontend", vec![acc_obs::s("outcome", "miss")]);
         let fresh = compute().map(|(program, resolved)| {
             Arc::new(FrontendUnit::new(
                 program,
                 resolved,
-                Some(Arc::clone(&self.memo)),
+                Some(Arc::clone(&self.counters)),
             ))
         });
         self.frontend
@@ -226,12 +255,12 @@ impl CompileCache {
     ) -> Result<Arc<Executable>, CompileFailure> {
         let key = format!("{fingerprint}\u{0}{source}");
         if let Some(cached) = self.exec.lock().unwrap().get(&key) {
-            self.exec_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.exec_hits.fetch_add(1, Ordering::Relaxed);
             // Timing-class: which worker sees the hit depends on schedule.
             acc_obs::instant_timing("cache", "exec", vec![acc_obs::s("outcome", "hit")]);
             return cached.clone();
         }
-        self.exec_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.exec_misses.fetch_add(1, Ordering::Relaxed);
         acc_obs::instant_timing("cache", "exec", vec![acc_obs::s("outcome", "miss")]);
         let fresh = compute().map(Arc::new);
         self.exec
@@ -242,15 +271,17 @@ impl CompileCache {
             .clone()
     }
 
-    /// Snapshot the hit/miss counters.
+    /// Snapshot the hit/miss counters (shared with every cache scoped from
+    /// this one).
     pub fn stats(&self) -> CacheStats {
+        let c = &self.counters;
         CacheStats {
-            frontend_hits: self.frontend_hits.load(Ordering::Relaxed),
-            frontend_misses: self.frontend_misses.load(Ordering::Relaxed),
-            exec_hits: self.exec_hits.load(Ordering::Relaxed),
-            exec_misses: self.exec_misses.load(Ordering::Relaxed),
-            run_memo_hits: self.memo.hits.load(Ordering::Relaxed),
-            run_memo_misses: self.memo.misses.load(Ordering::Relaxed),
+            frontend_hits: c.frontend_hits.load(Ordering::Relaxed),
+            frontend_misses: c.frontend_misses.load(Ordering::Relaxed),
+            exec_hits: c.exec_hits.load(Ordering::Relaxed),
+            exec_misses: c.exec_misses.load(Ordering::Relaxed),
+            run_memo_hits: c.memo_hits.load(Ordering::Relaxed),
+            run_memo_misses: c.memo_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -301,6 +332,25 @@ mod tests {
         assert_eq!(calls, 1, "parse ran once");
         let s = cache.stats();
         assert_eq!((s.frontend_hits, s.frontend_misses), (2, 1));
+    }
+
+    #[test]
+    fn a_scoped_cache_counts_into_its_parent_and_keeps_its_entries() {
+        let parent = CompileCache::new();
+        {
+            let scoped = parent.scoped();
+            for _ in 0..2 {
+                let r = scoped.frontend(SRC, Language::C, SpecVersion::V1_0, || {
+                    crate::driver::frontend_compile(SRC, Language::C)
+                });
+                assert!(r.is_ok());
+            }
+            assert_eq!(scoped.frontend_entries(), 1);
+            assert_eq!(scoped.stats(), parent.stats());
+        }
+        assert_eq!(parent.frontend_entries(), 0);
+        let s = parent.stats();
+        assert_eq!((s.frontend_hits, s.frontend_misses), (1, 1));
     }
 
     #[test]

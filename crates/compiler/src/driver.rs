@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::bytecode::BytecodeProgram;
-use crate::cache::MemoStats;
+use crate::cache::Counters;
 use crate::exec::{RunKey, RunResult};
 
 /// A run memo: results of one source under one observable profile, keyed
@@ -86,8 +86,8 @@ pub struct Executable {
     /// another release computed. Only consulted when `RunKnobs::memo` is
     /// set; see [`Executable::run_with_knobs`].
     pub run_memo: RunMemo,
-    /// The compile cache's memo counters; `None` when compiled uncached.
-    pub(crate) memo_stats: Option<Arc<MemoStats>>,
+    /// The compile cache's counters; `None` when compiled uncached.
+    pub(crate) counters: Option<Arc<Counters>>,
 }
 
 impl Executable {
@@ -189,15 +189,15 @@ pub(crate) struct FrontendUnit {
     /// (one per vendor and distinct reachable defect set), so a linear
     /// scan finds them.
     memos: Mutex<Vec<(DeviceType, ObservedProfile, RunMemo)>>,
-    /// The owning cache's memo counters, handed to every executable.
-    memo_stats: Option<Arc<MemoStats>>,
+    /// The owning cache's counters, handed to every executable.
+    counters: Option<Arc<Counters>>,
 }
 
 impl FrontendUnit {
     pub(crate) fn new(
         program: Arc<Program>,
         resolved: Arc<ResolvedProgram>,
-        memo_stats: Option<Arc<MemoStats>>,
+        counters: Option<Arc<Counters>>,
     ) -> Self {
         FrontendUnit {
             program,
@@ -205,7 +205,7 @@ impl FrontendUnit {
             usage: OnceLock::new(),
             image: OnceLock::new(),
             memos: Mutex::new(Vec::new()),
-            memo_stats,
+            counters,
         }
     }
 
@@ -257,7 +257,7 @@ impl FrontendUnit {
             concrete_device,
             code: Arc::clone(code),
             run_memo,
-            memo_stats: self.memo_stats.clone(),
+            counters: self.counters.clone(),
         })
     }
 }

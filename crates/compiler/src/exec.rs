@@ -180,8 +180,8 @@ impl Executable {
             .expect("run memo poisoned")
             .get(&key)
             .cloned();
-        if let Some(stats) = &self.memo_stats {
-            stats.record(hit.is_some());
+        if let Some(counters) = &self.counters {
+            counters.record_memo(hit.is_some());
         }
         if let Some(hit) = hit {
             return hit;

@@ -10,7 +10,9 @@ use acc_obs as obs;
 use acc_spec::{FeatureId, Language};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread;
 
 /// Failure counts grouped by the taxonomy: the paper's four classes (§V:
 /// compile-time errors; runtime errors: incorrect result, crash, executes
@@ -124,8 +126,9 @@ pub struct Campaign {
     pub suite: Vec<TestCase>,
     /// Run configuration.
     pub config: SuiteConfig,
-    /// Compilation cache shared by every compiler the campaign drives
-    /// (`None` = compile from scratch every time, the pre-cache behaviour).
+    /// Compilation cache shared by every compiler the campaign drives, or
+    /// by every case's scope of it in a sweep (`None` = compile from
+    /// scratch every time, the pre-cache behaviour).
     pub cache: Option<Arc<CompileCache>>,
     /// Telemetry collector (disabled by default). When enabled, the direct
     /// run paths emit campaign/case spans; results and report bytes are
@@ -157,9 +160,14 @@ impl Campaign {
         self
     }
 
-    /// Share a compilation cache across every run of this campaign. All
-    /// compilers the campaign touches (including every version in a vendor
-    /// sweep) are attached to it, so identical sources compile once.
+    /// Share a compilation cache across every run of this campaign.
+    /// [`run_one`](Self::run_one) and [`run_vendor_line`](Self::run_vendor_line)
+    /// attach it to every compiler they drive, so identical sources compile
+    /// once and its entries live as long as it does.
+    /// [`run_sweep`](Self::run_sweep) and
+    /// [`run_one_parallel`](Self::run_one_parallel) instead give each case
+    /// a [`scoped`](CompileCache::scoped) cache that counts into it and is
+    /// freed when the case ends, so its own maps stay empty.
     pub fn with_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -172,13 +180,9 @@ impl Campaign {
     }
 
     /// The compiler to actually drive: the caller's, with the campaign's
-    /// cache attached when one is configured (an already-attached cache on
-    /// the compiler wins — the caller chose it deliberately).
+    /// cache attached when one is configured.
     pub(crate) fn effective_compiler(&self, compiler: &VendorCompiler) -> VendorCompiler {
-        match (&self.cache, compiler.cache()) {
-            (Some(cache), None) => compiler.clone().with_cache(Arc::clone(cache)),
-            _ => compiler.clone(),
-        }
+        attach(compiler, self.cache.as_ref())
     }
 
     /// The cases selected by the configuration's feature filter.
@@ -191,7 +195,7 @@ impl Campaign {
 
     /// The selected cases with every configuration override (today: the
     /// cross-test repetition count) applied — the exact per-case inputs all
-    /// run paths (serial, chunked-parallel, fault-tolerant executor) feed to
+    /// run paths (serial, sweep, fault-tolerant executor) feed to
     /// the harness, so their job lists are identical by construction.
     pub fn materialized_cases(&self) -> Vec<TestCase> {
         self.selected_cases()
@@ -227,126 +231,156 @@ impl Campaign {
         let compiler = self.effective_compiler(compiler);
         let policy = self.case_policy();
         let cases = self.materialized_cases();
-        let langs = self.config.languages.len().max(1);
+        let langs = &self.config.languages;
+        let label = compiler.label();
         let run = self.recorder.begin_run();
-        {
-            let _pre = obs::scope(&self.recorder, run, obs::PART_PRE, 0, 0);
-            obs::mark(
-                obs::Phase::Begin,
-                "campaign",
-                &compiler.label(),
-                vec![obs::i("jobs", (cases.len() * self.config.languages.len()) as i64)],
-            );
-        }
+        self.begin_campaign(run, &label, cases.len() * langs.len());
         let mut results = Vec::new();
         for (ci, case) in cases.iter().enumerate() {
-            for (li, &lang) in self.config.languages.iter().enumerate() {
-                let job = (ci * langs + li) as u32;
-                let _g = obs::scope(&self.recorder, run, obs::PART_JOB, job, 0);
-                obs::begin("case", &case.name, vec![obs::s("lang", lang.to_string())]);
-                let r = run_case_with(case, &compiler, lang, &policy);
-                obs::end(vec![obs::s("status", r.status.label())]);
-                results.push(r);
+            for (li, &lang) in langs.iter().enumerate() {
+                let job = ci * langs.len() + li;
+                results.push(self.run_job(run, job, 0, case, &compiler, lang, &policy));
             }
         }
-        {
-            let _post = obs::scope(&self.recorder, run, obs::PART_POST, 0, 0);
-            obs::mark(
-                obs::Phase::End,
-                "campaign",
-                &compiler.label(),
-                vec![obs::i(
-                    "passed",
-                    results.iter().filter(|r| r.passed()).count() as i64,
-                )],
-            );
-        }
+        self.end_campaign(run, &label, &results);
         SuiteRun {
-            compiler: compiler.label(),
+            compiler: label,
             results,
         }
     }
 
-    /// Run against a single compiler release with worker threads: the suite
-    /// fans test cases out over a crossbeam scope (test executions are
-    /// independent — each runs in its own simulated world), preserving the
-    /// deterministic per-test results while cutting campaign wall time.
+    /// Run against a single compiler release with worker threads: a sweep
+    /// of that one release ([`run_sweep`](Self::run_sweep)).
     pub fn run_one_parallel(&self, compiler: &VendorCompiler, threads: usize) -> SuiteRun {
+        self.run_sweep(std::slice::from_ref(compiler), threads)
+            .pop()
+            .expect("a one-release sweep returns one run")
+    }
+
+    /// Run every selected case under every release of `compilers`,
+    /// source-major: `threads` workers claim whole cases (test executions
+    /// are independent — each runs in its own simulated world), and a case
+    /// runs under each release back to back, in sweep order. With a
+    /// campaign cache, each case compiles through a fresh
+    /// [`scoped`](CompileCache::scoped) cache that counts into it, so the
+    /// case's parses, images and run memos are shared by exactly the
+    /// releases that can reuse them and freed when the case ends. One
+    /// worker runs on the calling thread.
+    ///
+    /// Returns one [`SuiteRun`] per release, in sweep order, with its rows
+    /// in suite order: the rows, and with telemetry the merged trace, of
+    /// one [`run_one`](Self::run_one) per release.
+    pub fn run_sweep(&self, compilers: &[VendorCompiler], threads: usize) -> Vec<SuiteRun> {
         let cases = self.materialized_cases();
-        let threads = threads.max(1).min(cases.len().max(1));
-        if threads <= 1 {
-            return self.run_one(compiler);
-        }
-        let compiler = &self.effective_compiler(compiler);
         let policy = self.case_policy();
-        // One result slot per (case, language), filled by disjoint chunks.
-        let langs = self.config.languages.clone();
-        let run = self.recorder.begin_run();
-        {
-            let _pre = obs::scope(&self.recorder, run, obs::PART_PRE, 0, 0);
-            obs::mark(
-                obs::Phase::Begin,
-                "campaign",
-                &compiler.label(),
-                vec![obs::i("jobs", (cases.len() * langs.len()) as i64)],
-            );
-        }
-        let mut slots: Vec<Vec<CaseResult>> = Vec::new();
-        slots.resize_with(cases.len(), Vec::new);
-        let chunk = cases.len().div_ceil(threads);
-        let recorder = &self.recorder;
-        crossbeam::scope(|scope| {
-            for (chunk_index, (case_chunk, slot_chunk)) in
-                cases.chunks(chunk).zip(slots.chunks_mut(chunk)).enumerate()
-            {
-                let langs = langs.clone();
-                scope.spawn(move |_| {
-                    for (offset, (case, slot)) in
-                        case_chunk.iter().zip(slot_chunk.iter_mut()).enumerate()
-                    {
-                        let case_index = chunk_index * chunk + offset;
-                        for (li, &lang) in langs.iter().enumerate() {
-                            // Job ordinal = the case's suite position, so
-                            // merged traces match the serial path exactly.
-                            let job = (case_index * langs.len() + li) as u32;
-                            let _g = obs::scope(
-                                recorder,
-                                run,
-                                obs::PART_JOB,
-                                job,
-                                chunk_index as u32,
-                            );
-                            obs::begin(
-                                "case",
-                                &case.name,
-                                vec![obs::s("lang", lang.to_string())],
-                            );
-                            let r = run_case_with(case, compiler, lang, &policy);
-                            obs::end(vec![obs::s("status", r.status.label())]);
-                            slot.push(r);
-                        }
-                    }
-                });
+        let langs = &self.config.languages;
+        let jobs = cases.len() * langs.len();
+        let labels: Vec<String> = compilers.iter().map(VendorCompiler::label).collect();
+        // Every release's run ordinal, in sweep order, before any case
+        // runs: the trace merges as if the releases had run one by one.
+        let runs: Vec<u32> = labels
+            .iter()
+            .map(|label| {
+                let run = self.recorder.begin_run();
+                self.begin_campaign(run, label, jobs);
+                run
+            })
+            .collect();
+        // One slot per (release, job), filled as the cases finish.
+        let slots: Mutex<Vec<Vec<Option<CaseResult>>>> =
+            Mutex::new(compilers.iter().map(|_| vec![None; jobs]).collect());
+        // One case under every release, in its own scope of the cache.
+        let sweep_case = |ci: usize, worker: u32| {
+            let scope = self.cache.as_ref().map(|c| Arc::new(c.scoped()));
+            for (r, (compiler, &run)) in compilers.iter().zip(&runs).enumerate() {
+                let compiler = attach(compiler, scope.as_ref());
+                for (li, &lang) in langs.iter().enumerate() {
+                    let job = ci * langs.len() + li;
+                    let row = self.run_job(run, job, worker, &cases[ci], &compiler, lang, &policy);
+                    slots.lock().expect("sweep slots poisoned")[r][job] = Some(row);
+                }
             }
-        })
-        .expect("campaign worker panicked");
-        let results: Vec<CaseResult> = slots.into_iter().flatten().collect();
-        {
-            let _post = obs::scope(&self.recorder, run, obs::PART_POST, 0, 0);
-            obs::mark(
-                obs::Phase::End,
-                "campaign",
-                &compiler.label(),
-                vec![obs::i(
-                    "passed",
-                    results.iter().filter(|r| r.passed()).count() as i64,
-                )],
-            );
+        };
+        let next = AtomicUsize::new(0);
+        let work = |worker: u32| loop {
+            let ci = next.fetch_add(1, Ordering::Relaxed);
+            if ci >= cases.len() {
+                break;
+            }
+            sweep_case(ci, worker);
+        };
+        match threads.clamp(1, cases.len().max(1)) {
+            1 => work(0),
+            threads => thread::scope(|s| {
+                for worker in 0..threads as u32 {
+                    let work = &work;
+                    s.spawn(move || work(worker));
+                }
+            }),
         }
-        SuiteRun {
-            compiler: compiler.label(),
-            results,
-        }
+        let slots = slots.into_inner().expect("sweep slots poisoned");
+        labels
+            .into_iter()
+            .zip(runs)
+            .zip(slots)
+            .map(|((label, run), rows)| {
+                let results: Vec<CaseResult> = rows
+                    .into_iter()
+                    .map(|row| row.expect("every job of a sweep runs"))
+                    .collect();
+                self.end_campaign(run, &label, &results);
+                SuiteRun {
+                    compiler: label,
+                    results,
+                }
+            })
+            .collect()
+    }
+
+    /// A run's PRE `campaign` mark, announcing its job count.
+    fn begin_campaign(&self, run: u32, label: &str, jobs: usize) {
+        let _pre = obs::scope(&self.recorder, run, obs::PART_PRE, 0, 0);
+        obs::mark(
+            obs::Phase::Begin,
+            "campaign",
+            label,
+            vec![obs::i("jobs", jobs as i64)],
+        );
+    }
+
+    /// A run's POST `campaign` mark, counting its passes.
+    fn end_campaign(&self, run: u32, label: &str, results: &[CaseResult]) {
+        let _post = obs::scope(&self.recorder, run, obs::PART_POST, 0, 0);
+        obs::mark(
+            obs::Phase::End,
+            "campaign",
+            label,
+            vec![obs::i(
+                "passed",
+                results.iter().filter(|r| r.passed()).count() as i64,
+            )],
+        );
+    }
+
+    /// One (case, language) job of a run, under its trace scope. The job
+    /// ordinal is the case's suite position, so merged traces do not depend
+    /// on which worker ran it.
+    #[allow(clippy::too_many_arguments)]
+    fn run_job(
+        &self,
+        run: u32,
+        job: usize,
+        worker: u32,
+        case: &TestCase,
+        compiler: &VendorCompiler,
+        lang: Language,
+        policy: &CasePolicy,
+    ) -> CaseResult {
+        let _g = obs::scope(&self.recorder, run, obs::PART_JOB, job as u32, worker);
+        obs::begin("case", &case.name, vec![obs::s("lang", lang.to_string())]);
+        let r = run_case_with(case, compiler, lang, policy);
+        obs::end(vec![obs::s("status", r.status.label())]);
+        r
     }
 
     /// Sweep every released version of a vendor (the Fig. 8 x-axis). With a
@@ -360,6 +394,15 @@ impl Campaign {
             .map(|v| self.run_one(&VendorCompiler::new(vendor, v)))
             .collect();
         CampaignResult { runs }
+    }
+}
+
+/// `compiler` with `cache` attached when it has none (an already-attached
+/// cache wins — the caller chose it deliberately).
+fn attach(compiler: &VendorCompiler, cache: Option<&Arc<CompileCache>>) -> VendorCompiler {
+    match (cache, compiler.cache()) {
+        (Some(cache), None) => compiler.clone().with_cache(Arc::clone(cache)),
+        _ => compiler.clone(),
     }
 }
 

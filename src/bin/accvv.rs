@@ -67,7 +67,7 @@ fn print_usage() {
          \x20          [--features P1,P2,…] [--format text|csv|html] [--repetitions M]\n\
          \x20          [--attribute] [--jobs N] [--retries R] [--case-deadline-ms MS]\n\
          \x20          [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]\n\
-         \x20          [--no-cache] [--exec-mode vm|walk|par[:N]]\n\
+         \x20          [--no-cache (the default)] [--exec-mode vm|walk|par[:N]]\n\
          \x20          [--trace-out FILE] [--metrics-out FILE]\n\
          \x20 accvv serve [--addr HOST:PORT] [--store DIR] [--jobs N] [--queue-cap N]\n\
          \x20            [--breaker-threshold N] [--breaker-cooldown-ms MS]\n\
@@ -360,14 +360,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(n) = opt(args, "--halt-after") {
         policy = policy.with_halt_after(n.parse().map_err(|_| "bad --halt-after")?);
     }
-    // Compile once, run many: a process-wide compilation cache is on by
-    // default (identical report bytes either way — `--no-cache` exists to
-    // prove that and to time the cold path).
-    let cache = (!flag(args, "--no-cache")).then(openacc_vv::compiler::CompileCache::shared);
-    let mut campaign = Campaign::new(openacc_vv::testsuite::full_suite()).with_config(config);
-    if let Some(c) = &cache {
-        campaign = campaign.with_cache(Arc::clone(c));
-    }
+    // No compile cache: one release compiles each source once, so a cache
+    // would only hold entries until exit (`--no-cache` is accepted and is
+    // the default).
+    let campaign = Campaign::new(openacc_vv::testsuite::full_suite()).with_config(config);
     if let Some(n) = policy.halt_after {
         let total_jobs = campaign.materialized_cases().len() * campaign.config.languages.len();
         if n > total_jobs {
@@ -378,8 +374,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     }
     let (run, stats) = Executor::new(policy).run_suite_stats(&campaign, &compiler);
-    let cache_stats = cache.as_ref().map(|c| c.stats());
-    tele.finish(cache_stats.as_ref())?;
+    tele.finish(None)?;
     if stats.cached > 0 {
         eprintln!(
             "accvv: resume skipped {} completed case(s); {} executed this run",
@@ -442,11 +437,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         let breakdown = run.failure_breakdown(lang);
         println!("taxonomy [{lang}]: {breakdown}");
         hard_failures += breakdown.total_failures();
-    }
-    // Cache counters go to stderr, never into the report itself — cached
-    // and uncached report bytes must stay identical.
-    if let Some(c) = &cache {
-        eprintln!("accvv: compile cache: {}", c.stats());
     }
     if hard_failures > 0 {
         return Err(format!("{hard_failures} case(s) failed"));
@@ -528,24 +518,17 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     if let Some(c) = &cache {
         campaign = campaign.with_cache(Arc::clone(c));
     }
-    let default_jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let threads: usize = parse_opt_or(args, "--jobs", default_jobs)?;
+    let threads: usize = parse_opt_or(args, "--jobs", default_jobs())?;
     if threads == 0 {
         return Err("--jobs must be at least 1 (a pool with no workers runs nothing)".to_string());
     }
+    // One sweep over every selected release: each case runs under all of
+    // them back to back, so its sources are parsed and lowered once.
+    let mut runs = campaign.run_sweep(&releases(&vendors), threads).into_iter();
     for vendor in vendors {
         println!("=== {} ===", vendor.name());
         println!("{:>10} {:>8} {:>10}", "version", "C %", "Fortran %");
-        let result = openacc_vv::validation::CampaignResult {
-            runs: vendor
-                .versions()
-                .into_iter()
-                .map(|v| campaign.run_one_parallel(&VendorCompiler::new(vendor, v), threads))
-                .collect(),
-        };
-        for (version, run) in vendor.versions().iter().zip(&result.runs) {
+        for (version, run) in vendor.versions().iter().zip(runs.by_ref()) {
             println!(
                 "{:>10} {:>8.1} {:>10.1}",
                 version.to_string(),
@@ -561,6 +544,27 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let cache_stats = cache.as_ref().map(|c| c.stats());
     tele.finish(cache_stats.as_ref())?;
     Ok(())
+}
+
+/// Every release of `vendors`, in vendor order, oldest first.
+fn releases(vendors: &[VendorId]) -> Vec<VendorCompiler> {
+    vendors
+        .iter()
+        .flat_map(|&vendor| {
+            vendor
+                .versions()
+                .into_iter()
+                .map(move |v| VendorCompiler::new(vendor, v))
+        })
+        .collect()
+}
+
+/// The worker count `campaign` and `matrix` use without `--jobs`: one per
+/// CPU this process may use.
+fn default_jobs() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
 }
 
 /// `accvv bench`: time the suite's hot paths, write `BENCH_suite.json`,
@@ -734,9 +738,11 @@ fn cmd_matrix(args: &[String]) -> Result<(), String> {
         Some(l) => parse_lang(&l)?,
         None => Language::C,
     };
-    let campaign = Campaign::new(openacc_vv::testsuite::full_suite());
-    let result = campaign.run_vendor_line(vendor);
-    let refs: Vec<&openacc_vv::validation::SuiteRun> = result.runs.iter().collect();
+    let campaign = Campaign::new(openacc_vv::testsuite::full_suite())
+        .with_config(SuiteConfig::new().language(lang))
+        .with_cache(openacc_vv::compiler::CompileCache::shared());
+    let runs = campaign.run_sweep(&releases(&[vendor]), default_jobs());
+    let refs: Vec<&openacc_vv::validation::SuiteRun> = runs.iter().collect();
     print!("{}", report::feature_matrix(&refs, lang));
     Ok(())
 }

@@ -94,6 +94,68 @@ fn vendor_sweep_is_cache_transparent_and_hits() {
     assert!(stats.run_memo_hits > 0, "sweep should replay runs: {stats}");
 }
 
+/// Every release of `vendors`, in sweep order.
+fn releases(vendors: &[VendorId]) -> Vec<VendorCompiler> {
+    vendors
+        .iter()
+        .flat_map(|&v| {
+            v.versions()
+                .into_iter()
+                .map(move |x| VendorCompiler::new(v, x))
+        })
+        .collect()
+}
+
+#[test]
+fn source_major_sweeps_match_uncached_lines_and_free_every_case() {
+    let plain = Campaign::new(suite());
+    let sweeps = VendorId::COMMERCIAL
+        .iter()
+        .map(|&v| vec![v])
+        .chain(std::iter::once(VendorId::COMMERCIAL.to_vec()));
+    for vendors in sweeps {
+        let baseline: Vec<String> = vendors
+            .iter()
+            .flat_map(|&v| plain.run_vendor_line(v).runs)
+            .map(|run| render_text(&run))
+            .collect();
+        let mut counts = Vec::new();
+        for threads in [1, 4] {
+            let cache = CompileCache::shared();
+            let campaign = Campaign::new(suite()).with_cache(Arc::clone(&cache));
+            let runs = campaign.run_sweep(&releases(&vendors), threads);
+            assert_eq!(runs.len(), baseline.len());
+            for (run, expected) in runs.iter().zip(&baseline) {
+                assert_eq!(
+                    render_text(run),
+                    *expected,
+                    "{} diverged in a {threads}-thread sweep of {vendors:?}",
+                    run.compiler
+                );
+            }
+            // Each case's scope counts into the campaign's cache: the
+            // releases of the sweep share each parse and replay runs.
+            let stats = cache.stats();
+            assert!(
+                stats.frontend_hits > stats.frontend_misses,
+                "{vendors:?} at {threads} thread(s): {stats}"
+            );
+            assert!(
+                stats.run_memo_hits > 0,
+                "{vendors:?} at {threads} thread(s): {stats}"
+            );
+            // ...and keeps its entries to itself, freed with the case.
+            assert_eq!(
+                (cache.frontend_entries(), cache.exec_entries()),
+                (0, 0),
+                "the campaign's cache kept entries after a sweep of {vendors:?}"
+            );
+            counts.push(stats);
+        }
+        assert_eq!(counts[0], counts[1], "counters depend on the worker count");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 2. Isolation
 // ---------------------------------------------------------------------------

@@ -65,6 +65,41 @@ fn merged_jsonl_is_byte_identical_across_jobs() {
     }
 }
 
+/// A source-major sweep traces exactly like one `run_one` per release:
+/// its run ordinals follow sweep order and its job ordinals suite order,
+/// whichever worker ran a case.
+#[test]
+fn sweep_trace_is_byte_identical_to_one_run_per_release() {
+    let releases: Vec<VendorCompiler> = VendorId::Caps
+        .versions()
+        .into_iter()
+        .map(|v| VendorCompiler::new(VendorId::Caps, v))
+        .collect();
+    let traced = |drive: &dyn Fn(&Campaign)| {
+        let recorder = obs::Recorder::enabled();
+        let campaign = Campaign::new(small_suite())
+            .with_cache(CompileCache::shared())
+            .with_recorder(recorder.clone());
+        drive(&campaign);
+        obs::trace::render_jsonl(&recorder.snapshot())
+    };
+    let one_by_one = traced(&|c| {
+        for release in &releases {
+            c.run_one(release);
+        }
+    });
+    assert!(!one_by_one.is_empty());
+    for threads in [1, 4] {
+        let swept = traced(&|c| {
+            c.run_sweep(&releases, threads);
+        });
+        assert_eq!(
+            swept, one_by_one,
+            "sweep trace diverged at {threads} thread(s)"
+        );
+    }
+}
+
 /// Journal frames with the wall-clock duration fields zeroed: durations
 /// differ between ANY two runs, telemetry or not, so the byte-identity
 /// claim is about every other byte of every frame. The per-frame checksum

@@ -8,9 +8,6 @@
 //! | `table1_bugs` | Table I bug counts |
 //! | `certainty_stats` | §III statistical certainty model |
 //! | `fig13_titan` | §VII / Fig. 13 production-harness matrix |
-//! | `perf_suite` | suite execution throughput (Criterion) |
-//! | `perf_device` | device-engine throughput, deterministic vs parallel (Criterion) |
-//! | `perf_template` | template expansion & front-end throughput (Criterion) |
 //!
 //! Run them all with `cargo bench --workspace`, or one with
 //! `cargo bench -p acc-bench --bench fig8_caps`.

@@ -25,17 +25,11 @@ pub const FULL_SUITE: &str = "campaign_fig8_three_vendor";
 /// regression can't hide inside campaign noise.
 pub const DEVICE_KERNEL: &str = "device_kernel_512";
 
-/// The same 512-element kernel under the parallel gang engine
-/// (`--exec-mode par`, auto-sized pool): gated so the parallel dispatch
-/// path — plan lookup, launch, ordered commit — can't silently regress
-/// relative to [`DEVICE_KERNEL`].
-pub const DEVICE_KERNEL_PAR: &str = "device_kernel_512_parallel";
-
 /// Workloads the `--check` regression gate compares against the baseline.
 /// Every guarded workload must exist in the baseline; a missing entry is a
 /// hard error with a regeneration hint (a silent skip would let a
 /// regression ship behind a stale baseline).
-pub const GUARDED: &[&str] = &[FULL_SUITE, DEVICE_KERNEL, DEVICE_KERNEL_PAR];
+pub const GUARDED: &[&str] = &[FULL_SUITE, DEVICE_KERNEL];
 
 /// The reference campaign run with an *enabled* recorder: what live tracing
 /// costs end to end. Reported (so the enabled overhead stays visible in
@@ -337,23 +331,6 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
         runs
     });
     push(&mut measurements, "vm_execute_512", timing);
-
-    // 7. The parallel gang engine on the same kernel and batch size: the
-    //    plan-driven element-kernel dispatch (worker pool auto-sized; on a
-    //    single-core host the launch runs inline, so this measures the
-    //    plan + commit overhead against `vm_execute_512`).
-    let par_knobs = || RunKnobs {
-        exec_mode: ExecMode::Par { threads: 0 },
-        ..RunKnobs::default()
-    };
-    let timing = time_median(iters, || {
-        let runs = 20usize;
-        for _ in 0..runs {
-            std::hint::black_box(exe.run_with_knobs(&env, par_knobs()).outcome.passed());
-        }
-        runs
-    });
-    push(&mut measurements, DEVICE_KERNEL_PAR, timing);
 
     // Disabled-overhead estimate (see `BenchReport::disabled_overhead_pct`):
     // scale the traced reference run's event volume to the full-suite case

@@ -8,7 +8,7 @@
 //! the global allocator and bound campaign throughput.
 //!
 //! This module recycles them through thread-local pools. The lifetime rules
-//! (DESIGN.md §15.5) that make this sound:
+//! (DESIGN.md §15.3) that make this sound:
 //!
 //! - Pooled element types are plain data (`Value`, `u32`, `Slot`, `Instr`) —
 //!   `'static`, no `Drop`, no borrows — so a recycled vector can never leak

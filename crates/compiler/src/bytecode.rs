@@ -55,7 +55,7 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// Maximum index arity compiled inline; deeper index expressions (which the
 /// generators never emit) escape to the walker.
-pub(crate) const MAX_IDX: usize = 8;
+const MAX_IDX: usize = 8;
 
 /// One bytecode instruction. Register operands (`dst`, `src`, `a`, `b`,
 /// `cond`, `idx`) index the chunk's scratch file; `slot` operands index the
@@ -355,26 +355,6 @@ pub(crate) struct RegionCode {
     pub(crate) referenced: Vec<String>,
     /// Precomputed Fig. 11 dead-region verdict.
     pub(crate) dead: bool,
-    /// Parallel-engine launch descriptor: present when the region body is
-    /// exactly one plan-eligible nest and the region directive carries no
-    /// per-gang state (reduction/private/firstprivate). See `par`.
-    pub(crate) par: Option<RegionPar>,
-}
-
-/// How a compute region maps onto one parallel nest launch (the static half
-/// of the eligibility check; `Machine::try_par_region` does the dynamic
-/// half).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RegionPar {
-    /// The nest (index into [`BytecodeProgram::nests`]) whose plan runs.
-    pub(crate) nest: u32,
-    /// Ticks the serial engine charges per gang before the nest dispatch
-    /// (1 for a block-form region whose chunk is `[TickDev, DevLoopDir,
-    /// End]`; 0 for a combined loop-form region).
-    pub(crate) pre_ticks: u64,
-    /// VM instructions the serial engine retires per gang outside the nest
-    /// iterations (the wrapper chunk's fetches; 0 for loop-form).
-    pub(crate) instrs_per_gang: u64,
 }
 
 /// One loop of a (possibly collapsed) `loop`-directive nest: bounds stay as
@@ -399,9 +379,6 @@ pub(crate) struct DevLoopNest {
     pub(crate) dir: u32,
     pub(crate) loops: Vec<NestLoop>,
     pub(crate) bodies: Vec<Chunk>,
-    /// Parallel launch plan, when the full-depth nest is provably race-free
-    /// (see `par::build_plan`).
-    pub(crate) par: Option<crate::par::ParPlan>,
 }
 
 /// A lowered `data`/`host_data` block: the directive plus its host body.
@@ -545,17 +522,6 @@ struct ChunkBuf {
     code: Vec<Instr>,
     next: u32,
     maxr: u32,
-}
-
-/// No per-gang state on the region directive — the parallel engine runs no
-/// per-gang setup, so reductions/privatization force the serial gang loop.
-fn region_dir_par_eligible(dir: &AccDirective) -> bool {
-    !dir.clauses.iter().any(|c| {
-        matches!(
-            c,
-            AccClause::Reduction(..) | AccClause::Private(_) | AccClause::Firstprivate(_)
-        )
-    })
 }
 
 impl ChunkBuf {
@@ -1310,29 +1276,7 @@ impl<'p> Lowerer<'p> {
         let mut hbuf = ChunkBuf::new();
         self.lower_body_h(&mut hbuf, body);
         let host = hbuf.seal(&mut self.bp.code);
-        let chunk = self.lower_dev_chunk(body);
-        // Block-form parallel launch: the whole device body must be exactly
-        // one planned nest behind its statement tick — `[TickDev,
-        // DevLoopDir, End]` (3 wrapper fetches, 1 tick per gang).
-        let par = if region_dir_par_eligible(dir) {
-            // The chunk was just sealed, so it is the tail of the stream:
-            // an exact-length slice pattern checks the whole chunk.
-            match self.bp.code.get(chunk.start as usize..) {
-                Some([Instr::TickDev, Instr::DevLoopDir { nest }, Instr::End])
-                    if self.bp.nests[*nest as usize].par.is_some() =>
-                {
-                    Some(RegionPar {
-                        nest: *nest,
-                        pre_ticks: 1,
-                        instrs_per_gang: 3,
-                    })
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let dev = RegionDev::Block(chunk);
+        let dev = RegionDev::Block(self.lower_dev_chunk(body));
         let mut refs = BTreeSet::new();
         collect_index_bases(body, &mut refs);
         self.bp.regions.push(RegionCode {
@@ -1341,7 +1285,6 @@ impl<'p> Lowerer<'p> {
             dev,
             referenced: refs.into_iter().collect(),
             dead: stmts_all_dead(body),
-            par,
         });
         (self.bp.regions.len() - 1) as u32
     }
@@ -1354,17 +1297,6 @@ impl<'p> Lowerer<'p> {
         self.lower_for_h_core(&mut hbuf, l);
         let host = hbuf.seal(&mut self.bp.code);
         let nest = self.lower_nest(dir_id, dir, l);
-        // Loop-form parallel launch: the gang loop dispatches the nest
-        // directly (no wrapper chunk, no per-gang tick).
-        let par = if region_dir_par_eligible(dir) && self.bp.nests[nest as usize].par.is_some() {
-            Some(RegionPar {
-                nest,
-                pre_ticks: 0,
-                instrs_per_gang: 0,
-            })
-        } else {
-            None
-        };
         let mut refs = BTreeSet::new();
         collect_expr_bases(&l.from, &mut refs);
         collect_expr_bases(&l.to, &mut refs);
@@ -1375,7 +1307,6 @@ impl<'p> Lowerer<'p> {
             dev: RegionDev::Loop(nest),
             referenced: refs.into_iter().collect(),
             dead: stmts_all_dead(&l.body),
-            par,
         });
         (self.bp.regions.len() - 1) as u32
     }
@@ -1430,12 +1361,10 @@ impl<'p> Lowerer<'p> {
             .iter()
             .map(|lp| self.lower_dev_chunk(&lp.body))
             .collect();
-        let par = crate::par::build_plan(dir, &nest_loops, body, self.layout);
         self.bp.nests.push(DevLoopNest {
             dir: dir_id,
             loops: nest_loops,
             bodies,
-            par,
         });
         (self.bp.nests.len() - 1) as u32
     }

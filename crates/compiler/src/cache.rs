@@ -20,7 +20,7 @@
 //!   defects the source cannot reach, plus its device. Releases that
 //!   agree on it run the source to identical results, so they share one
 //!   memo and a sweep executes the source once per observable behaviour
-//!   (DESIGN.md §15.3).
+//!   (DESIGN.md §15.2).
 //! * **Executable level** — keyed by `(vendor profile fingerprint, source)`.
 //!   The compile-time verdict and the [`Executable`] (its profile) depend
 //!   on the release's bug set, so a PGI executable is never served to

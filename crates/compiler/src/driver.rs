@@ -80,7 +80,7 @@ pub struct Executable {
     /// Memoized run results, keyed by the run's knobs and environment
     /// ([`RunKey`]). A run is a pure function of the image, the profile
     /// without its name, the device and that key, and only the defects the
-    /// source can reach matter (DESIGN.md §15.3). So every release whose
+    /// source can reach matter (DESIGN.md §15.2). So every release whose
     /// *observable profile* for this source is equal shares this memo
     /// through the compile cache's front-end entry, and replays a result
     /// another release computed. Only consulted when `RunKnobs::memo` is
@@ -321,8 +321,8 @@ impl DefectUsage {
     }
 
     /// Can a run of this program tell a profile with `defect` from one
-    /// without it? Read off the machine's profile queries (`exec.rs`,
-    /// `par.rs`; DESIGN.md §15.3). A `true` that could be `false` only
+    /// without it? Read off the machine's profile queries (`exec.rs`;
+    /// DESIGN.md §15.2). A `true` that could be `false` only
     /// costs sharing; a wrong `false` would replay another release's
     /// result, so each arm errs towards `true`.
     fn observes(&self, defect: &Defect) -> bool {

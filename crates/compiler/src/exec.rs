@@ -75,37 +75,15 @@ pub enum ExecMode {
     Vm,
     /// The original AST tree-walker, kept as the reference oracle.
     Walk,
-    /// The bytecode VM with the parallel gang engine enabled: provably
-    /// race-free partitioned loops execute as data-parallel element
-    /// kernels over a worker pool (see `par`); everything else falls back
-    /// to the serial VM. `threads == 0` means auto (one per core).
-    Par {
-        /// Worker threads (0 = auto).
-        threads: u16,
-    },
 }
 
 impl ExecMode {
-    /// Parse the `--exec-mode` CLI spelling (`vm`, `walk`, `par`,
-    /// `par:<threads>`).
+    /// Parse the `--exec-mode` CLI spelling (`vm` or `walk`).
     pub fn from_cli(s: &str) -> Option<ExecMode> {
         match s {
             "vm" => Some(ExecMode::Vm),
             "walk" => Some(ExecMode::Walk),
-            "par" => Some(ExecMode::Par { threads: 0 }),
-            _ => {
-                let t = s.strip_prefix("par:")?.parse().ok()?;
-                Some(ExecMode::Par { threads: t })
-            }
-        }
-    }
-
-    /// The engine family name (thread count elided).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Vm => "vm",
-            ExecMode::Walk => "walk",
-            ExecMode::Par { .. } => "par",
+            _ => None,
         }
     }
 }
@@ -163,7 +141,7 @@ impl Executable {
     /// When `knobs.memo` is set (and observability is not recording), the
     /// result is memoized keyed by the remaining inputs, a [`RunKey`] —
     /// sound because execution is a pure function of those inputs and
-    /// what selects the memo (DESIGN.md §15.3).
+    /// what selects the memo (DESIGN.md §15.2).
     pub fn run_with_knobs(&self, env: &EnvConfig, knobs: RunKnobs) -> RunResult {
         if !knobs.memo || acc_obs::active() {
             return self.run_uncached(env, knobs, false).0;
@@ -219,11 +197,6 @@ impl Executable {
                 m.code = Some(&self.code);
                 m.use_vm = true;
             }
-            ExecMode::Par { threads } => {
-                m.code = Some(&self.code);
-                m.use_vm = true;
-                m.par_threads = Some(threads);
-            }
         }
         if profile_pairs {
             m.pair_profile = Some(
@@ -244,9 +217,6 @@ impl Executable {
             if m.use_vm {
                 acc_obs::counter("vm_instructions", m.vm_instructions as i64);
                 acc_obs::counter("vm_dispatches_fused", m.vm_fused_saved as i64);
-                if m.par_threads.is_some() {
-                    acc_obs::counter("vm_par_launches", m.par_launches as i64);
-                }
             }
         }
         let profile = VmProfile {
@@ -449,8 +419,7 @@ pub(crate) struct DevCtx<'m> {
 
 impl<'m> DevCtx<'m> {
     /// A fresh gang-scope context, as constructed once per gang by the
-    /// serial gang loop (also the parallel engine's scratch context for
-    /// capture/bounds evaluation — see `par`).
+    /// gang loop.
     pub(crate) fn for_gang(
         num_gangs: u32,
         num_workers: u32,
@@ -588,15 +557,9 @@ pub(crate) struct Machine<'a> {
     /// Lives on the machine, NOT in [`acc_device::Metrics`], because the
     /// walker/VM engine-equivalence invariant compares `Metrics` verbatim.
     pub(crate) vm_instructions: u64,
-    /// Worker-thread count for the parallel gang engine (`Some` iff
-    /// `--exec-mode par[:N]`; 0 = auto). See `par`.
-    pub(crate) par_threads: Option<u16>,
     /// Dispatches saved by superinstruction fusion (telemetry; see
     /// `vm_instructions` for why this is not in `Metrics`).
     pub(crate) vm_fused_saved: u64,
-    /// Regions actually executed by the parallel gang engine this run
-    /// (telemetry; stays 0 whenever a plan bails to the serial path).
-    pub(crate) par_launches: u64,
     /// Opcode-pair execution counts when profiling (see
     /// [`Executable::run_profiled`]): `(OPCODE_COUNT + 1) * OPCODE_COUNT`
     /// slots, leading row = chunk entry.
@@ -636,9 +599,7 @@ impl<'a> Machine<'a> {
             code: None,
             use_vm: false,
             vm_instructions: 0,
-            par_threads: None,
             vm_fused_saved: 0,
-            par_launches: 0,
             pair_profile: None,
             reg_pool: Vec::new(),
             dev_bufs: Vec::new(),
@@ -2083,28 +2044,7 @@ impl<'a> Machine<'a> {
             .iter()
             .map(|(op, _, init, _)| identity_like(*op, *init))
             .collect();
-        // Parallel gang engine fast path: when the region body is a single
-        // provably race-free partitioned nest, execute it as a data-parallel
-        // element kernel over the worker pool instead of the serial gang
-        // loop. `Ok(false)` means the launch declined with no observable
-        // effects — the serial loop below reproduces the exact semantics.
-        let par_done = if let RegionBody::Code(rc) = &body {
-            let has_region_state =
-                !reductions.is_empty() || !private.is_empty() || !firstprivate.is_empty();
-            self.try_par_region(
-                rc,
-                num_gangs,
-                num_workers,
-                vector_len,
-                kernels_mode,
-                layout,
-                &devptr,
-                has_region_state,
-            )?
-        } else {
-            false
-        };
-        for gang in 0..if par_done { 0 } else { num_gangs } {
+        for gang in 0..num_gangs {
             let mut ctx = DevCtx::for_gang(
                 num_gangs,
                 num_workers,

@@ -29,7 +29,6 @@ pub mod bytecode;
 pub mod cache;
 pub mod driver;
 pub mod exec;
-mod par;
 pub mod vendor;
 mod vm;
 

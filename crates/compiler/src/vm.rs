@@ -143,7 +143,7 @@ impl<'a> Machine<'a> {
                 // replays its constituents in order; `vm_instructions`
                 // advances between the halves — after the first half's
                 // fallible work — so an abort mid-pair reports the same
-                // count as the unfused stream (DESIGN.md §15.3).
+                // count as the unfused stream (DESIGN.md §15.1).
                 Instr::TickIdxVarH { dst, name, slot } => {
                     self.tick()?;
                     self.world.clock.advance(1);

@@ -219,7 +219,7 @@ impl Campaign {
             exec_mode: self.config.exec_mode,
             // The run memo replays a run under identical knobs by any
             // release the source cannot tell apart from the one that ran
-            // it (DESIGN.md §15.3): most runs of a version sweep, and a
+            // it (DESIGN.md §15.2): most runs of a version sweep, and a
             // campaign run again on a warm shared cache.
             memo: true,
             ..CasePolicy::default()

@@ -27,8 +27,7 @@ pub struct CasePolicy {
     /// fully deterministic.
     pub run_index_base: u64,
     /// Which engine executes compiled programs (bytecode VM by default,
-    /// `--exec-mode=walk` for the tree-walking reference oracle,
-    /// `--exec-mode=par[:N]` for the parallel gang engine).
+    /// `--exec-mode=walk` for the tree-walking reference oracle).
     pub exec_mode: ExecMode,
     /// Allow the executable's run-result memo to serve repeated identical
     /// executions (campaign paths set this; benches that measure raw

@@ -21,15 +21,11 @@
 //!   worker-without-gang ambiguity policy, and injected wrong-code defects.
 //! * **Metrics** ([`metrics`]): kernels launched, bytes moved, iterations
 //!   executed — consumed by the benches and the Titan harness.
-//! * **A genuinely parallel backend** ([`parallel`]): crossbeam-based
-//!   execution of race-free partitioned kernels, used by the performance
-//!   benches to contrast the deterministic interpreter with real threads.
 
 #![warn(missing_docs)]
 
 pub mod memory;
 pub mod metrics;
-pub mod parallel;
 pub mod profile;
 pub mod queue;
 pub mod value;

@@ -1,9 +1,8 @@
-//! Property tests on the device substrate: memory/present-table invariants,
-//! queue semantics, and parallel-backend equivalence.
+//! Property tests on the device substrate: memory/present-table invariants
+//! and queue semantics.
 
 use acc_ast::ScalarType;
 use acc_device::memory::{DeviceMemory, ExitAction, PresentEntry, PresentTable};
-use acc_device::parallel::{par_map_f64, par_sum_f64, seq_map_f64, Partition};
 use acc_device::queue::{AsyncQueues, AsyncTag, VirtualClock};
 use acc_device::{ArrayData, BufferId};
 use proptest::prelude::*;
@@ -107,32 +106,6 @@ proptest! {
             }
             prop_assert!(c.now() >= last);
             last = c.now();
-        }
-    }
-
-    #[test]
-    fn parallel_backends_match_sequential(
-        n in 1usize..3000,
-        threads in 1usize..9,
-        block in prop::bool::ANY,
-    ) {
-        let mut par = vec![0.0f64; n];
-        let mut seq = vec![0.0f64; n];
-        let part = if block { Partition::Block } else { Partition::Cyclic };
-        par_map_f64(&mut par, threads, part, |i, v| *v = (i as f64) * 1.5 - 3.0);
-        seq_map_f64(&mut seq, |i, v| *v = (i as f64) * 1.5 - 3.0);
-        prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_sum_is_thread_count_invariant(
-        vals in prop::collection::vec(-100i64..100, 1..2000),
-    ) {
-        // Integral values stored as f64 sum exactly regardless of the split.
-        let data: Vec<f64> = vals.iter().map(|v| *v as f64).collect();
-        let expect: f64 = data.iter().sum();
-        for threads in [1usize, 2, 5, 16] {
-            prop_assert_eq!(par_sum_f64(&data, threads), expect);
         }
     }
 

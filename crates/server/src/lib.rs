@@ -287,7 +287,7 @@ impl SubmissionSpec {
         }
         if let Some(m) = str_field(body, "exec_mode")? {
             spec.exec_mode = ExecMode::from_cli(m)
-                .ok_or_else(|| format!("unknown exec mode `{m}` (vm|walk|par[:N])"))?;
+                .ok_or_else(|| format!("unknown exec mode `{m}` (vm|walk)"))?;
         }
         if let Some(ms) = u64_field(body, "deadline_ms")? {
             if ms == 0 {
@@ -1367,6 +1367,8 @@ mod tests {
             (r#"{"vendor":"pgi","version":"99.9"}"#, "never released"),
             (r#"{"vendor":"pgi","lang":"cobol"}"#, "unknown language"),
             (r#"{"vendor":"pgi","format":"pdf"}"#, "unknown format"),
+            (r#"{"vendor":"pgi","exec_mode":"par"}"#, "unknown exec mode"),
+            (r#"{"vendor":"pgi","exec_mode":"par:2"}"#, "unknown exec mode"),
             (r#"{"vendor":"pgi","weight":0}"#, "`weight`"),
             (r#"{"vendor":"pgi","deadline_ms":0}"#, "`deadline_ms`"),
             (
@@ -1385,7 +1387,7 @@ mod tests {
     fn same_execution_ignores_scheduling_and_presentation_fields() {
         let a = parse_spec(
             r#"{"vendor":"pgi","version":"13.4","lang":"c","features":["loop"],
-                "repetitions":3,"exec_mode":"par:2","case_deadline_ms":500,
+                "repetitions":3,"exec_mode":"vm","case_deadline_ms":500,
                 "tenant":"alice","weight":9,"format":"csv","deadline_ms":1000}"#,
         )
         .unwrap();

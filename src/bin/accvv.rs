@@ -67,13 +67,13 @@ fn print_usage() {
          \x20          [--features P1,P2,…] [--format text|csv|html] [--repetitions M]\n\
          \x20          [--attribute] [--jobs N] [--retries R] [--case-deadline-ms MS]\n\
          \x20          [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]\n\
-         \x20          [--no-cache (the default)] [--exec-mode vm|walk|par[:N]]\n\
+         \x20          [--no-cache (the default)] [--exec-mode vm|walk]\n\
          \x20          [--trace-out FILE] [--metrics-out FILE]\n\
          \x20 accvv serve [--addr HOST:PORT] [--store DIR] [--jobs N] [--queue-cap N]\n\
          \x20            [--breaker-threshold N] [--breaker-cooldown-ms MS]\n\
          \x20            [--retry-after-secs S] [--trace-out FILE] [--metrics-out FILE]\n\
          \x20 accvv campaign [--vendor caps|pgi|cray] [--jobs N] [--no-cache]\n\
-         \x20               [--exec-mode vm|walk|par[:N]] [--trace-out FILE] [--metrics-out FILE]\n\
+         \x20               [--exec-mode vm|walk] [--trace-out FILE] [--metrics-out FILE]\n\
          \x20 accvv bench [--iters N] [--out FILE] [--no-cache]\n\
          \x20            [--check BASELINE [--tolerance-pct P] [--overhead-pct P]]\n\
          \x20 accvv history [--store DIR] [--bucket SECS] [--since EPOCH] [--until EPOCH]\n\
@@ -178,13 +178,12 @@ fn parse_vendor(s: &str) -> Result<VendorId, String> {
     }
 }
 
-/// Parse `--exec-mode vm|walk|par[:N]` (defaults to the bytecode VM when
-/// absent; `par` auto-sizes the worker pool, `par:N` pins N threads).
+/// Parse `--exec-mode vm|walk` (defaults to the bytecode VM when absent).
 fn parse_exec_mode(args: &[String]) -> Result<ExecMode, String> {
     match opt(args, "--exec-mode") {
         None => Ok(ExecMode::default()),
         Some(s) => ExecMode::from_cli(&s)
-            .ok_or_else(|| format!("unknown exec mode `{s}` (vm|walk|par[:N])")),
+            .ok_or_else(|| format!("unknown exec mode `{s}` (vm|walk)")),
     }
 }
 

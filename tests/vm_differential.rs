@@ -1,27 +1,19 @@
-//! Differential validation of the bytecode VM — and the parallel gang
-//! engine layered under it — against the tree-walking reference
-//! interpreter (ISSUE 4, extended for the parallel engine).
+//! Differential validation of the bytecode VM against the tree-walking
+//! reference interpreter.
 //!
-//! The walker is the semantic oracle; the VM is the default engine; the
-//! parallel engine (`--exec-mode par[:N]`) executes provably race-free
-//! gang loops on a worker pool and falls back to the serial VM everywhere
-//! else. Nothing observable may depend on which engine — or how many
-//! worker threads — ran a case: reports (all formats), status sequences,
-//! flake classification under seeded transient faults, version-sweep
-//! output, and journal-resume results must be byte-identical. A seeded
-//! shuffle picks the sampled subset so the comparison crosses feature
-//! families without running the full corpus twice per configuration.
+//! The walker is the semantic oracle; the VM is the default engine.
+//! Nothing observable may depend on which engine — or how many executor
+//! jobs — ran a case: reports (all formats), status sequences, flake
+//! classification under seeded transient faults, version-sweep output,
+//! and journal-resume results must be byte-identical. A seeded shuffle
+//! picks the sampled subset so the comparison crosses feature families
+//! without running the full corpus twice per configuration.
 
 use openacc_vv::device::Defect;
 use openacc_vv::prelude::*;
 use openacc_vv::validation::report;
 use openacc_vv::validation::{MemoryJournal, Replay};
 use std::sync::Arc;
-
-/// The parallel-engine thread counts every cross-engine check sweeps:
-/// inline single-thread, one split, and more workers than the host has
-/// cores.
-const PAR_THREADS: [u16; 3] = [1, 2, 8];
 
 /// Tiny xorshift* so the sample is deterministic without a rand dependency.
 struct Rng(u64);
@@ -86,17 +78,6 @@ fn vm_and_walker_reports_are_byte_identical_across_vendors() {
                 compiler.label()
             );
         }
-        for threads in PAR_THREADS {
-            let parred = run_mode(&campaign, &compiler, ExecMode::Par { threads }, 1);
-            for fmt in [ReportFormat::Text, ReportFormat::Csv, ReportFormat::Html] {
-                assert_eq!(
-                    report::render(&parred, fmt),
-                    report::render(&walked, fmt),
-                    "{fmt:?} report diverged under par:{threads} ({})",
-                    compiler.label()
-                );
-            }
-        }
     }
 }
 
@@ -117,18 +98,6 @@ fn engine_parity_is_independent_of_worker_count() {
             baseline,
             "VM report with jobs={jobs} diverged from the serial walker"
         );
-        // Worker pools inside the engine stacked on executor job threads:
-        // still byte-identical.
-        for threads in PAR_THREADS {
-            assert_eq!(
-                report::render(
-                    &run_mode(&campaign, &compiler, ExecMode::Par { threads }, jobs),
-                    ReportFormat::Text
-                ),
-                baseline,
-                "par:{threads} report with jobs={jobs} diverged from the serial walker"
-            );
-        }
     }
 }
 
@@ -138,7 +107,7 @@ fn version_sweep_is_engine_independent() {
     let walk = Campaign::new(suite.clone())
         .with_config(SuiteConfig::new().with_exec_mode(ExecMode::Walk))
         .run_vendor_line(VendorId::Caps);
-    let vm = Campaign::new(suite.clone())
+    let vm = Campaign::new(suite)
         .with_config(SuiteConfig::new().with_exec_mode(ExecMode::Vm))
         .run_vendor_line(VendorId::Caps);
     assert_eq!(walk.runs.len(), vm.runs.len());
@@ -147,17 +116,6 @@ fn version_sweep_is_engine_independent() {
             report::render(v, ReportFormat::Text),
             report::render(w, ReportFormat::Text),
             "sweep row diverged between engines"
-        );
-    }
-    let par = Campaign::new(suite)
-        .with_config(SuiteConfig::new().with_exec_mode(ExecMode::Par { threads: 2 }))
-        .run_vendor_line(VendorId::Caps);
-    assert_eq!(walk.runs.len(), par.runs.len());
-    for (w, p) in walk.runs.iter().zip(&par.runs) {
-        assert_eq!(
-            report::render(p, ReportFormat::Text),
-            report::render(w, ReportFormat::Text),
-            "sweep row diverged under the parallel engine"
         );
     }
 }
@@ -196,24 +154,11 @@ fn transient_memcpy_faults_classify_identically() {
         walk,
         "parallel fault parity"
     );
-    // The gang engine under fault injection: a transient-fault profile has
-    // region state drawn per run, and any case whose region the plan can't
-    // prove race-free must fall back without perturbing the draw sequence.
-    assert_eq!(
-        statuses(ExecMode::Par { threads: 2 }, seed, 1),
-        walk,
-        "par:2 fault parity"
-    );
-    assert_eq!(
-        statuses(ExecMode::Par { threads: 8 }, seed, 4),
-        walk,
-        "par:8 fault parity under --jobs 4"
-    );
 }
 
-/// Journal resume under the parallel engine: interrupt a journaled par-mode
-/// run mid-suite, resume it par-mode, and require the final report to match
-/// the serial walker's uninterrupted run byte for byte.
+/// Journal resume under the VM: interrupt a journaled run mid-suite,
+/// resume it, and require the final report to match the serial walker's
+/// uninterrupted run byte for byte, at any executor job count.
 #[test]
 fn journal_resume_is_engine_independent() {
     let campaign = Campaign::new(sampled_suite(0xACC5, 18));
@@ -222,34 +167,35 @@ fn journal_resume_is_engine_independent() {
         &run_mode(&campaign, &compiler, ExecMode::Walk, 1),
         ReportFormat::Text,
     );
-    for threads in PAR_THREADS {
-        let mode = ExecMode::Par { threads };
-        // Journaled, uninterrupted par run.
+    for jobs in [1usize, 4] {
+        // Journaled, uninterrupted VM run.
         let journal = Arc::new(MemoryJournal::default());
         let full = Executor::new(
             ExecutorPolicy::new()
-                .with_exec_mode(mode)
+                .with_exec_mode(ExecMode::Vm)
+                .with_jobs(jobs)
                 .with_journal(journal.clone()),
         )
         .run_suite(&campaign, &compiler);
         assert_eq!(
             report::render(&full, ReportFormat::Text),
             oracle,
-            "journaled par:{threads} run diverged from the walker"
+            "journaled VM run with jobs={jobs} diverged from the walker"
         );
         // Cut the journal mid-stream and resume under the same engine.
         let text = journal.text();
         let cut = text.len() / 2;
         let resumed = Executor::new(
             ExecutorPolicy::new()
-                .with_exec_mode(mode)
+                .with_exec_mode(ExecMode::Vm)
+                .with_jobs(jobs)
                 .with_resume(Arc::new(Replay::from_text(&text[..cut]))),
         )
         .run_suite(&campaign, &compiler);
         assert_eq!(
             report::render(&resumed, ReportFormat::Text),
             oracle,
-            "par:{threads} resume from a torn journal diverged from the walker"
+            "VM resume with jobs={jobs} from a torn journal diverged from the walker"
         );
     }
 }

@@ -11,7 +11,7 @@
 
 use acc_compiler::exec::{ExecMode, RunKnobs};
 use acc_compiler::{CacheStats, CompileCache, VendorCompiler, VendorId};
-use acc_validation::Campaign;
+use acc_validation::{Campaign, Executor, ExecutorPolicy};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -203,15 +203,20 @@ fn push(measurements: &mut Vec<Measurement>, name: &str, t: Timing) {
 
 /// Run the bench suite. `iters` timed repetitions per workload (median
 /// reported); `use_cache` attaches one shared [`CompileCache`] to every
-/// campaign, mirroring what `accvv run`/`campaign` do by default.
+/// compiler the campaigns drive, so it outlives each run and later
+/// iterations hit what earlier ones compiled, as `accvv serve` does.
 pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
     let iters = iters.max(1);
     let cache = use_cache.then(CompileCache::shared);
-    let with_cache = |c: Campaign| match &cache {
+    let with_cache = |c: VendorCompiler| match &cache {
         Some(cache) => c.with_cache(Arc::clone(cache)),
         None => c,
     };
     let suite = acc_testsuite::full_suite();
+    let campaign = Campaign::new(suite.clone());
+    let traced = |recorder: acc_obs::Recorder| {
+        Executor::new(ExecutorPolicy::new().with_recorder(recorder))
+    };
     let mut measurements = Vec::new();
 
     // 1. Template expansion: render every functional + cross source in
@@ -233,8 +238,7 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
     push(&mut measurements, "generate_sources", timing);
 
     // 2. Full suite against the clean reference implementation.
-    let reference = VendorCompiler::reference();
-    let campaign = with_cache(Campaign::new(suite.clone()));
+    let reference = with_cache(VendorCompiler::reference());
     let timing = time_median(iters, || campaign.run_one(&reference).results.len());
     push(&mut measurements, "campaign_reference_full", timing);
 
@@ -243,10 +247,8 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
     //     number above. A fresh recorder per iteration keeps the event
     //     buffer from growing across iterations.
     let timing = time_median(iters, || {
-        let traced = with_cache(
-            Campaign::new(suite.clone()).with_recorder(acc_obs::Recorder::enabled()),
-        );
-        traced.run_one(&reference).results.len()
+        let exec = traced(acc_obs::Recorder::enabled());
+        exec.run_suite(&campaign, &reference).results.len()
     });
     push(&mut measurements, TRACED_CAMPAIGN, timing);
 
@@ -254,8 +256,11 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
     //     events one traced reference campaign records, per case result —
     //     i.e. how many instrumentation sites actually fire per case.
     let recorder = acc_obs::Recorder::enabled();
-    let traced = with_cache(Campaign::new(suite.clone()).with_recorder(recorder.clone()));
-    let reference_units = traced.run_one(&reference).results.len().max(1);
+    let reference_units = traced(recorder.clone())
+        .run_suite(&campaign, &reference)
+        .results
+        .len()
+        .max(1);
     let events_per_reference_run = recorder.snapshot().len();
 
     // 2d. The disabled instrumentation path in isolation: with no scope
@@ -273,16 +278,14 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
     push(&mut measurements, "obs_disabled_call_2m", timing);
 
     // 3. The Fig. 8 acceptance metric: all released versions of all three
-    //    commercial vendors, serially.
-    let campaign = with_cache(Campaign::new(suite.clone()));
+    //    commercial vendors, serially, one release after another.
+    let releases: Vec<VendorCompiler> = VendorId::COMMERCIAL
+        .iter()
+        .flat_map(|&vendor| vendor.versions().into_iter().map(move |v| (vendor, v)))
+        .map(|(vendor, v)| with_cache(VendorCompiler::new(vendor, v)))
+        .collect();
     let timing = time_median(iters, || {
-        let mut results = 0usize;
-        for vendor in [VendorId::Caps, VendorId::Pgi, VendorId::Cray] {
-            for run in campaign.run_vendor_line(vendor).runs {
-                results += run.results.len();
-            }
-        }
-        results
+        releases.iter().map(|r| campaign.run_one(r).results.len()).sum()
     });
     let full_suite_units = timing.total_units / iters as usize;
     let full_suite_min_ms = timing.min_ms;

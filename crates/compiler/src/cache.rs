@@ -42,12 +42,13 @@
 //! bench JSON; the run memos' hit/miss counters ride beside them on the
 //! stderr summary and in `/metrics`.
 //!
-//! Entries live as long as their cache. `accvv serve` keeps one cache for
-//! the process, so later submissions hit what earlier ones compiled. A
-//! Fig. 8 sweep instead gives each case a [`scoped`](CompileCache::scoped)
-//! cache that counts into the campaign's: the case's sources are shared by
-//! every release of the sweep and freed when the case ends, so the
-//! campaign's own cache stays empty (DESIGN.md §10, "Entry lifetime").
+//! Entries live as long as their cache. `accvv serve` attaches one cache
+//! for the process to every submission's compiler, so later submissions
+//! hit what earlier ones compiled. A campaign's cache instead gives each
+//! case a [`scoped`](CompileCache::scoped) cache that counts into it: the
+//! case's sources are shared by every release of a sweep and freed when
+//! the case ends, so the campaign's own cache stays empty (DESIGN.md §10,
+//! "Entry lifetime").
 
 use acc_ast::Program;
 use acc_frontend::ResolvedProgram;

@@ -78,12 +78,13 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Parse the `--exec-mode` CLI spelling (`vm` or `walk`).
-    pub fn from_cli(s: &str) -> Option<ExecMode> {
+    /// Parse the engine as the CLI's `--exec-mode` and the server's
+    /// `exec_mode` spell it (`vm` or `walk`).
+    pub fn from_cli(s: &str) -> Result<ExecMode, String> {
         match s {
-            "vm" => Some(ExecMode::Vm),
-            "walk" => Some(ExecMode::Walk),
-            _ => None,
+            "vm" => Ok(ExecMode::Vm),
+            "walk" => Ok(ExecMode::Walk),
+            _ => Err(format!("unknown exec mode `{s}` (vm|walk)")),
         }
     }
 }

@@ -39,6 +39,18 @@ impl VendorId {
     /// The three commercial vendors the paper evaluates.
     pub const COMMERCIAL: [VendorId; 3] = [VendorId::Caps, VendorId::Pgi, VendorId::Cray];
 
+    /// Parse a vendor as the CLI's `--vendor` and the server's `vendor`
+    /// spell it (any case; `ref` abbreviates `reference`).
+    pub fn from_cli(s: &str) -> Result<VendorId, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "caps" => Ok(VendorId::Caps),
+            "pgi" => Ok(VendorId::Pgi),
+            "cray" => Ok(VendorId::Cray),
+            "reference" | "ref" => Ok(VendorId::Reference),
+            other => Err(format!("unknown vendor `{other}` (caps|pgi|cray|reference)")),
+        }
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -212,7 +224,9 @@ impl VendorCompiler {
 
     /// Attach a shared compilation cache: [`compile_shared`]
     /// (Self::compile_shared) will memoise front-end work and lowered
-    /// executables in it.
+    /// executables in it. A suite run compiles through it rather than
+    /// through its campaign's per-case scopes, so its entries outlive the
+    /// run.
     pub fn with_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = Some(cache);
         self

@@ -1,18 +1,17 @@
-//! Campaigns: run a suite against one or many compiler releases and
-//! aggregate the results — the machinery behind the paper's Fig. 8 pass-rate
-//! plots and the discovered-bug inventories of Table I.
+//! Campaigns: what to run — a suite and its configuration — and the
+//! aggregated results of running it against one or many compiler releases
+//! through the [`Executor`]: the paper's Fig. 8 pass-rate plots and the
+//! discovered-bug inventories of Table I.
 
 use crate::case::{TestCase, TestStatus};
 use crate::config::SuiteConfig;
-use crate::harness::{run_case_with, CasePolicy, CaseResult};
+use crate::executor::{Executor, ExecutorPolicy};
+use crate::harness::CaseResult;
 use acc_compiler::{CompileCache, VendorCompiler, VendorId};
-use acc_obs as obs;
 use acc_spec::{FeatureId, Language};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 
 /// Failure counts grouped by the taxonomy: the paper's four classes (§V:
 /// compile-time errors; runtime errors: incorrect result, crash, executes
@@ -119,21 +118,19 @@ impl SuiteRun {
     }
 }
 
-/// A campaign: a suite, a configuration, and the compilers to sweep.
+/// A campaign: a suite and a configuration — what to run. The
+/// [`Executor`] runs it against one release or a sweep of them.
 #[derive(Debug)]
 pub struct Campaign {
     /// The test corpus.
     pub suite: Vec<TestCase>,
     /// Run configuration.
     pub config: SuiteConfig,
-    /// Compilation cache shared by every compiler the campaign drives, or
-    /// by every case's scope of it in a sweep (`None` = compile from
-    /// scratch every time, the pre-cache behaviour).
+    /// Compilation cache for the campaign's runs (`None` = every compile
+    /// starts cold, the pre-cache behaviour). Each case compiles through
+    /// its own [`scoped`](CompileCache::scoped) copy, which counts into
+    /// this cache and is freed when the case ends.
     pub cache: Option<Arc<CompileCache>>,
-    /// Telemetry collector (disabled by default). When enabled, the direct
-    /// run paths emit campaign/case spans; results and report bytes are
-    /// unaffected either way.
-    pub recorder: obs::Recorder,
 }
 
 /// Results of a campaign across compiler releases.
@@ -150,7 +147,6 @@ impl Campaign {
             suite,
             config: SuiteConfig::default(),
             cache: None,
-            recorder: obs::Recorder::disabled(),
         }
     }
 
@@ -160,29 +156,14 @@ impl Campaign {
         self
     }
 
-    /// Share a compilation cache across every run of this campaign.
-    /// [`run_one`](Self::run_one) and [`run_vendor_line`](Self::run_vendor_line)
-    /// attach it to every compiler they drive, so identical sources compile
-    /// once and its entries live as long as it does.
-    /// [`run_sweep`](Self::run_sweep) and
-    /// [`run_one_parallel`](Self::run_one_parallel) instead give each case
-    /// a [`scoped`](CompileCache::scoped) cache that counts into it and is
-    /// freed when the case ends, so its own maps stay empty.
+    /// Give each case of every run a [`scoped`](CompileCache::scoped) copy
+    /// of `cache`: the case's sources are shared by every release of a
+    /// sweep, counted into `cache`, and freed when the case ends, so its
+    /// own maps stay empty. A compiler that already carries a cache keeps
+    /// it; attach a cache to the compiler to keep entries across runs.
     pub fn with_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// Attach a telemetry recorder to the campaign's direct run paths.
-    pub fn with_recorder(mut self, recorder: obs::Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The compiler to actually drive: the caller's, with the campaign's
-    /// cache attached when one is configured.
-    pub(crate) fn effective_compiler(&self, compiler: &VendorCompiler) -> VendorCompiler {
-        attach(compiler, self.cache.as_ref())
     }
 
     /// The cases selected by the configuration's feature filter.
@@ -194,9 +175,8 @@ impl Campaign {
     }
 
     /// The selected cases with every configuration override (today: the
-    /// cross-test repetition count) applied — the exact per-case inputs all
-    /// run paths (serial, sweep, fault-tolerant executor) feed to
-    /// the harness, so their job lists are identical by construction.
+    /// cross-test repetition count) applied — the exact per-case inputs the
+    /// executor feeds to the harness.
     pub fn materialized_cases(&self) -> Vec<TestCase> {
         self.selected_cases()
             .into_iter()
@@ -211,198 +191,39 @@ impl Campaign {
             .collect()
     }
 
-    /// The per-case policy every direct run path uses (the executor builds
-    /// its own, folding in retries): default knobs plus the configured
-    /// execution engine.
-    fn case_policy(&self) -> CasePolicy {
-        CasePolicy {
-            exec_mode: self.config.exec_mode,
-            // The run memo replays a run under identical knobs by any
-            // release the source cannot tell apart from the one that ran
-            // it (DESIGN.md §15.2): most runs of a version sweep, and a
-            // campaign run again on a warm shared cache.
-            memo: true,
-            ..CasePolicy::default()
-        }
-    }
-
-    /// Run against a single compiler release.
+    /// Run against a single compiler release, serially, on the configured
+    /// engine.
     pub fn run_one(&self, compiler: &VendorCompiler) -> SuiteRun {
-        let compiler = self.effective_compiler(compiler);
-        let policy = self.case_policy();
-        let cases = self.materialized_cases();
-        let langs = &self.config.languages;
-        let label = compiler.label();
-        let run = self.recorder.begin_run();
-        self.begin_campaign(run, &label, cases.len() * langs.len());
-        let mut results = Vec::new();
-        for (ci, case) in cases.iter().enumerate() {
-            for (li, &lang) in langs.iter().enumerate() {
-                let job = ci * langs.len() + li;
-                results.push(self.run_job(run, job, 0, case, &compiler, lang, &policy));
-            }
-        }
-        self.end_campaign(run, &label, &results);
-        SuiteRun {
-            compiler: label,
-            results,
-        }
+        self.run_one_parallel(compiler, 1)
     }
 
-    /// Run against a single compiler release with worker threads: a sweep
-    /// of that one release ([`run_sweep`](Self::run_sweep)).
+    /// Run against a single compiler release with `threads` workers, on the
+    /// configured engine.
     pub fn run_one_parallel(&self, compiler: &VendorCompiler, threads: usize) -> SuiteRun {
-        self.run_sweep(std::slice::from_ref(compiler), threads)
-            .pop()
-            .expect("a one-release sweep returns one run")
+        self.executor(threads).run_suite(self, compiler)
     }
 
-    /// Run every selected case under every release of `compilers`,
-    /// source-major: `threads` workers claim whole cases (test executions
-    /// are independent — each runs in its own simulated world), and a case
-    /// runs under each release back to back, in sweep order. With a
-    /// campaign cache, each case compiles through a fresh
-    /// [`scoped`](CompileCache::scoped) cache that counts into it, so the
-    /// case's parses, images and run memos are shared by exactly the
-    /// releases that can reuse them and freed when the case ends. One
-    /// worker runs on the calling thread.
-    ///
-    /// Returns one [`SuiteRun`] per release, in sweep order, with its rows
-    /// in suite order: the rows, and with telemetry the merged trace, of
-    /// one [`run_one`](Self::run_one) per release.
-    pub fn run_sweep(&self, compilers: &[VendorCompiler], threads: usize) -> Vec<SuiteRun> {
-        let cases = self.materialized_cases();
-        let policy = self.case_policy();
-        let langs = &self.config.languages;
-        let jobs = cases.len() * langs.len();
-        let labels: Vec<String> = compilers.iter().map(VendorCompiler::label).collect();
-        // Every release's run ordinal, in sweep order, before any case
-        // runs: the trace merges as if the releases had run one by one.
-        let runs: Vec<u32> = labels
-            .iter()
-            .map(|label| {
-                let run = self.recorder.begin_run();
-                self.begin_campaign(run, label, jobs);
-                run
-            })
-            .collect();
-        // One slot per (release, job), filled as the cases finish.
-        let slots: Mutex<Vec<Vec<Option<CaseResult>>>> =
-            Mutex::new(compilers.iter().map(|_| vec![None; jobs]).collect());
-        // One case under every release, in its own scope of the cache.
-        let sweep_case = |ci: usize, worker: u32| {
-            let scope = self.cache.as_ref().map(|c| Arc::new(c.scoped()));
-            for (r, (compiler, &run)) in compilers.iter().zip(&runs).enumerate() {
-                let compiler = attach(compiler, scope.as_ref());
-                for (li, &lang) in langs.iter().enumerate() {
-                    let job = ci * langs.len() + li;
-                    let row = self.run_job(run, job, worker, &cases[ci], &compiler, lang, &policy);
-                    slots.lock().expect("sweep slots poisoned")[r][job] = Some(row);
-                }
-            }
-        };
-        let next = AtomicUsize::new(0);
-        let work = |worker: u32| loop {
-            let ci = next.fetch_add(1, Ordering::Relaxed);
-            if ci >= cases.len() {
-                break;
-            }
-            sweep_case(ci, worker);
-        };
-        match threads.clamp(1, cases.len().max(1)) {
-            1 => work(0),
-            threads => thread::scope(|s| {
-                for worker in 0..threads as u32 {
-                    let work = &work;
-                    s.spawn(move || work(worker));
-                }
-            }),
-        }
-        let slots = slots.into_inner().expect("sweep slots poisoned");
-        labels
-            .into_iter()
-            .zip(runs)
-            .zip(slots)
-            .map(|((label, run), rows)| {
-                let results: Vec<CaseResult> = rows
-                    .into_iter()
-                    .map(|row| row.expect("every job of a sweep runs"))
-                    .collect();
-                self.end_campaign(run, &label, &results);
-                SuiteRun {
-                    compiler: label,
-                    results,
-                }
-            })
-            .collect()
-    }
-
-    /// A run's PRE `campaign` mark, announcing its job count.
-    fn begin_campaign(&self, run: u32, label: &str, jobs: usize) {
-        let _pre = obs::scope(&self.recorder, run, obs::PART_PRE, 0, 0);
-        obs::mark(
-            obs::Phase::Begin,
-            "campaign",
-            label,
-            vec![obs::i("jobs", jobs as i64)],
-        );
-    }
-
-    /// A run's POST `campaign` mark, counting its passes.
-    fn end_campaign(&self, run: u32, label: &str, results: &[CaseResult]) {
-        let _post = obs::scope(&self.recorder, run, obs::PART_POST, 0, 0);
-        obs::mark(
-            obs::Phase::End,
-            "campaign",
-            label,
-            vec![obs::i(
-                "passed",
-                results.iter().filter(|r| r.passed()).count() as i64,
-            )],
-        );
-    }
-
-    /// One (case, language) job of a run, under its trace scope. The job
-    /// ordinal is the case's suite position, so merged traces do not depend
-    /// on which worker ran it.
-    #[allow(clippy::too_many_arguments)]
-    fn run_job(
-        &self,
-        run: u32,
-        job: usize,
-        worker: u32,
-        case: &TestCase,
-        compiler: &VendorCompiler,
-        lang: Language,
-        policy: &CasePolicy,
-    ) -> CaseResult {
-        let _g = obs::scope(&self.recorder, run, obs::PART_JOB, job as u32, worker);
-        obs::begin("case", &case.name, vec![obs::s("lang", lang.to_string())]);
-        let r = run_case_with(case, compiler, lang, policy);
-        obs::end(vec![obs::s("status", r.status.label())]);
-        r
-    }
-
-    /// Sweep every released version of a vendor (the Fig. 8 x-axis). With a
-    /// campaign cache attached, the sweep's front-end work (parse, sema,
-    /// resolution, lowering) runs once per distinct source for the *whole
-    /// line*, and each source runs once per observable behaviour.
+    /// Sweep every released version of a vendor (the Fig. 8 x-axis), on the
+    /// configured engine.
     pub fn run_vendor_line(&self, vendor: VendorId) -> CampaignResult {
-        let runs = vendor
+        let releases: Vec<VendorCompiler> = vendor
             .versions()
             .into_iter()
-            .map(|v| self.run_one(&VendorCompiler::new(vendor, v)))
+            .map(|v| VendorCompiler::new(vendor, v))
             .collect();
-        CampaignResult { runs }
+        CampaignResult {
+            runs: self.executor(1).run_sweep(self, &releases).0,
+        }
     }
-}
 
-/// `compiler` with `cache` attached when it has none (an already-attached
-/// cache wins — the caller chose it deliberately).
-fn attach(compiler: &VendorCompiler, cache: Option<&Arc<CompileCache>>) -> VendorCompiler {
-    match (cache, compiler.cache()) {
-        (Some(cache), None) => compiler.clone().with_cache(Arc::clone(cache)),
-        _ => compiler.clone(),
+    /// The executor the convenience runners drive: `threads` workers (at
+    /// least one) and the configured engine.
+    fn executor(&self, threads: usize) -> Executor {
+        Executor::new(
+            ExecutorPolicy::new()
+                .with_jobs(threads.max(1))
+                .with_exec_mode(self.config.exec_mode),
+        )
     }
 }
 

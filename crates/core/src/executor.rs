@@ -22,10 +22,15 @@
 //!    into the paper's certainty machinery ([`Certainty::from_attempts`]:
 //!    M = attempts, nf = failing attempts, so `p` is the observed flake
 //!    rate).
-//! 4. **Bounded worker pool** — cases fan out over `jobs` std threads fed by
-//!    an atomic work index, with results collected over an mpsc channel into
-//!    index-ordered slots. Report output is therefore byte-identical for any
-//!    `jobs` value on fault-free runs.
+//! 4. **Bounded worker pool** — work fans out over `jobs` std threads that
+//!    claim units from an atomic index (one job in
+//!    [`Executor::run_jobs_stats`], one whole case under every release in
+//!    [`Executor::run_sweep`]), with results written into index-ordered
+//!    slots. Report output is therefore byte-identical for any `jobs` value
+//!    on fault-free runs.
+//!
+//! Every suite run goes through here: `accvv run`, `serve` and `titan`, and
+//! the Fig. 8 sweeps behind `accvv campaign` and `matrix`.
 //!
 //! Determinism note: transient-fault draws in the simulated device are pure
 //! functions of (defect seed, program name, run index, event counter) — see
@@ -40,14 +45,14 @@ use crate::harness::{run_case_with, CaseResult, CasePolicy};
 use crate::journal::{JournalRecord, JournalSink, Replay};
 use crate::stats::Certainty;
 use acc_compiler::exec::ExecMode;
-use acc_compiler::VendorCompiler;
+use acc_compiler::{CompileCache, VendorCompiler};
 use acc_obs as obs;
 use acc_spec::{FeatureId, Language};
 use std::any::Any;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 #[cfg(unix)]
 use std::{io::Write as _, os::unix::net::UnixStream, sync::atomic::fence, sync::OnceLock};
@@ -356,6 +361,23 @@ pub struct JobMeta {
     pub language: Language,
 }
 
+impl JobMeta {
+    /// The jobs a suite run schedules for `cases`, in its order:
+    /// case-major, language-minor.
+    pub fn for_cases(cases: &[TestCase], languages: &[Language]) -> Vec<JobMeta> {
+        cases
+            .iter()
+            .flat_map(|case| {
+                languages.iter().map(|&language| JobMeta {
+                    name: case.name.clone(),
+                    feature: case.feature.clone(),
+                    language,
+                })
+            })
+            .collect()
+    }
+}
+
 /// The fault-tolerant executor: a policy plus the machinery to apply it.
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
@@ -370,8 +392,7 @@ impl Executor {
     }
 
     /// Run a campaign's selected cases against one compiler release under
-    /// this executor's policy. Job order (case-major, language-minor) and
-    /// therefore result order matches [`Campaign::run_one`] exactly.
+    /// this executor's policy, in case-major, language-minor job order.
     pub fn run_suite(&self, campaign: &Campaign, compiler: &VendorCompiler) -> SuiteRun {
         self.run_suite_stats(campaign, compiler).0
     }
@@ -379,97 +400,154 @@ impl Executor {
     /// [`Executor::run_suite`] plus the run's [`ExecStats`] — the durable
     /// entry point: when the policy carries a journal the run identity is
     /// logged first, and when it carries a resume the stats say how much
-    /// work the journal saved.
+    /// work the journal saved. A sweep of one release
+    /// ([`Executor::run_sweep`]).
     pub fn run_suite_stats(
         &self,
         campaign: &Campaign,
         compiler: &VendorCompiler,
     ) -> (SuiteRun, ExecStats) {
-        let compiler = &campaign.effective_compiler(compiler);
-        let cases: Vec<TestCase> = campaign.materialized_cases();
-        let mut jobs: Vec<(usize, Language)> = Vec::new();
-        let mut metas: Vec<JobMeta> = Vec::new();
-        for (i, case) in cases.iter().enumerate() {
-            for &lang in &campaign.config.languages {
-                jobs.push((i, lang));
-                metas.push(JobMeta {
-                    name: case.name.clone(),
-                    feature: case.feature.clone(),
-                    language: lang,
-                });
+        let (mut runs, stats) = self.run_sweep(campaign, std::slice::from_ref(compiler));
+        (runs.pop().expect("a one-release sweep returns one run"), stats)
+    }
+
+    /// Run every selected case of `campaign` under every release of
+    /// `compilers`, source-major: the policy's workers claim whole cases
+    /// (test executions are independent — each runs in its own simulated
+    /// world), and a case runs under each release back to back, in sweep
+    /// order, each job through the full robustness stack. A compiler that
+    /// carries a cache compiles through it; otherwise, with a campaign
+    /// cache, each case compiles through a fresh
+    /// [`scoped`](CompileCache::scoped) cache that counts into it, so the
+    /// case's parses, images and run memos are shared by exactly the
+    /// releases that can reuse them and freed when the case ends.
+    ///
+    /// Returns one [`SuiteRun`] per release, in sweep order, with its rows
+    /// in suite order — the rows, and with telemetry the merged trace, of
+    /// one [`Executor::run_suite`] per release — plus the stats summed over
+    /// the releases.
+    ///
+    /// # Panics
+    /// When the policy carries a journal or a resume and `compilers` holds
+    /// more than one release: a journal keys its jobs by case and language
+    /// under one release's scope.
+    pub fn run_sweep(
+        &self,
+        campaign: &Campaign,
+        compilers: &[VendorCompiler],
+    ) -> (Vec<SuiteRun>, ExecStats) {
+        assert!(
+            compilers.len() <= 1 || (self.policy.journal.is_none() && self.policy.resume.is_none()),
+            "a journal records one release; sweep {} releases without a journal or resume",
+            compilers.len()
+        );
+        let cases = campaign.materialized_cases();
+        let langs = &campaign.config.languages;
+        let metas = JobMeta::for_cases(&cases, langs);
+        let labels: Vec<String> = compilers.iter().map(VendorCompiler::label).collect();
+        // Every release's run ordinal, in sweep order, before any case
+        // runs: the trace merges as if the releases had run one by one.
+        let runs: Vec<u32> = labels
+            .iter()
+            .map(|label| self.begin_suite(label, langs, metas.len()))
+            .collect();
+        let progress = Mutex::new(ExecStats::default());
+        // One slot per (release, job), filled as the cases finish.
+        let slots = Mutex::new(vec![vec![None; metas.len()]; compilers.len()]);
+        self.claim(cases.len(), |ci, worker| {
+            let scope = campaign.cache.as_ref().map(|c| Arc::new(c.scoped()));
+            for (r, (compiler, &run)) in compilers.iter().zip(&runs).enumerate() {
+                let compiler = attach(compiler, scope.as_ref());
+                for (li, &lang) in langs.iter().enumerate() {
+                    let job = ci * langs.len() + li;
+                    let row = self.job(&progress, run, job, worker, &metas[job], |attempt| {
+                        let policy = CasePolicy {
+                            step_limit: self.policy.step_limit,
+                            run_index_base: u64::from(attempt) * ATTEMPT_STRIDE,
+                            exec_mode: self.policy.exec_mode,
+                            // Releases that cannot tell a source apart repeat
+                            // identical runs; the source's memo serves them.
+                            memo: true,
+                        };
+                        run_case_with(&cases[ci], &compiler, lang, &policy)
+                    });
+                    let Some(row) = row else {
+                        return false;
+                    };
+                    slots.lock().expect("sweep slots poisoned")[r][job] = Some(row);
+                }
             }
-        }
-        let run = self.policy.recorder.begin_run();
-        {
-            let _pre = obs::scope(&self.policy.recorder, run, obs::PART_PRE, 0, 0);
-            obs::mark(
-                obs::Phase::Begin,
-                "suite",
-                &compiler.label(),
-                vec![obs::i("total_jobs", metas.len() as i64)],
-            );
-            if let Some(journal) = &self.policy.journal {
-                let languages: Vec<String> = campaign
-                    .config
-                    .languages
-                    .iter()
-                    .map(|l| l.to_string())
-                    .collect();
-                journal.append(&JournalRecord::Meta {
-                    scope: compiler.label(),
-                    total_jobs: metas.len(),
-                    languages: languages.join("+"),
-                });
-                obs::instant("journal", "meta", vec![obs::i("total_jobs", metas.len() as i64)]);
-            }
-            if let Some(resume) = &self.policy.resume {
-                obs::instant(
-                    "journal",
-                    "replay",
-                    vec![obs::i("completed", resume.completed_count() as i64)],
-                );
-            }
-        }
-        let (results, stats) = self.run_jobs_stats_in(run, &metas, |index, attempt| {
-            let (case_index, lang) = jobs[index];
-            let policy = CasePolicy {
-                step_limit: self.policy.step_limit,
-                run_index_base: attempt as u64 * ATTEMPT_STRIDE,
-                exec_mode: self.policy.exec_mode,
-                // Releases that cannot tell a source apart, and a suite
-                // run again on a warm shared cache, repeat identical
-                // executions; let the source's shared memo serve them.
-                memo: true,
-            };
-            run_case_with(&cases[case_index], compiler, lang, &policy)
+            true
         });
-        {
-            let _post = obs::scope(&self.policy.recorder, run, obs::PART_POST, 0, 0);
-            obs::mark(
-                obs::Phase::End,
-                "suite",
-                &compiler.label(),
-                vec![
-                    obs::i("executed", stats.executed as i64),
-                    obs::i("cached", stats.cached as i64),
-                    obs::i("halted", stats.halted as i64),
-                ],
+        let stats = progress.into_inner().expect("executor progress poisoned");
+        let slots = slots.into_inner().expect("sweep slots poisoned");
+        let runs = labels
+            .into_iter()
+            .zip(runs)
+            .zip(slots)
+            .map(|((label, run), rows)| {
+                let results: Vec<CaseResult> = rows.into_iter().flatten().collect();
+                // Only a one-release sweep may resume, so every cached row
+                // is this release's.
+                self.end_suite(run, &label, results.len() - stats.cached, stats.cached, stats.halted);
+                SuiteRun {
+                    compiler: label,
+                    results,
+                }
+            })
+            .collect();
+        (runs, stats)
+    }
+
+    /// Allocate a release's run ordinal and emit its PRE `suite` mark (plus
+    /// the journal's run identity and the resume's replay count).
+    fn begin_suite(&self, label: &str, langs: &[Language], total_jobs: usize) -> u32 {
+        let run = self.policy.recorder.begin_run();
+        let _pre = obs::scope(&self.policy.recorder, run, obs::PART_PRE, 0, 0);
+        obs::mark(
+            obs::Phase::Begin,
+            "suite",
+            label,
+            vec![obs::i("total_jobs", total_jobs as i64)],
+        );
+        if let Some(journal) = &self.policy.journal {
+            let languages: Vec<String> = langs.iter().map(|l| l.to_string()).collect();
+            journal.append(&JournalRecord::Meta {
+                scope: label.to_string(),
+                total_jobs,
+                languages: languages.join("+"),
+            });
+            obs::instant("journal", "meta", vec![obs::i("total_jobs", total_jobs as i64)]);
+        }
+        if let Some(resume) = &self.policy.resume {
+            obs::instant(
+                "journal",
+                "replay",
+                vec![obs::i("completed", resume.completed_count() as i64)],
             );
         }
-        (
-            SuiteRun {
-                compiler: compiler.label(),
-                results,
-            },
-            stats,
-        )
+        run
+    }
+
+    /// A release's POST `suite` mark, with what its run executed.
+    fn end_suite(&self, run: u32, label: &str, executed: usize, cached: usize, halted: bool) {
+        let _post = obs::scope(&self.policy.recorder, run, obs::PART_POST, 0, 0);
+        obs::mark(
+            obs::Phase::End,
+            "suite",
+            label,
+            vec![
+                obs::i("executed", executed as i64),
+                obs::i("cached", cached as i64),
+                obs::i("halted", halted as i64),
+            ],
+        );
     }
 
     /// Run `metas.len()` jobs through the pool, where `run_attempt(index,
     /// attempt)` produces one attempt's result. This is the generic entry
     /// point the robustness tests use to inject panics, stalls and flaky
-    /// verdicts without a real compiler in the loop; [`Executor::run_suite`]
-    /// is a thin wrapper over it.
+    /// verdicts without a real compiler in the loop.
     pub fn run_jobs_with<F>(&self, metas: &[JobMeta], run_attempt: F) -> Vec<CaseResult>
     where
         F: Fn(usize, u32) -> CaseResult + Sync,
@@ -486,140 +564,97 @@ impl Executor {
         F: Fn(usize, u32) -> CaseResult + Sync,
     {
         let run = self.policy.recorder.begin_run();
-        self.run_jobs_stats_in(run, metas, run_attempt)
+        let progress = Mutex::new(ExecStats::default());
+        let slots = Mutex::new(vec![None; metas.len()]);
+        self.claim(metas.len(), |i, worker| {
+            let row = self.job(&progress, run, i, worker, &metas[i], |attempt| {
+                run_attempt(i, attempt)
+            });
+            let Some(row) = row else {
+                return false;
+            };
+            slots.lock().expect("executor slots poisoned")[i] = Some(row);
+            true
+        });
+        let rows = slots.into_inner().expect("executor slots poisoned");
+        let stats = progress.into_inner().expect("executor progress poisoned");
+        (rows.into_iter().flatten().collect(), stats)
     }
 
-    /// [`Executor::run_jobs_stats`] under an already-allocated telemetry run
-    /// ordinal, so a caller that emits its own run-level marks (the suite
-    /// wrapper, the cluster sweep) shares the run with the jobs it drives.
-    fn run_jobs_stats_in<F>(
-        &self,
-        run: u32,
-        metas: &[JobMeta],
-        run_attempt: F,
-    ) -> (Vec<CaseResult>, ExecStats)
+    /// The one claim loop: the policy's workers claim unit indices
+    /// `0..units` in order from an atomic counter, and `unit(index,
+    /// worker)` runs one, returning `false` once the run must stop. One
+    /// worker runs on the calling thread.
+    fn claim<U>(&self, units: usize, unit: U)
     where
-        F: Fn(usize, u32) -> CaseResult + Sync,
+        U: Fn(usize, u32) -> bool + Sync,
     {
-        let n = metas.len();
-        if n == 0 {
-            return (Vec::new(), ExecStats::default());
+        let next = AtomicUsize::new(0);
+        let work = |worker: u32| loop {
+            let u = next.fetch_add(1, Ordering::SeqCst);
+            if u >= units || !unit(u, worker) {
+                break;
+            }
+        };
+        match self.policy.jobs.clamp(1, units.max(1)) {
+            1 => work(0),
+            workers => std::thread::scope(|s| {
+                for worker in 0..workers as u32 {
+                    let work = &work;
+                    s.spawn(move || work(worker));
+                }
+            }),
         }
-        let cached: Vec<Option<CaseResult>> =
-            metas.iter().map(|m| self.cached_result(m)).collect();
-        let halt = self.policy.halt_after;
-        let executed = AtomicUsize::new(0);
-        let cache_hits = AtomicUsize::new(0);
-        let halted = AtomicBool::new(false);
-        let cancelled = AtomicBool::new(false);
-        let deadlined = AtomicBool::new(false);
-        // One stop predicate shared by the serial loop and every pooled
-        // worker, evaluated before each job claim: a tripped halt budget,
-        // a cancelled token, or an expired run deadline all stop new
-        // claims while letting in-flight attempts finish and journal.
-        let cancel = self.policy.cancel.clone();
-        let run_deadline = self.policy.run_deadline;
-        let should_stop = |executed: &AtomicUsize| -> bool {
-            if halt.is_some_and(|h| executed.load(Ordering::SeqCst) >= h) {
-                halted.store(true, Ordering::SeqCst);
-                return true;
-            }
-            if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                cancelled.store(true, Ordering::SeqCst);
-                return true;
-            }
-            if run_deadline.is_some_and(|d| Instant::now() >= d) {
-                deadlined.store(true, Ordering::SeqCst);
-                return true;
-            }
-            false
-        };
-        let mut slots: Vec<Option<CaseResult>> = Vec::new();
-        slots.resize_with(n, || None);
-        let workers = self.policy.jobs.max(1).min(n);
-        // One job under its telemetry scope; the scope is keyed by the job's
-        // suite position (not the worker), so merged traces are identical
-        // across worker counts. Returns the row plus whether it came from
-        // the resume cache.
-        let do_job = |i: usize, worker: u32| -> (CaseResult, bool) {
-            let _g = obs::scope(&self.policy.recorder, run, obs::PART_JOB, i as u32, worker);
-            match &cached[i] {
-                Some(row) => {
-                    obs::instant(
-                        "case",
-                        &metas[i].name,
-                        vec![
-                            obs::s("lang", metas[i].language.to_string()),
-                            obs::s("source", "cached_resume"),
-                            obs::s("status", row.status.label()),
-                        ],
-                    );
-                    (row.clone(), true)
-                }
-                None => (self.run_one_job(i, &metas[i], &run_attempt), false),
-            }
-        };
-        if workers == 1 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if should_stop(&executed) {
-                    break;
-                }
-                let (row, was_cached) = do_job(i, 0);
-                if was_cached {
-                    cache_hits.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    executed.fetch_add(1, Ordering::SeqCst);
-                }
-                *slot = Some(row);
-            }
-        } else {
-            // Bounded pool: `workers` threads pull indices from an atomic
-            // counter and send finished rows back over a channel; the
-            // collector writes them into index-ordered slots so the output
-            // is independent of scheduling.
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, CaseResult)>();
-            std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let executed = &executed;
-                    let cache_hits = &cache_hits;
-                    let should_stop = &should_stop;
-                    let do_job = &do_job;
-                    scope.spawn(move || loop {
-                        if should_stop(executed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= n {
-                            break;
-                        }
-                        let (row, was_cached) = do_job(i, worker as u32);
-                        if was_cached {
-                            cache_hits.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            executed.fetch_add(1, Ordering::SeqCst);
-                        }
-                        if tx.send((i, row)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, row) in rx {
-                    slots[i] = Some(row);
-                }
-            });
+    }
+
+    /// Whether the run must stop claiming jobs: a tripped halt budget, a
+    /// cancelled token, or an expired run deadline, each recorded in
+    /// `progress`. In-flight attempts still finish and journal.
+    fn should_stop(&self, progress: &Mutex<ExecStats>) -> bool {
+        let mut p = progress.lock().expect("executor progress poisoned");
+        if self.policy.halt_after.is_some_and(|h| p.executed >= h) {
+            p.halted = true;
+        } else if self.policy.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            p.cancelled = true;
+        } else if self.policy.run_deadline.is_some_and(|d| Instant::now() >= d) {
+            p.deadlined = true;
         }
-        let stats = ExecStats {
-            executed: executed.load(Ordering::SeqCst),
-            cached: cache_hits.load(Ordering::SeqCst),
-            halted: halted.load(Ordering::SeqCst),
-            cancelled: cancelled.load(Ordering::SeqCst),
-            deadlined: deadlined.load(Ordering::SeqCst),
-        };
-        (slots.into_iter().flatten().collect(), stats)
+        p.stopped_early()
+    }
+
+    /// One job under its telemetry scope, or `None` once the run must stop.
+    /// The scope is keyed by the job's suite position (not the worker), so
+    /// merged traces are identical across worker counts. A job complete in
+    /// the replayed journal yields its journaled row without running.
+    fn job(
+        &self,
+        progress: &Mutex<ExecStats>,
+        run: u32,
+        index: usize,
+        worker: u32,
+        meta: &JobMeta,
+        run_attempt: impl Fn(u32) -> CaseResult,
+    ) -> Option<CaseResult> {
+        if self.should_stop(progress) {
+            return None;
+        }
+        let _g = obs::scope(&self.policy.recorder, run, obs::PART_JOB, index as u32, worker);
+        if let Some(row) = self.cached_result(meta) {
+            obs::instant(
+                "case",
+                &meta.name,
+                vec![
+                    obs::s("lang", meta.language.to_string()),
+                    obs::s("source", "cached_resume"),
+                    obs::s("status", row.status.label()),
+                ],
+            );
+            progress.lock().expect("executor progress poisoned").cached += 1;
+            return Some(row);
+        }
+        let row = self.run_one_job(meta, run_attempt);
+        progress.lock().expect("executor progress poisoned").executed += 1;
+        Some(row)
     }
 
     /// The journaled result for a job, when resuming and already complete.
@@ -636,26 +671,27 @@ impl Executor {
     /// the wall-clock watchdog, and the retry/flake loop. When a journal is
     /// attached, every attempt start and verdict — and the final case row —
     /// is appended before the method returns, so a crash at any point leaves
-    /// a replayable record.
-    fn run_one_job<F>(&self, index: usize, meta: &JobMeta, run_attempt: &F) -> CaseResult
-    where
-        F: Fn(usize, u32) -> CaseResult + Sync,
-    {
+    /// a replayable record. Span attributes are built only while a scope
+    /// records, so a run without telemetry allocates none.
+    fn run_one_job(&self, meta: &JobMeta, run_attempt: impl Fn(u32) -> CaseResult) -> CaseResult {
         let journal = self.policy.journal.as_deref();
+        let traced = obs::active();
         let job_started = Instant::now();
         let max_attempts = self.policy.retries.saturating_add(1);
-        let mut history: Vec<TestStatus> = Vec::new();
-        let mut last: Option<CaseResult> = None;
+        let (mut attempts, mut passes, mut failures) = (0u32, 0u32, 0u32);
         let case_depth = obs::depth();
-        obs::begin(
-            "case",
-            &meta.name,
-            vec![
-                obs::s("lang", meta.language.to_string()),
-                obs::s("feature", meta.feature.to_string()),
-            ],
-        );
-        for attempt in 0..max_attempts {
+        if traced {
+            obs::begin(
+                "case",
+                &meta.name,
+                vec![
+                    obs::s("lang", meta.language.to_string()),
+                    obs::s("feature", meta.feature.to_string()),
+                ],
+            );
+        }
+        let mut row = loop {
+            let attempt = attempts;
             if attempt > 0 && self.policy.backoff_base_ms > 0 {
                 let exp = (attempt - 1).min(16);
                 let sleep_ms = self.policy.backoff_base_ms.saturating_mul(1u64 << exp);
@@ -678,9 +714,11 @@ impl Executor {
                 obs::instant("journal", "attempt_start", vec![obs::i("attempt", attempt as i64)]);
             }
             let attempt_depth = obs::depth();
-            obs::begin("attempt", &meta.name, vec![obs::i("attempt", attempt as i64)]);
+            if traced {
+                obs::begin("attempt", &meta.name, vec![obs::i("attempt", attempt as i64)]);
+            }
             let started = Instant::now();
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_attempt(index, attempt)));
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_attempt(attempt)));
             // A panic may have unwound through instrumented phases; close
             // any spans it left open (marked aborted) so the attempt span
             // is back on top of the stack.
@@ -718,7 +756,9 @@ impl Executor {
                     result.certainty = None;
                 }
             }
-            obs::end(vec![obs::s("status", result.status.label())]);
+            if traced {
+                obs::end(vec![obs::s("status", result.status.label())]);
+            }
             if let Some(j) = journal {
                 j.append(&JournalRecord::Attempt {
                     name: meta.name.clone(),
@@ -729,25 +769,24 @@ impl Executor {
                 });
                 obs::instant("journal", "attempt", vec![obs::i("attempt", attempt as i64)]);
             }
-            let is_skip = matches!(result.status, TestStatus::Skipped(_));
-            let passed = result.passed();
-            history.push(result.status.clone());
-            last = Some(result);
-            if passed || is_skip {
-                break;
+            attempts += 1;
+            if result.passed() {
+                passes += 1;
+            } else if result.status.counted() {
+                failures += 1;
             }
-        }
-        let mut row = last.expect("at least one attempt ran");
-        let attempts_made = history.len() as u32;
-        row.attempts = attempts_made;
-        let failures = history.iter().filter(|s| s.counted() && !s.passed()).count() as u32;
-        let passes = history.iter().filter(|s| s.passed()).count() as u32;
+            let is_skip = matches!(result.status, TestStatus::Skipped(_));
+            if result.passed() || is_skip || attempts == max_attempts {
+                break result;
+            }
+        };
+        row.attempts = attempts;
         if failures > 0 && passes > 0 {
             // The verdict changed across attempts: not a hard failure, not a
             // clean pass — a flake, quantified through the same certainty
             // formulas the cross test uses.
             row.status = TestStatus::Flaky;
-            row.certainty = Some(Certainty::from_attempts(attempts_made, failures));
+            row.certainty = Some(Certainty::from_attempts(attempts, failures));
         }
         if let Some(j) = journal {
             j.append(&JournalRecord::CaseDone {
@@ -765,11 +804,22 @@ impl Executor {
             }
         }
         obs::unwind_to(case_depth.saturating_add(1));
-        obs::end(vec![
-            obs::s("status", row.status.label()),
-            obs::i("attempts", attempts_made as i64),
-        ]);
+        if traced {
+            obs::end(vec![
+                obs::s("status", row.status.label()),
+                obs::i("attempts", attempts as i64),
+            ]);
+        }
         row
+    }
+}
+
+/// `compiler` with `cache` attached when it has none (an already-attached
+/// cache wins — the caller chose it deliberately).
+fn attach(compiler: &VendorCompiler, cache: Option<&Arc<CompileCache>>) -> VendorCompiler {
+    match (cache, compiler.cache()) {
+        (Some(cache), None) => compiler.clone().with_cache(Arc::clone(cache)),
+        _ => compiler.clone(),
     }
 }
 
@@ -1079,7 +1129,7 @@ mod tests {
             assert_eq!(a.status, b.status);
             assert_eq!(a.certainty, b.certainty);
         }
-        // And the executor at jobs=1 matches the plain campaign runner.
+        // And `Campaign::run_one` is this executor at jobs=1.
         let plain = campaign.run_one(&reference);
         for (a, b) in serial.results.iter().zip(&plain.results) {
             assert_eq!(a.status, b.status);

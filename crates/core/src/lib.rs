@@ -23,11 +23,11 @@
 //!   compiler under test, runs it, classifies the outcome (pass, wrong
 //!   result, compile error, crash, timeout), and applies the cross
 //!   methodology.
-//! * **Fault-tolerant executor** ([`executor`]) — wraps every case in panic
-//!   isolation, watchdog budgets (interpreter step limit + wall-clock
-//!   deadline), a retry policy with flake classification, and a bounded
-//!   worker pool, so one broken case or transient device fault cannot take
-//!   down or skew a campaign.
+//! * **Fault-tolerant executor** ([`executor`]) — the one suite runner:
+//!   wraps every case in panic isolation, watchdog budgets (interpreter
+//!   step limit + wall-clock deadline), a retry policy with flake
+//!   classification, and a bounded worker pool, so one broken case or
+//!   transient device fault cannot take down or skew a campaign.
 //! * **Durable journal** ([`journal`]) — a checksummed, append-only
 //!   write-ahead log of every attempt and verdict, so an interrupted
 //!   campaign resumes where it stopped (corrupted tails are detected and
@@ -36,8 +36,8 @@
 //!   I/O routes through: a real passthrough in production, and a
 //!   deterministic fault-injecting filesystem (torn writes, EIO/ENOSPC,
 //!   fsync loss, crash-after-op-N) for the crash-torture harness.
-//! * **Campaigns and reports** ([`campaign`], [`report`]) — run a whole
-//!   suite against one or many compiler releases, compute pass rates
+//! * **Campaigns and reports** ([`campaign`], [`report`]) — describe a
+//!   run of the suite against one or many compiler releases, compute pass rates
 //!   (Fig. 8), collect discovered-bug inventories (Table I), and render
 //!   reports in plain text, CSV, or HTML with code snippets appended "for
 //!   vendors' convenience".

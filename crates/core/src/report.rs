@@ -22,6 +22,26 @@ pub enum ReportFormat {
     Html,
 }
 
+impl ReportFormat {
+    /// The format's CLI name (`text`/`csv`/`html`), as stored.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReportFormat::Text => "text",
+            ReportFormat::Csv => "csv",
+            ReportFormat::Html => "html",
+        }
+    }
+
+    /// Parse a format as the CLI's `--format` and the server's `format`
+    /// spell it.
+    pub fn from_cli(s: &str) -> Result<ReportFormat, String> {
+        [ReportFormat::Text, ReportFormat::Csv, ReportFormat::Html]
+            .into_iter()
+            .find(|f| f.name() == s)
+            .ok_or_else(|| format!("unknown format `{s}` (text|csv|html)"))
+    }
+}
+
 /// Render a suite run in the requested format.
 pub fn render(run: &SuiteRun, format: ReportFormat) -> String {
     match format {

@@ -12,7 +12,6 @@
 
 use crate::cluster::{LossPlan, SimulatedCluster};
 use acc_obs as obs;
-use acc_spec::Language;
 use acc_validation::executor::ATTEMPT_STRIDE;
 use acc_validation::journal::JournalRecord;
 use acc_validation::{
@@ -150,19 +149,8 @@ impl ClusterSweep {
         let cases: Vec<TestCase> = Campaign::new(self.suite.clone())
             .with_config(self.config.clone())
             .materialized_cases();
-        let mut units: Vec<(usize, Language)> = Vec::new();
-        let mut metas: Vec<JobMeta> = Vec::new();
-        for (i, case) in cases.iter().enumerate() {
-            for &lang in &self.config.languages {
-                units.push((i, lang));
-                metas.push(JobMeta {
-                    name: case.name.clone(),
-                    feature: case.feature.clone(),
-                    language: lang,
-                });
-            }
-        }
-        let n = units.len();
+        let metas = JobMeta::for_cases(&cases, &self.config.languages);
+        let n = metas.len();
         let mut owner: Vec<u32> = (0..n).map(|i| alive[i % alive.len()]).collect();
         // Sweep-level telemetry run. The sweep's own marks live in its pre
         // and post scopes; per-unit execution is delegated to the inner
@@ -321,7 +309,7 @@ impl ClusterSweep {
                 });
             }
             let started = Instant::now();
-            let (ci, lang) = units[i];
+            let (ci, lang) = (i / self.config.languages.len(), meta.language);
             let unit_meta = [meta.clone()];
             let result = inner
                 .run_jobs_with(&unit_meta, |_, attempt| {

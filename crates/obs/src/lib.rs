@@ -462,8 +462,8 @@ pub fn unwind_to(depth: u16) {
     });
 }
 
-/// Emit a stack-bypassing raw event. For driver-level spans (campaign,
-/// sweep) whose open and close live in *different* scopes: the `Begin`
+/// Emit a stack-bypassing raw event. For run-level spans (suite, sweep)
+/// whose open and close live in *different* scopes: the `Begin`
 /// goes in the run's pre scope and the `End` in its post scope, so the
 /// span survives the per-job scope teardown between them. The merge order
 /// (pre < job < post) keeps the pair properly nested in the Chrome view.

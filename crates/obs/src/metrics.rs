@@ -81,16 +81,21 @@ pub struct ServerCounters {
     pub connections_shed_total: u64,
 }
 
+/// Write a metric family's `# HELP` and `# TYPE` lines: every renderer
+/// below opens each family it emits through here, once.
+fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
 /// Render the campaign server's Prometheus series. Kept separate from
 /// [`render_prometheus`] so existing one-shot callers don't change; the
 /// server concatenates both.
 pub fn render_server_metrics(c: &ServerCounters) -> String {
     let mut out = String::new();
-    out.push_str("# HELP accvv_server_queue_depth Submissions currently queued.\n");
-    out.push_str("# TYPE accvv_server_queue_depth gauge\n");
+    family(&mut out, "accvv_server_queue_depth", "gauge", "Submissions currently queued.");
     let _ = writeln!(out, "accvv_server_queue_depth {}", c.queue_depth);
-    out.push_str("# HELP accvv_server_submissions_total Submission admissions by outcome.\n");
-    out.push_str("# TYPE accvv_server_submissions_total counter\n");
+    let name = "accvv_server_submissions_total";
+    family(&mut out, name, "counter", "Submission admissions by outcome.");
     for (outcome, v) in [
         ("admitted", c.admitted_total),
         ("shed", c.shed_total),
@@ -99,29 +104,17 @@ pub fn render_server_metrics(c: &ServerCounters) -> String {
         ("degraded", c.degraded_total),
         ("shared", c.shared_total),
     ] {
-        let _ = writeln!(
-            out,
-            "accvv_server_submissions_total{{outcome=\"{outcome}\"}} {v}"
-        );
+        let _ = writeln!(out, "{name}{{outcome=\"{outcome}\"}} {v}");
     }
-    out.push_str("# HELP accvv_server_breaker_open Vendor circuit breakers currently open.\n");
-    out.push_str("# TYPE accvv_server_breaker_open gauge\n");
-    let _ = writeln!(out, "accvv_server_breaker_open {}", c.breaker_open);
-    out.push_str("# HELP accvv_server_breaker_trips_total Closed-to-open breaker transitions.\n");
-    out.push_str("# TYPE accvv_server_breaker_trips_total counter\n");
-    let _ = writeln!(out, "accvv_server_breaker_trips_total {}", c.breaker_trips_total);
-    out.push_str("# HELP accvv_server_connections Live HTTP connections, one thread each.\n");
-    out.push_str("# TYPE accvv_server_connections gauge\n");
-    let _ = writeln!(out, "accvv_server_connections {}", c.connections_live);
-    out.push_str(
-        "# HELP accvv_server_connections_shed_total Connections answered 503 at the connection cap.\n",
-    );
-    out.push_str("# TYPE accvv_server_connections_shed_total counter\n");
-    let _ = writeln!(
-        out,
-        "accvv_server_connections_shed_total {}",
-        c.connections_shed_total
-    );
+    for (name, kind, v, help) in [
+        ("accvv_server_breaker_open", "gauge", c.breaker_open, "Vendor circuit breakers currently open."),
+        ("accvv_server_breaker_trips_total", "counter", c.breaker_trips_total, "Closed-to-open breaker transitions."),
+        ("accvv_server_connections", "gauge", c.connections_live, "Live HTTP connections, one thread each."),
+        ("accvv_server_connections_shed_total", "counter", c.connections_shed_total, "Connections answered 503 at the connection cap."),
+    ] {
+        family(&mut out, name, kind, help);
+        let _ = writeln!(out, "{name} {v}");
+    }
     out
 }
 
@@ -134,10 +127,8 @@ pub fn render_breakers(breakers: &[(String, String, u64)]) -> String {
     if breakers.is_empty() {
         return out;
     }
-    out.push_str(
-        "# HELP accvv_server_breaker_state Per-profile breaker state (1 on the active state).\n",
-    );
-    out.push_str("# TYPE accvv_server_breaker_state gauge\n");
+    let help = "Per-profile breaker state (1 on the active state).";
+    family(&mut out, "accvv_server_breaker_state", "gauge", help);
     for (profile, state, _) in breakers {
         for candidate in ["closed", "open", "half-open"] {
             let v = u64::from(state == candidate);
@@ -147,10 +138,8 @@ pub fn render_breakers(breakers: &[(String, String, u64)]) -> String {
             );
         }
     }
-    out.push_str(
-        "# HELP accvv_server_breaker_profile_trips_total Closed-to-open transitions per profile.\n",
-    );
-    out.push_str("# TYPE accvv_server_breaker_profile_trips_total counter\n");
+    let help = "Closed-to-open transitions per profile.";
+    family(&mut out, "accvv_server_breaker_profile_trips_total", "counter", help);
     for (profile, _, trips) in breakers {
         let _ = writeln!(
             out,
@@ -167,11 +156,8 @@ pub fn render_http_latency(paths: &BTreeMap<String, LatencyHist>) -> String {
     if paths.is_empty() {
         return out;
     }
-    out.push_str(
-        "# HELP accvv_http_request_duration_us HTTP request duration by endpoint, \
-         microseconds (log-bucketed estimate).\n",
-    );
-    out.push_str("# TYPE accvv_http_request_duration_us summary\n");
+    let help = "HTTP request duration by endpoint, microseconds (log-bucketed estimate).";
+    family(&mut out, "accvv_http_request_duration_us", "summary", help);
     for (path, hist) in paths {
         for (label, q) in QUANTILES {
             let _ = writeln!(
@@ -251,8 +237,8 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
     let agg = aggregate(events);
     let mut out = String::new();
 
-    out.push_str("# HELP accvv_phase_duration_us Span durations by kind, microseconds.\n");
-    out.push_str("# TYPE accvv_phase_duration_us histogram\n");
+    let help = "Span durations by kind, microseconds.";
+    family(&mut out, "accvv_phase_duration_us", "histogram", help);
     for (kind, (buckets, sum, count)) in &agg.durations {
         let mut cum = 0u64;
         for (i, b) in BUCKETS_US.iter().enumerate() {
@@ -271,11 +257,8 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
         let _ = writeln!(out, "accvv_phase_duration_us_count{{kind=\"{kind}\"}} {count}");
     }
 
-    out.push_str(
-        "# HELP accvv_phase_latency_us Span-duration quantiles by kind, microseconds \
-         (log-bucketed estimate).\n",
-    );
-    out.push_str("# TYPE accvv_phase_latency_us summary\n");
+    let help = "Span-duration quantiles by kind, microseconds (log-bucketed estimate).";
+    family(&mut out, "accvv_phase_latency_us", "summary", help);
     for (kind, hist) in &agg.hists {
         for (label, q) in QUANTILES {
             let _ = writeln!(
@@ -288,29 +271,25 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
         let _ = writeln!(out, "accvv_phase_latency_us_count{{kind=\"{kind}\"}} {}", hist.count());
     }
 
-    out.push_str("# HELP accvv_case_status_total Case outcomes by taxonomy label.\n");
-    out.push_str("# TYPE accvv_case_status_total counter\n");
+    family(&mut out, "accvv_case_status_total", "counter", "Case outcomes by taxonomy label.");
     for (status, n) in &agg.case_status {
         let _ = writeln!(out, "accvv_case_status_total{{status=\"{status}\"}} {n}");
     }
 
-    out.push_str("# HELP accvv_events_total Instant events by kind.\n");
-    out.push_str("# TYPE accvv_events_total counter\n");
+    family(&mut out, "accvv_events_total", "counter", "Instant events by kind.");
     for (kind, n) in &agg.instants {
         let _ = writeln!(out, "accvv_events_total{{kind=\"{kind}\"}} {n}");
     }
 
     for (name, v) in &agg.counters {
-        let _ = writeln!(out, "# HELP accvv_{name}_total Run counter `{name}`.");
-        let _ = writeln!(out, "# TYPE accvv_{name}_total counter");
-        let _ = writeln!(out, "accvv_{name}_total {v}");
+        let family_name = format!("accvv_{name}_total");
+        family(&mut out, &family_name, "counter", &format!("Run counter `{name}`."));
+        let _ = writeln!(out, "{family_name} {v}");
     }
 
     if let Some(c) = cache {
-        out.push_str(
-            "# HELP accvv_compile_cache_lookups_total Compile cache and run memo lookups by level and outcome.\n",
-        );
-        out.push_str("# TYPE accvv_compile_cache_lookups_total counter\n");
+        let help = "Compile cache and run memo lookups by level and outcome.";
+        family(&mut out, "accvv_compile_cache_lookups_total", "counter", help);
         for (level, outcome, v) in [
             ("exec", "hit", c.exec_hits),
             ("exec", "miss", c.exec_misses),
@@ -324,11 +303,8 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
                 "accvv_compile_cache_lookups_total{{level=\"{level}\",outcome=\"{outcome}\"}} {v}"
             );
         }
-        let _ = writeln!(
-            out,
-            "# HELP accvv_compile_cache_hit_rate Overall compile-cache hit rate across both compile levels."
-        );
-        let _ = writeln!(out, "# TYPE accvv_compile_cache_hit_rate gauge");
+        let help = "Overall compile-cache hit rate across both compile levels.";
+        family(&mut out, "accvv_compile_cache_hit_rate", "gauge", help);
         let _ = writeln!(out, "accvv_compile_cache_hit_rate {:.4}", c.hit_rate());
     }
     out
@@ -571,6 +547,57 @@ mod tests {
                 "series `{name}` lacks a # HELP line"
             );
         }
+    }
+
+    /// One `--metrics-out` file and one server `/metrics` body, pinned byte
+    /// for byte: the expositions scrapers and dashboards read.
+    #[test]
+    fn expositions_are_byte_stable() {
+        let mut events = snapshot();
+        for (k, e) in events.iter_mut().enumerate() {
+            e.dur_us = 700 * k as u64;
+        }
+        let cache = CacheCounters {
+            frontend_hits: 3,
+            frontend_misses: 1,
+            exec_hits: 5,
+            exec_misses: 3,
+            run_memo_hits: 7,
+            run_memo_misses: 2,
+        };
+        let metrics_out = render_prometheus(&events, Some(&cache));
+        assert_eq!(metrics_out, include_str!("../tests/golden/metrics_out.prom"));
+        let counters = ServerCounters {
+            queue_depth: 3,
+            admitted_total: 10,
+            shed_total: 4,
+            completed_total: 5,
+            cancelled_total: 1,
+            degraded_total: 2,
+            shared_total: 3,
+            breaker_open: 1,
+            breaker_trips_total: 6,
+            connections_live: 7,
+            connections_shed_total: 8,
+        };
+        let breakers = vec![
+            ("CAPS".to_string(), "open".to_string(), 3u64),
+            ("PGI".to_string(), "closed".to_string(), 0),
+        ];
+        let mut paths = BTreeMap::new();
+        let mut h = LatencyHist::new();
+        h.record(1000);
+        h.record(2000);
+        paths.insert("/v1/submit".to_string(), h);
+        paths.insert("/metrics".to_string(), LatencyHist::new());
+        // Composed in the order the server's `/metrics` handler uses.
+        let server = format!(
+            "{metrics_out}{}{}{}",
+            render_server_metrics(&counters),
+            render_breakers(&breakers),
+            render_http_latency(&paths)
+        );
+        assert_eq!(server, include_str!("../tests/golden/server_metrics.prom"));
     }
 
     #[test]

@@ -70,7 +70,7 @@ use acc_spec::Language;
 use acc_testsuite::full_suite;
 use acc_validation::report::{self, ReportFormat};
 use acc_validation::{
-    Campaign, CancelToken, CaseResult, ExecStats, Executor, ExecutorPolicy, FileJournal,
+    Campaign, CancelToken, CaseResult, ExecStats, Executor, ExecutorPolicy, FileJournal, JobMeta,
     SuiteConfig, SuiteRun, TestStatus,
 };
 
@@ -234,11 +234,7 @@ impl SubmissionSpec {
 
     /// The format's CLI name (`text`/`csv`/`html`), as stored.
     pub fn format_name(&self) -> &'static str {
-        match self.format {
-            ReportFormat::Text => "text",
-            ReportFormat::Csv => "csv",
-            ReportFormat::Html => "html",
-        }
+        self.format.name()
     }
 
     /// Parse a submission from a request body. Validation mirrors the CLI:
@@ -250,7 +246,7 @@ impl SubmissionSpec {
         }
         let vendor_name = str_field(body, "vendor")?
             .ok_or("submission requires `vendor` (caps|pgi|cray|reference)")?;
-        let vendor = parse_vendor(vendor_name)?;
+        let vendor = VendorId::from_cli(vendor_name)?;
         let mut spec = SubmissionSpec::new(vendor);
         if let Some(v) = str_field(body, "version")? {
             spec.version = Some(v.parse().map_err(|e| format!("bad `version`: {e}"))?);
@@ -268,7 +264,7 @@ impl SubmissionSpec {
             spec.weight = w.min(u64::from(u32::MAX)) as u32;
         }
         if let Some(l) = str_field(body, "lang")? {
-            spec.language = Some(parse_lang(l)?);
+            spec.language = Some(Language::from_cli(l)?);
         }
         spec.features = features_field(body)?;
         if let Some(m) = u64_field(body, "repetitions")? {
@@ -278,16 +274,10 @@ impl SubmissionSpec {
             spec.repetitions = Some(m.min(u64::from(u32::MAX)) as u32);
         }
         if let Some(f) = str_field(body, "format")? {
-            spec.format = match f {
-                "text" => ReportFormat::Text,
-                "csv" => ReportFormat::Csv,
-                "html" => ReportFormat::Html,
-                other => return Err(format!("unknown format `{other}` (text|csv|html)")),
-            };
+            spec.format = ReportFormat::from_cli(f)?;
         }
         if let Some(m) = str_field(body, "exec_mode")? {
-            spec.exec_mode = ExecMode::from_cli(m)
-                .ok_or_else(|| format!("unknown exec mode `{m}` (vm|walk)"))?;
+            spec.exec_mode = ExecMode::from_cli(m)?;
         }
         if let Some(ms) = u64_field(body, "deadline_ms")? {
             if ms == 0 {
@@ -358,30 +348,13 @@ fn features_field(obj: &Json) -> Result<Vec<String>, String> {
     }
 }
 
-fn parse_vendor(s: &str) -> Result<VendorId, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "caps" => Ok(VendorId::Caps),
-        "pgi" => Ok(VendorId::Pgi),
-        "cray" => Ok(VendorId::Cray),
-        "reference" | "ref" => Ok(VendorId::Reference),
-        other => Err(format!("unknown vendor `{other}` (caps|pgi|cray|reference)")),
-    }
-}
-
-fn parse_lang(s: &str) -> Result<Language, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "c" => Ok(Language::C),
-        "f" | "fortran" => Ok(Language::Fortran),
-        other => Err(format!("unknown language `{other}` (c|fortran)")),
-    }
-}
-
 /// Execution knobs the *server* (not the submitter) controls.
 #[derive(Clone, Default)]
 pub struct RunOptions {
     /// Worker threads (0 is treated as 1).
     pub jobs: usize,
-    /// Shared compile cache; `None` compiles cold.
+    /// Shared compile cache, attached to the submission's compiler so its
+    /// entries outlive the run; `None` compiles cold.
     pub cache: Option<Arc<CompileCache>>,
     /// Durable per-submission journal.
     pub journal: Option<Arc<FileJournal>>,
@@ -412,11 +385,13 @@ pub struct RunOutcome {
 /// CLI, which is what makes served reports byte-identical to one-shot
 /// runs.
 pub fn run_submission(spec: &SubmissionSpec, opts: &RunOptions) -> Result<RunOutcome, String> {
-    let compiler = spec.compiler()?;
-    let mut campaign = Campaign::new(full_suite()).with_config(spec.suite_config());
+    let mut compiler = spec.compiler()?;
     if let Some(cache) = &opts.cache {
-        campaign = campaign.with_cache(Arc::clone(cache));
+        // On the compiler, not the campaign: the cache outlives the
+        // submission, so later ones hit what this one compiled.
+        compiler = compiler.with_cache(Arc::clone(cache));
     }
+    let campaign = Campaign::new(full_suite()).with_config(spec.suite_config());
     let mut policy = ExecutorPolicy::new()
         .with_jobs(opts.jobs.max(1))
         .with_recorder(opts.recorder.clone())
@@ -447,21 +422,19 @@ pub fn run_submission(spec: &SubmissionSpec, opts: &RunOptions) -> Result<RunOut
 pub fn degraded_run(spec: &SubmissionSpec, reason: &str) -> Result<SuiteRun, String> {
     let compiler = spec.compiler()?;
     let campaign = Campaign::new(full_suite()).with_config(spec.suite_config());
-    let cases = campaign.materialized_cases();
-    let mut results = Vec::new();
-    for case in &cases {
-        for &lang in &campaign.config.languages {
-            results.push(CaseResult {
-                name: case.name.clone(),
-                feature: case.feature.clone(),
-                language: lang,
-                status: TestStatus::Skipped(Some(reason.to_string())),
-                certainty: None,
-                functional_source: String::new(),
-                attempts: 0,
-            });
-        }
-    }
+    let jobs = JobMeta::for_cases(&campaign.materialized_cases(), &campaign.config.languages);
+    let results = jobs
+        .into_iter()
+        .map(|job| CaseResult {
+            name: job.name,
+            feature: job.feature,
+            language: job.language,
+            status: TestStatus::Skipped(Some(reason.to_string())),
+            certainty: None,
+            functional_source: String::new(),
+            attempts: 0,
+        })
+        .collect();
     Ok(SuiteRun {
         compiler: compiler.label(),
         results,

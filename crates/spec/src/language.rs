@@ -22,6 +22,16 @@ impl Language {
     /// Both supported languages, in the order the paper tabulates them.
     pub const ALL: [Language; 2] = [Language::C, Language::Fortran];
 
+    /// Parse a language as the CLI's `--lang` and the server's `lang` spell
+    /// it (any case; `f` abbreviates `fortran`).
+    pub fn from_cli(s: &str) -> Result<Language, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "c" => Ok(Language::C),
+            "f" | "fortran" => Ok(Language::Fortran),
+            other => Err(format!("unknown language `{other}` (c|fortran)")),
+        }
+    }
+
     /// The directive sentinel that introduces an OpenACC directive line.
     pub fn sentinel(self) -> &'static str {
         match self {

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+    let result = check_flags(&args).and_then(|()| match args.first().map(String::as_str) {
         Some("list") => cmd_list(&args[1..]),
         Some("show") => cmd_show(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
@@ -47,7 +47,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some(other) => Err(format!("unknown command `{other}` (try `accvv help`)")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -57,44 +57,96 @@ fn main() -> ExitCode {
     }
 }
 
+const USAGE: &str = "\
+accvv — OpenACC 1.0 validation suite
+
+USAGE:
+  accvv list [PREFIX]
+  accvv show NAME [--lang c|fortran] [--cross]
+  accvv run --vendor caps|pgi|cray|reference [--version X] [--lang c|fortran]
+           [--features P1,P2,…] [--format text|csv|html] [--repetitions M]
+           [--attribute] [--jobs N] [--retries R] [--backoff-ms MS] [--case-deadline-ms MS]
+           [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]
+           [--no-cache (the default)] [--exec-mode vm|walk]
+           [--trace-out FILE] [--metrics-out FILE]
+  accvv serve [--addr HOST:PORT] [--store DIR] [--jobs N] [--queue-cap N]
+             [--breaker-threshold N] [--breaker-cooldown-ms MS]
+             [--retry-after-secs S] [--trace-out FILE] [--metrics-out FILE]
+  accvv campaign [--vendor caps|pgi|cray] [--jobs N] [--no-cache]
+                [--exec-mode vm|walk] [--trace-out FILE] [--metrics-out FILE]
+  accvv bench [--iters N] [--out FILE] [--no-cache]
+             [--check BASELINE [--tolerance-pct P] [--overhead-pct P]]
+  accvv history [--store DIR] [--bucket SECS] [--since EPOCH] [--until EPOCH]
+               [--by profile|feature|tenant|lang] [--tenant T] [--scope PREFIX]
+               [--latency] [--out FILE]
+               [--check BASELINE [--pass-tolerance PTS] [--latency-tolerance-pct P]]
+  accvv trace export TRACE.jsonl [--out FILE]
+  accvv trace check FILE
+  accvv matrix --vendor caps|pgi|cray [--lang c|fortran]
+  accvv bugs --vendor caps|pgi|cray --version X [--lang c|fortran]
+  accvv expand FILE
+  accvv disasm NAME [--lang c|fortran] [--cross] [--hot]
+  accvv titan [--nodes N] [--sample K] [--seed S] [--fault-rate PCT]
+             [--retries R] [--jobs N] [--exec-mode vm|walk]
+  accvv titan --sweep [--nodes N] [--jobs N] [--lose-node ID@AFTER]…
+             [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]
+             [--quarantine-after K] [--track FILE]
+             [--trace-out FILE] [--metrics-out FILE]
+  accvv torture [--seed S] [--stride N] [--verbose]
+  accvv selftest [PREFIX]";
+
 fn print_usage() {
-    println!(
-        "accvv — OpenACC 1.0 validation suite\n\n\
-         USAGE:\n\
-         \x20 accvv list [PREFIX]\n\
-         \x20 accvv show NAME [--lang c|fortran] [--cross]\n\
-         \x20 accvv run --vendor caps|pgi|cray|reference [--version X] [--lang c|fortran]\n\
-         \x20          [--features P1,P2,…] [--format text|csv|html] [--repetitions M]\n\
-         \x20          [--attribute] [--jobs N] [--retries R] [--case-deadline-ms MS]\n\
-         \x20          [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]\n\
-         \x20          [--no-cache (the default)] [--exec-mode vm|walk]\n\
-         \x20          [--trace-out FILE] [--metrics-out FILE]\n\
-         \x20 accvv serve [--addr HOST:PORT] [--store DIR] [--jobs N] [--queue-cap N]\n\
-         \x20            [--breaker-threshold N] [--breaker-cooldown-ms MS]\n\
-         \x20            [--retry-after-secs S] [--trace-out FILE] [--metrics-out FILE]\n\
-         \x20 accvv campaign [--vendor caps|pgi|cray] [--jobs N] [--no-cache]\n\
-         \x20               [--exec-mode vm|walk] [--trace-out FILE] [--metrics-out FILE]\n\
-         \x20 accvv bench [--iters N] [--out FILE] [--no-cache]\n\
-         \x20            [--check BASELINE [--tolerance-pct P] [--overhead-pct P]]\n\
-         \x20 accvv history [--store DIR] [--bucket SECS] [--since EPOCH] [--until EPOCH]\n\
-         \x20              [--by profile|feature|tenant|lang] [--tenant T] [--scope PREFIX]\n\
-         \x20              [--latency] [--out FILE]\n\
-         \x20              [--check BASELINE [--pass-tolerance PTS] [--latency-tolerance-pct P]]\n\
-         \x20 accvv trace export TRACE.jsonl [--out FILE]\n\
-         \x20 accvv trace check FILE\n\
-         \x20 accvv matrix --vendor caps|pgi|cray [--lang c|fortran]\n\
-         \x20 accvv bugs --vendor caps|pgi|cray --version X [--lang c|fortran]\n\
-         \x20 accvv expand FILE\n\
-         \x20 accvv disasm NAME [--lang c|fortran] [--cross] [--hot]\n\
-         \x20 accvv titan [--nodes N] [--sample K] [--seed S] [--fault-rate PCT]\n\
-         \x20            [--retries R] [--jobs N]\n\
-         \x20 accvv titan --sweep [--nodes N] [--jobs N] [--lose-node ID@AFTER]…\n\
-         \x20            [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]\n\
-         \x20            [--quarantine-after K] [--track FILE]\n\
-         \x20            [--trace-out FILE] [--metrics-out FILE]\n\
-         \x20 accvv torture [--seed S] [--stride N] [--verbose]\n\
-         \x20 accvv selftest [PREFIX]"
-    );
+    println!("{USAGE}");
+}
+
+/// Reject a `--` argument that the subcommand's usage lines do not list,
+/// and a flag that the usage shows with a value (`--jobs N`) but that has
+/// none after it.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let Some(cmd) = args.first() else {
+        return Ok(());
+    };
+    let (mut listed, mut known) = (false, false);
+    let mut flags: Vec<(&str, bool)> = Vec::new();
+    for line in USAGE.lines().map(str::trim_start) {
+        if let Some(rest) = line.strip_prefix("accvv ") {
+            listed = rest.split_whitespace().next() == Some(cmd.as_str());
+            known |= listed;
+        }
+        if !listed {
+            continue;
+        }
+        let mut words = line.split_whitespace().peekable();
+        while let Some(word) = words.next() {
+            let word = word.trim_start_matches('[');
+            if word.starts_with("--") {
+                let takes_value = !word.ends_with(']')
+                    && words.peek().is_some_and(|w| !w.starts_with(['[', '(', '-']));
+                flags.push((word.trim_end_matches([']', '…']), takes_value));
+            }
+        }
+    }
+    if !known {
+        return Ok(()); // not a command: dispatch names it
+    }
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match flags.iter().find(|(flag, _)| flag == arg) {
+            None => {
+                return Err(format!(
+                    "unknown flag `{arg}` for `accvv {cmd}` (see `accvv help`)"
+                ))
+            }
+            Some((_, true)) if rest.next().is_none_or(|v| v.starts_with("--")) => {
+                return Err(format!("flag `{arg}` needs a value"));
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(())
 }
 
 /// Pull `--key value` out of an argument list.
@@ -166,33 +218,9 @@ impl Telemetry {
     }
 }
 
-fn parse_vendor(s: &str) -> Result<VendorId, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "caps" => Ok(VendorId::Caps),
-        "pgi" => Ok(VendorId::Pgi),
-        "cray" => Ok(VendorId::Cray),
-        "reference" | "ref" => Ok(VendorId::Reference),
-        other => Err(format!(
-            "unknown vendor `{other}` (caps|pgi|cray|reference)"
-        )),
-    }
-}
-
 /// Parse `--exec-mode vm|walk` (defaults to the bytecode VM when absent).
 fn parse_exec_mode(args: &[String]) -> Result<ExecMode, String> {
-    match opt(args, "--exec-mode") {
-        None => Ok(ExecMode::default()),
-        Some(s) => ExecMode::from_cli(&s)
-            .ok_or_else(|| format!("unknown exec mode `{s}` (vm|walk)")),
-    }
-}
-
-fn parse_lang(s: &str) -> Result<Language, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "c" => Ok(Language::C),
-        "f" | "fortran" => Ok(Language::Fortran),
-        other => Err(format!("unknown language `{other}` (c|fortran)")),
-    }
+    opt(args, "--exec-mode").map_or(Ok(ExecMode::default()), |s| ExecMode::from_cli(&s))
 }
 
 fn cmd_list(args: &[String]) -> Result<(), String> {
@@ -226,31 +254,32 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_show(args: &[String]) -> Result<(), String> {
+    let (_, _, source) = named_source(args, "show")?;
+    println!("{source}");
+    Ok(())
+}
+
+/// The program `NAME [--lang c|fortran] [--cross]` names (for `show` and
+/// `disasm`), with its test case and language.
+fn named_source(args: &[String], cmd: &str) -> Result<(TestCase, Language, String), String> {
     let name = args
         .iter()
         .find(|a| !a.starts_with("--") && opt_key_of(args, a).is_none())
-        .ok_or("show requires a test name")?;
-    let lang = match opt(args, "--lang") {
-        Some(s) => parse_lang(&s)?,
-        None => Language::C,
-    };
-    let suite = openacc_vv::testsuite::full_suite();
-    let case = suite
-        .iter()
+        .ok_or(format!("{cmd} requires a test name"))?;
+    let lang = opt(args, "--lang").map_or(Ok(Language::C), |l| Language::from_cli(&l))?;
+    let case = openacc_vv::testsuite::full_suite()
+        .into_iter()
         .find(|c| c.name == *name || c.feature.as_str() == *name)
         .ok_or_else(|| format!("no test named `{name}` (try `accvv list`)"))?;
     if !case.supports(lang) {
         return Err(format!("`{name}` is not generated for {lang}"));
     }
-    if flag(args, "--cross") {
-        match case.cross_source_for(lang) {
-            Some(s) => println!("{s}"),
-            None => return Err(format!("`{name}` has no cross test")),
-        }
+    let source = if flag(args, "--cross") {
+        case.cross_source_for(lang).ok_or_else(|| format!("`{name}` has no cross test"))?
     } else {
-        println!("{}", case.source_for(lang));
-    }
-    Ok(())
+        case.source_for(lang)
+    };
+    Ok((case, lang, source))
 }
 
 /// Is `a` the value of some `--key` option (so `show` skips it)?
@@ -263,7 +292,7 @@ fn opt_key_of<'a>(args: &'a [String], value: &String) -> Option<&'a String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let vendor = parse_vendor(&opt(args, "--vendor").ok_or("run requires --vendor")?)?;
+    let vendor = VendorId::from_cli(&opt(args, "--vendor").ok_or("run requires --vendor")?)?;
     let compiler = match opt(args, "--version") {
         Some(v) => {
             let version = v.parse().map_err(|e| format!("{e}"))?;
@@ -285,7 +314,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     let mut config = SuiteConfig::new();
     if let Some(l) = opt(args, "--lang") {
-        config = config.language(parse_lang(&l)?);
+        config = config.language(Language::from_cli(&l)?);
     }
     if let Some(features) = opt(args, "--features") {
         let prefixes: Vec<&str> = features.split(',').map(str::trim).collect();
@@ -296,16 +325,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let exec_mode = parse_exec_mode(args)?;
     config = config.with_exec_mode(exec_mode);
-    let format = match opt(args, "--format").as_deref() {
-        None | Some("text") => ReportFormat::Text,
-        Some("csv") => ReportFormat::Csv,
-        Some("html") => ReportFormat::Html,
-        Some(other) => return Err(format!("unknown format `{other}`")),
-    };
-    let jobs: usize = parse_opt_or(args, "--jobs", 1usize)?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1 (a pool with no workers runs nothing)".to_string());
-    }
+    let format = opt(args, "--format").map_or(Ok(ReportFormat::Text), |f| ReportFormat::from_cli(&f))?;
+    let jobs = parse_jobs(args, 1)?;
     let tele = telemetry_opts(args);
     let mut policy = ExecutorPolicy::new()
         .with_jobs(jobs)
@@ -328,15 +349,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // and the exit carries a resume hint — the same path `accvv serve` uses.
     let cancel = openacc_vv::server::signal::install_default();
     policy = policy.with_cancel(Arc::clone(&cancel));
-    let journal_path = opt(args, "--journal");
-    let resume_path = opt(args, "--resume");
-    if journal_path.is_some() && resume_path.is_some() {
-        return Err(
-            "--journal and --resume are mutually exclusive (--resume keeps appending to the \
-             journal it replays)"
-                .to_string(),
-        );
-    }
+    let (journal_path, resume_path) = journal_paths(args)?;
     if let Some(p) = &journal_path {
         let j = FileJournal::create(p).map_err(|e| format!("--journal {p}: {e}"))?;
         policy = policy.with_journal(Arc::new(j));
@@ -450,10 +463,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// result store. SIGINT/SIGTERM drains gracefully and exits 0.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let store_dir = opt(args, "--store").unwrap_or_else(|| "accvv-store".to_string());
-    let jobs: usize = parse_opt_or(args, "--jobs", 1usize)?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1 (a pool with no workers runs nothing)".to_string());
-    }
+    let jobs = parse_jobs(args, 1)?;
     let queue_cap: usize = parse_opt_or(args, "--queue-cap", 8usize)?;
     if queue_cap == 0 {
         return Err("--queue-cap must be at least 1 (a zero-slot queue sheds everything)".to_string());
@@ -491,6 +501,24 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `--journal FILE` and `--resume FILE`, which exclude each other.
+fn journal_paths(args: &[String]) -> Result<(Option<String>, Option<String>), String> {
+    match (opt(args, "--journal"), opt(args, "--resume")) {
+        (Some(_), Some(_)) => Err("--journal and --resume are mutually exclusive (--resume \
+                                   keeps appending to the journal it replays)"
+            .to_string()),
+        paths => Ok(paths),
+    }
+}
+
+/// Parse `--jobs N` (default `default`), rejecting 0.
+fn parse_jobs(args: &[String], default: usize) -> Result<usize, String> {
+    match parse_opt_or(args, "--jobs", default)? {
+        0 => Err("--jobs must be at least 1 (a pool with no workers runs nothing)".to_string()),
+        jobs => Ok(jobs),
+    }
+}
+
 /// Parse `--key value` as `T`, with a default when the flag is absent.
 fn parse_opt_or<T: std::str::FromStr>(
     args: &[String],
@@ -505,25 +533,26 @@ fn parse_opt_or<T: std::str::FromStr>(
 
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let vendors: Vec<VendorId> = match opt(args, "--vendor") {
-        Some(v) => vec![parse_vendor(&v)?],
+        Some(v) => vec![VendorId::from_cli(&v)?],
         None => VendorId::COMMERCIAL.to_vec(),
     };
     let cache = (!flag(args, "--no-cache")).then(openacc_vv::compiler::CompileCache::shared);
     let tele = telemetry_opts(args);
-    let config = SuiteConfig::new().with_exec_mode(parse_exec_mode(args)?);
+    let exec_mode = parse_exec_mode(args)?;
     let mut campaign = Campaign::new(openacc_vv::testsuite::full_suite())
-        .with_config(config)
-        .with_recorder(tele.recorder.clone());
+        .with_config(SuiteConfig::new().with_exec_mode(exec_mode));
     if let Some(c) = &cache {
         campaign = campaign.with_cache(Arc::clone(c));
     }
-    let threads: usize = parse_opt_or(args, "--jobs", default_jobs())?;
-    if threads == 0 {
-        return Err("--jobs must be at least 1 (a pool with no workers runs nothing)".to_string());
-    }
+    let threads = parse_jobs(args, default_jobs())?;
+    let policy = ExecutorPolicy::new()
+        .with_jobs(threads)
+        .with_recorder(tele.recorder.clone())
+        .with_exec_mode(exec_mode);
     // One sweep over every selected release: each case runs under all of
     // them back to back, so its sources are parsed and lowered once.
-    let mut runs = campaign.run_sweep(&releases(&vendors), threads).into_iter();
+    let (runs, _) = Executor::new(policy).run_sweep(&campaign, &releases(&vendors));
+    let mut runs = runs.into_iter();
     for vendor in vendors {
         println!("=== {} ===", vendor.name());
         println!("{:>10} {:>8} {:>10}", "version", "C %", "Fortran %");
@@ -732,28 +761,26 @@ fn cmd_history(args: &[String]) -> Result<(), String> {
 
 fn cmd_matrix(args: &[String]) -> Result<(), String> {
     // The §VI "large table": pass/fail per feature per release.
-    let vendor = parse_vendor(&opt(args, "--vendor").ok_or("matrix requires --vendor")?)?;
-    let lang = match opt(args, "--lang") {
-        Some(l) => parse_lang(&l)?,
-        None => Language::C,
-    };
+    let vendor = VendorId::from_cli(&opt(args, "--vendor").ok_or("matrix requires --vendor")?)?;
+    let lang = opt(args, "--lang").map_or(Ok(Language::C), |l| Language::from_cli(&l))?;
     let campaign = Campaign::new(openacc_vv::testsuite::full_suite())
         .with_config(SuiteConfig::new().language(lang))
         .with_cache(openacc_vv::compiler::CompileCache::shared());
-    let runs = campaign.run_sweep(&releases(&[vendor]), default_jobs());
+    let policy = ExecutorPolicy::new().with_jobs(default_jobs());
+    let (runs, _) = Executor::new(policy).run_sweep(&campaign, &releases(&[vendor]));
     let refs: Vec<&openacc_vv::validation::SuiteRun> = runs.iter().collect();
     print!("{}", report::feature_matrix(&refs, lang));
     Ok(())
 }
 
 fn cmd_bugs(args: &[String]) -> Result<(), String> {
-    let vendor = parse_vendor(&opt(args, "--vendor").ok_or("bugs requires --vendor")?)?;
+    let vendor = VendorId::from_cli(&opt(args, "--vendor").ok_or("bugs requires --vendor")?)?;
     let version = opt(args, "--version")
         .ok_or("bugs requires --version")?
         .parse()
         .map_err(|e| format!("{e}"))?;
     let langs = match opt(args, "--lang") {
-        Some(l) => vec![parse_lang(&l)?],
+        Some(l) => vec![Language::from_cli(&l)?],
         None => vec![Language::C, Language::Fortran],
     };
     let catalog = BugCatalog::paper();
@@ -811,31 +838,10 @@ fn cmd_expand(args: &[String]) -> Result<(), String> {
 /// fused instruction counts so `vm_instructions` stays comparable across
 /// PRs.
 fn cmd_disasm(args: &[String]) -> Result<(), String> {
-    let name = args
-        .iter()
-        .find(|a| !a.starts_with("--") && opt_key_of(args, a).is_none())
-        .ok_or("disasm requires a test name")?;
-    let lang = match opt(args, "--lang") {
-        Some(s) => parse_lang(&s)?,
-        None => Language::C,
-    };
-    let suite = openacc_vv::testsuite::full_suite();
-    let case = suite
-        .iter()
-        .find(|c| c.name == *name || c.feature.as_str() == *name)
-        .ok_or_else(|| format!("no test named `{name}` (try `accvv list`)"))?;
-    if !case.supports(lang) {
-        return Err(format!("`{name}` is not generated for {lang}"));
-    }
-    let source = if flag(args, "--cross") {
-        case.cross_source_for(lang)
-            .ok_or_else(|| format!("`{name}` has no cross test"))?
-    } else {
-        case.source_for(lang)
-    };
+    let (case, lang, source) = named_source(args, "disasm")?;
     let exe = VendorCompiler::reference()
         .compile_shared(&source, lang)
-        .map_err(|e| format!("`{name}` does not compile: {e}"))?;
+        .map_err(|e| format!("`{}` does not compile: {e}", case.name))?;
     print!("{}", exe.disassemble());
     if flag(args, "--hot") {
         // Profile the *unfused* image: the histogram must show the raw
@@ -969,15 +975,9 @@ fn cmd_titan(args: &[String]) -> Result<(), String> {
     {
         return cmd_titan_sweep(args);
     }
-    let nodes: u32 = opt(args, "--nodes")
-        .map(|s| s.parse().unwrap_or(16))
-        .unwrap_or(16);
-    let sample: usize = opt(args, "--sample")
-        .map(|s| s.parse().unwrap_or(8))
-        .unwrap_or(8);
-    let seed: u64 = opt(args, "--seed")
-        .map(|s| s.parse().unwrap_or(1))
-        .unwrap_or(1);
+    let nodes: u32 = parse_opt_or(args, "--nodes", 16)?;
+    let sample: usize = parse_opt_or(args, "--sample", 8)?;
+    let seed: u64 = parse_opt_or(args, "--seed", 1)?;
     let fault_rate: u8 = parse_opt_or(args, "--fault-rate", 0u8)?;
     if fault_rate > 100 {
         return Err(format!(
@@ -985,10 +985,7 @@ fn cmd_titan(args: &[String]) -> Result<(), String> {
         ));
     }
     let retries: u32 = parse_opt_or(args, "--retries", if fault_rate > 0 { 4 } else { 0 })?;
-    let jobs: usize = parse_opt_or(args, "--jobs", 1usize)?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1 (a pool with no workers runs nothing)".to_string());
-    }
+    let jobs = parse_jobs(args, 1)?;
     // One persistently-broken node, plus — when a fault rate is given — one
     // node with a seeded transient memcpy fault the retry policy should
     // classify as flaky rather than broken.
@@ -1028,23 +1025,12 @@ fn cmd_titan(args: &[String]) -> Result<(), String> {
 /// crash-safe resume, scheduled node losses and repeat-offender quarantine.
 fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
     use openacc_vv::harness::{ClusterSweep, LossPlan};
-    let jobs: usize = parse_opt_or(args, "--jobs", 1usize)?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1 (a pool with no workers runs nothing)".to_string());
-    }
+    let jobs = parse_jobs(args, 1)?;
     let losses = opt_all(args, "--lose-node")
         .iter()
         .map(|s| LossPlan::parse(s))
         .collect::<Result<Vec<_>, _>>()?;
-    let journal_path = opt(args, "--journal");
-    let resume_path = opt(args, "--resume");
-    if journal_path.is_some() && resume_path.is_some() {
-        return Err(
-            "--journal and --resume are mutually exclusive (--resume keeps appending to the \
-             journal it replays)"
-                .to_string(),
-        );
-    }
+    let (journal_path, resume_path) = journal_paths(args)?;
     let resumed = match &resume_path {
         Some(p) => {
             let (replay, j) = Replay::open_resume(p).map_err(|e| format!("--resume {p}: {e}"))?;

@@ -123,7 +123,8 @@ fn source_major_sweeps_match_uncached_lines_and_free_every_case() {
         for threads in [1, 4] {
             let cache = CompileCache::shared();
             let campaign = Campaign::new(suite()).with_cache(Arc::clone(&cache));
-            let runs = campaign.run_sweep(&releases(&vendors), threads);
+            let exec = Executor::new(ExecutorPolicy::new().with_jobs(threads));
+            let (runs, _) = exec.run_sweep(&campaign, &releases(&vendors));
             assert_eq!(runs.len(), baseline.len());
             for (run, expected) in runs.iter().zip(&baseline) {
                 assert_eq!(
@@ -153,6 +154,28 @@ fn source_major_sweeps_match_uncached_lines_and_free_every_case() {
             counts.push(stats);
         }
         assert_eq!(counts[0], counts[1], "counters depend on the worker count");
+    }
+}
+
+/// One lifetime rule for every run: a cache attached to the compiler wins
+/// and keeps its entries after the run; a campaign's cache only lends each
+/// case a scope, so it counts every lookup and ends empty.
+#[test]
+fn compiler_cache_keeps_entries_while_campaign_cache_ends_empty() {
+    let release = VendorCompiler::new(VendorId::Caps, "3.0.8".parse().unwrap());
+    for jobs in [1, 4] {
+        let exec = Executor::new(ExecutorPolicy::new().with_jobs(jobs));
+        let on_compiler = CompileCache::shared();
+        let on_campaign = CompileCache::shared();
+        let campaign = Campaign::new(suite()).with_cache(Arc::clone(&on_campaign));
+        let compiler = release.clone().with_cache(Arc::clone(&on_compiler));
+        let baseline = render_text(&Campaign::new(suite()).run_one(&release));
+        assert_eq!(render_text(&exec.run_suite(&campaign, &compiler)), baseline);
+        assert!(on_compiler.frontend_entries() > 0 && on_compiler.exec_entries() > 0);
+        assert_eq!(on_campaign.stats().lookups(), 0, "the compiler's cache wins");
+        assert_eq!(render_text(&exec.run_suite(&campaign, &release)), baseline);
+        assert!(on_campaign.stats().lookups() > 0, "each case's scope counts into it");
+        assert_eq!((on_campaign.frontend_entries(), on_campaign.exec_entries()), (0, 0));
     }
 }
 
@@ -225,9 +248,11 @@ fn journal_resume_composes_with_cache() {
         render_text(&exec.run_suite(&campaign, &compiler))
     };
 
-    // First leg: cached, journaled, halted partway through.
+    // First leg: cached, journaled, halted partway through. The cache
+    // rides on the compiler, so its entries outlive the leg.
     let cache = CompileCache::shared();
-    let campaign = Campaign::new(suite()).with_cache(Arc::clone(&cache));
+    let campaign = Campaign::new(suite());
+    let compiler = compiler.with_cache(Arc::clone(&cache));
     let journal = Arc::new(MemoryJournal::default());
     let exec = Executor::new(
         ExecutorPolicy::new()
@@ -239,6 +264,7 @@ fn journal_resume_composes_with_cache() {
     assert!(stats.halted, "halt_after(3) should interrupt the suite");
     let warm_lookups = cache.stats().lookups();
     assert!(warm_lookups > 0, "first leg should have used the cache");
+    assert!(cache.frontend_entries() > 0, "the compiler's cache keeps its entries");
 
     // Second leg: resume from the journal with the SAME warm cache — the
     // replayed rows skip execution, the remainder compiles through the cache.

@@ -3,11 +3,15 @@
 //! transient-fault flake classification — end to end through the public API
 //! and the `accvv` binary.
 
+use openacc_vv::compiler::CompileCache;
 use openacc_vv::device::Defect;
 use openacc_vv::prelude::*;
 use openacc_vv::validation::executor::JobMeta;
 use openacc_vv::validation::report;
+use openacc_vv::validation::{MemoryJournal, Replay};
+use std::panic::{self, AssertUnwindSafe};
 use std::process::Command;
+use std::sync::Arc;
 
 fn small_campaign() -> Campaign {
     let keep = ["loop", "data.copy", "parallel.async", "update.host"];
@@ -180,4 +184,159 @@ fn accvv_exits_nonzero_on_failures_and_prints_taxonomy() {
     let stderr = String::from_utf8_lossy(&bad.stderr);
     assert!(stdout.contains("taxonomy [C]:"), "{stdout}");
     assert!(stderr.contains("case(s) failed"), "{stderr}");
+}
+
+/// Every CAPS release, oldest first.
+fn caps_releases() -> Vec<VendorCompiler> {
+    VendorId::Caps
+        .versions()
+        .into_iter()
+        .map(|v| VendorCompiler::new(VendorId::Caps, v))
+        .collect()
+}
+
+/// One sweep renders each release's report exactly as one `run_suite` per
+/// release does: at 1 and 4 workers, with and without a campaign cache,
+/// under the default policy and under retries with a step budget tight
+/// enough to time some cases out.
+#[test]
+fn sweep_reports_match_one_run_suite_per_release() {
+    let releases = caps_releases();
+    let jobs_per_release = small_campaign().materialized_cases().len() * 2;
+    let strict = ExecutorPolicy::new().with_retries(2).with_step_limit(100);
+    for policy in [ExecutorPolicy::new(), strict] {
+        let expected: Vec<String> = releases
+            .iter()
+            .map(|r| {
+                let run = Executor::new(policy.clone()).run_suite(&small_campaign(), r);
+                report::render(&run, ReportFormat::Text)
+            })
+            .collect();
+        for jobs in [1, 4] {
+            for cached in [false, true] {
+                let mut campaign = small_campaign();
+                if cached {
+                    campaign = campaign.with_cache(CompileCache::shared());
+                }
+                let exec = Executor::new(policy.clone().with_jobs(jobs));
+                let (runs, stats) = exec.run_sweep(&campaign, &releases);
+                assert_eq!(stats.executed, releases.len() * jobs_per_release);
+                let swept: Vec<String> = runs
+                    .iter()
+                    .map(|run| report::render(run, ReportFormat::Text))
+                    .collect();
+                assert_eq!(
+                    swept, expected,
+                    "jobs={jobs} cached={cached} step_limit={:?}",
+                    policy.step_limit
+                );
+            }
+        }
+    }
+}
+
+/// A journal keys its jobs by case and language under one release, so a
+/// sweep of several releases may neither journal nor resume.
+#[test]
+fn journal_or_resume_on_a_multi_release_sweep_is_refused() {
+    let campaign = small_campaign();
+    let releases = caps_releases();
+    let journal = Arc::new(MemoryJournal::default());
+    let journaled = ExecutorPolicy::new().with_journal(journal.clone());
+    let resumed = ExecutorPolicy::new().with_resume(Arc::new(Replay::from_text("")));
+    for policy in [journaled, resumed] {
+        let exec = Executor::new(policy);
+        let sweep = panic::catch_unwind(AssertUnwindSafe(|| exec.run_sweep(&campaign, &releases)));
+        let payload = sweep.expect_err("a multi-release sweep must refuse a journal or resume");
+        let message = payload.downcast_ref::<String>().expect("formatted panic message");
+        assert!(message.contains("a journal records one release"), "{message}");
+        // One release is the journaled `run_suite` path, and runs.
+        let (runs, stats) = exec.run_sweep(&campaign, &releases[..1]);
+        assert_eq!(runs.len(), 1);
+        assert!(!stats.stopped_early());
+    }
+    assert!(journal.text().starts_with("J1 "), "the one-release sweep journaled");
+}
+
+/// Run `accvv` with `args`; return its exit success and stderr.
+fn accvv(args: &[&str]) -> (bool, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_accvv"))
+        .args(args)
+        .output()
+        .expect("spawn accvv");
+    (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn accvv_rejects_unknown_and_valueless_flags() {
+    let refused: &[(&[&str], &str)] = &[
+        (
+            &["run", "--vendor", "reference", "--features", "loop", "--exec-mod", "walk", "--jobz", "3"],
+            "unknown flag `--exec-mod` for `accvv run`",
+        ),
+        (
+            &["run", "--vendor", "reference", "--features", "loop", "--retries"],
+            "flag `--retries` needs a value",
+        ),
+        (
+            &["run", "--vendor", "--features", "loop"],
+            "flag `--vendor` needs a value",
+        ),
+        (
+            &["campaign", "--vendor", "caps", "--jobz", "4"],
+            "unknown flag `--jobz` for `accvv campaign`",
+        ),
+        (&["matrix", "--vendor", "caps", "--jobs", "2"], "unknown flag `--jobs` for `accvv matrix`"),
+        (&["titan", "--nodes", "x"], "bad --nodes value `x`"),
+    ];
+    for (args, message) in refused {
+        let (ok, stderr) = accvv(args);
+        assert!(!ok, "{args:?} must exit nonzero");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    // Every flag CI, the docs and the benchmark pass is still taken.
+    let (ok, stderr) = accvv(&[
+        "run", "--vendor", "reference", "--version", "1.0", "--lang", "c", "--features",
+        "none.such", "--exec-mode", "walk", "--no-cache", "--jobs", "2", "--format", "csv",
+    ]);
+    assert!(ok, "{stderr}");
+}
+
+/// `accvv run` and `POST /v1/submit` parse one spelling with one parser:
+/// they accept and reject the same spellings with the same message.
+#[test]
+fn cli_and_server_accept_and_reject_the_same_spellings() {
+    use openacc_vv::obs::json;
+    use openacc_vv::server::SubmissionSpec;
+    // (CLI flag, submission field, spelling)
+    let table = [
+        ("--vendor", "vendor", "caps"),
+        ("--vendor", "vendor", "REF"),
+        ("--vendor", "vendor", "gcc"),
+        ("--lang", "lang", "Fortran"),
+        ("--lang", "lang", "f"),
+        ("--lang", "lang", "cobol"),
+        ("--format", "format", "csv"),
+        ("--format", "format", "CSV"),
+        ("--format", "format", "xml"),
+        ("--exec-mode", "exec_mode", "walk"),
+        ("--exec-mode", "exec_mode", "par"),
+    ];
+    for (flag, field, spelling) in table {
+        let mut args = vec!["run", "--features", "none.such", flag, spelling];
+        let mut body = format!(r#"{{"{field}":"{spelling}""#);
+        if flag != "--vendor" {
+            args.extend(["--vendor", "reference"]);
+            body.push_str(r#","vendor":"reference""#);
+        }
+        body.push('}');
+        let (ok, stderr) = accvv(&args);
+        let cli = match ok {
+            true => Ok(()),
+            false => Err(stderr.trim().trim_start_matches("accvv: ").to_string()),
+        };
+        let parsed = json::parse(&body).expect("test body is JSON");
+        let server = SubmissionSpec::from_json(&parsed).map(|_| ());
+        assert_eq!(cli, server, "{flag} / `{field}` = {spelling:?}");
+    }
 }

@@ -31,18 +31,21 @@ fn small_suite() -> Vec<TestCase> {
 }
 
 /// Run the suite with a fresh enabled recorder; return the merged JSONL.
+/// With `cache`, one compile cache rides on the compiler, so every worker
+/// races on it.
 fn traced_jsonl(compiler: &VendorCompiler, jobs: usize, cache: bool) -> String {
     let recorder = obs::Recorder::enabled();
-    let mut campaign = Campaign::new(small_suite());
-    if cache {
-        campaign = campaign.with_cache(CompileCache::shared());
-    }
+    let campaign = Campaign::new(small_suite());
+    let compiler = match cache {
+        true => compiler.clone().with_cache(CompileCache::shared()),
+        false => compiler.clone(),
+    };
     let exec = Executor::new(
         ExecutorPolicy::new()
             .with_jobs(jobs)
             .with_recorder(recorder.clone()),
     );
-    let (_, stats) = exec.run_suite_stats(&campaign, compiler);
+    let (_, stats) = exec.run_suite_stats(&campaign, &compiler);
     assert!(!stats.halted);
     obs::trace::render_jsonl(&recorder.snapshot())
 }
@@ -65,7 +68,7 @@ fn merged_jsonl_is_byte_identical_across_jobs() {
     }
 }
 
-/// A source-major sweep traces exactly like one `run_one` per release:
+/// A source-major sweep traces exactly like one `run_suite` per release:
 /// its run ordinals follow sweep order and its job ordinals suite order,
 /// whichever worker ran a case.
 #[test]
@@ -75,23 +78,24 @@ fn sweep_trace_is_byte_identical_to_one_run_per_release() {
         .into_iter()
         .map(|v| VendorCompiler::new(VendorId::Caps, v))
         .collect();
-    let traced = |drive: &dyn Fn(&Campaign)| {
+    let traced = |threads: usize, drive: &dyn Fn(&Executor, &Campaign)| {
         let recorder = obs::Recorder::enabled();
-        let campaign = Campaign::new(small_suite())
-            .with_cache(CompileCache::shared())
+        let campaign = Campaign::new(small_suite()).with_cache(CompileCache::shared());
+        let policy = ExecutorPolicy::new()
+            .with_jobs(threads)
             .with_recorder(recorder.clone());
-        drive(&campaign);
+        drive(&Executor::new(policy), &campaign);
         obs::trace::render_jsonl(&recorder.snapshot())
     };
-    let one_by_one = traced(&|c| {
+    let one_by_one = traced(1, &|exec, c| {
         for release in &releases {
-            c.run_one(release);
+            exec.run_suite(c, release);
         }
     });
     assert!(!one_by_one.is_empty());
     for threads in [1, 4] {
-        let swept = traced(&|c| {
-            c.run_sweep(&releases, threads);
+        let swept = traced(threads, &|exec, c| {
+            exec.run_sweep(c, &releases);
         });
         assert_eq!(
             swept, one_by_one,

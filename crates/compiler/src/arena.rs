@@ -16,9 +16,7 @@
 //! - Every `take_*` clears and re-initializes the vector to the requested
 //!   default state; callers observe exactly what a fresh allocation gives.
 //! - Pools are thread-local: a vector returns to the pool of the thread
-//!   that's dropping it, so there is no cross-thread traffic (parallel-
-//!   engine workers never touch these pools at all — their scratch lives on
-//!   their own stacks).
+//!   that's dropping it, so there is no cross-thread traffic.
 //! - Pool depth and element capacity are capped so one pathological case
 //!   cannot pin unbounded memory for the rest of a campaign.
 

@@ -160,155 +160,6 @@ pub(crate) enum Instr {
     /// Run the loop-directive nest `nests[nest]` through the shared
     /// `exec_acc_loop_device` handler.
     DevLoopDir { nest: u32 },
-
-    // ---- superinstructions (profile-guided fusion; see `fuse_program`) ----
-    //
-    // Each fused instruction executes *exactly* the effects of its two
-    // constituents in order, including every intermediate register write and
-    // the fault/crash behaviour of each half; `vm_instructions` accounting
-    // stays raw-equivalent (the dispatch loop counts one at fetch and one
-    // more when the second half actually runs). The selection below is
-    // driven by the opcode-pair histogram (`accvv disasm --hot`): statement
-    // prologue + first index load, the single-subscript load/store pairs,
-    // constant-operand arithmetic, and the two loop-head/back-edge shapes
-    // emitted by `lower_for_{h,d}_core`.
-    /// `TickHost` + `IdxVarH` — host statement prologue into an index load.
-    TickIdxVarH { dst: u32, name: u32, slot: u32 },
-    /// `TickDev` + `IdxVarD` — device statement prologue into an index load.
-    TickIdxVarD { dst: u32, name: u32, slot: u32 },
-    /// `IdxVarD {dst: vdst, ..}` + `ReadIdxD {idx: vdst, n: 1, ..}` — the
-    /// whole `A[i]` device read when the subscript is a plain variable.
-    IdxVarReadD { vdst: u32, vname: u32, vslot: u32, dst: u32, aname: u32 },
-    /// `IdxVarD {dst: vdst, ..}` + `WriteIdxD {idx: vdst, n: 1, ..}`.
-    IdxVarWriteD { vdst: u32, vname: u32, vslot: u32, src: u32, aname: u32 },
-    /// `Const {dst: cdst, k}` + `Binop {b: cdst, ..}` — constant right
-    /// operand (`x + 1`, `i % 2`, …). The constant store still happens, so
-    /// `a == cdst` degenerates exactly like the unfused sequence.
-    ConstBinop { cdst: u32, k: u32, dst: u32, op: BinOp, a: u32 },
-    /// `Binop` + `Jump` — the counted-loop back edge (induction increment
-    /// into the jump to the loop head).
-    BinopJump { dst: u32, op: BinOp, a: u32, b: u32, to: u32 },
-    /// `JumpIfGe` + `SetLocal` — the device loop head: exit test into the
-    /// induction-variable bind. The bind only runs on fall-through.
-    JumpIfGeSetLocal { a: u32, b: u32, to: u32, slot: u32, src: u32 },
-    /// `JumpIfGe` + `SetSlot` — the host loop head.
-    JumpIfGeSetSlot { a: u32, b: u32, to: u32, slot: u32, src: u32 },
-}
-
-/// Number of distinct opcodes (see [`Instr::opcode`]).
-pub(crate) const OPCODE_COUNT: usize = 49;
-
-impl Instr {
-    /// Dense opcode id in declaration order, for pair-histogram indexing.
-    pub(crate) fn opcode(&self) -> u8 {
-        match self {
-            Instr::Const { .. } => 0,
-            Instr::Copy { .. } => 1,
-            Instr::Unop { .. } => 2,
-            Instr::Binop { .. } => 3,
-            Instr::AsInt { .. } => 4,
-            Instr::ConvertTo { .. } => 5,
-            Instr::Garbage { .. } => 6,
-            Instr::Jump { .. } => 7,
-            Instr::JumpIfTrue { .. } => 8,
-            Instr::JumpIfFalse { .. } => 9,
-            Instr::JumpIfGe { .. } => 10,
-            Instr::CrashMsg { .. } => 11,
-            Instr::CheckStep { .. } => 12,
-            Instr::Return { .. } => 13,
-            Instr::End => 14,
-            Instr::TickHost => 15,
-            Instr::TickLoop => 16,
-            Instr::ReadVarH { .. } => 17,
-            Instr::WriteVarH { .. } => 18,
-            Instr::ReadIdxH { .. } => 19,
-            Instr::WriteIdxH { .. } => 20,
-            Instr::IdxVarH { .. } => 21,
-            Instr::DeclStore { .. } => 22,
-            Instr::SetSlot { .. } => 23,
-            Instr::EvalHostExpr { .. } => 24,
-            Instr::HostStmt { .. } => 25,
-            Instr::Standalone { .. } => 26,
-            Instr::Compute { .. } => 27,
-            Instr::DataRegion { .. } => 28,
-            Instr::HostDataRegion { .. } => 29,
-            Instr::TickDev => 30,
-            Instr::ReadVarD { .. } => 31,
-            Instr::WriteVarD { .. } => 32,
-            Instr::ReadIdxD { .. } => 33,
-            Instr::WriteIdxD { .. } => 34,
-            Instr::IdxVarD { .. } => 35,
-            Instr::SetLocal { .. } => 36,
-            Instr::DevIter => 37,
-            Instr::EvalDevExpr { .. } => 38,
-            Instr::DevStmt { .. } => 39,
-            Instr::DevLoopDir { .. } => 40,
-            Instr::TickIdxVarH { .. } => 41,
-            Instr::TickIdxVarD { .. } => 42,
-            Instr::IdxVarReadD { .. } => 43,
-            Instr::IdxVarWriteD { .. } => 44,
-            Instr::ConstBinop { .. } => 45,
-            Instr::BinopJump { .. } => 46,
-            Instr::JumpIfGeSetLocal { .. } => 47,
-            Instr::JumpIfGeSetSlot { .. } => 48,
-        }
-    }
-}
-
-/// Opcode name for the `disasm --hot` histogram.
-pub(crate) fn opcode_name(op: u8) -> &'static str {
-    const NAMES: [&str; OPCODE_COUNT] = [
-        "Const",
-        "Copy",
-        "Unop",
-        "Binop",
-        "AsInt",
-        "ConvertTo",
-        "Garbage",
-        "Jump",
-        "JumpIfTrue",
-        "JumpIfFalse",
-        "JumpIfGe",
-        "CrashMsg",
-        "CheckStep",
-        "Return",
-        "End",
-        "TickHost",
-        "TickLoop",
-        "ReadVarH",
-        "WriteVarH",
-        "ReadIdxH",
-        "WriteIdxH",
-        "IdxVarH",
-        "DeclStore",
-        "SetSlot",
-        "EvalHostExpr",
-        "HostStmt",
-        "Standalone",
-        "Compute",
-        "DataRegion",
-        "HostDataRegion",
-        "TickDev",
-        "ReadVarD",
-        "WriteVarD",
-        "ReadIdxD",
-        "WriteIdxD",
-        "IdxVarD",
-        "SetLocal",
-        "DevIter",
-        "EvalDevExpr",
-        "DevStmt",
-        "DevLoopDir",
-        "TickIdxVarH",
-        "TickIdxVarD",
-        "IdxVarReadD",
-        "IdxVarWriteD",
-        "ConstBinop",
-        "BinopJump",
-        "JumpIfGeSetLocal",
-        "JumpIfGeSetSlot",
-    ];
-    NAMES.get(op as usize).copied().unwrap_or("?")
 }
 
 /// A contiguous, `End`-terminated instruction range with its scratch
@@ -611,21 +462,10 @@ struct Lowerer<'p> {
     name_ids: HashMap<String, u32>,
 }
 
-/// Lower every function of `prog` to bytecode, with superinstruction
-/// fusion (the production image). Infallible: anything the lowering does
-/// not model escapes to the walker, and compile-time-known crash paths
-/// become `CrashMsg` instructions.
+/// Lower every function of `prog` to bytecode. Infallible: anything the
+/// lowering does not model escapes to the walker, and compile-time-known
+/// crash paths become `CrashMsg` instructions.
 pub(crate) fn lower(prog: &Program, resolved: &ResolvedProgram) -> BytecodeProgram {
-    lower_with(prog, resolved, true)
-}
-
-/// Lower without fusion — the raw image `disasm --hot` profiles (and the
-/// differential suite pins against the fused one).
-pub(crate) fn lower_unfused(prog: &Program, resolved: &ResolvedProgram) -> BytecodeProgram {
-    lower_with(prog, resolved, false)
-}
-
-pub(crate) fn lower_with(prog: &Program, resolved: &ResolvedProgram, fuse: bool) -> BytecodeProgram {
     let empty = FrameLayout::default();
     let mut lw = Lowerer {
         layout: &empty,
@@ -647,152 +487,7 @@ pub(crate) fn lower_with(prog: &Program, resolved: &ResolvedProgram, fuse: bool)
             chunk,
         });
     }
-    let mut bp = lw.bp;
-    if fuse {
-        fuse_program(&mut bp);
-    }
-    bp
-}
-
-// ---------------------------------------------------------------------------
-// Superinstruction fusion
-// ---------------------------------------------------------------------------
-
-/// Try to fuse the adjacent pair `(a, b)`. Each fused form preserves the
-/// exact effects and ordering of both constituents (see the variant docs).
-fn try_fuse(a: Instr, b: Instr) -> Option<Instr> {
-    match (a, b) {
-        (Instr::TickHost, Instr::IdxVarH { dst, name, slot }) => {
-            Some(Instr::TickIdxVarH { dst, name, slot })
-        }
-        (Instr::TickDev, Instr::IdxVarD { dst, name, slot }) => {
-            Some(Instr::TickIdxVarD { dst, name, slot })
-        }
-        (
-            Instr::IdxVarD { dst: vdst, name: vname, slot: vslot },
-            Instr::ReadIdxD { dst, name: aname, idx, n: 1 },
-        ) if idx == vdst => Some(Instr::IdxVarReadD { vdst, vname, vslot, dst, aname }),
-        (
-            Instr::IdxVarD { dst: vdst, name: vname, slot: vslot },
-            Instr::WriteIdxD { src, name: aname, idx, n: 1 },
-        ) if idx == vdst => Some(Instr::IdxVarWriteD { vdst, vname, vslot, src, aname }),
-        (Instr::Const { dst: cdst, k }, Instr::Binop { dst, op, a, b }) if b == cdst => {
-            Some(Instr::ConstBinop { cdst, k, dst, op, a })
-        }
-        (Instr::Binop { dst, op, a, b }, Instr::Jump { to }) => {
-            Some(Instr::BinopJump { dst, op, a, b, to })
-        }
-        (Instr::JumpIfGe { a, b, to }, Instr::SetLocal { slot, src }) => {
-            Some(Instr::JumpIfGeSetLocal { a, b, to, slot, src })
-        }
-        (Instr::JumpIfGe { a, b, to }, Instr::SetSlot { slot, src }) => {
-            Some(Instr::JumpIfGeSetSlot { a, b, to, slot, src })
-        }
-        _ => None,
-    }
-}
-
-/// Rewrite a chunk-relative jump target through the old→new index map.
-fn remap_jump(ins: &mut Instr, map: &[u32]) {
-    match ins {
-        Instr::Jump { to }
-        | Instr::JumpIfTrue { to, .. }
-        | Instr::JumpIfFalse { to, .. }
-        | Instr::JumpIfGe { to, .. }
-        | Instr::BinopJump { to, .. }
-        | Instr::JumpIfGeSetLocal { to, .. }
-        | Instr::JumpIfGeSetSlot { to, .. } => *to = map[*to as usize],
-        _ => {}
-    }
-}
-
-/// Greedy left-to-right pair fusion over the whole instruction stream.
-///
-/// Chunks tile the stream and every chunk ends at an `End` (see
-/// `ChunkBuf::seal`), so the stream is processed segment by segment. Within
-/// a segment, a pair is fused only when its second instruction is not a
-/// jump target (a jump landing *between* the halves would re-execute or
-/// skip one of them). Jump targets are chunk-relative; chunk start offsets
-/// move, so every `Chunk` descriptor in the side tables is remapped through
-/// the per-segment start map afterwards.
-fn fuse_program(bp: &mut BytecodeProgram) {
-    let code = std::mem::take(&mut bp.code);
-    let mut new_code: Vec<Instr> = Vec::with_capacity(code.len());
-    // old absolute index -> new absolute index (for chunk starts).
-    let mut start_map: HashMap<u32, u32> = HashMap::new();
-    let mut seg_start = 0usize;
-    while seg_start < code.len() {
-        let seg_end = seg_start
-            + code[seg_start..]
-                .iter()
-                .position(|i| matches!(i, Instr::End))
-                .expect("every chunk is End-terminated")
-            + 1;
-        let seg = &code[seg_start..seg_end];
-        // Chunk-relative jump-target bitmap. Targets can point at the
-        // terminating `End` but never past it.
-        let mut is_target = vec![false; seg.len()];
-        for ins in seg {
-            let to = match ins {
-                Instr::Jump { to }
-                | Instr::JumpIfTrue { to, .. }
-                | Instr::JumpIfFalse { to, .. }
-                | Instr::JumpIfGe { to, .. } => Some(*to as usize),
-                _ => None,
-            };
-            if let Some(t) = to {
-                is_target[t] = true;
-            }
-        }
-        // Greedy fuse; map[i] = new chunk-relative index of old instr i
-        // (a fused second half maps to the fused instruction).
-        let mut map = vec![0u32; seg.len() + 1];
-        let mut out: Vec<Instr> = Vec::with_capacity(seg.len());
-        let mut i = 0usize;
-        while i < seg.len() {
-            map[i] = out.len() as u32;
-            if i + 1 < seg.len() && !is_target[i + 1] {
-                if let Some(fused) = try_fuse(seg[i], seg[i + 1]) {
-                    map[i + 1] = out.len() as u32;
-                    out.push(fused);
-                    i += 2;
-                    continue;
-                }
-            }
-            out.push(seg[i]);
-            i += 1;
-        }
-        map[seg.len()] = out.len() as u32;
-        for ins in &mut out {
-            remap_jump(ins, &map);
-        }
-        start_map.insert(seg_start as u32, new_code.len() as u32);
-        new_code.extend(out);
-        seg_start = seg_end;
-    }
-    bp.code = new_code;
-    let remap = |c: &mut Chunk| {
-        c.start = *start_map
-            .get(&c.start)
-            .expect("chunk start is a segment start");
-    };
-    for f in &mut bp.funcs {
-        remap(&mut f.chunk);
-    }
-    for r in &mut bp.regions {
-        remap(&mut r.host);
-        if let RegionDev::Block(c) = &mut r.dev {
-            remap(c);
-        }
-    }
-    for n in &mut bp.nests {
-        for c in &mut n.bodies {
-            remap(c);
-        }
-    }
-    for b in &mut bp.blocks {
-        remap(&mut b.chunk);
-    }
+    lw.bp
 }
 
 impl<'p> Lowerer<'p> {

@@ -102,17 +102,6 @@ impl Executable {
     pub fn lower_again(&self) -> BytecodeProgram {
         crate::bytecode::lower(&self.program, &self.resolved)
     }
-
-    /// Lower without the superinstruction fusion pass — the raw opcode
-    /// stream whose pair histogram drives fusion selection
-    /// (`accvv disasm --hot` runs this image profiled).
-    pub fn unfused(&self) -> Executable {
-        let mut e = self.clone();
-        e.code = Arc::new(crate::bytecode::lower_unfused(&self.program, &self.resolved));
-        // A distinct image must not share the fused image's memo.
-        e.run_memo = RunMemo::default();
-        e
-    }
 }
 
 /// The profile-independent front half of the pipeline: parse, specification

@@ -145,7 +145,7 @@ impl Executable {
     /// what selects the memo (DESIGN.md §15.2).
     pub fn run_with_knobs(&self, env: &EnvConfig, knobs: RunKnobs) -> RunResult {
         if !knobs.memo || acc_obs::active() {
-            return self.run_uncached(env, knobs, false).0;
+            return self.run_uncached(env, knobs);
         }
         let key = RunKey {
             step_limit: knobs.step_limit,
@@ -165,7 +165,7 @@ impl Executable {
         if let Some(hit) = hit {
             return hit;
         }
-        let result = self.run_uncached(env, knobs, false).0;
+        let result = self.run_uncached(env, knobs);
         self.run_memo
             .lock()
             .expect("run memo poisoned")
@@ -173,18 +173,7 @@ impl Executable {
         result
     }
 
-    /// Run with the VM's opcode-pair profiler enabled and return the
-    /// profile alongside the result (drives `accvv disasm --hot`).
-    pub fn run_profiled(&self, env: &EnvConfig, knobs: RunKnobs) -> (RunResult, VmProfile) {
-        self.run_uncached(env, knobs, true)
-    }
-
-    fn run_uncached(
-        &self,
-        env: &EnvConfig,
-        knobs: RunKnobs,
-        profile_pairs: bool,
-    ) -> (RunResult, VmProfile) {
+    fn run_uncached(&self, env: &EnvConfig, knobs: RunKnobs) -> RunResult {
         let mut m = Machine::new(
             &self.program,
             &self.resolved,
@@ -199,12 +188,6 @@ impl Executable {
                 m.use_vm = true;
             }
         }
-        if profile_pairs {
-            m.pair_profile = Some(
-                vec![0u64; (crate::bytecode::OPCODE_COUNT + 1) * crate::bytecode::OPCODE_COUNT]
-                    .into_boxed_slice(),
-            );
-        }
         if let Some(limit) = knobs.step_limit {
             m.step_limit = limit;
         }
@@ -217,65 +200,12 @@ impl Executable {
             acc_obs::counter("memcpy_d2h_bytes", met.bytes_to_host as i64);
             if m.use_vm {
                 acc_obs::counter("vm_instructions", m.vm_instructions as i64);
-                acc_obs::counter("vm_dispatches_fused", m.vm_fused_saved as i64);
             }
         }
-        let profile = VmProfile {
-            instructions: m.vm_instructions,
-            fused_saved: m.vm_fused_saved,
-            pairs: m.pair_profile.take().map(Vec::from).unwrap_or_default(),
-        };
-        (
-            RunResult {
-                outcome,
-                metrics: m.world.metrics.clone(),
-            },
-            profile,
-        )
-    }
-}
-
-/// Telemetry from a profiled VM run (see [`Executable::run_profiled`]).
-#[derive(Debug, Clone, Default)]
-pub struct VmProfile {
-    /// Raw instructions retired — fused superinstructions count as the
-    /// number of constituent instructions they replace, so this number is
-    /// comparable across fused/unfused images and across PRs.
-    pub instructions: u64,
-    /// Dispatches saved by superinstruction fusion (one per fused pair
-    /// executed). `instructions - fused_saved` = actual dispatch count.
-    pub fused_saved: u64,
-    /// Row-major `(prev, next)` opcode-pair execution counts, with one
-    /// extra leading row for chunk entry. Dimensions
-    /// `(OPCODE_COUNT + 1) x OPCODE_COUNT`; empty unless profiling ran.
-    pub pairs: Vec<u64>,
-}
-
-impl VmProfile {
-    /// The `n` hottest adjacent `(prev, next)` opcode pairs, as
-    /// `(prev_name, next_name, count)` descending — the histogram that
-    /// drives superinstruction selection. Chunk-entry pseudo-pairs (an
-    /// instruction with no predecessor) are excluded.
-    pub fn top_pairs(&self, n: usize) -> Vec<(&'static str, &'static str, u64)> {
-        use crate::bytecode::{opcode_name, OPCODE_COUNT};
-        let mut v: Vec<(usize, usize, u64)> = Vec::new();
-        for prev in 0..OPCODE_COUNT {
-            for next in 0..OPCODE_COUNT {
-                let c = self
-                    .pairs
-                    .get(prev * OPCODE_COUNT + next)
-                    .copied()
-                    .unwrap_or(0);
-                if c > 0 {
-                    v.push((prev, next, c));
-                }
-            }
+        RunResult {
+            outcome,
+            metrics: m.world.metrics.clone(),
         }
-        v.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
-        v.truncate(n);
-        v.into_iter()
-            .map(|(p, q, c)| (opcode_name(p as u8), opcode_name(q as u8), c))
-            .collect()
     }
 }
 
@@ -558,13 +488,6 @@ pub(crate) struct Machine<'a> {
     /// Lives on the machine, NOT in [`acc_device::Metrics`], because the
     /// walker/VM engine-equivalence invariant compares `Metrics` verbatim.
     pub(crate) vm_instructions: u64,
-    /// Dispatches saved by superinstruction fusion (telemetry; see
-    /// `vm_instructions` for why this is not in `Metrics`).
-    pub(crate) vm_fused_saved: u64,
-    /// Opcode-pair execution counts when profiling (see
-    /// [`Executable::run_profiled`]): `(OPCODE_COUNT + 1) * OPCODE_COUNT`
-    /// slots, leading row = chunk entry.
-    pub(crate) pair_profile: Option<Box<[u64]>>,
     /// Scratch register files recycled across chunk activations.
     pub(crate) reg_pool: Vec<Vec<Value>>,
     /// Per-device-chunk cache of name-id → resolved buffer (the present
@@ -600,8 +523,6 @@ impl<'a> Machine<'a> {
             code: None,
             use_vm: false,
             vm_instructions: 0,
-            vm_fused_saved: 0,
-            pair_profile: None,
             reg_pool: Vec::new(),
             dev_bufs: Vec::new(),
         }

@@ -36,5 +36,5 @@ pub use bugs::{BugCatalog, BugRecord};
 pub use bytecode::BytecodeProgram;
 pub use cache::{CacheStats, CompileCache};
 pub use driver::{CompileFailure, Executable};
-pub use exec::{ExecMode, RunKnobs, RunOutcome, RunResult, VmProfile};
+pub use exec::{ExecMode, RunKnobs, RunOutcome, RunResult};
 pub use vendor::{VendorCompiler, VendorId};

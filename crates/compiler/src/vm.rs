@@ -12,7 +12,7 @@
 
 use acc_device::Value;
 
-use crate::bytecode::{Chunk, DevLoopNest, Instr, NO_SLOT, OPCODE_COUNT};
+use crate::bytecode::{Chunk, DevLoopNest, Instr, NO_SLOT};
 use crate::exec::{
     apply_binop, apply_unop, crash, unresolved, Abort, ArrBinding, DevCtx, DevLoopRef, Exec, Flow,
     HostRef, Machine, RegionBody, UnitSel,
@@ -77,17 +77,10 @@ impl<'a> Machine<'a> {
             .ok_or_else(|| Abort::Crash("internal error: VM dispatch without bytecode".into()))?;
         let base = chunk.start as usize;
         let mut pc = 0usize;
-        // Opcode-pair profiling row for "chunk entry" (no predecessor).
-        let mut prev = OPCODE_COUNT;
         loop {
             let ins = bp.code[base + pc];
             pc += 1;
             self.vm_instructions += 1;
-            if let Some(pp) = self.pair_profile.as_deref_mut() {
-                let op = ins.opcode() as usize;
-                pp[prev * OPCODE_COUNT + op] += 1;
-                prev = op;
-            }
             match ins {
                 Instr::Const { dst, k } => regs[dst as usize] = bp.consts[k as usize],
                 Instr::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
@@ -138,46 +131,6 @@ impl<'a> Machine<'a> {
                 }
                 Instr::Return { src } => return Ok(Flow::Return(regs[src as usize])),
                 Instr::End => return Ok(Flow::Normal),
-
-                // --- Fused superinstructions (host forms). Each arm
-                // replays its constituents in order; `vm_instructions`
-                // advances between the halves — after the first half's
-                // fallible work — so an abort mid-pair reports the same
-                // count as the unfused stream (DESIGN.md §15.1).
-                Instr::TickIdxVarH { dst, name, slot } => {
-                    self.tick()?;
-                    self.world.clock.advance(1);
-                    self.vm_instructions += 1;
-                    self.vm_fused_saved += 1;
-                    let v = self.read_var_host_at(&bp.names[name as usize], opt_slot(slot))?;
-                    regs[dst as usize] = Value::Int(v.as_int().map_err(crash)?);
-                }
-                Instr::ConstBinop { cdst, k, dst, op, a } => {
-                    regs[cdst as usize] = bp.consts[k as usize];
-                    self.vm_instructions += 1;
-                    self.vm_fused_saved += 1;
-                    regs[dst as usize] =
-                        apply_binop(op, regs[a as usize], regs[cdst as usize]).map_err(crash)?;
-                }
-                Instr::BinopJump { dst, op, a, b, to } => {
-                    regs[dst as usize] =
-                        apply_binop(op, regs[a as usize], regs[b as usize]).map_err(crash)?;
-                    self.vm_instructions += 1;
-                    self.vm_fused_saved += 1;
-                    pc = to as usize;
-                }
-                Instr::JumpIfGeSetSlot { a, b, to, slot, src } => {
-                    let av = regs[a as usize].as_int().map_err(crash)?;
-                    let bv = regs[b as usize].as_int().map_err(crash)?;
-                    if av >= bv {
-                        // Taken: the unfused stream jumps over the store.
-                        pc = to as usize;
-                    } else {
-                        self.vm_instructions += 1;
-                        self.vm_fused_saved += 1;
-                        self.frame_mut().slots[slot as usize].val = Some(regs[src as usize]);
-                    }
-                }
 
                 Instr::TickHost => {
                     self.tick()?;
@@ -341,17 +294,10 @@ impl<'a> Machine<'a> {
             .ok_or_else(|| Abort::Crash("internal error: VM dispatch without bytecode".into()))?;
         let base = chunk.start as usize;
         let mut pc = 0usize;
-        // Opcode-pair profiling row for "chunk entry" (no predecessor).
-        let mut prev = OPCODE_COUNT;
         loop {
             let ins = bp.code[base + pc];
             pc += 1;
             self.vm_instructions += 1;
-            if let Some(pp) = self.pair_profile.as_deref_mut() {
-                let op = ins.opcode() as usize;
-                pp[prev * OPCODE_COUNT + op] += 1;
-                prev = op;
-            }
             match ins {
                 Instr::Const { dst, k } => regs[dst as usize] = bp.consts[k as usize],
                 Instr::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
@@ -471,82 +417,6 @@ impl<'a> Machine<'a> {
                         DevLoopRef::Code(nl),
                         ctx,
                     )?;
-                }
-
-                // --- Fused superinstructions (device forms). Same
-                // mid-pair counting protocol as the host loop.
-                Instr::TickIdxVarD { dst, name, slot } => {
-                    self.tick()?;
-                    self.region_cost += 1;
-                    self.vm_instructions += 1;
-                    self.vm_fused_saved += 1;
-                    let s = opt_slot(slot);
-                    let v = match s.and_then(|i| ctx.value(i)) {
-                        Some(v) => v,
-                        None => self.read_scalar_device_at(&bp.names[name as usize], s, ctx)?,
-                    };
-                    regs[dst as usize] = Value::Int(v.as_int().map_err(crash)?);
-                }
-                Instr::IdxVarReadD { vdst, vname, vslot, dst, aname } => {
-                    let s = opt_slot(vslot);
-                    let v = match s.and_then(|i| ctx.value(i)) {
-                        Some(v) => v,
-                        None => self.read_scalar_device_at(&bp.names[vname as usize], s, ctx)?,
-                    };
-                    regs[vdst as usize] = Value::Int(v.as_int().map_err(crash)?);
-                    self.vm_instructions += 1;
-                    self.vm_fused_saved += 1;
-                    let vals = int_block(regs, vdst, 1);
-                    let nm = &bp.names[aname as usize];
-                    let (buf, flat) = self.vm_dev_elem(aname, nm, &vals[..1], ctx)?;
-                    regs[dst as usize] = self
-                        .world
-                        .mem
-                        .read(buf, flat)
-                        .map_err(|e| Abort::Crash(e.to_string()))?;
-                }
-                Instr::IdxVarWriteD { vdst, vname, vslot, src, aname } => {
-                    let s = opt_slot(vslot);
-                    let v = match s.and_then(|i| ctx.value(i)) {
-                        Some(v) => v,
-                        None => self.read_scalar_device_at(&bp.names[vname as usize], s, ctx)?,
-                    };
-                    regs[vdst as usize] = Value::Int(v.as_int().map_err(crash)?);
-                    self.vm_instructions += 1;
-                    self.vm_fused_saved += 1;
-                    let vals = int_block(regs, vdst, 1);
-                    let nm = &bp.names[aname as usize];
-                    let (buf, flat) = self.vm_dev_elem(aname, nm, &vals[..1], ctx)?;
-                    self.world
-                        .mem
-                        .write(buf, flat, regs[src as usize])
-                        .map_err(|e| Abort::Crash(e.to_string()))?;
-                }
-                Instr::ConstBinop { cdst, k, dst, op, a } => {
-                    regs[cdst as usize] = bp.consts[k as usize];
-                    self.vm_instructions += 1;
-                    self.vm_fused_saved += 1;
-                    regs[dst as usize] =
-                        apply_binop(op, regs[a as usize], regs[cdst as usize]).map_err(crash)?;
-                }
-                Instr::BinopJump { dst, op, a, b, to } => {
-                    regs[dst as usize] =
-                        apply_binop(op, regs[a as usize], regs[b as usize]).map_err(crash)?;
-                    self.vm_instructions += 1;
-                    self.vm_fused_saved += 1;
-                    pc = to as usize;
-                }
-                Instr::JumpIfGeSetLocal { a, b, to, slot, src } => {
-                    let av = regs[a as usize].as_int().map_err(crash)?;
-                    let bv = regs[b as usize].as_int().map_err(crash)?;
-                    if av >= bv {
-                        // Taken: the unfused stream jumps over the store.
-                        pc = to as usize;
-                    } else {
-                        self.vm_instructions += 1;
-                        self.vm_fused_saved += 1;
-                        ctx.set_local(slot as usize, regs[src as usize]);
-                    }
                 }
 
                 other => return Err(wrong_chunk(&other, "device")),

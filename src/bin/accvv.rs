@@ -21,8 +21,31 @@ use openacc_vv::prelude::*;
 use openacc_vv::validation::report::{self, ReportFormat};
 use openacc_vv::validation::template::parse_templates;
 use openacc_vv::validation::{FileJournal, Replay};
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
+
+/// `print!` through [`write_out`]; evaluates to its `Result`.
+macro_rules! out {
+    ($($arg:tt)*) => { write_out(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_out`]; evaluates to its `Result`.
+macro_rules! outln {
+    () => { write_out(format_args!("\n")) };
+    ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Write command output to stdout. A reader that has gone away (`accvv
+/// run … | head -1`) is not an error: the rest of the output is dropped and
+/// the command ends with the status it would have had. Any other write
+/// failure is the command's error.
+fn write_out(args: std::fmt::Arguments) -> Result<(), String> {
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,10 +65,7 @@ fn main() -> ExitCode {
         Some("titan") => cmd_titan(&args[1..]),
         Some("torture") => cmd_torture(&args[1..]),
         Some("selftest") => cmd_selftest(&args[1..]),
-        Some("help") | None => {
-            print_usage();
-            Ok(())
-        }
+        Some("help") | None => print_usage(),
         Some(other) => Err(format!("unknown command `{other}` (try `accvv help`)")),
     });
     match result {
@@ -85,7 +105,7 @@ USAGE:
   accvv matrix --vendor caps|pgi|cray [--lang c|fortran]
   accvv bugs --vendor caps|pgi|cray --version X [--lang c|fortran]
   accvv expand FILE
-  accvv disasm NAME [--lang c|fortran] [--cross] [--hot]
+  accvv disasm NAME [--lang c|fortran] [--cross]
   accvv titan [--nodes N] [--sample K] [--seed S] [--fault-rate PCT]
              [--retries R] [--jobs N] [--exec-mode vm|walk]
   accvv titan --sweep [--nodes N] [--jobs N] [--lose-node ID@AFTER]…
@@ -95,19 +115,21 @@ USAGE:
   accvv torture [--seed S] [--stride N] [--verbose]
   accvv selftest [PREFIX]";
 
-fn print_usage() {
-    println!("{USAGE}");
+fn print_usage() -> Result<(), String> {
+    outln!("{USAGE}")
 }
 
 /// Reject a `--` argument that the subcommand's usage lines do not list,
-/// and a flag that the usage shows with a value (`--jobs N`) but that has
-/// none after it.
+/// a flag that the usage shows with a value (`--jobs N`) but that has none
+/// after it, and a second occurrence of a flag whose usage group does not
+/// end in `…` (`[--lose-node ID@AFTER]…` may repeat; `--format` may not).
 fn check_flags(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Ok(());
     };
     let (mut listed, mut known) = (false, false);
-    let mut flags: Vec<(&str, bool)> = Vec::new();
+    // (flag, takes a value, may repeat)
+    let mut flags: Vec<(&str, bool, bool)> = Vec::new();
     for line in USAGE.lines().map(str::trim_start) {
         if let Some(rest) = line.strip_prefix("accvv ") {
             listed = rest.split_whitespace().next() == Some(cmd.as_str());
@@ -120,30 +142,39 @@ fn check_flags(args: &[String]) -> Result<(), String> {
         while let Some(word) = words.next() {
             let word = word.trim_start_matches('[');
             if word.starts_with("--") {
-                let takes_value = !word.ends_with(']')
-                    && words.peek().is_some_and(|w| !w.starts_with(['[', '(', '-']));
-                flags.push((word.trim_end_matches([']', '…']), takes_value));
+                let value = words
+                    .peek()
+                    .filter(|w| !word.ends_with(']') && !w.starts_with(['[', '(', '-']));
+                let repeats = value.map_or(word, |w| *w).ends_with("]…");
+                let word = word.trim_end_matches([']', '…']);
+                flags.push((word, value.is_some(), repeats));
             }
         }
     }
     if !known {
         return Ok(()); // not a command: dispatch names it
     }
+    let mut seen: Vec<&str> = Vec::new();
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
             continue;
         }
-        match flags.iter().find(|(flag, _)| flag == arg) {
+        match flags.iter().find(|(flag, ..)| flag == arg) {
             None => {
                 return Err(format!(
                     "unknown flag `{arg}` for `accvv {cmd}` (see `accvv help`)"
                 ))
             }
-            Some((_, true)) if rest.next().is_none_or(|v| v.starts_with("--")) => {
+            Some((_, true, _)) if rest.next().is_none_or(|v| v.starts_with("--")) => {
                 return Err(format!("flag `{arg}` needs a value"));
             }
-            Some(_) => {}
+            Some((flag, _, false)) if seen.contains(flag) => {
+                return Err(format!(
+                    "flag `{arg}` is given twice; `accvv {cmd}` takes it once"
+                ));
+            }
+            Some((flag, ..)) => seen.push(flag),
         }
     }
     Ok(())
@@ -242,20 +273,20 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
             .as_ref()
             .map(|c| c.to_string())
             .unwrap_or_else(|| "none".to_string());
-        println!(
+        outln!(
             "{:<36} [{}] cross={}",
             case.feature.as_str(),
             langs.join(","),
             cross
-        );
+        )?;
     }
-    println!("\n{shown} of {} tests shown", suite.len());
+    outln!("\n{shown} of {} tests shown", suite.len())?;
     Ok(())
 }
 
 fn cmd_show(args: &[String]) -> Result<(), String> {
     let (_, _, source) = named_source(args, "show")?;
-    println!("{source}");
+    outln!("{source}")?;
     Ok(())
 }
 
@@ -423,7 +454,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             report::write_file(&run, format, &p).map_err(|e| format!("--out {p}: {e}"))?;
             eprintln!("accvv: report written to {p}");
         }
-        None => print!("{}", report::render(&run, format)),
+        None => out!("{}", report::render(&run, format))?,
     }
     if flag(args, "--attribute") && compiler.vendor != VendorId::Reference {
         let catalog = BugCatalog::paper();
@@ -434,11 +465,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             compiler.version,
         );
         if !failures.is_empty() {
-            println!();
-            print!(
+            outln!()?;
+            out!(
                 "{}",
                 openacc_vv::validation::analysis::render_attribution(&failures)
-            );
+            )?;
         }
     }
     // Failure-taxonomy summary + hard exit status: any non-skipped case
@@ -447,7 +478,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut hard_failures = 0usize;
     for &lang in &campaign.config.languages {
         let breakdown = run.failure_breakdown(lang);
-        println!("taxonomy [{lang}]: {breakdown}");
+        outln!("taxonomy [{lang}]: {breakdown}")?;
         hard_failures += breakdown.total_failures();
     }
     if hard_failures > 0 {
@@ -554,17 +585,17 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let (runs, _) = Executor::new(policy).run_sweep(&campaign, &releases(&vendors));
     let mut runs = runs.into_iter();
     for vendor in vendors {
-        println!("=== {} ===", vendor.name());
-        println!("{:>10} {:>8} {:>10}", "version", "C %", "Fortran %");
+        outln!("=== {} ===", vendor.name())?;
+        outln!("{:>10} {:>8} {:>10}", "version", "C %", "Fortran %")?;
         for (version, run) in vendor.versions().iter().zip(runs.by_ref()) {
-            println!(
+            outln!(
                 "{:>10} {:>8.1} {:>10.1}",
                 version.to_string(),
                 run.pass_rate(Language::C),
                 run.pass_rate(Language::Fortran)
-            );
+            )?;
         }
-        println!();
+        outln!()?;
     }
     if let Some(c) = &cache {
         eprintln!("accvv: compile cache: {}", c.stats());
@@ -602,20 +633,20 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let iters: u32 = parse_opt_or(args, "--iters", 3u32)?;
     let use_cache = !flag(args, "--no-cache");
     let report = run_bench(iters, use_cache);
-    println!(
+    outln!(
         "accvv bench — {} iteration(s) per workload, cache {}",
         iters.max(1),
         if use_cache { "on" } else { "off" }
-    );
-    println!("{:<30} {:>12} {:>14}", "workload", "median ms", "cases/sec");
+    )?;
+    outln!("{:<30} {:>12} {:>14}", "workload", "median ms", "cases/sec")?;
     for m in &report.measurements {
-        println!(
+        outln!(
             "{:<30} {:>12.2} {:>14.1}",
             m.name, m.median_ms, m.cases_per_sec
-        );
+        )?;
     }
     if use_cache {
-        println!("compile cache: {}", report.cache);
+        outln!("compile cache: {}", report.cache)?;
     }
     // Read the baseline BEFORE writing --out: with the default output path
     // `--check BENCH_suite.json` would otherwise compare the fresh report
@@ -656,10 +687,10 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 .map(|m| m.min_ms)
                 .ok_or_else(|| format!("bench did not measure guarded workload `{name}`"))?;
             let limit = baseline * (1.0 + tolerance_pct / 100.0);
-            println!(
+            outln!(
                 "regression check: {name} min {current:.2}ms vs baseline min {baseline:.2}ms \
                  (limit {limit:.2}ms = +{tolerance_pct}%)"
-            );
+            )?;
             if current > limit {
                 return Err(format!(
                     "performance regression: {name} took {current:.2}ms, more than \
@@ -675,12 +706,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         // min-based regression gate above still bounds gross cross-run
         // drift of the same workload.
         let overhead_pct: f64 = parse_opt_or(args, "--overhead-pct", 2.0f64)?;
-        println!(
+        outln!(
             "telemetry overhead guard: disabled instrumentation costs ~{:.3}% of \
              {} (limit {overhead_pct}%)",
             report.disabled_overhead_pct,
             perf::FULL_SUITE
-        );
+        )?;
         if report.disabled_overhead_pct > overhead_pct {
             return Err(format!(
                 "telemetry overhead: disabled instrumentation is estimated at {:.3}% of \
@@ -725,10 +756,10 @@ fn cmd_history(args: &[String]) -> Result<(), String> {
     let store =
         ResultStore::open(&store_path).map_err(|e| format!("{}: {e}", store_path.display()))?;
     let rows = history(&store, &req);
-    print!(
+    out!(
         "{}",
         openacc_vv::harness::history::render_table(&rows, by, flag(args, "--latency"))
-    );
+    )?;
     // Read the baseline BEFORE writing --out (same rationale as bench:
     // `--check BENCH_history.json --out BENCH_history.json` must compare
     // against the committed file, not the one we are about to write).
@@ -753,7 +784,7 @@ fn cmd_history(args: &[String]) -> Result<(), String> {
         let lines = check_drift(&rows, &baseline_json, &tol)
             .map_err(|e| format!("--check {baseline_path}: {e}"))?;
         for line in lines {
-            println!("{line}");
+            outln!("{line}")?;
         }
     }
     Ok(())
@@ -769,7 +800,7 @@ fn cmd_matrix(args: &[String]) -> Result<(), String> {
     let policy = ExecutorPolicy::new().with_jobs(default_jobs());
     let (runs, _) = Executor::new(policy).run_sweep(&campaign, &releases(&[vendor]));
     let refs: Vec<&openacc_vv::validation::SuiteRun> = runs.iter().collect();
-    print!("{}", report::feature_matrix(&refs, lang));
+    out!("{}", report::feature_matrix(&refs, lang))?;
     Ok(())
 }
 
@@ -786,21 +817,21 @@ fn cmd_bugs(args: &[String]) -> Result<(), String> {
     let catalog = BugCatalog::paper();
     for lang in langs {
         let active = catalog.active(vendor, version, lang);
-        println!(
+        outln!(
             "{} {} ({lang}): {} active bugs",
             vendor.name(),
             version,
             active.len()
-        );
+        )?;
         for bug in active {
-            println!(
+            outln!(
                 "  {:<14} {:<34} {}",
                 bug.id,
                 bug.feature.as_str(),
                 bug.description
-            );
+            )?;
         }
-        println!();
+        outln!()?;
     }
     Ok(())
 }
@@ -810,20 +841,20 @@ fn cmd_expand(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let cases = parse_templates(&text).map_err(|e| e.to_string())?;
     for case in &cases {
-        println!("### {} (feature {})", case.name, case.feature);
+        outln!("### {} (feature {})", case.name, case.feature)?;
         for lang in case.languages.clone() {
-            println!("--- functional ({lang}) ---\n{}", case.source_for(lang));
+            outln!("--- functional ({lang}) ---\n{}", case.source_for(lang))?;
             if let Some(x) = case.cross_source_for(lang) {
-                println!("--- cross ({lang}) ---\n{x}");
+                outln!("--- cross ({lang}) ---\n{x}")?;
             }
         }
         let problems = openacc_vv::validation::harness::validate_case(case);
         if problems.is_empty() {
-            println!("reference self-check: OK\n");
+            outln!("reference self-check: OK\n")?;
         } else {
-            println!("reference self-check FAILED:");
+            outln!("reference self-check FAILED:")?;
             for p in problems {
-                println!("  {p}");
+                outln!("  {p}")?;
             }
         }
     }
@@ -832,46 +863,13 @@ fn cmd_expand(args: &[String]) -> Result<(), String> {
 
 /// `accvv disasm NAME`: lower a corpus test to bytecode and print the
 /// stable disassembly (the artifact the VM executes; useful for inspecting
-/// what the register allocator and escape hatches produced). With `--hot`,
-/// additionally run the program under the VM's opcode-pair profiler and
-/// print the histogram driving superinstruction selection, plus raw vs
-/// fused instruction counts so `vm_instructions` stays comparable across
-/// PRs.
+/// what the register allocator and escape hatches produced).
 fn cmd_disasm(args: &[String]) -> Result<(), String> {
     let (case, lang, source) = named_source(args, "disasm")?;
     let exe = VendorCompiler::reference()
         .compile_shared(&source, lang)
         .map_err(|e| format!("`{}` does not compile: {e}", case.name))?;
-    print!("{}", exe.disassemble());
-    if flag(args, "--hot") {
-        // Profile the *unfused* image: the histogram must show the raw
-        // pairs that fusion candidates are selected from, not the stream
-        // with those pairs already collapsed.
-        let raw = exe.unfused();
-        let knobs = openacc_vv::compiler::RunKnobs::default();
-        let (_, raw_prof) = raw.run_profiled(&case.env, knobs);
-        let (_, fused_prof) = exe.run_profiled(&case.env, knobs);
-        println!();
-        println!("hot opcode pairs (unfused image):");
-        for (prev, next, count) in raw_prof.top_pairs(12) {
-            println!("  {count:>10}  {prev} -> {next}");
-        }
-        println!();
-        println!(
-            "instructions: raw={} fused-image={} (dispatches {} , saved {})",
-            raw_prof.instructions,
-            fused_prof.instructions,
-            fused_prof.instructions - fused_prof.fused_saved,
-            fused_prof.fused_saved,
-        );
-        if raw_prof.instructions != fused_prof.instructions {
-            return Err(format!(
-                "fused image retired {} instructions but the unfused image retired {} — \
-                 fusion broke instruction accounting",
-                fused_prof.instructions, raw_prof.instructions
-            ));
-        }
-    }
+    out!("{}", exe.disassemble())?;
     Ok(())
 }
 
@@ -895,10 +893,10 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             let out = opt(args, "--out").unwrap_or_else(|| "trace.json".to_string());
             openacc_vv::validation::atomic_write(&out, doc.as_bytes())
                 .map_err(|e| format!("--out {out}: {e}"))?;
-            println!(
+            outln!(
                 "accvv: Chrome trace written to {out} ({} event(s), {spans} span(s))",
                 events.len()
-            );
+            )?;
             Ok(())
         }
         Some("check") => {
@@ -907,7 +905,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 .ok_or("trace check requires a Chrome trace file")?;
             let doc = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
             let spans = obs::chrome::validate(&doc).map_err(|e| format!("{input}: {e}"))?;
-            println!("accvv: {input} OK ({spans} properly nested span(s))");
+            outln!("accvv: {input} OK ({spans} properly nested span(s))")?;
             Ok(())
         }
         _ => Err("trace requires a subcommand: export TRACE.jsonl [--out FILE] | check FILE"
@@ -930,18 +928,18 @@ fn cmd_selftest(args: &[String]) -> Result<(), String> {
         checked += 1;
         let problems = openacc_vv::validation::harness::validate_case(case);
         if problems.is_empty() {
-            println!("OK    {}", case.name);
+            outln!("OK    {}", case.name)?;
         } else {
             bad += 1;
             for p in problems {
-                println!("BAD   {p}");
+                outln!("BAD   {p}")?;
             }
         }
     }
-    println!(
+    outln!(
         "
 {checked} tests self-checked, {bad} unhealthy"
-    );
+    )?;
     if bad > 0 {
         return Err(format!("{bad} corpus tests failed the self-check"));
     }
@@ -1007,16 +1005,16 @@ fn cmd_titan(args: &[String]) -> Result<(), String> {
     let report = HarnessRun::new(titan_suite(), sample)
         .with_policy(policy)
         .execute(&cluster, seed);
-    println!("{}", report.matrix());
+    outln!("{}", report.matrix())?;
     let suspects = report.suspect_nodes(99.0);
     if suspects.is_empty() {
-        println!("no suspect nodes");
+        outln!("no suspect nodes")?;
     } else {
-        println!("suspect nodes: {suspects:?}");
+        outln!("suspect nodes: {suspects:?}")?;
     }
     let flaky = report.flaky_nodes();
     if !flaky.is_empty() {
-        println!("flaky nodes (transient faults suspected): {flaky:?}");
+        outln!("flaky nodes (transient faults suspected): {flaky:?}")?;
     }
     Ok(())
 }
@@ -1099,7 +1097,7 @@ fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("--out {p}: {e}"))?;
             eprintln!("accvv: report written to {p}");
         }
-        None => print!("{rendered}"),
+        None => out!("{rendered}")?,
     }
     // Functionality tracking: fold this sweep's pass rate into the durable
     // time series and surface any drift against the previous observation.
@@ -1114,7 +1112,7 @@ fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
         let runs_so_far = tracker.history(&out.scope).map(|h| h.len()).unwrap_or(0);
         tracker.record(&out.scope, format!("run{}", runs_so_far + 1), out.pass_rate());
         for drift in tracker.latest_drifts() {
-            println!("{drift}");
+            outln!("{drift}")?;
         }
         tracker
             .save(&track)
@@ -1146,14 +1144,14 @@ fn cmd_torture(args: &[String]) -> Result<(), String> {
         verbose: flag(args, "--verbose"),
     };
     let outcome = run_torture(&config).map_err(|e| format!("torture harness: {e}"))?;
-    println!(
+    outln!(
         "torture: reference run performs {} filesystem op(s); crashed at {} point(s) (stride {})",
         outcome.total_ops,
         outcome.crash_points,
         config.stride.max(1)
-    );
+    )?;
     if outcome.violations.is_empty() {
-        println!("torture: every recovery invariant held at every crash point");
+        outln!("torture: every recovery invariant held at every crash point")?;
         return Ok(());
     }
     for v in &outcome.violations {

@@ -10,7 +10,7 @@ use openacc_vv::validation::executor::JobMeta;
 use openacc_vv::validation::report;
 use openacc_vv::validation::{MemoryJournal, Replay};
 use std::panic::{self, AssertUnwindSafe};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 fn small_campaign() -> Campaign {
@@ -288,6 +288,14 @@ fn accvv_rejects_unknown_and_valueless_flags() {
         ),
         (&["matrix", "--vendor", "caps", "--jobs", "2"], "unknown flag `--jobs` for `accvv matrix`"),
         (&["titan", "--nodes", "x"], "bad --nodes value `x`"),
+        (
+            &[
+                "run", "--vendor", "reference", "--features", "none.such", "--format", "csv",
+                "--format", "html",
+            ],
+            "flag `--format` is given twice; `accvv run` takes it once",
+        ),
+        (&["disasm", "loop.gang", "--hot"], "unknown flag `--hot` for `accvv disasm`"),
     ];
     for (args, message) in refused {
         let (ok, stderr) = accvv(args);
@@ -300,6 +308,23 @@ fn accvv_rejects_unknown_and_valueless_flags() {
         "none.such", "--exec-mode", "walk", "--no-cache", "--jobs", "2", "--format", "csv",
     ]);
     assert!(ok, "{stderr}");
+}
+
+/// A reader that closes the pipe before the report is written (`accvv run
+/// … | head -1`) ends the command quietly, with no panic.
+#[test]
+fn accvv_stops_quietly_when_stdout_is_closed() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_accvv"))
+        .args(["run", "--vendor", "cray", "--features", "none.such"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn accvv");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for accvv");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
 /// `accvv run` and `POST /v1/submit` parse one spelling with one parser:

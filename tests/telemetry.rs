@@ -13,7 +13,7 @@
 //!    rendered reports and journal bytes are identical with the recorder
 //!    enabled or disabled.
 
-use openacc_vv::compiler::{CompileCache, VendorCompiler, VendorId};
+use openacc_vv::compiler::{CompileCache, RunKnobs, VendorCompiler, VendorId};
 use openacc_vv::obs;
 use openacc_vv::prelude::*;
 use openacc_vv::validation::report::render;
@@ -252,4 +252,39 @@ fn metrics_expose_cache_counters_as_single_source_of_truth() {
     )));
     // And the case outcomes aggregated from span attrs are present.
     assert!(text.contains("accvv_case_status_total{status=\"PASS\"}"));
+}
+
+/// The `vm_instructions` counter one VM run of `feature`'s C functional
+/// source records under the reference release with default knobs.
+fn vm_instructions(feature: &str) -> i64 {
+    let case = openacc_vv::testsuite::full_suite()
+        .into_iter()
+        .find(|c| c.feature.as_str() == feature)
+        .expect("corpus test");
+    let exe = VendorCompiler::reference()
+        .compile(&case.source_for(Language::C), Language::C)
+        .expect("reference compiles the corpus");
+    let recorder = obs::Recorder::enabled();
+    {
+        let _scope = obs::scope(&recorder, 0, obs::PART_JOB, 0, 0);
+        let result = exe.run_with_knobs(&case.env, RunKnobs::default());
+        assert_eq!(result.outcome, RunOutcome::Completed(1));
+    }
+    let counters: Vec<i64> = recorder
+        .snapshot()
+        .iter()
+        .filter(|e| e.kind == "ctr" && e.name == "vm_instructions")
+        .filter_map(|e| e.attr_int("v"))
+        .collect();
+    assert_eq!(counters.len(), 1, "one VM run, one counter");
+    counters[0]
+}
+
+/// Instructions retired per run are part of the trace: bytecode changes
+/// that alter them show up in every `--trace-out` file, so they are pinned
+/// here on a host-loop case and a device-loop case.
+#[test]
+fn vm_instruction_counts_are_pinned() {
+    assert_eq!(vm_instructions("loop.gang"), 488);
+    assert_eq!(vm_instructions("data.copy"), 849);
 }

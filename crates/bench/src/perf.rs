@@ -148,6 +148,83 @@ fn field_in_json(json: &str, name: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// One guard `accvv bench --check` evaluates: the line it prints, and why
+/// it failed when it is over its limit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GuardCheck {
+    /// The regression-check or overhead line, printed either way.
+    pub line: String,
+    /// The failure message; `None` when the guard held.
+    pub failure: Option<String>,
+}
+
+/// Evaluate every `--check` guard of `report` against `baseline_json`, the
+/// baseline read from `baseline_path`. Every guard is evaluated, so one
+/// over its limit never hides another. `Err` when either side lacks a
+/// [`GUARDED`] workload: silently skipping it would let a regression ship
+/// behind a stale baseline.
+///
+/// * Each guarded workload's minimum must stay within `tolerance_pct` of
+///   the baseline's minimum (its median, for baselines written before
+///   `min_ms`). Minima, not medians: load interference only ever adds
+///   time, so the minimum is the stable estimator of true cost and a real
+///   regression raises it just the same.
+/// * The cost of *disabled* telemetry on the full suite must stay within
+///   `overhead_pct`. It is gated on the run's own paired estimate (see
+///   [`BenchReport::disabled_overhead_pct`]): a cross-run wall-clock
+///   comparison cannot resolve a 2% threshold on shared hardware.
+pub fn check_guards(
+    report: &BenchReport,
+    baseline_json: &str,
+    baseline_path: &str,
+    tolerance_pct: f64,
+    overhead_pct: f64,
+) -> Result<Vec<GuardCheck>, String> {
+    let mut checks = Vec::new();
+    for &name in GUARDED {
+        let baseline = min_in_json(baseline_json, name)
+            .or_else(|| median_in_json(baseline_json, name))
+            .ok_or_else(|| {
+                format!(
+                    "--check {baseline_path}: baseline has no `{name}` measurement but this \
+                     run produced one; regenerate the baseline with \
+                     `accvv bench --out {baseline_path}`"
+                )
+            })?;
+        let current = report
+            .measurement(name)
+            .map(|m| m.min_ms)
+            .ok_or_else(|| format!("bench did not measure guarded workload `{name}`"))?;
+        let limit = baseline * (1.0 + tolerance_pct / 100.0);
+        checks.push(GuardCheck {
+            line: format!(
+                "regression check: {name} min {current:.2}ms vs baseline min {baseline:.2}ms \
+                 (limit {limit:.2}ms = +{tolerance_pct}%)"
+            ),
+            failure: (current > limit).then(|| {
+                format!(
+                    "performance regression: {name} took {current:.2}ms, more than \
+                     {tolerance_pct}% over the {baseline:.2}ms baseline"
+                )
+            }),
+        });
+    }
+    let overhead = report.disabled_overhead_pct;
+    checks.push(GuardCheck {
+        line: format!(
+            "telemetry overhead guard: disabled instrumentation costs ~{overhead:.3}% of \
+             {FULL_SUITE} (limit {overhead_pct}%)"
+        ),
+        failure: (overhead > overhead_pct).then(|| {
+            format!(
+                "telemetry overhead: disabled instrumentation is estimated at {overhead:.3}% of \
+                 the {FULL_SUITE} wall time, over the {overhead_pct}% limit"
+            )
+        }),
+    });
+    Ok(checks)
+}
+
 /// One workload's raw timing: the median wall time plus the totals the
 /// throughput figure derives from.
 struct Timing {
@@ -391,6 +468,68 @@ mod tests {
         let legacy = json.replace(", \"min_ms\": 450.5", "").replace(", \"min_ms\": 11.0", "");
         assert_eq!(min_in_json(&legacy, FULL_SUITE), None);
         assert_eq!(median_in_json(&legacy, FULL_SUITE), Some(456.789));
+    }
+
+    #[test]
+    fn check_evaluates_every_guard_past_a_failing_one() {
+        let measurement = |name: &str, min_ms: f64| Measurement {
+            name: name.into(),
+            median_ms: min_ms,
+            min_ms,
+            cases_per_sec: 1.0,
+        };
+        let baseline = BenchReport {
+            cache_enabled: true,
+            iters: 3,
+            disabled_overhead_pct: 0.1,
+            measurements: vec![
+                measurement(FULL_SUITE, 100.0),
+                measurement(DEVICE_KERNEL, 2.0),
+            ],
+            cache: CacheStats::default(),
+        }
+        .to_json();
+        // The first guard and the overhead estimate are over their limits;
+        // the kernel guard in between holds.
+        let report = BenchReport {
+            cache_enabled: true,
+            iters: 3,
+            disabled_overhead_pct: 5.0,
+            measurements: vec![
+                measurement(FULL_SUITE, 200.0),
+                measurement(DEVICE_KERNEL, 2.1),
+            ],
+            cache: CacheStats::default(),
+        };
+        let checks = check_guards(&report, &baseline, "base.json", 25.0, 2.0).expect("complete");
+        let lines: Vec<&str> = checks.iter().map(|c| c.line.as_str()).collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[0].starts_with(&format!("regression check: {FULL_SUITE} ")));
+        assert!(lines[1].starts_with(&format!("regression check: {DEVICE_KERNEL} ")));
+        assert!(lines[2].starts_with("telemetry overhead guard: "));
+        let failures: Vec<&str> = checks.iter().filter_map(|c| c.failure.as_deref()).collect();
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].contains(FULL_SUITE), "{}", failures[0]);
+        assert!(
+            failures[1].starts_with("telemetry overhead: "),
+            "{}",
+            failures[1]
+        );
+        // Within every limit, nothing fails.
+        let calm = BenchReport {
+            disabled_overhead_pct: 1.0,
+            measurements: vec![
+                measurement(FULL_SUITE, 110.0),
+                measurement(DEVICE_KERNEL, 2.0),
+            ],
+            ..report
+        };
+        let checks = check_guards(&calm, &baseline, "base.json", 25.0, 2.0).expect("complete");
+        assert!(checks.iter().all(|c| c.failure.is_none()), "{checks:?}");
+        // A baseline without a guarded workload is an error, not a skip.
+        let stale = baseline.replace(DEVICE_KERNEL, "renamed");
+        let err = check_guards(&calm, &stale, "base.json", 25.0, 2.0).unwrap_err();
+        assert!(err.contains(DEVICE_KERNEL), "{err}");
     }
 
     #[test]

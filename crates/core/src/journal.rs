@@ -1,5 +1,6 @@
 //! Durable campaign journal: a crash-safe, append-only write-ahead log of
-//! per-case attempt records.
+//! per-case attempt records, and the J1 file layer it shares with the
+//! harness's result store.
 //!
 //! The paper runs its suite as batch campaigns on Titan, where preemption
 //! and node failure are routine. An interrupted campaign must not lose the
@@ -27,21 +28,22 @@
 //! Duplicate completion records (e.g. from a double-resumed campaign) keep
 //! the first occurrence and count the rest as discarded.
 //!
-//! All I/O goes through the [`crate::vfs`] seam, so the crash-torture
-//! harness can replay a campaign against a hostile disk. Two durability
-//! guarantees follow from the write path:
+//! ## The J1 layer
 //!
-//! * **Verdicts are fsynced.** Records that represent acknowledged work
-//!   ([`JournalRecord::durable`]: case completions, run metadata, node
-//!   events) are `fsync`ed before `append` returns; per-attempt chatter is
-//!   only flushed (losing an attempt line costs a re-run, not a verdict —
-//!   the classic group-commit trade).
-//! * **Segment rotation is crash-safe.** A journal built
-//!   [`FileJournal::with_rotation`] seals the active file into a
-//!   `<path>.seg<N>` segment (sync → rename → directory fsync → fresh
-//!   active → directory fsync) once it crosses the size threshold; replay
-//!   reads segments in order and the active file last, and the tail rule
-//!   cuts across file boundaries.
+//! The journal and the result store keep their records in J1 files, and
+//! this module owns the format for both: [`frame`] writes one line, and
+//! [`J1File`] creates a file, appends frames, and reopens a file after one
+//! tail-rule scan (shared with [`Replay::from_text`]) has replayed its
+//! records through the caller's decoder and cut it to its trusted prefix.
+//! A journal `done` row and a store `case` row share one codec for their
+//! [`CaseResult`] fields ([`encode_result`] / [`decode_result`]).
+//!
+//! All I/O goes through the [`crate::vfs`] seam, so the crash-torture
+//! harness can replay a campaign against a hostile disk. Records that
+//! represent acknowledged work ([`JournalRecord::durable`]: case
+//! completions, run metadata, node events) are `fsync`ed before `append`
+//! returns; per-attempt chatter is only flushed (losing an attempt line
+//! costs a re-run, not a verdict — the classic group-commit trade).
 //!
 //! The atomic temp-file + rename write helper every report/journal-adjacent
 //! file in the workspace uses lives in [`crate::vfs`] and is re-exported
@@ -73,6 +75,114 @@ pub fn checksum(payload: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Frame one payload as a complete J1 line: magic, checksum, payload and
+/// the trailing newline.
+pub fn frame(payload: &str) -> String {
+    format!("{MAGIC} {:016x} {payload}\n", checksum(payload))
+}
+
+/// The payload of one J1 line (without its newline); `None` when the magic
+/// is wrong or the checksum does not match.
+fn unframe(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix(MAGIC)?.strip_prefix(' ')?;
+    let (crc_hex, payload) = rest.split_once(' ')?;
+    let crc = u64::from_str_radix(crc_hex, 16).ok()?;
+    (crc == checksum(payload)).then_some(payload)
+}
+
+/// What the tail rule trusted of a J1 text.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Scan {
+    /// Byte length of the trusted prefix.
+    pub valid_bytes: usize,
+    /// The final line was torn (no trailing newline) and discarded.
+    pub torn: bool,
+    /// Lines discarded as corrupt: the first line whose frame or payload
+    /// does not decode, and every line after it.
+    pub corrupt: usize,
+}
+
+/// Apply the tail rule to J1 text: decode each line's payload with
+/// `decode` and hand the record to `apply`, stopping at the first torn or
+/// corrupt line. Blank lines are kept and skipped; a line may end in
+/// `\r\n`.
+fn scan<R>(text: &str, decode: impl Fn(&str) -> Option<R>, mut apply: impl FnMut(R)) -> Scan {
+    let mut scan = Scan::default();
+    let mut lines = text.split_inclusive('\n');
+    for raw in lines.by_ref() {
+        if !raw.ends_with('\n') {
+            // A torn tail: the crash happened mid-write.
+            scan.torn = true;
+            break;
+        }
+        let line = raw.trim_end_matches(['\n', '\r']);
+        if !line.is_empty() {
+            let Some(record) = unframe(line).and_then(&decode) else {
+                scan.corrupt = 1 + lines.count();
+                break;
+            };
+            apply(record);
+        }
+        scan.valid_bytes += raw.len();
+    }
+    scan
+}
+
+/// An open J1 file that takes whole frames at its end: the one write path
+/// of the journal and the result store.
+pub struct J1File {
+    file: Box<dyn VfsFile>,
+}
+
+impl J1File {
+    /// Create (truncating) `path` and fsync its directory, so the file's
+    /// existence is as durable as the frames appended to it.
+    pub fn create(vfs: &dyn Vfs, path: &Path) -> io::Result<Self> {
+        let file = vfs.create(path)?;
+        vfs.fsync_dir(vfs::containing_dir(path))?;
+        Ok(J1File { file })
+    }
+
+    /// Open `path` for appending (a missing file reads as empty and is
+    /// created), first handing each record the tail rule trusts to
+    /// `apply`, decoded from its payload by `decode`. When the
+    /// tail rule discarded anything, the file is atomically cut to its
+    /// trusted prefix before it is reopened, so a new frame never lands
+    /// behind a line the next scan would throw away.
+    pub fn open<R>(
+        vfs: &dyn Vfs,
+        path: &Path,
+        decode: impl Fn(&str) -> Option<R>,
+        apply: impl FnMut(R),
+    ) -> io::Result<(Self, Scan)> {
+        let text = if vfs.exists(path) {
+            // Lossy: a torn tail that cut a multibyte character must fall
+            // to the tail rule, not make the whole file unreadable.
+            vfs::read_lossy(vfs, path)?
+        } else {
+            String::new()
+        };
+        let scan = scan(&text, decode, apply);
+        if scan.valid_bytes < text.len() {
+            vfs::atomic_write_via(vfs, path, &text.as_bytes()[..scan.valid_bytes])?;
+        }
+        let file = vfs.open_append(path)?;
+        vfs.fsync_dir(vfs::containing_dir(path))?;
+        Ok((J1File { file }, scan))
+    }
+
+    /// Append whole frames, then fsync them when `durable` or only flush
+    /// them otherwise.
+    pub fn append(&mut self, frames: &str, durable: bool) -> io::Result<()> {
+        self.file.write_all(frames.as_bytes())?;
+        if durable {
+            self.file.sync_all()
+        } else {
+            self.file.flush()
+        }
+    }
 }
 
 /// Escape a free-text field so it survives the tab-separated, line-oriented
@@ -116,7 +226,7 @@ pub fn unescape(s: &str) -> Option<String> {
 }
 
 /// Single-letter language code used in journal and store frames.
-pub fn encode_language(lang: Language) -> &'static str {
+fn encode_language(lang: Language) -> &'static str {
     match lang {
         Language::C => "C",
         Language::Fortran => "F",
@@ -124,7 +234,7 @@ pub fn encode_language(lang: Language) -> &'static str {
 }
 
 /// Inverse of [`encode_language`].
-pub fn decode_language(s: &str) -> Option<Language> {
+fn decode_language(s: &str) -> Option<Language> {
     match s {
         "C" => Some(Language::C),
         "F" => Some(Language::Fortran),
@@ -151,7 +261,7 @@ pub fn encode_status(status: &TestStatus) -> String {
 }
 
 /// Inverse of [`encode_status`]; `None` means corruption (tail rule).
-pub fn decode_status(s: &str) -> Option<TestStatus> {
+fn decode_status(s: &str) -> Option<TestStatus> {
     if let Some((kind, msg)) = s.split_once(':') {
         return match kind {
             "CE" => Some(TestStatus::CompileError(msg.to_string())),
@@ -173,7 +283,7 @@ pub fn decode_status(s: &str) -> Option<TestStatus> {
 }
 
 /// Certainty as `m:nf`, or `-` when absent.
-pub fn encode_certainty(c: &Option<Certainty>) -> String {
+fn encode_certainty(c: &Option<Certainty>) -> String {
     match c {
         Some(c) => format!("{}:{}", c.m, c.nf),
         None => "-".to_string(),
@@ -181,7 +291,7 @@ pub fn encode_certainty(c: &Option<Certainty>) -> String {
 }
 
 /// Inverse of [`encode_certainty`]; `None` means corruption (tail rule).
-pub fn decode_certainty(s: &str) -> Option<Option<Certainty>> {
+fn decode_certainty(s: &str) -> Option<Option<Certainty>> {
     if s == "-" {
         return Some(None);
     }
@@ -192,6 +302,39 @@ pub fn decode_certainty(s: &str) -> Option<Option<Certainty>> {
         return None;
     }
     Some(Some(Certainty::new(m, nf)))
+}
+
+/// The [`CaseResult`] fields a journal `done` row and a store `case` row
+/// share, tab-joined in their on-disk order: name, feature, language,
+/// status, certainty, attempts. Both rows end with the functional source,
+/// [`escape`]d.
+pub fn encode_result(r: &CaseResult) -> String {
+    format!(
+        "{}\t{}\t{}\t{}\t{}\t{}",
+        escape(&r.name),
+        escape(r.feature.as_str()),
+        encode_language(r.language),
+        escape(&encode_status(&r.status)),
+        encode_certainty(&r.certainty),
+        r.attempts,
+    )
+}
+
+/// Inverse of [`encode_result`], given its six fields and the row's
+/// escaped functional source; `None` means corruption (tail rule).
+pub fn decode_result(fields: &[&str], source: &str) -> Option<CaseResult> {
+    let [name, feature, lang, status, cert, attempts] = fields else {
+        return None;
+    };
+    Some(CaseResult {
+        name: unescape(name)?,
+        feature: FeatureId::new(unescape(feature)?),
+        language: decode_language(lang)?,
+        status: decode_status(&unescape(status)?)?,
+        certainty: decode_certainty(cert)?,
+        functional_source: unescape(source)?,
+        attempts: attempts.parse().ok()?,
+    })
 }
 
 fn encode_node(node: &Option<u32>) -> String {
@@ -313,13 +456,8 @@ impl JournalRecord {
                 node,
                 duration_ms,
             } => format!(
-                "done\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                escape(&result.name),
-                escape(result.feature.as_str()),
-                encode_language(result.language),
-                escape(&encode_status(&result.status)),
-                encode_certainty(&result.certainty),
-                result.attempts,
+                "done\t{}\t{}\t{}\t{}",
+                encode_result(result),
                 duration_ms,
                 encode_node(node),
                 escape(&result.functional_source)
@@ -349,20 +487,12 @@ impl JournalRecord {
     /// Encode as one complete journal line (magic, checksum, payload,
     /// trailing newline).
     pub fn encode(&self) -> String {
-        let payload = self.payload();
-        format!("{MAGIC} {:016x} {payload}\n", checksum(&payload))
+        frame(&self.payload())
     }
 
-    /// Decode one line (without its trailing newline). `None` means the
-    /// line is corrupt — wrong magic, checksum mismatch, or a payload that
-    /// does not parse — and the replay tail rule applies.
-    pub fn decode(line: &str) -> Option<Self> {
-        let rest = line.strip_prefix(MAGIC)?.strip_prefix(' ')?;
-        let (crc_hex, payload) = rest.split_once(' ')?;
-        let crc = u64::from_str_radix(crc_hex, 16).ok()?;
-        if crc != checksum(payload) {
-            return None;
-        }
+    /// Decode one payload. `None` means the line is corrupt — a payload
+    /// that does not parse — and the replay tail rule applies.
+    fn from_payload(payload: &str) -> Option<Self> {
         let mut fields = payload.split('\t');
         let kind = fields.next()?;
         let fields: Vec<&str> = fields.collect();
@@ -400,21 +530,11 @@ impl JournalRecord {
                 })
             }
             "done" => {
-                let [name, feature, lang, status, cert, attempts, duration, node, source] =
-                    fields.as_slice()
-                else {
+                let [result @ .., duration, node, source] = fields.as_slice() else {
                     return None;
                 };
                 Some(JournalRecord::CaseDone {
-                    result: CaseResult {
-                        name: unescape(name)?,
-                        feature: FeatureId::new(unescape(feature)?),
-                        language: decode_language(lang)?,
-                        status: decode_status(&unescape(status)?)?,
-                        certainty: decode_certainty(cert)?,
-                        functional_source: unescape(source)?,
-                        attempts: attempts.parse().ok()?,
-                    },
+                    result: decode_result(result, source)?,
                     node: decode_node(node)?,
                     duration_ms: duration.parse().ok()?,
                 })
@@ -455,57 +575,9 @@ pub trait JournalSink: Send + Sync {
     fn append(&self, record: &JournalRecord);
 }
 
-/// The rotated-segment path for segment `n` of a journal at `path`:
-/// `<path>.seg<N>`, zero-padded so lexical order equals numeric order.
-pub fn segment_path(path: &Path, n: u64) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".seg{n:05}"));
-    path.with_file_name(name)
-}
-
-/// Rotated segments of the journal at `path`, sorted by segment number.
-fn segments(vfs: &dyn Vfs, path: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let Some(stem) = path.file_name() else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "journal path has no file name",
-        ));
-    };
-    let prefix = format!("{}.seg", stem.to_string_lossy());
-    let mut segs = Vec::new();
-    for entry in vfs.read_dir(vfs::containing_dir(path))? {
-        let Some(name) = entry.file_name() else {
-            continue;
-        };
-        if let Some(num) = name.to_string_lossy().strip_prefix(&prefix) {
-            if let Ok(n) = num.parse::<u64>() {
-                segs.push((n, entry));
-            }
-        }
-    }
-    segs.sort();
-    Ok(segs)
-}
-
-/// Every on-disk file of the journal at `path`, in replay order: rotated
-/// segments by number, then the active file (when it exists — a crash
-/// between rotation's rename and the fresh-active create can leave
-/// segments with no active file).
-pub fn journal_files(vfs: &dyn Vfs, path: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut files: Vec<PathBuf> = segments(vfs, path)?.into_iter().map(|(_, p)| p).collect();
-    if vfs.exists(path) {
-        files.push(path.to_path_buf());
-    }
-    Ok(files)
-}
-
 struct FileJournalInner {
-    file: Box<dyn VfsFile>,
+    file: J1File,
     error: Option<String>,
-    /// Bytes written to the active file (rotation trigger).
-    bytes: u64,
-    /// Next segment number a rotation will seal into.
-    next_seg: u64,
 }
 
 /// A file-backed journal sink: every record is appended and flushed so the
@@ -515,8 +587,6 @@ struct FileJournalInner {
 /// harness can run the journal against a hostile disk.
 pub struct FileJournal {
     path: PathBuf,
-    vfs: Arc<dyn Vfs>,
-    rotate_bytes: Option<u64>,
     inner: Mutex<FileJournalInner>,
 }
 
@@ -530,114 +600,27 @@ impl FileJournal {
 
     /// [`FileJournal::create`] on an injected filesystem.
     pub fn create_via(vfs: Arc<dyn Vfs>, path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = vfs.create(&path)?;
-        vfs.fsync_dir(vfs::containing_dir(&path))?;
-        Ok(FileJournal {
-            path,
-            vfs,
-            rotate_bytes: None,
-            inner: Mutex::new(FileJournalInner {
-                file,
-                error: None,
-                bytes: 0,
-                next_seg: 0,
-            }),
-        })
+        let path = path.as_ref();
+        Ok(Self::over(path, J1File::create(vfs.as_ref(), path)?))
     }
 
-    /// Open `path` for appending (creating it if missing) — the resume
-    /// path: replay first, then keep appending to the same journal.
-    pub fn append_to(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::append_to_via(RealFs::shared(), path)
-    }
-
-    /// [`FileJournal::append_to`] on an injected filesystem. Picks up the
-    /// active file's size and the next free segment number so rotation
-    /// continues where the previous process left off.
-    pub fn append_to_via(vfs: Arc<dyn Vfs>, path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let bytes = if vfs.exists(&path) {
-            vfs.read(&path)?.len() as u64
-        } else {
-            0
-        };
-        let next_seg = segments(vfs.as_ref(), &path)?
-            .last()
-            .map_or(0, |(n, _)| n + 1);
-        let file = vfs.open_append(&path)?;
-        vfs.fsync_dir(vfs::containing_dir(&path))?;
-        Ok(FileJournal {
-            path,
-            vfs,
-            rotate_bytes: None,
-            inner: Mutex::new(FileJournalInner {
-                file,
-                error: None,
-                bytes,
-                next_seg,
-            }),
-        })
-    }
-
-    /// Enable segment rotation: once the active file reaches `max_bytes`,
-    /// it is sealed into `<path>.seg<N>` (sync → rename → directory fsync
-    /// → fresh active → directory fsync — nothing is dropped until its
-    /// replacement is durable) and appends continue in a fresh active
-    /// file. Replay reads segments in order, active last.
-    pub fn with_rotation(mut self, max_bytes: u64) -> Self {
-        self.rotate_bytes = Some(max_bytes.max(1));
-        self
-    }
-
-    /// The journal's (active-file) path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    fn over(path: &Path, file: J1File) -> Self {
+        FileJournal {
+            path: path.to_path_buf(),
+            inner: Mutex::new(FileJournalInner { file, error: None }),
+        }
     }
 
     /// The first append error, if any occurred (and clears it).
     pub fn take_error(&self) -> Option<String> {
         self.inner.lock().expect("journal lock").error.take()
     }
-
-    fn append_inner(&self, inner: &mut FileJournalInner, record: &JournalRecord) -> io::Result<()> {
-        let line = record.encode();
-        inner.file.write_all(line.as_bytes())?;
-        inner.bytes += line.len() as u64;
-        if record.durable() {
-            inner.file.sync_all()?;
-        } else {
-            inner.file.flush()?;
-        }
-        if let Some(max) = self.rotate_bytes {
-            if inner.bytes >= max {
-                self.rotate(inner)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Seal the active file into the next segment and start a fresh one.
-    /// Same discipline as `atomic_write`: the segment's bytes are synced
-    /// before the rename, and the rename is made durable by a directory
-    /// fsync before anything else happens.
-    fn rotate(&self, inner: &mut FileJournalInner) -> io::Result<()> {
-        inner.file.sync_all()?;
-        let seg = segment_path(&self.path, inner.next_seg);
-        self.vfs.rename(&self.path, &seg)?;
-        self.vfs.fsync_dir(vfs::containing_dir(&self.path))?;
-        inner.file = self.vfs.create(&self.path)?;
-        self.vfs.fsync_dir(vfs::containing_dir(&self.path))?;
-        inner.next_seg += 1;
-        inner.bytes = 0;
-        Ok(())
-    }
 }
 
 impl JournalSink for FileJournal {
     fn append(&self, record: &JournalRecord) {
         let mut inner = self.inner.lock().expect("journal lock");
-        let result = self.append_inner(&mut inner, record);
+        let result = inner.file.append(&record.encode(), record.durable());
         if let (Err(e), None) = (result, &inner.error) {
             inner.error = Some(format!("{}: {e}", self.path.display()));
         }
@@ -707,17 +690,23 @@ pub struct Replay {
     pub corrupt_discarded: usize,
     /// Whether the final line was torn (no trailing newline) and discarded.
     pub torn_tail_discarded: bool,
-    /// Byte length of the trusted prefix *of the file where the tail rule
-    /// cut* (the last file absorbed, when no cut occurred). Resume
-    /// compacts that file to this length before appending, so new records
-    /// never land behind a poisoned tail (where the tail rule would
-    /// silently discard them on the next replay).
+    /// Byte length of the trusted prefix. Resume cuts the file to this
+    /// length before appending, so new records never land behind a
+    /// poisoned tail (where the tail rule would silently discard them on
+    /// the next replay).
     pub valid_bytes: usize,
-    /// Index (in [`journal_files`] order) of the file where the tail rule
-    /// cut, when a multi-file replay hit corruption.
-    pub cut_file: Option<usize>,
-    /// Whole later files dropped by the tail rule after a cut.
-    pub files_discarded: usize,
+}
+
+/// A journal to replay must exist: resuming a missing one is an operator
+/// error, not an empty campaign.
+fn must_exist(vfs: &dyn Vfs, path: &Path) -> io::Result<()> {
+    if vfs.exists(path) {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::NotFound,
+        format!("no journal at {}", path.display()),
+    ))
 }
 
 impl Replay {
@@ -725,79 +714,34 @@ impl Replay {
     /// prefix instead of aborting the resume.
     pub fn from_text(text: &str) -> Replay {
         let mut replay = Replay::default();
-        replay.absorb(text);
-        replay
+        let kept = scan(text, JournalRecord::from_payload, |r| replay.apply(r));
+        replay.kept(kept)
     }
 
-    /// Absorb one file's text; `false` when the tail rule cut it short
-    /// (torn final line or corrupt line), which invalidates every later
-    /// file too. Resets `valid_bytes` to count within this text.
-    fn absorb(&mut self, text: &str) -> bool {
-        self.valid_bytes = 0;
-        let mut lines = text.split_inclusive('\n');
-        for raw in lines.by_ref() {
-            if !raw.ends_with('\n') {
-                // A torn tail: the crash happened mid-write.
-                self.torn_tail_discarded = true;
-                return false;
-            }
-            let line = raw.trim_end_matches(['\n', '\r']);
-            if line.is_empty() {
-                self.valid_bytes += raw.len();
-                continue;
-            }
-            match JournalRecord::decode(line) {
-                Some(record) => {
-                    self.apply(record);
-                    self.valid_bytes += raw.len();
-                }
-                None => {
-                    // Tail rule: this line and everything after it is
-                    // untrustworthy.
-                    self.corrupt_discarded += 1 + lines.count();
-                    return false;
-                }
-            }
-        }
-        true
+    /// Note what the tail rule kept and discarded.
+    fn kept(mut self, scan: Scan) -> Replay {
+        self.valid_bytes = scan.valid_bytes;
+        self.torn_tail_discarded = scan.torn;
+        self.corrupt_discarded = scan.corrupt;
+        self
     }
 
-    /// Replay a journal file, including any rotated segments.
+    /// Replay a journal file.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Replay> {
         Replay::load_via(&RealFs, path)
     }
 
     /// [`Replay::load`] on an injected filesystem.
     pub fn load_via(vfs: &dyn Vfs, path: impl AsRef<Path>) -> io::Result<Replay> {
-        Ok(Replay::scan(vfs, path.as_ref())?.0)
+        let path = path.as_ref();
+        must_exist(vfs, path)?;
+        Ok(Replay::from_text(&vfs::read_lossy(vfs, path)?))
     }
 
-    /// Replay segments + active file; also returns the file list so the
-    /// resume path knows what to truncate or drop after a cut.
-    fn scan(vfs: &dyn Vfs, path: &Path) -> io::Result<(Replay, Vec<PathBuf>)> {
-        let files = journal_files(vfs, path)?;
-        if files.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no journal at {}", path.display()),
-            ));
-        }
-        let mut replay = Replay::default();
-        for (i, file) in files.iter().enumerate() {
-            if !replay.absorb(&vfs::read_lossy(vfs, file)?) {
-                replay.cut_file = Some(i);
-                replay.files_discarded = files.len() - i - 1;
-                break;
-            }
-        }
-        Ok((replay, files))
-    }
-
-    /// Open a journal for resumption: replay it, compact the cut file down
-    /// to its trusted prefix if the tail was torn or corrupt (so freshly
-    /// appended records never sit behind a line the tail rule would discard
-    /// on the next replay), drop any files after the cut entirely, and
-    /// reopen the active file for appending.
+    /// Open a journal for resumption: replay it, cut it to its trusted
+    /// prefix if the tail was torn or corrupt (so freshly appended records
+    /// never sit behind a line the tail rule would discard on the next
+    /// replay), and reopen it for appending.
     pub fn open_resume(path: impl AsRef<Path>) -> io::Result<(Replay, FileJournal)> {
         Replay::open_resume_via(RealFs::shared(), path)
     }
@@ -808,17 +752,12 @@ impl Replay {
         path: impl AsRef<Path>,
     ) -> io::Result<(Replay, FileJournal)> {
         let path = path.as_ref();
-        let (replay, files) = Replay::scan(vfs.as_ref(), path)?;
-        if let Some(i) = replay.cut_file {
-            let text = vfs.read(&files[i])?;
-            vfs::atomic_write_via(vfs.as_ref(), &files[i], &text[..replay.valid_bytes])?;
-            for later in &files[i + 1..] {
-                vfs.remove_file(later)?;
-            }
-            vfs.fsync_dir(vfs::containing_dir(path))?;
-        }
-        let journal = FileJournal::append_to_via(vfs, path)?;
-        Ok((replay, journal))
+        must_exist(vfs.as_ref(), path)?;
+        let mut replay = Replay::default();
+        let (file, kept) = J1File::open(vfs.as_ref(), path, JournalRecord::from_payload, |r| {
+            replay.apply(r)
+        })?;
+        Ok((replay.kept(kept), FileJournal::over(path, file)))
     }
 
     fn apply(&mut self, record: JournalRecord) {
@@ -893,9 +832,6 @@ impl Replay {
                 self.duplicates_discarded
             ));
         }
-        if self.files_discarded > 0 {
-            discarded.push(format!("{} later journal file(s)", self.files_discarded));
-        }
         if !discarded.is_empty() {
             let _ = write!(s, "; discarded {}", discarded.join(", "));
         }
@@ -965,7 +901,8 @@ mod tests {
                 1,
                 "escaping keeps records one line: {line:?}"
             );
-            let decoded = JournalRecord::decode(line.trim_end_matches('\n'))
+            let decoded = unframe(line.trim_end_matches('\n'))
+                .and_then(JournalRecord::from_payload)
                 .unwrap_or_else(|| panic!("decode failed: {line:?}"));
             assert_eq!(decoded, record);
         }
@@ -985,7 +922,8 @@ mod tests {
             let record = done("a", TestStatus::Skipped(Some(reason.to_string())));
             let line = record.encode();
             assert_eq!(line.matches('\n').count(), 1, "stays one line: {line:?}");
-            let decoded = JournalRecord::decode(line.trim_end_matches('\n'))
+            let decoded = unframe(line.trim_end_matches('\n'))
+                .and_then(JournalRecord::from_payload)
                 .unwrap_or_else(|| panic!("decode failed for reason {reason:?}"));
             assert_eq!(decoded, record);
             // And through a full file replay, not just line codec.
@@ -1055,9 +993,7 @@ mod tests {
 
     #[test]
     fn garbage_payload_with_valid_frame_is_rejected() {
-        let payload = "done\tonly\ttwo";
-        let line = format!("{MAGIC} {:016x} {payload}\n", checksum(payload));
-        let replay = Replay::from_text(&line);
+        let replay = Replay::from_text(&frame("done\tonly\ttwo"));
         assert_eq!(replay.records, 0);
         assert_eq!(replay.corrupt_discarded, 1);
     }
@@ -1146,69 +1082,95 @@ mod tests {
     }
 
     #[test]
-    fn rotation_seals_segments_and_replay_merges_them() {
-        let fs = FaultFs::new(2);
-        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-        let journal = FileJournal::create_via(Arc::clone(&vfs), "rot.journal")
-            .unwrap()
-            .with_rotation(1); // every record seals a segment
-        for name in ["a", "b", "c"] {
-            journal.append(&done(name, TestStatus::Pass));
+    fn tail_rule_table() {
+        // The one scan behind journal replay and store recovery. Records
+        // here are payloads that start with "ok"; anything else is a
+        // valid frame that does not decode.
+        let ok = |n: u32| frame(&format!("ok {n}"));
+        let mut flipped = ok(2).into_bytes();
+        flipped[3] = if flipped[3] == b'0' { b'1' } else { b'0' };
+        let flipped = String::from_utf8(flipped).unwrap();
+        let accented = frame("ok é");
+        let cut_at = accented.find('é').unwrap() + 1; // inside the 2-byte char
+        let torn_char = |rest: &str| {
+            let mut bytes = ok(1).into_bytes();
+            bytes.extend_from_slice(&accented.as_bytes()[..cut_at]);
+            bytes.extend_from_slice(rest.as_bytes());
+            String::from_utf8_lossy(&bytes).into_owned()
+        };
+        let expect = |valid_bytes, torn, corrupt| Scan {
+            valid_bytes,
+            torn,
+            corrupt,
+        };
+        let table: Vec<(&str, String, usize, Scan)> = vec![
+            (
+                "clean",
+                format!("{}{}", ok(1), ok(2)),
+                2,
+                expect(ok(1).len() + ok(2).len(), false, 0),
+            ),
+            (
+                "torn last line",
+                format!("{}{}", ok(1), &ok(2)[..10]),
+                1,
+                expect(ok(1).len(), true, 0),
+            ),
+            (
+                "checksum flip mid-file",
+                format!("{}{flipped}{}", ok(1), ok(3)),
+                1,
+                expect(ok(1).len(), false, 2),
+            ),
+            (
+                "valid frame, payload does not decode",
+                format!("{}{}{}", ok(1), frame("bogus"), ok(3)),
+                1,
+                expect(ok(1).len(), false, 2),
+            ),
+            (
+                "blank lines and CRLF endings",
+                format!("\n{}\r\n\r\n{}", ok(1).trim_end(), ok(2)),
+                2,
+                expect(ok(1).len() + ok(2).len() + 4, false, 0),
+            ),
+            (
+                "multibyte character torn at the end",
+                torn_char(""),
+                1,
+                expect(ok(1).len(), true, 0),
+            ),
+            (
+                "multibyte character torn mid-file",
+                torn_char(&format!("\n{}", ok(3))),
+                1,
+                expect(ok(1).len(), false, 2),
+            ),
+        ];
+        for (name, text, records, want) in table {
+            let mut applied = 0;
+            let decode = |p: &str| p.strip_prefix("ok ").map(str::to_string);
+            let got = scan(&text, decode, |_| applied += 1);
+            assert_eq!((applied, got), (records, want), "{name}");
+            let prefix = &text.as_bytes()[..got.valid_bytes];
+            assert!(prefix.is_empty() || prefix.ends_with(b"\n"), "{name}");
         }
-        assert!(journal.take_error().is_none());
-        let files = journal_files(vfs.as_ref(), Path::new("rot.journal")).unwrap();
-        assert_eq!(files.len(), 4, "3 sealed segments + empty active: {files:?}");
-        let replay = Replay::load_via(vfs.as_ref(), "rot.journal").unwrap();
-        assert_eq!(replay.completed_count(), 3);
-        assert!(replay.cut_file.is_none());
-        // Resume appends into the active file and rotation numbering
-        // continues.
-        let (replay, journal) =
-            Replay::open_resume_via(Arc::clone(&vfs), "rot.journal").unwrap();
-        assert_eq!(replay.completed_count(), 3);
-        let journal = journal.with_rotation(1);
-        journal.append(&done("d", TestStatus::Pass));
-        assert!(journal.take_error().is_none());
-        assert!(
-            fs.durable_contents(segment_path(Path::new("rot.journal"), 3))
-                .is_some(),
-            "resumed rotation picks the next free segment number"
-        );
-        let replay = Replay::load_via(vfs.as_ref(), "rot.journal").unwrap();
-        assert_eq!(replay.completed_count(), 4);
     }
 
     #[test]
-    fn multi_file_tail_rule_cuts_across_segments() {
-        let fs = FaultFs::new(3);
-        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-        let journal = FileJournal::create_via(Arc::clone(&vfs), "cut.journal")
-            .unwrap()
-            .with_rotation(1);
-        for name in ["a", "b", "c"] {
-            journal.append(&done(name, TestStatus::Pass));
+    fn replaying_a_missing_journal_is_not_found() {
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultFs::new(3));
+        for err in [
+            Replay::load_via(vfs.as_ref(), "nope.journal").unwrap_err(),
+            Replay::open_resume_via(Arc::clone(&vfs), "nope.journal")
+                .err()
+                .unwrap(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
         }
-        drop(journal);
-        // Corrupt segment 1 (the middle one): flip a checksum digit.
-        let seg1 = segment_path(Path::new("cut.journal"), 1);
-        let mut bytes = vfs.read(&seg1).unwrap();
-        bytes[3] = if bytes[3] == b'0' { b'1' } else { b'0' };
-        let mut f = vfs.create(&seg1).unwrap();
-        f.write_all(&bytes).unwrap();
-        f.sync_all().unwrap();
-        let replay = Replay::load_via(vfs.as_ref(), "cut.journal").unwrap();
-        assert_eq!(replay.completed_count(), 1, "only segment 0 is trusted");
-        assert_eq!(replay.cut_file, Some(1));
-        assert_eq!(replay.files_discarded, 2, "segment 2 + active dropped");
-        assert!(replay.summary().contains("later journal file"), "{}", replay.summary());
-        // Resume truncates the poisoned segment and removes later files.
-        let (replay, journal) =
-            Replay::open_resume_via(Arc::clone(&vfs), "cut.journal").unwrap();
-        assert_eq!(replay.completed_count(), 1);
-        journal.append(&done("z", TestStatus::Pass));
-        assert!(journal.take_error().is_none());
-        let replay = Replay::load_via(vfs.as_ref(), "cut.journal").unwrap();
-        assert_eq!(replay.completed_count(), 2, "a + z, nothing poisoned");
-        assert!(replay.cut_file.is_none());
+        assert!(
+            !vfs.exists(Path::new("nope.journal")),
+            "resume creates nothing"
+        );
     }
 }

@@ -3,13 +3,14 @@
 //! Every submission the campaign server runs lands here: a submission
 //! header, one row per case verdict, the rendered report verbatim, and a
 //! state record per lifecycle transition (`queued` → `running` → `done` /
-//! `degraded` / `cancelled` / `interrupted`). The file reuses the
-//! validation journal's `J1` checksummed-frame format — same magic, same
-//! FNV-1a checksum, same field escaping (via the public codecs in
-//! [`acc_validation::journal`]) — so the store inherits the journal's
-//! crash story: an append-only file whose torn or corrupted tail is
-//! detected and compacted away on open, with everything before the damage
-//! trusted.
+//! `degraded` / `cancelled` / `interrupted`). The file is a `J1` file,
+//! written and read through the validation journal's J1 layer
+//! ([`acc_validation::journal`]: frames, field escaping, the tail-rule
+//! scan and the append handle), so the store shares the journal's crash
+//! story: an append-only file whose torn or corrupted tail is detected and
+//! cut away on open, with everything before the damage trusted. A `case`
+//! row encodes its verdict with the same codec as the journal's `done`
+//! row.
 //!
 //! Record kinds (tab-separated payloads inside the `J1` frame):
 //!
@@ -60,12 +61,10 @@
 //! next open. There is no crash point at which both or neither are live.
 
 use acc_obs::hist::LatencyHist;
-use acc_validation::journal::{self, checksum, MAGIC};
-use acc_validation::vfs::{self, atomic_write_via, RealFs, Vfs, VfsFile};
-use acc_spec::FeatureId;
+use acc_validation::journal::{self, frame, J1File};
+use acc_validation::vfs::{self, atomic_write_via, RealFs, Vfs};
 use acc_validation::CaseResult;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -180,7 +179,7 @@ fn system_clock() -> Clock {
 }
 
 struct StoreInner {
-    file: Box<dyn VfsFile>,
+    file: J1File,
     index: BTreeMap<u64, StoredSubmission>,
     next_id: u64,
     generation: u64,
@@ -194,10 +193,6 @@ pub struct ResultStore {
     inner: Mutex<StoreInner>,
 }
 
-fn frame(payload: &str) -> String {
-    format!("{MAGIC} {:016x} {payload}\n", checksum(payload))
-}
-
 fn encode_sub(id: u64, tenant: &str, scope: &str, format: &str, epoch: u64) -> String {
     format!(
         "sub\t{id}\t{}\t{}\t{}\t{epoch}",
@@ -209,15 +204,14 @@ fn encode_sub(id: u64, tenant: &str, scope: &str, format: &str, epoch: u64) -> S
 
 fn encode_case(id: u64, r: &CaseResult) -> String {
     format!(
-        "case\t{id}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        journal::escape(&r.name),
-        journal::escape(r.feature.as_str()),
-        journal::encode_language(r.language),
-        journal::escape(&journal::encode_status(&r.status)),
-        journal::encode_certainty(&r.certainty),
-        r.attempts,
+        "case\t{id}\t{}\t{}",
+        journal::encode_result(r),
         journal::escape(&r.functional_source),
     )
+}
+
+fn encode_rep(id: u64, text: &str) -> String {
+    format!("rep\t{id}\t{}", journal::escape(text))
 }
 
 fn encode_lat(id: u64, hist: &LatencyHist) -> String {
@@ -287,22 +281,12 @@ fn decode_payload(payload: &str) -> Option<StoreRecord> {
             })
         }
         "case" => {
-            let [id, name, feature, lang, status, cert, attempts, source] =
-                fields.as_slice()
-            else {
+            let [id, result @ .., source] = fields.as_slice() else {
                 return None;
             };
             Some(StoreRecord::Case {
                 id: id.parse().ok()?,
-                result: CaseResult {
-                    name: journal::unescape(name)?,
-                    feature: FeatureId::new(journal::unescape(feature)?),
-                    language: journal::decode_language(lang)?,
-                    status: journal::decode_status(&journal::unescape(status)?)?,
-                    certainty: journal::decode_certainty(cert)?,
-                    functional_source: journal::unescape(source)?,
-                    attempts: attempts.parse().ok()?,
-                },
+                result: journal::decode_result(result, source)?,
             })
         }
         "rep" => {
@@ -335,16 +319,6 @@ fn decode_payload(payload: &str) -> Option<StoreRecord> {
         }
         _ => None,
     }
-}
-
-fn decode_line(line: &str) -> Option<StoreRecord> {
-    let rest = line.strip_prefix(MAGIC)?.strip_prefix(' ')?;
-    let (crc_hex, payload) = rest.split_once(' ')?;
-    let crc = u64::from_str_radix(crc_hex, 16).ok()?;
-    if crc != checksum(payload) {
-        return None;
-    }
-    decode_payload(payload)
 }
 
 /// The generation-pointer file: one ASCII generation number.
@@ -400,8 +374,8 @@ fn gc_stale(vfs: &dyn Vfs, base: &Path, generation: u64) -> io::Result<()> {
 impl ResultStore {
     /// Open (or create) the store at `path`, rebuilding the index with the
     /// journal's tail rule: the first torn or corrupt line poisons itself
-    /// and everything after it; the file is compacted to the trusted
-    /// prefix before appends resume. Follows the generation pointer when
+    /// and everything after it; the file is cut to the trusted prefix
+    /// before appends resume. Follows the generation pointer when
     /// one exists and garbage-collects the debris of any interrupted
     /// compaction.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
@@ -426,43 +400,13 @@ impl ResultStore {
             0
         };
         gc_stale(vfs.as_ref(), &path, generation)?;
-        let data = data_path(&path, generation);
-        let text = if vfs.exists(&data) {
-            // Lossy: a torn tail that cut a multibyte character must fall
-            // to the tail rule, not make the whole store unreadable.
-            vfs::read_lossy(vfs.as_ref(), &data)?
-        } else {
-            String::new()
-        };
         let mut index: BTreeMap<u64, StoredSubmission> = BTreeMap::new();
-        let mut valid_bytes = 0usize;
-        let mut poisoned = false;
-        for raw in text.split_inclusive('\n') {
-            if !raw.ends_with('\n') {
-                poisoned = true; // torn tail
-                break;
-            }
-            let line = raw.trim_end_matches(['\n', '\r']);
-            if line.is_empty() {
-                valid_bytes += raw.len();
-                continue;
-            }
-            match decode_line(line) {
-                Some(record) => {
-                    apply(&mut index, record);
-                    valid_bytes += raw.len();
-                }
-                None => {
-                    poisoned = true;
-                    break;
-                }
-            }
-        }
-        if poisoned {
-            atomic_write_via(vfs.as_ref(), &data, &text.as_bytes()[..valid_bytes])?;
-        }
-        let file = vfs.open_append(&data)?;
-        vfs.fsync_dir(vfs::containing_dir(&data))?;
+        let (file, _) = J1File::open(
+            vfs.as_ref(),
+            &data_path(&path, generation),
+            decode_payload,
+            |record| apply(&mut index, record),
+        )?;
         let next_id = index.keys().next_back().map_or(1, |max| max + 1);
         Ok(ResultStore {
             path,
@@ -500,13 +444,6 @@ impl ResultStore {
         data_path(&self.path, self.generation())
     }
 
-    /// Append frames and fsync — the ack discipline: nothing this store
-    /// confirmed can be lost to a crash afterwards.
-    fn append_sync(inner: &mut StoreInner, frames: &str) -> io::Result<()> {
-        inner.file.write_all(frames.as_bytes())?;
-        inner.file.sync_all()
-    }
-
     /// Register a new submission; returns its id. The header and the
     /// initial `queued` state are appended and fsynced before the id is
     /// handed out, so every id the server ever returned is resolvable
@@ -518,7 +455,7 @@ impl ResultStore {
         inner.next_id += 1;
         let mut frames = frame(&encode_sub(id, tenant, scope, format, epoch));
         frames.push_str(&frame(&encode_state(id, "queued", "")));
-        Self::append_sync(&mut inner, &frames)?;
+        inner.file.append(&frames, true)?;
         inner.index.insert(
             id,
             StoredSubmission {
@@ -540,7 +477,9 @@ impl ResultStore {
     /// Record a lifecycle transition (fsynced before returning).
     pub fn set_state(&self, id: u64, state: &str, detail: &str) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("store lock");
-        Self::append_sync(&mut inner, &frame(&encode_state(id, state, detail)))?;
+        inner
+            .file
+            .append(&frame(&encode_state(id, state, detail)), true)?;
         if let Some(sub) = inner.index.get_mut(&id) {
             sub.state = state.to_string();
             sub.detail = detail.to_string();
@@ -552,11 +491,11 @@ impl ResultStore {
     /// before returning).
     pub fn record_cases(&self, id: u64, cases: &[CaseResult]) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("store lock");
-        let mut lines = String::new();
-        for case in cases {
-            let _ = write!(lines, "{}", frame(&encode_case(id, case)));
-        }
-        Self::append_sync(&mut inner, &lines)?;
+        let lines: String = cases
+            .iter()
+            .map(|case| frame(&encode_case(id, case)))
+            .collect();
+        inner.file.append(&lines, true)?;
         if let Some(sub) = inner.index.get_mut(&id) {
             sub.cases.extend(cases.iter().cloned());
         }
@@ -568,8 +507,7 @@ impl ResultStore {
     /// would have printed). Fsynced before returning.
     pub fn record_report(&self, id: u64, text: &str) -> io::Result<()> {
         let mut inner = self.inner.lock().expect("store lock");
-        let payload = format!("rep\t{id}\t{}", journal::escape(text));
-        Self::append_sync(&mut inner, &frame(&payload))?;
+        inner.file.append(&frame(&encode_rep(id, text)), true)?;
         if let Some(sub) = inner.index.get_mut(&id) {
             sub.report = Some(text.to_string());
         }
@@ -585,7 +523,7 @@ impl ResultStore {
             return Ok(());
         }
         let mut inner = self.inner.lock().expect("store lock");
-        Self::append_sync(&mut inner, &frame(&encode_lat(id, hist)))?;
+        inner.file.append(&frame(&encode_lat(id, hist)), true)?;
         if let Some(sub) = inner.index.get_mut(&id) {
             sub.latency.get_or_insert_with(LatencyHist::new).merge(hist);
         }
@@ -609,32 +547,29 @@ impl ResultStore {
         // order: replaying this file rebuilds exactly the current index.
         let mut text = String::new();
         for sub in inner.index.values() {
-            let _ = write!(
-                text,
-                "{}",
-                frame(&encode_sub(sub.id, &sub.tenant, &sub.scope, &sub.format, sub.epoch))
-            );
+            text.push_str(&frame(&encode_sub(
+                sub.id,
+                &sub.tenant,
+                &sub.scope,
+                &sub.format,
+                sub.epoch,
+            )));
             for case in &sub.cases {
-                let _ = write!(text, "{}", frame(&encode_case(sub.id, case)));
+                text.push_str(&frame(&encode_case(sub.id, case)));
             }
             if let Some(report) = &sub.report {
-                let _ = write!(
-                    text,
-                    "{}",
-                    frame(&format!("rep\t{}\t{}", sub.id, journal::escape(report)))
-                );
+                text.push_str(&frame(&encode_rep(sub.id, report)));
             }
             if let Some(latency) = sub.latency.as_ref().filter(|h| !h.is_empty()) {
-                let _ = write!(text, "{}", frame(&encode_lat(sub.id, latency)));
+                text.push_str(&frame(&encode_lat(sub.id, latency)));
             }
-            let _ = write!(text, "{}", frame(&encode_state(sub.id, &sub.state, &sub.detail)));
+            text.push_str(&frame(&encode_state(sub.id, &sub.state, &sub.detail)));
         }
 
-        // 1. New generation fully durable (bytes and name) first.
-        let mut f = self.vfs.create(&new_data)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-        self.vfs.fsync_dir(&dir)?;
+        // 1. New generation fully durable (name and bytes) first; its
+        // handle takes the appends that follow.
+        let mut file = J1File::create(self.vfs.as_ref(), &new_data)?;
+        file.append(&text, true)?;
         // 2. The commit point: atomically swing the pointer.
         atomic_write_via(
             self.vfs.as_ref(),
@@ -646,7 +581,7 @@ impl ResultStore {
         self.vfs.remove_file(&old_data)?;
         self.vfs.fsync_dir(&dir)?;
 
-        inner.file = self.vfs.open_append(&new_data)?;
+        inner.file = file;
         inner.generation = new_gen;
         Ok(CompactionStats {
             generation: new_gen,
@@ -772,7 +707,7 @@ fn apply(index: &mut BTreeMap<u64, StoredSubmission>, record: StoreRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acc_spec::Language;
+    use acc_spec::{FeatureId, Language};
     use acc_validation::vfs::FaultFs;
     use acc_validation::TestStatus;
 
@@ -1072,8 +1007,7 @@ mod tests {
     fn case_frames_use_journal_escaping() {
         let encoded = encode_case(7, &case("x", "f", TestStatus::Crash("bad\tnews\n".into())));
         assert!(!encoded.contains('\n'));
-        let framed = frame(&encoded);
-        let decoded = decode_line(framed.trim_end()).expect("round trip");
+        let decoded = decode_payload(&encoded).expect("round trip");
         match decoded {
             StoreRecord::Case { id, result } => {
                 assert_eq!(id, 7);

@@ -5,7 +5,7 @@
 //! data. This module turns each promise into a checked invariant:
 //!
 //! 1. **Reference run** — a fixed campaign workload (two served
-//!    submissions with verdicts/reports/states, a rotated journal, a
+//!    submissions with verdicts/reports/states, a journaled campaign, a
 //!    mid-campaign store compaction, telemetry/tracker sink writes) runs
 //!    against a clean [`FaultFs`], recording the total number of
 //!    filesystem operations it performs and which operations were
@@ -80,7 +80,6 @@ const JOURNAL: &str = "torture/campaign.journal";
 const TRACE: &str = "torture/trace.json";
 const METRICS: &str = "torture/metrics.prom";
 const TRACKER: &str = "torture/tracker.tsv";
-const ROTATE_BYTES: u64 = 300;
 const EPOCH: u64 = 1_700_000_000;
 
 fn fixed_clock() -> Clock {
@@ -230,14 +229,13 @@ fn run_submission(store: &ResultStore, spec: &SubSpec, acks: &mut Acks) -> io::R
 fn run_workload(vfs: &Arc<dyn Vfs>, acks: &mut Acks) -> io::Result<()> {
     vfs.create_dir_all(Path::new("torture"))?;
     let store = ResultStore::open_via(Arc::clone(vfs), STORE)?.with_clock(fixed_clock());
-    let journal =
-        FileJournal::create_via(Arc::clone(vfs), JOURNAL)?.with_rotation(ROTATE_BYTES);
+    let journal = FileJournal::create_via(Arc::clone(vfs), JOURNAL)?;
     jappend(&journal, &journal_meta())?;
 
     // Submission A: full lifecycle.
     run_submission(&store, &SUBS[0], acks)?;
 
-    // Journaled campaign with segment rotation.
+    // Journaled campaign.
     for name in JOURNAL_CASES {
         jappend(
             &journal,
@@ -317,7 +315,6 @@ fn resume(vfs: &Arc<dyn Vfs>, violations: &mut Vec<String>) -> io::Result<()> {
         }
         Err(e) => return Err(e),
     };
-    let journal = journal.with_rotation(ROTATE_BYTES);
     if replay.meta.is_none() {
         jappend(&journal, &journal_meta())?;
     }
@@ -659,7 +656,7 @@ mod tests {
         // workload phase.
         let outcome = run_torture(&TortureConfig {
             seed: 11,
-            stride: 7,
+            stride: 6,
             verbose: false,
         })
         .expect("torture harness runs");

@@ -98,7 +98,10 @@ pub struct ServeConfig {
     /// Admission-queue capacity; pushes beyond it shed with 429.
     pub queue_cap: usize,
     /// Directory for the result store (`results.j1`) and per-submission
-    /// journals (`journal-<id>.j1`).
+    /// journals (`journal-<id>.j1`). A journal lasts only while its
+    /// submission runs: it is removed when the submission finishes, and
+    /// kept only when a drain interrupts the run, for `accvv run
+    /// --resume`.
     pub store_dir: PathBuf,
     /// Consecutive `Infra` verdicts that trip a profile's breaker.
     pub breaker_threshold: u32,
@@ -800,6 +803,13 @@ fn run_one(inner: &ServerInner, id: u64) {
         recorder: inner.config.recorder.clone(),
         latency: Some(latency.clone()),
     };
+    // The journal only serves `accvv run --resume` after a drain: every
+    // other outcome removes it before its final state is written, so a
+    // client that sees that state never sees the journal. A lost unlink
+    // leaves a harmless orphan, so the directory is not fsynced.
+    let remove_journal = || {
+        let _ = std::fs::remove_file(&journal_path);
+    };
     match run_submission(&spec, &opts) {
         Ok(outcome) => {
             inner
@@ -820,6 +830,7 @@ fn run_one(inner: &ServerInner, id: u64) {
                 );
             } else if outcome.stats.deadlined {
                 inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                remove_journal();
                 let _ = inner.store.set_state(
                     id,
                     "cancelled",
@@ -828,11 +839,13 @@ fn run_one(inner: &ServerInner, id: u64) {
             } else {
                 inner.counters.completed.fetch_add(1, Ordering::Relaxed);
                 let _ = inner.store.record_report(id, &outcome.report);
+                remove_journal();
                 let _ = inner.store.set_state(id, "done", "");
                 share_result(inner, id, &spec, &outcome.run);
             }
         }
         Err(e) => {
+            remove_journal();
             let _ = inner.store.set_state(id, "failed", &e);
         }
     }

@@ -47,6 +47,19 @@ fn write_out(args: std::fmt::Arguments) -> Result<(), String> {
     }
 }
 
+/// `eprintln!` through [`write_err`].
+macro_rules! errln {
+    ($($arg:tt)*) => { write_err(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Write a diagnostic to stderr. Like stdout, a reader that has gone away
+/// (`accvv run … 2>&1 | head -1`) drops the rest and the command ends with
+/// the status it would have had; stderr has nowhere to report its own
+/// failures, so every write error is dropped.
+fn write_err(args: std::fmt::Arguments) {
+    let _ = std::io::stderr().write_fmt(args);
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = check_flags(&args).and_then(|()| match args.first().map(String::as_str) {
@@ -71,7 +84,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("accvv: {e}");
+            errln!("accvv: {e}");
             ExitCode::FAILURE
         }
     }
@@ -232,7 +245,7 @@ impl Telemetry {
             let jsonl = obs::trace::render_jsonl(&events);
             openacc_vv::validation::atomic_write(p, jsonl.as_bytes())
                 .map_err(|e| format!("--trace-out {p}: {e}"))?;
-            eprintln!(
+            errln!(
                 "accvv: trace written to {p} ({} event(s))",
                 jsonl.lines().count()
             );
@@ -242,8 +255,11 @@ impl Telemetry {
             let text = obs::metrics::render_prometheus(&events, counters.as_ref());
             openacc_vv::validation::atomic_write(p, text.as_bytes())
                 .map_err(|e| format!("--metrics-out {p}: {e}"))?;
-            eprint!("{}", obs::metrics::summary_table(&events, counters.as_ref()));
-            eprintln!("accvv: metrics written to {p}");
+            write_err(format_args!(
+                "{}",
+                obs::metrics::summary_table(&events, counters.as_ref())
+            ));
+            errln!("accvv: metrics written to {p}");
         }
         Ok(())
     }
@@ -381,9 +397,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let cancel = openacc_vv::server::signal::install_default();
     policy = policy.with_cancel(Arc::clone(&cancel));
     let (journal_path, resume_path) = journal_paths(args)?;
+    let mut journal = None;
     if let Some(p) = &journal_path {
         let j = FileJournal::create(p).map_err(|e| format!("--journal {p}: {e}"))?;
-        policy = policy.with_journal(Arc::new(j));
+        journal = Some(Arc::new(j));
     }
     if let Some(p) = &resume_path {
         let (replay, j) = Replay::open_resume(p).map_err(|e| format!("--resume {p}: {e}"))?;
@@ -395,10 +412,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 ));
             }
         }
-        eprintln!("accvv: {}", replay.summary());
-        policy = policy
-            .with_journal(Arc::new(j))
-            .with_resume(Arc::new(replay));
+        errln!("accvv: {}", replay.summary());
+        journal = Some(Arc::new(j));
+        policy = policy.with_resume(Arc::new(replay));
+    }
+    if let Some(j) = &journal {
+        policy = policy.with_journal(j.clone());
     }
     if let Some(n) = opt(args, "--halt-after") {
         policy = policy.with_halt_after(n.parse().map_err(|_| "bad --halt-after")?);
@@ -419,12 +438,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let (run, stats) = Executor::new(policy).run_suite_stats(&campaign, &compiler);
     tele.finish(None)?;
     if stats.cached > 0 {
-        eprintln!(
+        errln!(
             "accvv: resume skipped {} completed case(s); {} executed this run",
             stats.cached, stats.executed
         );
     }
-    if stats.halted {
+    // A journal that dropped a record cannot resume this run, so its
+    // failure replaces the resume hints: the report is still written.
+    let journal_failure = journal_failure(journal.as_deref());
+    if stats.halted && journal_failure.is_none() {
         let hint = journal_path
             .as_ref()
             .or(resume_path.as_ref())
@@ -435,7 +457,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             stats.executed
         ));
     }
-    if stats.cancelled {
+    if stats.cancelled && journal_failure.is_none() {
         let hint = journal_path
             .as_ref()
             .or(resume_path.as_ref())
@@ -452,7 +474,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     match opt(args, "--out") {
         Some(p) => {
             report::write_file(&run, format, &p).map_err(|e| format!("--out {p}: {e}"))?;
-            eprintln!("accvv: report written to {p}");
+            errln!("accvv: report written to {p}");
         }
         None => out!("{}", report::render(&run, format))?,
     }
@@ -480,6 +502,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         let breakdown = run.failure_breakdown(lang);
         outln!("taxonomy [{lang}]: {breakdown}")?;
         hard_failures += breakdown.total_failures();
+    }
+    if let Some(e) = journal_failure {
+        return Err(e);
     }
     if hard_failures > 0 {
         return Err(format!("{hard_failures} case(s) failed"));
@@ -522,14 +547,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let addr = server.local_addr().map_err(|e| format!("serve: {e}"))?;
     let cache = server.cache();
     openacc_vv::server::signal::install(server.drain_token());
-    eprintln!(
+    errln!(
         "accvv: serving campaigns on http://{addr} (store: {store_dir}); \
          POST /v1/submit to queue one, SIGINT/SIGTERM to drain"
     );
     let summary = server.run().map_err(|e| format!("serve: {e}"))?;
     tele.finish(Some(&cache.stats()))?;
-    eprintln!("accvv: drained cleanly: {summary}");
+    errln!("accvv: drained cleanly: {summary}");
     Ok(())
+}
+
+/// The command's error when its journal failed to take a record (the
+/// first append error): the journal cannot resume the run.
+fn journal_failure(journal: Option<&FileJournal>) -> Option<String> {
+    let e = journal?.take_error()?;
+    Some(format!("journal {e}; it cannot resume this run"))
 }
 
 /// `--journal FILE` and `--resume FILE`, which exclude each other.
@@ -598,7 +630,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         outln!()?;
     }
     if let Some(c) = &cache {
-        eprintln!("accvv: compile cache: {}", c.stats());
+        errln!("accvv: compile cache: {}", c.stats());
     }
     let cache_stats = cache.as_ref().map(|c| c.stats());
     tele.finish(cache_stats.as_ref())?;
@@ -629,7 +661,7 @@ fn default_jobs() -> usize {
 /// `accvv bench`: time the suite's hot paths, write `BENCH_suite.json`,
 /// and optionally gate against a committed baseline.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    use acc_bench::perf::{self, median_in_json, run_bench};
+    use acc_bench::perf::{self, run_bench};
     let iters: u32 = parse_opt_or(args, "--iters", 3u32)?;
     let use_cache = !flag(args, "--no-cache");
     let report = run_bench(iters, use_cache);
@@ -662,63 +694,25 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let json = report.to_json();
     openacc_vv::validation::atomic_write(&out, json.as_bytes())
         .map_err(|e| format!("--out {out}: {e}"))?;
-    eprintln!("accvv: bench report written to {out}");
-    // Regression gate: compare each guarded workload against the baseline.
-    // Minima, not medians: load interference only ever adds time, so the
-    // minimum is the stable estimator of true cost and a real regression
-    // raises it just the same (medians stay in the report for eyeballing).
-    // A guarded workload missing from the baseline is a hard error with a
-    // regeneration hint — silently skipping it would let a regression ship
-    // behind a stale baseline.
+    errln!("accvv: bench report written to {out}");
+    // Regression and telemetry-overhead gates: print every guard, then
+    // fail naming each one over its limit.
     if let Some((baseline_json, baseline_path)) = baseline_json {
         let tolerance_pct: f64 = parse_opt_or(args, "--tolerance-pct", 25.0f64)?;
-        for &name in perf::GUARDED {
-            let baseline = perf::min_in_json(&baseline_json, name)
-                .or_else(|| median_in_json(&baseline_json, name))
-                .ok_or_else(|| {
-                    format!(
-                        "--check {baseline_path}: baseline has no `{name}` measurement but this \
-                         run produced one; regenerate the baseline with \
-                         `accvv bench --out {baseline_path}`"
-                    )
-                })?;
-            let current = report
-                .measurement(name)
-                .map(|m| m.min_ms)
-                .ok_or_else(|| format!("bench did not measure guarded workload `{name}`"))?;
-            let limit = baseline * (1.0 + tolerance_pct / 100.0);
-            outln!(
-                "regression check: {name} min {current:.2}ms vs baseline min {baseline:.2}ms \
-                 (limit {limit:.2}ms = +{tolerance_pct}%)"
-            )?;
-            if current > limit {
-                return Err(format!(
-                    "performance regression: {name} took {current:.2}ms, more than \
-                     {tolerance_pct}% over the {baseline:.2}ms baseline"
-                ));
-            }
-        }
-        // Telemetry-overhead guard: the cost of *disabled* telemetry on the
-        // full suite, gated on this run's own paired estimate (measured
-        // no-op call cost × recorded event volume ÷ full-suite wall time —
-        // see `BenchReport::disabled_overhead_pct`). A cross-run wall-clock
-        // comparison cannot resolve a 2% threshold on shared hardware; the
-        // min-based regression gate above still bounds gross cross-run
-        // drift of the same workload.
         let overhead_pct: f64 = parse_opt_or(args, "--overhead-pct", 2.0f64)?;
-        outln!(
-            "telemetry overhead guard: disabled instrumentation costs ~{:.3}% of \
-             {} (limit {overhead_pct}%)",
-            report.disabled_overhead_pct,
-            perf::FULL_SUITE
+        let checks = perf::check_guards(
+            &report,
+            &baseline_json,
+            &baseline_path,
+            tolerance_pct,
+            overhead_pct,
         )?;
-        if report.disabled_overhead_pct > overhead_pct {
-            return Err(format!(
-                "telemetry overhead: disabled instrumentation is estimated at {:.3}% of \
-                 the {} wall time, over the {overhead_pct}% limit",
-                report.disabled_overhead_pct,
-                perf::FULL_SUITE
-            ));
+        for check in &checks {
+            outln!("{}", check.line)?;
+        }
+        let failures: Vec<&str> = checks.iter().filter_map(|c| c.failure.as_deref()).collect();
+        if !failures.is_empty() {
+            return Err(failures.join("; "));
         }
     }
     Ok(())
@@ -774,7 +768,7 @@ fn cmd_history(args: &[String]) -> Result<(), String> {
         let json = openacc_vv::harness::history::baseline_json(&rows, by);
         openacc_vv::validation::atomic_write(&out, json.as_bytes())
             .map_err(|e| format!("--out {out}: {e}"))?;
-        eprintln!("accvv: history baseline written to {out}");
+        errln!("accvv: history baseline written to {out}");
     }
     if let Some((baseline_json, baseline_path)) = baseline {
         let tol = DriftTolerance {
@@ -1032,7 +1026,7 @@ fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
     let resumed = match &resume_path {
         Some(p) => {
             let (replay, j) = Replay::open_resume(p).map_err(|e| format!("--resume {p}: {e}"))?;
-            eprintln!("accvv: {}", replay.summary());
+            errln!("accvv: {}", replay.summary());
             Some((replay, j))
         }
         None => None,
@@ -1071,14 +1065,17 @@ fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
         .with_retries(parse_opt_or(args, "--retries", 0u32)?)
         .with_recorder(tele.recorder.clone())
         .with_exec_mode(parse_exec_mode(args)?);
+    let mut journal = None;
     if let Some(p) = &journal_path {
         let j = FileJournal::create(p).map_err(|e| format!("--journal {p}: {e}"))?;
-        policy = policy.with_journal(Arc::new(j));
+        journal = Some(Arc::new(j));
     }
     if let Some((replay, j)) = resumed {
-        policy = policy
-            .with_journal(Arc::new(j))
-            .with_resume(Arc::new(replay));
+        journal = Some(Arc::new(j));
+        policy = policy.with_resume(Arc::new(replay));
+    }
+    if let Some(j) = &journal {
+        policy = policy.with_journal(j.clone());
     }
     if let Some(n) = opt(args, "--halt-after") {
         policy = policy.with_halt_after(n.parse().map_err(|_| "bad --halt-after")?);
@@ -1095,7 +1092,7 @@ fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
         Some(p) => {
             openacc_vv::validation::atomic_write(&p, rendered.as_bytes())
                 .map_err(|e| format!("--out {p}: {e}"))?;
-            eprintln!("accvv: report written to {p}");
+            errln!("accvv: report written to {p}");
         }
         None => out!("{rendered}")?,
     }
@@ -1117,6 +1114,9 @@ fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
         tracker
             .save(&track)
             .map_err(|e| format!("--track {track}: {e}"))?;
+    }
+    if let Some(e) = journal_failure(journal.as_deref()) {
+        return Err(e);
     }
     if out.halted {
         let hint = journal_path
@@ -1155,7 +1155,7 @@ fn cmd_torture(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     for v in &outcome.violations {
-        eprintln!("torture: VIOLATION {v}");
+        errln!("torture: VIOLATION {v}");
     }
     Err(format!(
         "{} recovery-invariant violation(s); reproduce deterministically with --seed {}",

@@ -2,12 +2,13 @@
 //! layer (ISSUE 7 tentpole).
 //!
 //! The harness-level crash matrix (`openacc_vv::harness::run_torture`)
-//! replays the reference durability workload — store lifecycle, rotated
-//! journal, mid-campaign compaction, atomic sinks — crashing after EVERY
+//! replays the reference durability workload — store lifecycle, journaled
+//! campaign, mid-campaign compaction, atomic sinks — crashing after EVERY
 //! recorded filesystem operation and asserting the recovery invariants.
 //! This file runs the FULL matrix (stride 1) plus targeted fault shapes
-//! the matrix doesn't force: persistent ENOSPC, fsync poisoning, and a
-//! crash wedged precisely into each window of the compaction swap.
+//! the matrix doesn't force: persistent ENOSPC, fsync poisoning, a crash
+//! after every operation of a journal's appends, and a crash wedged
+//! precisely into each window of the compaction swap.
 
 use openacc_vv::harness::store::CompactionStats;
 use openacc_vv::harness::{run_torture, QueryFilter, ResultStore, TortureConfig};
@@ -210,11 +211,11 @@ fn failed_fsync_poisons_the_ack_path() {
 }
 
 #[test]
-fn journal_rotation_crash_points_preserve_acked_verdicts() {
+fn journal_crash_points_preserve_acked_verdicts() {
     use openacc_vv::validation::journal::{JournalRecord, JournalSink, Replay};
     use openacc_vv::validation::FileJournal;
 
-    // Reference: journal enough verdicts to force several rotations.
+    // Reference: journal six verdicts, each fsynced before it is acked.
     let names: Vec<String> = (0..6).map(|i| format!("case-{i}")).collect();
     let write_all = |vfs: Arc<dyn Vfs>| -> Vec<String> {
         // Creation itself is inside the crash matrix: a budget of 1–2 ops
@@ -222,7 +223,6 @@ fn journal_rotation_crash_points_preserve_acked_verdicts() {
         let Ok(journal) = FileJournal::create_via(Arc::clone(&vfs), "sweep.journal") else {
             return Vec::new();
         };
-        let journal = journal.with_rotation(200);
         let mut acked = Vec::new();
         for name in &names {
             journal.append(&JournalRecord::CaseDone {
@@ -246,7 +246,7 @@ fn journal_rotation_crash_points_preserve_acked_verdicts() {
         let image = fs.crash_image().unwrap_or_else(|| fs.settled_image());
         let boot = FaultFs::from_image(&image, 13);
         let vfs = arc(&boot);
-        let (replay, _journal) = match Replay::open_resume_via(Arc::clone(&vfs), "sweep.journal") {
+        let (replay, journal) = match Replay::open_resume_via(Arc::clone(&vfs), "sweep.journal") {
             Ok(pair) => pair,
             // The journal name itself may not have survived an early crash
             // — legal only if nothing was ever acked.
@@ -258,9 +258,25 @@ fn journal_rotation_crash_points_preserve_acked_verdicts() {
                 replay
                     .completed
                     .contains_key(&(name.clone(), Language::C)),
-                "crash@{k}: acked verdict {name} lost across rotation"
+                "crash@{k}: acked verdict {name} lost"
             );
         }
+        // Resume cut any torn tail, so a verdict appended now replays.
+        journal.append(&JournalRecord::CaseDone {
+            result: case("resumed", TestStatus::Pass),
+            node: None,
+            duration_ms: 1,
+        });
+        assert_eq!(journal.take_error(), None, "crash@{k}");
+        let replay = Replay::load_via(vfs.as_ref(), "sweep.journal").expect("reload");
+        assert_eq!(
+            (replay.torn_tail_discarded, replay.corrupt_discarded),
+            (false, 0),
+            "crash@{k}: the resumed journal has a poisoned tail"
+        );
+        assert!(replay
+            .completed
+            .contains_key(&("resumed".to_string(), Language::C)));
     }
 }
 

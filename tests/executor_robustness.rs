@@ -327,6 +327,66 @@ fn accvv_stops_quietly_when_stdout_is_closed() {
     assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
+/// A closed stderr is no more fatal than a closed stdout: a resumed run
+/// whose diagnostics reader went away still writes its report and keeps
+/// its exit status.
+#[test]
+fn accvv_stops_quietly_when_stderr_is_closed() {
+    let dir = std::env::temp_dir().join(format!("accvv-stderr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (clean, journal, resumed) = (path("clean.txt"), path("j.j1"), path("resumed.txt"));
+    let base = ["run", "--vendor", "reference", "--features", "loop"];
+    assert!(
+        accvv(&[&base[..], &["--out", &clean]].concat()).0,
+        "clean run"
+    );
+    let halted = [&base[..], &["--journal", &journal, "--halt-after", "2"]].concat();
+    assert!(!accvv(&halted).0, "halted run exits nonzero");
+    // The resume prints its replay summary to stderr before it runs.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_accvv"))
+        .args(base)
+        .args(["--resume", &journal, "--out", &resumed])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn accvv");
+    drop(child.stderr.take());
+    let status = child.wait().expect("wait for accvv");
+    assert_ne!(status.code(), Some(101), "a closed stderr panicked the run");
+    assert!(status.success(), "{status}");
+    let read = |name: &str| std::fs::read(dir.join(name)).expect(name);
+    assert_eq!(read("resumed.txt"), read("clean.txt"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal that cannot take its records cannot resume the run: the run
+/// and the sweep fail, naming the journal, instead of exiting 0.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_journal_on_a_full_disk_fails_the_run() {
+    for args in [
+        &[
+            "run",
+            "--vendor",
+            "reference",
+            "--features",
+            "loop",
+            "--journal",
+            "/dev/full",
+        ][..],
+        &["titan", "--sweep", "--nodes", "2", "--journal", "/dev/full"][..],
+    ] {
+        let (ok, stderr) = accvv(args);
+        assert!(!ok, "{args:?} exited 0");
+        assert!(
+            stderr.contains("accvv: journal /dev/full: ")
+                && stderr.contains("; it cannot resume this run"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 /// `accvv run` and `POST /v1/submit` parse one spelling with one parser:
 /// they accept and reject the same spellings with the same message.
 #[test]

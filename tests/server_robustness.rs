@@ -467,6 +467,24 @@ fn served_report_matches_run_submission_cold_and_warm() {
         query.body
     );
 
+    // A finished submission's journal is gone before its `done` state is
+    // visible: the store directory does not grow a file per submission.
+    let journals: Vec<String> = std::fs::read_dir(&server.store_dir)
+        .expect("store dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("journal-"))
+        .collect();
+    assert!(
+        journals.is_empty(),
+        "finished journals left behind: {journals:?}"
+    );
+
     let summary = server.drain_and_join();
     assert_eq!(summary.completed, 2);
     assert_eq!(summary.degraded, 0);

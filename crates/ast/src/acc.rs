@@ -2,7 +2,8 @@
 //! their argument expressions.
 
 use crate::expr::Expr;
-use acc_spec::{ClauseKind, DirectiveKind, ReductionOp};
+use crate::{cgen, fgen};
+use acc_spec::{ClauseKind, DirectiveKind, Language, ReductionOp};
 use std::fmt;
 
 /// A reference to data in a data clause: a variable, optionally with an
@@ -209,31 +210,155 @@ impl AccDirective {
             .collect()
     }
 
-    /// Render in C pragma syntax (without the `#pragma acc` prefix).
-    pub fn render_suffix(&self) -> String {
-        let mut s = self.kind.name().to_string();
+    /// Write the directive as it follows its sentinel (`#pragma acc ` or
+    /// `!$acc `), in `lang`'s expression and array-section syntax.
+    pub(crate) fn write_to(&self, out: &mut String, lang: Language) {
+        out.push_str(self.kind.name());
         if let Some(arg) = &self.wait_arg {
-            s.push_str(&format!("({})", crate::cgen::expr_to_c(arg)));
+            out.push('(');
+            write_expr(out, arg, lang);
+            out.push(')');
         }
         if !self.cache_args.is_empty() {
-            let refs: Vec<String> = self
-                .cache_args
-                .iter()
-                .map(crate::cgen::dataref_to_c)
-                .collect();
-            s.push_str(&format!("({})", refs.join(", ")));
+            out.push('(');
+            write_datarefs(out, &self.cache_args, lang);
+            out.push(')');
         }
         for c in &self.clauses {
-            s.push(' ');
-            s.push_str(&crate::cgen::clause_to_c(c));
+            out.push(' ');
+            c.write_to(out, lang);
         }
-        s
+    }
+}
+
+impl AccClause {
+    /// Write the clause in `lang`'s syntax.
+    pub(crate) fn write_to(&self, out: &mut String, lang: Language) {
+        match self {
+            AccClause::If(e) => write_paren_expr(out, "if", e, lang),
+            AccClause::Async(e) => write_opt_expr(out, "async", e, lang),
+            AccClause::NumGangs(e) => write_paren_expr(out, "num_gangs", e, lang),
+            AccClause::NumWorkers(e) => write_paren_expr(out, "num_workers", e, lang),
+            AccClause::VectorLength(e) => write_paren_expr(out, "vector_length", e, lang),
+            AccClause::Reduction(op, vars) => {
+                out.push_str("reduction(");
+                out.push_str(match lang {
+                    Language::C => op.c_symbol(),
+                    Language::Fortran => op.fortran_symbol(),
+                });
+                out.push(':');
+                push_joined(out, vars);
+                out.push(')');
+            }
+            AccClause::Data(kind, refs) => {
+                out.push_str(kind.name());
+                out.push('(');
+                write_datarefs(out, refs, lang);
+                out.push(')');
+            }
+            AccClause::Deviceptr(vars) => write_name_list(out, "deviceptr", vars),
+            AccClause::Private(vars) => write_name_list(out, "private", vars),
+            AccClause::Firstprivate(vars) => write_name_list(out, "firstprivate", vars),
+            AccClause::UseDevice(vars) => write_name_list(out, "use_device", vars),
+            AccClause::Gang(e) => write_opt_expr(out, "gang", e, lang),
+            AccClause::Worker(e) => write_opt_expr(out, "worker", e, lang),
+            AccClause::Vector(e) => write_opt_expr(out, "vector", e, lang),
+            AccClause::Seq => out.push_str("seq"),
+            AccClause::Independent => out.push_str("independent"),
+            AccClause::Collapse(e) => write_paren_expr(out, "collapse", e, lang),
+            AccClause::DefaultNone => out.push_str("default(none)"),
+            AccClause::Auto => out.push_str("auto"),
+        }
+    }
+}
+
+impl DataRef {
+    /// Write the reference in `lang`'s section syntax: C `a[start:len]`,
+    /// Fortran's inclusive `a(lo:hi)`.
+    pub(crate) fn write_to(&self, out: &mut String, lang: Language) {
+        out.push_str(&self.name);
+        let Some((start, len)) = &self.section else {
+            return;
+        };
+        match lang {
+            Language::C => {
+                out.push('[');
+                cgen::write_expr(out, start, 0);
+                out.push(':');
+                cgen::write_expr(out, len, 0);
+                out.push(']');
+            }
+            Language::Fortran => {
+                // Fortran sections are inclusive `lo:hi`; hi = start + len - 1.
+                out.push('(');
+                fgen::write_expr(out, start, 0);
+                out.push(':');
+                if matches!(start, Expr::Int(0)) {
+                    fgen::write_sub_one(out, len);
+                } else {
+                    fgen::write_sub_one(out, &Expr::add(start.clone(), len.clone()));
+                }
+                out.push(')');
+            }
+        }
+    }
+}
+
+fn write_expr(out: &mut String, e: &Expr, lang: Language) {
+    match lang {
+        Language::C => cgen::write_expr(out, e, 0),
+        Language::Fortran => fgen::write_expr(out, e, 0),
+    }
+}
+
+/// `name(expr)`
+fn write_paren_expr(out: &mut String, name: &str, e: &Expr, lang: Language) {
+    out.push_str(name);
+    out.push('(');
+    write_expr(out, e, lang);
+    out.push(')');
+}
+
+/// `name` or `name(expr)`
+fn write_opt_expr(out: &mut String, name: &str, e: &Option<Expr>, lang: Language) {
+    match e {
+        None => out.push_str(name),
+        Some(e) => write_paren_expr(out, name, e, lang),
+    }
+}
+
+/// `name(a, b, …)` over plain names.
+fn write_name_list(out: &mut String, name: &str, vars: &[String]) {
+    out.push_str(name);
+    out.push('(');
+    push_joined(out, vars);
+    out.push(')');
+}
+
+/// `items` joined by `", "`.
+fn push_joined(out: &mut String, items: &[String]) {
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(v);
+    }
+}
+
+fn write_datarefs(out: &mut String, refs: &[DataRef], lang: Language) {
+    for (i, r) in refs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        r.write_to(out, lang);
     }
 }
 
 impl fmt::Display for AccDirective {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#pragma acc {}", self.render_suffix())
+        let mut s = String::from("#pragma acc ");
+        self.write_to(&mut s, Language::C);
+        f.write_str(&s)
     }
 }
 

@@ -5,22 +5,26 @@
 //! The emitted subset is exactly what `acc-frontend`'s C parser accepts;
 //! emit→parse→emit is a fixpoint (property-tested in `acc-frontend`).
 
-use crate::acc::{AccClause, DataRef};
+use crate::acc::{AccClause, AccDirective, DataRef};
 use crate::expr::{Expr, UnOp};
 use crate::program::{Function, ParamKind, Program};
 use crate::stmt::{ForLoop, LValue, Stmt};
 use crate::types::{ScalarType, Type};
+use acc_spec::Language;
 use std::fmt::Write;
 
 /// Render a whole program as C source.
 pub fn emit_c(p: &Program) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "/* test program: {} */", p.name);
+    let mut out = String::with_capacity(p.rendered_size_hint());
+    out.push_str("/* test program: ");
+    out.push_str(&p.name);
+    out.push_str(" */\n");
     out.push_str("#include <openacc.h>\n#include <math.h>\n#include <stdlib.h>\n\n");
     // Emit prototypes for helpers so call-before-def parses cleanly.
     for f in &p.functions {
         if f.name != "main" {
-            let _ = writeln!(out, "{};", signature(f));
+            write_signature(&mut out, f);
+            out.push_str(";\n");
         }
     }
     if p.functions.iter().any(|f| f.name != "main") {
@@ -37,25 +41,36 @@ pub fn emit_c(p: &Program) -> String {
     out
 }
 
-fn signature(f: &Function) -> String {
-    let ret = f.ret.map(|t| t.c_name()).unwrap_or("void");
-    let params = if f.params.is_empty() {
-        "void".to_string()
-    } else {
-        f.params
-            .iter()
-            .map(|p| match p.kind {
-                ParamKind::Scalar(t) => format!("{} {}", t.c_name(), p.name),
-                ParamKind::ArrayPtr(t) => format!("{}* {}", t.c_name(), p.name),
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    format!("{ret} {}({params})", f.name)
+fn write_signature(out: &mut String, f: &Function) {
+    out.push_str(f.ret.map(|t| t.c_name()).unwrap_or("void"));
+    out.push(' ');
+    out.push_str(&f.name);
+    out.push('(');
+    if f.params.is_empty() {
+        out.push_str("void");
+    }
+    for (i, p) in f.params.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        match p.kind {
+            ParamKind::Scalar(t) => write_decl(out, t, false, &p.name),
+            ParamKind::ArrayPtr(t) => write_decl(out, t, true, &p.name),
+        }
+    }
+    out.push(')');
+}
+
+/// `T name` or `T* name`.
+fn write_decl(out: &mut String, t: ScalarType, ptr: bool, name: &str) {
+    out.push_str(t.c_name());
+    out.push_str(if ptr { "* " } else { " " });
+    out.push_str(name);
 }
 
 fn emit_function(out: &mut String, f: &Function) {
-    let _ = writeln!(out, "{} {{", signature(f));
+    write_signature(out, f);
+    out.push_str(" {\n");
     for s in &f.body {
         emit_stmt(out, s, 1);
     }
@@ -79,38 +94,37 @@ fn emit_block(out: &mut String, body: &[Stmt], level: usize) {
 }
 
 fn emit_stmt(out: &mut String, s: &Stmt, level: usize) {
+    indent(out, level);
     match s {
         Stmt::DeclScalar { name, ty, init } => {
-            indent(out, level);
-            let decl = match ty {
-                Type::Scalar(t) => format!("{} {}", t.c_name(), name),
-                Type::Ptr(t) => format!("{}* {}", t.c_name(), name),
-            };
-            match init {
-                Some(e) => {
-                    let _ = writeln!(out, "{decl} = {};", expr_to_c(e));
-                }
-                None => {
-                    let _ = writeln!(out, "{decl};");
-                }
+            match ty {
+                Type::Scalar(t) => write_decl(out, *t, false, name),
+                Type::Ptr(t) => write_decl(out, *t, true, name),
             }
+            if let Some(e) = init {
+                out.push_str(" = ");
+                write_expr(out, e, 0);
+            }
+            out.push_str(";\n");
         }
         Stmt::DeclArray { name, elem, dims } => {
-            indent(out, level);
-            let dims: String = dims.iter().map(|d| format!("[{d}]")).collect();
-            let _ = writeln!(out, "{} {name}{dims};", elem.c_name());
+            write_decl(out, *elem, false, name);
+            for &d in dims {
+                out.push('[');
+                push_uint(out, d as u64);
+                out.push(']');
+            }
+            out.push_str(";\n");
         }
         Stmt::Assign { target, op, value } => {
-            indent(out, level);
-            let t = lvalue_to_c(target);
-            match op {
-                Some(op) => {
-                    let _ = writeln!(out, "{t} {}= {};", op.c_symbol(), expr_to_c(value));
-                }
-                None => {
-                    let _ = writeln!(out, "{t} = {};", expr_to_c(value));
-                }
+            write_lvalue(out, target);
+            out.push(' ');
+            if let Some(op) = op {
+                out.push_str(op.c_symbol());
             }
+            out.push_str("= ");
+            write_expr(out, value, 0);
+            out.push_str(";\n");
         }
         Stmt::For(l) => emit_for(out, l, level),
         Stmt::If {
@@ -118,8 +132,9 @@ fn emit_stmt(out: &mut String, s: &Stmt, level: usize) {
             then_body,
             else_body,
         } => {
-            indent(out, level);
-            let _ = writeln!(out, "if ({})", expr_to_c(cond));
+            out.push_str("if (");
+            write_expr(out, cond, 0);
+            out.push_str(")\n");
             emit_block(out, then_body, level);
             if !else_body.is_empty() {
                 indent(out, level);
@@ -128,167 +143,185 @@ fn emit_stmt(out: &mut String, s: &Stmt, level: usize) {
             }
         }
         Stmt::Call { name, args } => {
-            indent(out, level);
-            let args: Vec<String> = args.iter().map(expr_to_c).collect();
-            let _ = writeln!(out, "{name}({});", args.join(", "));
+            write_call(out, name, args);
+            out.push_str(";\n");
         }
         Stmt::Return(e) => {
-            indent(out, level);
-            let _ = writeln!(out, "return {};", expr_to_c(e));
+            out.push_str("return ");
+            write_expr(out, e, 0);
+            out.push_str(";\n");
         }
         Stmt::AccBlock { dir, body } => {
-            indent(out, level);
-            let _ = writeln!(out, "#pragma acc {}", dir.render_suffix());
+            write_pragma(out, dir);
             emit_block(out, body, level);
         }
         Stmt::AccLoop { dir, l } => {
+            write_pragma(out, dir);
             indent(out, level);
-            let _ = writeln!(out, "#pragma acc {}", dir.render_suffix());
             emit_for(out, l, level);
         }
-        Stmt::AccStandalone { dir } => {
-            indent(out, level);
-            let _ = writeln!(out, "#pragma acc {}", dir.render_suffix());
-        }
+        Stmt::AccStandalone { dir } => write_pragma(out, dir),
     }
 }
 
+/// `#pragma acc <directive>` and its newline.
+fn write_pragma(out: &mut String, dir: &AccDirective) {
+    out.push_str("#pragma acc ");
+    dir.write_to(out, Language::C);
+    out.push('\n');
+}
+
+/// The `for` header and body; the caller has written the indent.
 fn emit_for(out: &mut String, l: &ForLoop, level: usize) {
-    indent(out, level);
-    let step = match &l.step {
-        Expr::Int(1) => format!("{}++", l.var),
-        e => format!("{} += {}", l.var, expr_to_c(e)),
-    };
-    let _ = writeln!(
-        out,
-        "for ({v} = {from}; {v} < {to}; {step})",
-        v = l.var,
-        from = expr_to_c(&l.from),
-        to = expr_to_c(&l.to),
-    );
+    let v = &l.var;
+    out.push_str("for (");
+    out.push_str(v);
+    out.push_str(" = ");
+    write_expr(out, &l.from, 0);
+    out.push_str("; ");
+    out.push_str(v);
+    out.push_str(" < ");
+    write_expr(out, &l.to, 0);
+    out.push_str("; ");
+    out.push_str(v);
+    match &l.step {
+        Expr::Int(1) => out.push_str("++"),
+        e => {
+            out.push_str(" += ");
+            write_expr(out, e, 0);
+        }
+    }
+    out.push_str(")\n");
     emit_block(out, &l.body, level);
 }
 
-fn lvalue_to_c(lv: &LValue) -> String {
+fn write_lvalue(out: &mut String, lv: &LValue) {
     match lv {
-        LValue::Var(n) => n.clone(),
-        LValue::Index { base, indices } => {
-            let idx: String = indices
-                .iter()
-                .map(|e| format!("[{}]", expr_to_c(e)))
-                .collect();
-            format!("{base}{idx}")
-        }
+        LValue::Var(n) => out.push_str(n),
+        LValue::Index { base, indices } => write_index(out, base, indices),
     }
+}
+
+/// `base[i][j]…`
+fn write_index(out: &mut String, base: &str, indices: &[Expr]) {
+    out.push_str(base);
+    for e in indices {
+        out.push('[');
+        write_expr(out, e, 0);
+        out.push(']');
+    }
+}
+
+/// `name(a, b, …)`
+fn write_call(out: &mut String, name: &str, args: &[Expr]) {
+    out.push_str(name);
+    out.push('(');
+    for (i, a) in args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_expr(out, a, 0);
+    }
+    out.push(')');
 }
 
 /// Render an expression in C syntax with minimal parentheses.
 pub fn expr_to_c(e: &Expr) -> String {
-    expr_prec(e, 0)
+    let mut out = String::new();
+    write_expr(&mut out, e, 0);
+    out
 }
 
-fn expr_prec(e: &Expr, parent_prec: u8) -> String {
+/// Write `e` in C syntax, parenthesized when it binds looser than
+/// `parent_prec`.
+pub(crate) fn write_expr(out: &mut String, e: &Expr, parent_prec: u8) {
     match e {
-        Expr::Int(v) => {
-            if *v < 0 {
-                format!("({v})")
-            } else {
-                v.to_string()
-            }
-        }
-        Expr::Real(v, ty) => real_to_c(*v, *ty),
-        Expr::Var(n) => n.clone(),
-        Expr::Index { base, indices } => {
-            let idx: String = indices
-                .iter()
-                .map(|e| format!("[{}]", expr_to_c(e)))
-                .collect();
-            format!("{base}{idx}")
-        }
+        Expr::Int(v) => write_int(out, *v),
+        Expr::Real(v, ty) => write_real(out, *v, *ty),
+        Expr::Var(n) => out.push_str(n),
+        Expr::Index { base, indices } => write_index(out, base, indices),
         Expr::Unary(op, inner) => {
-            let sym = match op {
-                UnOp::Neg => "-",
-                UnOp::Not => "!",
-            };
-            format!("{sym}{}", expr_prec(inner, 11))
+            out.push(match op {
+                UnOp::Neg => '-',
+                UnOp::Not => '!',
+            });
+            write_expr(out, inner, 11);
         }
         Expr::Binary(op, l, r) => {
             let prec = op.precedence();
+            let paren = prec < parent_prec;
+            if paren {
+                out.push('(');
+            }
             // Left-associative: the right operand needs prec+1.
-            let s = format!(
-                "{} {} {}",
-                expr_prec(l, prec),
-                op.c_symbol(),
-                expr_prec(r, prec + 1)
-            );
-            if prec < parent_prec {
-                format!("({s})")
-            } else {
-                s
+            write_expr(out, l, prec);
+            out.push(' ');
+            out.push_str(op.c_symbol());
+            out.push(' ');
+            write_expr(out, r, prec + 1);
+            if paren {
+                out.push(')');
             }
         }
-        Expr::Call { name, args } => {
-            let args: Vec<String> = args.iter().map(expr_to_c).collect();
-            format!("{name}({})", args.join(", "))
+        Expr::Call { name, args } => write_call(out, name, args),
+        Expr::SizeOf(t) => {
+            out.push_str("sizeof(");
+            out.push_str(t.c_name());
+            out.push(')');
         }
-        Expr::SizeOf(t) => format!("sizeof({})", t.c_name()),
     }
 }
 
-fn real_to_c(v: f64, ty: ScalarType) -> String {
+/// An integer literal; a negative one is parenthesized, in either language.
+pub(crate) fn write_int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push_str("(-");
+        push_uint(out, v.unsigned_abs());
+        out.push(')');
+    } else {
+        push_uint(out, v.unsigned_abs());
+    }
+}
+
+/// Append `n` in decimal, without the `fmt` machinery.
+pub(crate) fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+fn write_real(out: &mut String, v: f64, ty: ScalarType) {
     // `{:?}` gives the shortest representation that round-trips the value.
-    let mut s = format!("{v:?}");
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-        s.push_str(".0");
+    let start = out.len();
+    let _ = write!(out, "{v:?}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
     }
     if ty == ScalarType::Float {
-        s.push('f');
+        out.push('f');
     }
-    s
 }
 
 /// Render a single clause in C clause syntax.
 pub fn clause_to_c(c: &AccClause) -> String {
-    match c {
-        AccClause::If(e) => format!("if({})", expr_to_c(e)),
-        AccClause::Async(None) => "async".to_string(),
-        AccClause::Async(Some(e)) => format!("async({})", expr_to_c(e)),
-        AccClause::NumGangs(e) => format!("num_gangs({})", expr_to_c(e)),
-        AccClause::NumWorkers(e) => format!("num_workers({})", expr_to_c(e)),
-        AccClause::VectorLength(e) => format!("vector_length({})", expr_to_c(e)),
-        AccClause::Reduction(op, vars) => {
-            format!("reduction({}:{})", op.c_symbol(), vars.join(", "))
-        }
-        AccClause::Data(kind, refs) => {
-            let refs: Vec<String> = refs.iter().map(dataref_to_c).collect();
-            format!("{}({})", kind.name(), refs.join(", "))
-        }
-        AccClause::Deviceptr(vars) => format!("deviceptr({})", vars.join(", ")),
-        AccClause::Private(vars) => format!("private({})", vars.join(", ")),
-        AccClause::Firstprivate(vars) => format!("firstprivate({})", vars.join(", ")),
-        AccClause::UseDevice(vars) => format!("use_device({})", vars.join(", ")),
-        AccClause::Gang(None) => "gang".to_string(),
-        AccClause::Gang(Some(e)) => format!("gang({})", expr_to_c(e)),
-        AccClause::Worker(None) => "worker".to_string(),
-        AccClause::Worker(Some(e)) => format!("worker({})", expr_to_c(e)),
-        AccClause::Vector(None) => "vector".to_string(),
-        AccClause::Vector(Some(e)) => format!("vector({})", expr_to_c(e)),
-        AccClause::Seq => "seq".to_string(),
-        AccClause::Independent => "independent".to_string(),
-        AccClause::Collapse(e) => format!("collapse({})", expr_to_c(e)),
-        AccClause::DefaultNone => "default(none)".to_string(),
-        AccClause::Auto => "auto".to_string(),
-    }
+    let mut out = String::new();
+    c.write_to(&mut out, Language::C);
+    out
 }
 
 /// Render a data reference in C section syntax.
 pub fn dataref_to_c(r: &DataRef) -> String {
-    match &r.section {
-        None => r.name.clone(),
-        Some((start, len)) => {
-            format!("{}[{}:{}]", r.name, expr_to_c(start), expr_to_c(len))
-        }
-    }
+    let mut out = String::new();
+    r.write_to(&mut out, Language::C);
+    out
 }
 
 #[cfg(test)]
@@ -319,6 +352,7 @@ mod tests {
 
     #[test]
     fn float_literals_get_suffix() {
+        let real_to_c = |v, ty| expr_to_c(&Expr::Real(v, ty));
         assert_eq!(real_to_c(0.5, ScalarType::Float), "0.5f");
         assert_eq!(real_to_c(0.5, ScalarType::Double), "0.5");
         assert_eq!(real_to_c(1e-9, ScalarType::Double), "1e-9");

@@ -18,19 +18,21 @@
 //! to the top of the enclosing function and replaces initialized
 //! declarations with assignments in place.
 
-use crate::acc::{AccClause, AccDirective, DataRef};
+use crate::cgen::{push_uint, write_int};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::program::{Function, ParamKind, Program};
 use crate::stmt::{ForLoop, LValue, Stmt};
 use crate::types::{ScalarType, Type};
-use acc_spec::ReductionOp;
+use acc_spec::Language;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Render a whole program as Fortran source.
 pub fn emit_fortran(p: &Program) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "! test program: {}", p.name);
+    let mut out = String::with_capacity(p.rendered_size_hint());
+    out.push_str("! test program: ");
+    out.push_str(&p.name);
+    out.push('\n');
     let mut first = true;
     for f in &p.functions {
         if !first {
@@ -43,33 +45,23 @@ pub fn emit_fortran(p: &Program) -> String {
 }
 
 /// A hoisted declaration.
-#[derive(Debug, Clone, PartialEq)]
-enum Decl {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Decl<'a> {
     Scalar(Type),
-    Array(ScalarType, Vec<usize>),
+    Array(ScalarType, &'a [usize]),
 }
 
-fn collect_decls(body: &[Stmt], decls: &mut BTreeMap<String, Decl>) {
+fn collect_decls<'a>(body: &'a [Stmt], decls: &mut BTreeMap<&'a str, Decl<'a>>) {
     for s in body {
         match s {
             Stmt::DeclScalar { name, ty, .. } => {
-                decls.entry(name.clone()).or_insert(Decl::Scalar(*ty));
+                decls.entry(name).or_insert(Decl::Scalar(*ty));
             }
             Stmt::DeclArray { name, elem, dims } => {
-                decls
-                    .entry(name.clone())
-                    .or_insert(Decl::Array(*elem, dims.clone()));
+                decls.entry(name).or_insert(Decl::Array(*elem, dims));
             }
-            Stmt::For(l) => {
-                decls
-                    .entry(l.var.clone())
-                    .or_insert(Decl::Scalar(Type::INT));
-                collect_decls(&l.body, decls);
-            }
-            Stmt::AccLoop { l, .. } => {
-                decls
-                    .entry(l.var.clone())
-                    .or_insert(Decl::Scalar(Type::INT));
+            Stmt::For(l) | Stmt::AccLoop { l, .. } => {
+                decls.entry(&l.var).or_insert(Decl::Scalar(Type::INT));
                 collect_decls(&l.body, decls);
             }
             Stmt::If {
@@ -87,74 +79,77 @@ fn collect_decls(body: &[Stmt], decls: &mut BTreeMap<String, Decl>) {
 }
 
 fn emit_function(out: &mut String, f: &Function) {
-    let header = match f.ret {
-        Some(t) => format!(
-            "{} function {}({})",
-            t.fortran_name(),
-            f.name,
-            param_list(f)
-        ),
-        None => format!("subroutine {}({})", f.name, param_list(f)),
-    };
-    let _ = writeln!(out, "{header}");
-    let _ = writeln!(out, "    implicit none");
+    match f.ret {
+        Some(t) => {
+            out.push_str(t.fortran_name());
+            out.push_str(" function ");
+        }
+        None => out.push_str("subroutine "),
+    }
+    out.push_str(&f.name);
+    out.push('(');
+    for (i, p) in f.params.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&p.name);
+    }
+    out.push_str(")\n    implicit none\n");
     // Parameter declarations.
     for p in &f.params {
         match p.kind {
-            ParamKind::Scalar(t) => {
-                let _ = writeln!(out, "    {} :: {}", t.fortran_name(), p.name);
-            }
-            ParamKind::ArrayPtr(t) => {
-                let _ = writeln!(out, "    {} :: {}(0:*)", t.fortran_name(), p.name);
-            }
+            ParamKind::Scalar(t) => write_decl(out, t.fortran_name(), &p.name, ""),
+            ParamKind::ArrayPtr(t) => write_decl(out, t.fortran_name(), &p.name, "(0:*)"),
         }
     }
     // Hoisted local declarations.
     let mut decls = BTreeMap::new();
     collect_decls(&f.body, &mut decls);
     for p in &f.params {
-        decls.remove(&p.name);
+        decls.remove(p.name.as_str());
     }
     for (name, d) in &decls {
         match d {
-            Decl::Scalar(Type::Scalar(t)) => {
-                let _ = writeln!(out, "    {} :: {}", t.fortran_name(), name);
-            }
-            Decl::Scalar(Type::Ptr(_)) => {
-                // Device pointers surface as 8-byte integers in the dialect.
-                let _ = writeln!(out, "    integer(8) :: {name}");
-            }
+            Decl::Scalar(Type::Scalar(t)) => write_decl(out, t.fortran_name(), name, ""),
+            // Device pointers surface as 8-byte integers in the dialect.
+            Decl::Scalar(Type::Ptr(_)) => write_decl(out, "integer(8)", name, ""),
             Decl::Array(t, dims) => {
-                let bounds: Vec<String> = dims.iter().map(|d| format!("0:{}", d - 1)).collect();
-                let _ = writeln!(
-                    out,
-                    "    {} :: {}({})",
-                    t.fortran_name(),
-                    name,
-                    bounds.join(", ")
-                );
+                out.push_str("    ");
+                out.push_str(t.fortran_name());
+                out.push_str(" :: ");
+                out.push_str(name);
+                out.push('(');
+                for (i, &d) in dims.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    out.push_str("0:");
+                    push_uint(out, d as u64 - 1);
+                }
+                out.push_str(")\n");
             }
         }
     }
     for s in &f.body {
         emit_stmt(out, s, 1, f);
     }
-    match f.ret {
-        Some(_) => {
-            let _ = writeln!(out, "end function {}", f.name);
-        }
-        None => {
-            let _ = writeln!(out, "end subroutine {}", f.name);
-        }
-    }
+    out.push_str(if f.ret.is_some() {
+        "end function "
+    } else {
+        "end subroutine "
+    });
+    out.push_str(&f.name);
+    out.push('\n');
 }
 
-fn param_list(f: &Function) -> String {
-    f.params
-        .iter()
-        .map(|p| p.name.clone())
-        .collect::<Vec<_>>()
-        .join(", ")
+/// `    <type> :: <name><suffix>` and its newline.
+fn write_decl(out: &mut String, ty: &str, name: &str, suffix: &str) {
+    out.push_str("    ");
+    out.push_str(ty);
+    out.push_str(" :: ");
+    out.push_str(name);
+    out.push_str(suffix);
+    out.push('\n');
 }
 
 fn indent(out: &mut String, level: usize) {
@@ -175,24 +170,24 @@ fn emit_stmt(out: &mut String, s: &Stmt, level: usize, f: &Function) {
             // Declaration hoisted; emit only the initialization.
             if let Some(e) = init {
                 indent(out, level);
-                let _ = writeln!(out, "{name} = {}", expr_to_f(e));
+                out.push_str(name);
+                out.push_str(" = ");
+                write_expr(out, e, 0);
+                out.push('\n');
             }
         }
         Stmt::DeclArray { .. } => { /* hoisted, nothing to execute */ }
         Stmt::Assign { target, op, value } => {
             indent(out, level);
-            let t = lvalue_to_f(target);
+            write_lvalue(out, target);
+            out.push_str(" = ");
             match op {
-                // Fortran has no compound assignment; expand.
-                Some(op) => {
-                    let expanded =
-                        Expr::Binary(*op, Box::new(lvalue_expr(target)), Box::new(value.clone()));
-                    let _ = writeln!(out, "{t} = {}", expr_to_f(&expanded));
-                }
-                None => {
-                    let _ = writeln!(out, "{t} = {}", expr_to_f(value));
-                }
+                // Fortran has no compound assignment; expand `t op= v` to
+                // `t = t op v`.
+                Some(op) => write_binary(out, *op, Operand::Target(target), value, 0),
+                None => write_expr(out, value, 0),
             }
+            out.push('\n');
         }
         Stmt::For(l) => emit_do(out, l, level, f),
         Stmt::If {
@@ -201,7 +196,9 @@ fn emit_stmt(out: &mut String, s: &Stmt, level: usize, f: &Function) {
             else_body,
         } => {
             indent(out, level);
-            let _ = writeln!(out, "if ({}) then", expr_to_f(cond));
+            out.push_str("if (");
+            write_expr(out, cond, 0);
+            out.push_str(") then\n");
             emit_body(out, then_body, level + 1, f);
             if !else_body.is_empty() {
                 indent(out, level);
@@ -213,32 +210,44 @@ fn emit_stmt(out: &mut String, s: &Stmt, level: usize, f: &Function) {
         }
         Stmt::Call { name, args } => {
             indent(out, level);
-            let args: Vec<String> = args.iter().map(expr_to_f).collect();
-            let _ = writeln!(out, "call {name}({})", args.join(", "));
+            out.push_str("call ");
+            write_call(out, name, args);
+            out.push('\n');
         }
         Stmt::Return(e) => {
             indent(out, level);
             if f.ret.is_some() {
-                let _ = writeln!(out, "{} = {}", f.name, expr_to_f(e));
+                out.push_str(&f.name);
+                out.push_str(" = ");
+                write_expr(out, e, 0);
+                out.push('\n');
                 indent(out, level);
             }
             out.push_str("return\n");
         }
         Stmt::AccBlock { dir, body } => {
             indent(out, level);
-            let _ = writeln!(out, "!$acc {}", directive_to_f(dir));
+            out.push_str("!$acc ");
+            dir.write_to(out, Language::Fortran);
+            out.push('\n');
             emit_body(out, body, level + 1, f);
             indent(out, level);
-            let _ = writeln!(out, "!$acc end {}", dir.kind.name());
+            out.push_str("!$acc end ");
+            out.push_str(dir.kind.name());
+            out.push('\n');
         }
         Stmt::AccLoop { dir, l } => {
             indent(out, level);
-            let _ = writeln!(out, "!$acc {}", directive_to_f(dir));
+            out.push_str("!$acc ");
+            dir.write_to(out, Language::Fortran);
+            out.push('\n');
             emit_do(out, l, level, f);
         }
         Stmt::AccStandalone { dir } => {
             indent(out, level);
-            let _ = writeln!(out, "!$acc {}", directive_to_f(dir));
+            out.push_str("!$acc ");
+            dir.write_to(out, Language::Fortran);
+            out.push('\n');
         }
     }
 }
@@ -246,47 +255,31 @@ fn emit_stmt(out: &mut String, s: &Stmt, level: usize, f: &Function) {
 fn emit_do(out: &mut String, l: &ForLoop, level: usize, f: &Function) {
     indent(out, level);
     // `for (i = a; i < b; ...)` becomes the inclusive `do i = a, b-1`.
-    let hi = sub_one(&l.to);
-    match &l.step {
-        Expr::Int(1) => {
-            let _ = writeln!(
-                out,
-                "do {} = {}, {}",
-                l.var,
-                expr_to_f(&l.from),
-                expr_to_f(&hi)
-            );
-        }
-        step => {
-            let _ = writeln!(
-                out,
-                "do {} = {}, {}, {}",
-                l.var,
-                expr_to_f(&l.from),
-                expr_to_f(&hi),
-                expr_to_f(step)
-            );
-        }
+    out.push_str("do ");
+    out.push_str(&l.var);
+    out.push_str(" = ");
+    write_expr(out, &l.from, 0);
+    out.push_str(", ");
+    write_sub_one(out, &l.to);
+    if !matches!(l.step, Expr::Int(1)) {
+        out.push_str(", ");
+        write_expr(out, &l.step, 0);
     }
+    out.push('\n');
     emit_body(out, &l.body, level + 1, f);
     indent(out, level);
     out.push_str("end do\n");
 }
 
-/// Symbolic `e - 1` with peephole simplification so that parse→emit is a
-/// fixpoint (`(x + 1) - 1` collapses back to `x`).
-pub fn sub_one(e: &Expr) -> Expr {
+/// Write `e - 1`, peephole-simplified so that parse→emit is a fixpoint:
+/// a constant folds, and `x + 1` writes back as `x`.
+pub(crate) fn write_sub_one(out: &mut String, e: &Expr) {
     if let Some(v) = e.const_int() {
-        return Expr::Int(v - 1);
+        return write_expr(out, &Expr::Int(v - 1), 0);
     }
     match e {
-        Expr::Binary(BinOp::Add, l, r) => {
-            if let Expr::Int(1) = **r {
-                return (**l).clone();
-            }
-            Expr::sub(e.clone(), Expr::int(1))
-        }
-        _ => Expr::sub(e.clone(), Expr::int(1)),
+        Expr::Binary(BinOp::Add, l, r) if matches!(**r, Expr::Int(1)) => write_expr(out, l, 0),
+        _ => write_binary(out, BinOp::Sub, Operand::Expr(e), &Expr::Int(1), 0),
     }
 }
 
@@ -306,29 +299,31 @@ pub fn add_one(e: &Expr) -> Expr {
     }
 }
 
-fn lvalue_expr(lv: &LValue) -> Expr {
+fn write_lvalue(out: &mut String, lv: &LValue) {
     match lv {
-        LValue::Var(n) => Expr::Var(n.clone()),
-        LValue::Index { base, indices } => Expr::Index {
-            base: base.clone(),
-            indices: indices.clone(),
-        },
+        LValue::Var(n) => out.push_str(n),
+        LValue::Index { base, indices } => write_call(out, base, indices),
     }
 }
 
-fn lvalue_to_f(lv: &LValue) -> String {
-    match lv {
-        LValue::Var(n) => n.clone(),
-        LValue::Index { base, indices } => {
-            let idx: Vec<String> = indices.iter().map(expr_to_f).collect();
-            format!("{base}({})", idx.join(", "))
+/// `name(a, b, …)`: a call, or an array element.
+fn write_call(out: &mut String, name: &str, args: &[Expr]) {
+    out.push_str(name);
+    out.push('(');
+    for (i, a) in args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
+        write_expr(out, a, 0);
     }
+    out.push(')');
 }
 
 /// Render an expression in the Fortran dialect.
 pub fn expr_to_f(e: &Expr) -> String {
-    expr_prec_f(e, 0)
+    let mut out = String::new();
+    write_expr(&mut out, e, 0);
+    out
 }
 
 fn f_symbol(op: BinOp) -> &'static str {
@@ -360,132 +355,80 @@ fn intrinsic_name(op: BinOp) -> Option<&'static str> {
     }
 }
 
-fn expr_prec_f(e: &Expr, parent_prec: u8) -> String {
+/// The left operand of a binary expression: an expression, or an
+/// assignment target read as one (`t op= v` expands to `t = t op v`).
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Expr(&'a Expr),
+    Target(&'a LValue),
+}
+
+impl Operand<'_> {
+    fn write(self, out: &mut String, parent_prec: u8) {
+        match self {
+            Operand::Expr(e) => write_expr(out, e, parent_prec),
+            // A variable or an element never needs parentheses.
+            Operand::Target(t) => write_lvalue(out, t),
+        }
+    }
+}
+
+fn write_binary(out: &mut String, op: BinOp, l: Operand<'_>, r: &Expr, parent_prec: u8) {
+    if let Some(name) = intrinsic_name(op) {
+        out.push_str(name);
+        out.push('(');
+        l.write(out, 0);
+        out.push_str(", ");
+        write_expr(out, r, 0);
+        out.push(')');
+        return;
+    }
+    let prec = op.precedence();
+    let paren = prec < parent_prec;
+    if paren {
+        out.push('(');
+    }
+    l.write(out, prec);
+    out.push(' ');
+    out.push_str(f_symbol(op));
+    out.push(' ');
+    write_expr(out, r, prec + 1);
+    if paren {
+        out.push(')');
+    }
+}
+
+/// Write `e` in the Fortran dialect, parenthesized when it binds looser
+/// than `parent_prec`.
+pub(crate) fn write_expr(out: &mut String, e: &Expr, parent_prec: u8) {
     match e {
-        Expr::Int(v) => {
-            if *v < 0 {
-                format!("({v})")
-            } else {
-                v.to_string()
-            }
+        Expr::Int(v) => write_int(out, *v),
+        Expr::Real(v, ty) => write_real(out, *v, *ty),
+        Expr::Var(n) => out.push_str(n),
+        Expr::Index { base, indices } => write_call(out, base, indices),
+        Expr::Unary(op, inner) => {
+            out.push_str(match op {
+                UnOp::Neg => "-",
+                UnOp::Not => ".not. ",
+            });
+            write_expr(out, inner, 11);
         }
-        Expr::Real(v, ty) => real_to_f(*v, *ty),
-        Expr::Var(n) => n.clone(),
-        Expr::Index { base, indices } => {
-            let idx: Vec<String> = indices.iter().map(expr_to_f).collect();
-            format!("{base}({})", idx.join(", "))
-        }
-        Expr::Unary(op, inner) => match op {
-            UnOp::Neg => format!("-{}", expr_prec_f(inner, 11)),
-            UnOp::Not => format!(".not. {}", expr_prec_f(inner, 11)),
-        },
-        Expr::Binary(op, l, r) => {
-            if let Some(name) = intrinsic_name(*op) {
-                return format!("{name}({}, {})", expr_to_f(l), expr_to_f(r));
-            }
-            let prec = op.precedence();
-            let s = format!(
-                "{} {} {}",
-                expr_prec_f(l, prec),
-                f_symbol(*op),
-                expr_prec_f(r, prec + 1)
-            );
-            if prec < parent_prec {
-                format!("({s})")
-            } else {
-                s
-            }
-        }
-        Expr::Call { name, args } => {
-            let args: Vec<String> = args.iter().map(expr_to_f).collect();
-            format!("{name}({})", args.join(", "))
-        }
+        Expr::Binary(op, l, r) => write_binary(out, *op, Operand::Expr(l), r, parent_prec),
+        Expr::Call { name, args } => write_call(out, name, args),
         // sizeof folds to its byte count in the Fortran rendering.
-        Expr::SizeOf(t) => (t.size_bytes()).to_string(),
+        Expr::SizeOf(t) => push_uint(out, t.size_bytes() as u64),
     }
 }
 
-fn real_to_f(v: f64, ty: ScalarType) -> String {
-    let base = format!("{v:?}");
-    match ty {
-        ScalarType::Double => {
-            if let Some(pos) = base.find(['e', 'E']) {
-                let (m, e) = base.split_at(pos);
-                format!("{m}d{}", &e[1..])
-            } else {
-                format!("{base}d0")
-            }
-        }
-        _ => base,
-    }
-}
-
-/// Render a directive (after the `!$acc` sentinel) in Fortran clause syntax.
-pub fn directive_to_f(dir: &AccDirective) -> String {
-    // Directive names spell identically in Fortran (including `host_data`).
-    let mut s = dir.kind.name().to_string();
-    if let Some(arg) = &dir.wait_arg {
-        s.push_str(&format!("({})", expr_to_f(arg)));
-    }
-    if !dir.cache_args.is_empty() {
-        let refs: Vec<String> = dir.cache_args.iter().map(dataref_to_f).collect();
-        s.push_str(&format!("({})", refs.join(", ")));
-    }
-    for c in &dir.clauses {
-        s.push(' ');
-        s.push_str(&clause_to_f(c));
-    }
-    s
-}
-
-fn clause_to_f(c: &AccClause) -> String {
-    match c {
-        AccClause::If(e) => format!("if({})", expr_to_f(e)),
-        AccClause::Async(None) => "async".to_string(),
-        AccClause::Async(Some(e)) => format!("async({})", expr_to_f(e)),
-        AccClause::NumGangs(e) => format!("num_gangs({})", expr_to_f(e)),
-        AccClause::NumWorkers(e) => format!("num_workers({})", expr_to_f(e)),
-        AccClause::VectorLength(e) => format!("vector_length({})", expr_to_f(e)),
-        AccClause::Reduction(op, vars) => {
-            format!("reduction({}:{})", fortran_red_symbol(*op), vars.join(", "))
-        }
-        AccClause::Data(kind, refs) => {
-            let refs: Vec<String> = refs.iter().map(dataref_to_f).collect();
-            format!("{}({})", kind.name(), refs.join(", "))
-        }
-        AccClause::Deviceptr(vars) => format!("deviceptr({})", vars.join(", ")),
-        AccClause::Private(vars) => format!("private({})", vars.join(", ")),
-        AccClause::Firstprivate(vars) => format!("firstprivate({})", vars.join(", ")),
-        AccClause::UseDevice(vars) => format!("use_device({})", vars.join(", ")),
-        AccClause::Gang(None) => "gang".to_string(),
-        AccClause::Gang(Some(e)) => format!("gang({})", expr_to_f(e)),
-        AccClause::Worker(None) => "worker".to_string(),
-        AccClause::Worker(Some(e)) => format!("worker({})", expr_to_f(e)),
-        AccClause::Vector(None) => "vector".to_string(),
-        AccClause::Vector(Some(e)) => format!("vector({})", expr_to_f(e)),
-        AccClause::Seq => "seq".to_string(),
-        AccClause::Independent => "independent".to_string(),
-        AccClause::Collapse(e) => format!("collapse({})", expr_to_f(e)),
-        AccClause::DefaultNone => "default(none)".to_string(),
-        AccClause::Auto => "auto".to_string(),
-    }
-}
-
-fn fortran_red_symbol(op: ReductionOp) -> &'static str {
-    op.fortran_symbol()
-}
-
-fn dataref_to_f(r: &DataRef) -> String {
-    match &r.section {
-        None => r.name.clone(),
-        Some((start, len)) => {
-            // Fortran sections are inclusive `lo:hi`; hi = start + len - 1.
-            let hi = if matches!(start, Expr::Int(0)) {
-                sub_one(len)
-            } else {
-                sub_one(&Expr::add(start.clone(), len.clone()))
-            };
-            format!("{}({}:{})", r.name, expr_to_f(start), expr_to_f(&hi))
+fn write_real(out: &mut String, v: f64, ty: ScalarType) {
+    let start = out.len();
+    let _ = write!(out, "{v:?}");
+    if ty == ScalarType::Double {
+        // A `d` exponent marks double precision: `1e-9` is `1d-9`, and a
+        // literal without an exponent gets `d0`.
+        match out[start..].find(['e', 'E']) {
+            Some(pos) => out.replace_range(start + pos..start + pos + 1, "d"),
+            None => out.push_str("d0"),
         }
     }
 }
@@ -493,8 +436,37 @@ fn dataref_to_f(r: &DataRef) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acc::{AccClause, AccDirective, DataRef};
     use crate::program::Program;
-    use acc_spec::{ClauseKind, DirectiveKind, Language};
+    use acc_spec::{ClauseKind, DirectiveKind, ReductionOp};
+
+    fn sub_one(e: &Expr) -> String {
+        let mut out = String::new();
+        write_sub_one(&mut out, e);
+        out
+    }
+
+    fn real_to_f(v: f64, ty: ScalarType) -> String {
+        expr_to_f(&Expr::Real(v, ty))
+    }
+
+    fn dataref_to_f(r: &DataRef) -> String {
+        let mut out = String::new();
+        r.write_to(&mut out, Language::Fortran);
+        out
+    }
+
+    fn clause_to_f(c: &AccClause) -> String {
+        let mut out = String::new();
+        c.write_to(&mut out, Language::Fortran);
+        out
+    }
+
+    fn directive_to_f(d: &AccDirective) -> String {
+        let mut out = String::new();
+        d.write_to(&mut out, Language::Fortran);
+        out
+    }
 
     #[test]
     fn do_loop_inclusive_bounds() {
@@ -515,12 +487,18 @@ mod tests {
 
     #[test]
     fn constant_bound_collapses() {
-        let hi = sub_one(&Expr::int(10));
-        assert_eq!(hi, Expr::int(9));
+        assert_eq!(sub_one(&Expr::int(10)), "9");
+        assert_eq!(sub_one(&Expr::int(0)), "(-1)");
         // (x + 1) - 1 == x
+        assert_eq!(sub_one(&Expr::add(Expr::var("x"), Expr::int(1))), "x");
+        assert_eq!(sub_one(&Expr::var("n")), "n - 1");
         assert_eq!(
-            sub_one(&Expr::add(Expr::var("x"), Expr::int(1))),
-            Expr::var("x")
+            sub_one(&Expr::sub(Expr::var("n"), Expr::var("m"))),
+            "n - m - 1"
+        );
+        assert_eq!(
+            sub_one(&Expr::bin(BinOp::BitAnd, Expr::var("n"), Expr::int(3))),
+            "iand(n, 3) - 1"
         );
         // (x - 1) + 1 == x
         assert_eq!(

@@ -32,7 +32,14 @@ pub use types::{ScalarType, Type};
 
 /// Render a program as source text in its own language.
 pub fn render(program: &Program) -> String {
-    match program.language {
+    render_as(program, program.language)
+}
+
+/// Render a program as source text in `language`. The emitters never read
+/// [`Program::language`], so one program renders as either language
+/// without a copy.
+pub fn render_as(program: &Program, language: acc_spec::Language) -> String {
+    match language {
         acc_spec::Language::C => cgen::emit_c(program),
         acc_spec::Language::Fortran => fgen::emit_fortran(program),
     }

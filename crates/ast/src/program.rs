@@ -83,6 +83,29 @@ impl Program {
         self.functions.iter().find(|f| f.name == name)
     }
 
+    /// A cheap estimate of the program's rendered size in bytes, which the
+    /// emitters size their output buffer by: a header plus an average line
+    /// per statement (calibrated on the generated suite, where it errs a
+    /// little high).
+    pub(crate) fn rendered_size_hint(&self) -> usize {
+        fn count(body: &[Stmt]) -> usize {
+            body.iter()
+                .map(|s| match s {
+                    Stmt::For(l) | Stmt::AccLoop { l, .. } => 1 + count(&l.body),
+                    Stmt::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => 1 + count(then_body) + count(else_body),
+                    Stmt::AccBlock { body, .. } => 1 + count(body),
+                    _ => 1,
+                })
+                .sum()
+        }
+        let stmts: usize = self.functions.iter().map(|f| count(&f.body)).sum();
+        160 + 40 * stmts
+    }
+
     /// Every directive anywhere in the program, in pre-order.
     pub fn directives(&self) -> Vec<&crate::acc::AccDirective> {
         self.functions

@@ -1,8 +1,9 @@
 //! Machine-readable performance measurements behind `accvv bench`.
 //!
-//! Each measurement times a representative workload (template expansion,
-//! a full reference campaign, the three-vendor Fig. 8 sweep, the device
-//! interpreter) over a configurable number of iterations and reports the
+//! Each measurement times a representative workload (rendering and parsing
+//! the corpus, a full reference campaign, the three-vendor Fig. 8 sweep,
+//! the device interpreter) over a configurable number of iterations and
+//! reports the
 //! median wall time plus a cases-per-second throughput figure. The report
 //! serialises to a small hand-rolled JSON document (`BENCH_suite.json`)
 //! that doubles as the CI regression baseline: `accvv bench --check
@@ -11,7 +12,8 @@
 
 use acc_compiler::exec::{ExecMode, RunKnobs};
 use acc_compiler::{CacheStats, CompileCache, VendorCompiler, VendorId};
-use acc_validation::{Campaign, Executor, ExecutorPolicy};
+use acc_spec::Language;
+use acc_validation::{Campaign, Executor, ExecutorPolicy, TestCase};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -278,6 +280,29 @@ fn push(measurements: &mut Vec<Measurement>, name: &str, t: Timing) {
     });
 }
 
+/// Every source of `suite` with its language, rendered (through the cases'
+/// memos), in suite order.
+fn corpus_sources(suite: &[TestCase]) -> Vec<(Language, String)> {
+    let mut sources = Vec::new();
+    for case in suite {
+        for &lang in &case.languages {
+            sources.push((lang, case.source_for(lang)));
+            if let Some(x) = case.cross_source_for(lang) {
+                sources.push((lang, x));
+            }
+        }
+    }
+    sources
+}
+
+/// Parse every source; returns how many parsed.
+fn parse_corpus(sources: &[(Language, String)]) -> usize {
+    sources
+        .iter()
+        .filter(|(lang, src)| acc_frontend::parse(src, *lang).is_ok())
+        .count()
+}
+
 /// Run the bench suite. `iters` timed repetitions per workload (median
 /// reported); `use_cache` attaches one shared [`CompileCache`] to every
 /// compiler the campaigns drive, so it outlives each run and later
@@ -297,22 +322,25 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
     let mut measurements = Vec::new();
 
     // 1. Template expansion: render every functional + cross source in
-    //    both languages (the suite's pure generation cost).
+    //    both languages (the suite's pure generation cost). A case memoizes
+    //    its renders, so each iteration renders a suite built for it
+    //    before the clock starts; the rendered suites are dropped after.
+    let mut fresh: Vec<Vec<TestCase>> = (0..iters).map(|_| acc_testsuite::full_suite()).collect();
+    let mut rendered = Vec::with_capacity(fresh.len());
     let timing = time_median(iters, || {
-        let mut sources = 0usize;
-        for case in &suite {
-            for lang in case.languages.clone() {
-                std::hint::black_box(case.source_for(lang).len());
-                sources += 1;
-                if let Some(x) = case.cross_source_for(lang) {
-                    std::hint::black_box(x.len());
-                    sources += 1;
-                }
-            }
-        }
+        let suite = fresh.pop().expect("one fresh suite per iteration");
+        let sources = corpus_sources(&suite).len();
+        rendered.push(suite);
         sources
     });
+    drop(rendered);
     push(&mut measurements, "generate_sources", timing);
+
+    // 1b. Parsing: every pre-rendered source through the front-end's
+    //     parser, once per iteration.
+    let sources = corpus_sources(&suite);
+    let timing = time_median(iters, || parse_corpus(&sources));
+    push(&mut measurements, "frontend_parse", timing);
 
     // 2. Full suite against the clean reference implementation.
     let reference = with_cache(VendorCompiler::reference());
@@ -530,6 +558,16 @@ mod tests {
         let stale = baseline.replace(DEVICE_KERNEL, "renamed");
         let err = check_guards(&calm, &stale, "base.json", 25.0, 2.0).unwrap_err();
         assert!(err.contains(DEVICE_KERNEL), "{err}");
+    }
+
+    #[test]
+    fn front_end_workloads_cover_the_whole_corpus() {
+        // 436 sources: functional and cross, in each language a case
+        // supports. `generate_sources` and `frontend_parse` each do one
+        // unit per source per iteration.
+        let sources = corpus_sources(&acc_testsuite::full_suite());
+        assert_eq!(sources.len(), 436);
+        assert_eq!(parse_corpus(&sources), 436);
     }
 
     #[test]

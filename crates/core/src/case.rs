@@ -21,8 +21,8 @@ pub struct TestCase {
     /// Languages the test applies to (`acc_malloc` has no Fortran binding
     /// in 1.0, so its tests are C-only).
     pub languages: Vec<Language>,
-    /// The test base. Stored in C form; [`TestCase::program_for`] re-renders
-    /// per language.
+    /// The test base. Stored in C form; [`TestCase::source_for`] renders it
+    /// in either language.
     pub base: Program,
     /// Cross derivation; `None` for features where no meaningful cross test
     /// exists (§III: "a set of short feature tests wherever possible").
@@ -94,34 +94,22 @@ impl TestCase {
         self.languages.contains(&lang)
     }
 
-    /// The functional program rendered for a language.
-    pub fn program_for(&self, lang: Language) -> Program {
-        let mut p = self.base.clone();
-        p.language = lang;
-        p
-    }
-
-    /// The cross program rendered for a language (None when the test has no
-    /// cross rule).
-    pub fn cross_program_for(&self, lang: Language) -> Option<Program> {
-        self.cross.as_ref().map(|rule| {
-            let mut p = rule.apply(&self.base);
-            p.language = lang;
-            p
-        })
-    }
-
-    /// Functional source text for a language (rendered once, memoized).
+    /// Functional source text for a language (rendered once, memoized),
+    /// emitted straight from `base`.
     pub fn source_for(&self, lang: Language) -> String {
         self.rendered.func[lang_idx(lang)]
-            .get_or_init(|| acc_ast::render(&self.program_for(lang)))
+            .get_or_init(|| acc_ast::render_as(&self.base, lang))
             .clone()
     }
 
-    /// Cross source text for a language (rendered once, memoized).
+    /// Cross source text for a language (rendered once, memoized); `None`
+    /// when the test has no cross rule.
     pub fn cross_source_for(&self, lang: Language) -> Option<String> {
         self.rendered.cross[lang_idx(lang)]
-            .get_or_init(|| self.cross_program_for(lang).map(|p| acc_ast::render(&p)))
+            .get_or_init(|| {
+                let rule = self.cross.as_ref()?;
+                Some(acc_ast::render_as(&rule.apply(&self.base), lang))
+            })
             .clone()
     }
 }
@@ -304,6 +292,6 @@ mod tests {
     fn no_cross_rule_means_no_cross_program() {
         let mut t = sample();
         t.cross = None;
-        assert!(t.cross_program_for(Language::C).is_none());
+        assert!(t.cross_source_for(Language::C).is_none());
     }
 }

@@ -1,44 +1,42 @@
 //! Recursive-descent parser for the C subset emitted by `acc_ast::cgen`.
 
-use crate::cursor::{parse_expr, Cursor};
+use crate::cursor::{
+    parse_args, parse_expr, return_stmt_stack, take_stmt_stack, Cursor, PAYLOAD_TOKENS,
+};
 use crate::diag::ParseError;
-use crate::directive::parse_directive;
-use crate::lex::{lex_c, Tok};
+use crate::directive::parse_directive_with;
+use crate::lex::{lex_c, Punct, SpannedTok, Tok};
 use acc_ast::{
     AccDirective, BinOp, Expr, ForLoop, Function, LValue, Param, ParamKind, Program, ScalarType,
     Stmt, Type,
 };
 use acc_spec::{DirectiveKind, Language};
 
-/// Parse a C translation unit into a [`Program`].
+/// Parse a C translation unit into a [`Program`]. Its name comes from the
+/// leading `/* test program: … */` comment the generator emits.
 pub fn parse_c(source: &str) -> Result<Program, ParseError> {
-    let toks = lex_c(source)?;
+    let lexed = lex_c(source)?;
     let mut p = Parser {
-        c: Cursor::new(toks),
+        c: Cursor::new(&lexed.toks),
+        payload: Vec::with_capacity(PAYLOAD_TOKENS),
+        stmts: take_stmt_stack(),
     };
-    p.parse_unit(program_name(source))
+    let program = p.parse_unit(lexed.program_name.unwrap_or("unnamed").to_string());
+    return_stmt_stack(p.stmts);
+    program
 }
 
-/// Recover the program name from the leading `/* test program: … */` comment
-/// the generator emits (comments are stripped by the lexer, so peek at the
-/// raw text).
-fn program_name(source: &str) -> String {
-    for line in source.lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("/* test program:") {
-            if let Some(name) = rest.strip_suffix("*/") {
-                return name.trim().to_string();
-            }
-        }
-    }
-    "unnamed".to_string()
+struct Parser<'a> {
+    c: Cursor<'a>,
+    /// Token buffer every directive payload is lexed into.
+    payload: Vec<SpannedTok<'a>>,
+    /// Statements of the blocks being parsed, innermost block on top. A
+    /// finished block moves its own statements off the top into one
+    /// exactly sized `Vec`, instead of growing a `Vec` per block.
+    stmts: Vec<Stmt>,
 }
 
-struct Parser {
-    c: Cursor,
-}
-
-impl Parser {
+impl<'a> Parser<'a> {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError::new(self.c.line(), msg.into())
     }
@@ -61,13 +59,13 @@ impl Parser {
     fn parse_toplevel(&mut self) -> Result<Option<Function>, ParseError> {
         let ret = self.parse_ret_type()?;
         let name = self.c.expect_any_ident()?;
-        self.c.expect_punct("(")?;
+        self.c.expect_punct(Punct::LParen)?;
         let params = self.parse_params()?;
-        self.c.expect_punct(")")?;
-        if self.c.eat_punct(";") {
+        self.c.expect_punct(Punct::RParen)?;
+        if self.c.eat_punct(Punct::Semi) {
             return Ok(None); // prototype
         }
-        self.c.expect_punct("{")?;
+        self.c.expect_punct(Punct::LBrace)?;
         let body = self.parse_stmts_until_close()?;
         Ok(Some(Function {
             name,
@@ -78,8 +76,7 @@ impl Parser {
     }
 
     fn parse_ret_type(&mut self) -> Result<Option<ScalarType>, ParseError> {
-        let name = self.c.expect_any_ident()?;
-        match name.as_str() {
+        match self.c.expect_ident_text()? {
             "void" => Ok(None),
             "int" => Ok(Some(ScalarType::Int)),
             "float" => Ok(Some(ScalarType::Float)),
@@ -90,7 +87,7 @@ impl Parser {
 
     fn parse_params(&mut self) -> Result<Vec<Param>, ParseError> {
         let mut params = Vec::new();
-        if self.c.peek().is_punct(")") {
+        if self.c.peek().is_punct(Punct::RParen) {
             return Ok(params);
         }
         if self.c.eat_ident("void") {
@@ -98,7 +95,7 @@ impl Parser {
         }
         loop {
             let ty = self.parse_scalar_keyword()?;
-            let is_ptr = self.c.eat_punct("*");
+            let is_ptr = self.c.eat_punct(Punct::Star);
             let name = self.c.expect_any_ident()?;
             params.push(Param {
                 name,
@@ -108,7 +105,7 @@ impl Parser {
                     ParamKind::Scalar(ty)
                 },
             });
-            if !self.c.eat_punct(",") {
+            if !self.c.eat_punct(Punct::Comma) {
                 break;
             }
         }
@@ -116,24 +113,25 @@ impl Parser {
     }
 
     fn parse_scalar_keyword(&mut self) -> Result<ScalarType, ParseError> {
-        let name = self.c.expect_any_ident()?;
-        scalar_of(&name).ok_or_else(|| self.err(format!("expected type, found {name:?}")))
+        let name = self.c.expect_ident_text()?;
+        scalar_of(name).ok_or_else(|| self.err(format!("expected type, found {name:?}")))
     }
 
     fn parse_stmts_until_close(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        let mut body = Vec::new();
-        while !self.c.eat_punct("}") {
+        let start = self.stmts.len();
+        while !self.c.eat_punct(Punct::RBrace) {
             if self.c.at_eof() {
                 return Err(self.err("unexpected end of file in block"));
             }
-            body.push(self.parse_stmt()?);
+            let stmt = self.parse_stmt()?;
+            self.stmts.push(stmt);
         }
-        Ok(body)
+        Ok(self.stmts.drain(start..).collect())
     }
 
     /// A block `{ … }` or a single statement.
     fn parse_block_or_stmt(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        if self.c.eat_punct("{") {
+        if self.c.eat_punct(Punct::LBrace) {
             self.parse_stmts_until_close()
         } else {
             Ok(vec![self.parse_stmt()?])
@@ -153,15 +151,15 @@ impl Parser {
     }
 
     fn parse_stmt_inner(&mut self) -> Result<Stmt, ParseError> {
-        // Directive-introduced statements.
-        if let Tok::Directive(payload) = self.c.peek().clone() {
-            let line = self.c.line();
-            self.c.next();
-            let dir = parse_directive(&payload, Language::C, line)?;
-            return self.parse_directive_stmt(dir);
-        }
-        match self.c.peek().clone() {
-            Tok::Punct("{") => {
+        match self.c.peek() {
+            // Directive-introduced statements.
+            Tok::Directive(payload) => {
+                let line = self.c.line();
+                self.c.next();
+                let dir = parse_directive_with(payload, Language::C, line, &mut self.payload)?;
+                self.parse_directive_stmt(dir)
+            }
+            Tok::Punct(Punct::LBrace) => {
                 // Bare block: flatten into an If(true)? Keep structure simple:
                 // the generator never emits bare blocks outside directives.
                 self.c.next();
@@ -173,14 +171,14 @@ impl Parser {
                     else_body: vec![],
                 })
             }
-            Tok::Ident(word) => match word.as_str() {
+            Tok::Ident(word) => match word {
                 "int" | "float" | "double" => self.parse_decl(),
                 "for" => self.parse_for().map(Stmt::For),
                 "if" => self.parse_if(),
                 "return" => {
                     self.c.next();
                     let e = parse_expr(&mut self.c, Language::C)?;
-                    self.c.expect_punct(";")?;
+                    self.c.expect_punct(Punct::Semi)?;
                     Ok(Stmt::Return(e))
                 }
                 _ => self.parse_assign_or_call(),
@@ -201,7 +199,7 @@ impl Parser {
             DirectiveKind::Loop | DirectiveKind::ParallelLoop | DirectiveKind::KernelsLoop => {
                 // The annotated loop may itself carry another directive
                 // (nested loop pragmas) — but the grammar requires a `for`.
-                if !matches!(self.c.peek(), Tok::Ident(w) if w == "for") {
+                if !self.c.peek().is_ident("for") {
                     return Err(self.err("loop directive must be followed by a for loop"));
                 }
                 let l = self.parse_for()?;
@@ -213,12 +211,12 @@ impl Parser {
 
     fn parse_decl(&mut self) -> Result<Stmt, ParseError> {
         let ty = self.parse_scalar_keyword()?;
-        let is_ptr = self.c.eat_punct("*");
+        let is_ptr = self.c.eat_punct(Punct::Star);
         let name = self.c.expect_any_ident()?;
         // Array declaration?
-        if self.c.peek().is_punct("[") {
+        if self.c.peek().is_punct(Punct::LBracket) {
             let mut dims = Vec::new();
-            while self.c.eat_punct("[") {
+            while self.c.eat_punct(Punct::LBracket) {
                 match self.c.next() {
                     Tok::Int(v) if v > 0 => dims.push(v as usize),
                     other => {
@@ -227,9 +225,9 @@ impl Parser {
                         )))
                     }
                 }
-                self.c.expect_punct("]")?;
+                self.c.expect_punct(Punct::RBracket)?;
             }
-            self.c.expect_punct(";")?;
+            self.c.expect_punct(Punct::Semi)?;
             return Ok(Stmt::DeclArray {
                 name,
                 elem: ty,
@@ -241,12 +239,12 @@ impl Parser {
         } else {
             Type::Scalar(ty)
         };
-        let init = if self.c.eat_punct("=") {
+        let init = if self.c.eat_punct(Punct::Assign) {
             Some(parse_expr(&mut self.c, Language::C)?)
         } else {
             None
         };
-        self.c.expect_punct(";")?;
+        self.c.expect_punct(Punct::Semi)?;
         Ok(Stmt::DeclScalar {
             name,
             ty: declared,
@@ -256,32 +254,30 @@ impl Parser {
 
     fn parse_for(&mut self) -> Result<ForLoop, ParseError> {
         self.c.expect_ident("for")?;
-        self.c.expect_punct("(")?;
+        self.c.expect_punct(Punct::LParen)?;
         let var = self.c.expect_any_ident()?;
-        self.c.expect_punct("=")?;
+        self.c.expect_punct(Punct::Assign)?;
         let from = parse_expr(&mut self.c, Language::C)?;
-        self.c.expect_punct(";")?;
-        let cond_var = self.c.expect_any_ident()?;
-        if cond_var != var {
+        self.c.expect_punct(Punct::Semi)?;
+        if self.c.expect_ident_text()? != var {
             return Err(self.err(format!(
                 "for-loop condition must test the induction variable {var:?}"
             )));
         }
-        self.c.expect_punct("<")?;
+        self.c.expect_punct(Punct::Lt)?;
         let to = parse_expr(&mut self.c, Language::C)?;
-        self.c.expect_punct(";")?;
-        let step_var = self.c.expect_any_ident()?;
-        if step_var != var {
+        self.c.expect_punct(Punct::Semi)?;
+        if self.c.expect_ident_text()? != var {
             return Err(self.err("for-loop increment must update the induction variable"));
         }
-        let step = if self.c.eat_punct("++") {
+        let step = if self.c.eat_punct(Punct::PlusPlus) {
             Expr::int(1)
-        } else if self.c.eat_punct("+=") {
+        } else if self.c.eat_punct(Punct::PlusEq) {
             parse_expr(&mut self.c, Language::C)?
         } else {
             return Err(self.err("for-loop increment must be ++ or +="));
         };
-        self.c.expect_punct(")")?;
+        self.c.expect_punct(Punct::RParen)?;
         let body = self.parse_block_or_stmt()?;
         Ok(ForLoop {
             var,
@@ -294,9 +290,9 @@ impl Parser {
 
     fn parse_if(&mut self) -> Result<Stmt, ParseError> {
         self.c.expect_ident("if")?;
-        self.c.expect_punct("(")?;
+        self.c.expect_punct(Punct::LParen)?;
         let cond = parse_expr(&mut self.c, Language::C)?;
-        self.c.expect_punct(")")?;
+        self.c.expect_punct(Punct::RParen)?;
         let then_body = self.parse_block_or_stmt()?;
         let else_body = if self.c.eat_ident("else") {
             self.parse_block_or_stmt()?
@@ -313,27 +309,17 @@ impl Parser {
     fn parse_assign_or_call(&mut self) -> Result<Stmt, ParseError> {
         let name = self.c.expect_any_ident()?;
         // Call statement.
-        if self.c.eat_punct("(") {
-            let mut args = Vec::new();
-            if !self.c.eat_punct(")") {
-                loop {
-                    args.push(parse_expr(&mut self.c, Language::C)?);
-                    if self.c.eat_punct(",") {
-                        continue;
-                    }
-                    self.c.expect_punct(")")?;
-                    break;
-                }
-            }
-            self.c.expect_punct(";")?;
+        if self.c.eat_punct(Punct::LParen) {
+            let args = parse_args(&mut self.c, Language::C)?;
+            self.c.expect_punct(Punct::Semi)?;
             return Ok(Stmt::Call { name, args });
         }
         // LValue: optional indices.
-        let target = if self.c.peek().is_punct("[") {
+        let target = if self.c.peek().is_punct(Punct::LBracket) {
             let mut indices = Vec::new();
-            while self.c.eat_punct("[") {
+            while self.c.eat_punct(Punct::LBracket) {
                 indices.push(parse_expr(&mut self.c, Language::C)?);
-                self.c.expect_punct("]")?;
+                self.c.expect_punct(Punct::RBracket)?;
             }
             LValue::Index {
                 base: name,
@@ -343,8 +329,8 @@ impl Parser {
             LValue::Var(name)
         };
         // `x++;` sugar for `x += 1;`.
-        if self.c.eat_punct("++") {
-            self.c.expect_punct(";")?;
+        if self.c.eat_punct(Punct::PlusPlus) {
+            self.c.expect_punct(Punct::Semi)?;
             return Ok(Stmt::Assign {
                 target,
                 op: Some(BinOp::Add),
@@ -352,19 +338,19 @@ impl Parser {
             });
         }
         let op = match self.c.next() {
-            Tok::Punct("=") => None,
-            Tok::Punct("+=") => Some(BinOp::Add),
-            Tok::Punct("-=") => Some(BinOp::Sub),
-            Tok::Punct("*=") => Some(BinOp::Mul),
-            Tok::Punct("/=") => Some(BinOp::Div),
-            Tok::Punct("%=") => Some(BinOp::Rem),
-            Tok::Punct("&=") => Some(BinOp::BitAnd),
-            Tok::Punct("|=") => Some(BinOp::BitOr),
-            Tok::Punct("^=") => Some(BinOp::BitXor),
+            Tok::Punct(Punct::Assign) => None,
+            Tok::Punct(Punct::PlusEq) => Some(BinOp::Add),
+            Tok::Punct(Punct::MinusEq) => Some(BinOp::Sub),
+            Tok::Punct(Punct::StarEq) => Some(BinOp::Mul),
+            Tok::Punct(Punct::SlashEq) => Some(BinOp::Div),
+            Tok::Punct(Punct::PercentEq) => Some(BinOp::Rem),
+            Tok::Punct(Punct::AmpEq) => Some(BinOp::BitAnd),
+            Tok::Punct(Punct::PipeEq) => Some(BinOp::BitOr),
+            Tok::Punct(Punct::CaretEq) => Some(BinOp::BitXor),
             other => return Err(self.err(format!("expected assignment operator, found {other:?}"))),
         };
         let value = parse_expr(&mut self.c, Language::C)?;
-        self.c.expect_punct(";")?;
+        self.c.expect_punct(Punct::Semi)?;
         Ok(Stmt::Assign { target, op, value })
     }
 }

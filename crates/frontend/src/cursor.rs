@@ -8,9 +8,10 @@
 //! interface rules boil down to for the generated subset).
 
 use crate::diag::ParseError;
-use crate::lex::{SpannedTok, Tok};
-use acc_ast::{BinOp, Expr, ScalarType, UnOp};
+use crate::lex::{Punct, SpannedTok, Tok};
+use acc_ast::{BinOp, Expr, ScalarType, Stmt, UnOp};
 use acc_spec::Language;
+use std::cell::Cell;
 
 /// Names that denote calls (not array references) in Fortran expressions.
 pub const FORTRAN_INTRINSICS: &[&str] = &[
@@ -31,17 +32,42 @@ pub fn is_fortran_callable(name: &str) -> bool {
 /// panic isolation.
 pub const MAX_PARSE_DEPTH: usize = 200;
 
-/// A cursor over a token stream.
+/// Initial capacity of a parser's directive-payload token buffer: more
+/// tokens than any generated directive has.
+pub(crate) const PAYLOAD_TOKENS: usize = 32;
+
+thread_local! {
+    /// The statement stack of this thread's parses (see
+    /// [`take_stmt_stack`]).
+    static STMT_STACK: Cell<Vec<Stmt>> = const { Cell::new(Vec::new()) };
+}
+
+/// Take this thread's statement stack for one parse. The parsers keep the
+/// statements of the blocks they are inside on one stack and move each
+/// finished block off its top into an exactly sized `Vec`; handing the
+/// stack from parse to parse reuses its capacity.
+pub(crate) fn take_stmt_stack() -> Vec<Stmt> {
+    STMT_STACK.take()
+}
+
+/// Return the stack [`take_stmt_stack`] gave, emptied, for the next parse.
+pub(crate) fn return_stmt_stack(mut stack: Vec<Stmt>) {
+    stack.clear();
+    STMT_STACK.set(stack);
+}
+
+/// A cursor over a token stream. Tokens are `Copy` and borrow their text
+/// from the source, so reading one never clones or allocates.
 #[derive(Debug)]
-pub struct Cursor {
-    toks: Vec<SpannedTok>,
+pub struct Cursor<'a> {
+    toks: &'a [SpannedTok<'a>],
     pos: usize,
     depth: usize,
 }
 
-impl Cursor {
+impl<'a> Cursor<'a> {
     /// Wrap a token stream.
-    pub fn new(toks: Vec<SpannedTok>) -> Self {
+    pub fn new(toks: &'a [SpannedTok<'a>]) -> Self {
         Cursor {
             toks,
             pos: 0,
@@ -68,16 +94,8 @@ impl Cursor {
     }
 
     /// Current token (Eof-padded).
-    pub fn peek(&self) -> &Tok {
-        self.toks.get(self.pos).map(|t| &t.tok).unwrap_or(&Tok::Eof)
-    }
-
-    /// Token `n` ahead of the current one.
-    pub fn peek_n(&self, n: usize) -> &Tok {
-        self.toks
-            .get(self.pos + n)
-            .map(|t| &t.tok)
-            .unwrap_or(&Tok::Eof)
+    pub fn peek(&self) -> Tok<'a> {
+        self.toks.get(self.pos).map_or(Tok::Eof, |t| t.tok)
     }
 
     /// Current 1-based line.
@@ -90,8 +108,8 @@ impl Cursor {
 
     /// Advance and return the consumed token.
     #[allow(clippy::should_implement_trait)] // a cursor, not an Iterator
-    pub fn next(&mut self) -> Tok {
-        let t = self.peek().clone();
+    pub fn next(&mut self) -> Tok<'a> {
+        let t = self.peek();
         if self.pos < self.toks.len() {
             self.pos += 1;
         }
@@ -99,7 +117,7 @@ impl Cursor {
     }
 
     /// Consume the given punctuation if present; returns whether it was.
-    pub fn eat_punct(&mut self, p: &str) -> bool {
+    pub fn eat_punct(&mut self, p: Punct) -> bool {
         if self.peek().is_punct(p) {
             self.pos += 1;
             true
@@ -119,7 +137,7 @@ impl Cursor {
     }
 
     /// Require the given punctuation.
-    pub fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
+    pub fn expect_punct(&mut self, p: Punct) -> Result<(), ParseError> {
         if self.eat_punct(p) {
             Ok(())
         } else {
@@ -133,13 +151,13 @@ impl Cursor {
     /// Require any identifier and return it as an owned [`String`] (the AST
     /// stores plain `String` names).
     pub fn expect_any_ident(&mut self) -> Result<String, ParseError> {
-        self.expect_any_ident_interned().map(|s| s.to_string())
+        self.expect_ident_text().map(str::to_string)
     }
 
-    /// Require any identifier and return the interned token text. Cloning a
-    /// [`SmolStr`] out of the stream is allocation-free, so keyword-matching
-    /// paths (directive/clause grammars) should prefer this.
-    pub fn expect_any_ident_interned(&mut self) -> Result<smol_str::SmolStr, ParseError> {
+    /// Require any identifier and return its text, borrowed from the
+    /// source. Keyword-matching paths (directive/clause grammars) use this:
+    /// it allocates nothing.
+    pub fn expect_ident_text(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Tok::Ident(s) => Ok(s),
             other => Err(ParseError::new(
@@ -175,40 +193,40 @@ impl Cursor {
 }
 
 /// Parse a full expression.
-pub fn parse_expr(c: &mut Cursor, lang: Language) -> Result<Expr, ParseError> {
+pub fn parse_expr(c: &mut Cursor<'_>, lang: Language) -> Result<Expr, ParseError> {
     parse_bin(c, lang, 0)
 }
 
-fn punct_binop(p: &str) -> Option<BinOp> {
+fn punct_binop(p: Punct) -> Option<BinOp> {
     Some(match p {
-        "+" => BinOp::Add,
-        "-" => BinOp::Sub,
-        "*" => BinOp::Mul,
-        "/" => BinOp::Div,
-        "%" => BinOp::Rem,
-        "<" => BinOp::Lt,
-        "<=" => BinOp::Le,
-        ">" => BinOp::Gt,
-        ">=" => BinOp::Ge,
-        "==" => BinOp::Eq,
-        "!=" => BinOp::Ne,
-        "&&" => BinOp::And,
-        "||" => BinOp::Or,
-        "&" => BinOp::BitAnd,
-        "|" => BinOp::BitOr,
-        "^" => BinOp::BitXor,
+        Punct::Plus => BinOp::Add,
+        Punct::Minus => BinOp::Sub,
+        Punct::Star => BinOp::Mul,
+        Punct::Slash => BinOp::Div,
+        Punct::Percent => BinOp::Rem,
+        Punct::Lt => BinOp::Lt,
+        Punct::Le => BinOp::Le,
+        Punct::Gt => BinOp::Gt,
+        Punct::Ge => BinOp::Ge,
+        Punct::EqEq => BinOp::Eq,
+        Punct::NotEq => BinOp::Ne,
+        Punct::AndAnd => BinOp::And,
+        Punct::OrOr => BinOp::Or,
+        Punct::Amp => BinOp::BitAnd,
+        Punct::Pipe => BinOp::BitOr,
+        Punct::Caret => BinOp::BitXor,
         _ => return None,
     })
 }
 
-fn parse_bin(c: &mut Cursor, lang: Language, min_prec: u8) -> Result<Expr, ParseError> {
+fn parse_bin(c: &mut Cursor<'_>, lang: Language, min_prec: u8) -> Result<Expr, ParseError> {
     c.descend()?;
     let r = parse_bin_inner(c, lang, min_prec);
     c.ascend();
     r
 }
 
-fn parse_bin_inner(c: &mut Cursor, lang: Language, min_prec: u8) -> Result<Expr, ParseError> {
+fn parse_bin_inner(c: &mut Cursor<'_>, lang: Language, min_prec: u8) -> Result<Expr, ParseError> {
     let mut lhs = parse_unary(c, lang)?;
     while let Tok::Punct(p) = c.peek() {
         let op = match punct_binop(p) {
@@ -222,15 +240,15 @@ fn parse_bin_inner(c: &mut Cursor, lang: Language, min_prec: u8) -> Result<Expr,
     Ok(lhs)
 }
 
-fn parse_unary(c: &mut Cursor, lang: Language) -> Result<Expr, ParseError> {
+fn parse_unary(c: &mut Cursor<'_>, lang: Language) -> Result<Expr, ParseError> {
     c.descend()?;
     let r = parse_unary_inner(c, lang);
     c.ascend();
     r
 }
 
-fn parse_unary_inner(c: &mut Cursor, lang: Language) -> Result<Expr, ParseError> {
-    if c.eat_punct("-") {
+fn parse_unary_inner(c: &mut Cursor<'_>, lang: Language) -> Result<Expr, ParseError> {
+    if c.eat_punct(Punct::Minus) {
         let inner = parse_unary(c, lang)?;
         // Fold -literal immediately so `(-1)` round-trips as Int(-1).
         return Ok(match inner {
@@ -239,17 +257,17 @@ fn parse_unary_inner(c: &mut Cursor, lang: Language) -> Result<Expr, ParseError>
             e => Expr::Unary(UnOp::Neg, Box::new(e)),
         });
     }
-    if c.eat_punct("!") {
+    if c.eat_punct(Punct::Not) {
         let inner = parse_unary(c, lang)?;
         return Ok(Expr::Unary(UnOp::Not, Box::new(inner)));
     }
-    if c.eat_punct("+") {
+    if c.eat_punct(Punct::Plus) {
         return parse_unary(c, lang);
     }
     parse_postfix(c, lang)
 }
 
-fn parse_postfix(c: &mut Cursor, lang: Language) -> Result<Expr, ParseError> {
+fn parse_postfix(c: &mut Cursor<'_>, lang: Language) -> Result<Expr, ParseError> {
     let line = c.line();
     match c.next() {
         Tok::Int(v) => Ok(Expr::Int(v)),
@@ -261,32 +279,31 @@ fn parse_postfix(c: &mut Cursor, lang: Language) -> Result<Expr, ParseError> {
                 ScalarType::Float
             },
         )),
-        Tok::Punct("(") => {
+        Tok::Punct(Punct::LParen) => {
             let e = parse_expr(c, lang)?;
-            c.expect_punct(")")?;
+            c.expect_punct(Punct::RParen)?;
             Ok(e)
         }
         Tok::Ident(name) => {
             if name == "sizeof" && lang == Language::C {
-                c.expect_punct("(")?;
+                c.expect_punct(Punct::LParen)?;
                 let ty = parse_scalar_type_name(c)?;
-                c.expect_punct(")")?;
+                c.expect_punct(Punct::RParen)?;
                 return Ok(Expr::SizeOf(ty));
             }
             match lang {
                 Language::C => {
-                    if c.peek().is_punct("(") {
-                        c.next();
+                    if c.eat_punct(Punct::LParen) {
                         let args = parse_args(c, lang)?;
                         Ok(Expr::Call {
                             name: name.to_string(),
                             args,
                         })
-                    } else if c.peek().is_punct("[") {
+                    } else if c.peek().is_punct(Punct::LBracket) {
                         let mut indices = Vec::new();
-                        while c.eat_punct("[") {
+                        while c.eat_punct(Punct::LBracket) {
                             indices.push(parse_expr(c, lang)?);
-                            c.expect_punct("]")?;
+                            c.expect_punct(Punct::RBracket)?;
                         }
                         Ok(Expr::Index {
                             base: name.to_string(),
@@ -297,10 +314,9 @@ fn parse_postfix(c: &mut Cursor, lang: Language) -> Result<Expr, ParseError> {
                     }
                 }
                 Language::Fortran => {
-                    if c.peek().is_punct("(") {
-                        c.next();
+                    if c.eat_punct(Punct::LParen) {
                         let args = parse_args(c, lang)?;
-                        if is_fortran_callable(&name) {
+                        if is_fortran_callable(name) {
                             Ok(Expr::Call {
                                 name: name.to_string(),
                                 args,
@@ -324,27 +340,28 @@ fn parse_postfix(c: &mut Cursor, lang: Language) -> Result<Expr, ParseError> {
     }
 }
 
-fn parse_args(c: &mut Cursor, lang: Language) -> Result<Vec<Expr>, ParseError> {
+/// Parse a call's or a Fortran index's arguments after the opening `(`,
+/// through the closing `)`.
+pub fn parse_args(c: &mut Cursor<'_>, lang: Language) -> Result<Vec<Expr>, ParseError> {
     let mut args = Vec::new();
-    if c.eat_punct(")") {
+    if c.eat_punct(Punct::RParen) {
         return Ok(args);
     }
     loop {
         args.push(parse_expr(c, lang)?);
-        if c.eat_punct(",") {
+        if c.eat_punct(Punct::Comma) {
             continue;
         }
-        c.expect_punct(")")?;
+        c.expect_punct(Punct::RParen)?;
         break;
     }
     Ok(args)
 }
 
 /// Parse a scalar type name (for `sizeof` and declarations).
-pub fn parse_scalar_type_name(c: &mut Cursor) -> Result<ScalarType, ParseError> {
+pub fn parse_scalar_type_name(c: &mut Cursor<'_>) -> Result<ScalarType, ParseError> {
     let line = c.line();
-    let name = c.expect_any_ident()?;
-    match name.as_str() {
+    match c.expect_ident_text()? {
         "int" => Ok(ScalarType::Int),
         "float" => Ok(ScalarType::Float),
         "double" => Ok(ScalarType::Double),
@@ -362,14 +379,14 @@ mod tests {
     use acc_ast::cgen::expr_to_c;
 
     fn c_expr(src: &str) -> Expr {
-        let toks = lex_c(src).unwrap();
-        let mut c = Cursor::new(toks);
+        let lexed = lex_c(src).unwrap();
+        let mut c = Cursor::new(&lexed.toks);
         parse_expr(&mut c, Language::C).unwrap()
     }
 
     fn f_expr(src: &str) -> Expr {
-        let toks = lex_fortran(src).unwrap();
-        let mut c = Cursor::new(toks);
+        let lexed = lex_fortran(src).unwrap();
+        let mut c = Cursor::new(&lexed.toks);
         parse_expr(&mut c, Language::Fortran).unwrap()
     }
 
@@ -447,8 +464,8 @@ mod tests {
 
     #[test]
     fn error_on_garbage() {
-        let toks = lex_c("*;\n").unwrap();
-        let mut c = Cursor::new(toks);
+        let lexed = lex_c("*;\n").unwrap();
+        let mut c = Cursor::new(&lexed.toks);
         assert!(parse_expr(&mut c, Language::C).is_err());
     }
 
@@ -457,8 +474,8 @@ mod tests {
         // Before the depth guard this recursed once per '(' and could blow
         // the stack — an abort no catch_unwind can isolate.
         let src = format!("{}1{}\n", "(".repeat(50_000), ")".repeat(50_000));
-        let toks = lex_c(&src).unwrap();
-        let mut c = Cursor::new(toks);
+        let lexed = lex_c(&src).unwrap();
+        let mut c = Cursor::new(&lexed.toks);
         let err = parse_expr(&mut c, Language::C).unwrap_err();
         assert!(err.to_string().contains("parser limit"), "{err}");
     }
@@ -466,20 +483,21 @@ mod tests {
     #[test]
     fn pathological_unary_nesting_is_an_error() {
         let src = format!("{}x\n", "!".repeat(50_000));
-        let toks = lex_c(&src).unwrap();
-        let mut c = Cursor::new(toks);
+        let lexed = lex_c(&src).unwrap();
+        let mut c = Cursor::new(&lexed.toks);
         assert!(parse_expr(&mut c, Language::C).is_err());
     }
 
     #[test]
     fn reasonable_nesting_still_parses() {
         let src = format!("{}1{}\n", "(".repeat(50), ")".repeat(50));
-        let toks = lex_c(&src).unwrap();
-        let mut c = Cursor::new(toks);
+        let lexed = lex_c(&src).unwrap();
+        let mut c = Cursor::new(&lexed.toks);
         assert_eq!(parse_expr(&mut c, Language::C).unwrap(), Expr::Int(1));
         // The counter unwinds fully: fresh parses have the whole budget.
         for _ in 0..3 {
-            let mut c = Cursor::new(lex_c(&src).unwrap());
+            let lexed = lex_c(&src).unwrap();
+            let mut c = Cursor::new(&lexed.toks);
             assert!(parse_expr(&mut c, Language::C).is_ok());
         }
     }

@@ -7,39 +7,43 @@
 
 use crate::cursor::{parse_expr, Cursor};
 use crate::diag::ParseError;
-use crate::lex::{lex_c, lex_fortran, Tok};
+use crate::lex::{lex_payload, Punct, SpannedTok, Tok};
 use acc_ast::{fgen, AccClause, AccDirective, DataRef, Expr};
 use acc_spec::{ClauseKind, DirectiveKind, Language, ReductionOp};
 
 /// Parse a directive payload (text after the sentinel) into an
-/// [`AccDirective`].
+/// [`AccDirective`]. Errors report `line`, the directive's line.
 pub fn parse_directive(
     payload: &str,
     lang: Language,
     line: usize,
 ) -> Result<AccDirective, ParseError> {
-    let toks = match lang {
-        Language::C => lex_c(payload),
-        Language::Fortran => lex_fortran(payload),
-    }
-    .map_err(|e| ParseError::new(line, format!("in directive: {}", e.message)))?;
-    // Strip Fortran newline separators inside the payload.
-    let toks: Vec<_> = toks
-        .into_iter()
-        .filter(|t| !matches!(t.tok, Tok::Newline))
-        .collect();
-    let mut c = Cursor::new(toks);
+    parse_directive_with(payload, lang, line, &mut Vec::new())
+}
+
+/// [`parse_directive`], lexing the payload into `buf`: a parser that
+/// passes the same buffer for every directive allocates tokens once.
+pub(crate) fn parse_directive_with<'a>(
+    payload: &'a str,
+    lang: Language,
+    line: usize,
+    buf: &mut Vec<SpannedTok<'a>>,
+) -> Result<AccDirective, ParseError> {
+    // Every payload token, the closing `Eof` included, sits on `line`, so
+    // every error below reports the directive's line.
+    lex_payload(payload, lang, line, buf)?;
+    let mut c = Cursor::new(buf);
     let kind = parse_kind(&mut c, line)?;
     let mut dir = AccDirective::new(kind);
     match kind {
-        DirectiveKind::Wait if c.eat_punct("(") => {
-            dir.wait_arg = Some(parse_expr(&mut c, lang).map_err(reline(line))?);
-            c.expect_punct(")").map_err(reline(line))?;
+        DirectiveKind::Wait if c.eat_punct(Punct::LParen) => {
+            dir.wait_arg = Some(parse_expr(&mut c, lang)?);
+            c.expect_punct(Punct::RParen)?;
         }
         DirectiveKind::Cache => {
-            c.expect_punct("(").map_err(reline(line))?;
-            dir.cache_args = parse_dataref_list(&mut c, lang, line)?;
-            c.expect_punct(")").map_err(reline(line))?;
+            c.expect_punct(Punct::LParen)?;
+            dir.cache_args = parse_dataref_list(&mut c, lang)?;
+            c.expect_punct(Punct::RParen)?;
         }
         _ => {}
     }
@@ -50,15 +54,8 @@ pub fn parse_directive(
     Ok(dir)
 }
 
-fn reline(line: usize) -> impl Fn(ParseError) -> ParseError {
-    move |e| ParseError::new(line, e.message)
-}
-
-fn parse_kind(c: &mut Cursor, line: usize) -> Result<DirectiveKind, ParseError> {
-    // Interned lookup: directive keywords never become AST strings, so no
-    // per-keyword allocation happens here.
-    let first = c.expect_any_ident_interned().map_err(reline(line))?;
-    let kind = match first.as_str() {
+fn parse_kind(c: &mut Cursor<'_>, line: usize) -> Result<DirectiveKind, ParseError> {
+    let kind = match c.expect_ident_text()? {
         "parallel" => {
             if c.eat_ident("loop") {
                 DirectiveKind::ParallelLoop
@@ -81,11 +78,11 @@ fn parse_kind(c: &mut Cursor, line: usize) -> Result<DirectiveKind, ParseError> 
         "wait" => DirectiveKind::Wait,
         "declare" => DirectiveKind::Declare,
         "enter" => {
-            c.expect_ident("data").map_err(reline(line))?;
+            c.expect_ident("data")?;
             DirectiveKind::EnterData
         }
         "exit" => {
-            c.expect_ident("data").map_err(reline(line))?;
+            c.expect_ident("data")?;
             DirectiveKind::ExitData
         }
         "routine" => DirectiveKind::Routine,
@@ -99,56 +96,50 @@ fn parse_kind(c: &mut Cursor, line: usize) -> Result<DirectiveKind, ParseError> 
     Ok(kind)
 }
 
-fn parse_clause(c: &mut Cursor, lang: Language, line: usize) -> Result<AccClause, ParseError> {
-    let name = c.expect_any_ident_interned().map_err(reline(line))?;
-    let clause = match name.as_str() {
-        "if" => {
-            c.expect_punct("(").map_err(reline(line))?;
-            let e = parse_expr(c, lang).map_err(reline(line))?;
-            c.expect_punct(")").map_err(reline(line))?;
-            AccClause::If(e)
-        }
+fn parse_clause(c: &mut Cursor<'_>, lang: Language, line: usize) -> Result<AccClause, ParseError> {
+    let clause = match c.expect_ident_text()? {
+        "if" => AccClause::If(paren_expr(c, lang)?),
         "async" => {
-            if c.eat_punct("(") {
-                let e = parse_expr(c, lang).map_err(reline(line))?;
-                c.expect_punct(")").map_err(reline(line))?;
+            if c.eat_punct(Punct::LParen) {
+                let e = parse_expr(c, lang)?;
+                c.expect_punct(Punct::RParen)?;
                 AccClause::Async(Some(e))
             } else {
                 AccClause::Async(None)
             }
         }
-        "num_gangs" => AccClause::NumGangs(paren_expr(c, lang, line)?),
-        "num_workers" => AccClause::NumWorkers(paren_expr(c, lang, line)?),
-        "vector_length" => AccClause::VectorLength(paren_expr(c, lang, line)?),
-        "collapse" => AccClause::Collapse(paren_expr(c, lang, line)?),
+        "num_gangs" => AccClause::NumGangs(paren_expr(c, lang)?),
+        "num_workers" => AccClause::NumWorkers(paren_expr(c, lang)?),
+        "vector_length" => AccClause::VectorLength(paren_expr(c, lang)?),
+        "collapse" => AccClause::Collapse(paren_expr(c, lang)?),
         "reduction" => {
-            c.expect_punct("(").map_err(reline(line))?;
+            c.expect_punct(Punct::LParen)?;
             let op = parse_reduction_op(c, line)?;
-            c.expect_punct(":").map_err(reline(line))?;
-            let vars = parse_name_list(c, line)?;
-            c.expect_punct(")").map_err(reline(line))?;
+            c.expect_punct(Punct::Colon)?;
+            let vars = parse_name_list(c)?;
+            c.expect_punct(Punct::RParen)?;
             AccClause::Reduction(op, vars)
         }
-        "private" => AccClause::Private(paren_name_list(c, line)?),
-        "firstprivate" => AccClause::Firstprivate(paren_name_list(c, line)?),
-        "deviceptr" => AccClause::Deviceptr(paren_name_list(c, line)?),
-        "use_device" => AccClause::UseDevice(paren_name_list(c, line)?),
-        "gang" => opt_width(c, lang, line, AccClause::Gang)?,
-        "worker" => opt_width(c, lang, line, AccClause::Worker)?,
-        "vector" => opt_width(c, lang, line, AccClause::Vector)?,
+        "private" => AccClause::Private(paren_name_list(c)?),
+        "firstprivate" => AccClause::Firstprivate(paren_name_list(c)?),
+        "deviceptr" => AccClause::Deviceptr(paren_name_list(c)?),
+        "use_device" => AccClause::UseDevice(paren_name_list(c)?),
+        "gang" => opt_width(c, lang, AccClause::Gang)?,
+        "worker" => opt_width(c, lang, AccClause::Worker)?,
+        "vector" => opt_width(c, lang, AccClause::Vector)?,
         "seq" => AccClause::Seq,
         "independent" => AccClause::Independent,
         "auto" => AccClause::Auto,
         "default" => {
-            c.expect_punct("(").map_err(reline(line))?;
-            c.expect_ident("none").map_err(reline(line))?;
-            c.expect_punct(")").map_err(reline(line))?;
+            c.expect_punct(Punct::LParen)?;
+            c.expect_ident("none")?;
+            c.expect_punct(Punct::RParen)?;
             AccClause::DefaultNone
         }
-        "host" => data_clause(c, lang, line, ClauseKind::HostClause)?,
-        "device" => data_clause(c, lang, line, ClauseKind::DeviceClause)?,
-        "delete" => data_clause(c, lang, line, ClauseKind::Delete)?,
-        "device_resident" => data_clause(c, lang, line, ClauseKind::DeviceResident)?,
+        "host" => data_clause(c, lang, ClauseKind::HostClause)?,
+        "device" => data_clause(c, lang, ClauseKind::DeviceClause)?,
+        "delete" => data_clause(c, lang, ClauseKind::Delete)?,
+        "device_resident" => data_clause(c, lang, ClauseKind::DeviceResident)?,
         other => match ClauseKind::from_name(other) {
             Some(kind)
                 if matches!(
@@ -164,7 +155,7 @@ fn parse_clause(c: &mut Cursor, lang: Language, line: usize) -> Result<AccClause
                         | ClauseKind::PresentOrCreate
                 ) =>
             {
-                data_clause(c, lang, line, kind)?
+                data_clause(c, lang, kind)?
             }
             _ => {
                 return Err(ParseError::new(
@@ -177,115 +168,95 @@ fn parse_clause(c: &mut Cursor, lang: Language, line: usize) -> Result<AccClause
     Ok(clause)
 }
 
-fn paren_expr(c: &mut Cursor, lang: Language, line: usize) -> Result<Expr, ParseError> {
-    c.expect_punct("(").map_err(reline(line))?;
-    let e = parse_expr(c, lang).map_err(reline(line))?;
-    c.expect_punct(")").map_err(reline(line))?;
+fn paren_expr(c: &mut Cursor<'_>, lang: Language) -> Result<Expr, ParseError> {
+    c.expect_punct(Punct::LParen)?;
+    let e = parse_expr(c, lang)?;
+    c.expect_punct(Punct::RParen)?;
     Ok(e)
 }
 
 fn opt_width(
-    c: &mut Cursor,
+    c: &mut Cursor<'_>,
     lang: Language,
-    line: usize,
     mk: fn(Option<Expr>) -> AccClause,
 ) -> Result<AccClause, ParseError> {
-    if c.peek().is_punct("(") {
-        Ok(mk(Some(paren_expr(c, lang, line)?)))
+    if c.peek().is_punct(Punct::LParen) {
+        Ok(mk(Some(paren_expr(c, lang)?)))
     } else {
         Ok(mk(None))
     }
 }
 
-fn parse_name_list(c: &mut Cursor, line: usize) -> Result<Vec<String>, ParseError> {
-    let mut names = vec![c.expect_any_ident().map_err(reline(line))?];
-    while c.eat_punct(",") {
-        names.push(c.expect_any_ident().map_err(reline(line))?);
+fn parse_name_list(c: &mut Cursor<'_>) -> Result<Vec<String>, ParseError> {
+    let mut names = vec![c.expect_any_ident()?];
+    while c.eat_punct(Punct::Comma) {
+        names.push(c.expect_any_ident()?);
     }
     Ok(names)
 }
 
-fn paren_name_list(c: &mut Cursor, line: usize) -> Result<Vec<String>, ParseError> {
-    c.expect_punct("(").map_err(reline(line))?;
-    let names = parse_name_list(c, line)?;
-    c.expect_punct(")").map_err(reline(line))?;
+fn paren_name_list(c: &mut Cursor<'_>) -> Result<Vec<String>, ParseError> {
+    c.expect_punct(Punct::LParen)?;
+    let names = parse_name_list(c)?;
+    c.expect_punct(Punct::RParen)?;
     Ok(names)
 }
 
 fn data_clause(
-    c: &mut Cursor,
+    c: &mut Cursor<'_>,
     lang: Language,
-    line: usize,
     kind: ClauseKind,
 ) -> Result<AccClause, ParseError> {
-    c.expect_punct("(").map_err(reline(line))?;
-    let refs = parse_dataref_list(c, lang, line)?;
-    c.expect_punct(")").map_err(reline(line))?;
+    c.expect_punct(Punct::LParen)?;
+    let refs = parse_dataref_list(c, lang)?;
+    c.expect_punct(Punct::RParen)?;
     Ok(AccClause::Data(kind, refs))
 }
 
 /// Parse a comma-separated data-reference list (stops before the closing
 /// `)` of the clause).
-fn parse_dataref_list(
-    c: &mut Cursor,
-    lang: Language,
-    line: usize,
-) -> Result<Vec<DataRef>, ParseError> {
-    let mut refs = vec![parse_dataref(c, lang, line)?];
-    while c.eat_punct(",") {
-        refs.push(parse_dataref(c, lang, line)?);
+fn parse_dataref_list(c: &mut Cursor<'_>, lang: Language) -> Result<Vec<DataRef>, ParseError> {
+    let mut refs = vec![parse_dataref(c, lang)?];
+    while c.eat_punct(Punct::Comma) {
+        refs.push(parse_dataref(c, lang)?);
     }
     Ok(refs)
 }
 
-fn parse_dataref(c: &mut Cursor, lang: Language, line: usize) -> Result<DataRef, ParseError> {
-    let name = c.expect_any_ident().map_err(reline(line))?;
-    match lang {
-        Language::C => {
-            if c.eat_punct("[") {
-                let start = parse_expr(c, lang).map_err(reline(line))?;
-                c.expect_punct(":").map_err(reline(line))?;
-                let len = parse_expr(c, lang).map_err(reline(line))?;
-                c.expect_punct("]").map_err(reline(line))?;
-                Ok(DataRef {
-                    name,
-                    section: Some((start, len)),
-                })
-            } else {
-                Ok(DataRef::whole(name))
-            }
-        }
-        Language::Fortran => {
-            if c.eat_punct("(") {
-                let lo = parse_expr(c, lang).map_err(reline(line))?;
-                c.expect_punct(":").map_err(reline(line))?;
-                let hi = parse_expr(c, lang).map_err(reline(line))?;
-                c.expect_punct(")").map_err(reline(line))?;
-                // Normalize inclusive lo:hi to (start, length).
-                let len = if matches!(lo, Expr::Int(0)) {
-                    fgen::add_one(&hi)
-                } else {
-                    fgen::add_one(&Expr::sub(hi, lo.clone()))
-                };
-                Ok(DataRef {
-                    name,
-                    section: Some((lo, len)),
-                })
-            } else {
-                Ok(DataRef::whole(name))
-            }
-        }
+fn parse_dataref(c: &mut Cursor<'_>, lang: Language) -> Result<DataRef, ParseError> {
+    let name = c.expect_any_ident()?;
+    let (open, close) = match lang {
+        Language::C => (Punct::LBracket, Punct::RBracket),
+        Language::Fortran => (Punct::LParen, Punct::RParen),
+    };
+    if !c.eat_punct(open) {
+        return Ok(DataRef::whole(name));
     }
+    let start = parse_expr(c, lang)?;
+    c.expect_punct(Punct::Colon)?;
+    let end = parse_expr(c, lang)?;
+    c.expect_punct(close)?;
+    let len = match lang {
+        Language::C => end,
+        // Normalize inclusive lo:hi to (start, length).
+        Language::Fortran if matches!(start, Expr::Int(0)) => fgen::add_one(&end),
+        Language::Fortran => fgen::add_one(&Expr::sub(end, start.clone())),
+    };
+    Ok(DataRef {
+        name,
+        section: Some((start, len)),
+    })
 }
 
-fn parse_reduction_op(c: &mut Cursor, line: usize) -> Result<ReductionOp, ParseError> {
+fn parse_reduction_op(c: &mut Cursor<'_>, line: usize) -> Result<ReductionOp, ParseError> {
     // Operator may arrive as punctuation (C symbols, or Fortran `.and.`
     // already normalized to `&&` by the lexer) or an identifier
     // (`max`, `min`, `iand`, `ior`, `ieor`).
     match c.next() {
-        Tok::Punct(p) => ReductionOp::from_c_symbol(p)
-            .ok_or_else(|| ParseError::new(line, format!("unknown reduction operator {p:?}"))),
-        Tok::Ident(name) => match name.as_str() {
+        Tok::Punct(p) => ReductionOp::from_c_symbol(p.as_str()).ok_or_else(|| {
+            ParseError::new(line, format!("unknown reduction operator {:?}", p.as_str()))
+        }),
+        Tok::Ident(name) => match name {
             "max" => Ok(ReductionOp::Max),
             "min" => Ok(ReductionOp::Min),
             "iand" => Ok(ReductionOp::BitAnd),

@@ -12,53 +12,58 @@
 //! * Declarations stay hoisted (the shared AST permits interleaving, but
 //!   re-emission hoists again, so Fortran emit∘parse is a fixpoint).
 
-use crate::cursor::{parse_expr, Cursor};
+use crate::cursor::{
+    parse_args, parse_expr, return_stmt_stack, take_stmt_stack, Cursor, PAYLOAD_TOKENS,
+};
 use crate::diag::ParseError;
-use crate::directive::parse_directive;
-use crate::lex::{lex_fortran, Tok};
+use crate::directive::parse_directive_with;
+use crate::lex::{lex_fortran, Punct, SpannedTok, Tok};
 use acc_ast::{
     fgen, AccDirective, Expr, ForLoop, Function, LValue, Param, ParamKind, Program, ScalarType,
     Stmt, Type,
 };
 use acc_spec::{DirectiveKind, Language};
 
-/// Parse Fortran source into a [`Program`].
+/// Parse Fortran source into a [`Program`]. Its name comes from the leading
+/// `! test program: …` comment the generator emits.
 pub fn parse_fortran(source: &str) -> Result<Program, ParseError> {
-    let name = program_name(source);
-    let toks = lex_fortran(source)?;
+    let lexed = lex_fortran(source)?;
     let mut p = Parser {
-        c: Cursor::new(toks),
+        c: Cursor::new(&lexed.toks),
+        payload: Vec::with_capacity(PAYLOAD_TOKENS),
+        stmts: take_stmt_stack(),
     };
-    let mut functions = Vec::new();
-    p.c.skip_newlines();
-    while !p.c.at_eof() {
-        functions.push(p.parse_function()?);
-        p.c.skip_newlines();
-    }
+    let functions = p.parse_functions();
+    return_stmt_stack(p.stmts);
     Ok(Program {
-        name,
+        name: lexed.program_name.unwrap_or("unnamed").to_string(),
         language: Language::Fortran,
-        functions,
+        functions: functions?,
     })
 }
 
-fn program_name(source: &str) -> String {
-    for line in source.lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("! test program:") {
-            return rest.trim().to_string();
-        }
-    }
-    "unnamed".to_string()
+struct Parser<'a> {
+    c: Cursor<'a>,
+    /// Token buffer every directive payload is lexed into.
+    payload: Vec<SpannedTok<'a>>,
+    /// Statements of the bodies being parsed, innermost body on top (see
+    /// [`Parser::parse_body_until`] and `cursor::take_stmt_stack`).
+    stmts: Vec<Stmt>,
 }
 
-struct Parser {
-    c: Cursor,
-}
-
-impl Parser {
+impl<'a> Parser<'a> {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError::new(self.c.line(), msg.into())
+    }
+
+    fn parse_functions(&mut self) -> Result<Vec<Function>, ParseError> {
+        let mut functions = Vec::new();
+        self.c.skip_newlines();
+        while !self.c.at_eof() {
+            functions.push(self.parse_function()?);
+            self.c.skip_newlines();
+        }
+        Ok(functions)
     }
 
     fn end_of_stmt(&mut self) -> Result<(), ParseError> {
@@ -70,8 +75,7 @@ impl Parser {
 
     fn parse_function(&mut self) -> Result<Function, ParseError> {
         // Header: `<type> function name(params)` or `subroutine name(params)`.
-        let first = self.c.expect_any_ident()?;
-        let (ret, name) = match first.as_str() {
+        let (ret, name) = match self.c.expect_ident_text()? {
             "subroutine" => (None, self.c.expect_any_ident()?),
             "integer" => {
                 self.c.expect_ident("function")?;
@@ -88,15 +92,15 @@ impl Parser {
             }
             other => return Err(self.err(format!("expected function header, found {other:?}"))),
         };
-        self.c.expect_punct("(")?;
+        self.c.expect_punct(Punct::LParen)?;
         let mut param_names = Vec::new();
-        if !self.c.eat_punct(")") {
+        if !self.c.eat_punct(Punct::RParen) {
             loop {
                 param_names.push(self.c.expect_any_ident()?);
-                if self.c.eat_punct(",") {
+                if self.c.eat_punct(Punct::Comma) {
                     continue;
                 }
-                self.c.expect_punct(")")?;
+                self.c.expect_punct(Punct::RParen)?;
                 break;
             }
         }
@@ -104,23 +108,22 @@ impl Parser {
         self.c.skip_newlines();
 
         // Declaration section (also classifies parameters).
+        // The declarations open the body: they go on the statement stack
+        // first, and the executable statements follow them there.
         let mut params: Vec<Param> = Vec::new();
-        let mut decls: Vec<Stmt> = Vec::new();
+        let start = self.stmts.len();
         loop {
             self.c.skip_newlines();
-            match self.c.peek().clone() {
-                Tok::Ident(w) if w == "implicit" => {
+            match self.c.peek() {
+                Tok::Ident("implicit") => {
                     self.c.next();
                     self.c.expect_ident("none")?;
                     self.end_of_stmt()?;
                 }
-                Tok::Ident(w)
-                    if matches!(w.as_str(), "integer" | "real" | "double")
-                        // `double precision ::` is a decl; guard against the
-                        // (never-emitted) ambiguity with expressions.
-                        =>
-                {
-                    self.parse_decl_line(&param_names, &mut params, &mut decls)?;
+                // `double precision ::` is a decl; guard against the
+                // (never-emitted) ambiguity with expressions.
+                Tok::Ident("integer" | "real" | "double") => {
+                    self.parse_decl_line(&param_names, &mut params)?;
                 }
                 _ => break,
             }
@@ -134,14 +137,8 @@ impl Parser {
         });
 
         // Body.
-        let mut body = decls;
-        let fname = name.clone();
-        self.parse_body_until(
-            &mut body,
-            &|t: &Tok| t.is_ident("end"),
-            &fname,
-            ret.is_some(),
-        )?;
+        let body =
+            self.parse_body_until(start, &|t: Tok| t.is_ident("end"), &name, ret.is_some())?;
         // Footer: `end function name` / `end subroutine name`.
         self.c.expect_ident("end")?;
         match ret {
@@ -162,12 +159,10 @@ impl Parser {
         &mut self,
         param_names: &[String],
         params: &mut Vec<Param>,
-        decls: &mut Vec<Stmt>,
     ) -> Result<(), ParseError> {
-        let ty_word = self.c.expect_any_ident()?;
-        let (scalar, is_ptr) = match ty_word.as_str() {
+        let (scalar, is_ptr) = match self.c.expect_ident_text()? {
             "integer" => {
-                if self.c.eat_punct("(") {
+                if self.c.eat_punct(Punct::LParen) {
                     // `integer(8)` — device-pointer surrogate.
                     match self.c.next() {
                         Tok::Int(8) => {}
@@ -175,7 +170,7 @@ impl Parser {
                             return Err(self.err(format!("unsupported integer kind {other:?}")))
                         }
                     }
-                    self.c.expect_punct(")")?;
+                    self.c.expect_punct(Punct::RParen)?;
                     (ScalarType::Int, true)
                 } else {
                     (ScalarType::Int, false)
@@ -188,11 +183,11 @@ impl Parser {
             }
             other => return Err(self.err(format!("expected type, found {other:?}"))),
         };
-        self.c.expect_punct(":")?;
-        self.c.expect_punct(":")?;
+        self.c.expect_punct(Punct::Colon)?;
+        self.c.expect_punct(Punct::Colon)?;
         loop {
             let name = self.c.expect_any_ident()?;
-            if self.c.eat_punct("(") {
+            if self.c.eat_punct(Punct::LParen) {
                 // Array bounds `0:hi` per dimension, or `0:*` for params.
                 let mut dims = Vec::new();
                 let mut assumed = false;
@@ -205,16 +200,16 @@ impl Parser {
                             )))
                         }
                     }
-                    self.c.expect_punct(":")?;
+                    self.c.expect_punct(Punct::Colon)?;
                     match self.c.next() {
                         Tok::Int(hi) if hi >= 0 => dims.push(hi as usize + 1),
-                        Tok::Punct("*") => assumed = true,
+                        Tok::Punct(Punct::Star) => assumed = true,
                         other => return Err(self.err(format!("bad array bound {other:?}"))),
                     }
-                    if self.c.eat_punct(",") {
+                    if self.c.eat_punct(Punct::Comma) {
                         continue;
                     }
-                    self.c.expect_punct(")")?;
+                    self.c.expect_punct(Punct::RParen)?;
                     break;
                 }
                 if param_names.contains(&name) {
@@ -225,7 +220,7 @@ impl Parser {
                 } else if assumed {
                     return Err(self.err("assumed-size array must be a parameter"));
                 } else {
-                    decls.push(Stmt::DeclArray {
+                    self.stmts.push(Stmt::DeclArray {
                         name,
                         elem: scalar,
                         dims,
@@ -242,13 +237,13 @@ impl Parser {
                 } else {
                     Type::Scalar(scalar)
                 };
-                decls.push(Stmt::DeclScalar {
+                self.stmts.push(Stmt::DeclScalar {
                     name,
                     ty,
                     init: None,
                 });
             }
-            if !self.c.eat_punct(",") {
+            if !self.c.eat_punct(Punct::Comma) {
                 break;
             }
         }
@@ -256,72 +251,62 @@ impl Parser {
         Ok(())
     }
 
-    /// Parse statements into `out` until `stop` matches the current token
-    /// (which is left unconsumed).
+    /// Parse statements onto the statement stack until `stop` matches the
+    /// current token (which is left unconsumed). Returns every statement
+    /// the stack holds above `start` (any pushed before the call first) as
+    /// one exactly sized `Vec`.
     fn parse_body_until(
         &mut self,
-        out: &mut Vec<Stmt>,
-        stop: &dyn Fn(&Tok) -> bool,
+        start: usize,
+        stop: &dyn Fn(Tok) -> bool,
         fname: &str,
         has_ret: bool,
-    ) -> Result<(), ParseError> {
+    ) -> Result<Vec<Stmt>, ParseError> {
         loop {
             self.c.skip_newlines();
             if self.c.at_eof() || stop(self.c.peek()) {
-                return Ok(());
+                return Ok(self.stmts.drain(start..).collect());
             }
             let stmt = self.parse_stmt(fname, has_ret)?;
             // Merge `fname = e` + `return` into Return(e).
-            if has_ret {
-                if let Stmt::Return(_) = &stmt {
-                    if let Some(Stmt::Assign {
-                        target: LValue::Var(v),
-                        op: None,
-                        value,
-                    }) = out.last().cloned()
-                    {
-                        if v == fname {
-                            out.pop();
-                            out.push(Stmt::Return(value));
-                            continue;
-                        }
-                    }
+            let merges = has_ret
+                && matches!(stmt, Stmt::Return(_))
+                && self.stmts.len() > start
+                && matches!(self.stmts.last(), Some(Stmt::Assign {
+                    target: LValue::Var(v),
+                    op: None,
+                    ..
+                }) if v == fname);
+            if merges {
+                if let Some(Stmt::Assign { value, .. }) = self.stmts.pop() {
+                    self.stmts.push(Stmt::Return(value));
                 }
+                continue;
             }
-            out.push(stmt);
+            self.stmts.push(stmt);
         }
     }
 
     fn parse_stmt(&mut self, fname: &str, has_ret: bool) -> Result<Stmt, ParseError> {
-        if let Tok::Directive(payload) = self.c.peek().clone() {
+        if let Tok::Directive(payload) = self.c.peek() {
             let line = self.c.line();
             self.c.next();
             self.end_of_stmt()?;
-            if payload.trim_start().starts_with("end") {
+            if payload.starts_with("end") {
                 return Err(self.err(format!("unmatched `!$acc {payload}`")));
             }
-            let dir = parse_directive(&payload, Language::Fortran, line)?;
+            let dir = parse_directive_with(payload, Language::Fortran, line, &mut self.payload)?;
             return self.parse_directive_stmt(dir, fname, has_ret);
         }
-        match self.c.peek().clone() {
-            Tok::Ident(w) => match w.as_str() {
+        match self.c.peek() {
+            Tok::Ident(w) => match w {
                 "do" => self.parse_do(fname, has_ret).map(Stmt::For),
                 "if" => self.parse_if(fname, has_ret),
                 "call" => {
                     self.c.next();
                     let name = self.c.expect_any_ident()?;
-                    self.c.expect_punct("(")?;
-                    let mut args = Vec::new();
-                    if !self.c.eat_punct(")") {
-                        loop {
-                            args.push(parse_expr(&mut self.c, Language::Fortran)?);
-                            if self.c.eat_punct(",") {
-                                continue;
-                            }
-                            self.c.expect_punct(")")?;
-                            break;
-                        }
-                    }
+                    self.c.expect_punct(Punct::LParen)?;
+                    let args = parse_args(&mut self.c, Language::Fortran)?;
                     self.end_of_stmt()?;
                     Ok(Stmt::Call { name, args })
                 }
@@ -349,10 +334,11 @@ impl Parser {
             | DirectiveKind::Kernels
             | DirectiveKind::Data
             | DirectiveKind::HostData => {
-                let mut body = Vec::new();
-                let end_payload = format!("end {}", dir.kind.name());
-                let stop = move |t: &Tok| matches!(t, Tok::Directive(p) if p.trim() == end_payload);
-                self.parse_body_until(&mut body, &stop, fname, has_ret)?;
+                // The block ends at exactly `!$acc end <kind>`.
+                let kind = dir.kind.name();
+                let stop =
+                    |t: Tok| matches!(t, Tok::Directive(p) if p.strip_prefix("end ") == Some(kind));
+                let body = self.parse_body_until(self.stmts.len(), &stop, fname, has_ret)?;
                 match self.c.next() {
                     Tok::Directive(_) => {}
                     other => {
@@ -380,19 +366,18 @@ impl Parser {
     fn parse_do(&mut self, fname: &str, has_ret: bool) -> Result<ForLoop, ParseError> {
         self.c.expect_ident("do")?;
         let var = self.c.expect_any_ident()?;
-        self.c.expect_punct("=")?;
+        self.c.expect_punct(Punct::Assign)?;
         let from = parse_expr(&mut self.c, Language::Fortran)?;
-        self.c.expect_punct(",")?;
+        self.c.expect_punct(Punct::Comma)?;
         let hi = parse_expr(&mut self.c, Language::Fortran)?;
-        let step = if self.c.eat_punct(",") {
+        let step = if self.c.eat_punct(Punct::Comma) {
             parse_expr(&mut self.c, Language::Fortran)?
         } else {
             Expr::int(1)
         };
         self.end_of_stmt()?;
-        let mut body = Vec::new();
-        let stop = |t: &Tok| t.is_ident("end");
-        self.parse_body_until(&mut body, &stop, fname, has_ret)?;
+        let stop = |t: Tok| t.is_ident("end");
+        let body = self.parse_body_until(self.stmts.len(), &stop, fname, has_ret)?;
         self.c.expect_ident("end")?;
         self.c.expect_ident("do")?;
         self.end_of_stmt()?;
@@ -408,18 +393,18 @@ impl Parser {
 
     fn parse_if(&mut self, fname: &str, has_ret: bool) -> Result<Stmt, ParseError> {
         self.c.expect_ident("if")?;
-        self.c.expect_punct("(")?;
+        self.c.expect_punct(Punct::LParen)?;
         let cond = parse_expr(&mut self.c, Language::Fortran)?;
-        self.c.expect_punct(")")?;
+        self.c.expect_punct(Punct::RParen)?;
         self.c.expect_ident("then")?;
         self.end_of_stmt()?;
-        let mut then_body = Vec::new();
-        let stop = |t: &Tok| t.is_ident("else") || t.is_ident("end");
-        self.parse_body_until(&mut then_body, &stop, fname, has_ret)?;
+        let stop = |t: Tok| t.is_ident("else") || t.is_ident("end");
+        let then_body = self.parse_body_until(self.stmts.len(), &stop, fname, has_ret)?;
         let mut else_body = Vec::new();
         if self.c.eat_ident("else") {
             self.end_of_stmt()?;
-            self.parse_body_until(&mut else_body, &|t: &Tok| t.is_ident("end"), fname, has_ret)?;
+            let stop = |t: Tok| t.is_ident("end");
+            else_body = self.parse_body_until(self.stmts.len(), &stop, fname, has_ret)?;
         }
         self.c.expect_ident("end")?;
         self.c.expect_ident("if")?;
@@ -433,14 +418,14 @@ impl Parser {
 
     fn parse_assign(&mut self) -> Result<Stmt, ParseError> {
         let name = self.c.expect_any_ident()?;
-        let target = if self.c.eat_punct("(") {
+        let target = if self.c.eat_punct(Punct::LParen) {
             let mut indices = Vec::new();
             loop {
                 indices.push(parse_expr(&mut self.c, Language::Fortran)?);
-                if self.c.eat_punct(",") {
+                if self.c.eat_punct(Punct::Comma) {
                     continue;
                 }
-                self.c.expect_punct(")")?;
+                self.c.expect_punct(Punct::RParen)?;
                 break;
             }
             LValue::Index {
@@ -450,7 +435,7 @@ impl Parser {
         } else {
             LValue::Var(name)
         };
-        self.c.expect_punct("=")?;
+        self.c.expect_punct(Punct::Assign)?;
         let value = parse_expr(&mut self.c, Language::Fortran)?;
         self.end_of_stmt()?;
         Ok(Stmt::Assign {

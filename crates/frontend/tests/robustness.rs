@@ -20,6 +20,9 @@ fn soup() -> impl Strategy<Value = String> {
         1 => prop::sample::select(vec![
             "do", "end", "function", "subroutine", "integer", "real", "implicit", "none",
             "call", "then", "!$acc", ".and.", ".or.", ".not.", "/=", "::",
+            // Sentinel look-alikes: an upper-case sentinel, and `acc` as
+            // the prefix of a longer word.
+            "!$ACC", "#pragma accel", "!$accel",
         ]).prop_map(str::to_string),
     ];
     prop::collection::vec(atom, 0..60).prop_map(|parts| {
@@ -53,10 +56,18 @@ proptest! {
         }
     }
 
+    /// Printable ASCII plus the characters a byte-level lexer must not
+    /// split: blanks, and UTF-8 of two, three and four bytes (a byte order
+    /// mark among them). The stub enumerates a class, so it lists them.
     #[test]
-    fn lexers_are_total(src in "[ -~\n]{0,200}") {
+    fn lexers_are_total(src in "[ -~\n\t\ré€😀\u{feff}]{0,200}") {
         let _ = acc_frontend::lex::lex_c(&src);
         let _ = acc_frontend::lex::lex_fortran(&src);
+        let one_line = src.replace('\n', " ");
+        for lang in [Language::C, Language::Fortran] {
+            let _ = acc_frontend::parse(&src, lang);
+            let _ = acc_frontend::directive::parse_directive(&one_line, lang, 1);
+        }
     }
 
     #[test]

@@ -113,8 +113,6 @@ impl BenchReport {
         let _ = writeln!(s, "  \"cache\": {{");
         let _ = writeln!(s, "    \"frontend_hits\": {},", self.cache.frontend_hits);
         let _ = writeln!(s, "    \"frontend_misses\": {},", self.cache.frontend_misses);
-        let _ = writeln!(s, "    \"exec_hits\": {},", self.cache.exec_hits);
-        let _ = writeln!(s, "    \"exec_misses\": {},", self.cache.exec_misses);
         let _ = writeln!(s, "    \"hit_rate\": {:.4}", self.cache.hit_rate());
         let _ = writeln!(s, "  }}");
         s.push_str("}\n");

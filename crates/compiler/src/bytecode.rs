@@ -34,8 +34,8 @@
 //! Nothing vendor-specific is baked into the instruction stream: gang,
 //! worker, and vector geometry (and every defect knob) stay in the
 //! [`ExecProfile`] consumed at run time by the shared region handler, so
-//! one front-end lowering serves all vendors while the compile cache keys
-//! executables on the full vendor fingerprint.
+//! one lowering per source serves every vendor and release, each of whose
+//! executables carries its own profile.
 
 use acc_ast::{
     AccClause, AccDirective, BinOp, Expr, ForLoop, LValue, Program, ScalarType, Stmt, Type, UnOp,
@@ -241,7 +241,7 @@ pub(crate) struct HostBlock {
 
 /// A compiled program: one flat instruction stream plus the side tables the
 /// escape hatches and directive instructions index into. Stored in the
-/// executable (and the executable level of the compile cache) as an
+/// executable (and in the source's compile-cache entry) as an
 /// `Arc<BytecodeProgram>`, so a cache hit skips lowering entirely.
 #[derive(Debug, Default)]
 pub struct BytecodeProgram {

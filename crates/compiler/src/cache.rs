@@ -3,30 +3,29 @@
 //! A validation campaign compiles the same generated source many times —
 //! once per vendor version in a sweep, once more for every cross-test
 //! repetition, and again on retries. The pipeline is deterministic, so all
-//! of that work is redundant. [`CompileCache`] memoises it at two levels,
-//! each holding exactly what its key determines:
+//! of that work is redundant. [`CompileCache`] memoises it at one level,
+//! keyed by `(language, spec version, source)`: each entry holds
+//! everything about the source that no vendor profile changes, so one
+//! entry serves *every* vendor and version. That is the parsed AST with
+//! its resolved frame layouts; the summary of what the source uses that
+//! defects can reach (directive/clause pairs, non-constant sizing
+//! clauses, runtime routines called), built by the first release to
+//! compile it; and the lowered bytecode image, built by the first release
+//! whose compile-time check passes. An eight-version sweep pays for one
+//! parse, one usage walk and at most one lowering per source. The entry
+//! also holds the source's run memos, one per *observable profile*: a
+//! release's profile without its name and without the defects the source
+//! cannot reach, plus its device. Releases that agree on it run the source
+//! to identical results, so they share one memo and a sweep executes the
+//! source once per observable behaviour (DESIGN.md §15.2).
 //!
-//! * **Front-end level** — keyed by `(language, spec version, source)`.
-//!   Holds everything about the source that no vendor profile changes, so
-//!   one entry serves *every* vendor and version: the parsed AST with its
-//!   resolved frame layouts; the summary of what the source uses that
-//!   defects can reach (directive/clause pairs, non-constant sizing
-//!   clauses, runtime routines called), built by the first release to
-//!   compile it; and the lowered bytecode image, built by the first
-//!   release whose compile-time check passes. An eight-version sweep pays
-//!   for one parse, one usage walk and at most one lowering per source.
-//!   The entry also holds the source's run memos, one per *observable
-//!   profile*: a release's profile without its name and without the
-//!   defects the source cannot reach, plus its device. Releases that
-//!   agree on it run the source to identical results, so they share one
-//!   memo and a sweep executes the source once per observable behaviour
-//!   (DESIGN.md §15.2).
-//! * **Executable level** — keyed by `(vendor profile fingerprint, source)`.
-//!   The compile-time verdict and the [`Executable`] (its profile) depend
-//!   on the release's bug set, so a PGI executable is never served to
-//!   Cray: their fingerprints differ. Executables of different releases
-//!   share the front-end entry's AST and image by `Arc`, and its memo when
-//!   their observable profiles agree.
+//! What depends on the release — the compile-time verdict and the
+//! [`Executable`] carrying its profile — is rebuilt around the entry on
+//! every compile ([`crate::vendor::VendorCompiler::compile`]), so a PGI
+//! executable is never served to Cray. That costs less than keying and
+//! storing executables, which a campaign never asks for twice
+//! (DESIGN.md §10). [`executable`](CompileCache::executable) still offers
+//! such a level to callers outside the product.
 //!
 //! Keys embed the *full* source text (content addressing by exact match):
 //! no hash collisions are possible, and lookups cost one hash of the
@@ -38,17 +37,17 @@
 //! via `Arc`. Compilation runs *outside* the lock; when two workers race to
 //! compile the same key, the first insert wins and both get the same
 //! `Arc`-shared artifact (the loser's work is discarded, not duplicated in
-//! the cache). Hit/miss counters per level feed the report summary and the
-//! bench JSON; the run memos' hit/miss counters ride beside them on the
-//! stderr summary and in `/metrics`.
+//! the cache). The hit/miss counters feed the stderr summary, `/metrics`
+//! and the bench JSON, beside the run memos' hit/miss counters.
 //!
 //! Entries live as long as their cache. `accvv serve` attaches one cache
 //! for the process to every submission's compiler, so later submissions
-//! hit what earlier ones compiled. A campaign's cache instead gives each
-//! case a [`scoped`](CompileCache::scoped) cache that counts into it: the
-//! case's sources are shared by every release of a sweep and freed when
-//! the case ends, so the campaign's own cache stays empty (DESIGN.md §10,
-//! "Entry lifetime").
+//! hit what earlier ones compiled; it holds one entry per distinct source.
+//! A campaign's cache instead gives each case a [`scoped`]
+//! (CompileCache::scoped) cache that counts into it: the case's sources
+//! are shared by every release of a sweep and freed when the case ends,
+//! so the campaign's own cache stays empty (DESIGN.md §10, "Entry
+//! lifetime").
 
 use acc_ast::Program;
 use acc_frontend::ResolvedProgram;
@@ -109,9 +108,10 @@ pub struct CacheStats {
     pub frontend_hits: u64,
     /// Front-end lookups that had to parse.
     pub frontend_misses: u64,
-    /// Executable lookups served from cache.
+    /// [`CompileCache::executable`] lookups served from cache; the product
+    /// makes none, so its reports and metrics leave this out.
     pub exec_hits: u64,
-    /// Executable lookups that had to run the defect walk.
+    /// [`CompileCache::executable`] lookups that had to compile.
     pub exec_misses: u64,
     /// Memoized runs replayed from a run memo.
     pub run_memo_hits: u64,
@@ -120,21 +120,15 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Total compile lookups across both levels.
+    /// Compile lookups: one per compile through the cache.
     pub fn lookups(&self) -> u64 {
-        self.frontend_hits + self.frontend_misses + self.exec_hits + self.exec_misses
+        self.frontend_hits + self.frontend_misses
     }
 
-    /// Compile hit rate across both levels in `[0, 1]`; 0 when no lookups
-    /// happened. Run-memo lookups are not compiles and stay out of it.
+    /// Compile hit rate in `[0, 1]`; 0 when no lookups happened. Run-memo
+    /// lookups are not compiles and stay out of it.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.frontend_hits + self.exec_hits;
-        let total = self.lookups();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        acc_obs::metrics::CacheCounters::from(*self).hit_rate()
     }
 }
 
@@ -142,11 +136,9 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "frontend {}/{} hits, executable {}/{} hits ({:.1}% overall), run memo {}/{} hits",
+            "frontend {}/{} hits ({:.1}%), run memo {}/{} hits",
             self.frontend_hits,
-            self.frontend_hits + self.frontend_misses,
-            self.exec_hits,
-            self.exec_hits + self.exec_misses,
+            self.lookups(),
             self.hit_rate() * 100.0,
             self.run_memo_hits,
             self.run_memo_hits + self.run_memo_misses,
@@ -159,8 +151,6 @@ impl From<CacheStats> for acc_obs::metrics::CacheCounters {
         acc_obs::metrics::CacheCounters {
             frontend_hits: s.frontend_hits,
             frontend_misses: s.frontend_misses,
-            exec_hits: s.exec_hits,
-            exec_misses: s.exec_misses,
             run_memo_hits: s.run_memo_hits,
             run_memo_misses: s.run_memo_misses,
         }
@@ -195,7 +185,9 @@ impl CompileCache {
     ///
     /// `compute` runs outside the cache lock; concurrent racers on the same
     /// key both compute, but the first insertion wins and is returned to
-    /// everyone.
+    /// everyone. The product calls [`frontend_unit`](Self::frontend_unit)
+    /// instead; this view of the same entry serves callers that finish the
+    /// compile themselves ([`crate::driver::finish_compile`]).
     pub fn frontend(
         &self,
         source: &str,
@@ -208,8 +200,9 @@ impl CompileCache {
     }
 
     /// [`frontend`](Self::frontend), returning the whole entry: the
-    /// artifact plus the usage summary and image slots every release
-    /// compiling the source fills and shares.
+    /// artifact plus the usage summary, image and run memos every release
+    /// compiling the source fills and shares. Every compile through a
+    /// cache starts here.
     pub(crate) fn frontend_unit(
         &self,
         source: &str,
@@ -247,7 +240,10 @@ impl CompileCache {
     ///
     /// `fingerprint` must uniquely determine the vendor profile (vendor,
     /// version, target, extra defects, language) — see
-    /// [`crate::vendor::VendorCompiler::fingerprint`].
+    /// [`crate::vendor::VendorCompiler::fingerprint`]. The product no
+    /// longer calls this: [`crate::vendor::VendorCompiler::compile`] builds
+    /// each release's executable around the source's front-end entry. It
+    /// stays for callers outside the product that still key executables.
     pub fn executable(
         &self,
         fingerprint: &str,
@@ -286,8 +282,9 @@ impl CompileCache {
         }
     }
 
-    /// Number of distinct executable-level entries (one per profile ×
-    /// source pair seen).
+    /// Number of distinct [`executable`](Self::executable) entries (one per
+    /// profile × source pair seen). The product no longer calls this; it
+    /// reads 0 for every cache the product fills.
     pub fn exec_entries(&self) -> usize {
         self.exec.lock().unwrap().len()
     }
@@ -303,7 +300,6 @@ impl fmt::Debug for CompileCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompileCache")
             .field("frontend_entries", &self.frontend_entries())
-            .field("exec_entries", &self.exec_entries())
             .field("stats", &self.stats())
             .finish()
     }
@@ -419,23 +415,24 @@ mod tests {
             VendorCompiler::latest(VendorId::Caps),
             VendorCompiler::latest(VendorId::Pgi),
             VendorCompiler::latest(VendorId::Cray),
-        ];
-        let exes: Vec<Arc<Executable>> = compilers
-            .into_iter()
-            .map(|c| {
-                c.with_cache(Arc::clone(&cache))
-                    .compile_shared(SRC, Language::C)
-                    .unwrap()
-            })
+        ]
+        .map(|c| c.with_cache(Arc::clone(&cache)));
+        let exes: Vec<Executable> = compilers
+            .iter()
+            .map(|c| c.compile(SRC, Language::C).unwrap())
             .collect();
         for (i, a) in exes.iter().enumerate() {
+            assert!(Arc::ptr_eq(&a.profile, &compilers[i].profile(Language::C)));
             for b in &exes[i + 1..] {
                 assert!(Arc::ptr_eq(&a.code, &b.code), "one image per source");
                 assert_ne!(a.profile, b.profile, "one profile per release");
             }
         }
         assert_eq!(cache.frontend_entries(), 1);
-        assert_eq!(cache.exec_entries(), exes.len());
+        assert_eq!(cache.exec_entries(), 0, "executables are built, not cached");
+        let s = cache.stats();
+        assert_eq!((s.frontend_hits, s.frontend_misses), (3, 1));
+        assert_eq!((s.exec_hits, s.exec_misses), (0, 0));
     }
 
     #[test]
@@ -445,7 +442,7 @@ mod tests {
         let cache = CompileCache::shared();
         let compile = |c: VendorCompiler, src: &str| {
             c.with_cache(Arc::clone(&cache))
-                .compile_shared(src, Language::C)
+                .compile(src, Language::C)
                 .unwrap()
         };
         let caps = |v: &str| VendorCompiler::new(VendorId::Caps, v.parse().unwrap());
@@ -458,7 +455,6 @@ mod tests {
         let cray = compile(VendorCompiler::latest(VendorId::Cray), SRC);
         for (a, b) in [(&caps_old, &caps_new), (&pgi_new, &reference)] {
             assert!(Arc::ptr_eq(&a.run_memo, &b.run_memo));
-            assert!(!Arc::ptr_eq(a, b), "executables stay per release");
             assert_ne!(a.profile, b.profile, "profiles stay per release");
         }
         for caps in [&caps_old, &caps_new] {
@@ -496,9 +492,7 @@ mod tests {
         let release = |v: &str| {
             VendorCompiler::new(VendorId::Caps, v.parse().unwrap()).with_cache(Arc::clone(&cache))
         };
-        let err = release("3.0.7")
-            .compile_shared(src, Language::C)
-            .unwrap_err();
+        let err = release("3.0.7").compile(src, Language::C).unwrap_err();
         assert_eq!(err.kind, FailureKind::InternalError);
         assert!(
             err.messages
@@ -516,7 +510,7 @@ mod tests {
             "a rejected compile lowers nothing"
         );
 
-        let exe = release("3.1.0").compile_shared(src, Language::C).unwrap();
+        let exe = release("3.1.0").compile(src, Language::C).unwrap();
         let uncached = VendorCompiler::new(VendorId::Caps, "3.1.0".parse().unwrap())
             .compile(src, Language::C)
             .unwrap();

@@ -137,8 +137,10 @@ pub fn frontend_compile(
 
 /// The profile-specific back half: apply the vendor release's compile-time
 /// defects to an already-parsed program and produce the executable. It
-/// lowers afresh; [`crate::vendor::VendorCompiler::compile_shared`] shares
-/// one image per source through the compile cache instead.
+/// lowers afresh; [`crate::vendor::VendorCompiler::compile`] with a cache
+/// attached shares one image per source instead. The product no longer
+/// calls it; it stays public for callers that run the front half
+/// themselves.
 pub fn finish_compile(
     program: Arc<Program>,
     resolved: Arc<ResolvedProgram>,
@@ -159,7 +161,7 @@ pub fn compile_with_profile(
     concrete_device: DeviceType,
 ) -> Result<Executable, CompileFailure> {
     let (program, resolved) = frontend_compile(source, language)?;
-    finish_compile(program, resolved, profile, concrete_device)
+    FrontendUnit::new(program, resolved, None).finish(profile.into(), concrete_device)
 }
 
 /// A source through the front end, plus what every release compiling it

@@ -17,8 +17,8 @@ use crate::cache::CompileCache;
 use crate::driver::{compile_with_profile, frontend_compile, CompileFailure, Executable};
 
 /// The paper's catalog, built once per process: it is a constant, so every
-/// compiler reads the same one (and [`VendorCompiler::fingerprint`] need not
-/// cover it).
+/// compiler reads the same one, and a profile is determined by the
+/// release, target and extra defects alone.
 static CATALOG: LazyLock<BugCatalog> = LazyLock::new(BugCatalog::paper);
 
 /// A compiler product line.
@@ -222,11 +222,10 @@ impl VendorCompiler {
         self
     }
 
-    /// Attach a shared compilation cache: [`compile_shared`]
-    /// (Self::compile_shared) will memoise front-end work and lowered
-    /// executables in it. A suite run compiles through it rather than
-    /// through its campaign's per-case scopes, so its entries outlive the
-    /// run.
+    /// Attach a shared compilation cache: [`compile`](Self::compile) then
+    /// shares each source's front-end work, image and run memos through
+    /// it. A suite run compiles through it rather than through its
+    /// campaign's per-case scopes, so its entries outlive the run.
     pub fn with_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -256,19 +255,31 @@ impl VendorCompiler {
     /// Compile source text. Mirrors the real pipeline: front-end →
     /// conformance checks → vendor-specific internal errors → executable
     /// carrying the injected wrong-code defects.
+    ///
+    /// With a cache attached, the source's one entry in it supplies the
+    /// front half (parse, sema, resolve), the defect-usage summary, the
+    /// lowered bytecode image and the run memos, shared by every vendor
+    /// and version that compiles the same source; only the compile-time
+    /// check and the executable around the shared parts are per release.
+    /// Identical results either way.
     pub fn compile(&self, source: &str, language: Language) -> Result<Executable, CompileFailure> {
-        compile_with_profile(
-            source,
-            language,
-            self.profile(language),
-            self.vendor.concrete_device(),
-        )
+        let (profile, device) = (self.profile(language), self.vendor.concrete_device());
+        match &self.cache {
+            None => compile_with_profile(source, language, profile, device),
+            Some(cache) => cache
+                .frontend_unit(source, language, SpecVersion::V1_0, || {
+                    frontend_compile(source, language)
+                })?
+                .finish(profile, device),
+        }
     }
 
-    /// The cache key prefix that uniquely determines this compiler's
-    /// behaviour for a given language: vendor, version, translation target,
-    /// extra defects, language, and spec version. The bug catalog is always
+    /// A string that uniquely determines this compiler's behaviour for a
+    /// given language: vendor, version, translation target, extra defects,
+    /// language, and spec version. The bug catalog is always
     /// [`BugCatalog::paper`], so these fields fully determine the profile.
+    /// It keys [`CompileCache::executable`]; the product compiles through
+    /// [`compile`](Self::compile) and calls neither.
     pub fn fingerprint(&self, language: Language) -> String {
         format!(
             "{:?}|{}|{:?}|{:?}|{:?}|{:?}",
@@ -279,32 +290,6 @@ impl VendorCompiler {
             language,
             SpecVersion::V1_0,
         )
-    }
-
-    /// Compile through the attached [`CompileCache`], sharing the result.
-    ///
-    /// With a cache, the front half (parse/sema/resolve), the source's
-    /// defect-usage summary and its lowered bytecode image are reused across
-    /// *all* vendors and versions that see the same source, and the full
-    /// executable is reused whenever this exact profile sees it again
-    /// (cross-test repetitions, retries, the other tests of a campaign).
-    /// Without a cache this is plain [`compile`](Self::compile) behind an
-    /// `Arc` — identical results either way.
-    pub fn compile_shared(
-        &self,
-        source: &str,
-        language: Language,
-    ) -> Result<Arc<Executable>, CompileFailure> {
-        match &self.cache {
-            None => self.compile(source, language).map(Arc::new),
-            Some(cache) => cache.executable(&self.fingerprint(language), source, || {
-                cache
-                    .frontend_unit(source, language, SpecVersion::V1_0, || {
-                        frontend_compile(source, language)
-                    })?
-                    .finish(self.profile(language), self.vendor.concrete_device())
-            }),
-        }
     }
 }
 

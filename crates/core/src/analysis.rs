@@ -6,9 +6,13 @@
 //! matched against the catalog records active for the release under test,
 //! either directly (a record names that feature) or as *collateral* of a
 //! broader defect (e.g. one broken async runtime fails a dozen async
-//! tests). Failures with no catalogued explanation are flagged — on the
-//! simulated vendors that set is empty, which is itself a strong
-//! consistency check between the catalog and the corpus.
+//! tests). Failures with no catalogued explanation are flagged. On the
+//! simulated vendors that set is not empty: across the 24 commercial
+//! releases 97 of the 1,006 failing feature variants print UNEXPLAINED —
+//! 7 on every Cray release, 31 on CAPS 3.0.7–3.1.0 and 10 on PGI
+//! 12.6–13.2. Each of them comes from a catalogued, injected defect that
+//! neither a record's feature name nor its defect family reaches, so the
+//! matching here is a guess, not a record of which defect fired.
 
 use crate::campaign::SuiteRun;
 use acc_compiler::bugs::{BugCatalog, BugRecord};

@@ -106,10 +106,10 @@ pub fn run_case_with(
     }
     let source = case.source_for(language);
     // 1. Compile the functional test (through the compiler's compilation
-    //    cache when one is attached — retries, repetitions and version
-    //    sweeps then reuse one lowered artifact).
+    //    cache when one is attached — retries and version sweeps then
+    //    reuse one parse and one lowered image).
     obs::begin("compile", "functional", vec![]);
-    let compiled = compiler.compile_shared(&source, language);
+    let compiled = compiler.compile(&source, language);
     obs::end(vec![obs::s(
         "outcome",
         if compiled.is_ok() { "ok" } else { "error" },
@@ -145,7 +145,7 @@ pub fn run_case_with(
         None => return mk(TestStatus::Pass, None, source),
     };
     obs::begin("compile", "cross", vec![]);
-    let cross_compiled = compiler.compile_shared(&cross_source, language);
+    let cross_compiled = compiler.compile(&cross_source, language);
     obs::end(vec![obs::s(
         "outcome",
         if cross_compiled.is_ok() { "ok" } else { "error" },

@@ -390,11 +390,11 @@ impl<'a> Lexer<'a, '_> {
     fn preprocessor_line(&mut self, i: usize) -> usize {
         let end = self.line_end(i);
         let rest = self.src[i + 1..end].trim_start();
-        if let Some(pragma) = rest.strip_prefix("pragma") {
-            // Non-acc pragmas are ignored, like a real compiler would.
-            if let Some(payload) = strip_sentinel_word(pragma.trim_start(), false) {
-                self.push(Tok::Directive(payload.trim()));
-            }
+        // Non-acc pragmas are ignored, like a real compiler would.
+        if let Some(payload) = strip_word(rest, "pragma", false)
+            .and_then(|pragma| strip_word(pragma.trim_start(), "acc", false))
+        {
+            self.push(Tok::Directive(payload.trim()));
         }
         end
     }
@@ -406,7 +406,7 @@ impl<'a> Lexer<'a, '_> {
         let line = &self.src[i..end];
         if let Some(payload) = line
             .strip_prefix("!$")
-            .and_then(|rest| strip_sentinel_word(rest, true))
+            .and_then(|rest| strip_word(rest, "acc", true))
         {
             self.push(Tok::Directive(payload.trim()));
             if !self.payload {
@@ -511,20 +511,20 @@ impl<'a> Lexer<'a, '_> {
     }
 }
 
-/// `rest` (the text after `#pragma` or `!$`) without its leading `acc`
-/// sentinel word; `None` unless `acc` is a whole word there. The Fortran
-/// sentinel matches in any case.
-fn strip_sentinel_word(rest: &str, any_case: bool) -> Option<&str> {
-    let head = rest.as_bytes().get(..3)?;
+/// `rest` without its leading `word` (`pragma` after `#`, the `acc`
+/// sentinel after `#pragma` or `!$`); `None` unless `word` is a whole word
+/// there. The Fortran sentinel matches in any case.
+fn strip_word<'s>(rest: &'s str, word: &str, any_case: bool) -> Option<&'s str> {
+    let head = rest.as_bytes().get(..word.len())?;
     let matched = if any_case {
-        head.eq_ignore_ascii_case(b"acc")
+        head.eq_ignore_ascii_case(word.as_bytes())
     } else {
-        head == b"acc"
+        head == word.as_bytes()
     };
     if !matched {
         return None;
     }
-    let tail = &rest[3..];
+    let tail = &rest[word.len()..];
     let continues_word = tail
         .chars()
         .next()

@@ -1,9 +1,10 @@
 //! Directive sentinels and the characters the lexer reports.
 //!
-//! `acc` after `#pragma` or `!$` must be a whole word, and the Fortran
-//! sentinel matches in any case, so an upper-case directive line reaches
-//! the directive grammar instead of vanishing as a comment. A character
-//! the lexer rejects is named whole, not by its first UTF-8 byte.
+//! `pragma` after `#` and `acc` after `#pragma` or `!$` must be whole
+//! words, and the Fortran sentinel matches in any case, so an upper-case
+//! directive line reaches the directive grammar instead of vanishing as a
+//! comment. A character the lexer rejects is named whole, not by its
+//! first UTF-8 byte.
 
 use acc_frontend::lex::{lex_c, lex_fortran};
 use acc_frontend::parse;
@@ -50,6 +51,16 @@ fn a_pragma_whose_word_only_starts_with_acc_is_ignored() {
         parse(src, C).unwrap_err().to_string(),
         "parse error at line 2: expected identifier, found Punct(\"(\")"
     );
+}
+
+#[test]
+fn a_preprocessor_word_that_only_starts_with_pragma_is_no_pragma() {
+    let src = "int main(void) {\n    #pragmaacc parallel\n    {\n    }\n    return 1;\n}\n";
+    let p = parse(src, C).unwrap();
+    assert!(p.directives().is_empty());
+    // Any whitespace may separate the two words.
+    let src = "int main(void) {\n    #pragma\tacc parallel\n    {\n    }\n    return 1;\n}\n";
+    assert_eq!(parse(src, C).unwrap().directives().len(), 1);
 }
 
 #[test]

@@ -26,10 +26,6 @@ pub struct CacheCounters {
     pub frontend_hits: u64,
     /// Front-end cache misses.
     pub frontend_misses: u64,
-    /// Executable-level cache hits.
-    pub exec_hits: u64,
-    /// Executable-level cache misses.
-    pub exec_misses: u64,
     /// Memoized runs replayed from a run memo.
     pub run_memo_hits: u64,
     /// Memoized runs that executed the program.
@@ -37,15 +33,14 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// Overall hit rate across both compile levels, 0.0 when no lookups
-    /// happened.
+    /// Front-end hit rate, 0.0 when no lookups happened. Run-memo lookups
+    /// are not compiles and stay out of it.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.frontend_hits + self.exec_hits;
-        let total = hits + self.frontend_misses + self.exec_misses;
+        let total = self.frontend_hits + self.frontend_misses;
         if total == 0 {
             0.0
         } else {
-            hits as f64 / total as f64
+            self.frontend_hits as f64 / total as f64
         }
     }
 }
@@ -291,8 +286,6 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
         let help = "Compile cache and run memo lookups by level and outcome.";
         family(&mut out, "accvv_compile_cache_lookups_total", "counter", help);
         for (level, outcome, v) in [
-            ("exec", "hit", c.exec_hits),
-            ("exec", "miss", c.exec_misses),
             ("frontend", "hit", c.frontend_hits),
             ("frontend", "miss", c.frontend_misses),
             ("run_memo", "hit", c.run_memo_hits),
@@ -303,7 +296,7 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
                 "accvv_compile_cache_lookups_total{{level=\"{level}\",outcome=\"{outcome}\"}} {v}"
             );
         }
-        let help = "Overall compile-cache hit rate across both compile levels.";
+        let help = "Front-end compile-cache hit rate.";
         family(&mut out, "accvv_compile_cache_hit_rate", "gauge", help);
         let _ = writeln!(out, "accvv_compile_cache_hit_rate {:.4}", c.hit_rate());
     }
@@ -349,11 +342,9 @@ pub fn summary_table(events: &[Event], cache: Option<&CacheCounters>) -> String 
     if let Some(c) = cache {
         let _ = writeln!(
             out,
-            "  compile cache: frontend {}/{} exec {}/{} hit rate {:.1}%, run memo {}/{}",
+            "  compile cache: frontend {}/{} hit rate {:.1}%, run memo {}/{}",
             c.frontend_hits,
             c.frontend_hits + c.frontend_misses,
-            c.exec_hits,
-            c.exec_hits + c.exec_misses,
             c.hit_rate() * 100.0,
             c.run_memo_hits,
             c.run_memo_hits + c.run_memo_misses,
@@ -412,8 +403,6 @@ mod tests {
         let c = CacheCounters {
             frontend_hits: 3,
             frontend_misses: 1,
-            exec_hits: 5,
-            exec_misses: 3,
             run_memo_hits: 7,
             run_memo_misses: 2,
         };
@@ -427,10 +416,11 @@ mod tests {
         assert!(text.contains(
             "accvv_compile_cache_lookups_total{level=\"run_memo\",outcome=\"miss\"} 2"
         ));
-        // The hit rate keeps its two-level meaning: memo lookups stay out.
-        assert!(text.contains("accvv_compile_cache_hit_rate 0.6667"));
+        assert!(!text.contains("level=\"exec\""));
+        // The hit rate is the front end's: memo lookups stay out.
+        assert!(text.contains("accvv_compile_cache_hit_rate 0.7500"));
         let table = summary_table(&[], Some(&c));
-        assert!(table.contains("frontend 3/4 exec 5/8 hit rate 66.7%, run memo 7/9"));
+        assert!(table.contains("frontend 3/4 hit rate 75.0%, run memo 7/9"));
     }
 
     #[test]
@@ -508,8 +498,6 @@ mod tests {
         let cache = CacheCounters {
             frontend_hits: 1,
             frontend_misses: 1,
-            exec_hits: 1,
-            exec_misses: 1,
             run_memo_hits: 1,
             run_memo_misses: 1,
         };
@@ -560,8 +548,6 @@ mod tests {
         let cache = CacheCounters {
             frontend_hits: 3,
             frontend_misses: 1,
-            exec_hits: 5,
-            exec_misses: 3,
             run_memo_hits: 7,
             run_memo_misses: 2,
         };

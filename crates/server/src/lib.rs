@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read as _};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -238,6 +238,37 @@ impl SubmissionSpec {
     /// The format's CLI name (`text`/`csv`/`html`), as stored.
     pub fn format_name(&self) -> &'static str {
         self.format.name()
+    }
+
+    /// The `accvv run` command that resumes this submission from
+    /// `journal`: every field that selects what runs or how the report
+    /// reads becomes its flag, so the resumed run selects the same suite
+    /// as the journal. Tenant, weight and the whole-submission deadline
+    /// only schedule the server's work and have no flag.
+    pub fn resume_command(&self, journal: &Path) -> String {
+        let vendor = self.vendor.name().to_ascii_lowercase();
+        let mut cmd = format!("accvv run --vendor {vendor}");
+        if let Some(version) = self.version {
+            cmd += &format!(" --version {version}");
+        }
+        if let Some(lang) = self.language {
+            cmd += &format!(" --lang {}", lang.to_string().to_ascii_lowercase());
+        }
+        if !self.features.is_empty() {
+            cmd += &format!(" --features {}", self.features.join(","));
+        }
+        if let Some(m) = self.repetitions {
+            cmd += &format!(" --repetitions {m}");
+        }
+        let exec_mode = match self.exec_mode {
+            ExecMode::Vm => "vm",
+            ExecMode::Walk => "walk",
+        };
+        cmd += &format!(" --format {} --exec-mode {exec_mode}", self.format.name());
+        if let Some(ms) = self.case_deadline_ms {
+            cmd += &format!(" --case-deadline-ms {ms}");
+        }
+        cmd + &format!(" --resume {}", journal.display())
     }
 
     /// Parse a submission from a request body. Validation mirrors the CLI:
@@ -824,8 +855,8 @@ fn run_one(inner: &ServerInner, id: u64) {
                     id,
                     "interrupted",
                     &format!(
-                        "server drained mid-run; resume with `accvv run --resume {}`",
-                        journal_path.display()
+                        "server drained mid-run; resume with `{}`",
+                        spec.resume_command(&journal_path)
                     ),
                 );
             } else if outcome.stats.deadlined {

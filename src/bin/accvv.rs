@@ -121,7 +121,7 @@ USAGE:
   accvv disasm NAME [--lang c|fortran] [--cross]
   accvv titan [--nodes N] [--sample K] [--seed S] [--fault-rate PCT]
              [--retries R] [--jobs N] [--exec-mode vm|walk]
-  accvv titan --sweep [--nodes N] [--jobs N] [--lose-node ID@AFTER]…
+  accvv titan --sweep [--nodes N] [--lose-node ID@AFTER]…
              [--journal FILE | --resume FILE] [--out FILE] [--halt-after N]
              [--quarantine-after K] [--track FILE]
              [--trace-out FILE] [--metrics-out FILE]
@@ -861,7 +861,7 @@ fn cmd_expand(args: &[String]) -> Result<(), String> {
 fn cmd_disasm(args: &[String]) -> Result<(), String> {
     let (case, lang, source) = named_source(args, "disasm")?;
     let exe = VendorCompiler::reference()
-        .compile_shared(&source, lang)
+        .compile(&source, lang)
         .map_err(|e| format!("`{}` does not compile: {e}", case.name))?;
     out!("{}", exe.disassemble())?;
     Ok(())
@@ -1017,7 +1017,14 @@ fn cmd_titan(args: &[String]) -> Result<(), String> {
 /// crash-safe resume, scheduled node losses and repeat-offender quarantine.
 fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
     use openacc_vv::harness::{ClusterSweep, LossPlan};
-    let jobs = parse_jobs(args, 1)?;
+    // `check_flags` lets `--jobs` through: the sampled `accvv titan` takes it.
+    if opt(args, "--jobs").is_some() {
+        let why = "the sweep runs its units one at a time, so node losses fire at the same \
+                   unit on every run";
+        return Err(format!(
+            "`--jobs` does not apply to `accvv titan --sweep`: {why}"
+        ));
+    }
     let losses = opt_all(args, "--lose-node")
         .iter()
         .map(|s| LossPlan::parse(s))
@@ -1061,7 +1068,6 @@ fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
     }
     let tele = telemetry_opts(args);
     let mut policy = ExecutorPolicy::new()
-        .with_jobs(jobs)
         .with_retries(parse_opt_or(args, "--retries", 0u32)?)
         .with_recorder(tele.recorder.clone())
         .with_exec_mode(parse_exec_mode(args)?);

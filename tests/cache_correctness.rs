@@ -5,14 +5,14 @@
 //!
 //! 1. **Transparency** — cached and uncached campaign reports are
 //!    byte-identical, serial and parallel, for healthy and buggy compilers.
-//! 2. **Isolation** — executable-level entries are keyed by the full vendor
-//!    fingerprint: a PGI artifact is never served to Cray, while both share
-//!    one front-end entry per distinct source.
+//! 2. **Isolation** — each release's executable carries its own profile:
+//!    a PGI artifact is never served to Cray, while every release shares
+//!    one front-end entry and one bytecode image per distinct source.
 //! 3. **Composition** — the PR 2 journal halt/resume machinery composes
 //!    with the cache: a resumed cached run reproduces the clean uncached
 //!    report byte for byte.
 
-use openacc_vv::compiler::{CompileCache, VendorCompiler, VendorId};
+use openacc_vv::compiler::{CompileCache, Executable, VendorCompiler, VendorId};
 use openacc_vv::prelude::*;
 use openacc_vv::server::{run_submission, RunOptions, SubmissionSpec};
 use openacc_vv::validation::{MemoryJournal, Replay};
@@ -147,8 +147,8 @@ fn source_major_sweeps_match_uncached_lines_and_free_every_case() {
             );
             // ...and keeps its entries to itself, freed with the case.
             assert_eq!(
-                (cache.frontend_entries(), cache.exec_entries()),
-                (0, 0),
+                cache.frontend_entries(),
+                0,
                 "the campaign's cache kept entries after a sweep of {vendors:?}"
             );
             counts.push(stats);
@@ -171,11 +171,23 @@ fn compiler_cache_keeps_entries_while_campaign_cache_ends_empty() {
         let compiler = release.clone().with_cache(Arc::clone(&on_compiler));
         let baseline = render_text(&Campaign::new(suite()).run_one(&release));
         assert_eq!(render_text(&exec.run_suite(&campaign, &compiler)), baseline);
-        assert!(on_compiler.frontend_entries() > 0 && on_compiler.exec_entries() > 0);
-        assert_eq!(on_campaign.stats().lookups(), 0, "the compiler's cache wins");
+        assert!(on_compiler.frontend_entries() > 0);
+        assert_eq!(
+            on_compiler.exec_entries(),
+            0,
+            "executables are built, not cached"
+        );
+        assert_eq!(
+            on_campaign.stats().lookups(),
+            0,
+            "the compiler's cache wins"
+        );
         assert_eq!(render_text(&exec.run_suite(&campaign, &release)), baseline);
-        assert!(on_campaign.stats().lookups() > 0, "each case's scope counts into it");
-        assert_eq!((on_campaign.frontend_entries(), on_campaign.exec_entries()), (0, 0));
+        assert!(
+            on_campaign.stats().lookups() > 0,
+            "each case's scope counts into it"
+        );
+        assert_eq!(on_campaign.frontend_entries(), 0);
     }
 }
 
@@ -191,24 +203,34 @@ fn exec_entries_are_isolated_per_vendor_but_share_the_frontend() {
     let case = &suite()[0];
     let source = case.source_for(Language::C);
 
-    let from_pgi = pgi.compile_shared(&source, Language::C).unwrap();
-    let from_cray = cray.compile_shared(&source, Language::C).unwrap();
-    // Distinct vendor fingerprints ⇒ distinct executables: the PGI artifact
-    // (its defect walk baked in) must never be served to Cray.
+    let from_pgi = pgi.compile(&source, Language::C).unwrap();
+    let from_cray = cray.compile(&source, Language::C).unwrap();
+    // Each executable carries its own release's profile: the PGI artifact
+    // (its defects baked in) is never served to Cray.
+    assert!(Arc::ptr_eq(&from_pgi.profile, &pgi.profile(Language::C)));
+    assert!(Arc::ptr_eq(&from_cray.profile, &cray.profile(Language::C)));
     assert!(
-        !Arc::ptr_eq(&from_pgi, &from_cray),
-        "a PGI executable was served to Cray"
+        from_pgi.profile.name.starts_with("PGI"),
+        "{}",
+        from_pgi.profile.name
     );
-    assert!(from_pgi.profile.name.starts_with("PGI"), "{}", from_pgi.profile.name);
-    assert!(from_cray.profile.name.starts_with("Cray"), "{}", from_cray.profile.name);
+    assert!(
+        from_cray.profile.name.starts_with("Cray"),
+        "{}",
+        from_cray.profile.name
+    );
     // ... while the language-level front-end entry is shared: one source,
-    // one parse, whatever the vendor.
+    // one parse and one image, whatever the vendor.
+    assert!(Arc::ptr_eq(&from_pgi.code, &from_cray.code));
     assert_eq!(cache.frontend_entries(), 1);
-    assert_eq!(cache.exec_entries(), 2);
+    assert_eq!(cache.exec_entries(), 0);
 
-    // Same vendor again: a true hit — the identical Arc comes back.
-    let again = pgi.compile_shared(&source, Language::C).unwrap();
-    assert!(Arc::ptr_eq(&from_pgi, &again));
+    // Same vendor again: the same entry, the same profile, no new entry.
+    let again = pgi.compile(&source, Language::C).unwrap();
+    assert!(Arc::ptr_eq(&from_pgi.profile, &again.profile));
+    assert!(Arc::ptr_eq(&from_pgi.code, &again.code));
+    assert!(Arc::ptr_eq(&from_pgi.run_memo, &again.run_memo));
+    assert_eq!(cache.frontend_entries(), 1);
 }
 
 #[test]
@@ -219,19 +241,72 @@ fn vendor_versions_do_not_share_executables() {
     let mut seen = Vec::new();
     for v in VendorId::Caps.versions() {
         let c = VendorCompiler::new(VendorId::Caps, v).with_cache(Arc::clone(&cache));
-        seen.push(c.compile_shared(&source, Language::C).unwrap());
+        let exe = c.compile(&source, Language::C).unwrap();
+        assert!(Arc::ptr_eq(&exe.profile, &c.profile(Language::C)));
+        seen.push(exe);
     }
     for (i, a) in seen.iter().enumerate() {
         for b in &seen[i + 1..] {
-            assert!(
-                !Arc::ptr_eq(a, b),
-                "two CAPS versions shared one executable entry"
-            );
+            assert_ne!(a.profile, b.profile, "two CAPS versions shared one profile");
+            assert!(Arc::ptr_eq(&a.code, &b.code), "two images of one source");
         }
     }
     // Every version walked its own defect catalog over ONE shared parse.
     assert_eq!(cache.frontend_entries(), 1);
-    assert_eq!(cache.exec_entries(), seen.len());
+    assert_eq!(cache.exec_entries(), 0);
+}
+
+/// The server's shape: one cache attached to every compiler, across
+/// vendors and releases. It holds one entry per distinct source and no
+/// executables, each source has one image, and each executable carries
+/// its own release's profile.
+#[test]
+fn a_compiler_attached_cache_holds_one_unit_per_source() {
+    let cache = CompileCache::shared();
+    let releases: Vec<VendorCompiler> = VendorId::COMMERCIAL
+        .iter()
+        .flat_map(|&v| {
+            let versions = v.versions();
+            [versions[0], versions[3], versions[7]].map(|x| VendorCompiler::new(v, x))
+        })
+        .map(|c| c.with_cache(Arc::clone(&cache)))
+        .collect();
+    let mut sources = std::collections::BTreeSet::new();
+    for case in suite() {
+        for &lang in &case.languages {
+            sources.insert((lang, case.source_for(lang)));
+            sources.extend(case.cross_source_for(lang).map(|x| (lang, x)));
+        }
+    }
+    let mut images: Vec<Arc<openacc_vv::compiler::BytecodeProgram>> = Vec::new();
+    for (lang, source) in &sources {
+        let exes: Vec<(&VendorCompiler, Executable)> = releases
+            .iter()
+            .filter_map(|c| c.compile(source, *lang).ok().map(|exe| (c, exe)))
+            .collect();
+        let image = &exes
+            .first()
+            .expect("some release compiles each source")
+            .1
+            .code;
+        for (compiler, exe) in &exes {
+            let label = compiler.label();
+            let own = compiler.profile(*lang);
+            assert!(
+                Arc::ptr_eq(&exe.profile, &own),
+                "{label} got another profile"
+            );
+            assert!(Arc::ptr_eq(&exe.code, image), "one image per source");
+        }
+        let shared = images.iter().any(|other| Arc::ptr_eq(other, image));
+        assert!(!shared, "two sources share one image");
+        images.push(Arc::clone(image));
+    }
+    assert_eq!(cache.exec_entries(), 0);
+    assert_eq!(cache.frontend_entries(), sources.len());
+    let stats = cache.stats();
+    assert_eq!(stats.frontend_misses, sources.len() as u64);
+    assert_eq!(stats.lookups(), (sources.len() * releases.len()) as u64);
 }
 
 // ---------------------------------------------------------------------------

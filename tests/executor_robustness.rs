@@ -289,6 +289,10 @@ fn accvv_rejects_unknown_and_valueless_flags() {
         (&["matrix", "--vendor", "caps", "--jobs", "2"], "unknown flag `--jobs` for `accvv matrix`"),
         (&["titan", "--nodes", "x"], "bad --nodes value `x`"),
         (
+            &["titan", "--sweep", "--nodes", "2", "--jobs", "2"],
+            "`--jobs` does not apply to `accvv titan --sweep`",
+        ),
+        (
             &[
                 "run", "--vendor", "reference", "--features", "none.such", "--format", "csv",
                 "--format", "html",

@@ -490,6 +490,54 @@ fn served_report_matches_run_submission_cold_and_warm() {
     assert_eq!(summary.degraded, 0);
 }
 
+/// An interrupted submission's detail names the `accvv run` command that
+/// resumes its journal. Every field of the spec that `accvv run` has a
+/// flag for is set here, so the command must carry each of them for the
+/// resumed report to equal the submission's.
+#[test]
+fn resume_hint_resumes_the_submission_it_names() {
+    let mut spec = SubmissionSpec::new(VendorId::Caps);
+    spec.version = Some("3.1.0".parse().unwrap());
+    spec.language = Some(Language::Fortran);
+    spec.features = vec!["data.copy".to_string(), "loop".to_string()];
+    spec.repetitions = Some(2);
+    spec.format = ReportFormat::Csv;
+    spec.exec_mode = openacc_vv::compiler::ExecMode::Walk;
+    spec.case_deadline_ms = Some(600_000);
+    let expected = run_submission(&spec, &RunOptions::default())
+        .expect("local run")
+        .report;
+
+    let dir = fresh_store_dir("resume-hint");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = dir.join("journal-1.j1");
+    let out = dir.join("resumed.csv");
+    let command = spec.resume_command(&journal);
+    let words: Vec<&str> = command.split_whitespace().collect();
+    let journal_arg = journal.to_str().expect("temp path is UTF-8");
+    assert!(words.starts_with(&["accvv", "run"]), "{command}");
+    assert!(words.ends_with(&["--resume", journal_arg]), "{command}");
+    let accvv = |args: Vec<&str>| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_accvv"))
+            .args(args)
+            .output()
+            .expect("spawn accvv")
+    };
+    // The submission's run, halted: the journal a drain leaves behind.
+    let mut halted = words[1..words.len() - 2].to_vec();
+    halted.extend(["--journal", journal_arg, "--halt-after", "3"]);
+    assert!(!accvv(halted).status.success(), "{command}");
+    // The hint as printed, with the report sent to a file.
+    let mut resumed = words[1..].to_vec();
+    resumed.extend(["--out", out.to_str().expect("temp path is UTF-8")]);
+    let stderr = String::from_utf8_lossy(&accvv(resumed).stderr).into_owned();
+    let skipped = "resume skipped 3 completed case(s)";
+    assert!(stderr.contains(skipped), "{command}: {stderr}");
+    let report = std::fs::read_to_string(&out).expect("resumed report written");
+    assert_eq!(report, expected, "{command}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // 5. Execution dedup: identical in-flight submissions share one run
 // ---------------------------------------------------------------------------

@@ -247,9 +247,15 @@ fn metrics_expose_cache_counters_as_single_source_of_truth() {
         stats.frontend_misses
     )));
     assert!(text.contains(&format!(
-        "accvv_compile_cache_lookups_total{{level=\"exec\",outcome=\"hit\"}} {}",
-        stats.exec_hits
+        "accvv_compile_cache_lookups_total{{level=\"frontend\",outcome=\"hit\"}} {}",
+        stats.frontend_hits
     )));
+    assert!(text.contains(&format!(
+        "accvv_compile_cache_hit_rate {:.4}",
+        stats.hit_rate()
+    )));
+    // The front end is the one compile level.
+    assert!(!text.contains("level=\"exec\""));
     // And the case outcomes aggregated from span attrs are present.
     assert!(text.contains("accvv_case_status_total{status=\"PASS\"}"));
 }

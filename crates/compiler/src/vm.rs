@@ -110,11 +110,7 @@ impl<'a> Machine<'a> {
                     }
                 }
                 Instr::JumpIfGe { a, b, to } => {
-                    // Both operands are `Int` by construction (see the
-                    // lowerer's int fast path); `as_int` on `Int` cannot fail.
-                    let av = regs[a as usize].as_int().map_err(crash)?;
-                    let bv = regs[b as usize].as_int().map_err(crash)?;
-                    if av >= bv {
+                    if loop_ge(regs[a as usize], regs[b as usize])? {
                         pc = to as usize;
                     }
                 }
@@ -230,38 +226,38 @@ impl<'a> Machine<'a> {
     /// `lookup_array_host` + `flatten` with the base's slot pre-resolved —
     /// the crash order (indices first, then binding, then bounds) already
     /// happened or happens here exactly as in `flat_index_host`.
+    #[inline]
     fn vm_host_elem(
         &mut self,
         nm: &str,
         slot: Option<usize>,
         vals: &[i64],
     ) -> Exec<(ArrBinding, usize)> {
-        let binding = match slot.and_then(|s| self.frame().slots[s].arr) {
-            Some(b) => b,
-            None => {
-                if let Some(Value::DevPtr(_)) = slot.and_then(|s| self.frame().slots[s].val) {
-                    return Err(Abort::Crash(format!(
-                        "host dereference of device pointer `{nm}` (segmentation fault)"
-                    )));
-                }
-                return Err(Abort::Crash(format!("`{nm}` is not an array")));
-            }
+        let Some(binding) = slot.and_then(|s| self.frame().slots[s].arr) else {
+            return Err(self.not_an_array(nm, slot));
         };
         let flat = match binding {
             ArrBinding::Host(id) => {
                 crate::exec::flatten(nm, vals, &self.host_arrays[id].dims)?
             }
             ArrBinding::Device(buf) => {
-                let dims = &self
-                    .world
-                    .mem
-                    .get(buf)
-                    .map_err(|e| Abort::Crash(e.to_string()))?
-                    .dims;
+                let dims = &self.world.mem.get(buf).map_err(crash)?.dims;
                 crate::exec::flatten(nm, vals, dims)?
             }
         };
         Ok((binding, flat))
+    }
+
+    /// The crash of an element access whose base has no array binding.
+    #[cold]
+    #[inline(never)]
+    fn not_an_array(&self, nm: &str, slot: Option<usize>) -> Abort {
+        if let Some(Value::DevPtr(_)) = slot.and_then(|s| self.frame().slots[s].val) {
+            return Abort::Crash(format!(
+                "host dereference of device pointer `{nm}` (segmentation fault)"
+            ));
+        }
+        Abort::Crash(format!("`{nm}` is not an array"))
     }
 
     /// Invalidate the name → buffer cache for a fresh device-chunk
@@ -327,11 +323,7 @@ impl<'a> Machine<'a> {
                     }
                 }
                 Instr::JumpIfGe { a, b, to } => {
-                    // Both operands are `Int` by construction (see the
-                    // lowerer's int fast path); `as_int` on `Int` cannot fail.
-                    let av = regs[a as usize].as_int().map_err(crash)?;
-                    let bv = regs[b as usize].as_int().map_err(crash)?;
-                    if av >= bv {
+                    if loop_ge(regs[a as usize], regs[b as usize])? {
                         pc = to as usize;
                     }
                 }
@@ -377,24 +369,23 @@ impl<'a> Machine<'a> {
                     };
                     regs[dst as usize] = Value::Int(v.as_int().map_err(crash)?);
                 }
+                // One buffer lookup serves both the bounds (`dims`) and the
+                // element.
                 Instr::ReadIdxD { dst, name, idx, n } => {
                     let vals = int_block(regs, idx, n);
                     let nm = &bp.names[name as usize];
-                    let (buf, flat) = self.vm_dev_elem(name, nm, &vals[..n as usize], ctx)?;
-                    regs[dst as usize] = self
-                        .world
-                        .mem
-                        .read(buf, flat)
-                        .map_err(|e| Abort::Crash(e.to_string()))?;
+                    let buf = self.vm_dev_buf(name, nm, ctx)?;
+                    let b = self.world.mem.get(buf).map_err(crash)?;
+                    let flat = dev_flat(nm, &vals[..n as usize], &b.dims)?;
+                    regs[dst as usize] = b.read(flat).map_err(crash)?;
                 }
                 Instr::WriteIdxD { src, name, idx, n } => {
                     let vals = int_block(regs, idx, n);
                     let nm = &bp.names[name as usize];
-                    let (buf, flat) = self.vm_dev_elem(name, nm, &vals[..n as usize], ctx)?;
-                    self.world
-                        .mem
-                        .write(buf, flat, regs[src as usize])
-                        .map_err(|e| Abort::Crash(e.to_string()))?;
+                    let buf = self.vm_dev_buf(name, nm, ctx)?;
+                    let b = self.world.mem.get_mut(buf).map_err(crash)?;
+                    let flat = dev_flat(nm, &vals[..n as usize], &b.dims)?;
+                    b.write(flat, regs[src as usize]).map_err(crash)?;
                 }
                 Instr::SetLocal { slot, src } => {
                     ctx.set_local(slot as usize, regs[src as usize]);
@@ -424,50 +415,27 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Device element address resolution — `flat_index_device` with the
-    /// index values already computed. Resolutions are cached by name id for
-    /// the rest of the chunk activation (see [`Self::reset_dev_bufs`]).
-    fn vm_dev_elem(
-        &mut self,
-        name: u32,
-        nm: &str,
-        vals: &[i64],
-        ctx: &DevCtx,
-    ) -> Exec<(acc_device::BufferId, usize)> {
-        let buf = match self.dev_bufs.get(name as usize).copied().flatten() {
-            Some(b) => b,
-            None => {
-                let b = if let Some(b) = ctx.devptr.get(nm) {
-                    *b
-                } else if let Some(e) = self.world.present.get(nm) {
-                    e.buffer
-                } else {
-                    return Err(Abort::Crash(format!(
-                        "device access to `{nm}` which is not present on the device"
-                    )));
-                };
-                if let Some(slot) = self.dev_bufs.get_mut(name as usize) {
-                    *slot = Some(b);
-                }
-                b
-            }
-        };
-        let dims = &self
-            .world
-            .mem
-            .get(buf)
-            .map_err(|e| Abort::Crash(e.to_string()))?
-            .dims;
-        let flat = if dims.is_empty() {
-            // Raw acc_malloc buffer: single linear index.
-            if vals.len() != 1 || vals[0] < 0 {
-                return Err(Abort::Crash(format!("bad linear index on `{nm}`")));
-            }
-            vals[0] as usize
+    /// The device buffer behind `nm` — the first half of
+    /// `flat_index_device`. Resolutions are cached by name id for the rest
+    /// of the chunk activation (see [`Self::reset_dev_bufs`]).
+    #[inline]
+    fn vm_dev_buf(&mut self, name: u32, nm: &str, ctx: &DevCtx) -> Exec<acc_device::BufferId> {
+        if let Some(b) = self.dev_bufs.get(name as usize).copied().flatten() {
+            return Ok(b);
+        }
+        let b = if let Some(b) = ctx.devptr.get(nm) {
+            *b
+        } else if let Some(e) = self.world.present.get(nm) {
+            e.buffer
         } else {
-            crate::exec::flatten(nm, vals, dims)?
+            return Err(Abort::Crash(format!(
+                "device access to `{nm}` which is not present on the device"
+            )));
         };
-        Ok((buf, flat))
+        if let Some(slot) = self.dev_bufs.get_mut(name as usize) {
+            *slot = Some(b);
+        }
+        Ok(b)
     }
 
     /// The VM side of `exec_collapsed_loop`: run the iterations of the
@@ -525,13 +493,16 @@ impl<'a> Machine<'a> {
         let mut result = Ok(());
         let mut flat = start;
         while flat < total {
-            // Row-major decomposition of the flat index.
+            // Row-major decomposition of the flat index. What is left for
+            // the outermost loop is already below its count (`flat <
+            // total`), so it needs no division.
             let mut rem = flat;
-            for d in (0..collapse_n).rev() {
+            for d in (1..collapse_n).rev() {
                 let c = bounds[d].2.max(1);
                 idxs[d] = bounds[d].0 + ((rem % c) as i64) * bounds[d].1;
                 rem /= c;
             }
+            idxs[0] = bounds[0].0 + (rem as i64) * bounds[0].1;
             for (slot, iv) in var_slots.iter().zip(&idxs) {
                 ctx.set_local(*slot, Value::Int(*iv));
             }
@@ -547,6 +518,37 @@ impl<'a> Machine<'a> {
         self.reg_pool.push(regs);
         result
     }
+}
+
+/// The element offset of `vals` in a device buffer with `dims` — the second
+/// half of `flat_index_device`.
+#[inline]
+fn dev_flat(nm: &str, vals: &[i64], dims: &[usize]) -> Exec<usize> {
+    if dims.is_empty() {
+        // Raw acc_malloc buffer: single linear index.
+        if vals.len() != 1 || vals[0] < 0 {
+            return Err(Abort::Crash(format!("bad linear index on `{nm}`")));
+        }
+        return Ok(vals[0] as usize);
+    }
+    crate::exec::flatten(nm, vals, dims)
+}
+
+/// `a >= b` at a loop head: a raw `i64` compare when both are `Int`, as the
+/// lowerer's loop heads make them; otherwise [`loop_ge_general`].
+#[inline(always)]
+fn loop_ge(a: Value, b: Value) -> Exec<bool> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => Ok(x >= y),
+        _ => loop_ge_general(a, b),
+    }
+}
+
+/// `as_int` on each operand in turn, then compare.
+#[cold]
+#[inline(never)]
+fn loop_ge_general(a: Value, b: Value) -> Exec<bool> {
+    Ok(a.as_int().map_err(crash)? >= b.as_int().map_err(crash)?)
 }
 
 /// Extract up to 8 integer index values from consecutive registers (every

@@ -3,7 +3,7 @@
 //! handling, and metrics accounting.
 
 use acc_compiler::driver::compile_with_profile;
-use acc_compiler::{RunOutcome, VendorCompiler};
+use acc_compiler::{ExecMode, RunKnobs, RunOutcome, VendorCompiler};
 use acc_device::{Defect, ExecProfile};
 use acc_spec::envvar::EnvConfig;
 use acc_spec::{ClauseKind, DeviceType, DirectiveKind, Language};
@@ -213,5 +213,89 @@ fn gang_redundant_execution_is_deterministic() {
         .unwrap();
     for _ in 0..3 {
         assert!(matches!(exe.run().outcome, RunOutcome::Completed(7007)));
+    }
+}
+
+/// Run `src` under both engines with a 100k-step budget: they must agree,
+/// and neither may panic.
+fn run_both(src: &str, language: Language) -> RunOutcome {
+    let exe = compile_with_profile(src, language, ExecProfile::reference(), DeviceType::Nvidia)
+        .unwrap_or_else(|e| panic!("{e}\n---\n{src}"));
+    let [vm, walk] = [ExecMode::Vm, ExecMode::Walk].map(|exec_mode| {
+        let knobs = RunKnobs {
+            exec_mode,
+            step_limit: Some(100_000),
+            ..RunKnobs::default()
+        };
+        exe.run_with_knobs(&EnvConfig::empty(), knobs).outcome
+    });
+    assert_eq!(vm, walk, "the engines disagree on\n{src}");
+    vm
+}
+
+/// `x = i64::MIN; y = x <op> ...;` in C.
+fn c_min_program(assign: &str) -> String {
+    format!(
+        "int main(void) {{\n    int x = 0;\n    int y = 0;\n    x = -9223372036854775807 - 1;\n    {assign}\n    return y == x;\n}}\n"
+    )
+}
+
+/// The same in Fortran.
+fn fortran_min_program(assign: &str) -> String {
+    format!(
+        "integer function main()\n    implicit none\n    integer :: x\n    integer :: y\n    x = -9223372036854775807 - 1\n    y = 0\n    {assign}\n    main = y == x\n    return\nend function main\n"
+    )
+}
+
+#[test]
+fn int_min_divided_by_minus_one_crashes_in_both_engines() {
+    let message = "value error: integer division overflow";
+    for (src, language) in [
+        (c_min_program("y = x / -1;"), Language::C),
+        (fortran_min_program("y = x / (-1)"), Language::Fortran),
+    ] {
+        assert_eq!(
+            run_both(&src, language),
+            RunOutcome::Crash(message.into()),
+            "{src}"
+        );
+    }
+}
+
+#[test]
+fn int_min_remainder_by_minus_one_crashes_in_both_engines() {
+    let src = c_min_program("y = x % -1;");
+    assert_eq!(
+        run_both(&src, Language::C),
+        RunOutcome::Crash("value error: integer remainder overflow".into())
+    );
+    // Fortran spells the remainder `mod`, whose host crashes carry no
+    // "value error" prefix (as "mod by zero" does not).
+    let src = fortran_min_program("y = mod(x, -1)");
+    assert_eq!(
+        run_both(&src, Language::Fortran),
+        RunOutcome::Crash("mod overflow".into())
+    );
+}
+
+#[test]
+fn negating_int_min_wraps_in_both_engines() {
+    for (src, language) in [
+        (c_min_program("y = -x;"), Language::C),
+        (fortran_min_program("y = -x"), Language::Fortran),
+    ] {
+        assert_eq!(run_both(&src, language), RunOutcome::Completed(1), "{src}");
+    }
+}
+
+/// A loop whose step carries the induction variable past `i64::MAX` wraps
+/// to a negative value, still below the bound, so it runs until the step
+/// budget stops it — on the host and in a compute region alike.
+#[test]
+fn loop_stepping_past_int_max_wraps_in_both_engines() {
+    let host = "int main(void) {\n    int n = 0;\n    for (i = 9223372036854775806; i < 9223372036854775807; i += 4)\n    {\n        n = n + 1;\n    }\n    return n;\n}\n";
+    let device = "int main(void) {\n    int n = 0;\n    #pragma acc parallel num_gangs(1)\n    {\n        for (i = 9223372036854775806; i < 9223372036854775807; i += 4)\n        {\n            n = n + 1;\n        }\n    }\n    return n;\n}\n";
+    for src in [host, device] {
+        assert_eq!(run_both(src, Language::C), RunOutcome::Timeout, "{src}");
     }
 }

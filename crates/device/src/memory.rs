@@ -34,6 +34,34 @@ impl DeviceBuffer {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
+
+    /// Read one element. With the buffer already in hand, an engine reads
+    /// `dims` and the element through one lookup.
+    #[inline]
+    pub fn read(&self, index: usize) -> Result<Value, DeviceError> {
+        match self.data.get(index) {
+            Some(v) => Ok(v),
+            None => Err(self.out_of_bounds("read", index)),
+        }
+    }
+
+    /// Write one element (converted to the buffer's element type).
+    #[inline]
+    pub fn write(&mut self, index: usize, v: Value) -> Result<(), DeviceError> {
+        if !self.data.set(index, v)? {
+            return Err(self.out_of_bounds("write", index));
+        }
+        Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn out_of_bounds(&self, access: &str, index: usize) -> DeviceError {
+        DeviceError(format!(
+            "device {access} out of bounds: {index} >= {}",
+            self.len()
+        ))
+    }
 }
 
 /// Errors from device memory operations — these model runtime crashes
@@ -53,6 +81,13 @@ impl From<ValueError> for DeviceError {
     fn from(e: ValueError) -> Self {
         DeviceError(e.0)
     }
+}
+
+/// The error of a lookup that finds no live buffer.
+#[cold]
+#[inline(never)]
+fn invalid_address(id: BufferId) -> DeviceError {
+    DeviceError(format!("invalid device address {id:?}"))
 }
 
 /// The device's memory: an allocator of typed buffers.
@@ -125,7 +160,7 @@ impl DeviceMemory {
         self.buffers
             .get(self.slot(id))
             .and_then(Option::as_ref)
-            .ok_or_else(|| DeviceError(format!("invalid device address {id:?}")))
+            .ok_or_else(|| invalid_address(id))
     }
 
     /// Mutably borrow a buffer.
@@ -135,27 +170,19 @@ impl DeviceMemory {
         self.buffers
             .get_mut(slot)
             .and_then(Option::as_mut)
-            .ok_or_else(|| DeviceError(format!("invalid device address {id:?}")))
+            .ok_or_else(|| invalid_address(id))
     }
 
     /// Read one element.
+    #[inline]
     pub fn read(&self, id: BufferId, index: usize) -> Result<Value, DeviceError> {
-        let b = self.get(id)?;
-        b.data.get(index).ok_or_else(|| {
-            DeviceError(format!("device read out of bounds: {index} >= {}", b.len()))
-        })
+        self.get(id)?.read(index)
     }
 
     /// Write one element (converted to the buffer's element type).
+    #[inline]
     pub fn write(&mut self, id: BufferId, index: usize, v: Value) -> Result<(), DeviceError> {
-        let b = self.get_mut(id)?;
-        if !b.data.set(index, v)? {
-            return Err(DeviceError(format!(
-                "device write out of bounds: {index} >= {}",
-                b.len()
-            )));
-        }
-        Ok(())
+        self.get_mut(id)?.write(index, v)
     }
 
     /// Host→device DMA of a section. Returns bytes moved.

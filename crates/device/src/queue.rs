@@ -29,6 +29,7 @@ impl VirtualClock {
     }
 
     /// Advance by `ticks`.
+    #[inline]
     pub fn advance(&mut self, ticks: u64) {
         self.now += ticks;
     }

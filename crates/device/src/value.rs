@@ -37,8 +37,20 @@ impl fmt::Display for ValueError {
 
 impl std::error::Error for ValueError {}
 
+impl ValueError {
+    /// An error with a fixed message, built out of line: the accessors
+    /// below are inlined into the engines' dispatch loops, and their error
+    /// arms need not be.
+    #[cold]
+    #[inline(never)]
+    fn fixed(msg: &'static str) -> ValueError {
+        ValueError(msg.to_owned())
+    }
+}
+
 impl Value {
     /// Zero of a scalar type.
+    #[inline]
     pub fn zero(ty: ScalarType) -> Value {
         match ty {
             ScalarType::Int => Value::Int(0),
@@ -48,6 +60,7 @@ impl Value {
     }
 
     /// The value's numeric type, when it is numeric.
+    #[inline]
     pub fn scalar_type(self) -> Option<ScalarType> {
         match self {
             Value::Int(_) => Some(ScalarType::Int),
@@ -58,26 +71,29 @@ impl Value {
     }
 
     /// As an integer (truthiness/index); errors on pointers.
+    #[inline]
     pub fn as_int(self) -> Result<i64, ValueError> {
         match self {
             Value::Int(v) => Ok(v),
             Value::F32(v) => Ok(v as i64),
             Value::F64(v) => Ok(v as i64),
-            Value::DevPtr(_) => Err(ValueError("device pointer used as integer".into())),
+            Value::DevPtr(_) => Err(ValueError::fixed("device pointer used as integer")),
         }
     }
 
     /// As an f64; errors on pointers.
+    #[inline]
     pub fn as_f64(self) -> Result<f64, ValueError> {
         match self {
             Value::Int(v) => Ok(v as f64),
             Value::F32(v) => Ok(v as f64),
             Value::F64(v) => Ok(v),
-            Value::DevPtr(_) => Err(ValueError("device pointer used as number".into())),
+            Value::DevPtr(_) => Err(ValueError::fixed("device pointer used as number")),
         }
     }
 
     /// Truthiness (C semantics: nonzero = true). Pointers are true.
+    #[inline]
     pub fn truthy(self) -> bool {
         match self {
             Value::Int(v) => v != 0,
@@ -88,6 +104,7 @@ impl Value {
     }
 
     /// Convert to the given scalar type (C conversion semantics).
+    #[inline]
     pub fn convert_to(self, ty: ScalarType) -> Result<Value, ValueError> {
         Ok(match ty {
             ScalarType::Int => Value::Int(self.as_int()?),
@@ -97,12 +114,13 @@ impl Value {
     }
 
     /// The common type of two operands under C promotion rules.
+    #[inline]
     pub fn promoted(a: Value, b: Value) -> Result<ScalarType, ValueError> {
         let (ta, tb) = (
             a.scalar_type()
-                .ok_or_else(|| ValueError("pointer in arithmetic".into()))?,
+                .ok_or_else(|| ValueError::fixed("pointer in arithmetic"))?,
             b.scalar_type()
-                .ok_or_else(|| ValueError("pointer in arithmetic".into()))?,
+                .ok_or_else(|| ValueError::fixed("pointer in arithmetic"))?,
         );
         Ok(if ta == ScalarType::Double || tb == ScalarType::Double {
             ScalarType::Double
@@ -171,6 +189,7 @@ impl ArrayData {
     }
 
     /// Element count.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             ArrayData::Int(v) => v.len(),
@@ -185,6 +204,7 @@ impl ArrayData {
     }
 
     /// Element type.
+    #[inline]
     pub fn elem_type(&self) -> ScalarType {
         match self {
             ArrayData::Int(_) => ScalarType::Int,
@@ -194,6 +214,7 @@ impl ArrayData {
     }
 
     /// Read element `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> Option<Value> {
         match self {
             ArrayData::Int(v) => v.get(i).map(|x| Value::Int(*x)),
@@ -204,14 +225,23 @@ impl ArrayData {
 
     /// Write element `i`, converting `val` to the element type. Returns
     /// false when out of bounds.
+    #[inline]
     pub fn set(&mut self, i: usize, val: Value) -> Result<bool, ValueError> {
-        if i >= self.len() {
-            return Ok(false);
-        }
+        // Bounds before conversion: an out-of-bounds write of a pointer
+        // reports the bounds, not the pointer.
         match self {
-            ArrayData::Int(v) => v[i] = val.as_int()?,
-            ArrayData::F32(v) => v[i] = val.as_f64()? as f32,
-            ArrayData::F64(v) => v[i] = val.as_f64()?,
+            ArrayData::Int(v) => match v.get_mut(i) {
+                Some(x) => *x = val.as_int()?,
+                None => return Ok(false),
+            },
+            ArrayData::F32(v) => match v.get_mut(i) {
+                Some(x) => *x = val.as_f64()? as f32,
+                None => return Ok(false),
+            },
+            ArrayData::F64(v) => match v.get_mut(i) {
+                Some(x) => *x = val.as_f64()?,
+                None => return Ok(false),
+            },
         }
         Ok(true)
     }

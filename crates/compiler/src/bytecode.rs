@@ -43,7 +43,8 @@ use acc_ast::{
 use acc_device::Value;
 use acc_frontend::{FrameLayout, ResolvedProgram};
 use acc_spec::DirectiveKind;
-use std::collections::{BTreeSet, HashMap};
+use acc_spec::FxHashMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::exec::{collect_expr_bases, collect_index_bases, stmts_all_dead};
@@ -459,7 +460,8 @@ fn hinted_call(e: &Expr) -> bool {
 struct Lowerer<'p> {
     layout: &'p FrameLayout,
     bp: BytecodeProgram,
-    name_ids: HashMap<String, u32>,
+    /// `bp.names` by name, borrowing the program's own copies.
+    name_ids: FxHashMap<&'p str, u32>,
 }
 
 /// Lower every function of `prog` to bytecode. Infallible: anything the
@@ -470,7 +472,7 @@ pub(crate) fn lower(prog: &Program, resolved: &ResolvedProgram) -> BytecodeProgr
     let mut lw = Lowerer {
         layout: &empty,
         bp: BytecodeProgram::default(),
-        name_ids: HashMap::new(),
+        name_ids: FxHashMap::default(),
     };
     for f in &prog.functions {
         let layout = resolved.layout(&f.name);
@@ -493,13 +495,13 @@ pub(crate) fn lower(prog: &Program, resolved: &ResolvedProgram) -> BytecodeProgr
 impl<'p> Lowerer<'p> {
     // ---- side-table interning ----
 
-    fn name_id(&mut self, n: &str) -> u32 {
+    fn name_id(&mut self, n: &'p str) -> u32 {
         if let Some(&i) = self.name_ids.get(n) {
             return i;
         }
         let i = self.bp.names.len() as u32;
         self.bp.names.push(n.to_string());
-        self.name_ids.insert(n.to_string(), i);
+        self.name_ids.insert(n, i);
         i
     }
 
@@ -549,7 +551,7 @@ impl<'p> Lowerer<'p> {
 
     // ---- host statements ----
 
-    fn lower_body_h(&mut self, buf: &mut ChunkBuf, body: &[Stmt]) {
+    fn lower_body_h(&mut self, buf: &mut ChunkBuf, body: &'p [Stmt]) {
         for s in body {
             let m = buf.mark();
             self.lower_stmt_h(buf, s);
@@ -557,7 +559,7 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn lower_stmt_h(&mut self, buf: &mut ChunkBuf, s: &Stmt) {
+    fn lower_stmt_h(&mut self, buf: &mut ChunkBuf, s: &'p Stmt) {
         match s {
             // Escapes: calls (runtime routines, user functions, deferred
             // effects), array declarations (arena allocation), and scalar
@@ -762,7 +764,7 @@ impl<'p> Lowerer<'p> {
     /// host fallback), which the walker enters without a statement tick.
     /// Mirrors `exec_for_host`: bounds/step once, per-iteration tick before
     /// the re-evaluated upper bound, raw slot store of the induction value.
-    fn lower_for_h_core(&mut self, buf: &mut ChunkBuf, l: &ForLoop) {
+    fn lower_for_h_core(&mut self, buf: &mut ChunkBuf, l: &'p ForLoop) {
         let rf = self.lower_int_expr_h(buf, &l.from);
         let rs = self.lower_int_expr_h(buf, &l.step);
         buf.emit(Instr::CheckStep { src: rs });
@@ -810,7 +812,7 @@ impl<'p> Lowerer<'p> {
     /// register guaranteed to hold `Value::Int`. Plain variables fuse to a
     /// single `IdxVarH`, literals to a `Const`; anything else takes the
     /// general lowering followed by `AsInt` (same eval → as_int order).
-    fn lower_int_expr_h(&mut self, buf: &mut ChunkBuf, e: &Expr) -> u32 {
+    fn lower_int_expr_h(&mut self, buf: &mut ChunkBuf, e: &'p Expr) -> u32 {
         match e {
             Expr::Var(n) => {
                 let dst = buf.alloc();
@@ -836,7 +838,7 @@ impl<'p> Lowerer<'p> {
     /// Lower index expressions into `n` consecutive registers, each
     /// evaluated then integer-converted in sequence (the walker's
     /// per-index `eval → as_int` interleave, preserving crash order).
-    fn lower_index_block_h(&mut self, buf: &mut ChunkBuf, indices: &[Expr]) -> u32 {
+    fn lower_index_block_h(&mut self, buf: &mut ChunkBuf, indices: &'p [Expr]) -> u32 {
         let block = buf.alloc_n(indices.len() as u32);
         for (k, e) in indices.iter().enumerate() {
             let dst = block + k as u32;
@@ -864,7 +866,7 @@ impl<'p> Lowerer<'p> {
 
     // ---- host expressions ----
 
-    fn lower_expr_h(&mut self, buf: &mut ChunkBuf, e: &Expr, hint: ScalarType) -> u32 {
+    fn lower_expr_h(&mut self, buf: &mut ChunkBuf, e: &'p Expr, hint: ScalarType) -> u32 {
         match e {
             Expr::Int(v) => self.emit_const(buf, Value::Int(*v)),
             Expr::Real(v, t) => self.emit_const(
@@ -966,7 +968,7 @@ impl<'p> Lowerer<'p> {
 
     // ---- regions / directive bodies ----
 
-    fn lower_region_block(&mut self, dir: &AccDirective, body: &[Stmt]) -> u32 {
+    fn lower_region_block(&mut self, dir: &'p AccDirective, body: &'p [Stmt]) -> u32 {
         let dir_id = self.add_dir(dir);
         let mut hbuf = ChunkBuf::new();
         self.lower_body_h(&mut hbuf, body);
@@ -984,7 +986,7 @@ impl<'p> Lowerer<'p> {
         (self.bp.regions.len() - 1) as u32
     }
 
-    fn lower_region_loop(&mut self, dir: &AccDirective, l: &ForLoop) -> u32 {
+    fn lower_region_loop(&mut self, dir: &'p AccDirective, l: &'p ForLoop) -> u32 {
         let dir_id = self.add_dir(dir);
         // Host fallback of a combined construct is a bare counted loop
         // (`exec_for_host` — no statement tick).
@@ -1006,7 +1008,7 @@ impl<'p> Lowerer<'p> {
         (self.bp.regions.len() - 1) as u32
     }
 
-    fn lower_host_block(&mut self, dir: &AccDirective, body: &[Stmt]) -> u32 {
+    fn lower_host_block(&mut self, dir: &'p AccDirective, body: &'p [Stmt]) -> u32 {
         let dir_id = self.add_dir(dir);
         let mut buf = ChunkBuf::new();
         self.lower_body_h(&mut buf, body);
@@ -1021,7 +1023,7 @@ impl<'p> Lowerer<'p> {
     /// every depth the shared handler can request. A nest shallower than
     /// the static collapse is left short — the runtime check reproduces the
     /// walker's "collapse requires tightly nested loops" crash.
-    fn lower_nest(&mut self, dir_id: u32, dir: &AccDirective, l: &ForLoop) -> u32 {
+    fn lower_nest(&mut self, dir_id: u32, dir: &'p AccDirective, l: &'p ForLoop) -> u32 {
         let static_n = dir
             .clauses
             .iter()
@@ -1066,13 +1068,13 @@ impl<'p> Lowerer<'p> {
 
     // ---- device statements ----
 
-    fn lower_dev_chunk(&mut self, body: &[Stmt]) -> Chunk {
+    fn lower_dev_chunk(&mut self, body: &'p [Stmt]) -> Chunk {
         let mut buf = ChunkBuf::new();
         self.lower_body_d(&mut buf, body);
         buf.seal(&mut self.bp.code)
     }
 
-    fn lower_body_d(&mut self, buf: &mut ChunkBuf, body: &[Stmt]) {
+    fn lower_body_d(&mut self, buf: &mut ChunkBuf, body: &'p [Stmt]) {
         for s in body {
             let m = buf.mark();
             self.lower_stmt_d(buf, s);
@@ -1080,7 +1082,7 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn lower_stmt_d(&mut self, buf: &mut ChunkBuf, s: &Stmt) {
+    fn lower_stmt_d(&mut self, buf: &mut ChunkBuf, s: &'p Stmt) {
         match s {
             // Escapes: device calls (acc_on_device, intrinsic/user
             // rejection) and over-arity index targets. `exec_stmt_device`
@@ -1256,7 +1258,7 @@ impl<'p> Lowerer<'p> {
     /// A sequential device loop (`exec_for_device` with every iteration
     /// selected — the unannotated-loop, gang-redundant case): bounds
     /// evaluated once up front, no per-iteration tick.
-    fn lower_for_d_core(&mut self, buf: &mut ChunkBuf, l: &ForLoop) {
+    fn lower_for_d_core(&mut self, buf: &mut ChunkBuf, l: &'p ForLoop) {
         let rf = self.lower_int_expr_d(buf, &l.from);
         let rt = self.lower_int_expr_d(buf, &l.to);
         let rs = self.lower_int_expr_d(buf, &l.step);
@@ -1289,7 +1291,7 @@ impl<'p> Lowerer<'p> {
     }
 
     /// Device-side twin of [`Self::lower_int_expr_h`].
-    fn lower_int_expr_d(&mut self, buf: &mut ChunkBuf, e: &Expr) -> u32 {
+    fn lower_int_expr_d(&mut self, buf: &mut ChunkBuf, e: &'p Expr) -> u32 {
         match e {
             Expr::Var(n) => {
                 let dst = buf.alloc();
@@ -1312,7 +1314,7 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn lower_index_block_d(&mut self, buf: &mut ChunkBuf, indices: &[Expr]) -> u32 {
+    fn lower_index_block_d(&mut self, buf: &mut ChunkBuf, indices: &'p [Expr]) -> u32 {
         let block = buf.alloc_n(indices.len() as u32);
         for (k, e) in indices.iter().enumerate() {
             let dst = block + k as u32;
@@ -1338,7 +1340,7 @@ impl<'p> Lowerer<'p> {
 
     // ---- device expressions ----
 
-    fn lower_expr_d(&mut self, buf: &mut ChunkBuf, e: &Expr) -> u32 {
+    fn lower_expr_d(&mut self, buf: &mut ChunkBuf, e: &'p Expr) -> u32 {
         match e {
             Expr::Int(v) => self.emit_const(buf, Value::Int(*v)),
             Expr::Real(v, t) => self.emit_const(

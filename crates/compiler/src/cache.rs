@@ -29,9 +29,10 @@
 //!
 //! Keys embed the *full* source text (content addressing by exact match):
 //! no hash collisions are possible, and lookups cost one hash of the
-//! source — orders of magnitude below a parse. Failures are cached too;
-//! compilation is deterministic, so a source that failed once fails
-//! identically forever.
+//! source — orders of magnitude below a parse. A front-end lookup hashes
+//! the caller's text in place; only a miss copies it, into the new key.
+//! Failures are cached too; compilation is deterministic, so a source that
+//! failed once fails identically forever.
 //!
 //! The cache is `Mutex`-guarded and shared across the `--jobs` worker pool
 //! via `Arc`. Compilation runs *outside* the lock; when two workers race to
@@ -51,8 +52,7 @@
 
 use acc_ast::Program;
 use acc_frontend::ResolvedProgram;
-use acc_spec::{Language, SpecVersion};
-use std::collections::HashMap;
+use acc_spec::{FxHashMap, Language, SpecVersion};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,6 +61,13 @@ use crate::driver::{CompileFailure, Executable, FrontendUnit};
 
 /// The front-end artifact: parsed AST plus resolved frame layouts.
 type Frontend = (Arc<Program>, Arc<ResolvedProgram>);
+
+/// Front-end entries by language and spec version, then by source text,
+/// so a lookup borrows the caller's source instead of building a key.
+type FrontendEntries = FxHashMap<
+    (Language, SpecVersion),
+    FxHashMap<Box<str>, Result<Arc<FrontendUnit>, CompileFailure>>,
+>;
 
 /// A thread-safe compilation cache.
 ///
@@ -72,8 +79,8 @@ type Frontend = (Arc<Program>, Arc<ResolvedProgram>);
 /// drops.
 #[derive(Default)]
 pub struct CompileCache {
-    frontend: Mutex<HashMap<String, Result<Arc<FrontendUnit>, CompileFailure>>>,
-    exec: Mutex<HashMap<String, Result<Arc<Executable>, CompileFailure>>>,
+    frontend: Mutex<FrontendEntries>,
+    exec: Mutex<FxHashMap<String, Result<Arc<Executable>, CompileFailure>>>,
     counters: Arc<Counters>,
 }
 
@@ -210,12 +217,18 @@ impl CompileCache {
         spec: SpecVersion,
         compute: impl FnOnce() -> Result<Frontend, CompileFailure>,
     ) -> Result<Arc<FrontendUnit>, CompileFailure> {
-        let key = format!("{language:?}|{spec:?}\u{0}{source}");
-        if let Some(cached) = self.frontend.lock().unwrap().get(&key) {
+        let cached = self
+            .frontend
+            .lock()
+            .unwrap()
+            .get(&(language, spec))
+            .and_then(|sources| sources.get(source))
+            .cloned();
+        if let Some(cached) = cached {
             self.counters.frontend_hits.fetch_add(1, Ordering::Relaxed);
             // Timing-class: which worker sees the hit depends on schedule.
             acc_obs::instant_timing("cache", "frontend", vec![acc_obs::s("outcome", "hit")]);
-            return cached.clone();
+            return cached;
         }
         self.counters
             .frontend_misses
@@ -231,7 +244,9 @@ impl CompileCache {
         self.frontend
             .lock()
             .unwrap()
-            .entry(key)
+            .entry((language, spec))
+            .or_default()
+            .entry(Box::from(source))
             .or_insert(fresh)
             .clone()
     }
@@ -292,7 +307,12 @@ impl CompileCache {
     /// Number of distinct front-end entries (one per language × source pair
     /// seen).
     pub fn frontend_entries(&self) -> usize {
-        self.frontend.lock().unwrap().len()
+        self.frontend
+            .lock()
+            .unwrap()
+            .values()
+            .map(|sources| sources.len())
+            .sum()
     }
 }
 

@@ -4,8 +4,10 @@
 use acc_ast::{Expr, Program, Stmt};
 use acc_device::{Defect, ExecProfile, ObservedProfile};
 use acc_frontend::{sema, ResolvedProgram, Severity};
-use acc_spec::{ClauseKind, DeviceType, DirectiveKind, Language, RuntimeRoutine, SpecVersion};
-use std::collections::{BTreeSet, HashMap};
+use acc_spec::{
+    ClauseKind, DeviceType, DirectiveKind, FxHashMap, Language, RuntimeRoutine, SpecVersion,
+};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -15,7 +17,7 @@ use crate::exec::{RunKey, RunResult};
 
 /// A run memo: results of one source under one observable profile, keyed
 /// by the run's remaining inputs.
-pub type RunMemo = Arc<Mutex<HashMap<RunKey, RunResult>>>;
+pub type RunMemo = Arc<Mutex<FxHashMap<RunKey, RunResult>>>;
 
 /// Why compilation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

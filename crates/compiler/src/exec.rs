@@ -30,8 +30,9 @@ use acc_frontend::{FrameLayout, ResolvedProgram};
 use acc_runtime::routines::dispatch;
 use acc_runtime::World;
 use acc_spec::envvar::EnvConfig;
-use acc_spec::{ClauseKind, DeviceType, DirectiveKind, RuntimeRoutine};
-use std::collections::{BTreeSet, HashMap};
+use acc_spec::{ClauseKind, DeviceType, DirectiveKind, FxHashMap, RuntimeRoutine};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 use crate::driver::Executable;
 
@@ -263,7 +264,7 @@ pub(crate) struct Frame<'a> {
     /// Present-table names entered by `declare`, exited at function return.
     declare_entries: Vec<String>,
     /// `host_data use_device` overlays (innermost last).
-    pub(crate) host_data: Vec<HashMap<String, BufferId>>,
+    pub(crate) host_data: Vec<FxHashMap<String, BufferId>>,
 }
 
 impl<'a> Frame<'a> {
@@ -340,12 +341,16 @@ pub(crate) struct DevCtx<'m> {
     slots: Vec<Option<Value>>,
     /// Scope depth owning each slot's current binding (0 = gang scope).
     owner: Vec<u32>,
-    /// Undo journal per open scope (gang scope 0 has none): the shadowed
-    /// `(slot, value, owner)` to restore on pop.
-    journals: Vec<Vec<(u32, Option<Value>, u32)>>,
+    /// Undo journal of the open scopes (gang scope 0 has none): the
+    /// shadowed `(slot, value, owner)` to restore on pop, innermost scope
+    /// last.
+    journal: Vec<(u32, Option<Value>, u32)>,
+    /// Where each open scope's entries start in `journal`; its length is
+    /// the scope depth.
+    scope_starts: Vec<usize>,
     /// Names bound by a `deviceptr` clause to device buffers (borrowed from
     /// the region — one map shared by all gangs).
-    pub(crate) devptr: &'m HashMap<String, BufferId>,
+    pub(crate) devptr: &'m FxHashMap<String, BufferId>,
 }
 
 impl<'m> DevCtx<'m> {
@@ -358,7 +363,7 @@ impl<'m> DevCtx<'m> {
         gang: u32,
         kernels_mode: bool,
         layout: &'m FrameLayout,
-        devptr: &'m HashMap<String, BufferId>,
+        devptr: &'m FxHashMap<String, BufferId>,
     ) -> DevCtx<'m> {
         DevCtx {
             num_gangs,
@@ -370,7 +375,8 @@ impl<'m> DevCtx<'m> {
             layout,
             slots: crate::arena::take_slots(layout.len()),
             owner: crate::arena::take_owners(layout.len()),
-            journals: Vec::new(),
+            journal: Vec::new(),
+            scope_starts: Vec::new(),
             devptr,
         }
     }
@@ -401,11 +407,9 @@ impl<'m> DevCtx<'m> {
     /// binding on the first write per scope.
     #[inline]
     pub(crate) fn set_local(&mut self, slot: usize, v: Value) {
-        let depth = self.journals.len() as u32;
+        let depth = self.scope_starts.len() as u32;
         if depth > 0 && self.owner[slot] != depth {
-            self.journals
-                .last_mut()
-                .expect("depth > 0 implies a journal")
+            self.journal
                 .push((slot as u32, self.slots[slot], self.owner[slot]));
             self.owner[slot] = depth;
         }
@@ -423,12 +427,12 @@ impl<'m> DevCtx<'m> {
     }
 
     fn push_scope(&mut self) {
-        self.journals.push(Vec::new());
+        self.scope_starts.push(self.journal.len());
     }
 
     fn pop_scope(&mut self) {
-        let journal = self.journals.pop().expect("pop without open scope");
-        for (slot, old_val, old_owner) in journal.into_iter().rev() {
+        let start = self.scope_starts.pop().expect("pop without open scope");
+        for (slot, old_val, old_owner) in self.journal.drain(start..).rev() {
             self.slots[slot as usize] = old_val;
             self.owner[slot as usize] = old_owner;
         }
@@ -481,7 +485,7 @@ pub(crate) struct Machine<'a> {
     pub(crate) region_cost: u64,
     /// `deviceptr` bindings contributed by enclosing `data` regions and
     /// inherited by nested compute constructs.
-    data_devptr: Vec<HashMap<String, BufferId>>,
+    data_devptr: Vec<FxHashMap<String, BufferId>>,
     /// The lowered bytecode image (present when running under the VM).
     pub(crate) code: Option<&'a crate::bytecode::BytecodeProgram>,
     /// Dispatch through the bytecode VM instead of the tree walker.
@@ -864,13 +868,7 @@ impl<'a> Machine<'a> {
                     .eval_in(args.get(1), on_device)?
                     .as_int()
                     .map_err(crash)?;
-                if b == 0 {
-                    return Err(Abort::Crash("mod by zero".into()));
-                }
-                match a.checked_rem(b) {
-                    Some(r) => Some(Value::Int(r)),
-                    None => return Err(Abort::Crash("mod overflow".into())),
-                }
+                Some(int_mod(a, b)?)
             }
             "iand" => Some(self.int_bin(args, on_device, |a, b| a & b)?),
             "ior" => Some(self.int_bin(args, on_device, |a, b| a | b)?),
@@ -1182,23 +1180,25 @@ impl<'a> Machine<'a> {
     /// Resolve an index expression on the host: the binding plus the flat
     /// element offset (multi-dim row-major).
     fn flat_index_host(&mut self, base: &str, indices: &[Expr]) -> Exec<(ArrBinding, usize)> {
-        let mut vals = Vec::with_capacity(indices.len());
-        for e in indices {
-            vals.push(self.eval_host(e)?.as_int().map_err(crash)?);
-        }
-        let binding = self.lookup_array_host(base)?;
-        let dims: Vec<usize> = match binding {
-            ArrBinding::Host(id) => self.host_arrays[id].dims.clone(),
-            ArrBinding::Device(buf) => self
-                .world
-                .mem
-                .get(buf)
-                .map_err(|e| Abort::Crash(e.to_string()))?
-                .dims
-                .clone(),
-        };
-        let flat = flatten(base, &vals, &dims)?;
-        Ok((binding, flat))
+        with_stack_list(indices.len(), 0, |vals| {
+            for (v, e) in vals.iter_mut().zip(indices) {
+                *v = self.eval_host(e)?.as_int().map_err(crash)?;
+            }
+            let binding = self.lookup_array_host(base)?;
+            let dims = match binding {
+                ArrBinding::Host(id) => &self.host_arrays[id].dims,
+                ArrBinding::Device(buf) => {
+                    &self
+                        .world
+                        .mem
+                        .get(buf)
+                        .map_err(|e| Abort::Crash(e.to_string()))?
+                        .dims
+                }
+            };
+            let flat = flatten(base, vals, dims)?;
+            Ok((binding, flat))
+        })
     }
 
     fn lookup_array_host(&mut self, base: &str) -> Exec<ArrBinding> {
@@ -1752,7 +1752,7 @@ impl<'a> Machine<'a> {
         let entered = self.enter_data_clauses(&dir.clauses, DirectiveKind::Data)?;
         // `deviceptr` on a data construct makes the pointers
         // available to nested compute regions.
-        let mut dp = HashMap::new();
+        let mut dp = FxHashMap::default();
         for c in &dir.clauses {
             if let AccClause::Deviceptr(names) = c {
                 if self
@@ -1789,7 +1789,7 @@ impl<'a> Machine<'a> {
         dir: &'a AccDirective,
         body: HostRef<'a>,
     ) -> Exec<()> {
-        let mut overlay = HashMap::new();
+        let mut overlay = FxHashMap::default();
         for c in &dir.clauses {
             if let AccClause::UseDevice(names) = c {
                 if self
@@ -1885,7 +1885,7 @@ impl<'a> Machine<'a> {
         let mut entered = self.enter_data_clauses(&dir.clauses, dir.kind)?;
         // deviceptr bindings (inherited from enclosing data regions, then
         // this directive's own clause).
-        let mut devptr: HashMap<String, BufferId> = HashMap::new();
+        let mut devptr: FxHashMap<String, BufferId> = FxHashMap::default();
         for m in &self.data_devptr {
             devptr.extend(m.iter().map(|(k, v)| (k.clone(), *v)));
         }
@@ -1910,13 +1910,13 @@ impl<'a> Machine<'a> {
         }
         // Implicit mappings for referenced arrays (1.0's present_or_copy
         // default, §V-C "Default behavior").
-        for name in self.referenced_arrays(&body) {
-            if self.world.present.contains(&name) {
-                self.world.present.reenter(&name);
-                entered.push(name);
-            } else if !devptr.contains_key(&name) && self.host_array_id(&name).is_some() {
-                self.enter_mapping(&name, &None, ClauseKind::PresentOrCopy)?;
-                entered.push(name);
+        for name in self.referenced_arrays(&body).iter() {
+            if self.world.present.contains(name) {
+                self.world.present.reenter(name);
+                entered.push(name.clone());
+            } else if !devptr.contains_key(name) && self.host_array_id(name).is_some() {
+                self.enter_mapping(name, &None, ClauseKind::PresentOrCopy)?;
+                entered.push(name.clone());
             }
         }
 
@@ -2142,8 +2142,8 @@ impl<'a> Machine<'a> {
 
     /// Array names referenced anywhere in the region body (sorted — the
     /// implicit-mapping order is part of observable behaviour). Lowered
-    /// regions carry the same set precomputed at compile time.
-    fn referenced_arrays(&self, body: &RegionBody<'a>) -> Vec<String> {
+    /// regions carry the same set precomputed at compile time, lent here.
+    fn referenced_arrays(&self, body: &RegionBody<'a>) -> Cow<'a, [String]> {
         let mut names = BTreeSet::new();
         match body {
             RegionBody::Block(b) => collect_index_bases(b, &mut names),
@@ -2152,9 +2152,9 @@ impl<'a> Machine<'a> {
                 collect_expr_bases(&l.to, &mut names);
                 collect_index_bases(&l.body, &mut names);
             }
-            RegionBody::Code(rc) => return rc.referenced.clone(),
+            RegionBody::Code(rc) => return Cow::Borrowed(&rc.referenced),
         }
-        names.into_iter().collect()
+        Cow::Owned(names.into_iter().collect())
     }
 
     // ------------------------------------------------------------------
@@ -2256,17 +2256,18 @@ impl<'a> Machine<'a> {
         }
         if let Some(r) = RuntimeRoutine::from_symbol(name) {
             if r == RuntimeRoutine::OnDevice {
-                let mut vals = Vec::new();
-                for a in args {
-                    vals.push(self.eval_device(a, ctx)?);
-                }
-                // Defective runtimes misreport from device code too.
-                if let Some(c) = self.profile.routine_override(r) {
-                    return Ok(Value::Int(c));
-                }
-                let (v, _) = dispatch(r, &vals, &mut self.world, true, ScalarType::Float)
-                    .map_err(|e| Abort::Crash(e.to_string()))?;
-                return Ok(v);
+                return with_stack_list(args.len(), Value::Int(0), |vals| {
+                    for (v, a) in vals.iter_mut().zip(args) {
+                        *v = self.eval_device(a, ctx)?;
+                    }
+                    // Defective runtimes misreport from device code too.
+                    if let Some(c) = self.profile.routine_override(r) {
+                        return Ok(Value::Int(c));
+                    }
+                    let (v, _) = dispatch(r, vals, &mut self.world, true, ScalarType::Float)
+                        .map_err(|e| Abort::Crash(e.to_string()))?;
+                    Ok(v)
+                });
             }
             return Err(Abort::Crash(format!(
                 "runtime routine `{}` cannot be called from device code",
@@ -2274,17 +2275,16 @@ impl<'a> Machine<'a> {
             )));
         }
         // Intrinsics with device-context arguments.
-        let mut vals = Vec::new();
-        for a in args {
-            vals.push(self.eval_device(a, ctx)?);
-        }
-        eval_pure_intrinsic(name, &vals)
-            .ok_or_else(|| {
+        with_stack_list(args.len(), Value::Int(0), |vals| {
+            for (v, a) in vals.iter_mut().zip(args) {
+                *v = self.eval_device(a, ctx)?;
+            }
+            eval_pure_intrinsic(name, vals).ok_or_else(|| {
                 Abort::Crash(format!(
                     "procedure call `{name}` inside a compute region is not supported by OpenACC 1.0"
                 ))
             })?
-            .map_err(crash)
+        })
     }
 
     pub(crate) fn eval_device(&mut self, e: &Expr, ctx: &mut DevCtx) -> Exec<Value> {
@@ -2432,40 +2432,31 @@ impl<'a> Machine<'a> {
         indices: &[Expr],
         ctx: &mut DevCtx,
     ) -> Exec<(BufferId, usize)> {
-        let mut vals = Vec::with_capacity(indices.len());
-        for e in indices {
-            vals.push(self.eval_device(e, ctx)?.as_int().map_err(crash)?);
-        }
-        // deviceptr binding?
-        let buf = if let Some(b) = ctx.devptr.get(base) {
-            *b
-        } else if let Some(e) = self.world.present.get(base) {
-            e.buffer
-        } else {
-            // A raw pointer without a deviceptr binding dereferenced in
-            // device code: the generated kernel would fault, exactly like a
-            // real compiler passing a host pointer to the device.
-            return Err(Abort::Crash(format!(
-                "device access to `{base}` which is not present on the device"
-            )));
-        };
-        let dims = self
-            .world
-            .mem
-            .get(buf)
-            .map_err(|e| Abort::Crash(e.to_string()))?
-            .dims
-            .clone();
-        let flat = if dims.is_empty() {
-            // Raw acc_malloc buffer: single linear index.
-            if vals.len() != 1 || vals[0] < 0 {
-                return Err(Abort::Crash(format!("bad linear index on `{base}`")));
+        with_stack_list(indices.len(), 0, |vals| {
+            for (v, e) in vals.iter_mut().zip(indices) {
+                *v = self.eval_device(e, ctx)?.as_int().map_err(crash)?;
             }
-            vals[0] as usize
-        } else {
-            flatten(base, &vals, &dims)?
-        };
-        Ok((buf, flat))
+            // deviceptr binding?
+            let buf = if let Some(b) = ctx.devptr.get(base) {
+                *b
+            } else if let Some(e) = self.world.present.get(base) {
+                e.buffer
+            } else {
+                // A raw pointer without a deviceptr binding dereferenced in
+                // device code: the generated kernel would fault, exactly
+                // like a real compiler passing a host pointer to the device.
+                return Err(Abort::Crash(format!(
+                    "device access to `{base}` which is not present on the device"
+                )));
+            };
+            let dims = &self
+                .world
+                .mem
+                .get(buf)
+                .map_err(|e| Abort::Crash(e.to_string()))?
+                .dims;
+            Ok((buf, dev_flat(base, vals, dims)?))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -2492,14 +2483,15 @@ impl<'a> Machine<'a> {
                 return Err(Abort::Timeout);
             }
         }
-        let clauses: Vec<&AccClause> = dir
-            .clauses
-            .iter()
-            .filter(|c| !self.profile.ignores_clause(dir.kind, c.kind()))
-            .collect();
+        // The clauses the release honours.
+        let profile = self.profile;
+        let clauses = || {
+            dir.clauses
+                .iter()
+                .filter(move |c| !profile.ignores_clause(dir.kind, c.kind()))
+        };
         // collapse handling.
-        let collapse_n = clauses
-            .iter()
+        let collapse_n = clauses()
             .find_map(|c| match c {
                 AccClause::Collapse(e) => e.const_int(),
                 _ => None,
@@ -2512,7 +2504,7 @@ impl<'a> Machine<'a> {
             collapse_n
         };
 
-        let has = |k: ClauseKind| clauses.iter().any(|c| c.kind() == k);
+        let has = |k: ClauseKind| clauses().any(|c| c.kind() == k);
         let seq = has(ClauseKind::Seq);
         let gang_c = has(ClauseKind::Gang);
         let worker_c = has(ClauseKind::Worker);
@@ -2520,7 +2512,7 @@ impl<'a> Machine<'a> {
 
         // Reductions on the loop, resolved to their frame slots up front.
         let mut reductions: Vec<(acc_spec::ReductionOp, &'a str, usize)> = Vec::new();
-        for c in &clauses {
+        for c in clauses() {
             if let AccClause::Reduction(op, vars) = c {
                 for v in vars {
                     let slot = ctx.slot(v).ok_or_else(|| unresolved(v))?;
@@ -2530,7 +2522,7 @@ impl<'a> Machine<'a> {
         }
         // Loop privates (as slots — the per-unit rebind is a vector store).
         let mut privates: Vec<usize> = Vec::new();
-        for c in &clauses {
+        for c in clauses() {
             if let AccClause::Private(vs) = c {
                 if self.profile.has(&Defect::PrivateAliasesShared) {
                     // Defective privatization: one shared device copy. The
@@ -2549,55 +2541,40 @@ impl<'a> Machine<'a> {
             }
         }
 
-        // Decide the unit set.
+        // Decide the unit set: `units` units, the `i`-th running the
+        // iterations `k` with `k % m == first + i` (every iteration when
+        // `m` is `None`).
         let g = ctx.num_gangs.max(1) as u64;
         let w = ctx.num_workers.max(1) as u64;
         let v = ctx.vector_len.max(1) as u64;
-        let units: Vec<UnitSel> = if seq {
-            vec![UnitSel::All]
+        let gang = ctx.gang as u64;
+        let (units, m, first): (u64, Option<u64>, u64) = if seq {
+            (1, None, 0)
         } else if ctx.kernels_mode {
             // kernels: auto-parallelized across the auto gang count; the
             // single executing "gang" walks all partitions.
             let auto = self.profile.kernels_auto_gangs.max(1) as u64;
-            (0..auto).map(|r| UnitSel::Modulo { m: auto, r }).collect()
+            (auto, Some(auto), 0)
         } else if gang_c && worker_c {
-            (0..w)
-                .map(|wi| UnitSel::Modulo {
-                    m: g * w,
-                    r: ctx.gang as u64 * w + wi,
-                })
-                .collect()
+            (w, Some(g * w), gang * w)
         } else if gang_c {
-            vec![UnitSel::Modulo {
-                m: g,
-                r: ctx.gang as u64,
-            }]
+            (1, Some(g), gang)
         } else if worker_c && !ctx.in_gang_loop {
             // Fig. 1 ambiguity: worker loop without an enclosing gang loop.
             match self.profile.worker_loop_policy {
-                WorkerLoopPolicy::PerGangWorkers => {
-                    (0..w).map(|wi| UnitSel::Modulo { m: w, r: wi }).collect()
-                }
-                WorkerLoopPolicy::SpreadAcrossGangs => (0..w)
-                    .map(|wi| UnitSel::Modulo {
-                        m: g * w,
-                        r: ctx.gang as u64 * w + wi,
-                    })
-                    .collect(),
-                WorkerLoopPolicy::SequentialPerGang => vec![UnitSel::All],
+                WorkerLoopPolicy::PerGangWorkers => (w, Some(w), 0),
+                WorkerLoopPolicy::SpreadAcrossGangs => (w, Some(g * w), gang * w),
+                WorkerLoopPolicy::SequentialPerGang => (1, None, 0),
             }
         } else if worker_c {
             // Inside a gang loop: partition across this gang's workers —
             // collectively the iterations run once per owning gang iteration.
-            (0..w).map(|wi| UnitSel::Modulo { m: w, r: wi }).collect()
+            (w, Some(w), 0)
         } else if vector_c {
-            (0..v).map(|vi| UnitSel::Modulo { m: v, r: vi }).collect()
+            (v, Some(v), 0)
         } else {
             // Bare loop (or independent): auto-partition across gangs.
-            vec![UnitSel::Modulo {
-                m: g,
-                r: ctx.gang as u64,
-            }]
+            (1, Some(g), gang)
         };
 
         // Snapshot reduction initials.
@@ -2611,7 +2588,11 @@ impl<'a> Machine<'a> {
         }
 
         let entering_gang_loop = gang_c;
-        for (ui, unit) in units.iter().enumerate() {
+        for ui in 0..units {
+            let unit = match m {
+                None => UnitSel::All,
+                Some(m) => UnitSel::Modulo { m, r: first + ui },
+            };
             // Per-unit scope for privates and reduction copies.
             ctx.push_scope();
             for slot in &privates {
@@ -2626,8 +2607,8 @@ impl<'a> Machine<'a> {
                 ctx.in_gang_loop = true;
             }
             let res = match body {
-                DevLoopRef::Ast(l) => self.exec_collapsed_loop(l, collapse_n, *unit, ctx),
-                DevLoopRef::Code(nest) => self.vm_nest_collapsed(nest, collapse_n, *unit, ctx),
+                DevLoopRef::Ast(l) => self.exec_collapsed_loop(l, collapse_n, unit, ctx),
+                DevLoopRef::Code(nest) => self.vm_nest_collapsed(nest, collapse_n, unit, ctx),
             };
             ctx.in_gang_loop = saved;
             if res.is_err() {
@@ -2665,65 +2646,44 @@ impl<'a> Machine<'a> {
         unit: UnitSel,
         ctx: &mut DevCtx,
     ) -> Exec<()> {
-        // Gather the collapsed nest.
-        let mut loops: Vec<&ForLoop> = vec![l];
-        let mut body: &'a [Stmt] = &l.body;
-        for _ in 1..collapse_n {
-            match body {
-                [Stmt::For(inner)] => {
-                    loops.push(inner);
-                    body = &inner.body;
-                }
-                _ => {
-                    return Err(Abort::Crash(
-                        "collapse requires tightly nested loops".into(),
-                    ))
+        with_stack_list(collapse_n, l, |loops| {
+            // Gather the collapsed nest.
+            for d in 1..collapse_n {
+                match loops[d - 1].body.as_slice() {
+                    [Stmt::For(inner)] => loops[d] = inner,
+                    _ => {
+                        return Err(Abort::Crash(
+                            "collapse requires tightly nested loops".into(),
+                        ))
+                    }
                 }
             }
-        }
-        // Evaluate bounds once (rectangular iteration space).
-        let mut bounds = Vec::new();
-        for lp in &loops {
-            let from = self.eval_device(&lp.from, ctx)?.as_int().map_err(crash)?;
-            let to = self.eval_device(&lp.to, ctx)?.as_int().map_err(crash)?;
-            let step = self.eval_device(&lp.step, ctx)?.as_int().map_err(crash)?;
-            if step <= 0 {
-                return Err(Abort::Crash(format!(
-                    "loop step must be positive, got {step}"
-                )));
-            }
-            let count = if to > from {
-                ((to - from) + step - 1) / step
-            } else {
-                0
-            };
-            bounds.push((from, step, count as u64));
-        }
-        let mut var_slots = Vec::with_capacity(loops.len());
-        for lp in &loops {
-            var_slots.push(ctx.slot(&lp.var).ok_or_else(|| unresolved(&lp.var))?);
-        }
-        let total: u64 = bounds.iter().map(|b| b.2).product();
-        for flat in 0..total {
-            if !unit.selects(flat) {
-                continue;
-            }
-            // Decompose the flat index (row-major).
-            let mut rem = flat;
-            let mut idxs = vec![0i64; loops.len()];
-            for d in (0..loops.len()).rev() {
-                let c = bounds[d].2.max(1);
-                let k = rem % c;
-                rem /= c;
-                idxs[d] = bounds[d].0 + (k as i64) * bounds[d].1;
-            }
-            for (slot, iv) in var_slots.iter().zip(&idxs) {
-                ctx.set_local(*slot, Value::Int(*iv));
-            }
-            self.world.metrics.device_iterations += 1;
-            self.exec_body_device(body, ctx)?;
-        }
-        Ok(())
+            let body: &'a [Stmt] = &loops[collapse_n - 1].body;
+            with_stack_list(collapse_n, NestDim::default(), |dims| {
+                // Evaluate bounds once (rectangular iteration space).
+                for (dim, lp) in dims.iter_mut().zip(loops.iter()) {
+                    let from = self.eval_device(&lp.from, ctx)?.as_int().map_err(crash)?;
+                    let to = self.eval_device(&lp.to, ctx)?.as_int().map_err(crash)?;
+                    let step = self.eval_device(&lp.step, ctx)?.as_int().map_err(crash)?;
+                    *dim = NestDim::new(from, to, step)?;
+                }
+                for (dim, lp) in dims.iter_mut().zip(loops.iter()) {
+                    dim.slot = ctx.slot(&lp.var).ok_or_else(|| unresolved(&lp.var))?;
+                }
+                for flat in 0..nest_total(dims) {
+                    if !unit.selects(flat) {
+                        continue;
+                    }
+                    place_nest(dims, flat);
+                    for d in dims.iter() {
+                        ctx.set_local(d.slot, Value::Int(d.at));
+                    }
+                    self.world.metrics.device_iterations += 1;
+                    self.exec_body_device(body, ctx)?;
+                }
+                Ok(())
+            })
+        })
     }
 
     fn exec_for_device(&mut self, l: &'a ForLoop, unit: UnitSel, ctx: &mut DevCtx) -> Exec<Flow> {
@@ -2800,6 +2760,69 @@ pub(crate) fn collect_index_bases(stmts: &[Stmt], names: &mut BTreeSet<String>) 
     }
 }
 
+/// One loop of a collapsed nest, its bounds evaluated once: the first
+/// value, the step and the trip count, the slot of its variable, and
+/// `at`, the variable's value in the iteration being run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NestDim {
+    from: i64,
+    step: i64,
+    count: u64,
+    pub(crate) slot: usize,
+    pub(crate) at: i64,
+}
+
+impl NestDim {
+    /// The loop `for (v = from; v < to; v += step)`; a step below 1 is a
+    /// crash. The trip count is exact for any bounds: it is computed in
+    /// `i128`, so `to - from` cannot overflow.
+    pub(crate) fn new(from: i64, to: i64, step: i64) -> Exec<NestDim> {
+        if step <= 0 {
+            return Err(Abort::Crash(format!(
+                "loop step must be positive, got {step}"
+            )));
+        }
+        let count = if to > from {
+            let span = i128::from(to) - i128::from(from);
+            u64::try_from((span + i128::from(step) - 1) / i128::from(step)).unwrap_or(u64::MAX)
+        } else {
+            0
+        };
+        Ok(NestDim {
+            from,
+            step,
+            count,
+            slot: 0,
+            at: 0,
+        })
+    }
+}
+
+/// The iterations of the whole nest: the product of the trip counts,
+/// saturating (a step budget ends such a nest long before).
+pub(crate) fn nest_total(dims: &[NestDim]) -> u64 {
+    dims.iter().fold(1, |total, d| total.saturating_mul(d.count))
+}
+
+/// Set each loop's `at` for the nest's `flat`-th iteration (row-major),
+/// `flat` below [`nest_total`]. What is left for the outermost loop is
+/// then below its count, so it needs no division. `from + k * step`
+/// stays below the loop bound, so computing it with wrapping arithmetic
+/// gives the exact value.
+#[inline]
+pub(crate) fn place_nest(dims: &mut [NestDim], flat: u64) {
+    let Some((outer, inner)) = dims.split_first_mut() else {
+        return;
+    };
+    let mut rem = flat;
+    for d in inner.iter_mut().rev() {
+        let c = d.count.max(1);
+        d.at = d.from.wrapping_add(((rem % c) as i64).wrapping_mul(d.step));
+        rem /= c;
+    }
+    outer.at = outer.from.wrapping_add((rem as i64).wrapping_mul(outer.step));
+}
+
 /// Iteration ownership predicate of one execution unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum UnitSel {
@@ -2847,6 +2870,33 @@ pub(crate) fn crash(e: impl std::fmt::Display) -> Abort {
 /// user error.
 pub(crate) fn unresolved(name: &str) -> Abort {
     Abort::Crash(format!("internal error: unresolved name `{name}`"))
+}
+
+/// Lists up to this long live on the stack (see [`with_stack_list`]).
+const INLINE_LIST: usize = 8;
+
+/// Run `f` over `n` copies of `fill`: on the stack unless `n` exceeds
+/// [`INLINE_LIST`], so the per-access subscripts, per-call arguments
+/// and per-launch loop bounds the machine gathers allocate nothing.
+pub(crate) fn with_stack_list<T: Copy, R>(n: usize, fill: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if n <= INLINE_LIST {
+        f(&mut [fill; INLINE_LIST][..n])
+    } else {
+        f(&mut vec![fill; n])
+    }
+}
+
+/// The element offset of `vals` in a device buffer with `dims`; a raw
+/// `acc_malloc` buffer (no dims) takes one linear index.
+#[inline]
+pub(crate) fn dev_flat(base: &str, vals: &[i64], dims: &[usize]) -> Exec<usize> {
+    if dims.is_empty() {
+        if vals.len() != 1 || vals[0] < 0 {
+            return Err(Abort::Crash(format!("bad linear index on `{base}`")));
+        }
+        return Ok(vals[0] as usize);
+    }
+    flatten(base, vals, dims)
 }
 
 /// The row-major element offset of `vals` in an array with `dims` (none =
@@ -3093,12 +3143,23 @@ fn is_intrinsic_name(name: &str) -> bool {
     )
 }
 
+/// Fortran's `mod(a, b)`, with one crash text wherever it runs.
+fn int_mod(a: i64, b: i64) -> Exec<Value> {
+    if b == 0 {
+        return Err(Abort::Crash("mod by zero".into()));
+    }
+    a.checked_rem(b)
+        .map(Value::Int)
+        .ok_or_else(|| Abort::Crash("mod overflow".into()))
+}
+
 /// Pure intrinsics evaluable with already-computed argument values
 /// (device-side call path).
-fn eval_pure_intrinsic(
-    name: &str,
-    vals: &[Value],
-) -> Option<Result<Value, acc_device::value::ValueError>> {
+fn eval_pure_intrinsic(name: &str, vals: &[Value]) -> Option<Exec<Value>> {
+    if name == "mod" && vals.len() == 2 {
+        let a = vals[0].as_int().map_err(crash);
+        return Some(a.and_then(|a| int_mod(a, vals[1].as_int().map_err(crash)?)));
+    }
     let one = |i: usize| -> Result<f64, acc_device::value::ValueError> { vals[i].as_f64() };
     let r = match name {
         "powf" if vals.len() == 2 => (|| Ok(Value::F32(one(0)?.powf(one(1)?) as f32)))(),
@@ -3109,16 +3170,6 @@ fn eval_pure_intrinsic(
         "sqrt" if vals.len() == 1 => (|| Ok(Value::F64(one(0)?.sqrt())))(),
         // Wraps like unary minus: `abs(i64::MIN)` is `i64::MIN`.
         "abs" if vals.len() == 1 => vals[0].as_int().map(|v| Value::Int(v.wrapping_abs())),
-        "mod" if vals.len() == 2 => (|| {
-            let (a, b) = (vals[0].as_int()?, vals[1].as_int()?);
-            if b == 0 {
-                return Err(acc_device::value::ValueError("mod by zero".into()));
-            }
-            match a.checked_rem(b) {
-                Some(r) => Ok(Value::Int(r)),
-                None => Err(acc_device::value::ValueError("mod overflow".into())),
-            }
-        })(),
         "iand" if vals.len() == 2 => (|| Ok(Value::Int(vals[0].as_int()? & vals[1].as_int()?)))(),
         "ior" if vals.len() == 2 => (|| Ok(Value::Int(vals[0].as_int()? | vals[1].as_int()?)))(),
         "ieor" if vals.len() == 2 => (|| Ok(Value::Int(vals[0].as_int()? ^ vals[1].as_int()?)))(),
@@ -3126,7 +3177,7 @@ fn eval_pure_intrinsic(
         "max" if vals.len() == 2 => num_min_max(vals[0], vals[1], false),
         _ => return None,
     };
-    Some(r)
+    Some(r.map_err(crash))
 }
 
 fn num_min_max(a: Value, b: Value, is_min: bool) -> Result<Value, acc_device::value::ValueError> {

@@ -14,8 +14,9 @@ use acc_device::Value;
 
 use crate::bytecode::{Chunk, DevLoopNest, Instr, NO_SLOT};
 use crate::exec::{
-    apply_binop, apply_unop, crash, unresolved, Abort, ArrBinding, DevCtx, DevLoopRef, Exec, Flow,
-    HostRef, Machine, RegionBody, UnitSel,
+    apply_binop, apply_unop, crash, dev_flat, nest_total, place_nest, unresolved, with_stack_list,
+    Abort, ArrBinding, DevCtx, DevLoopRef, Exec, Flow, HostRef, Machine, NestDim, RegionBody,
+    UnitSel,
 };
 
 /// Decode a `NO_SLOT`-encoded slot operand.
@@ -453,85 +454,55 @@ impl<'a> Machine<'a> {
             return Err(Abort::Crash("collapse requires tightly nested loops".into()));
         }
         self.reset_dev_bufs();
-        // Bounds once, in loop order (rectangular iteration space);
-        // per-loop step check interleaved exactly like the walker.
-        let mut bounds = Vec::with_capacity(collapse_n);
-        for lp in &nest.loops[..collapse_n] {
-            let from = self.eval_device(&lp.from, ctx)?.as_int().map_err(crash)?;
-            let to = self.eval_device(&lp.to, ctx)?.as_int().map_err(crash)?;
-            let step = self.eval_device(&lp.step, ctx)?.as_int().map_err(crash)?;
-            if step <= 0 {
-                return Err(Abort::Crash(format!(
-                    "loop step must be positive, got {step}"
-                )));
+        with_stack_list(collapse_n, NestDim::default(), |dims| {
+            // Bounds once, in loop order (rectangular iteration space);
+            // per-loop step check interleaved exactly like the walker.
+            let loops = &nest.loops[..collapse_n];
+            for (dim, lp) in dims.iter_mut().zip(loops) {
+                let from = self.eval_device(&lp.from, ctx)?.as_int().map_err(crash)?;
+                let to = self.eval_device(&lp.to, ctx)?.as_int().map_err(crash)?;
+                let step = self.eval_device(&lp.step, ctx)?.as_int().map_err(crash)?;
+                *dim = NestDim::new(from, to, step)?;
             }
-            let count = if to > from {
-                ((to - from) + step - 1) / step
-            } else {
-                0
-            };
-            bounds.push((from, step, count as u64));
-        }
-        let mut var_slots = Vec::with_capacity(collapse_n);
-        for lp in &nest.loops[..collapse_n] {
-            var_slots.push(lp.slot.ok_or_else(|| unresolved(&lp.name))? as usize);
-        }
-        let total: u64 = bounds.iter().map(|b| b.2).product();
-        let chunk = nest.bodies[collapse_n - 1];
-        let (start, stride) = match unit {
-            UnitSel::All => (0, 1),
-            UnitSel::Modulo { m, r } => {
-                if m <= 1 {
-                    (0, 1)
-                } else {
-                    (r, m)
+            for (dim, lp) in dims.iter_mut().zip(loops) {
+                dim.slot = lp.slot.ok_or_else(|| unresolved(&lp.name))? as usize;
+            }
+            let total = nest_total(dims);
+            let chunk = nest.bodies[collapse_n - 1];
+            let (start, stride) = match unit {
+                UnitSel::All => (0, 1),
+                UnitSel::Modulo { m, r } => {
+                    if m <= 1 {
+                        (0, 1)
+                    } else {
+                        (r, m)
+                    }
                 }
+            };
+            let mut regs = self.take_regs(chunk.regs);
+            let mut result = Ok(());
+            let mut flat = start;
+            while flat < total {
+                place_nest(dims, flat);
+                for d in dims.iter() {
+                    ctx.set_local(d.slot, Value::Int(d.at));
+                }
+                self.world.metrics.device_iterations += 1;
+                // Flow is discarded (Return cannot escape device bodies),
+                // matching `exec_collapsed_loop`.
+                if let Err(e) = self.vm_dev_loop(chunk, &mut regs, ctx) {
+                    result = Err(e);
+                    break;
+                }
+                let Some(next) = flat.checked_add(stride) else {
+                    break;
+                };
+                flat = next;
             }
-        };
-        let mut regs = self.take_regs(chunk.regs);
-        let mut idxs = vec![0i64; collapse_n];
-        let mut result = Ok(());
-        let mut flat = start;
-        while flat < total {
-            // Row-major decomposition of the flat index. What is left for
-            // the outermost loop is already below its count (`flat <
-            // total`), so it needs no division.
-            let mut rem = flat;
-            for d in (1..collapse_n).rev() {
-                let c = bounds[d].2.max(1);
-                idxs[d] = bounds[d].0 + ((rem % c) as i64) * bounds[d].1;
-                rem /= c;
-            }
-            idxs[0] = bounds[0].0 + (rem as i64) * bounds[0].1;
-            for (slot, iv) in var_slots.iter().zip(&idxs) {
-                ctx.set_local(*slot, Value::Int(*iv));
-            }
-            self.world.metrics.device_iterations += 1;
-            // Flow is discarded (Return cannot escape device bodies),
-            // matching `exec_collapsed_loop`.
-            if let Err(e) = self.vm_dev_loop(chunk, &mut regs, ctx) {
-                result = Err(e);
-                break;
-            }
-            flat += stride;
-        }
-        self.reg_pool.push(regs);
-        result
+            self.reg_pool.push(regs);
+            result
+        })
     }
-}
-
-/// The element offset of `vals` in a device buffer with `dims` — the second
-/// half of `flat_index_device`.
-#[inline]
-fn dev_flat(nm: &str, vals: &[i64], dims: &[usize]) -> Exec<usize> {
-    if dims.is_empty() {
-        // Raw acc_malloc buffer: single linear index.
-        if vals.len() != 1 || vals[0] < 0 {
-            return Err(Abort::Crash(format!("bad linear index on `{nm}`")));
-        }
-        return Ok(vals[0] as usize);
-    }
-    crate::exec::flatten(nm, vals, dims)
 }
 
 /// `a >= b` at a loop head: a raw `i64` compare when both are `Int`, as the

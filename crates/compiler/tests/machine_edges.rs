@@ -299,3 +299,68 @@ fn loop_stepping_past_int_max_wraps_in_both_engines() {
         assert_eq!(run_both(src, Language::C), RunOutcome::Timeout, "{src}");
     }
 }
+
+/// A `loop`-directive nest over `for (i = -i64::MAX; i < i64::MAX; i +=
+/// step)`, collapsed with an inner two-trip loop when `collapse` is 2.
+fn wide_loop_program(step: &str, collapse: u32) -> String {
+    let (directive, inner_open, inner_close) = if collapse == 2 {
+        (
+            "#pragma acc loop collapse(2)",
+            "        for (j = 0; j < 2; j++)\n        {\n",
+            "        }\n",
+        )
+    } else {
+        ("#pragma acc loop", "", "")
+    };
+    format!(
+        "int main(void) {{\n    int n = 0;\n    #pragma acc parallel num_gangs(1) reduction(+:n)\n    {{\n        {directive}\n        for (i = -9223372036854775807; i < 9223372036854775807; i += {step})\n        {{\n{inner_open}            n = n + 1;\n{inner_close}        }}\n    }}\n    return n;\n}}\n"
+    )
+}
+
+/// A collapsed nest's trip count is exact for any bounds: a span of
+/// nearly 2^64 neither panics nor wraps to a short count, so steps 1 and
+/// 3 run until the step budget stops them, with one loop or two.
+#[test]
+fn collapsed_loops_spanning_the_int_range_run_their_full_count() {
+    for collapse in [1, 2] {
+        for step in ["1", "3"] {
+            let src = wide_loop_program(step, collapse);
+            assert_eq!(run_both(&src, Language::C), RunOutcome::Timeout, "{src}");
+        }
+        // A step of 2^62 crosses the range in exactly four iterations
+        // (each inner loop twice more when collapsed).
+        let src = wide_loop_program("4611686018427387904", collapse);
+        let trips = 4 * i64::from(collapse);
+        assert_eq!(
+            run_both(&src, Language::C),
+            RunOutcome::Completed(trips),
+            "{src}"
+        );
+    }
+}
+
+/// A Fortran `main` with `x = i64::MIN`, `y = 0` and `z = 0`, then `body`.
+fn fortran_mod_program(body: &str) -> String {
+    format!(
+        "integer function main()\n    implicit none\n    integer :: x\n    integer :: y\n    integer :: z\n    x = -9223372036854775807 - 1\n    y = 0\n    z = 0\n{body}\n    main = y == 0\n    return\nend function main\n"
+    )
+}
+
+/// Fortran's `mod` crashes with one text wherever it runs: on the host
+/// and inside a compute region, under both engines.
+#[test]
+fn mod_crashes_read_the_same_on_host_and_device() {
+    for (call, message) in [("mod(7, z)", "mod by zero"), ("mod(x, -1)", "mod overflow")] {
+        let host = fortran_mod_program(&format!("    y = {call}"));
+        let device = fortran_mod_program(&format!(
+            "    !$acc parallel num_gangs(1)\n        y = {call}\n    !$acc end parallel"
+        ));
+        for src in [host, device] {
+            assert_eq!(
+                run_both(&src, Language::Fortran),
+                RunOutcome::Crash(message.into()),
+                "{src}"
+            );
+        }
+    }
+}

@@ -103,14 +103,22 @@ impl TestCase {
     }
 
     /// Cross source text for a language (rendered once, memoized); `None`
-    /// when the test has no cross rule.
+    /// when the test has no cross rule. The first call derives the cross
+    /// program once and renders it in every language the case supports,
+    /// then drops it, so a case keeps no second AST.
     pub fn cross_source_for(&self, lang: Language) -> Option<String> {
-        self.rendered.cross[lang_idx(lang)]
-            .get_or_init(|| {
-                let rule = self.cross.as_ref()?;
-                Some(acc_ast::render_as(&rule.apply(&self.base), lang))
-            })
-            .clone()
+        let slots = &self.rendered.cross;
+        if let Some(source) = slots[lang_idx(lang)].get() {
+            return source.clone();
+        }
+        let cross = self.cross.as_ref().map(|rule| rule.apply(&self.base));
+        for l in self.languages.iter().copied().chain([lang]) {
+            let slot = &slots[lang_idx(l)];
+            if slot.get().is_none() {
+                let _ = slot.set(cross.as_ref().map(|p| acc_ast::render_as(p, l)));
+            }
+        }
+        slots[lang_idx(lang)].get().expect("rendered above").clone()
     }
 }
 

@@ -48,33 +48,30 @@ impl CrossRule {
 fn rewrite_body(body: &mut Vec<Stmt>, rule: &CrossRule) {
     let mut i = 0;
     while i < body.len() {
-        // Replace the statement if the rule dissolves it.
-        let replace: Option<Vec<Stmt>> = match (&mut body[i], rule) {
-            (Stmt::AccBlock { dir, body: inner }, CrossRule::RemoveDirective(kind))
-                if dir.kind == *kind =>
-            {
-                Some(std::mem::take(inner))
-            }
-            (Stmt::AccLoop { dir, l }, CrossRule::RemoveDirective(kind)) if dir.kind == *kind => {
-                Some(vec![Stmt::For(l.clone())])
-            }
-            (Stmt::AccStandalone { dir }, CrossRule::RemoveDirective(kind))
-                if dir.kind == *kind =>
-            {
-                Some(vec![])
-            }
-            _ => None,
+        // Dissolve the statement if the rule removes its directive: a
+        // block leaves its body, a loop its `for`, a standalone nothing.
+        let dissolve = match (&body[i], rule) {
+            (
+                Stmt::AccBlock { dir, .. }
+                | Stmt::AccLoop { dir, .. }
+                | Stmt::AccStandalone { dir },
+                CrossRule::RemoveDirective(kind),
+            ) => dir.kind == *kind,
+            _ => false,
         };
-        match replace {
-            Some(stmts) => {
-                body.splice(i..=i, stmts);
-                // Re-visit the spliced statements (they may contain nested
-                // directives of the same kind).
+        if dissolve {
+            match body.remove(i) {
+                Stmt::AccBlock { body: inner, .. } => {
+                    body.splice(i..i, inner);
+                }
+                Stmt::AccLoop { l, .. } => body.insert(i, Stmt::For(l)),
+                _ => {}
             }
-            None => {
-                rewrite_stmt(&mut body[i], rule);
-                i += 1;
-            }
+            // Re-visit the spliced statements (they may contain nested
+            // directives of the same kind).
+        } else {
+            rewrite_stmt(&mut body[i], rule);
+            i += 1;
         }
     }
 }

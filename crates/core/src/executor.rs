@@ -364,9 +364,12 @@ pub struct JobMeta {
 impl JobMeta {
     /// The jobs a suite run schedules for `cases`, in its order:
     /// case-major, language-minor.
-    pub fn for_cases(cases: &[TestCase], languages: &[Language]) -> Vec<JobMeta> {
+    pub fn for_cases<'c>(
+        cases: impl IntoIterator<Item = &'c TestCase>,
+        languages: &[Language],
+    ) -> Vec<JobMeta> {
         cases
-            .iter()
+            .into_iter()
             .flat_map(|case| {
                 languages.iter().map(|&language| JobMeta {
                     name: case.name.clone(),
@@ -441,9 +444,17 @@ impl Executor {
             "a journal records one release; sweep {} releases without a journal or resume",
             compilers.len()
         );
-        let cases = campaign.materialized_cases();
+        // The suite's own cases, borrowed; only a repetitions override,
+        // which the cases do not carry, needs copies.
+        let materialized;
+        let cases = if campaign.config.repetitions.is_some() {
+            materialized = campaign.materialized_cases();
+            materialized.iter().collect()
+        } else {
+            campaign.selected_cases()
+        };
         let langs = &campaign.config.languages;
-        let metas = JobMeta::for_cases(&cases, langs);
+        let metas = JobMeta::for_cases(cases.iter().copied(), langs);
         let labels: Vec<String> = compilers.iter().map(VendorCompiler::label).collect();
         // Every release's run ordinal, in sweep order, before any case
         // runs: the trace merges as if the releases had run one by one.
@@ -469,7 +480,7 @@ impl Executor {
                             // identical runs; the source's memo serves them.
                             memo: true,
                         };
-                        run_case_with(&cases[ci], &compiler, lang, &policy)
+                        run_case_with(cases[ci], &compiler, lang, &policy)
                     });
                     let Some(row) = row else {
                         return false;

@@ -78,6 +78,19 @@ pub fn run_case(case: &TestCase, compiler: &VendorCompiler, language: Language) 
     run_case_with(case, compiler, language, &CasePolicy::default())
 }
 
+/// Span and instant attributes.
+type Attrs = Vec<(&'static str, obs::AttrVal)>;
+
+/// The attributes `build` makes, built only while a scope records, so an
+/// untraced case allocates none for telemetry.
+fn attrs(build: impl FnOnce() -> Attrs) -> Attrs {
+    if obs::active() {
+        build()
+    } else {
+        Vec::new()
+    }
+}
+
 /// Run one test case under an explicit execution policy (step budget and
 /// attempt-index base) — the entry point the fault-tolerant executor uses.
 pub fn run_case_with(
@@ -110,10 +123,12 @@ pub fn run_case_with(
     //    reuse one parse and one lowered image).
     obs::begin("compile", "functional", vec![]);
     let compiled = compiler.compile(&source, language);
-    obs::end(vec![obs::s(
-        "outcome",
-        if compiled.is_ok() { "ok" } else { "error" },
-    )]);
+    obs::end(attrs(|| {
+        vec![obs::s(
+            "outcome",
+            if compiled.is_ok() { "ok" } else { "error" },
+        )]
+    }));
     let exe = match compiled {
         Ok(exe) => exe,
         Err(e) => return mk(TestStatus::CompileError(e.to_string()), None, source),
@@ -124,18 +139,34 @@ pub fn run_case_with(
     obs::end(vec![]);
     match functional {
         RunOutcome::Completed(v) if v != 0 => {
-            obs::instant("verify", "functional", vec![obs::s("outcome", "pass")]);
+            obs::instant(
+                "verify",
+                "functional",
+                attrs(|| vec![obs::s("outcome", "pass")]),
+            );
         }
         RunOutcome::Completed(_) => {
-            obs::instant("verify", "functional", vec![obs::s("outcome", "wrong_result")]);
+            obs::instant(
+                "verify",
+                "functional",
+                attrs(|| vec![obs::s("outcome", "wrong_result")]),
+            );
             return mk(TestStatus::WrongResult, None, source);
         }
         RunOutcome::Crash(m) => {
-            obs::instant("verify", "functional", vec![obs::s("outcome", "crash")]);
+            obs::instant(
+                "verify",
+                "functional",
+                attrs(|| vec![obs::s("outcome", "crash")]),
+            );
             return mk(TestStatus::Crash(m), None, source);
         }
         RunOutcome::Timeout => {
-            obs::instant("verify", "functional", vec![obs::s("outcome", "timeout")]);
+            obs::instant(
+                "verify",
+                "functional",
+                attrs(|| vec![obs::s("outcome", "timeout")]),
+            );
             return mk(TestStatus::Timeout, None, source);
         }
     }
@@ -146,10 +177,16 @@ pub fn run_case_with(
     };
     obs::begin("compile", "cross", vec![]);
     let cross_compiled = compiler.compile(&cross_source, language);
-    obs::end(vec![obs::s(
-        "outcome",
-        if cross_compiled.is_ok() { "ok" } else { "error" },
-    )]);
+    obs::end(attrs(|| {
+        vec![obs::s(
+            "outcome",
+            if cross_compiled.is_ok() {
+                "ok"
+            } else {
+                "error"
+            },
+        )]
+    }));
     let cross_exe = match cross_compiled {
         // A cross test that does not compile cannot raise confidence; the
         // functional pass stands but is flagged inconclusive.
@@ -164,7 +201,7 @@ pub fn run_case_with(
     let m = case.repetitions.max(1);
     let mut nf = 0;
     if cross_exe.profile.has_transient_faults() {
-        obs::begin("exec", "cross", vec![obs::i("reps", m as i64)]);
+        obs::begin("exec", "cross", attrs(|| vec![obs::i("reps", m as i64)]));
         for k in 0..m {
             let outcome = cross_exe.run_with_knobs(&case.env, knobs(1 + k as u64)).outcome;
             let incorrect = !matches!(outcome, RunOutcome::Completed(v) if v != 0);
@@ -174,7 +211,7 @@ pub fn run_case_with(
         }
         obs::end(vec![]);
     } else {
-        obs::begin("exec", "cross", vec![obs::i("reps", 1)]);
+        obs::begin("exec", "cross", attrs(|| vec![obs::i("reps", 1)]));
         let outcome = cross_exe.run_with_knobs(&case.env, knobs(1)).outcome;
         obs::end(vec![]);
         if !matches!(outcome, RunOutcome::Completed(v) if v != 0) {
@@ -185,11 +222,13 @@ pub fn run_case_with(
     obs::instant(
         "verify",
         "cross",
-        vec![
-            obs::i("m", m as i64),
-            obs::i("nf", nf as i64),
-            obs::i("validated", cert.validated() as i64),
-        ],
+        attrs(|| {
+            vec![
+                obs::i("m", m as i64),
+                obs::i("nf", nf as i64),
+                obs::i("validated", cert.validated() as i64),
+            ]
+        }),
     );
     if cert.validated() {
         mk(TestStatus::Pass, Some(cert), source)

@@ -8,7 +8,7 @@
 
 use crate::value::{ArrayData, Value, ValueError};
 use acc_ast::ScalarType;
-use std::collections::HashMap;
+use acc_spec::FxHashMap;
 use std::fmt;
 
 /// Opaque identifier of a device buffer (the simulated device address).
@@ -256,7 +256,7 @@ pub struct PresentEntry {
 /// mapping ends so the caller can copy out and free.
 #[derive(Debug, Default)]
 pub struct PresentTable {
-    entries: HashMap<String, PresentEntry>,
+    entries: FxHashMap<String, PresentEntry>,
 }
 
 impl PresentTable {

@@ -14,8 +14,8 @@
 //!    code bugs"), a hang, or a crash — never as a flag the harness could
 //!    cheat by reading.
 
+use acc_spec::FxHashSet;
 use acc_spec::{ClauseKind, DirectiveKind, Language, ReductionOp, RuntimeRoutine, VendorMapping};
-use std::collections::HashSet;
 
 /// Policy for a `loop worker` with no enclosing `loop gang`
 /// (the OpenACC 1.0 ambiguity of Fig. 1).
@@ -223,7 +223,7 @@ pub struct ExecProfile {
     /// (which admit no `num_gangs`).
     pub kernels_auto_gangs: u32,
     /// Active injected defects.
-    defects: HashSet<Defect>,
+    defects: FxHashSet<Defect>,
 }
 
 impl ExecProfile {
@@ -238,7 +238,7 @@ impl ExecProfile {
             default_workers: 1,
             default_vector: 1,
             kernels_auto_gangs: 8,
-            defects: HashSet::new(),
+            defects: FxHashSet::default(),
         }
     }
 

@@ -19,13 +19,15 @@
 //! references and therefore also receive slots).
 
 use acc_ast::{AccClause, AccDirective, Expr, LValue, Program, Stmt};
-use std::collections::HashMap;
+use acc_spec::FxHashMap;
+use std::sync::Arc;
 
-/// The dense `name ↔ slot` mapping for one function's frame.
+/// The dense `name ↔ slot` mapping for one function's frame. Each name is
+/// one allocation, shared by the slot list and the index.
 #[derive(Debug, Clone, Default)]
 pub struct FrameLayout {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
+    names: Vec<Arc<str>>,
+    index: FxHashMap<Arc<str>, u32>,
 }
 
 impl FrameLayout {
@@ -35,8 +37,9 @@ impl FrameLayout {
             return i;
         }
         let i = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, i);
         i
     }
 
@@ -61,7 +64,7 @@ impl FrameLayout {
     }
 
     /// All slot names, in slot order.
-    pub fn names(&self) -> &[String] {
+    pub fn names(&self) -> &[Arc<str>] {
         &self.names
     }
 }
@@ -70,7 +73,7 @@ impl FrameLayout {
 #[derive(Debug, Clone, Default)]
 pub struct ResolvedProgram {
     layouts: Vec<FrameLayout>,
-    by_function: HashMap<String, usize>,
+    by_function: FxHashMap<String, usize>,
 }
 
 impl ResolvedProgram {
@@ -93,7 +96,8 @@ impl ResolvedProgram {
 /// Resolve every function of `program` to a [`FrameLayout`].
 pub fn resolve(program: &Program) -> ResolvedProgram {
     let mut layouts = Vec::with_capacity(program.functions.len());
-    let mut by_function = HashMap::with_capacity(program.functions.len());
+    let mut by_function =
+        FxHashMap::with_capacity_and_hasher(program.functions.len(), Default::default());
     for f in &program.functions {
         let mut layout = FrameLayout::default();
         // Parameters first: their slots are the call frame's prefix.
@@ -268,7 +272,7 @@ mod tests {
         // Slots are dense and names round-trip.
         for (i, name) in layout.names().iter().enumerate() {
             assert_eq!(layout.slot(name), Some(i));
-            assert_eq!(layout.name(i), name);
+            assert_eq!(layout.name(i), &**name);
         }
     }
 

@@ -12,8 +12,7 @@
 use crate::cursor::is_fortran_callable;
 use crate::diag::Diagnostic;
 use acc_ast::{AccClause, AccDirective, Expr, Function, LValue, Program, Stmt};
-use acc_spec::{DeviceType, Language, SpecVersion};
-use std::collections::HashSet;
+use acc_spec::{DeviceType, FxHashSet, Language, SpecVersion};
 
 /// C math intrinsics known to the runtime.
 const C_INTRINSICS: &[&str] = &[
@@ -25,7 +24,7 @@ const C_INTRINSICS: &[&str] = &[
 /// be rejected if any has `Severity::Error`.
 pub fn analyze(program: &Program, spec: SpecVersion) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let fn_names: HashSet<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
+    let fn_names: FxHashSet<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
     for f in &program.functions {
         analyze_function(program, f, &fn_names, spec, &mut diags);
     }
@@ -39,62 +38,53 @@ pub fn conforms(program: &Program, spec: SpecVersion) -> bool {
         .all(|d| d.severity < crate::diag::Severity::Error)
 }
 
-fn predefined_constants() -> HashSet<String> {
-    let mut s = HashSet::new();
-    for d in [
-        DeviceType::None,
-        DeviceType::Default,
-        DeviceType::Host,
-        DeviceType::NotHost,
-        DeviceType::Cuda,
-        DeviceType::Opencl,
-        DeviceType::Nvidia,
-        DeviceType::Radeon,
-        DeviceType::XeonPhi,
-        DeviceType::PgiOpencl,
-        DeviceType::NvidiaOpencl,
-    ] {
-        s.insert(d.symbol().to_string());
-    }
-    s
+/// The names in scope in one function, borrowed from the program. The
+/// predefined device-type constants (`acc_device_nvidia`, …) are scalars
+/// in every scope without being stored in one.
+struct Scope<'p> {
+    vars: FxHashSet<&'p str>,
+    arrays: FxHashSet<&'p str>,
+    ptrs: FxHashSet<&'p str>,
 }
 
-struct Scope {
-    vars: HashSet<String>,
-    arrays: HashSet<String>,
-    ptrs: HashSet<String>,
+impl Scope<'_> {
+    /// A declared scalar or a predefined device-type constant.
+    fn has_var(&self, name: &str) -> bool {
+        self.vars.contains(name)
+            || (name.starts_with("acc_device_") && DeviceType::from_symbol(name).is_some())
+    }
 }
 
 fn analyze_function(
     program: &Program,
     f: &Function,
-    fn_names: &HashSet<&str>,
+    fn_names: &FxHashSet<&str>,
     spec: SpecVersion,
     diags: &mut Vec<Diagnostic>,
 ) {
     let mut scope = Scope {
-        vars: predefined_constants(),
-        arrays: HashSet::new(),
-        ptrs: HashSet::new(),
+        vars: FxHashSet::default(),
+        arrays: FxHashSet::default(),
+        ptrs: FxHashSet::default(),
     };
     for p in &f.params {
         match p.kind {
             acc_ast::ParamKind::Scalar(_) => {
-                scope.vars.insert(p.name.clone());
+                scope.vars.insert(&p.name);
             }
             acc_ast::ParamKind::ArrayPtr(_) => {
-                scope.arrays.insert(p.name.clone());
+                scope.arrays.insert(&p.name);
             }
         }
     }
     check_body(program, &f.body, &mut scope, fn_names, spec, diags);
 }
 
-fn check_body(
+fn check_body<'p>(
     program: &Program,
-    body: &[Stmt],
-    scope: &mut Scope,
-    fn_names: &HashSet<&str>,
+    body: &'p [Stmt],
+    scope: &mut Scope<'p>,
+    fn_names: &FxHashSet<&str>,
     spec: SpecVersion,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -104,9 +94,9 @@ fn check_body(
                 if let Some(e) = init {
                     check_expr(program, e, scope, fn_names, diags);
                 }
-                scope.vars.insert(name.clone());
+                scope.vars.insert(name);
                 if matches!(ty, acc_ast::Type::Ptr(_)) {
-                    scope.ptrs.insert(name.clone());
+                    scope.ptrs.insert(name);
                 }
             }
             Stmt::DeclArray { name, dims, .. } => {
@@ -116,7 +106,7 @@ fn check_body(
                         format!("array `{name}` must have one or two dimensions"),
                     ));
                 }
-                scope.arrays.insert(name.clone());
+                scope.arrays.insert(name);
             }
             Stmt::Assign { target, value, .. } => {
                 check_lvalue(program, target, scope, fn_names, diags);
@@ -126,7 +116,7 @@ fn check_body(
                 check_expr(program, &l.from, scope, fn_names, diags);
                 check_expr(program, &l.to, scope, fn_names, diags);
                 check_expr(program, &l.step, scope, fn_names, diags);
-                scope.vars.insert(l.var.clone());
+                scope.vars.insert(&l.var);
                 check_body(program, &l.body, scope, fn_names, spec, diags);
             }
             Stmt::If {
@@ -153,7 +143,7 @@ fn check_body(
                 check_directive(program, dir, scope, fn_names, spec, diags);
                 check_expr(program, &l.from, scope, fn_names, diags);
                 check_expr(program, &l.to, scope, fn_names, diags);
-                scope.vars.insert(l.var.clone());
+                scope.vars.insert(&l.var);
                 check_body(program, &l.body, scope, fn_names, spec, diags);
             }
             Stmt::AccStandalone { dir } => {
@@ -167,14 +157,14 @@ fn check_lvalue(
     program: &Program,
     lv: &LValue,
     scope: &Scope,
-    fn_names: &HashSet<&str>,
+    fn_names: &FxHashSet<&str>,
     diags: &mut Vec<Diagnostic>,
 ) {
     match lv {
         LValue::Var(n) => {
             // Assignment to the function result name (Fortran) or a declared
             // scalar.
-            if !scope.vars.contains(n) && !fn_names.contains(n.as_str()) {
+            if !scope.has_var(n) && !fn_names.contains(n.as_str()) {
                 diags.push(Diagnostic::error(
                     0,
                     format!("assignment to undeclared variable `{n}`"),
@@ -182,7 +172,7 @@ fn check_lvalue(
             }
         }
         LValue::Index { base, indices } => {
-            if !scope.arrays.contains(base) && !scope.ptrs.contains(base) {
+            if !scope.arrays.contains(base.as_str()) && !scope.ptrs.contains(base.as_str()) {
                 diags.push(Diagnostic::error(
                     0,
                     format!("indexing undeclared array `{base}`"),
@@ -198,7 +188,7 @@ fn check_lvalue(
 fn check_callee(
     program: &Program,
     name: &str,
-    fn_names: &HashSet<&str>,
+    fn_names: &FxHashSet<&str>,
     diags: &mut Vec<Diagnostic>,
 ) {
     let known = fn_names.contains(name)
@@ -217,12 +207,12 @@ fn check_expr(
     program: &Program,
     e: &Expr,
     scope: &Scope,
-    fn_names: &HashSet<&str>,
+    fn_names: &FxHashSet<&str>,
     diags: &mut Vec<Diagnostic>,
 ) {
     match e {
         Expr::Var(n) => {
-            if !scope.vars.contains(n) && !scope.arrays.contains(n) {
+            if !scope.has_var(n) && !scope.arrays.contains(n.as_str()) {
                 diags.push(Diagnostic::error(
                     0,
                     format!("use of undeclared variable `{n}`"),
@@ -230,7 +220,7 @@ fn check_expr(
             }
         }
         Expr::Index { base, indices } => {
-            if !scope.arrays.contains(base) && !scope.ptrs.contains(base) {
+            if !scope.arrays.contains(base.as_str()) && !scope.ptrs.contains(base.as_str()) {
                 diags.push(Diagnostic::error(
                     0,
                     format!("indexing undeclared array `{base}`"),
@@ -259,7 +249,7 @@ fn check_directive(
     program: &Program,
     dir: &AccDirective,
     scope: &Scope,
-    fn_names: &HashSet<&str>,
+    fn_names: &FxHashSet<&str>,
     spec: SpecVersion,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -317,12 +307,12 @@ fn check_directive(
             },
             AccClause::Reduction(_, vars) => {
                 for v in vars {
-                    if scope.arrays.contains(v) {
+                    if scope.arrays.contains(v.as_str()) {
                         diags.push(Diagnostic::error(
                             0,
                             format!("reduction variable `{v}` must be scalar"),
                         ));
-                    } else if !scope.vars.contains(v) {
+                    } else if !scope.has_var(v) {
                         diags.push(Diagnostic::error(
                             0,
                             format!("reduction variable `{v}` is not declared"),
@@ -335,7 +325,7 @@ fn check_directive(
             | AccClause::UseDevice(vars)
             | AccClause::Deviceptr(vars) => {
                 for v in vars {
-                    if !scope.vars.contains(v) && !scope.arrays.contains(v) {
+                    if !scope.has_var(v) && !scope.arrays.contains(v.as_str()) {
                         diags.push(Diagnostic::error(
                             0,
                             format!("variable `{v}` in `{}` clause is not declared", kind.name()),
@@ -345,7 +335,7 @@ fn check_directive(
             }
             AccClause::Data(_, refs) => {
                 for r in refs {
-                    if !scope.vars.contains(&r.name) && !scope.arrays.contains(&r.name) {
+                    if !scope.has_var(&r.name) && !scope.arrays.contains(r.name.as_str()) {
                         diags.push(Diagnostic::error(
                             0,
                             format!("variable `{}` in data clause is not declared", r.name),
@@ -364,7 +354,7 @@ fn check_directive(
         check_expr(program, e, scope, fn_names, diags);
     }
     for r in &dir.cache_args {
-        if !scope.arrays.contains(&r.name) {
+        if !scope.arrays.contains(r.name.as_str()) {
             diags.push(Diagnostic::error(
                 0,
                 format!("cache reference `{}` is not a declared array", r.name),

@@ -456,7 +456,7 @@ pub fn run_submission(spec: &SubmissionSpec, opts: &RunOptions) -> Result<RunOut
 pub fn degraded_run(spec: &SubmissionSpec, reason: &str) -> Result<SuiteRun, String> {
     let compiler = spec.compiler()?;
     let campaign = Campaign::new(full_suite()).with_config(spec.suite_config());
-    let jobs = JobMeta::for_cases(&campaign.materialized_cases(), &campaign.config.languages);
+    let jobs = JobMeta::for_cases(campaign.selected_cases(), &campaign.config.languages);
     let results = jobs
         .into_iter()
         .map(|job| CaseResult {

@@ -14,6 +14,9 @@
 //!
 //! Nothing here executes anything; it is pure data and classification logic,
 //! which keeps it dependency-free and lets every other crate share one model.
+//! The one utility beside the model, [`fxhash`], lives here for the same
+//! reason: every crate that keys maps by program identifiers depends on
+//! this one.
 
 #![warn(missing_docs)]
 
@@ -22,6 +25,7 @@ pub mod device_type;
 pub mod directive;
 pub mod envvar;
 pub mod feature;
+pub mod fxhash;
 pub mod language;
 pub mod parallelism;
 pub mod reduction;
@@ -34,6 +38,7 @@ pub use device_type::DeviceType;
 pub use directive::DirectiveKind;
 pub use envvar::EnvVar;
 pub use feature::{Feature, FeatureArea, FeatureId, FeatureRegistry};
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use language::Language;
 pub use parallelism::{HardwareAxis, ParallelismLevel, VendorMapping};
 pub use reduction::ReductionOp;

@@ -718,6 +718,21 @@ impl Replay {
         replay.kept(kept)
     }
 
+    /// The replay of verdicts recorded somewhere other than a journal
+    /// (the campaign server's result store): each row completes its job,
+    /// and a repeated job keeps its first row.
+    pub fn from_results(rows: impl IntoIterator<Item = CaseResult>) -> Replay {
+        let mut replay = Replay::default();
+        for result in rows {
+            replay.apply(JournalRecord::CaseDone {
+                result,
+                node: None,
+                duration_ms: 0,
+            });
+        }
+        replay
+    }
+
     /// Note what the tail rule kept and discarded.
     fn kept(mut self, scan: Scan) -> Replay {
         self.valid_bytes = scan.valid_bytes;

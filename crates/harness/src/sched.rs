@@ -93,11 +93,28 @@ impl<T> FairScheduler<T> {
     /// (clamped to ≥ 1; the latest push's weight wins). Returns the queue
     /// depth after the push, or the shed/closed error.
     pub fn push(&self, tenant: &str, weight: u32, item: T) -> Result<usize, PushError> {
+        self.push_capped(tenant, weight, item, self.cap)
+    }
+
+    /// [`FairScheduler::push`] past the capacity: for an item that already
+    /// holds its place, such as a submission a restarted server recovers
+    /// from its store after it was answered 202. Fails only when closed.
+    pub fn readmit(&self, tenant: &str, weight: u32, item: T) -> Result<usize, PushError> {
+        self.push_capped(tenant, weight, item, usize::MAX)
+    }
+
+    fn push_capped(
+        &self,
+        tenant: &str,
+        weight: u32,
+        item: T,
+        cap: usize,
+    ) -> Result<usize, PushError> {
         let mut state = self.state.lock().expect("scheduler lock");
         if state.closed {
             return Err(PushError::Closed);
         }
-        if state.len >= self.cap {
+        if state.len >= cap {
             return Err(PushError::Full(state.len));
         }
         let weight = weight.max(1);
@@ -263,6 +280,18 @@ mod tests {
         // Popping one frees one slot.
         assert_eq!(q.pop_wait(), Some(0));
         assert_eq!(q.push("t", 1, 99), Ok(3));
+    }
+
+    #[test]
+    fn readmitted_items_pass_the_cap_and_keep_their_turn() {
+        let q = FairScheduler::new(1);
+        assert_eq!(q.readmit("t", 1, 1), Ok(1));
+        assert_eq!(q.readmit("t", 1, 2), Ok(2));
+        assert_eq!(q.push("other", 1, 3), Err(PushError::Full(2)));
+        assert_eq!(q.pop_wait(), Some(1));
+        assert_eq!(q.pop_wait(), Some(2));
+        q.close();
+        assert_eq!(q.readmit("t", 1, 4), Err(PushError::Closed));
     }
 
     /// Run `pop_wait` on its own thread; the receiver yields its result.

@@ -15,7 +15,7 @@
 //! Record kinds (tab-separated payloads inside the `J1` frame):
 //!
 //! ```text
-//! sub   <id> <tenant> <scope> <format> <epoch-seconds>
+//! sub   <id> <tenant> <scope> <format> <epoch-seconds> [<spec>]
 //! case  <id> <name> <feature> <lang> <status> <certainty> <attempts> <source>
 //! rep   <id> <report-text>
 //! lat   <id> <latency-histogram>
@@ -24,9 +24,12 @@
 //!
 //! (`sub` rows written before the epoch field existed have four fields and
 //! decode with epoch 0 — the store is backward compatible with its own
-//! history. `lat` rows carry a [`LatencyHist`] in its canonical encoding;
-//! multiple rows for one submission merge, and compaction re-encodes the
-//! merged histogram — byte-identical because the encoding is canonical.)
+//! history. A served submission's `sub` row ends in its canonical spec,
+//! the JSON the server needs to run it again after a restart; rows begun
+//! without one keep the five-field form. `lat` rows carry a
+//! [`LatencyHist`] in its canonical encoding; multiple rows for one
+//! submission merge, and compaction re-encodes the merged histogram —
+//! byte-identical because the encoding is canonical.)
 //!
 //! The in-memory index (id → submission) is rebuilt by a full scan on
 //! open; queries aggregate pass rates by (scope, language, feature) across
@@ -71,7 +74,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// One stored submission, reassembled from its records.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct StoredSubmission {
     /// Store-assigned submission id.
     pub id: u64,
@@ -84,6 +87,9 @@ pub struct StoredSubmission {
     /// Wall-clock submission time, seconds since the Unix epoch (0 for
     /// rows written before the field existed).
     pub epoch: u64,
+    /// What to run, as the server's canonical JSON spec; `None` for a
+    /// submission begun without one.
+    pub spec: Option<String>,
     /// Latest lifecycle state.
     pub state: String,
     /// Human detail for the latest state (degradation reason, drain note).
@@ -94,6 +100,28 @@ pub struct StoredSubmission {
     pub report: Option<String>,
     /// Merged per-case wall-latency histogram, when latency was recorded.
     pub latency: Option<LatencyHist>,
+}
+
+/// Derived field by field, except that an absent spec is left out, so a
+/// store that holds no specs dumps as it did before they existed.
+impl std::fmt::Debug for StoredSubmission {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut d = f.debug_struct("StoredSubmission");
+        d.field("id", &self.id)
+            .field("tenant", &self.tenant)
+            .field("scope", &self.scope)
+            .field("format", &self.format)
+            .field("epoch", &self.epoch);
+        if let Some(spec) = &self.spec {
+            d.field("spec", spec);
+        }
+        d.field("state", &self.state)
+            .field("detail", &self.detail)
+            .field("cases", &self.cases)
+            .field("report", &self.report)
+            .field("latency", &self.latency)
+            .finish()
+    }
 }
 
 /// One aggregated pass-rate row from [`ResultStore::query`].
@@ -193,13 +221,20 @@ pub struct ResultStore {
     inner: Mutex<StoreInner>,
 }
 
-fn encode_sub(id: u64, tenant: &str, scope: &str, format: &str, epoch: u64) -> String {
-    format!(
-        "sub\t{id}\t{}\t{}\t{}\t{epoch}",
-        journal::escape(tenant),
-        journal::escape(scope),
-        journal::escape(format),
-    )
+fn encode_sub(sub: &StoredSubmission) -> String {
+    let mut row = format!(
+        "sub\t{}\t{}\t{}\t{}\t{}",
+        sub.id,
+        journal::escape(&sub.tenant),
+        journal::escape(&sub.scope),
+        journal::escape(&sub.format),
+        sub.epoch,
+    );
+    if let Some(spec) = &sub.spec {
+        row.push('\t');
+        row.push_str(&journal::escape(spec));
+    }
+    row
 }
 
 fn encode_case(id: u64, r: &CaseResult) -> String {
@@ -231,13 +266,7 @@ fn encode_state(id: u64, state: &str, detail: &str) -> String {
 
 /// A decoded store record (internal; the public surface is the index).
 enum StoreRecord {
-    Sub {
-        id: u64,
-        tenant: String,
-        scope: String,
-        format: String,
-        epoch: u64,
-    },
+    Sub(StoredSubmission),
     Case {
         id: u64,
         result: CaseResult,
@@ -263,22 +292,29 @@ fn decode_payload(payload: &str) -> Option<StoreRecord> {
     let fields: Vec<&str> = fields.collect();
     match kind {
         "sub" => {
-            // Four fields = the pre-epoch v1 row; five = epoch-stamped.
-            let (core, epoch) = match fields.as_slice() {
-                [id, tenant, scope, format] => ([*id, *tenant, *scope, *format], 0),
+            // Four fields = the pre-epoch v1 row; five = epoch-stamped;
+            // six = with the spec.
+            let (core, epoch, spec) = match fields.as_slice() {
+                [id, tenant, scope, format] => ([*id, *tenant, *scope, *format], 0, None),
                 [id, tenant, scope, format, epoch] => {
-                    ([*id, *tenant, *scope, *format], epoch.parse().ok()?)
+                    ([*id, *tenant, *scope, *format], epoch.parse().ok()?, None)
                 }
+                [id, tenant, scope, format, epoch, spec] => (
+                    [*id, *tenant, *scope, *format],
+                    epoch.parse().ok()?,
+                    Some(journal::unescape(spec)?),
+                ),
                 _ => return None,
             };
             let [id, tenant, scope, format] = core;
-            Some(StoreRecord::Sub {
-                id: id.parse().ok()?,
-                tenant: journal::unescape(tenant)?,
-                scope: journal::unescape(scope)?,
-                format: journal::unescape(format)?,
+            Some(StoreRecord::Sub(StoredSubmission::queued(
+                id.parse().ok()?,
+                journal::unescape(tenant)?,
+                journal::unescape(scope)?,
+                journal::unescape(format)?,
                 epoch,
-            })
+                spec,
+            )))
         }
         "case" => {
             let [id, result @ .., source] = fields.as_slice() else {
@@ -371,6 +407,32 @@ fn gc_stale(vfs: &dyn Vfs, base: &Path, generation: u64) -> io::Result<()> {
     Ok(())
 }
 
+impl StoredSubmission {
+    /// A freshly begun submission: `queued`, nothing recorded yet.
+    fn queued(
+        id: u64,
+        tenant: String,
+        scope: String,
+        format: String,
+        epoch: u64,
+        spec: Option<String>,
+    ) -> Self {
+        StoredSubmission {
+            id,
+            tenant,
+            scope,
+            format,
+            epoch,
+            spec,
+            state: "queued".to_string(),
+            detail: String::new(),
+            cases: Vec::new(),
+            report: None,
+            latency: None,
+        }
+    }
+}
+
 impl ResultStore {
     /// Open (or create) the store at `path`, rebuilding the index with the
     /// journal's tail rule: the first torn or corrupt line poisons itself
@@ -449,28 +511,35 @@ impl ResultStore {
     /// handed out, so every id the server ever returned is resolvable
     /// after a restart.
     pub fn begin(&self, tenant: &str, scope: &str, format: &str) -> io::Result<u64> {
+        self.begin_with_spec(tenant, scope, format, None)
+    }
+
+    /// [`ResultStore::begin`] with the submission's spec, when it has one,
+    /// in its header, so a restarted server can run it from the store
+    /// alone.
+    pub fn begin_with_spec(
+        &self,
+        tenant: &str,
+        scope: &str,
+        format: &str,
+        spec: Option<&str>,
+    ) -> io::Result<u64> {
         let epoch = (self.clock)();
         let mut inner = self.inner.lock().expect("store lock");
         let id = inner.next_id;
         inner.next_id += 1;
-        let mut frames = frame(&encode_sub(id, tenant, scope, format, epoch));
+        let sub = StoredSubmission::queued(
+            id,
+            tenant.to_string(),
+            scope.to_string(),
+            format.to_string(),
+            epoch,
+            spec.map(str::to_string),
+        );
+        let mut frames = frame(&encode_sub(&sub));
         frames.push_str(&frame(&encode_state(id, "queued", "")));
         inner.file.append(&frames, true)?;
-        inner.index.insert(
-            id,
-            StoredSubmission {
-                id,
-                tenant: tenant.to_string(),
-                scope: scope.to_string(),
-                format: format.to_string(),
-                epoch,
-                state: "queued".to_string(),
-                detail: String::new(),
-                cases: Vec::new(),
-                report: None,
-                latency: None,
-            },
-        );
+        inner.index.insert(id, sub);
         Ok(id)
     }
 
@@ -547,13 +616,7 @@ impl ResultStore {
         // order: replaying this file rebuilds exactly the current index.
         let mut text = String::new();
         for sub in inner.index.values() {
-            text.push_str(&frame(&encode_sub(
-                sub.id,
-                &sub.tenant,
-                &sub.scope,
-                &sub.format,
-                sub.epoch,
-            )));
+            text.push_str(&frame(&encode_sub(sub)));
             for case in &sub.cases {
                 text.push_str(&frame(&encode_case(sub.id, case)));
             }
@@ -660,25 +723,8 @@ impl ResultStore {
 
 fn apply(index: &mut BTreeMap<u64, StoredSubmission>, record: StoreRecord) {
     match record {
-        StoreRecord::Sub {
-            id,
-            tenant,
-            scope,
-            format,
-            epoch,
-        } => {
-            index.entry(id).or_insert(StoredSubmission {
-                id,
-                tenant,
-                scope,
-                format,
-                epoch,
-                state: "queued".to_string(),
-                detail: String::new(),
-                cases: Vec::new(),
-                report: None,
-                latency: None,
-            });
+        StoreRecord::Sub(sub) => {
+            index.entry(sub.id).or_insert(sub);
         }
         StoreRecord::Case { id, result } => {
             if let Some(sub) = index.get_mut(&id) {
@@ -813,12 +859,36 @@ mod tests {
             journal::escape("text"),
         );
         match decode_payload(&payload) {
-            Some(StoreRecord::Sub { id, tenant, epoch, .. }) => {
-                assert_eq!(id, 9);
-                assert_eq!(tenant, "old-tenant");
-                assert_eq!(epoch, 0);
+            Some(StoreRecord::Sub(sub)) => {
+                assert_eq!(sub.id, 9);
+                assert_eq!(sub.tenant, "old-tenant");
+                assert_eq!(sub.epoch, 0);
+                assert_eq!(sub.spec, None);
             }
             _ => panic!("v1 sub row must decode"),
+        }
+    }
+
+    #[test]
+    fn specs_round_trip_through_reopen_and_compaction() {
+        let fs: Arc<dyn Vfs> = Arc::new(FaultFs::new(5));
+        let spec = "{\"vendor\":\"pgi\",\"features\":[\"loop\"],\"tenant\":\"a\tb\"}";
+        let store = ResultStore::open_via(Arc::clone(&fs), "spec.j1").unwrap();
+        let with = store
+            .begin_with_spec("a\tb", "PGI 13.4", "text", Some(spec))
+            .unwrap();
+        let without = store.begin("t", "PGI 13.4", "text").unwrap();
+        let text = vfs::read_to_string(fs.as_ref(), Path::new("spec.j1")).unwrap();
+        // A spec-less header keeps the five-field row.
+        assert!(text.contains(&format!("sub\t{without}\tt\tPGI 13.4\ttext\t")));
+        assert!(!format!("{:?}", store.submission(without).unwrap()).contains("spec"));
+        for reopen in [false, true] {
+            if reopen {
+                store.compact().unwrap();
+            }
+            let store = ResultStore::open_via(Arc::clone(&fs), "spec.j1").unwrap();
+            assert_eq!(store.submission(with).unwrap().spec.as_deref(), Some(spec));
+            assert_eq!(store.submission(without).unwrap().spec, None);
         }
     }
 

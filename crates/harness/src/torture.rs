@@ -5,7 +5,8 @@
 //! data. This module turns each promise into a checked invariant:
 //!
 //! 1. **Reference run** — a fixed campaign workload (two served
-//!    submissions with verdicts/reports/states, a journaled campaign, a
+//!    submissions with their specs, verdicts, reports and states, a
+//!    journaled campaign, a
 //!    mid-campaign store compaction, telemetry/tracker sink writes) runs
 //!    against a clean [`FaultFs`], recording the total number of
 //!    filesystem operations it performs and which operations were
@@ -18,8 +19,8 @@
 //! 3. **Recovery check** — the image is "rebooted" and the invariants
 //!    asserted: the store reopens cleanly with only well-formed frames
 //!    (no torn frame ever surfaces to a query); every acknowledged
-//!    submission, verdict batch, report, state transition, and journaled
-//!    case completion is still there; atomic sinks are all-or-nothing;
+//!    submission (its spec byte for byte), verdict batch, report, state
+//!    transition, and journaled case completion is still there; atomic sinks are all-or-nothing;
 //!    and after resuming the interrupted campaign to completion, the
 //!    final state — submissions, query rows, journal replay, sink bytes —
 //!    is **identical** to the reference run's. Finally the recovered
@@ -90,6 +91,8 @@ struct SubSpec {
     tenant: &'static str,
     scope: &'static str,
     format: &'static str,
+    /// The canonical JSON spec the server stores in the `sub` row.
+    spec: &'static str,
 }
 
 const SUBS: [SubSpec; 2] = [
@@ -97,11 +100,14 @@ const SUBS: [SubSpec; 2] = [
         tenant: "alice",
         scope: "PGI 13.4",
         format: "text",
+        spec: r#"{"tenant":"alice","weight":1,"vendor":"pgi","version":"13.4","lang":"c","features":["data.copy","loop"],"format":"text","exec_mode":"vm","deadline_ms":60000}"#,
     },
     SubSpec {
         tenant: "bob",
         scope: "CAPS 3.3.0",
         format: "text",
+        // Escapes and non-ASCII text must survive every crash point too.
+        spec: r#"{"tenant":"bob","weight":3,"vendor":"caps","version":"3.3.0","features":["update.host","gerät\t設備"],"format":"text","exec_mode":"walk"}"#,
     },
 ];
 
@@ -208,7 +214,7 @@ fn jappend(journal: &FileJournal, record: &JournalRecord) -> io::Result<()> {
 }
 
 fn run_submission(store: &ResultStore, spec: &SubSpec, acks: &mut Acks) -> io::Result<()> {
-    let id = store.begin(spec.tenant, spec.scope, spec.format)?;
+    let id = store.begin_with_spec(spec.tenant, spec.scope, spec.format, Some(spec.spec))?;
     acks.subs.insert(spec.scope, id);
     acks.states.insert(id, "queued");
     store.set_state(id, "running", "")?;
@@ -292,7 +298,7 @@ fn resume(vfs: &Arc<dyn Vfs>, violations: &mut Vec<String>) -> io::Result<()> {
     for spec in &SUBS {
         let id = match store.list().into_iter().find(|s| s.scope == spec.scope) {
             Some(sub) => sub.id,
-            None => store.begin(spec.tenant, spec.scope, spec.format)?,
+            None => store.begin_with_spec(spec.tenant, spec.scope, spec.format, Some(spec.spec))?,
         };
         let have = store.submission(id).expect("just resolved");
         let want = sub_cases(spec.scope);
@@ -465,6 +471,10 @@ fn verify_image(
             };
             if sub.scope != *scope {
                 violations.push(format!("submission {id} scope {:?} != {scope:?}", sub.scope));
+            }
+            let spec = SUBS.iter().find(|s| s.scope == *scope).map(|s| s.spec);
+            if sub.spec.as_deref() != spec {
+                violations.push(format!("submission {id}: acked spec lost or differs"));
             }
             if sub.epoch != EPOCH {
                 violations.push(format!("submission {id} epoch {} lost", sub.epoch));

@@ -24,9 +24,16 @@
 //!   `503 Service Unavailable` + `Retry-After`.
 //! * **Graceful drain** — SIGINT/SIGTERM ([`signal`]), `POST /v1/drain` or
 //!   [`Server::drain_token`] stops admission, cancels in-flight work
-//!   through the executor's [`CancelToken`] (the per-submission journal
-//!   makes it resumable), marks queued work cancelled, and lets the
-//!   process exit 0.
+//!   through the executor's [`CancelToken`] (its verdicts so far are
+//!   stored and the submission reads `interrupted`), marks queued work
+//!   cancelled, and lets the process exit 0.
+//! * **Crash-only restart** — the result store is the one durable record
+//!   of a submission: its `sub` row carries the canonical spec
+//!   ([`SubmissionSpec::to_json`]) and its `case` rows every verdict.
+//!   [`Server::bind`] re-queues each submission a previous server left
+//!   `queued`, `running` or `interrupted`, however that server ended, and
+//!   runs it through the executor's resume path from its stored rows, so
+//!   it executes only the jobs it has no verdict for.
 //!
 //! Nothing waits on a timer: the listener blocks in `accept()`, the
 //! scheduler in [`FairScheduler::pop_wait`], and cancelling the drain token
@@ -45,18 +52,20 @@ pub mod breaker;
 pub mod http;
 pub mod signal;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{self, Read as _};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use acc_compiler::{CompileCache, ExecMode, VendorCompiler, VendorId};
-use acc_harness::{history, FairScheduler, HistoryRequest, PushError, QueryFilter, ResultStore};
+use acc_harness::{
+    history, FairScheduler, HistoryRequest, PushError, QueryFilter, ResultStore, StoredSubmission,
+};
 use acc_obs as obs;
 use acc_obs::hist::{LatencyCollector, LatencyHist};
 use acc_obs::json::{self, Json};
@@ -70,7 +79,7 @@ use acc_spec::Language;
 use acc_testsuite::full_suite;
 use acc_validation::report::{self, ReportFormat};
 use acc_validation::{
-    Campaign, CancelToken, CaseResult, ExecStats, Executor, ExecutorPolicy, FileJournal, JobMeta,
+    Campaign, CancelToken, CaseResult, ExecStats, Executor, ExecutorPolicy, JobMeta, Replay,
     SuiteConfig, SuiteRun, TestStatus,
 };
 
@@ -97,11 +106,10 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Admission-queue capacity; pushes beyond it shed with 429.
     pub queue_cap: usize,
-    /// Directory for the result store (`results.j1`) and per-submission
-    /// journals (`journal-<id>.j1`). A journal lasts only while its
-    /// submission runs: it is removed when the submission finishes, and
-    /// kept only when a drain interrupts the run, for `accvv run
-    /// --resume`.
+    /// Directory of the result store: `results.j1` and, once compacted,
+    /// its generation files. The server writes nothing else there, and a
+    /// server bound to the same directory later finishes every submission
+    /// this one left unfinished.
     pub store_dir: PathBuf,
     /// Consecutive `Infra` verdicts that trip a profile's breaker.
     pub breaker_threshold: u32,
@@ -133,7 +141,7 @@ impl ServeConfig {
 ///
 /// The fields mirror `accvv run`'s flags one-for-one so a stored report is
 /// byte-identical to the CLI's output for the same parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmissionSpec {
     /// Submitting tenant (fair-scheduling key). Defaults to `"anon"`.
     pub tenant: String,
@@ -240,35 +248,59 @@ impl SubmissionSpec {
         self.format.name()
     }
 
-    /// The `accvv run` command that resumes this submission from
-    /// `journal`: every field that selects what runs or how the report
-    /// reads becomes its flag, so the resumed run selects the same suite
-    /// as the journal. Tenant, weight and the whole-submission deadline
-    /// only schedule the server's work and have no flag.
-    pub fn resume_command(&self, journal: &Path) -> String {
-        let vendor = self.vendor.name().to_ascii_lowercase();
-        let mut cmd = format!("accvv run --vendor {vendor}");
+    /// The feature selection a list of prefixes makes, as `accvv run
+    /// --features` and both JSON forms of `features` read it: each entry
+    /// trimmed, empty entries dropped (an empty prefix would select the
+    /// whole suite).
+    pub fn feature_list<'a>(entries: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+        entries
+            .into_iter()
+            .map(str::trim)
+            .filter(|p| !p.is_empty())
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// The canonical JSON of this submission: every field
+    /// [`SubmissionSpec::from_json`] reads, in one order, unset options
+    /// left out, so `from_json` of it gives this spec back. The server
+    /// stores it in the submission's `sub` row to run it again after a
+    /// restart.
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\"tenant\":{},\"weight\":{},\"vendor\":\"{}\"",
+            jstr(&self.tenant),
+            self.weight,
+            self.vendor.name().to_ascii_lowercase()
+        );
         if let Some(version) = self.version {
-            cmd += &format!(" --version {version}");
+            out += &format!(",\"version\":\"{version}\"");
         }
         if let Some(lang) = self.language {
-            cmd += &format!(" --lang {}", lang.to_string().to_ascii_lowercase());
+            out += &format!(",\"lang\":\"{}\"", lang.to_string().to_ascii_lowercase());
         }
         if !self.features.is_empty() {
-            cmd += &format!(" --features {}", self.features.join(","));
+            let features: Vec<String> = self.features.iter().map(|f| jstr(f)).collect();
+            out += &format!(",\"features\":[{}]", features.join(","));
         }
         if let Some(m) = self.repetitions {
-            cmd += &format!(" --repetitions {m}");
+            out += &format!(",\"repetitions\":{m}");
         }
         let exec_mode = match self.exec_mode {
             ExecMode::Vm => "vm",
             ExecMode::Walk => "walk",
         };
-        cmd += &format!(" --format {} --exec-mode {exec_mode}", self.format.name());
-        if let Some(ms) = self.case_deadline_ms {
-            cmd += &format!(" --case-deadline-ms {ms}");
+        out += &format!(
+            ",\"format\":\"{}\",\"exec_mode\":\"{exec_mode}\"",
+            self.format.name()
+        );
+        if let Some(ms) = self.deadline_ms {
+            out += &format!(",\"deadline_ms\":{ms}");
         }
-        cmd + &format!(" --resume {}", journal.display())
+        if let Some(ms) = self.case_deadline_ms {
+            out += &format!(",\"case_deadline_ms\":{ms}");
+        }
+        out + "}"
     }
 
     /// Parse a submission from a request body. Validation mirrors the CLI:
@@ -361,28 +393,24 @@ fn u64_field(obj: &Json, key: &str) -> Result<Option<u64>, String> {
 fn features_field(obj: &Json) -> Result<Vec<String>, String> {
     match obj.get("features") {
         None | Some(Json::Null) => Ok(Vec::new()),
-        Some(Json::Str(s)) => Ok(s
-            .split(',')
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-            .map(str::to_string)
-            .collect()),
+        Some(Json::Str(s)) => Ok(SubmissionSpec::feature_list(s.split(','))),
         Some(v) => {
             let arr = v
                 .as_arr()
                 .ok_or("`features` must be an array of strings or a comma-separated string")?;
-            arr.iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "`features` entries must be strings".to_string())
-                })
-                .collect()
+            let entries = arr
+                .iter()
+                .map(|e| e.as_str().ok_or("`features` entries must be strings"))
+                .collect::<Result<Vec<&str>, _>>()?;
+            Ok(SubmissionSpec::feature_list(entries))
         }
     }
 }
 
-/// Execution knobs the *server* (not the submitter) controls.
+/// Execution knobs the *server* (not the submitter) controls. None of
+/// them is durable: a served submission's one durable record is the
+/// result store, whose rows come back as [`RunOptions::stored`] when the
+/// submission resumes.
 #[derive(Clone, Default)]
 pub struct RunOptions {
     /// Worker threads (0 is treated as 1).
@@ -390,8 +418,10 @@ pub struct RunOptions {
     /// Shared compile cache, attached to the submission's compiler so its
     /// entries outlive the run; `None` compiles cold.
     pub cache: Option<Arc<CompileCache>>,
-    /// Durable per-submission journal.
-    pub journal: Option<Arc<FileJournal>>,
+    /// Verdicts the submission already has, from a run a drain or a crash
+    /// cut short: their jobs are not run again, and their rows stand in
+    /// the outcome as stored (the executor's resume path).
+    pub stored: Vec<CaseResult>,
     /// Cooperative cancellation (server drain / Ctrl-C).
     pub cancel: Option<Arc<CancelToken>>,
     /// Absolute whole-run deadline.
@@ -417,7 +447,7 @@ pub struct RunOutcome {
 /// Run one submission. This is the **single execution path** shared by the
 /// server and (transitively, same builder-call sequence) the `accvv run`
 /// CLI, which is what makes served reports byte-identical to one-shot
-/// runs.
+/// runs — a resumed one's included, since execution is deterministic.
 pub fn run_submission(spec: &SubmissionSpec, opts: &RunOptions) -> Result<RunOutcome, String> {
     let mut compiler = spec.compiler()?;
     if let Some(cache) = &opts.cache {
@@ -433,8 +463,8 @@ pub fn run_submission(spec: &SubmissionSpec, opts: &RunOptions) -> Result<RunOut
     if let Some(ms) = spec.case_deadline_ms {
         policy = policy.with_deadline_ms(ms);
     }
-    if let Some(journal) = &opts.journal {
-        policy = policy.with_journal(Arc::clone(journal) as _);
+    if !opts.stored.is_empty() {
+        policy = policy.with_resume(Arc::new(Replay::from_results(opts.stored.iter().cloned())));
     }
     if let Some(cancel) = &opts.cancel {
         policy = policy.with_cancel(Arc::clone(cancel));
@@ -479,13 +509,15 @@ pub fn degraded_run(spec: &SubmissionSpec, reason: &str) -> Result<SuiteRun, Str
 /// [`Server::run`] after the drain completes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainSummary {
-    /// Submissions admitted into the queue.
+    /// Submissions admitted into the queue, those [`Server::bind`]
+    /// recovered from the store included.
     pub admitted: u64,
     /// Submissions shed with 429.
     pub shed: u64,
     /// Submissions that ran to completion.
     pub completed: u64,
-    /// Submissions cancelled (deadline expiry, drain) before or mid-run.
+    /// Submissions cancelled (deadline expiry, drain) before or mid-run,
+    /// or at a restart that could not run them again.
     pub cancelled: u64,
     /// Submissions degraded by an open circuit breaker.
     pub degraded: u64,
@@ -525,6 +557,31 @@ struct QueuedSubmission {
     deadline: Option<Instant>,
 }
 
+/// A stored unfinished submission as the queue takes it again, or why it
+/// cannot run: its row holds no spec (an older store's), or its
+/// whole-submission deadline, counted from its stored epoch, lapsed while
+/// no server ran.
+fn requeued(sub: &StoredSubmission, now_ms: u64) -> Result<QueuedSubmission, String> {
+    let text = sub
+        .spec
+        .as_deref()
+        .ok_or("stored without its spec, so a restarted server cannot run it")?;
+    let spec = json::parse(text)
+        .and_then(|body| SubmissionSpec::from_json(&body))
+        .map_err(|e| format!("stored spec unreadable ({e}); not run"))?;
+    let deadline = match spec.deadline_ms {
+        None => None,
+        Some(ms) => {
+            let lapses_ms = sub.epoch.saturating_mul(1000).saturating_add(ms);
+            if lapses_ms <= now_ms {
+                return Err("deadline expired while the server was down; not run".to_string());
+            }
+            Some(Instant::now() + Duration::from_millis(lapses_ms - now_ms))
+        }
+    };
+    Ok(QueuedSubmission { spec, deadline })
+}
+
 struct ServerInner {
     config: ServeConfig,
     queue: FairScheduler<u64>,
@@ -551,6 +608,41 @@ impl ServerInner {
         }
     }
 
+    /// Crash-only restart: queue every stored submission that was answered
+    /// 202 and never finished — latest state `queued`, `running` or
+    /// `interrupted` — in id order under its tenant and weight, past the
+    /// queue's capacity; its stored rows make its run a resumed one
+    /// ([`RunOptions::stored`]). One that cannot run again is cancelled
+    /// with the reason ([`requeued`]).
+    fn recover(&self) -> io::Result<()> {
+        let now_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_millis() as u64);
+        let unfinished = |sub: &StoredSubmission| {
+            matches!(sub.state.as_str(), "queued" | "running" | "interrupted")
+        };
+        for sub in self.store.list().into_iter().filter(unfinished) {
+            match requeued(&sub, now_ms) {
+                Ok(queued) => {
+                    let (tenant, weight) = (queued.spec.tenant.clone(), queued.spec.weight);
+                    self.pending
+                        .lock()
+                        .expect("pending lock")
+                        .insert(sub.id, queued);
+                    self.queue
+                        .readmit(&tenant, weight, sub.id)
+                        .expect("a server's queue is open until it runs");
+                    self.counters.admitted.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(reason) => {
+                    self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                    self.store.set_state(sub.id, "cancelled", &reason)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn server_counters(&self) -> ServerCounters {
         ServerCounters {
             queue_depth: self.queue.len() as u64,
@@ -575,7 +667,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listener and open (or create) the result store.
+    /// Bind the listener, open (or create) the result store, and queue
+    /// every submission a previous server on the store answered 202 and
+    /// left unfinished (see the crate docs' crash-only restart).
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         std::fs::create_dir_all(&config.store_dir)?;
         let store = ResultStore::open(config.store_dir.join("results.j1"))?;
@@ -591,6 +685,7 @@ impl Server {
             http_latency: Mutex::new(BTreeMap::new()),
             config,
         });
+        inner.recover()?;
         Ok(Server { listener, inner })
     }
 
@@ -803,13 +898,15 @@ fn run_one(inner: &ServerInner, id: u64) {
             .set_state(id, "cancelled", "deadline expired while queued; not run");
         return;
     }
+    // What a run a drain or a crash cut short already stored.
+    let stored = stored_cases(inner, id);
     match inner.breakers.admit(&scope) {
         BreakerDecision::Degraded { reason } => {
             inner.counters.degraded.fetch_add(1, Ordering::Relaxed);
             match degraded_run(&spec, &reason) {
                 Ok(run) => {
                     let text = report::render(&run, spec.format);
-                    let _ = inner.store.record_cases(id, &run.results);
+                    record_new_cases(inner, id, &run.results, &stored);
                     let _ = inner.store.record_report(id, &text);
                     let _ = inner.store.set_state(id, "degraded", &reason);
                 }
@@ -822,31 +919,22 @@ fn run_one(inner: &ServerInner, id: u64) {
         BreakerDecision::Admit { .. } => {}
     }
     let _ = inner.store.set_state(id, "running", "");
-    let journal_path = inner.config.store_dir.join(format!("journal-{id}.j1"));
-    let journal = FileJournal::create(&journal_path).ok().map(Arc::new);
     let latency = LatencyCollector::new();
     let opts = RunOptions {
         jobs: inner.config.jobs,
         cache: Some(Arc::clone(&inner.cache)),
-        journal,
+        stored,
         cancel: Some(Arc::clone(&inner.drain)),
         run_deadline: deadline,
         recorder: inner.config.recorder.clone(),
         latency: Some(latency.clone()),
-    };
-    // The journal only serves `accvv run --resume` after a drain: every
-    // other outcome removes it before its final state is written, so a
-    // client that sees that state never sees the journal. A lost unlink
-    // leaves a harmless orphan, so the directory is not fsynced.
-    let remove_journal = || {
-        let _ = std::fs::remove_file(&journal_path);
     };
     match run_submission(&spec, &opts) {
         Ok(outcome) => {
             inner
                 .breakers
                 .observe(&scope, outcome.run.results.iter().map(|r| &r.status));
-            let _ = inner.store.record_cases(id, &outcome.run.results);
+            record_new_cases(inner, id, &outcome.run.results, &opts.stored);
             // Sharers (below) never record latency — they did not run.
             let _ = inner.store.record_latency(id, &latency.snapshot());
             if outcome.stats.cancelled {
@@ -854,14 +942,10 @@ fn run_one(inner: &ServerInner, id: u64) {
                 let _ = inner.store.set_state(
                     id,
                     "interrupted",
-                    &format!(
-                        "server drained mid-run; resume with `{}`",
-                        spec.resume_command(&journal_path)
-                    ),
+                    "server drained mid-run; a server restarted on this store resumes it",
                 );
             } else if outcome.stats.deadlined {
                 inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                remove_journal();
                 let _ = inner.store.set_state(
                     id,
                     "cancelled",
@@ -870,16 +954,39 @@ fn run_one(inner: &ServerInner, id: u64) {
             } else {
                 inner.counters.completed.fetch_add(1, Ordering::Relaxed);
                 let _ = inner.store.record_report(id, &outcome.report);
-                remove_journal();
                 let _ = inner.store.set_state(id, "done", "");
                 share_result(inner, id, &spec, &outcome.run);
             }
         }
         Err(e) => {
-            remove_journal();
             let _ = inner.store.set_state(id, "failed", &e);
         }
     }
+}
+
+/// The verdicts `id` already has in the store.
+fn stored_cases(inner: &ServerInner, id: u64) -> Vec<CaseResult> {
+    inner
+        .store
+        .submission(id)
+        .map(|sub| sub.cases)
+        .unwrap_or_default()
+}
+
+/// Append the rows of `rows` whose job `stored` has no verdict for — all
+/// of them for a fresh submission — so the store keeps one `case` row per
+/// job however often a submission resumes.
+fn record_new_cases(inner: &ServerInner, id: u64, rows: &[CaseResult], stored: &[CaseResult]) {
+    let have: HashSet<(&str, Language)> = stored
+        .iter()
+        .map(|r| (r.name.as_str(), r.language))
+        .collect();
+    let new: Vec<CaseResult> = rows
+        .iter()
+        .filter(|r| !have.contains(&(r.name.as_str(), r.language)))
+        .cloned()
+        .collect();
+    let _ = inner.store.record_cases(id, &new);
 }
 
 /// Execution dedup: after `leader`'s run completed cleanly, resolve every
@@ -911,7 +1018,7 @@ fn share_result(inner: &ServerInner, leader: u64, spec: &SubmissionSpec, run: &S
             continue;
         }
         let text = report::render(run, q.spec.format);
-        let _ = inner.store.record_cases(sid, &run.results);
+        record_new_cases(inner, sid, &run.results, &stored_cases(inner, sid));
         let _ = inner.store.record_report(sid, &text);
         inner.counters.completed.fetch_add(1, Ordering::Relaxed);
         inner.counters.shared.fetch_add(1, Ordering::Relaxed);
@@ -1030,7 +1137,12 @@ fn handle_submit(inner: &ServerInner, req: &Request) -> Response {
     let deadline = spec
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let id = match inner.store.begin(&spec.tenant, &scope, spec.format_name()) {
+    let id = match inner.store.begin_with_spec(
+        &spec.tenant,
+        &scope,
+        spec.format_name(),
+        Some(&spec.to_json()),
+    ) {
         Ok(id) => id,
         Err(e) => return error_response(500, &format!("result store: {e}")),
     };
@@ -1376,6 +1488,47 @@ mod tests {
         assert_eq!(spec.features, vec!["data.".to_string(), "loop".to_string()]);
     }
 
+    /// An empty prefix selects every case, so both JSON forms drop empty
+    /// entries, as `accvv run --features` does: `"loop,"` and
+    /// `["loop",""]` select the `loop` cases only.
+    #[test]
+    fn from_json_drops_empty_feature_entries_in_both_forms() {
+        for body in [
+            r#"{"vendor":"reference","features":"loop,"}"#,
+            r#"{"vendor":"reference","features":["loop",""]}"#,
+            r#"{"vendor":"reference","features":[" loop "," "]}"#,
+        ] {
+            let spec = parse_spec(body).unwrap();
+            assert_eq!(spec.features, vec!["loop".to_string()], "{body}");
+        }
+        let spec = parse_spec(r#"{"vendor":"reference","features":["",""]}"#).unwrap();
+        assert!(
+            spec.features.is_empty(),
+            "no prefix left selects the whole suite"
+        );
+    }
+
+    #[test]
+    fn to_json_round_trips_through_from_json() {
+        let full = parse_spec(
+            r#"{"vendor":"PGI","version":"13.4","tenant":"a \"quoted\"\ttenant","weight":3,
+                "lang":"F","features":"data., loop","repetitions":5,"format":"csv",
+                "exec_mode":"walk","deadline_ms":60000,"case_deadline_ms":2000}"#,
+        )
+        .unwrap();
+        for spec in [full, SubmissionSpec::new(VendorId::Reference)] {
+            let text = spec.to_json();
+            let back = SubmissionSpec::from_json(&json::parse(&text).expect("to_json is JSON"))
+                .expect("to_json is a valid submission");
+            assert_eq!(back, spec, "{text}");
+            assert_eq!(back.to_json(), text, "the canonical form is a fixed point");
+        }
+        assert_eq!(
+            SubmissionSpec::new(VendorId::Caps).to_json(),
+            r#"{"tenant":"anon","weight":1,"vendor":"caps","format":"text","exec_mode":"vm"}"#
+        );
+    }
+
     #[test]
     fn from_json_rejects_bad_inputs_with_reasons() {
         for (body, needle) in [
@@ -1392,7 +1545,10 @@ mod tests {
                 r#"{"vendor":"pgi","case_deadline_ms":0}"#,
                 "`case_deadline_ms`",
             ),
-            (r#"{"vendor":"pgi","repetitions":0}"#, "`repetitions`"),
+            (
+                r#"{"vendor":"pgi","repetitions":0}"#,
+                "`repetitions` must be at least 1",
+            ),
             (r#"[1,2]"#, "JSON object"),
         ] {
             let err = parse_spec(body).expect_err(body);
@@ -1474,5 +1630,32 @@ mod tests {
         let cold = run_submission(&spec, &RunOptions::default()).unwrap();
         assert_eq!(warm.report, cold.report, "cache must not change report bytes");
         assert!(!warm.stats.stopped_early());
+    }
+
+    /// Stored rows are the executor's resume: their jobs are not run
+    /// again, and the report equals the uninterrupted one.
+    #[test]
+    fn run_submission_resumes_from_stored_rows() {
+        let mut spec = SubmissionSpec::new(VendorId::Caps);
+        spec.version = Some("3.0.8".parse().unwrap());
+        spec.features = vec!["data.copy".to_string(), "loop".to_string()];
+        let whole = run_submission(&spec, &RunOptions::default()).unwrap();
+        let jobs = whole.run.results.len();
+        assert!(jobs > 4);
+        // Any subset stands for what a cut-short run stored, not only a
+        // prefix: parallel workers finish out of order.
+        let stored: Vec<CaseResult> = whole.run.results.iter().step_by(3).cloned().collect();
+        let resumed = run_submission(
+            &spec,
+            &RunOptions {
+                jobs: 2,
+                stored: stored.clone(),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(resumed.report, whole.report);
+        assert_eq!(resumed.stats.cached, stored.len());
+        assert_eq!(resumed.stats.executed, jobs - stored.len());
     }
 }

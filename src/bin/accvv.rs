@@ -18,6 +18,7 @@ use openacc_vv::compiler::{BugCatalog, CacheStats, VendorCompiler, VendorId};
 use openacc_vv::harness::{HarnessRun, NodeFault, SimulatedCluster};
 use openacc_vv::obs;
 use openacc_vv::prelude::*;
+use openacc_vv::server::SubmissionSpec;
 use openacc_vv::validation::report::{self, ReportFormat};
 use openacc_vv::validation::template::parse_templates;
 use openacc_vv::validation::{FileJournal, Replay};
@@ -363,41 +364,49 @@ fn opt_key_of<'a>(args: &'a [String], value: &String) -> Option<&'a String> {
         .map(|(_, k)| k)
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+/// The run `accvv run`'s flags select, as the server's submission: the
+/// compiler and the suite selection come from the spec, as they do for a
+/// served submission.
+fn run_spec(args: &[String]) -> Result<SubmissionSpec, String> {
     let vendor = VendorId::from_cli(&opt(args, "--vendor").ok_or("run requires --vendor")?)?;
-    let compiler = match opt(args, "--version") {
-        Some(v) => {
-            let version = v.parse().map_err(|e| format!("{e}"))?;
-            if vendor.version_index(version).is_none() {
-                return Err(format!(
-                    "{} never released {version}; releases: {}",
-                    vendor.name(),
-                    vendor
-                        .versions()
-                        .iter()
-                        .map(|v| v.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
-            VendorCompiler::new(vendor, version)
-        }
-        None => VendorCompiler::latest(vendor),
-    };
-    let mut config = SuiteConfig::new();
+    let mut spec = SubmissionSpec::new(vendor);
+    if let Some(v) = opt(args, "--version") {
+        spec.version = Some(v.parse().map_err(|e| format!("{e}"))?);
+    }
     if let Some(l) = opt(args, "--lang") {
-        config = config.language(Language::from_cli(&l)?);
+        spec.language = Some(Language::from_cli(&l)?);
     }
     if let Some(features) = opt(args, "--features") {
-        let prefixes: Vec<&str> = features.split(',').map(str::trim).collect();
-        config = config.select_prefixes(&prefixes);
+        spec.features = SubmissionSpec::feature_list(features.split(','));
     }
     if let Some(m) = opt(args, "--repetitions") {
-        config = config.with_repetitions(m.parse().map_err(|_| "bad --repetitions")?);
+        match m.parse().map_err(|_| "bad --repetitions")? {
+            0 => return Err("--repetitions must be at least 1".to_string()),
+            m => spec.repetitions = Some(m),
+        }
     }
-    let exec_mode = parse_exec_mode(args)?;
-    config = config.with_exec_mode(exec_mode);
-    let format = opt(args, "--format").map_or(Ok(ReportFormat::Text), |f| ReportFormat::from_cli(&f))?;
+    spec.exec_mode = parse_exec_mode(args)?;
+    if let Some(f) = opt(args, "--format") {
+        spec.format = ReportFormat::from_cli(&f)?;
+    }
+    if let Some(ms) = opt(args, "--case-deadline-ms") {
+        match ms.parse().map_err(|_| "bad --case-deadline-ms")? {
+            0 => {
+                return Err(
+                    "--case-deadline-ms 0 would time out every case before it starts \
+                            (minimum 1)"
+                        .to_string(),
+                )
+            }
+            ms => spec.case_deadline_ms = Some(ms),
+        }
+    }
+    Ok(spec)
+}
+
+fn cmd_run(args: &[String]) -> Result<(), String> {
+    let spec = run_spec(args)?;
+    let compiler = spec.compiler()?;
     let jobs = parse_jobs(args, 1)?;
     let tele = telemetry_opts(args);
     let mut policy = ExecutorPolicy::new()
@@ -405,15 +414,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .with_retries(parse_opt_or(args, "--retries", 0u32)?)
         .with_backoff_ms(parse_opt_or(args, "--backoff-ms", 0u64)?)
         .with_recorder(tele.recorder.clone())
-        .with_exec_mode(exec_mode);
-    if let Some(ms) = opt(args, "--case-deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "bad --case-deadline-ms")?;
-        if ms == 0 {
-            return Err(
-                "--case-deadline-ms 0 would time out every case before it starts (minimum 1)"
-                    .to_string(),
-            );
-        }
+        .with_exec_mode(spec.exec_mode);
+    if let Some(ms) = spec.case_deadline_ms {
         policy = policy.with_deadline_ms(ms);
     }
     // Ctrl-C / SIGTERM drains instead of killing: workers stop claiming new
@@ -450,7 +452,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // No compile cache: one release compiles each source once, so a cache
     // would only hold entries until exit (`--no-cache` is accepted and is
     // the default).
-    let campaign = Campaign::new(openacc_vv::testsuite::full_suite()).with_config(config);
+    let campaign =
+        Campaign::new(openacc_vv::testsuite::full_suite()).with_config(spec.suite_config());
     if let Some(n) = policy.halt_after {
         let total_jobs = campaign.materialized_cases().len() * campaign.config.languages.len();
         if n > total_jobs {
@@ -498,10 +501,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     match opt(args, "--out") {
         Some(p) => {
-            report::write_file(&run, format, &p).map_err(|e| format!("--out {p}: {e}"))?;
+            report::write_file(&run, spec.format, &p).map_err(|e| format!("--out {p}: {e}"))?;
             errln!("accvv: report written to {p}");
         }
-        None => out!("{}", report::render(&run, format))?,
+        None => out!("{}", report::render(&run, spec.format))?,
     }
     if flag(args, "--attribute") && compiler.vendor != VendorId::Reference {
         let catalog = BugCatalog::paper();

@@ -450,3 +450,59 @@ fn cli_and_server_accept_and_reject_the_same_spellings() {
         assert_eq!(cli, server, "{flag} / `{field}` = {spelling:?}");
     }
 }
+
+/// `accvv run` takes its compiler and suite selection from a
+/// `SubmissionSpec`, as a served submission does: `--features "loop,"`
+/// selects the `loop` cases alone, as `["loop",""]` does for the server
+/// (an empty prefix would select every case), and `--repetitions 0` is
+/// refused as the server refuses `"repetitions":0`.
+#[test]
+fn accvv_run_selects_and_refuses_as_the_server_does() {
+    use openacc_vv::obs::json;
+    use openacc_vv::server::{run_submission, RunOptions, SubmissionSpec};
+    let spec = |body: &str| SubmissionSpec::from_json(&json::parse(body).expect("JSON"));
+
+    let out = Command::new(env!("CARGO_BIN_EXE_accvv"))
+        .args([
+            "run",
+            "--vendor",
+            "reference",
+            "--lang",
+            "c",
+            "--features",
+            "loop,",
+        ])
+        .output()
+        .expect("spawn accvv");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let served = spec(r#"{"vendor":"reference","lang":"c","features":["loop",""]}"#).unwrap();
+    let report = run_submission(&served, &RunOptions::default())
+        .unwrap()
+        .report;
+    assert!(
+        stdout.starts_with(&report),
+        "CLI and server select different cases"
+    );
+    assert!(
+        report.contains("loop.") && !report.contains("combo."),
+        "{report}"
+    );
+
+    let (ok, stderr) = accvv(&[
+        "run",
+        "--vendor",
+        "reference",
+        "--features",
+        "loop",
+        "--repetitions",
+        "0",
+    ]);
+    assert!(!ok, "--repetitions 0 ran");
+    assert!(
+        stderr.contains("--repetitions must be at least 1"),
+        "{stderr}"
+    );
+    let refused = spec(r#"{"vendor":"reference","features":["loop"],"repetitions":0}"#);
+    assert!(refused.is_err_and(|e| e.contains("`repetitions` must be at least 1")));
+}

@@ -18,21 +18,27 @@
 //!    `accept()`, idle requests answer without waiting out a poll, resume
 //!    wakes the blocked scheduler, connections past the cap get 503, and a
 //!    drain racing admission never strands an admitted id in `queued`.
+//! 6. **Crash-only restart** — the result store is a submission's one
+//!    durable record: a server bound to a store finishes every submission
+//!    a drained or killed predecessor answered 202 for, resuming from its
+//!    stored rows, with the report an uninterrupted run gives.
 
-use std::io::{Read as _, Write as _};
+use std::io::{BufRead as _, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use openacc_vv::compiler::VendorId;
 use openacc_vv::harness::store::ResultStore;
+use openacc_vv::obs::{self, json};
 use openacc_vv::prelude::*;
 use openacc_vv::server::{
     run_submission, BreakerDecision, BreakerSet, BreakerState, DrainSummary, RunOptions,
     ServeConfig, Server, SubmissionSpec, MAX_CONNECTIONS,
 };
+use openacc_vv::validation::CaseResult;
 
 // ---------------------------------------------------------------------------
 // Harness: a served instance on an ephemeral port + a raw HTTP/1.1 client
@@ -57,7 +63,11 @@ struct TestServer {
 
 impl TestServer {
     fn start(tag: &str, tune: impl FnOnce(&mut ServeConfig)) -> TestServer {
-        let store_dir = fresh_store_dir(tag);
+        TestServer::start_on(fresh_store_dir(tag), tune)
+    }
+
+    /// A server on `store_dir`, which may hold a previous server's store.
+    fn start_on(store_dir: PathBuf, tune: impl FnOnce(&mut ServeConfig)) -> TestServer {
         let mut config = ServeConfig::new(&store_dir);
         config.addr = "127.0.0.1:0".to_string();
         tune(&mut config);
@@ -74,14 +84,18 @@ impl TestServer {
     }
 
     fn drain_and_join(self) -> DrainSummary {
-        self.drain.cancel();
-        let summary = self
-            .handle
-            .join()
-            .expect("server thread panicked")
-            .expect("server run failed");
-        let _ = std::fs::remove_dir_all(&self.store_dir);
+        let (summary, store_dir) = self.drain_and_keep();
+        let _ = std::fs::remove_dir_all(&store_dir);
         summary
+    }
+
+    /// Drain and join, leaving the store directory in place.
+    fn drain_and_keep(self) -> (DrainSummary, PathBuf) {
+        self.drain.cancel();
+        (
+            join_within(self.handle, Duration::from_secs(60)),
+            self.store_dir,
+        )
     }
 }
 
@@ -490,54 +504,6 @@ fn served_report_matches_run_submission_cold_and_warm() {
     assert_eq!(summary.degraded, 0);
 }
 
-/// An interrupted submission's detail names the `accvv run` command that
-/// resumes its journal. Every field of the spec that `accvv run` has a
-/// flag for is set here, so the command must carry each of them for the
-/// resumed report to equal the submission's.
-#[test]
-fn resume_hint_resumes_the_submission_it_names() {
-    let mut spec = SubmissionSpec::new(VendorId::Caps);
-    spec.version = Some("3.1.0".parse().unwrap());
-    spec.language = Some(Language::Fortran);
-    spec.features = vec!["data.copy".to_string(), "loop".to_string()];
-    spec.repetitions = Some(2);
-    spec.format = ReportFormat::Csv;
-    spec.exec_mode = openacc_vv::compiler::ExecMode::Walk;
-    spec.case_deadline_ms = Some(600_000);
-    let expected = run_submission(&spec, &RunOptions::default())
-        .expect("local run")
-        .report;
-
-    let dir = fresh_store_dir("resume-hint");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let journal = dir.join("journal-1.j1");
-    let out = dir.join("resumed.csv");
-    let command = spec.resume_command(&journal);
-    let words: Vec<&str> = command.split_whitespace().collect();
-    let journal_arg = journal.to_str().expect("temp path is UTF-8");
-    assert!(words.starts_with(&["accvv", "run"]), "{command}");
-    assert!(words.ends_with(&["--resume", journal_arg]), "{command}");
-    let accvv = |args: Vec<&str>| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_accvv"))
-            .args(args)
-            .output()
-            .expect("spawn accvv")
-    };
-    // The submission's run, halted: the journal a drain leaves behind.
-    let mut halted = words[1..words.len() - 2].to_vec();
-    halted.extend(["--journal", journal_arg, "--halt-after", "3"]);
-    assert!(!accvv(halted).status.success(), "{command}");
-    // The hint as printed, with the report sent to a file.
-    let mut resumed = words[1..].to_vec();
-    resumed.extend(["--out", out.to_str().expect("temp path is UTF-8")]);
-    let stderr = String::from_utf8_lossy(&accvv(resumed).stderr).into_owned();
-    let skipped = "resume skipped 3 completed case(s)";
-    assert!(stderr.contains(skipped), "{command}: {stderr}");
-    let report = std::fs::read_to_string(&out).expect("resumed report written");
-    assert_eq!(report, expected, "{command}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // ---------------------------------------------------------------------------
 // 5. Execution dedup: identical in-flight submissions share one run
 // ---------------------------------------------------------------------------
@@ -903,9 +869,16 @@ fn connections_past_the_cap_get_503_until_released() {
 /// stranded in `queued` by a push that landed after the final queue drain.
 /// Sixteen submitters keep several requests between the drain check and
 /// the push when the drain starts; once with the scheduler paused (every
-/// admitted id is still queued at the drain), once running.
+/// admitted id is still queued at the drain), once running. A server then
+/// bound to the same store finishes every interrupted id with the report
+/// of an uninterrupted run and one `case` row per job.
 #[test]
 fn drain_racing_submissions_strands_no_admitted_id() {
+    let expected = run_submission(
+        &SubmissionSpec::from_json(&json::parse(&small_submission("any")).unwrap()).unwrap(),
+        &RunOptions::default(),
+    )
+    .unwrap();
     for paused in [true, false] {
         let server = TestServer::start("drainrace", |c| c.queue_cap = 1024);
         let addr = server.addr;
@@ -943,13 +916,385 @@ fn drain_racing_submissions_strands_no_admitted_id() {
         assert_eq!(summary.admitted, admitted.len() as u64, "paused={paused}");
 
         let store = ResultStore::open(&store_path).expect("reopen result store");
-        for id in admitted {
+        let mut interrupted = Vec::new();
+        for &id in &admitted {
             let state = store.submission(id).expect("admitted id is stored").state;
             assert!(
                 ["done", "cancelled", "interrupted"].contains(&state.as_str()),
                 "paused={paused}: admitted submission {id} ended `{state}`"
             );
+            if state == "interrupted" {
+                interrupted.push(id);
+            }
         }
-        let _ = std::fs::remove_dir_all(&server.store_dir);
+        drop(store);
+
+        let restarted = TestServer::start_on(server.store_dir.clone(), |_| {});
+        for id in &interrupted {
+            let id = id.to_string();
+            poll_state(restarted.addr, &id, &["done"], Duration::from_secs(60));
+            let report = http(restarted.addr, "GET", &format!("/v1/report/{id}"), None);
+            assert_eq!(
+                report.body, expected.report,
+                "paused={paused}: resumed {id}"
+            );
+        }
+        let (summary, store_dir) = restarted.drain_and_keep();
+        assert_eq!(
+            summary.completed,
+            interrupted.len() as u64,
+            "paused={paused}"
+        );
+        let store = ResultStore::open(&store_path).expect("reopen result store");
+        for id in &interrupted {
+            let sub = store.submission(*id).expect("stored");
+            assert_eq!(
+                by_job(&sub.cases),
+                by_job(&expected.run.results),
+                "submission {id}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&store_dir);
     }
+}
+
+/// Rows sorted by job (case name, language), to compare a store's rows —
+/// appended in the order runs finished them — with a run's.
+fn by_job(rows: &[CaseResult]) -> Vec<CaseResult> {
+    let mut rows = rows.to_vec();
+    rows.sort_by(|a, b| (&a.name, a.language).cmp(&(&b.name, b.language)));
+    rows
+}
+
+// ---------------------------------------------------------------------------
+// 8. Crash-only restart: the store is a submission's one durable record
+// ---------------------------------------------------------------------------
+
+/// The submission the restart tests leave unfinished in a store: it sets
+/// every spec field that selects what runs or how the report reads.
+fn restart_spec() -> SubmissionSpec {
+    let mut spec = SubmissionSpec::new(VendorId::Caps);
+    spec.version = Some("3.1.0".parse().unwrap());
+    spec.language = Some(Language::Fortran);
+    spec.features = vec!["data.copy".to_string(), "loop".to_string()];
+    spec.repetitions = Some(2);
+    spec.format = ReportFormat::Csv;
+    spec.exec_mode = ExecMode::Walk;
+    spec.deadline_ms = Some(3_600_000);
+    spec.case_deadline_ms = Some(600_000);
+    spec
+}
+
+/// Write submission 1 into a fresh store as a server that stopped would
+/// have left it — begun with `spec` (or without one, as an older store
+/// holds it), in `state`, with `rows` stored — compact the store when
+/// asked, and bind a server on it with telemetry on.
+fn restart_with(
+    tag: &str,
+    spec: Option<&SubmissionSpec>,
+    state: &str,
+    rows: &[CaseResult],
+    compact: bool,
+) -> (TestServer, obs::Recorder) {
+    let dir = fresh_store_dir(tag);
+    std::fs::create_dir_all(&dir).expect("store dir");
+    {
+        let store = ResultStore::open(dir.join("results.j1")).expect("open store");
+        let id = match spec {
+            Some(spec) => {
+                let scope = spec.compiler().unwrap().label();
+                store.begin_with_spec(
+                    &spec.tenant,
+                    &scope,
+                    spec.format_name(),
+                    Some(&spec.to_json()),
+                )
+            }
+            None => store.begin("anon", "CAPS 3.1.0", "text"),
+        }
+        .expect("begin");
+        assert_eq!(id, 1);
+        if state != "queued" {
+            store.set_state(id, "running", "").expect("state");
+        }
+        store.record_cases(id, rows).expect("cases");
+        if state == "interrupted" {
+            store
+                .set_state(id, "interrupted", "server drained mid-run")
+                .expect("state");
+        }
+        if compact {
+            store.compact().expect("compact");
+        }
+    }
+    let recorder = obs::Recorder::enabled();
+    let server = TestServer::start_on(dir, |c| c.recorder = recorder.clone());
+    (server, recorder)
+}
+
+/// The restarted server finishes submission 1 with the report an
+/// uninterrupted `run_submission` gives, executing only the jobs that had
+/// no stored row, and the store ends with one `case` row per job.
+fn assert_finished(
+    server: TestServer,
+    recorder: &obs::Recorder,
+    spec: &SubmissionSpec,
+    stored: usize,
+) {
+    let expected = run_submission(spec, &RunOptions::default()).expect("local run");
+    let jobs = expected.run.results.len();
+    poll_state(server.addr, "1", &["done"], Duration::from_secs(60));
+    let report = http(server.addr, "GET", "/v1/report/1", None);
+    assert_eq!(report.body, expected.report);
+    let suites: Vec<(Option<i64>, Option<i64>)> = recorder
+        .snapshot()
+        .iter()
+        .filter(|e| e.kind == "suite" && e.ph == obs::Phase::End)
+        .map(|e| (e.attr_int("cached"), e.attr_int("executed")))
+        .collect();
+    assert_eq!(
+        suites,
+        [(Some(stored as i64), Some((jobs - stored) as i64))]
+    );
+    let (summary, store_dir) = server.drain_and_keep();
+    assert_eq!((summary.admitted, summary.completed), (1, 1));
+    let store = ResultStore::open(store_dir.join("results.j1")).expect("reopen store");
+    let sub = store.submission(1).expect("stored");
+    assert_eq!(sub.spec, Some(spec.to_json()));
+    assert_eq!(by_job(&sub.cases), by_job(&expected.run.results));
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+#[test]
+fn restart_runs_a_submission_stored_queued() {
+    let spec = restart_spec();
+    for compact in [false, true] {
+        let (server, recorder) =
+            restart_with("restart-queued", Some(&spec), "queued", &[], compact);
+        assert_finished(server, &recorder, &spec, 0);
+    }
+}
+
+#[test]
+fn restart_reruns_a_submission_stored_running_without_rows() {
+    let spec = restart_spec();
+    for compact in [false, true] {
+        let (server, recorder) =
+            restart_with("restart-running", Some(&spec), "running", &[], compact);
+        assert_finished(server, &recorder, &spec, 0);
+    }
+}
+
+#[test]
+fn restart_resumes_an_interrupted_submission_from_its_stored_rows() {
+    let spec = restart_spec();
+    let whole = run_submission(&spec, &RunOptions::default()).expect("local run");
+    let prefix = &whole.run.results[..whole.run.results.len() / 2];
+    assert!(!prefix.is_empty());
+    for compact in [false, true] {
+        let (server, recorder) = restart_with(
+            "restart-interrupted",
+            Some(&spec),
+            "interrupted",
+            prefix,
+            compact,
+        );
+        assert_finished(server, &recorder, &spec, prefix.len());
+    }
+}
+
+/// A store from before submissions kept their spec holds nothing a server
+/// could run: its unfinished row is cancelled, with the reason, instead of
+/// reading `running` for good.
+#[test]
+fn restart_cancels_a_submission_stored_without_its_spec() {
+    for compact in [false, true] {
+        let (server, recorder) = restart_with("restart-specless", None, "running", &[], compact);
+        let status = poll_state(server.addr, "1", &["cancelled"], Duration::from_secs(10));
+        let detail = status.json_field("detail").unwrap_or_default();
+        assert!(detail.contains("without its spec"), "{detail}");
+        assert!(recorder.snapshot().is_empty(), "nothing ran");
+        let summary = server.drain_and_join();
+        assert_eq!((summary.admitted, summary.cancelled), (0, 1));
+    }
+}
+
+/// A whole-submission deadline counts from the stored epoch: one that
+/// lapsed while no server ran cancels the submission at restart.
+#[test]
+fn restart_cancels_a_submission_whose_deadline_lapsed_while_down() {
+    let dir = fresh_store_dir("restart-lapsed");
+    std::fs::create_dir_all(&dir).expect("store dir");
+    let mut spec = restart_spec();
+    spec.deadline_ms = Some(60_000);
+    {
+        let store = ResultStore::open(dir.join("results.j1"))
+            .expect("open store")
+            .with_clock(std::sync::Arc::new(|| 1_000_000_000));
+        let scope = spec.compiler().unwrap().label();
+        store
+            .begin_with_spec(
+                &spec.tenant,
+                &scope,
+                spec.format_name(),
+                Some(&spec.to_json()),
+            )
+            .expect("begin");
+    }
+    let server = TestServer::start_on(dir, |_| {});
+    let status = poll_state(server.addr, "1", &["cancelled"], Duration::from_secs(10));
+    let detail = status.json_field("detail").unwrap_or_default();
+    assert!(
+        detail.contains("deadline expired while the server was down"),
+        "{detail}"
+    );
+    let summary = server.drain_and_join();
+    assert_eq!((summary.admitted, summary.cancelled), (0, 1));
+}
+
+/// `accvv serve` as a child process on an ephemeral port.
+struct ServeProcess {
+    child: std::process::Child,
+    addr: SocketAddr,
+    /// Held open so the server's stderr never meets a closed pipe.
+    _stderr: std::io::Lines<std::io::BufReader<std::process::ChildStderr>>,
+}
+
+impl ServeProcess {
+    fn spawn(store_dir: &Path, queue_cap: &str) -> ServeProcess {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_accvv"))
+            .args([
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--jobs",
+                "1",
+                "--queue-cap",
+                queue_cap,
+            ])
+            .arg("--store")
+            .arg(store_dir)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn accvv serve");
+        let mut stderr = std::io::BufReader::new(child.stderr.take().expect("piped")).lines();
+        let banner = stderr
+            .next()
+            .expect("serve banner")
+            .expect("readable stderr");
+        let addr = banner
+            .split("serving campaigns on http://")
+            .nth(1)
+            .and_then(|rest| rest.split_once(" (store:"))
+            .and_then(|(addr, _)| addr.parse().ok())
+            .unwrap_or_else(|| panic!("no address in `{banner}`"));
+        ServeProcess {
+            child,
+            addr,
+            _stderr: stderr,
+        }
+    }
+
+    /// SIGKILL: no drain, no flush — the crash a restart must absorb.
+    fn kill(mut self) {
+        self.child.kill().expect("SIGKILL accvv serve");
+        self.child.wait().expect("reap accvv serve");
+    }
+}
+
+impl Drop for ServeProcess {
+    /// A test that fails leaves no server running.
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
+fn submit(addr: SocketAddr, body: &str) -> String {
+    let reply = http(addr, "POST", "/v1/submit", Some(body));
+    assert_eq!(reply.status, 202, "{}", reply.body);
+    reply.json_field("id").expect("id")
+}
+
+fn expected_report(body: &str) -> String {
+    let spec = SubmissionSpec::from_json(&json::parse(body).unwrap()).unwrap();
+    run_submission(&spec, &RunOptions::default())
+        .unwrap()
+        .report
+}
+
+/// `kill -9` of `accvv serve` (a) with two submissions queued behind a
+/// pause and (b) mid-run: a server restarted on the same store finishes
+/// every id that was answered 202, each report byte-identical to
+/// `run_submission`'s for its spec, and writes no file but the store's.
+/// The restarted server's queue holds one submission, yet takes both
+/// recovered ones: they were answered 202 already.
+#[test]
+fn killed_server_finishes_every_acknowledged_submission_at_restart() {
+    let dir = fresh_store_dir("kill9");
+    let server = ServeProcess::spawn(&dir, "8");
+    assert_eq!(http(server.addr, "POST", "/v1/pause", None).status, 200);
+    let queued = [
+        small_submission("kill-a"),
+        r#"{"vendor":"caps","version":"3.0.8","lang":"c","features":["data.copy"],"format":"html"}"#
+            .to_string(),
+    ];
+    let ids: Vec<String> = queued
+        .iter()
+        .map(|body| submit(server.addr, body))
+        .collect();
+    server.kill();
+
+    let server = ServeProcess::spawn(&dir, "1");
+    for (id, body) in ids.iter().zip(&queued) {
+        poll_state(server.addr, id, &["done"], Duration::from_secs(60));
+        let report = http(server.addr, "GET", &format!("/v1/report/{id}"), None);
+        assert_eq!(report.body, expected_report(body), "queued submission {id}");
+    }
+
+    // The whole CAPS suite on the walker runs long enough to be caught
+    // `running`.
+    let long = r#"{"vendor":"caps","version":"3.1.0","features":["data","loop","parallel","kernels"],"exec_mode":"walk"}"#;
+    let id = submit(server.addr, long);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while http(server.addr, "GET", &format!("/v1/status/{id}"), None).json_field("state")
+        != Some("running".to_string())
+    {
+        assert!(Instant::now() < deadline, "submission {id} never ran");
+        thread::sleep(Duration::from_millis(1));
+    }
+    server.kill();
+    let state = ResultStore::open(dir.join("results.j1"))
+        .expect("reopen store")
+        .submission(id.parse().unwrap())
+        .expect("stored")
+        .state;
+    assert_eq!(state, "running", "the kill did not land mid-run");
+
+    let server = ServeProcess::spawn(&dir, "1");
+    poll_state(server.addr, &id, &["done"], Duration::from_secs(60));
+    let report = http(server.addr, "GET", &format!("/v1/report/{id}"), None);
+    assert_eq!(
+        report.body,
+        expected_report(long),
+        "submission {id} killed mid-run"
+    );
+    server.kill();
+
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("store dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| !name.starts_with("results.j1"))
+        .collect();
+    assert!(files.is_empty(), "files beside the store: {files:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

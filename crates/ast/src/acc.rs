@@ -2,6 +2,7 @@
 //! their argument expressions.
 
 use crate::expr::Expr;
+use crate::name::Name;
 use crate::{cgen, fgen};
 use acc_spec::{ClauseKind, DirectiveKind, Language, ReductionOp};
 use std::fmt;
@@ -12,14 +13,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataRef {
     /// Variable name.
-    pub name: String,
+    pub name: Name,
     /// Optional section: (start, length).
     pub section: Option<(Expr, Expr)>,
 }
 
 impl DataRef {
     /// Whole-variable reference.
-    pub fn whole(name: impl Into<String>) -> Self {
+    pub fn whole(name: impl Into<Name>) -> Self {
         DataRef {
             name: name.into(),
             section: None,
@@ -27,7 +28,7 @@ impl DataRef {
     }
 
     /// Section reference `name[start:len]`.
-    pub fn section(name: impl Into<String>, start: Expr, len: Expr) -> Self {
+    pub fn section(name: impl Into<Name>, start: Expr, len: Expr) -> Self {
         DataRef {
             name: name.into(),
             section: Some((start, len)),
@@ -49,18 +50,18 @@ pub enum AccClause {
     /// `vector_length(n)`
     VectorLength(Expr),
     /// `reduction(op:vars)`
-    Reduction(ReductionOp, Vec<String>),
+    Reduction(ReductionOp, Vec<Name>),
     /// A data-movement clause (`copy`, `copyin`, ..., `present_or_create`,
     /// `device_resident`, `host`, `device`, `delete`) with its refs.
     Data(ClauseKind, Vec<DataRef>),
     /// `deviceptr(vars)`
-    Deviceptr(Vec<String>),
+    Deviceptr(Vec<Name>),
     /// `private(vars)`
-    Private(Vec<String>),
+    Private(Vec<Name>),
     /// `firstprivate(vars)`
-    Firstprivate(Vec<String>),
+    Firstprivate(Vec<Name>),
     /// `use_device(vars)`
-    UseDevice(Vec<String>),
+    UseDevice(Vec<Name>),
     /// `gang` / `gang(n)`
     Gang(Option<Expr>),
     /// `worker` / `worker(n)`
@@ -328,7 +329,7 @@ fn write_opt_expr(out: &mut String, name: &str, e: &Option<Expr>, lang: Language
 }
 
 /// `name(a, b, …)` over plain names.
-fn write_name_list(out: &mut String, name: &str, vars: &[String]) {
+fn write_name_list(out: &mut String, name: &str, vars: &[Name]) {
     out.push_str(name);
     out.push('(');
     push_joined(out, vars);
@@ -336,7 +337,7 @@ fn write_name_list(out: &mut String, name: &str, vars: &[String]) {
 }
 
 /// `items` joined by `", "`.
-fn push_joined(out: &mut String, items: &[String]) {
+fn push_joined(out: &mut String, items: &[Name]) {
     for (i, v) in items.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");

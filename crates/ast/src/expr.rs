@@ -1,5 +1,6 @@
 //! Expressions of the mini-language.
 
+use crate::name::Name;
 use crate::types::ScalarType;
 use std::fmt;
 
@@ -114,12 +115,12 @@ pub enum Expr {
     Real(f64, ScalarType),
     /// Variable reference. Named constants (`acc_device_host`, ...) are
     /// resolved by the semantic environment, not the grammar.
-    Var(String),
+    Var(Name),
     /// Array element access `base[i]` / `base[i][j]` (C row-major order of
     /// indices; the Fortran generator emits `base(j,i)` column-major).
     Index {
         /// Array variable name.
-        base: String,
+        base: Name,
         /// One index per dimension, outermost first.
         indices: Vec<Expr>,
     },
@@ -130,7 +131,7 @@ pub enum Expr {
     /// Call to a runtime routine, math intrinsic, or user helper function.
     Call {
         /// Callee name as spelled in source.
-        name: String,
+        name: Name,
         /// Argument expressions.
         args: Vec<Expr>,
     },
@@ -145,12 +146,12 @@ impl Expr {
     }
 
     /// Shorthand variable reference.
-    pub fn var(name: impl Into<String>) -> Expr {
+    pub fn var(name: impl Into<Name>) -> Expr {
         Expr::Var(name.into())
     }
 
     /// Shorthand 1-D index expression.
-    pub fn idx(base: impl Into<String>, i: Expr) -> Expr {
+    pub fn idx(base: impl Into<Name>, i: Expr) -> Expr {
         Expr::Index {
             base: base.into(),
             indices: vec![i],
@@ -158,7 +159,7 @@ impl Expr {
     }
 
     /// Shorthand 2-D index expression.
-    pub fn idx2(base: impl Into<String>, i: Expr, j: Expr) -> Expr {
+    pub fn idx2(base: impl Into<Name>, i: Expr, j: Expr) -> Expr {
         Expr::Index {
             base: base.into(),
             indices: vec![i, j],
@@ -204,7 +205,7 @@ impl Expr {
     }
 
     /// Function call shorthand.
-    pub fn call(name: impl Into<String>, args: Vec<Expr>) -> Expr {
+    pub fn call(name: impl Into<Name>, args: Vec<Expr>) -> Expr {
         Expr::Call {
             name: name.into(),
             args,
@@ -236,7 +237,7 @@ impl Expr {
 
     /// All variable names referenced by the expression (including array
     /// bases and call arguments, excluding callee names).
-    pub fn referenced_vars(&self) -> Vec<String> {
+    pub fn referenced_vars(&self) -> Vec<Name> {
         let mut out = Vec::new();
         self.visit(&mut |e| match e {
             Expr::Var(n) => out.push(n.clone()),

@@ -20,12 +20,14 @@ pub mod builder;
 pub mod cgen;
 pub mod expr;
 pub mod fgen;
+pub mod name;
 pub mod program;
 pub mod stmt;
 pub mod types;
 
 pub use acc::{AccClause, AccDirective, DataRef};
 pub use expr::{BinOp, Expr, UnOp};
+pub use name::Name;
 pub use program::{Function, Param, ParamKind, Program};
 pub use stmt::{ForLoop, LValue, Stmt};
 pub use types::{ScalarType, Type};

@@ -1,5 +1,6 @@
 //! Programs and functions.
 
+use crate::name::Name;
 use crate::stmt::Stmt;
 use crate::types::ScalarType;
 use acc_spec::Language;
@@ -19,7 +20,7 @@ pub enum ParamKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Name.
-    pub name: String,
+    pub name: Name,
     /// Passing kind.
     pub kind: ParamKind,
 }
@@ -30,7 +31,7 @@ pub struct Param {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Parameters.
     pub params: Vec<Param>,
     /// Return type; `None` renders `void` / a subroutine.
@@ -43,7 +44,7 @@ impl Function {
     /// A `int main()`-shaped entry point.
     pub fn main(body: Vec<Stmt>) -> Self {
         Function {
-            name: "main".to_string(),
+            name: Name::new("main"),
             params: Vec::new(),
             ret: Some(ScalarType::Int),
             body,
@@ -55,7 +56,7 @@ impl Function {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Program name (becomes the Fortran `program` name / a C comment).
-    pub name: String,
+    pub name: Name,
     /// Surface language to render/parse as.
     pub language: Language,
     /// Helper functions first, then `main` by convention; the entry point is
@@ -65,7 +66,7 @@ pub struct Program {
 
 impl Program {
     /// Single-function program wrapping `body` in `main`.
-    pub fn simple(name: impl Into<String>, language: Language, body: Vec<Stmt>) -> Self {
+    pub fn simple(name: impl Into<Name>, language: Language, body: Vec<Stmt>) -> Self {
         Program {
             name: name.into(),
             language,

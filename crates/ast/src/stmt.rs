@@ -2,17 +2,18 @@
 
 use crate::acc::AccDirective;
 use crate::expr::{BinOp, Expr};
+use crate::name::Name;
 use crate::types::{ScalarType, Type};
 
 /// An assignable location.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// Scalar (or pointer) variable.
-    Var(String),
+    Var(Name),
     /// Array element.
     Index {
         /// Array name.
-        base: String,
+        base: Name,
         /// One index per dimension, outermost first (C order).
         indices: Vec<Expr>,
     },
@@ -20,12 +21,12 @@ pub enum LValue {
 
 impl LValue {
     /// Scalar lvalue shorthand.
-    pub fn var(name: impl Into<String>) -> Self {
+    pub fn var(name: impl Into<Name>) -> Self {
         LValue::Var(name.into())
     }
 
     /// 1-D element lvalue shorthand.
-    pub fn idx(base: impl Into<String>, i: Expr) -> Self {
+    pub fn idx(base: impl Into<Name>, i: Expr) -> Self {
         LValue::Index {
             base: base.into(),
             indices: vec![i],
@@ -33,7 +34,7 @@ impl LValue {
     }
 
     /// 2-D element lvalue shorthand.
-    pub fn idx2(base: impl Into<String>, i: Expr, j: Expr) -> Self {
+    pub fn idx2(base: impl Into<Name>, i: Expr, j: Expr) -> Self {
         LValue::Index {
             base: base.into(),
             indices: vec![i, j],
@@ -57,7 +58,7 @@ impl LValue {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForLoop {
     /// Induction variable (always `int`).
-    pub var: String,
+    pub var: Name,
     /// Inclusive lower bound.
     pub from: Expr,
     /// Exclusive upper bound.
@@ -70,7 +71,7 @@ pub struct ForLoop {
 
 impl ForLoop {
     /// `for (var = 0; var < to; var++)` shorthand.
-    pub fn upto(var: impl Into<String>, to: Expr, body: Vec<Stmt>) -> Self {
+    pub fn upto(var: impl Into<Name>, to: Expr, body: Vec<Stmt>) -> Self {
         ForLoop {
             var: var.into(),
             from: Expr::int(0),
@@ -87,7 +88,7 @@ pub enum Stmt {
     /// Scalar or pointer declaration with optional initializer.
     DeclScalar {
         /// Variable name.
-        name: String,
+        name: Name,
         /// Declared type.
         ty: Type,
         /// Optional initializer.
@@ -96,7 +97,7 @@ pub enum Stmt {
     /// Statically-shaped array declaration.
     DeclArray {
         /// Array name.
-        name: String,
+        name: Name,
         /// Element type.
         elem: ScalarType,
         /// Dimension extents, outermost first (row-major in C rendering).
@@ -125,7 +126,7 @@ pub enum Stmt {
     /// Expression-statement call (e.g. `acc_init(acc_device_default);`).
     Call {
         /// Callee.
-        name: String,
+        name: Name,
         /// Arguments.
         args: Vec<Expr>,
     },
@@ -175,7 +176,7 @@ impl Stmt {
     }
 
     /// `int name = init;` shorthand.
-    pub fn decl_int(name: impl Into<String>, init: Expr) -> Stmt {
+    pub fn decl_int(name: impl Into<Name>, init: Expr) -> Stmt {
         Stmt::DeclScalar {
             name: name.into(),
             ty: Type::INT,

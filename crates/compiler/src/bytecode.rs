@@ -38,7 +38,8 @@
 //! executables carries its own profile.
 
 use acc_ast::{
-    AccClause, AccDirective, BinOp, Expr, ForLoop, LValue, Program, ScalarType, Stmt, Type, UnOp,
+    AccClause, AccDirective, BinOp, Expr, ForLoop, LValue, Name, Program, ScalarType, Stmt, Type,
+    UnOp,
 };
 use acc_device::Value;
 use acc_frontend::{FrameLayout, ResolvedProgram};
@@ -177,7 +178,7 @@ pub(crate) struct Chunk {
 /// A lowered function body.
 #[derive(Debug)]
 pub(crate) struct FuncCode {
-    pub(crate) name: String,
+    pub(crate) name: Name,
     pub(crate) chunk: Chunk,
 }
 
@@ -204,7 +205,7 @@ pub(crate) struct RegionCode {
     pub(crate) dev: RegionDev,
     /// Array names referenced in the body, sorted — drives the implicit
     /// `present_or_copy` mappings (order is observable behaviour).
-    pub(crate) referenced: Vec<String>,
+    pub(crate) referenced: Vec<Name>,
     /// Precomputed Fig. 11 dead-region verdict.
     pub(crate) dead: bool,
 }
@@ -213,7 +214,7 @@ pub(crate) struct RegionCode {
 /// expressions (evaluated per unit at run time, exactly like the walker).
 #[derive(Debug)]
 pub(crate) struct NestLoop {
-    pub(crate) name: String,
+    pub(crate) name: Name,
     pub(crate) slot: Option<u32>,
     pub(crate) from: Expr,
     pub(crate) to: Expr,
@@ -247,7 +248,7 @@ pub(crate) struct HostBlock {
 #[derive(Debug, Default)]
 pub struct BytecodeProgram {
     pub(crate) consts: Vec<Value>,
-    pub(crate) names: Vec<String>,
+    pub(crate) names: Vec<Name>,
     pub(crate) msgs: Vec<String>,
     pub(crate) code: Vec<Instr>,
     pub(crate) funcs: Vec<FuncCode>,
@@ -495,12 +496,12 @@ pub(crate) fn lower(prog: &Program, resolved: &ResolvedProgram) -> BytecodeProgr
 impl<'p> Lowerer<'p> {
     // ---- side-table interning ----
 
-    fn name_id(&mut self, n: &'p str) -> u32 {
-        if let Some(&i) = self.name_ids.get(n) {
+    fn name_id(&mut self, n: &'p Name) -> u32 {
+        if let Some(&i) = self.name_ids.get(n.as_str()) {
             return i;
         }
         let i = self.bp.names.len() as u32;
-        self.bp.names.push(n.to_string());
+        self.bp.names.push(n.clone());
         self.name_ids.insert(n, i);
         i
     }

@@ -20,7 +20,7 @@
 //! timeout (step budget exhausted — "the code executes forever").
 
 use acc_ast::{
-    AccClause, AccDirective, BinOp, Expr, ForLoop, Function, LValue, ParamKind, Program,
+    AccClause, AccDirective, BinOp, Expr, ForLoop, Function, LValue, Name, ParamKind, Program,
     ScalarType, Stmt, Type, UnOp,
 };
 use acc_device::memory::ExitAction;
@@ -262,9 +262,9 @@ pub(crate) struct Frame<'a> {
     layout: &'a FrameLayout,
     pub(crate) slots: Vec<Slot>,
     /// Present-table names entered by `declare`, exited at function return.
-    declare_entries: Vec<String>,
+    declare_entries: Vec<Name>,
     /// `host_data use_device` overlays (innermost last).
-    pub(crate) host_data: Vec<FxHashMap<String, BufferId>>,
+    pub(crate) host_data: Vec<FxHashMap<Name, BufferId>>,
 }
 
 impl<'a> Frame<'a> {
@@ -350,7 +350,7 @@ pub(crate) struct DevCtx<'m> {
     scope_starts: Vec<usize>,
     /// Names bound by a `deviceptr` clause to device buffers (borrowed from
     /// the region — one map shared by all gangs).
-    pub(crate) devptr: &'m FxHashMap<String, BufferId>,
+    pub(crate) devptr: &'m FxHashMap<Name, BufferId>,
 }
 
 impl<'m> DevCtx<'m> {
@@ -363,7 +363,7 @@ impl<'m> DevCtx<'m> {
         gang: u32,
         kernels_mode: bool,
         layout: &'m FrameLayout,
-        devptr: &'m FxHashMap<String, BufferId>,
+        devptr: &'m FxHashMap<Name, BufferId>,
     ) -> DevCtx<'m> {
         DevCtx {
             num_gangs,
@@ -458,7 +458,7 @@ enum DeferredEffect {
     ScalarDownload {
         buf: BufferId,
         frame: usize,
-        name: String,
+        name: Name,
     },
     Free(BufferId),
 }
@@ -485,7 +485,7 @@ pub(crate) struct Machine<'a> {
     pub(crate) region_cost: u64,
     /// `deviceptr` bindings contributed by enclosing `data` regions and
     /// inherited by nested compute constructs.
-    data_devptr: Vec<FxHashMap<String, BufferId>>,
+    data_devptr: Vec<FxHashMap<Name, BufferId>>,
     /// The lowered bytecode image (present when running under the VM).
     pub(crate) code: Option<&'a crate::bytecode::BytecodeProgram>,
     /// Dispatch through the bytecode VM instead of the tree walker.
@@ -653,8 +653,8 @@ impl<'a> Machine<'a> {
     fn call_function(
         &mut self,
         f: &'a Function,
-        scalar_args: Vec<(String, Value)>,
-        array_args: Vec<(String, ArrBinding)>,
+        scalar_args: Vec<(Name, Value)>,
+        array_args: Vec<(Name, ArrBinding)>,
     ) -> Exec<Value> {
         if self.frames.len() > 64 {
             return Err(Abort::Crash("call stack overflow".into()));
@@ -1095,7 +1095,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn read_var_host(&mut self, n: &str) -> Exec<Value> {
+    fn read_var_host(&mut self, n: &Name) -> Exec<Value> {
         self.read_var_host_at(n, self.frame().idx(n))
     }
 
@@ -1103,7 +1103,7 @@ impl<'a> Machine<'a> {
     /// (the VM's fast path — same lookup order, no name hashing). With no
     /// `host_data` overlay open, as in most code, the slot answers first.
     #[inline(always)]
-    pub(crate) fn read_var_host_at(&mut self, n: &str, slot: Option<usize>) -> Exec<Value> {
+    pub(crate) fn read_var_host_at(&mut self, n: &Name, slot: Option<usize>) -> Exec<Value> {
         let f = self.frame();
         if f.host_data.is_empty() {
             if let Some(v) = slot.and_then(|i| f.slots[i].val) {
@@ -1130,7 +1130,12 @@ impl<'a> Machine<'a> {
 
     /// Scalar store with the slot pre-resolved: converts through the
     /// declared type exactly like [`Self::write_lvalue_host`]'s `Var` arm.
-    pub(crate) fn write_var_host_at(&mut self, n: &str, slot: Option<usize>, v: Value) -> Exec<()> {
+    pub(crate) fn write_var_host_at(
+        &mut self,
+        n: &Name,
+        slot: Option<usize>,
+        v: Value,
+    ) -> Exec<()> {
         let Some(i) = slot else {
             return Err(unresolved(n));
         };
@@ -1179,7 +1184,7 @@ impl<'a> Machine<'a> {
 
     /// Resolve an index expression on the host: the binding plus the flat
     /// element offset (multi-dim row-major).
-    fn flat_index_host(&mut self, base: &str, indices: &[Expr]) -> Exec<(ArrBinding, usize)> {
+    fn flat_index_host(&mut self, base: &Name, indices: &[Expr]) -> Exec<(ArrBinding, usize)> {
         with_stack_list(indices.len(), 0, |vals| {
             for (v, e) in vals.iter_mut().zip(indices) {
                 *v = self.eval_host(e)?.as_int().map_err(crash)?;
@@ -1505,7 +1510,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn upload_now(&mut self, name: &str, buf: BufferId, start: usize, len: usize) -> Exec<()> {
+    fn upload_now(&mut self, name: &Name, buf: BufferId, start: usize, len: usize) -> Exec<()> {
         if self.transient_memcpy_fires() {
             return Err(Abort::Crash(format!(
                 "transient fault: host-to-device memcpy of '{name}' failed"
@@ -1562,7 +1567,7 @@ impl<'a> Machine<'a> {
         &mut self,
         clauses: &[AccClause],
         dir_kind: DirectiveKind,
-    ) -> Exec<Vec<String>> {
+    ) -> Exec<Vec<Name>> {
         let mut entered = Vec::new();
         for c in clauses {
             let (kind, refs) = match c {
@@ -1582,7 +1587,7 @@ impl<'a> Machine<'a> {
 
     fn enter_mapping(
         &mut self,
-        name: &str,
+        name: &Name,
         section: &Option<(Expr, Expr)>,
         kind: ClauseKind,
     ) -> Exec<()> {
@@ -1655,7 +1660,7 @@ impl<'a> Machine<'a> {
             ExitAction::Release
         };
         self.world.present.insert(
-            name,
+            name.clone(),
             PresentEntry {
                 buffer: buf,
                 start,
@@ -1669,7 +1674,7 @@ impl<'a> Machine<'a> {
 
     /// Exit one mapping; performs the exit action. When `defer_to` is true
     /// the download/free are deferred (async region) — caller stashes them.
-    fn exit_mapping(&mut self, name: &str, collect_deferred: bool) -> Exec<Vec<DeferredEffect>> {
+    fn exit_mapping(&mut self, name: &Name, collect_deferred: bool) -> Exec<Vec<DeferredEffect>> {
         let released = self
             .world
             .present
@@ -1690,7 +1695,7 @@ impl<'a> Machine<'a> {
                         effects.push(DeferredEffect::ScalarDownload {
                             buf: entry.buffer,
                             frame: self.frames.len() - 1,
-                            name: name.to_string(),
+                            name: name.clone(),
                         });
                     }
                 } else {
@@ -1885,7 +1890,7 @@ impl<'a> Machine<'a> {
         let mut entered = self.enter_data_clauses(&dir.clauses, dir.kind)?;
         // deviceptr bindings (inherited from enclosing data regions, then
         // this directive's own clause).
-        let mut devptr: FxHashMap<String, BufferId> = FxHashMap::default();
+        let mut devptr: FxHashMap<Name, BufferId> = FxHashMap::default();
         for m in &self.data_devptr {
             devptr.extend(m.iter().map(|(k, v)| (k.clone(), *v)));
         }
@@ -1923,7 +1928,7 @@ impl<'a> Machine<'a> {
         // Reduction / privatization setup. Names resolve to frame slots
         // once here; the per-gang setup below is pure slot writes.
         let layout = self.cur_layout();
-        let mut reductions: Vec<(acc_spec::ReductionOp, &'a str, Value, usize)> = Vec::new();
+        let mut reductions: Vec<(acc_spec::ReductionOp, &'a Name, Value, usize)> = Vec::new();
         for c in &dir.clauses {
             if let AccClause::Reduction(op, vars) = c {
                 if self.profile.ignores_clause(dir.kind, ClauseKind::Reduction) {
@@ -1936,8 +1941,8 @@ impl<'a> Machine<'a> {
                 }
             }
         }
-        let mut private: Vec<(usize, &'a str)> = Vec::new();
-        let mut firstprivate: Vec<(usize, &'a str)> = Vec::new();
+        let mut private: Vec<(usize, &'a Name)> = Vec::new();
+        let mut firstprivate: Vec<(usize, &'a Name)> = Vec::new();
         for c in &dir.clauses {
             match c {
                 AccClause::Private(vs)
@@ -2094,7 +2099,7 @@ impl<'a> Machine<'a> {
 
     /// Read a scalar that may be device-mapped (for reductions and
     /// firstprivate initialization).
-    fn region_scalar_read(&mut self, name: &str) -> Exec<Value> {
+    fn region_scalar_read(&mut self, name: &Name) -> Exec<Value> {
         if let Some(e) = self.world.present.get(name) {
             let buf = e.buffer;
             return self
@@ -2143,7 +2148,7 @@ impl<'a> Machine<'a> {
     /// Array names referenced anywhere in the region body (sorted — the
     /// implicit-mapping order is part of observable behaviour). Lowered
     /// regions carry the same set precomputed at compile time, lent here.
-    fn referenced_arrays(&self, body: &RegionBody<'a>) -> Cow<'a, [String]> {
+    fn referenced_arrays(&self, body: &RegionBody<'a>) -> Cow<'a, [Name]> {
         let mut names = BTreeSet::new();
         match body {
             RegionBody::Block(b) => collect_index_bases(b, &mut names),
@@ -2322,7 +2327,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn read_scalar_device(&mut self, n: &str, ctx: &mut DevCtx) -> Exec<Value> {
+    fn read_scalar_device(&mut self, n: &Name, ctx: &mut DevCtx) -> Exec<Value> {
         let slot = ctx.slot(n);
         self.read_scalar_device_at(n, slot, ctx)
     }
@@ -2331,7 +2336,7 @@ impl<'a> Machine<'a> {
     /// path) — identical lookup order.
     pub(crate) fn read_scalar_device_at(
         &mut self,
-        n: &str,
+        n: &Name,
         slot: Option<usize>,
         ctx: &mut DevCtx,
     ) -> Exec<Value> {
@@ -2365,7 +2370,7 @@ impl<'a> Machine<'a> {
         )))
     }
 
-    fn write_scalar_device(&mut self, n: &str, v: Value, ctx: &mut DevCtx) -> Exec<()> {
+    fn write_scalar_device(&mut self, n: &Name, v: Value, ctx: &mut DevCtx) -> Exec<()> {
         let slot = ctx.slot(n);
         self.write_scalar_device_at(n, slot, v, ctx)
     }
@@ -2374,7 +2379,7 @@ impl<'a> Machine<'a> {
     /// path) — identical lookup order.
     pub(crate) fn write_scalar_device_at(
         &mut self,
-        n: &str,
+        n: &Name,
         slot: Option<usize>,
         v: Value,
         ctx: &mut DevCtx,
@@ -2428,7 +2433,7 @@ impl<'a> Machine<'a> {
 
     fn flat_index_device(
         &mut self,
-        base: &str,
+        base: &Name,
         indices: &[Expr],
         ctx: &mut DevCtx,
     ) -> Exec<(BufferId, usize)> {
@@ -2511,7 +2516,7 @@ impl<'a> Machine<'a> {
         let vector_c = has(ClauseKind::Vector);
 
         // Reductions on the loop, resolved to their frame slots up front.
-        let mut reductions: Vec<(acc_spec::ReductionOp, &'a str, usize)> = Vec::new();
+        let mut reductions: Vec<(acc_spec::ReductionOp, &'a Name, usize)> = Vec::new();
         for c in clauses() {
             if let AccClause::Reduction(op, vars) = c {
                 for v in vars {
@@ -2578,7 +2583,7 @@ impl<'a> Machine<'a> {
         };
 
         // Snapshot reduction initials.
-        let mut red_state: Vec<(acc_spec::ReductionOp, &'a str, usize, Value, Value)> = Vec::new();
+        let mut red_state: Vec<(acc_spec::ReductionOp, &'a Name, usize, Value, Value)> = Vec::new();
         for (op, name, slot) in &reductions {
             let init = match ctx.value(*slot) {
                 Some(v) => v,
@@ -2719,7 +2724,7 @@ impl Drop for Machine<'_> {
     }
 }
 
-pub(crate) fn collect_expr_bases(e: &Expr, names: &mut BTreeSet<String>) {
+pub(crate) fn collect_expr_bases(e: &Expr, names: &mut BTreeSet<Name>) {
     e.visit(&mut |x| {
         if let Expr::Index { base, .. } = x {
             names.insert(base.clone());
@@ -2727,7 +2732,7 @@ pub(crate) fn collect_expr_bases(e: &Expr, names: &mut BTreeSet<String>) {
     });
 }
 
-pub(crate) fn collect_index_bases(stmts: &[Stmt], names: &mut BTreeSet<String>) {
+pub(crate) fn collect_index_bases(stmts: &[Stmt], names: &mut BTreeSet<Name>) {
     for s in stmts {
         s.visit(&mut |st| match st {
             Stmt::Assign { target, value, .. } => {
@@ -2889,7 +2894,7 @@ pub(crate) fn with_stack_list<T: Copy, R>(n: usize, fill: T, f: impl FnOnce(&mut
 /// The element offset of `vals` in a device buffer with `dims`; a raw
 /// `acc_malloc` buffer (no dims) takes one linear index.
 #[inline]
-pub(crate) fn dev_flat(base: &str, vals: &[i64], dims: &[usize]) -> Exec<usize> {
+pub(crate) fn dev_flat(base: &Name, vals: &[i64], dims: &[usize]) -> Exec<usize> {
     if dims.is_empty() {
         if vals.len() != 1 || vals[0] < 0 {
             return Err(Abort::Crash(format!("bad linear index on `{base}`")));
@@ -2903,7 +2908,7 @@ pub(crate) fn dev_flat(base: &str, vals: &[i64], dims: &[usize]) -> Exec<usize> 
 /// a scalar, one element). Inlined into both engines' element accesses;
 /// its crashes are built out of line.
 #[inline]
-pub(crate) fn flatten(base: &str, vals: &[i64], dims: &[usize]) -> Exec<usize> {
+pub(crate) fn flatten(base: &Name, vals: &[i64], dims: &[usize]) -> Exec<usize> {
     let dims = if dims.is_empty() { &[1usize][..] } else { dims };
     if vals.len() != dims.len() {
         return Err(rank_mismatch(base, dims.len(), vals.len()));
@@ -2920,7 +2925,7 @@ pub(crate) fn flatten(base: &str, vals: &[i64], dims: &[usize]) -> Exec<usize> {
 
 #[cold]
 #[inline(never)]
-fn rank_mismatch(base: &str, rank: usize, given: usize) -> Abort {
+fn rank_mismatch(base: &Name, rank: usize, given: usize) -> Abort {
     Abort::Crash(format!(
         "`{base}` has {rank} dimension(s), indexed with {given}"
     ))
@@ -2928,7 +2933,7 @@ fn rank_mismatch(base: &str, rank: usize, given: usize) -> Abort {
 
 #[cold]
 #[inline(never)]
-fn index_out_of_bounds(base: &str, v: i64, extent: usize) -> Abort {
+fn index_out_of_bounds(base: &Name, v: i64, extent: usize) -> Abort {
     Abort::Crash(format!(
         "index {v} out of bounds for `{base}` (extent {extent})"
     ))

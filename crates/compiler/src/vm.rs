@@ -10,6 +10,7 @@
 //! lowered body representation; statement/expression escape hatches call
 //! straight back into the walker.
 
+use acc_ast::Name;
 use acc_device::Value;
 
 use crate::bytecode::{Chunk, DevLoopNest, Instr, NO_SLOT};
@@ -230,7 +231,7 @@ impl<'a> Machine<'a> {
     #[inline]
     fn vm_host_elem(
         &mut self,
-        nm: &str,
+        nm: &Name,
         slot: Option<usize>,
         vals: &[i64],
     ) -> Exec<(ArrBinding, usize)> {
@@ -252,7 +253,7 @@ impl<'a> Machine<'a> {
     /// The crash of an element access whose base has no array binding.
     #[cold]
     #[inline(never)]
-    fn not_an_array(&self, nm: &str, slot: Option<usize>) -> Abort {
+    fn not_an_array(&self, nm: &Name, slot: Option<usize>) -> Abort {
         if let Some(Value::DevPtr(_)) = slot.and_then(|s| self.frame().slots[s].val) {
             return Abort::Crash(format!(
                 "host dereference of device pointer `{nm}` (segmentation fault)"
@@ -420,7 +421,7 @@ impl<'a> Machine<'a> {
     /// `flat_index_device`. Resolutions are cached by name id for the rest
     /// of the chunk activation (see [`Self::reset_dev_bufs`]).
     #[inline]
-    fn vm_dev_buf(&mut self, name: u32, nm: &str, ctx: &DevCtx) -> Exec<acc_device::BufferId> {
+    fn vm_dev_buf(&mut self, name: u32, nm: &Name, ctx: &DevCtx) -> Exec<acc_device::BufferId> {
         if let Some(b) = self.dev_bufs.get(name as usize).copied().flatten() {
             return Ok(b);
         }

@@ -40,7 +40,7 @@ impl CrossRule {
         for f in &mut p.functions {
             rewrite_body(&mut f.body, self);
         }
-        p.name = format!("{}_cross", p.name);
+        p.name = format!("{}_cross", p.name).into();
         p
     }
 }

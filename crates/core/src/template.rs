@@ -143,7 +143,7 @@ fn parse_one(element: &str) -> Result<TestCase, TemplateError> {
     // target language happens at generation time.
     program.language = Language::C;
     if program.name == "unnamed" {
-        program.name = name.clone();
+        program.name = acc_ast::Name::new(&name);
     }
 
     let mut case = TestCase::new(name.clone(), feature, program, cross, description);

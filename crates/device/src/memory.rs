@@ -7,7 +7,7 @@
 //! outermost region owns the allocation and performs the deferred copyout.
 
 use crate::value::{ArrayData, Value, ValueError};
-use acc_ast::ScalarType;
+use acc_ast::{Name, ScalarType};
 use acc_spec::FxHashMap;
 use std::fmt;
 
@@ -256,7 +256,7 @@ pub struct PresentEntry {
 /// mapping ends so the caller can copy out and free.
 #[derive(Debug, Default)]
 pub struct PresentTable {
-    entries: FxHashMap<String, PresentEntry>,
+    entries: FxHashMap<Name, PresentEntry>,
 }
 
 impl PresentTable {
@@ -276,8 +276,8 @@ impl PresentTable {
     }
 
     /// Record a fresh mapping (refcount 1). Overwrites any stale entry.
-    pub fn insert(&mut self, name: &str, entry: PresentEntry) {
-        self.entries.insert(name.to_string(), entry);
+    pub fn insert(&mut self, name: impl Into<Name>, entry: PresentEntry) {
+        self.entries.insert(name.into(), entry);
     }
 
     /// Re-enter an existing mapping (nested region); returns false when the
@@ -318,7 +318,7 @@ impl PresentTable {
     }
 
     /// Names of all mapped symbols (sorted, for deterministic iteration).
-    pub fn names(&self) -> Vec<String> {
+    pub fn names(&self) -> Vec<Name> {
         let mut v: Vec<_> = self.entries.keys().cloned().collect();
         v.sort();
         v

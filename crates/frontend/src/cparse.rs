@@ -7,8 +7,8 @@ use crate::diag::ParseError;
 use crate::directive::parse_directive_with;
 use crate::lex::{lex_c, Punct, SpannedTok, Tok};
 use acc_ast::{
-    AccDirective, BinOp, Expr, ForLoop, Function, LValue, Param, ParamKind, Program, ScalarType,
-    Stmt, Type,
+    AccDirective, BinOp, Expr, ForLoop, Function, LValue, Name, Param, ParamKind, Program,
+    ScalarType, Stmt, Type,
 };
 use acc_spec::{DirectiveKind, Language};
 
@@ -21,7 +21,7 @@ pub fn parse_c(source: &str) -> Result<Program, ParseError> {
         payload: Vec::with_capacity(PAYLOAD_TOKENS),
         stmts: take_stmt_stack(),
     };
-    let program = p.parse_unit(lexed.program_name.unwrap_or("unnamed").to_string());
+    let program = p.parse_unit(Name::new(lexed.program_name.unwrap_or("unnamed")));
     return_stmt_stack(p.stmts);
     program
 }
@@ -41,7 +41,7 @@ impl<'a> Parser<'a> {
         ParseError::new(self.c.line(), msg.into())
     }
 
-    fn parse_unit(&mut self, name: String) -> Result<Program, ParseError> {
+    fn parse_unit(&mut self, name: Name) -> Result<Program, ParseError> {
         let mut functions = Vec::new();
         while !self.c.at_eof() {
             if let Some(f) = self.parse_toplevel()? {

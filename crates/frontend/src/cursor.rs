@@ -9,7 +9,7 @@
 
 use crate::diag::ParseError;
 use crate::lex::{Punct, SpannedTok, Tok};
-use acc_ast::{BinOp, Expr, ScalarType, Stmt, UnOp};
+use acc_ast::{BinOp, Expr, Name, ScalarType, Stmt, UnOp};
 use acc_spec::Language;
 use std::cell::Cell;
 
@@ -148,10 +148,9 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Require any identifier and return it as an owned [`String`] (the AST
-    /// stores plain `String` names).
-    pub fn expect_any_ident(&mut self) -> Result<String, ParseError> {
-        self.expect_ident_text().map(str::to_string)
+    /// Require any identifier and return it as the AST's [`Name`].
+    pub fn expect_any_ident(&mut self) -> Result<Name, ParseError> {
+        self.expect_ident_text().map(Name::new)
     }
 
     /// Require any identifier and return its text, borrowed from the
@@ -296,7 +295,7 @@ fn parse_postfix(c: &mut Cursor<'_>, lang: Language) -> Result<Expr, ParseError>
                     if c.eat_punct(Punct::LParen) {
                         let args = parse_args(c, lang)?;
                         Ok(Expr::Call {
-                            name: name.to_string(),
+                            name: Name::new(name),
                             args,
                         })
                     } else if c.peek().is_punct(Punct::LBracket) {
@@ -306,11 +305,11 @@ fn parse_postfix(c: &mut Cursor<'_>, lang: Language) -> Result<Expr, ParseError>
                             c.expect_punct(Punct::RBracket)?;
                         }
                         Ok(Expr::Index {
-                            base: name.to_string(),
+                            base: Name::new(name),
                             indices,
                         })
                     } else {
-                        Ok(Expr::Var(name.to_string()))
+                        Ok(Expr::Var(Name::new(name)))
                     }
                 }
                 Language::Fortran => {
@@ -318,17 +317,17 @@ fn parse_postfix(c: &mut Cursor<'_>, lang: Language) -> Result<Expr, ParseError>
                         let args = parse_args(c, lang)?;
                         if is_fortran_callable(name) {
                             Ok(Expr::Call {
-                                name: name.to_string(),
+                                name: Name::new(name),
                                 args,
                             })
                         } else {
                             Ok(Expr::Index {
-                                base: name.to_string(),
+                                base: Name::new(name),
                                 indices: args,
                             })
                         }
                     } else {
-                        Ok(Expr::Var(name.to_string()))
+                        Ok(Expr::Var(Name::new(name)))
                     }
                 }
             }

@@ -8,7 +8,7 @@
 use crate::cursor::{parse_expr, Cursor};
 use crate::diag::ParseError;
 use crate::lex::{lex_payload, Punct, SpannedTok, Tok};
-use acc_ast::{fgen, AccClause, AccDirective, DataRef, Expr};
+use acc_ast::{fgen, AccClause, AccDirective, DataRef, Expr, Name};
 use acc_spec::{ClauseKind, DirectiveKind, Language, ReductionOp};
 
 /// Parse a directive payload (text after the sentinel) into an
@@ -187,7 +187,7 @@ fn opt_width(
     }
 }
 
-fn parse_name_list(c: &mut Cursor<'_>) -> Result<Vec<String>, ParseError> {
+fn parse_name_list(c: &mut Cursor<'_>) -> Result<Vec<Name>, ParseError> {
     let mut names = vec![c.expect_any_ident()?];
     while c.eat_punct(Punct::Comma) {
         names.push(c.expect_any_ident()?);
@@ -195,7 +195,7 @@ fn parse_name_list(c: &mut Cursor<'_>) -> Result<Vec<String>, ParseError> {
     Ok(names)
 }
 
-fn paren_name_list(c: &mut Cursor<'_>) -> Result<Vec<String>, ParseError> {
+fn paren_name_list(c: &mut Cursor<'_>) -> Result<Vec<Name>, ParseError> {
     c.expect_punct(Punct::LParen)?;
     let names = parse_name_list(c)?;
     c.expect_punct(Punct::RParen)?;

@@ -19,8 +19,8 @@ use crate::diag::ParseError;
 use crate::directive::parse_directive_with;
 use crate::lex::{lex_fortran, Punct, SpannedTok, Tok};
 use acc_ast::{
-    fgen, AccDirective, Expr, ForLoop, Function, LValue, Param, ParamKind, Program, ScalarType,
-    Stmt, Type,
+    fgen, AccDirective, Expr, ForLoop, Function, LValue, Name, Param, ParamKind, Program,
+    ScalarType, Stmt, Type,
 };
 use acc_spec::{DirectiveKind, Language};
 
@@ -36,7 +36,7 @@ pub fn parse_fortran(source: &str) -> Result<Program, ParseError> {
     let functions = p.parse_functions();
     return_stmt_stack(p.stmts);
     Ok(Program {
-        name: lexed.program_name.unwrap_or("unnamed").to_string(),
+        name: Name::new(lexed.program_name.unwrap_or("unnamed")),
         language: Language::Fortran,
         functions: functions?,
     })
@@ -157,7 +157,7 @@ impl<'a> Parser<'a> {
 
     fn parse_decl_line(
         &mut self,
-        param_names: &[String],
+        param_names: &[Name],
         params: &mut Vec<Param>,
     ) -> Result<(), ParseError> {
         let (scalar, is_ptr) = match self.c.expect_ident_text()? {

@@ -18,28 +18,28 @@
 //! constants such as `acc_device_nvidia`, which appear as plain `Expr::Var`
 //! references and therefore also receive slots).
 
-use acc_ast::{AccClause, AccDirective, Expr, LValue, Program, Stmt};
+use acc_ast::{AccClause, AccDirective, Expr, LValue, Name, Program, Stmt};
 use acc_spec::FxHashMap;
-use std::sync::Arc;
 
-/// The dense `name ↔ slot` mapping for one function's frame. Each name is
-/// one allocation, shared by the slot list and the index.
+/// The dense `name ↔ slot` mapping for one function's frame. The slot list
+/// and the index hold clones of the program's own [`Name`]s, which copy no
+/// text.
 #[derive(Debug, Clone, Default)]
 pub struct FrameLayout {
-    names: Vec<Arc<str>>,
-    index: FxHashMap<Arc<str>, u32>,
+    names: Vec<Name>,
+    index: FxHashMap<Name, u32>,
 }
 
 impl FrameLayout {
-    /// Intern `name`, returning its (existing or new) slot.
-    fn intern(&mut self, name: &str) -> u32 {
+    /// The slot of `name`, assigning the next free one at its first
+    /// mention.
+    fn assign(&mut self, name: &Name) -> u32 {
         if let Some(&i) = self.index.get(name) {
             return i;
         }
         let i = self.names.len() as u32;
-        let name: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&name));
-        self.index.insert(name, i);
+        self.names.push(name.clone());
+        self.index.insert(name.clone(), i);
         i
     }
 
@@ -49,7 +49,7 @@ impl FrameLayout {
     }
 
     /// The name stored at `slot`.
-    pub fn name(&self, slot: usize) -> &str {
+    pub fn name(&self, slot: usize) -> &Name {
         &self.names[slot]
     }
 
@@ -64,7 +64,7 @@ impl FrameLayout {
     }
 
     /// All slot names, in slot order.
-    pub fn names(&self) -> &[Arc<str>] {
+    pub fn names(&self) -> &[Name] {
         &self.names
     }
 }
@@ -73,7 +73,7 @@ impl FrameLayout {
 #[derive(Debug, Clone, Default)]
 pub struct ResolvedProgram {
     layouts: Vec<FrameLayout>,
-    by_function: FxHashMap<String, usize>,
+    by_function: FxHashMap<Name, usize>,
 }
 
 impl ResolvedProgram {
@@ -102,7 +102,7 @@ pub fn resolve(program: &Program) -> ResolvedProgram {
         let mut layout = FrameLayout::default();
         // Parameters first: their slots are the call frame's prefix.
         for p in &f.params {
-            layout.intern(&p.name);
+            layout.assign(&p.name);
         }
         for s in &f.body {
             s.visit(&mut |st| collect_stmt(st, &mut layout));
@@ -121,13 +121,13 @@ pub fn resolve(program: &Program) -> ResolvedProgram {
 fn collect_stmt(s: &Stmt, layout: &mut FrameLayout) {
     match s {
         Stmt::DeclScalar { name, init, .. } => {
-            layout.intern(name);
+            layout.assign(name);
             if let Some(e) = init {
                 collect_expr(e, layout);
             }
         }
         Stmt::DeclArray { name, dims, .. } => {
-            layout.intern(name);
+            layout.assign(name);
             let _ = dims;
         }
         Stmt::Assign { target, value, .. } => {
@@ -135,7 +135,7 @@ fn collect_stmt(s: &Stmt, layout: &mut FrameLayout) {
             collect_expr(value, layout);
         }
         Stmt::For(l) => {
-            layout.intern(&l.var);
+            layout.assign(&l.var);
             collect_expr(&l.from, layout);
             collect_expr(&l.to, layout);
             collect_expr(&l.step, layout);
@@ -152,7 +152,7 @@ fn collect_stmt(s: &Stmt, layout: &mut FrameLayout) {
         }
         Stmt::AccLoop { dir, l } => {
             collect_directive(dir, layout);
-            layout.intern(&l.var);
+            layout.assign(&l.var);
             collect_expr(&l.from, layout);
             collect_expr(&l.to, layout);
             collect_expr(&l.step, layout);
@@ -163,10 +163,10 @@ fn collect_stmt(s: &Stmt, layout: &mut FrameLayout) {
 fn collect_lvalue(lv: &LValue, layout: &mut FrameLayout) {
     match lv {
         LValue::Var(n) => {
-            layout.intern(n);
+            layout.assign(n);
         }
         LValue::Index { base, indices } => {
-            layout.intern(base);
+            layout.assign(base);
             for i in indices {
                 collect_expr(i, layout);
             }
@@ -177,10 +177,10 @@ fn collect_lvalue(lv: &LValue, layout: &mut FrameLayout) {
 fn collect_expr(e: &Expr, layout: &mut FrameLayout) {
     e.visit(&mut |x| match x {
         Expr::Var(n) => {
-            layout.intern(n);
+            layout.assign(n);
         }
         Expr::Index { base, .. } => {
-            layout.intern(base);
+            layout.assign(base);
         }
         _ => {}
     });
@@ -191,7 +191,7 @@ fn collect_directive(dir: &AccDirective, layout: &mut FrameLayout) {
         collect_expr(e, layout);
     }
     for r in &dir.cache_args {
-        layout.intern(&r.name);
+        layout.assign(&r.name);
         if let Some((a, b)) = &r.section {
             collect_expr(a, layout);
             collect_expr(b, layout);
@@ -218,12 +218,12 @@ fn collect_directive(dir: &AccDirective, layout: &mut FrameLayout) {
             | AccClause::Deviceptr(names)
             | AccClause::UseDevice(names) => {
                 for n in names {
-                    layout.intern(n);
+                    layout.assign(n);
                 }
             }
             AccClause::Data(_, refs) => {
                 for r in refs {
-                    layout.intern(&r.name);
+                    layout.assign(&r.name);
                     if let Some((a, b)) = &r.section {
                         collect_expr(a, layout);
                         collect_expr(b, layout);
@@ -272,7 +272,7 @@ mod tests {
         // Slots are dense and names round-trip.
         for (i, name) in layout.names().iter().enumerate() {
             assert_eq!(layout.slot(name), Some(i));
-            assert_eq!(layout.name(i), &**name);
+            assert_eq!(layout.name(i), name);
         }
     }
 

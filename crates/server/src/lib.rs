@@ -304,11 +304,23 @@ impl SubmissionSpec {
     }
 
     /// Parse a submission from a request body. Validation mirrors the CLI:
-    /// unknown vendors/languages/formats, unreleased versions, zero
-    /// deadlines and zero repetitions are all rejected with the reason.
+    /// unknown fields, unknown vendors/languages/formats, unreleased
+    /// versions, zero deadlines and zero repetitions are all rejected with
+    /// the reason.
     pub fn from_json(body: &Json) -> Result<Self, String> {
-        if !matches!(body, Json::Obj(_)) {
+        let Json::Obj(fields) = body else {
             return Err("submission must be a JSON object".to_string());
+        };
+        // A misspelt field would otherwise widen the run silently, as an
+        // unknown flag would for `accvv run`.
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(k, _)| !SPEC_FIELDS.contains(&k.as_str()))
+        {
+            return Err(format!(
+                "unknown field `{key}` in submission ({})",
+                SPEC_FIELDS.join("|")
+            ));
         }
         let vendor_name = str_field(body, "vendor")?
             .ok_or("submission requires `vendor` (caps|pgi|cray|reference)")?;
@@ -367,6 +379,22 @@ impl SubmissionSpec {
         Ok(spec)
     }
 }
+
+/// The fields [`SubmissionSpec::from_json`] reads, in
+/// [`SubmissionSpec::to_json`]'s order.
+const SPEC_FIELDS: [&str; 11] = [
+    "tenant",
+    "weight",
+    "vendor",
+    "version",
+    "lang",
+    "features",
+    "repetitions",
+    "format",
+    "exec_mode",
+    "deadline_ms",
+    "case_deadline_ms",
+];
 
 fn str_field<'a>(obj: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
     match obj.get(key) {
@@ -1550,6 +1578,10 @@ mod tests {
                 "`repetitions` must be at least 1",
             ),
             (r#"[1,2]"#, "JSON object"),
+            (
+                r#"{"vendor":"reference","lang":"c","feature":"loop"}"#,
+                "unknown field `feature` in submission",
+            ),
         ] {
             let err = parse_spec(body).expect_err(body);
             assert!(err.contains(needle), "{body}: {err}");

@@ -1,15 +1,18 @@
 //! Allocation budgets for the cold path.
 //!
 //! A counting global allocator counts the heap allocations (`alloc` and
-//! `alloc_zeroed`) and the reallocations made while two fixed workloads
+//! `alloc_zeroed`) and the reallocations made while three fixed workloads
 //! run, and each count must stay at or below its committed budget:
 //!
 //! 1. the in-process `accvv run --vendor pgi --version 12.6`: build the
 //!    suite, run it on one worker, render the text report;
 //! 2. one CAPS sweep over its eight releases through a shared compile
-//!    cache, on one worker: the `accvv campaign --vendor caps` sweep.
+//!    cache, on one worker: the `accvv campaign --vendor caps` sweep;
+//! 3. the front end alone: parse, sema and resolve of each of the 436
+//!    corpus sources, rendered beforehand, so the front end's count is
+//!    pinned apart from the runs that include it.
 //!
-//! Both workloads are deterministic, so the counts are exact: a change
+//! All three are deterministic, so the counts are exact: a change
 //! that adds allocations to the per-source pipeline fails here. The
 //! target runs without libtest (`harness = false`), so no other test
 //! thread allocates while a count is taken. When a change lowers a
@@ -19,6 +22,8 @@
 //! make the same counts, so one budget serves both.
 
 use openacc_vv::compiler::{CompileCache, VendorCompiler, VendorId};
+use openacc_vv::frontend::{self, sema};
+use openacc_vv::spec::{Language, SpecVersion};
 use openacc_vv::validation::report::{self, ReportFormat};
 use openacc_vv::validation::{Campaign, Executor, ExecutorPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,14 +88,19 @@ struct Budget {
 // allocation-free loop nests, the single-copy name tables and FxHash,
 // these workloads made 106,433 allocations and 4,065 reallocations
 // (`accvv run`) and 156,112 and 8,384 (the CAPS sweep), in debug and
-// release builds alike.
+// release builds alike; before identifiers became inline `Name`s, 70,866
+// and 90,331 allocations, and the front end 31,551.
 const RUN_PGI_12_6: Budget = Budget {
     name: "accvv run --vendor pgi --version 12.6",
-    limits: [70_866, 3_998],
+    limits: [44_676, 3_998],
 };
 const CAPS_SWEEP: Budget = Budget {
     name: "CAPS sweep over 8 releases",
-    limits: [90_331, 3_690],
+    limits: [64_225, 3_690],
+};
+const FRONT_END: Budget = Budget {
+    name: "parse, sema and resolve of the 436 corpus sources",
+    limits: [16_793, 281],
 };
 
 fn run_pgi_12_6() -> usize {
@@ -110,6 +120,32 @@ fn caps_sweep(campaign: &Campaign) -> usize {
     let (runs, _) =
         Executor::new(ExecutorPolicy::new().with_jobs(1)).run_sweep(campaign, &releases);
     runs.iter().map(|r| r.results.len()).sum()
+}
+
+/// Every corpus source, rendered: each case's functional and cross
+/// source in each of its languages.
+fn corpus() -> Vec<(Language, String)> {
+    let mut sources = Vec::new();
+    for case in openacc_vv::testsuite::full_suite() {
+        for &lang in &case.languages {
+            sources.push((lang, case.source_for(lang)));
+            if let Some(cross) = case.cross_source_for(lang) {
+                sources.push((lang, cross));
+            }
+        }
+    }
+    sources
+}
+
+fn front_end(corpus: &[(Language, String)]) -> usize {
+    corpus
+        .iter()
+        .map(|(lang, text)| {
+            let program = frontend::parse(text, *lang).expect("every corpus source parses");
+            let errors = sema::analyze(&program, SpecVersion::V1_0).len();
+            errors + frontend::resolve(&program).len()
+        })
+        .sum()
 }
 
 fn main() {
@@ -140,6 +176,11 @@ fn main() {
     let (counts, rows) = count(|| caps_sweep(&campaign));
     assert!(rows > 0, "the sweep runs");
     check(&CAPS_SWEEP, counts);
+    let corpus = corpus();
+    assert_eq!(corpus.len(), 436, "one entry per corpus source");
+    let (counts, functions) = count(|| front_end(&corpus));
+    assert!(functions >= corpus.len(), "every source resolves");
+    check(&FRONT_END, counts);
     if !over.is_empty() {
         eprintln!("allocation budget exceeded:\n  {}", over.join("\n  "));
         std::process::exit(1);

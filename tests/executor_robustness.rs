@@ -413,7 +413,8 @@ fn a_journal_on_a_full_disk_fails_the_run() {
 }
 
 /// `accvv run` and `POST /v1/submit` parse one spelling with one parser:
-/// they accept and reject the same spellings with the same message.
+/// they accept and reject the same spellings with the same message, and
+/// both refuse a name they do not know.
 #[test]
 fn cli_and_server_accept_and_reject_the_same_spellings() {
     use openacc_vv::obs::json;
@@ -449,6 +450,20 @@ fn cli_and_server_accept_and_reject_the_same_spellings() {
         let server = SubmissionSpec::from_json(&parsed).map(|_| ());
         assert_eq!(cli, server, "{flag} / `{field}` = {spelling:?}");
     }
+    // A misspelt name is refused by both, each naming it, rather than
+    // widening the run to every case.
+    let (ok, stderr) = accvv(&["run", "--vendor", "reference", "--feature", "loop"]);
+    assert!(!ok, "--feature ran");
+    assert!(
+        stderr.contains("unknown flag `--feature` for `accvv run`"),
+        "{stderr}"
+    );
+    let parsed = json::parse(r#"{"vendor":"reference","feature":"loop"}"#).expect("JSON");
+    let refused = SubmissionSpec::from_json(&parsed).map(|_| ());
+    assert!(
+        refused.is_err_and(|e| e.contains("unknown field `feature` in submission")),
+        "`feature` was accepted"
+    );
 }
 
 /// `accvv run` takes its compiler and suite selection from a

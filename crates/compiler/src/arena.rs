@@ -39,6 +39,7 @@ thread_local! {
     static FRAME_SLOTS: RefCell<Vec<Vec<Slot>>> = const { RefCell::new(Vec::new()) };
     static REGS: RefCell<Vec<Vec<Value>>> = const { RefCell::new(Vec::new()) };
     static CODE: RefCell<Vec<Vec<Instr>>> = const { RefCell::new(Vec::new()) };
+    static CONSTS: RefCell<Vec<Vec<Value>>> = const { RefCell::new(Vec::new()) };
 }
 
 macro_rules! pool {
@@ -69,6 +70,7 @@ macro_rules! pool {
 pool!(DEV_SLOTS, take_slots, give_slots, Option<Value>, None);
 pool!(DEV_OWNERS, take_owners, give_owners, u32, 0);
 pool!(FRAME_SLOTS, take_frame_slots, give_frame_slots, Slot, Slot::default());
+pool!(CONSTS, take_consts, give_consts, Value, Value::Int(0));
 
 /// A register file for one VM chunk activation; sized by the caller
 /// (`take_regs(0)` + `resize` keeps the VM's existing sizing logic).
@@ -88,7 +90,8 @@ pub(crate) fn give_regs(v: Vec<Value>) {
     });
 }
 
-/// A lowering buffer for one bytecode chunk (see `ChunkBuf`).
+/// A lowering buffer for one bytecode chunk (see `ChunkBuf`), or for a
+/// whole program's instruction stream while it is lowered.
 pub(crate) fn take_code() -> Vec<Instr> {
     let mut v = CODE.with(|p| p.borrow_mut().pop()).unwrap_or_default();
     v.clear();

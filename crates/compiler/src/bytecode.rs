@@ -23,11 +23,17 @@
 //! to the walker's own handlers via side tables carried on the program
 //! (`HostStmt`/`DevStmt`/`EvalHostExpr`/`EvalDevExpr` for statements and
 //! calls, `Standalone`/`Compute`/`DataRegion`/`HostDataRegion`/`DevLoopDir`
-//! for directives). Directive handlers are *shared*, parameterized over the
-//! body representation (`RegionBody`/`HostRef`/`DevLoopRef` in `exec`), so
-//! every clause path — data mapping, reductions, privatization, async,
-//! defect injection — runs the exact same code under both engines. The two
-//! engines are byte-identical by construction, not by re-implementation.
+//! for directives). The tables copy no AST: each entry is a [`Node`], the
+//! address of the escaped node inside the program the image keeps alive,
+//! so an escape reaches its node with one load. Directive handlers are
+//! *shared*, parameterized over the body representation
+//! (`RegionBody`/`HostRef`/`DevLoopRef` in `exec`), so every clause path —
+//! data mapping, reductions, privatization, async, defect injection — runs
+//! the exact same code under both engines. A compute region's host
+//! fallback (an ignored directive, a false `if`) is not lowered at all: it
+//! runs the region's statements on the walker, like any other escape. The
+//! two engines are byte-identical by construction, not by
+//! re-implementation.
 //!
 //! ## Launch-plan parameterization
 //!
@@ -44,20 +50,71 @@ use acc_ast::{
 use acc_device::Value;
 use acc_frontend::{FrameLayout, ResolvedProgram};
 use acc_spec::DirectiveKind;
-use acc_spec::FxHashMap;
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::ptr::NonNull;
+use std::sync::Arc;
 
-use crate::exec::{collect_expr_bases, collect_index_bases, stmts_all_dead};
+use crate::exec::{push_region_arrays, stmts_all_dead};
 
 /// Sentinel for "this name has no frame slot" (the resolver assigns slots
 /// to every reachable name, so hitting it at run time is an internal
 /// error — the same condition the walker maps to an `unresolved` crash).
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
+/// A name id not assigned yet (see [`Lowerer::var`]).
+const NO_NAME: u32 = u32::MAX;
+
 /// Maximum index arity compiled inline; deeper index expressions (which the
 /// generators never emit) escape to the walker.
 const MAX_IDX: usize = 8;
+
+/// The address of one node of the [`Program`] an image was lowered from,
+/// dereferenced through that image ([`BytecodeProgram::node`]).
+///
+/// The image holds a clone of the program's `Arc`, and a program behind an
+/// `Arc` is never mutated, so the node stays at this address, unchanged,
+/// for as long as the image lives. In debug builds a node also records the
+/// program it was taken from, and dereferencing it through another image
+/// panics.
+pub(crate) struct Node<T: ?Sized> {
+    ptr: NonNull<T>,
+    #[cfg(debug_assertions)]
+    origin: *const Program,
+}
+
+impl<T: ?Sized> Node<T> {
+    fn new(node: &T, origin: &Program) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = origin;
+        Node {
+            ptr: NonNull::from(node),
+            #[cfg(debug_assertions)]
+            origin,
+        }
+    }
+}
+
+impl<T: ?Sized> Clone for Node<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: ?Sized> Copy for Node<T> {}
+
+impl<T: ?Sized> std::fmt::Debug for Node<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Node({:p})", self.ptr)
+    }
+}
+
+// SAFETY: `ptr` grants nothing but shared access to a `T` that is never
+// mutated (see `BytecodeProgram::node`), which is what `&T` grants, and
+// `&T` is `Send` and `Sync` exactly when `T: Sync`; `origin` (debug builds)
+// is only compared, never dereferenced.
+unsafe impl<T: ?Sized + Sync> Send for Node<T> {}
+// SAFETY: as for `Send` above.
+unsafe impl<T: ?Sized + Sync> Sync for Node<T> {}
 
 /// One bytecode instruction. Register operands (`dst`, `src`, `a`, `b`,
 /// `cond`, `idx`) index the chunk's scratch file; `slot` operands index the
@@ -192,46 +249,76 @@ pub(crate) enum RegionDev {
     Loop(u32),
 }
 
+/// The statements of a compute region, which its host fallback (broken
+/// directive / `if(false)`) runs on the walker.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RegionAst {
+    /// A `parallel`/`kernels` block's body.
+    Block(Node<[Stmt]>),
+    /// A combined construct's loop.
+    Loop(Node<ForLoop>),
+}
+
 /// A lowered compute region: everything `exec_compute_region` needs,
 /// precomputed.
 #[derive(Debug)]
 pub(crate) struct RegionCode {
     /// The region directive (index into [`BytecodeProgram::dirs`]).
     pub(crate) dir: u32,
-    /// Host fallback body (broken directive / `if(false)`): the exact
-    /// equivalent of the walker's sequential execution of the body.
-    pub(crate) host: Chunk,
+    /// The region's statements, for the host fallback.
+    pub(crate) ast: RegionAst,
     /// Device-side body.
     pub(crate) dev: RegionDev,
-    /// Array names referenced in the body, sorted — drives the implicit
+    /// Where [`BytecodeProgram::region_arrays`] finds the array names
+    /// referenced in the body, sorted — they drive the implicit
     /// `present_or_copy` mappings (order is observable behaviour).
-    pub(crate) referenced: Vec<Name>,
+    arrays: Span,
     /// Precomputed Fig. 11 dead-region verdict.
     pub(crate) dead: bool,
 }
 
-/// One loop of a (possibly collapsed) `loop`-directive nest: bounds stay as
-/// expressions (evaluated per unit at run time, exactly like the walker).
-#[derive(Debug)]
-pub(crate) struct NestLoop {
-    pub(crate) name: Name,
-    pub(crate) slot: Option<u32>,
-    pub(crate) from: Expr,
-    pub(crate) to: Expr,
-    pub(crate) step: Expr,
+/// A run of entries in one of the image's shared tables.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
 }
 
-/// A lowered `loop`-directive nest. `loops` holds the greedily gathered
-/// tightly-nested chain up to the static `collapse` depth; `bodies[d-1]` is
-/// the device chunk executed per selected iteration when collapsing `d`
-/// loops (shallower bodies contain the remaining inner loops compiled
-/// inline as sequential device loops — the walker's depth-1 semantics).
+impl Span {
+    fn of<T>(table: &[T], start: usize) -> Span {
+        Span {
+            start: start as u32,
+            len: (table.len() - start) as u32,
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// One loop of a (possibly collapsed) `loop`-directive nest: bounds stay as
+/// the loop's own expressions (evaluated per unit at run time, exactly
+/// like the walker).
+#[derive(Debug)]
+pub(crate) struct NestLoop {
+    pub(crate) l: Node<ForLoop>,
+    pub(crate) slot: Option<u32>,
+    /// The device chunk executed per selected iteration when the nest
+    /// collapses down to this loop (an outer loop's body contains the
+    /// remaining inner loops compiled inline as sequential device loops —
+    /// the walker's depth-1 semantics).
+    pub(crate) body: Chunk,
+}
+
+/// A lowered `loop`-directive nest: the greedily gathered tightly-nested
+/// chain of loops up to the static `collapse` depth, outermost first, in
+/// [`BytecodeProgram::nest_loops`].
 #[derive(Debug)]
 pub(crate) struct DevLoopNest {
     /// The `loop` directive (index into [`BytecodeProgram::dirs`]).
     pub(crate) dir: u32,
-    pub(crate) loops: Vec<NestLoop>,
-    pub(crate) bodies: Vec<Chunk>,
+    loops: Span,
 }
 
 /// A lowered `data`/`host_data` block: the directive plus its host body.
@@ -245,8 +332,10 @@ pub(crate) struct HostBlock {
 /// escape hatches and directive instructions index into. Stored in the
 /// executable (and in the source's compile-cache entry) as an
 /// `Arc<BytecodeProgram>`, so a cache hit skips lowering entirely.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BytecodeProgram {
+    /// The program lowered, which the [`Node`] tables point into.
+    program: Arc<Program>,
     pub(crate) consts: Vec<Value>,
     pub(crate) names: Vec<Name>,
     pub(crate) msgs: Vec<String>,
@@ -254,13 +343,87 @@ pub struct BytecodeProgram {
     pub(crate) funcs: Vec<FuncCode>,
     pub(crate) regions: Vec<RegionCode>,
     pub(crate) nests: Vec<DevLoopNest>,
+    loops: Vec<NestLoop>,
+    arrays: Vec<Name>,
     pub(crate) blocks: Vec<HostBlock>,
-    pub(crate) dirs: Vec<AccDirective>,
-    pub(crate) stmts: Vec<Stmt>,
-    pub(crate) exprs: Vec<Expr>,
+    dirs: Vec<Node<AccDirective>>,
+    stmts: Vec<Node<Stmt>>,
+    exprs: Vec<Node<Expr>>,
 }
 
 impl BytecodeProgram {
+    fn new(program: Arc<Program>) -> Self {
+        BytecodeProgram {
+            program,
+            consts: Vec::new(),
+            names: Vec::new(),
+            msgs: Vec::new(),
+            code: Vec::new(),
+            funcs: Vec::new(),
+            regions: Vec::new(),
+            nests: Vec::new(),
+            loops: Vec::new(),
+            arrays: Vec::new(),
+            blocks: Vec::new(),
+            dirs: Vec::new(),
+            stmts: Vec::new(),
+            exprs: Vec::new(),
+        }
+    }
+
+    /// The program this image was lowered from.
+    pub(crate) fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// The node `n` refers to, borrowed from this image.
+    #[inline]
+    pub(crate) fn node<T: ?Sized>(&self, n: Node<T>) -> &T {
+        #[cfg(debug_assertions)]
+        assert!(
+            std::ptr::eq(n.origin, Arc::as_ptr(&self.program)),
+            "a node dereferenced through an image of another program"
+        );
+        // SAFETY: lowering took `n` from a shared borrow of `*self.program`
+        // (the debug check above confirms it in debug builds), so it
+        // points at a node owned, through `Vec` buffers and `Box`es, by
+        // that program. `self.program` keeps the program alive while
+        // `self` is borrowed, which bounds the returned lifetime. Nothing
+        // mutates it meanwhile: this `Arc` is a second owner, so neither
+        // `Arc::get_mut` nor `Arc::make_mut` can hand out `&mut Program`
+        // in place, and the AST has no interior mutability. The node thus
+        // stays valid, where it was, and is only ever shared.
+        unsafe { n.ptr.as_ref() }
+    }
+
+    /// The loops of `nest`, outermost first.
+    pub(crate) fn nest_loops(&self, nest: &DevLoopNest) -> &[NestLoop] {
+        &self.loops[nest.loops.range()]
+    }
+
+    /// The array names `region` references, sorted.
+    pub(crate) fn region_arrays(&self, region: &RegionCode) -> &[Name] {
+        &self.arrays[region.arrays.range()]
+    }
+
+    /// The directive `dirs[i]`.
+    #[inline]
+    pub(crate) fn dir(&self, i: u32) -> &AccDirective {
+        self.node(self.dirs[i as usize])
+    }
+
+    /// The escaped statement `stmts[i]`.
+    #[inline]
+    pub(crate) fn stmt(&self, i: u32) -> &Stmt {
+        self.node(self.stmts[i as usize])
+    }
+
+    /// The escaped expression `exprs[i]`.
+    #[inline]
+    pub(crate) fn expr(&self, i: u32) -> &Expr {
+        self.node(self.exprs[i as usize])
+    }
+
     /// The chunk of the named function.
     pub(crate) fn func_chunk(&self, name: &str) -> Option<Chunk> {
         self.funcs.iter().find(|f| f.name == name).map(|f| f.chunk)
@@ -300,8 +463,8 @@ impl BytecodeProgram {
         }
         if !self.dirs.is_empty() {
             let _ = writeln!(s, "dirs:");
-            for (i, d) in self.dirs.iter().enumerate() {
-                let _ = writeln!(s, "  d{i} = {d}");
+            for (i, &d) in self.dirs.iter().enumerate() {
+                let _ = writeln!(s, "  d{i} = {}", self.node(d));
             }
         }
         let _ = writeln!(s, "funcs:");
@@ -321,26 +484,32 @@ impl BytecodeProgram {
                 };
                 let _ = writeln!(
                     s,
-                    "  r{i}: dir=d{} host=@{} regs={} dev={} refs={:?} dead={}",
-                    r.dir, r.host.start, r.host.regs, dev, r.referenced, r.dead
+                    "  r{i}: dir=d{} dev={} refs={:?} dead={}",
+                    r.dir,
+                    dev,
+                    self.region_arrays(r),
+                    r.dead
                 );
             }
         }
         if !self.nests.is_empty() {
             let _ = writeln!(s, "nests:");
             for (i, n) in self.nests.iter().enumerate() {
-                let loops: Vec<String> = n
-                    .loops
+                let loops: Vec<String> = self
+                    .nest_loops(n)
                     .iter()
-                    .map(|l| match l.slot {
-                        Some(sl) => format!("{}@{}", l.name, sl),
-                        None => format!("{}@none", l.name),
+                    .map(|l| {
+                        let var = &self.node(l.l).var;
+                        match l.slot {
+                            Some(sl) => format!("{var}@{sl}"),
+                            None => format!("{var}@none"),
+                        }
                     })
                     .collect();
-                let bodies: Vec<String> = n
-                    .bodies
+                let bodies: Vec<String> = self
+                    .nest_loops(n)
                     .iter()
-                    .map(|c| format!("@{} regs={}", c.start, c.regs))
+                    .map(|l| format!("@{} regs={}", l.body.start, l.body.regs))
                     .collect();
                 let _ = writeln!(
                     s,
@@ -459,25 +628,38 @@ fn hinted_call(e: &Expr) -> bool {
 }
 
 struct Lowerer<'p> {
+    /// The program lowered: every [`Node`] the image records points into
+    /// it.
+    prog: &'p Program,
     layout: &'p FrameLayout,
     bp: BytecodeProgram,
-    /// `bp.names` by name, borrowing the program's own copies.
-    name_ids: FxHashMap<&'p str, u32>,
+    /// The name id of each slot of `layout`, `NO_NAME` until the slot's
+    /// first use, so one layout lookup yields both operands of a variable.
+    slot_names: Vec<u32>,
 }
 
-/// Lower every function of `prog` to bytecode. Infallible: anything the
+/// Lower every function of `program` to bytecode. Infallible: anything the
 /// lowering does not model escapes to the walker, and compile-time-known
-/// crash paths become `CrashMsg` instructions.
-pub(crate) fn lower(prog: &Program, resolved: &ResolvedProgram) -> BytecodeProgram {
+/// crash paths become `CrashMsg` instructions. The image keeps `program`
+/// alive and refers to its escaped nodes in place.
+pub(crate) fn lower(program: &Arc<Program>, resolved: &ResolvedProgram) -> BytecodeProgram {
+    let prog: &Program = program;
     let empty = FrameLayout::default();
     let mut lw = Lowerer {
+        prog,
         layout: &empty,
-        bp: BytecodeProgram::default(),
-        name_ids: FxHashMap::default(),
+        bp: BytecodeProgram::new(Arc::clone(program)),
+        slot_names: Vec::new(),
     };
+    // The two largest tables grow in pooled buffers and are copied out at
+    // their final size (see `Lowerer::finish`).
+    lw.bp.code = crate::arena::take_code();
+    lw.bp.consts = crate::arena::take_consts(0);
     for f in &prog.functions {
         let layout = resolved.layout(&f.name);
         lw.layout = layout.unwrap_or(&empty);
+        lw.slot_names.clear();
+        lw.slot_names.resize(lw.layout.len(), NO_NAME);
         let mut buf = ChunkBuf::new();
         // A function without a layout is unreachable (call_function errors
         // first); its chunk stays empty.
@@ -490,20 +672,43 @@ pub(crate) fn lower(prog: &Program, resolved: &ResolvedProgram) -> BytecodeProgr
             chunk,
         });
     }
-    lw.bp
+    lw.finish()
 }
 
 impl<'p> Lowerer<'p> {
+    /// The image, its instruction stream and constants copied out of the
+    /// pooled buffers they grew in: one allocation each at the final size,
+    /// so lowering does not reallocate as they grow and the image keeps
+    /// no growth slack.
+    fn finish(mut self) -> BytecodeProgram {
+        let code = std::mem::take(&mut self.bp.code);
+        self.bp.code = code.to_vec();
+        crate::arena::give_code(code);
+        let consts = std::mem::take(&mut self.bp.consts);
+        self.bp.consts = consts.to_vec();
+        crate::arena::give_consts(consts);
+        self.bp
+    }
+
     // ---- side-table interning ----
 
-    fn name_id(&mut self, n: &'p Name) -> u32 {
-        if let Some(&i) = self.name_ids.get(n.as_str()) {
-            return i;
+    /// The name-table id and slot operand of the variable `n`, from one
+    /// layout lookup. Each slot gets its name entry at its first use in
+    /// the function; a name without a slot (which the VM reports as
+    /// unresolved when it is reached) gets an entry per occurrence.
+    fn var(&mut self, n: &Name) -> (u32, u32) {
+        let Some(slot) = self.layout.slot(n) else {
+            return (self.push_name(n), NO_SLOT);
+        };
+        if self.slot_names[slot] == NO_NAME {
+            self.slot_names[slot] = self.push_name(n);
         }
-        let i = self.bp.names.len() as u32;
+        (self.slot_names[slot], slot as u32)
+    }
+
+    fn push_name(&mut self, n: &Name) -> u32 {
         self.bp.names.push(n.clone());
-        self.name_ids.insert(n, i);
-        i
+        (self.bp.names.len() - 1) as u32
     }
 
     fn const_id(&mut self, v: Value) -> u32 {
@@ -511,18 +716,22 @@ impl<'p> Lowerer<'p> {
         (self.bp.consts.len() - 1) as u32
     }
 
-    fn add_dir(&mut self, d: &AccDirective) -> u32 {
-        self.bp.dirs.push(d.clone());
+    fn node<T: ?Sized>(&self, n: &'p T) -> Node<T> {
+        Node::new(n, self.prog)
+    }
+
+    fn add_dir(&mut self, d: &'p AccDirective) -> u32 {
+        self.bp.dirs.push(self.node(d));
         (self.bp.dirs.len() - 1) as u32
     }
 
-    fn add_stmt(&mut self, s: &Stmt) -> u32 {
-        self.bp.stmts.push(s.clone());
+    fn add_stmt(&mut self, s: &'p Stmt) -> u32 {
+        self.bp.stmts.push(self.node(s));
         (self.bp.stmts.len() - 1) as u32
     }
 
-    fn add_expr(&mut self, e: &Expr) -> u32 {
-        self.bp.exprs.push(e.clone());
+    fn add_expr(&mut self, e: &'p Expr) -> u32 {
+        self.bp.exprs.push(self.node(e));
         (self.bp.exprs.len() - 1) as u32
     }
 
@@ -534,13 +743,6 @@ impl<'p> Lowerer<'p> {
 
     fn emit_unresolved(&mut self, buf: &mut ChunkBuf, name: &str) {
         self.emit_crash(buf, format!("internal error: unresolved name `{name}`"));
-    }
-
-    fn slot_u32(&self, n: &str) -> u32 {
-        match self.layout.slot(n) {
-            Some(s) => s as u32,
-            None => NO_SLOT,
-        }
     }
 
     fn emit_const(&mut self, buf: &mut ChunkBuf, v: Value) -> u32 {
@@ -587,8 +789,7 @@ impl<'p> Lowerer<'p> {
                 let rhs = self.lower_expr_h(buf, value, ScalarType::Float);
                 match target {
                     LValue::Var(n) => {
-                        let name = self.name_id(n);
-                        let slot = self.slot_u32(n);
+                        let (name, slot) = self.var(n);
                         match op {
                             None => {
                                 buf.emit(Instr::WriteVarH { src: rhs, name, slot });
@@ -612,8 +813,7 @@ impl<'p> Lowerer<'p> {
                         }
                     }
                     LValue::Index { base, indices } => {
-                        let name = self.name_id(base);
-                        let slot = self.slot_u32(base);
+                        let (name, slot) = self.var(base);
                         let n = indices.len() as u8;
                         match op {
                             None => {
@@ -761,8 +961,8 @@ impl<'p> Lowerer<'p> {
     }
 
     /// The counted-loop core, shared by `Stmt::For` (after its statement
-    /// tick) and both host-loop fallbacks (`loop` outside compute, region
-    /// host fallback), which the walker enters without a statement tick.
+    /// tick) and a `loop` directive outside compute constructs, which the
+    /// walker enters without a statement tick.
     /// Mirrors `exec_for_host`: bounds/step once, per-iteration tick before
     /// the re-evaluated upper bound, raw slot store of the induction value.
     fn lower_for_h_core(&mut self, buf: &mut ChunkBuf, l: &'p ForLoop) {
@@ -817,8 +1017,7 @@ impl<'p> Lowerer<'p> {
         match e {
             Expr::Var(n) => {
                 let dst = buf.alloc();
-                let name = self.name_id(n);
-                let slot = self.slot_u32(n);
+                let (name, slot) = self.var(n);
                 buf.emit(Instr::IdxVarH { dst, name, slot });
                 dst
             }
@@ -847,8 +1046,7 @@ impl<'p> Lowerer<'p> {
                 // Fused fast paths for the dominant subscript shapes; the
                 // eval-then-as_int order per index is unchanged.
                 Expr::Var(n) => {
-                    let name = self.name_id(n);
-                    let slot = self.slot_u32(n);
+                    let (name, slot) = self.var(n);
                     buf.emit(Instr::IdxVarH { dst, name, slot });
                 }
                 Expr::Int(v) => {
@@ -879,8 +1077,7 @@ impl<'p> Lowerer<'p> {
             ),
             Expr::SizeOf(t) => self.emit_const(buf, Value::Int(t.size_bytes() as i64)),
             Expr::Var(n) => {
-                let name = self.name_id(n);
-                let slot = self.slot_u32(n);
+                let (name, slot) = self.var(n);
                 let dst = buf.alloc();
                 buf.emit(Instr::ReadVarH { dst, name, slot });
                 dst
@@ -889,8 +1086,7 @@ impl<'p> Lowerer<'p> {
                 // Index subexpressions always evaluate under the default
                 // hint in the walker (`eval_host`).
                 let idx = self.lower_index_block_h(buf, indices);
-                let name = self.name_id(base);
-                let slot = self.slot_u32(base);
+                let (name, slot) = self.var(base);
                 let dst = buf.alloc();
                 buf.emit(Instr::ReadIdxH {
                     dst,
@@ -971,17 +1167,14 @@ impl<'p> Lowerer<'p> {
 
     fn lower_region_block(&mut self, dir: &'p AccDirective, body: &'p [Stmt]) -> u32 {
         let dir_id = self.add_dir(dir);
-        let mut hbuf = ChunkBuf::new();
-        self.lower_body_h(&mut hbuf, body);
-        let host = hbuf.seal(&mut self.bp.code);
         let dev = RegionDev::Block(self.lower_dev_chunk(body));
-        let mut refs = BTreeSet::new();
-        collect_index_bases(body, &mut refs);
+        let start = self.bp.arrays.len();
+        push_region_arrays(body, None, &mut self.bp.arrays);
         self.bp.regions.push(RegionCode {
             dir: dir_id,
-            host,
+            ast: RegionAst::Block(self.node(body)),
             dev,
-            referenced: refs.into_iter().collect(),
+            arrays: Span::of(&self.bp.arrays, start),
             dead: stmts_all_dead(body),
         });
         (self.bp.regions.len() - 1) as u32
@@ -989,21 +1182,14 @@ impl<'p> Lowerer<'p> {
 
     fn lower_region_loop(&mut self, dir: &'p AccDirective, l: &'p ForLoop) -> u32 {
         let dir_id = self.add_dir(dir);
-        // Host fallback of a combined construct is a bare counted loop
-        // (`exec_for_host` — no statement tick).
-        let mut hbuf = ChunkBuf::new();
-        self.lower_for_h_core(&mut hbuf, l);
-        let host = hbuf.seal(&mut self.bp.code);
         let nest = self.lower_nest(dir_id, dir, l);
-        let mut refs = BTreeSet::new();
-        collect_expr_bases(&l.from, &mut refs);
-        collect_expr_bases(&l.to, &mut refs);
-        collect_index_bases(&l.body, &mut refs);
+        let start = self.bp.arrays.len();
+        push_region_arrays(&l.body, Some(l), &mut self.bp.arrays);
         self.bp.regions.push(RegionCode {
             dir: dir_id,
-            host,
+            ast: RegionAst::Loop(self.node(l)),
             dev: RegionDev::Loop(nest),
-            referenced: refs.into_iter().collect(),
+            arrays: Span::of(&self.bp.arrays, start),
             dead: stmts_all_dead(&l.body),
         });
         (self.bp.regions.len() - 1) as u32
@@ -1034,36 +1220,30 @@ impl<'p> Lowerer<'p> {
             })
             .unwrap_or(1)
             .max(1) as usize;
-        let mut loops: Vec<&ForLoop> = vec![l];
-        let mut body: &[Stmt] = &l.body;
-        for _ in 1..static_n {
-            match body {
-                [Stmt::For(inner)] => {
-                    loops.push(inner);
-                    body = &inner.body;
-                }
+        // The chain's loops go into the shared table first, so they stay
+        // contiguous while their bodies lower nests of their own.
+        let first = self.bp.loops.len();
+        let mut lp = l;
+        loop {
+            self.bp.loops.push(NestLoop {
+                l: self.node(lp),
+                slot: self.layout.slot(&lp.var).map(|s| s as u32),
+                body: Chunk { start: 0, regs: 0 },
+            });
+            match lp.body.as_slice() {
+                [Stmt::For(inner)] if self.bp.loops.len() - first < static_n => lp = inner,
                 _ => break,
             }
         }
-        let nest_loops: Vec<NestLoop> = loops
-            .iter()
-            .map(|lp| NestLoop {
-                name: lp.var.clone(),
-                slot: self.layout.slot(&lp.var).map(|s| s as u32),
-                from: lp.from.clone(),
-                to: lp.to.clone(),
-                step: lp.step.clone(),
-            })
-            .collect();
-        let bodies: Vec<Chunk> = loops
-            .iter()
-            .map(|lp| self.lower_dev_chunk(&lp.body))
-            .collect();
-        self.bp.nests.push(DevLoopNest {
-            dir: dir_id,
-            loops: nest_loops,
-            bodies,
-        });
+        let loops = Span::of(&self.bp.loops, first);
+        let mut lp = l;
+        for i in loops.range() {
+            self.bp.loops[i].body = self.lower_dev_chunk(&lp.body);
+            if let [Stmt::For(inner)] = lp.body.as_slice() {
+                lp = inner;
+            }
+        }
+        self.bp.nests.push(DevLoopNest { dir: dir_id, loops });
         (self.bp.nests.len() - 1) as u32
     }
 
@@ -1102,8 +1282,7 @@ impl<'p> Lowerer<'p> {
                 let rhs = self.lower_expr_d(buf, value);
                 match target {
                     LValue::Var(n) => {
-                        let name = self.name_id(n);
-                        let slot = self.slot_u32(n);
+                        let (name, slot) = self.var(n);
                         match op {
                             None => {
                                 buf.emit(Instr::WriteVarD { src: rhs, name, slot });
@@ -1127,7 +1306,7 @@ impl<'p> Lowerer<'p> {
                         }
                     }
                     LValue::Index { base, indices } => {
-                        let name = self.name_id(base);
+                        let (name, _) = self.var(base);
                         let n = indices.len() as u8;
                         match op {
                             None => {
@@ -1296,8 +1475,7 @@ impl<'p> Lowerer<'p> {
         match e {
             Expr::Var(n) => {
                 let dst = buf.alloc();
-                let name = self.name_id(n);
-                let slot = self.slot_u32(n);
+                let (name, slot) = self.var(n);
                 buf.emit(Instr::IdxVarD { dst, name, slot });
                 dst
             }
@@ -1321,8 +1499,7 @@ impl<'p> Lowerer<'p> {
             let dst = block + k as u32;
             match e {
                 Expr::Var(n) => {
-                    let name = self.name_id(n);
-                    let slot = self.slot_u32(n);
+                    let (name, slot) = self.var(n);
                     buf.emit(Instr::IdxVarD { dst, name, slot });
                 }
                 Expr::Int(v) => {
@@ -1353,15 +1530,14 @@ impl<'p> Lowerer<'p> {
             ),
             Expr::SizeOf(t) => self.emit_const(buf, Value::Int(t.size_bytes() as i64)),
             Expr::Var(n) => {
-                let name = self.name_id(n);
-                let slot = self.slot_u32(n);
+                let (name, slot) = self.var(n);
                 let dst = buf.alloc();
                 buf.emit(Instr::ReadVarD { dst, name, slot });
                 dst
             }
             Expr::Index { base, indices } if indices.len() <= MAX_IDX => {
                 let idx = self.lower_index_block_d(buf, indices);
-                let name = self.name_id(base);
+                let (name, _) = self.var(base);
                 let dst = buf.alloc();
                 buf.emit(Instr::ReadIdxD {
                     dst,

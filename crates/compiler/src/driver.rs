@@ -1,13 +1,12 @@
 //! The compile pipeline: source text → front-end → conformance checks →
 //! defect application → executable.
 
-use acc_ast::{Expr, Program, Stmt};
-use acc_device::{Defect, ExecProfile, ObservedProfile};
+use acc_ast::{AccClause, AccDirective, Expr, Program, Stmt};
+use acc_device::{Defect, ExecProfile};
 use acc_frontend::{sema, ResolvedProgram, Severity};
 use acc_spec::{
     ClauseKind, DeviceType, DirectiveKind, FxHashMap, Language, RuntimeRoutine, SpecVersion,
 };
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -178,10 +177,11 @@ pub(crate) struct FrontendUnit {
     pub(crate) resolved: Arc<ResolvedProgram>,
     usage: OnceLock<DefectUsage>,
     pub(crate) image: OnceLock<Arc<BytecodeProgram>>,
-    /// The run memos by observable profile and device. A unit sees few
-    /// (one per vendor and distinct reachable defect set), so a linear
-    /// scan finds them.
-    memos: Mutex<Vec<(DeviceType, ObservedProfile, RunMemo)>>,
+    /// The run memos by device and observable profile, each with the
+    /// profile of the first release that used it. A unit sees few (one
+    /// per vendor and distinct reachable defect set), so a linear scan
+    /// finds them.
+    memos: Mutex<Vec<(DeviceType, Arc<ExecProfile>, RunMemo)>>,
     /// The owning cache's counters, handed to every executable.
     counters: Option<Arc<Counters>>,
 }
@@ -202,18 +202,18 @@ impl FrontendUnit {
         }
     }
 
-    /// The run memo every release that observes `observed` on `device`
-    /// shares for this source.
-    fn memo(&self, device: DeviceType, observed: ObservedProfile) -> RunMemo {
+    /// The run memo every release on `device` whose profile this source
+    /// cannot tell from `profile` shares for this source.
+    fn memo(&self, device: DeviceType, profile: &Arc<ExecProfile>, usage: &DefectUsage) -> RunMemo {
         let mut memos = self.memos.lock().expect("memo table poisoned");
-        if let Some((_, _, memo)) = memos
-            .iter()
-            .find(|(d, o, _)| *d == device && *o == observed)
-        {
+        if let Some((_, _, memo)) = memos.iter().find(|(d, p, _)| {
+            *d == device
+                && (Arc::ptr_eq(p, profile) || p.observed_eq(profile, |d| usage.observes(d)))
+        }) {
             return Arc::clone(memo);
         }
         let memo = RunMemo::default();
-        memos.push((device, observed, Arc::clone(&memo)));
+        memos.push((device, Arc::clone(profile), Arc::clone(&memo)));
         memo
     }
 
@@ -237,12 +237,17 @@ impl FrontendUnit {
         let code = self.image.get_or_init(|| {
             // Timing-class span: which worker, and which release, lowers a
             // shared image depends on schedule.
-            acc_obs::begin_timing("lower", "bytecode", vec![]);
+            let traced = acc_obs::active();
+            if traced {
+                acc_obs::begin_timing("lower", "bytecode", vec![]);
+            }
             let code = crate::bytecode::lower(&self.program, &self.resolved);
-            acc_obs::end(vec![acc_obs::i("instrs", code.code.len() as i64)]);
+            if traced {
+                acc_obs::end(vec![acc_obs::i("instrs", code.code.len() as i64)]);
+            }
             Arc::new(code)
         });
-        let run_memo = self.memo(concrete_device, profile.observed(|d| usage.observes(d)));
+        let run_memo = self.memo(concrete_device, &profile, usage);
         Ok(Executable {
             program: Arc::clone(&self.program),
             resolved: Arc::clone(&self.resolved),
@@ -258,59 +263,92 @@ impl FrontendUnit {
 /// What a program uses that a release's defects can reach: the
 /// per-source half of the compile-time check ([`rejections`]
 /// (Self::rejections)) and of the run memo's key ([`observes`]
-/// (Self::observes)). Sets, because each message depends only on the item
-/// and the messages are deduplicated anyway.
+/// (Self::observes)). Fixed-size bitsets, because each message depends
+/// only on the item and the messages are deduplicated anyway; building
+/// one walks the program once and allocates nothing.
 #[derive(Debug, Default)]
 struct DefectUsage {
-    /// Every directive (clause `None`) and every clause on it.
-    features: BTreeSet<(DirectiveKind, Option<ClauseKind>)>,
+    /// Per directive kind, by discriminant: the [`DIRECTIVE`] bit when the
+    /// directive occurs, and the bit of each clause given on it.
+    features: [u32; DirectiveKind::ALL.len()],
+    /// The union of `features`: every clause given anywhere.
+    clauses: u32,
     /// Sizing clauses given a non-constant expression.
-    variable_sizing: BTreeSet<ClauseKind>,
+    variable_sizing: u32,
     /// Runtime routines called anywhere: in statements, loop bounds,
     /// array indices, clause arguments and data sections.
-    routines: BTreeSet<RuntimeRoutine>,
+    routines: u32,
+}
+
+/// The bit of the directive itself in [`DefectUsage::features`]; clause
+/// kinds take the bits below it.
+const DIRECTIVE: u32 = 1 << 31;
+const _: () = assert!(ClauseKind::ALL.len() < 32 && RuntimeRoutine::ALL.len() <= 32);
+
+fn clause_bit(c: ClauseKind) -> u32 {
+    1 << c as u32
+}
+
+fn routine_bit(r: RuntimeRoutine) -> u32 {
+    1 << r as u32
 }
 
 impl DefectUsage {
     fn of(program: &Program) -> Self {
         let mut usage = DefectUsage::default();
-        for dir in program.directives() {
-            usage.features.insert((dir.kind, None));
-            for c in &dir.clauses {
-                usage.features.insert((dir.kind, Some(c.kind())));
-                let (kind, expr): (ClauseKind, &Expr) = match c {
-                    acc_ast::AccClause::NumGangs(e) => (ClauseKind::NumGangs, e),
-                    acc_ast::AccClause::NumWorkers(e) => (ClauseKind::NumWorkers, e),
-                    acc_ast::AccClause::VectorLength(e) => (ClauseKind::VectorLength, e),
-                    _ => continue,
-                };
-                if !expr.is_const() {
-                    usage.variable_sizing.insert(kind);
-                }
-            }
-        }
-        let mut call = |name: &str| {
-            if let Some(r) = RuntimeRoutine::from_symbol(name) {
-                usage.routines.insert(r);
-            }
-        };
         for f in &program.functions {
             for s in &f.body {
                 s.visit(&mut |st| {
-                    if let Stmt::Call { name, .. } = st {
-                        call(name);
+                    match st {
+                        Stmt::AccBlock { dir, .. }
+                        | Stmt::AccLoop { dir, .. }
+                        | Stmt::AccStandalone { dir } => usage.directive(dir),
+                        Stmt::Call { name, .. } => usage.call(name),
+                        _ => {}
                     }
                     st.for_each_expr(&mut |e| {
                         e.visit(&mut |x| {
                             if let Expr::Call { name, .. } = x {
-                                call(name);
+                                usage.call(name);
                             }
                         })
                     });
                 });
             }
         }
+        usage.clauses = usage.features.iter().fold(0, |all, f| all | f) & !DIRECTIVE;
         usage
+    }
+
+    fn directive(&mut self, dir: &AccDirective) {
+        let mut bits = DIRECTIVE;
+        for c in &dir.clauses {
+            bits |= clause_bit(c.kind());
+            let (kind, expr): (ClauseKind, &Expr) = match c {
+                AccClause::NumGangs(e) => (ClauseKind::NumGangs, e),
+                AccClause::NumWorkers(e) => (ClauseKind::NumWorkers, e),
+                AccClause::VectorLength(e) => (ClauseKind::VectorLength, e),
+                _ => continue,
+            };
+            if !expr.is_const() {
+                self.variable_sizing |= clause_bit(kind);
+            }
+        }
+        self.features[dir.kind as usize] |= bits;
+    }
+
+    fn call(&mut self, name: &str) {
+        if let Some(r) = RuntimeRoutine::from_symbol(name) {
+            self.routines |= routine_bit(r);
+        }
+    }
+
+    /// Every directive that occurs, with its `features` bits.
+    fn directives(&self) -> impl Iterator<Item = (DirectiveKind, u32)> + '_ {
+        DirectiveKind::ALL
+            .into_iter()
+            .zip(self.features)
+            .filter(|&(_, bits)| bits != 0)
     }
 
     /// Can a run of this program tell a profile with `defect` from one
@@ -319,33 +357,32 @@ impl DefectUsage {
     /// costs sharing; a wrong `false` would replay another release's
     /// result, so each arm errs towards `true`.
     fn observes(&self, defect: &Defect) -> bool {
-        let has_directive = |k: DirectiveKind| self.features.contains(&(k, None));
-        let has_clause = |c: ClauseKind| self.features.iter().any(|&(_, cl)| cl == Some(c));
+        let has_directive = |k: DirectiveKind| self.features[k as usize] != 0;
+        let has_clause = |c: ClauseKind| self.clauses & clause_bit(c) != 0;
         match *defect {
             Defect::IgnoreDirective(k) => has_directive(k),
             // Clause defects apply through a combined construct's
             // components (`ExecProfile::ignores_clause`, `hangs_on`).
             Defect::IgnoreClause(k, c) | Defect::HangOnClause(k, c) => self
-                .features
-                .iter()
-                .any(|&(d, cl)| cl == Some(c) && d.components().contains(&k)),
+                .directives()
+                .any(|(d, bits)| bits & clause_bit(c) != 0 && d.components().contains(&k)),
             Defect::WrongReduction(_) => has_clause(ClauseKind::Reduction),
             Defect::FirstprivateUninitialized => has_clause(ClauseKind::Firstprivate),
             Defect::PrivateAliasesShared => has_clause(ClauseKind::Private),
             Defect::CollapseIgnoresInner => has_clause(ClauseKind::Collapse),
             Defect::UpdateNoop => has_directive(DirectiveKind::Update),
-            Defect::EliminateDeadComputeRegions => {
-                self.features.iter().any(|&(d, _)| d.is_compute())
-            }
+            Defect::EliminateDeadComputeRegions => self.directives().any(|(d, _)| d.is_compute()),
             // Only scalars in data clauses lose their transfers; any
             // clause at all is the conservative reading.
-            Defect::ScalarCopyOmitted => self.features.iter().any(|&(_, cl)| cl.is_some()),
+            Defect::ScalarCopyOmitted => self.clauses != 0,
             Defect::AsyncFamilyBroken => {
                 has_clause(ClauseKind::Async)
                     || has_directive(DirectiveKind::Wait)
-                    || self.routines.iter().any(|r| r.is_async_family())
+                    || RuntimeRoutine::ALL
+                        .into_iter()
+                        .any(|r| r.is_async_family() && self.routines & routine_bit(r) != 0)
             }
-            Defect::RoutineReturnsConstant(r, _) => self.routines.contains(&r),
+            Defect::RoutineReturnsConstant(r, _) => self.routines & routine_bit(r) != 0,
             // Settled by `rejections` before any run: a program these
             // reach never compiles, one they miss never sees them.
             Defect::CompileError(..)
@@ -356,36 +393,41 @@ impl DefectUsage {
     }
 
     /// The internal- and link-error messages `profile` raises for this
-    /// usage, sorted and deduplicated.
+    /// usage, sorted and deduplicated; empty, with nothing allocated, when
+    /// it raises none.
     fn rejections(&self, profile: &ExecProfile) -> Vec<String> {
         let mut msgs = Vec::new();
-        for &(dir, clause) in &self.features {
-            if profile.compile_error(dir, clause) {
-                msgs.push(match clause {
-                    None => format!(
-                        "internal error: `{}` directive is not supported by this release",
-                        dir.name()
-                    ),
-                    Some(c) => format!(
+        for (dir, bits) in self.directives() {
+            if bits & DIRECTIVE != 0 && profile.compile_error(dir, None) {
+                msgs.push(format!(
+                    "internal error: `{}` directive is not supported by this release",
+                    dir.name()
+                ));
+            }
+            for c in ClauseKind::ALL {
+                if bits & clause_bit(c) != 0 && profile.compile_error(dir, Some(c)) {
+                    msgs.push(format!(
                         "internal error: `{}` clause on `{}` is not supported by this release",
                         c.name(),
                         dir.name()
-                    ),
-                });
+                    ));
+                }
             }
         }
         // CAPS §V-B: variable expressions in sizing clauses rejected.
-        if profile.has(&Defect::RejectVariableSizingExpr) {
-            for kind in &self.variable_sizing {
-                msgs.push(format!(
-                    "internal error: `{}` requires a constant expression",
-                    kind.name()
-                ));
+        if self.variable_sizing != 0 && profile.has(&Defect::RejectVariableSizingExpr) {
+            for kind in ClauseKind::ALL {
+                if self.variable_sizing & clause_bit(kind) != 0 {
+                    msgs.push(format!(
+                        "internal error: `{}` requires a constant expression",
+                        kind.name()
+                    ));
+                }
             }
         }
         // Missing runtime routines (link failure).
-        for &r in &self.routines {
-            if profile.has(&Defect::RejectRoutine(r)) {
+        for r in RuntimeRoutine::ALL {
+            if self.routines & routine_bit(r) != 0 && profile.has(&Defect::RejectRoutine(r)) {
                 msgs.push(format!(
                     "link error: undefined reference to `{}`",
                     r.symbol()
@@ -509,6 +551,49 @@ mod tests {
             assert_eq!(err.kind, FailureKind::InternalError, "{place}");
             assert!(err.messages[0].contains(routine.symbol()), "{place}: {err}");
         }
+    }
+
+    #[test]
+    fn usage_bits_follow_the_spec_enumerations() {
+        for (i, d) in DirectiveKind::ALL.into_iter().enumerate() {
+            assert_eq!(d as usize, i, "{d:?}");
+        }
+        for (i, c) in ClauseKind::ALL.into_iter().enumerate() {
+            assert_eq!(clause_bit(c), 1 << i, "{c:?}");
+        }
+        for (i, r) in RuntimeRoutine::ALL.into_iter().enumerate() {
+            assert_eq!(routine_bit(r), 1 << i, "{r:?}");
+        }
+    }
+
+    #[test]
+    fn usage_records_every_directive_clause_and_routine() {
+        let src = "int main(void) {\n    int a[4];\n    int n = 2;\n    #pragma acc parallel num_gangs(n) copy(a[0:4]) async(acc_get_num_devices(acc_device_nvidia))\n    {\n        #pragma acc loop gang\n        for (i = 0; i < 4; i++)\n        {\n            a[i] = i;\n        }\n    }\n    #pragma acc wait\n    return 1;\n}\n";
+        let (program, _) = frontend_compile(src, Language::C).expect("compiles");
+        let usage = DefectUsage::of(&program);
+        let kinds: Vec<DirectiveKind> = usage.directives().map(|(d, _)| d).collect();
+        assert_eq!(
+            kinds,
+            [
+                DirectiveKind::Parallel,
+                DirectiveKind::Loop,
+                DirectiveKind::Wait
+            ]
+        );
+        let parallel = usage.features[DirectiveKind::Parallel as usize];
+        for c in [ClauseKind::NumGangs, ClauseKind::Copy, ClauseKind::Async] {
+            assert_ne!(parallel & clause_bit(c), 0, "{c:?}");
+        }
+        assert_eq!(usage.variable_sizing, clause_bit(ClauseKind::NumGangs));
+        assert_eq!(usage.routines, routine_bit(RuntimeRoutine::GetNumDevices));
+        assert!(usage.observes(&Defect::IgnoreClause(DirectiveKind::Loop, ClauseKind::Gang)));
+        assert!(!usage.observes(&Defect::IgnoreClause(
+            DirectiveKind::Kernels,
+            ClauseKind::Gang
+        )));
+        assert!(usage.observes(&Defect::AsyncFamilyBroken));
+        assert!(!usage.observes(&Defect::UpdateNoop));
+        assert!(usage.rejections(&ExecProfile::reference()).is_empty());
     }
 
     #[test]

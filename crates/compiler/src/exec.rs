@@ -32,7 +32,6 @@ use acc_runtime::World;
 use acc_spec::envvar::EnvConfig;
 use acc_spec::{ClauseKind, DeviceType, DirectiveKind, FxHashMap, RuntimeRoutine};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 use crate::driver::Executable;
 
@@ -185,6 +184,12 @@ impl Executable {
         match knobs.exec_mode {
             ExecMode::Walk => {}
             ExecMode::Vm => {
+                // The image's escapes reach nodes of the program it was
+                // lowered from, which must be the one this run executes.
+                debug_assert!(
+                    std::sync::Arc::ptr_eq(self.code.program(), &self.program),
+                    "an image run with another program"
+                );
                 m.code = Some(&self.code);
                 m.use_vm = true;
             }
@@ -628,6 +633,12 @@ impl<'a> Machine<'a> {
     #[inline]
     pub(crate) fn frame_mut(&mut self) -> &mut Frame<'a> {
         self.frames.last_mut().expect("no active frame")
+    }
+
+    /// The bytecode image, which every VM run sets before lowered code
+    /// runs.
+    pub(crate) fn image(&self) -> &'a crate::bytecode::BytecodeProgram {
+        self.code.expect("lowered code runs without its image")
     }
 
     /// The current frame's layout, projected at the machine's lifetime (the
@@ -2033,8 +2044,7 @@ impl<'a> Machine<'a> {
                         self.vm_dev_chunk(chunk, &mut ctx)?;
                     }
                     crate::bytecode::RegionDev::Loop(nid) => {
-                        let nest = &self.code.expect("region code without bytecode").nests
-                            [nid as usize];
+                        let nest = &self.image().nests[nid as usize];
                         self.exec_acc_loop_device(dir, DevLoopRef::Code(nest), &mut ctx)?;
                     }
                 },
@@ -2134,32 +2144,33 @@ impl<'a> Machine<'a> {
     }
 
     /// The host fallback of a compute region (broken directive, `if(false)`):
-    /// the body executes sequentially with no data movement. For lowered
-    /// regions the pre-compiled host chunk is the exact equivalent of the
-    /// walker's `exec_body`/`exec_for_host` on the same statements.
+    /// the body executes sequentially with no data movement. Both engines
+    /// run it on the walker: a lowered region refers to its statements in
+    /// the program, and nothing lowers them for the host.
     fn region_host_fallback(&mut self, body: &RegionBody<'a>) -> Exec<()> {
-        match body {
-            RegionBody::Block(b) => self.exec_body(b, None).map(|_| ()),
-            RegionBody::Loop(_, l) => self.exec_for_host(l).map(|_| ()),
-            RegionBody::Code(rc) => self.vm_host_chunk(rc.host).map(|_| ()),
+        use crate::bytecode::RegionAst;
+        match *body {
+            RegionBody::Block(b) => self.exec_body(b, None),
+            RegionBody::Loop(_, l) => self.exec_for_host(l),
+            RegionBody::Code(rc) => match rc.ast {
+                RegionAst::Block(b) => self.exec_body(self.image().node(b), None),
+                RegionAst::Loop(l) => self.exec_for_host(self.image().node(l)),
+            },
         }
+        .map(|_| ())
     }
 
     /// Array names referenced anywhere in the region body (sorted — the
     /// implicit-mapping order is part of observable behaviour). Lowered
-    /// regions carry the same set precomputed at compile time, lent here.
+    /// regions carry the same list precomputed at compile time, lent here.
     fn referenced_arrays(&self, body: &RegionBody<'a>) -> Cow<'a, [Name]> {
-        let mut names = BTreeSet::new();
-        match body {
-            RegionBody::Block(b) => collect_index_bases(b, &mut names),
-            RegionBody::Loop(_, l) => {
-                collect_expr_bases(&l.from, &mut names);
-                collect_expr_bases(&l.to, &mut names);
-                collect_index_bases(&l.body, &mut names);
-            }
-            RegionBody::Code(rc) => return Cow::Borrowed(&rc.referenced),
+        let mut names = Vec::new();
+        match *body {
+            RegionBody::Block(b) => push_region_arrays(b, None, &mut names),
+            RegionBody::Loop(_, l) => push_region_arrays(&l.body, Some(l), &mut names),
+            RegionBody::Code(rc) => return Cow::Borrowed(self.image().region_arrays(rc)),
         }
-        Cow::Owned(names.into_iter().collect())
+        Cow::Owned(names)
     }
 
     // ------------------------------------------------------------------
@@ -2724,20 +2735,43 @@ impl Drop for Machine<'_> {
     }
 }
 
-pub(crate) fn collect_expr_bases(e: &Expr, names: &mut BTreeSet<Name>) {
+/// Append to `names` the array names a compute region indexes in `block`,
+/// its statements, and, for a combined construct, in the bounds of its
+/// loop `l` (whose body `block` is); then sort and deduplicate what was
+/// appended: the order of the region's implicit `present_or_copy`
+/// mappings, which is observable.
+pub(crate) fn push_region_arrays(block: &[Stmt], l: Option<&ForLoop>, names: &mut Vec<Name>) {
+    let start = names.len();
+    if let Some(l) = l {
+        collect_expr_bases(&l.from, names);
+        collect_expr_bases(&l.to, names);
+    }
+    collect_index_bases(block, names);
+    names[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..names.len() {
+        if kept == start || names[i] != names[kept - 1] {
+            names.swap(kept, i);
+            kept += 1;
+        }
+    }
+    names.truncate(kept);
+}
+
+fn collect_expr_bases(e: &Expr, names: &mut Vec<Name>) {
     e.visit(&mut |x| {
         if let Expr::Index { base, .. } = x {
-            names.insert(base.clone());
+            names.push(base.clone());
         }
     });
 }
 
-pub(crate) fn collect_index_bases(stmts: &[Stmt], names: &mut BTreeSet<Name>) {
+fn collect_index_bases(stmts: &[Stmt], names: &mut Vec<Name>) {
     for s in stmts {
         s.visit(&mut |st| match st {
             Stmt::Assign { target, value, .. } => {
                 if let LValue::Index { base, indices } = target {
-                    names.insert(base.clone());
+                    names.push(base.clone());
                     for i in indices {
                         collect_expr_bases(i, names);
                     }

@@ -198,26 +198,25 @@ impl<'a> Machine<'a> {
                     self.frame_mut().slots[slot as usize].val = Some(regs[src as usize]);
                 }
                 Instr::EvalHostExpr { dst, expr, hint } => {
-                    regs[dst as usize] =
-                        self.eval_host_with_hint(&bp.exprs[expr as usize], hint)?;
+                    regs[dst as usize] = self.eval_host_with_hint(bp.expr(expr), hint)?;
                 }
                 Instr::HostStmt { stmt } => {
-                    if let Flow::Return(v) = self.exec_stmt_host(&bp.stmts[stmt as usize])? {
+                    if let Flow::Return(v) = self.exec_stmt_host(bp.stmt(stmt))? {
                         return Ok(Flow::Return(v));
                     }
                 }
-                Instr::Standalone { dir } => self.exec_standalone(&bp.dirs[dir as usize])?,
+                Instr::Standalone { dir } => self.exec_standalone(bp.dir(dir))?,
                 Instr::Compute { region } => {
                     let rc = &bp.regions[region as usize];
-                    self.exec_compute_region(&bp.dirs[rc.dir as usize], RegionBody::Code(rc))?;
+                    self.exec_compute_region(bp.dir(rc.dir), RegionBody::Code(rc))?;
                 }
                 Instr::DataRegion { block } => {
                     let hb = &bp.blocks[block as usize];
-                    self.exec_data_region(&bp.dirs[hb.dir as usize], HostRef::Code(hb.chunk))?;
+                    self.exec_data_region(bp.dir(hb.dir), HostRef::Code(hb.chunk))?;
                 }
                 Instr::HostDataRegion { block } => {
                     let hb = &bp.blocks[block as usize];
-                    self.exec_hostdata_region(&bp.dirs[hb.dir as usize], HostRef::Code(hb.chunk))?;
+                    self.exec_hostdata_region(bp.dir(hb.dir), HostRef::Code(hb.chunk))?;
                 }
 
                 other => return Err(wrong_chunk(&other, "host")),
@@ -394,22 +393,16 @@ impl<'a> Machine<'a> {
                 }
                 Instr::DevIter => self.world.metrics.device_iterations += 1,
                 Instr::EvalDevExpr { dst, expr } => {
-                    regs[dst as usize] = self.eval_device(&bp.exprs[expr as usize], ctx)?;
+                    regs[dst as usize] = self.eval_device(bp.expr(expr), ctx)?;
                 }
                 Instr::DevStmt { stmt } => {
-                    if let Flow::Return(v) =
-                        self.exec_stmt_device(&bp.stmts[stmt as usize], ctx)?
-                    {
+                    if let Flow::Return(v) = self.exec_stmt_device(bp.stmt(stmt), ctx)? {
                         return Ok(Flow::Return(v));
                     }
                 }
                 Instr::DevLoopDir { nest } => {
                     let nl = &bp.nests[nest as usize];
-                    self.exec_acc_loop_device(
-                        &bp.dirs[nl.dir as usize],
-                        DevLoopRef::Code(nl),
-                        ctx,
-                    )?;
+                    self.exec_acc_loop_device(bp.dir(nl.dir), DevLoopRef::Code(nl), ctx)?;
                 }
 
                 other => return Err(wrong_chunk(&other, "device")),
@@ -451,25 +444,28 @@ impl<'a> Machine<'a> {
         unit: UnitSel,
         ctx: &mut DevCtx,
     ) -> Exec<()> {
-        if collapse_n > nest.loops.len() {
+        let bp = self.image();
+        let loops = bp.nest_loops(nest);
+        if collapse_n > loops.len() {
             return Err(Abort::Crash("collapse requires tightly nested loops".into()));
         }
         self.reset_dev_bufs();
         with_stack_list(collapse_n, NestDim::default(), |dims| {
             // Bounds once, in loop order (rectangular iteration space);
             // per-loop step check interleaved exactly like the walker.
-            let loops = &nest.loops[..collapse_n];
+            let loops = &loops[..collapse_n];
             for (dim, lp) in dims.iter_mut().zip(loops) {
-                let from = self.eval_device(&lp.from, ctx)?.as_int().map_err(crash)?;
-                let to = self.eval_device(&lp.to, ctx)?.as_int().map_err(crash)?;
-                let step = self.eval_device(&lp.step, ctx)?.as_int().map_err(crash)?;
+                let l = bp.node(lp.l);
+                let from = self.eval_device(&l.from, ctx)?.as_int().map_err(crash)?;
+                let to = self.eval_device(&l.to, ctx)?.as_int().map_err(crash)?;
+                let step = self.eval_device(&l.step, ctx)?.as_int().map_err(crash)?;
                 *dim = NestDim::new(from, to, step)?;
             }
             for (dim, lp) in dims.iter_mut().zip(loops) {
-                dim.slot = lp.slot.ok_or_else(|| unresolved(&lp.name))? as usize;
+                dim.slot = lp.slot.ok_or_else(|| unresolved(&bp.node(lp.l).var))? as usize;
             }
             let total = nest_total(dims);
-            let chunk = nest.bodies[collapse_n - 1];
+            let chunk = loops[collapse_n - 1].body;
             let (start, stride) = match unit {
                 UnitSel::All => (0, 1),
                 UnitSel::Modulo { m, r } => {

@@ -3,7 +3,7 @@
 //! handling, and metrics accounting.
 
 use acc_compiler::driver::compile_with_profile;
-use acc_compiler::{ExecMode, RunKnobs, RunOutcome, VendorCompiler};
+use acc_compiler::{ExecMode, RunKnobs, RunOutcome, RunResult, VendorCompiler};
 use acc_device::{Defect, ExecProfile};
 use acc_spec::envvar::EnvConfig;
 use acc_spec::{ClauseKind, DeviceType, DirectiveKind, Language};
@@ -219,7 +219,13 @@ fn gang_redundant_execution_is_deterministic() {
 /// Run `src` under both engines with a 100k-step budget: they must agree,
 /// and neither may panic.
 fn run_both(src: &str, language: Language) -> RunOutcome {
-    let exe = compile_with_profile(src, language, ExecProfile::reference(), DeviceType::Nvidia)
+    run_both_with(src, language, ExecProfile::reference()).outcome
+}
+
+/// Run `src` under `profile` on both engines, which must agree on the
+/// outcome and on every `Metrics` field.
+fn run_both_with(src: &str, language: Language, profile: ExecProfile) -> RunResult {
+    let exe = compile_with_profile(src, language, profile, DeviceType::Nvidia)
         .unwrap_or_else(|e| panic!("{e}\n---\n{src}"));
     let [vm, walk] = [ExecMode::Vm, ExecMode::Walk].map(|exec_mode| {
         let knobs = RunKnobs {
@@ -227,10 +233,66 @@ fn run_both(src: &str, language: Language) -> RunOutcome {
             step_limit: Some(100_000),
             ..RunKnobs::default()
         };
-        exe.run_with_knobs(&EnvConfig::empty(), knobs).outcome
+        exe.run_with_knobs(&EnvConfig::empty(), knobs)
     });
     assert_eq!(vm, walk, "the engines disagree on\n{src}");
     vm
+}
+
+/// A compute region around a loop that adds one to each of `a`'s four
+/// elements, between host loops that fill `a` and check the sum.
+fn region_program(directive: &str, closing: &str) -> String {
+    format!(
+        "int main(void) {{\n    int a[4];\n    int s = 0;\n    int n = 0;\n    for (i = 0; i < 4; i++)\n    {{\n        a[i] = i;\n    }}\n    {directive}\n{closing}    for (i = 0; i < 4; i++)\n    {{\n        s = s + a[i];\n    }}\n    return s == 10;\n}}\n"
+    )
+}
+
+const BLOCK_BODY: &str = "    {\n        #pragma acc loop\n        for (i = 0; i < 4; i++)\n        {\n            a[i] = a[i] + 1;\n        }\n    }\n";
+const LOOP_BODY: &str = "    for (i = 0; i < 4; i++)\n    {\n        a[i] = a[i] + 1;\n    }\n";
+
+/// A region that ran as its host fallback: the body ran once on the host,
+/// nothing launched and nothing moved.
+fn assert_host_fallback(r: &RunResult) {
+    assert_eq!(r.outcome, RunOutcome::Completed(1));
+    assert_eq!(r.metrics.kernels_launched, 0);
+    assert_eq!(r.metrics.bytes_to_device + r.metrics.bytes_to_host, 0);
+    assert_eq!(r.metrics.device_iterations, 0);
+}
+
+#[test]
+fn a_parallel_if_zero_block_runs_on_the_host_under_both_engines() {
+    let src = region_program("#pragma acc parallel if(0) copy(a[0:4])", BLOCK_BODY);
+    assert_host_fallback(&run_both_with(&src, Language::C, ExecProfile::reference()));
+}
+
+#[test]
+fn a_parallel_loop_with_a_false_if_runs_on_the_host_under_both_engines() {
+    let src = region_program("#pragma acc parallel loop if(n) copy(a[0:4])", LOOP_BODY);
+    assert_host_fallback(&run_both_with(&src, Language::C, ExecProfile::reference()));
+    // The same region with a true `if` launches.
+    let src = src.replace("int n = 0;", "int n = 1;");
+    let r = run_both_with(&src, Language::C, ExecProfile::reference());
+    assert_eq!(r.metrics.kernels_launched, 1);
+}
+
+#[test]
+fn an_ignored_kernels_region_runs_on_the_host_under_both_engines() {
+    let src = region_program("#pragma acc kernels copy(a[0:4])", BLOCK_BODY);
+    let profile =
+        ExecProfile::reference().with_defect(Defect::IgnoreDirective(DirectiveKind::Kernels));
+    assert_host_fallback(&run_both_with(&src, Language::C, profile));
+}
+
+#[test]
+fn a_dead_region_is_eliminated_under_both_engines() {
+    let src = "int main(void) {\n    int a[4];\n    int b[4];\n    for (i = 0; i < 4; i++)\n    {\n        a[i] = i;\n        b[i] = 0;\n    }\n    #pragma acc parallel copyin(a[0:4]) copyout(b[0:4])\n    {\n        #pragma acc loop\n        for (i = 0; i < 4; i++)\n        {\n            b[i] = a[i];\n        }\n    }\n    return b[3] == 3;\n}\n";
+    let live = run_both_with(src, Language::C, ExecProfile::reference());
+    assert_eq!(live.outcome, RunOutcome::Completed(1));
+    let profile = ExecProfile::reference().with_defect(Defect::EliminateDeadComputeRegions);
+    let dead = run_both_with(src, Language::C, profile);
+    assert_eq!(dead.outcome, RunOutcome::Completed(0));
+    assert_eq!(dead.metrics.kernels_launched, 0);
+    assert_eq!(dead.metrics.bytes_to_device + dead.metrics.bytes_to_host, 0);
 }
 
 /// `x = i64::MIN; y = x <op> ...;` in C.

@@ -32,6 +32,6 @@ pub mod value;
 
 pub use memory::{BufferId, DeviceBuffer, DeviceMemory, PresentEntry, PresentTable};
 pub use metrics::Metrics;
-pub use profile::{Defect, ExecProfile, ObservedProfile, TranslationTarget, WorkerLoopPolicy};
+pub use profile::{Defect, ExecProfile, TranslationTarget, WorkerLoopPolicy};
 pub use queue::{AsyncQueues, VirtualClock};
 pub use value::{ArrayData, Value};

@@ -329,11 +329,13 @@ impl ExecProfile {
         self.defects.iter()
     }
 
-    /// What a run can read of this profile: every field but the name,
-    /// which execution never reads, with the defects narrowed to those
-    /// `reaches` selects. Two profiles whose projections are equal run a
-    /// program that reaches no other defect to identical results.
-    pub fn observed(&self, reaches: impl Fn(&Defect) -> bool) -> ObservedProfile {
+    /// Can a run tell this profile from `other`, when the program reaches
+    /// only the defects `reaches` selects? Runs read every field but the
+    /// name, and of the defects only those they reach; so two profiles
+    /// equal in those fields and in their reachable defects run such a
+    /// program to identical results. Compares in place, allocating
+    /// nothing.
+    pub fn observed_eq(&self, other: &ExecProfile, reaches: impl Fn(&Defect) -> bool) -> bool {
         // Exhaustive, so a new field must be placed in or out of the key.
         let ExecProfile {
             name: _,
@@ -346,33 +348,26 @@ impl ExecProfile {
             kernels_auto_gangs,
             defects,
         } = self;
-        let mut defects: Vec<Defect> = defects.iter().filter(|d| reaches(d)).cloned().collect();
-        defects.sort_unstable();
-        ObservedProfile {
-            mapping: *mapping,
-            worker_loop_policy: *worker_loop_policy,
-            target: *target,
-            sizes: [
+        let within = |a: &FxHashSet<Defect>, b: &FxHashSet<Defect>| {
+            a.iter().all(|d| !reaches(d) || b.contains(d))
+        };
+        *mapping == other.mapping
+            && *worker_loop_policy == other.worker_loop_policy
+            && *target == other.target
+            && [
                 *default_gangs,
                 *default_workers,
                 *default_vector,
                 *kernels_auto_gangs,
-            ],
-            defects,
-        }
+            ] == [
+                other.default_gangs,
+                other.default_workers,
+                other.default_vector,
+                other.kernels_auto_gangs,
+            ]
+            && within(defects, &other.defects)
+            && within(&other.defects, defects)
     }
-}
-
-/// The projection [`ExecProfile::observed`] returns: the profile's
-/// behavioural fields and a subset of its defects in canonical order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObservedProfile {
-    mapping: VendorMapping,
-    worker_loop_policy: WorkerLoopPolicy,
-    target: TranslationTarget,
-    /// Default gangs, workers, vector length and `kernels` gangs.
-    sizes: [u32; 4],
-    defects: Vec<Defect>,
 }
 
 #[cfg(test)]
@@ -425,6 +420,24 @@ mod tests {
         ));
         assert_eq!(p.routine_override(RuntimeRoutine::AsyncTest), Some(-1));
         assert_eq!(p.routine_override(RuntimeRoutine::AsyncTestAll), None);
+    }
+
+    #[test]
+    fn observed_eq_ignores_the_name_and_unreached_defects() {
+        let reached = Defect::ScalarCopyOmitted;
+        let reaches = |d: &Defect| *d == Defect::ScalarCopyOmitted;
+        let mut a = ExecProfile::reference().with_defect(Defect::UpdateNoop);
+        a.name = "a".into();
+        let b = ExecProfile::reference();
+        assert!(a.observed_eq(&b, reaches));
+        assert!(b.observed_eq(&a, reaches));
+        let c = b.clone().with_defect(reached);
+        assert!(!a.observed_eq(&c, reaches));
+        assert!(!c.observed_eq(&a, reaches));
+        assert!(c.observed_eq(&a.clone().with_defect(Defect::ScalarCopyOmitted), reaches));
+        let mut d = ExecProfile::reference();
+        d.default_gangs = 2;
+        assert!(!b.observed_eq(&d, reaches));
     }
 
     #[test]

@@ -38,9 +38,7 @@ impl Hasher for FxHasher {
         }
         let tail = words.remainder();
         if !tail.is_empty() {
-            let mut last = [0u8; 8];
-            last[..tail.len()].copy_from_slice(tail);
-            self.add(u64::from_le_bytes(last));
+            self.add(tail_word(tail));
         }
     }
 
@@ -70,6 +68,26 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The 1–7 bytes of `tail` as a little-endian word, zero-padded: the
+/// word a copy into a zeroed `[u8; 8]` reads, built from two overlapping
+/// fixed-width loads instead of a variable-length copy (a `memcpy` call).
+#[inline]
+fn tail_word(tail: &[u8]) -> u64 {
+    let n = tail.len();
+    debug_assert!((1..8).contains(&n), "a tail of 1 to 7 bytes");
+    if n >= 4 {
+        let lo = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(tail[n - 4..].try_into().expect("4 bytes"));
+        u64::from(lo) | u64::from(hi) << (8 * (n - 4))
+    } else if n >= 2 {
+        let lo = u16::from_le_bytes(tail[..2].try_into().expect("2 bytes"));
+        let hi = u16::from_le_bytes(tail[n - 2..].try_into().expect("2 bytes"));
+        u64::from(lo) | u64::from(hi) << (8 * (n - 2))
+    } else {
+        u64::from(tail[0])
+    }
+}
+
 /// The [`BuildHasher`](std::hash::BuildHasher) of [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
@@ -94,6 +112,62 @@ mod tests {
         let names = ["a", "b", "ab", "ba", "abcdefgh", "abcdefghi", ""];
         let hashes: FxHashSet<u64> = names.iter().map(fx).collect();
         assert_eq!(hashes.len(), names.len());
+    }
+
+    /// `write` of the first `n` bytes of one key, for `n` in 0..=40, as
+    /// the byte-copy tail it replaced hashed them: map iteration orders
+    /// depend on these values.
+    #[test]
+    fn write_hashes_every_tail_length_as_before() {
+        const PINNED: [u64; 41] = [
+            0x0000000000000000,
+            0x805c52deae767467,
+            0xe4aeaa3510726467,
+            0x367ea88293eb6467,
+            0x7f24e18d95eb6467,
+            0xcd49741895eb6467,
+            0xdd63881895eb6467,
+            0x7f00881895eb6467,
+            0xa500881895eb6467,
+            0x7d7ce06c811bb5d3,
+            0x93f8636e14159dd3,
+            0xb7dd7a54511e9dd3,
+            0xadb677cc5b1e9dd3,
+            0x7ca4874b5b1e9dd3,
+            0xde65e34b5b1e9dd3,
+            0x2a80e34b5b1e9dd3,
+            0x5880e34b5b1e9dd3,
+            0x3418593369e13df0,
+            0xd33cc5a26496bdf0,
+            0x73b38e448c75bdf0,
+            0x8866dd294a75bdf0,
+            0x5ab9e5b64a75bdf0,
+            0x038d89b64a75bdf0,
+            0x62ca89b64a75bdf0,
+            0x78ca89b64a75bdf0,
+            0x3df3f4c0a0fb5f7c,
+            0x5ed3c3124a09977c,
+            0x362f6ff5c488977c,
+            0xe9001081ca88977c,
+            0x1ecaeebaca88977c,
+            0x44f952baca88977c,
+            0xe7c452baca88977c,
+            0xe5c452baca88977c,
+            0x85aa726d13ab6103,
+            0xc07c8785ac64f103,
+            0xede016d87a5df103,
+            0xa2f54a98fc5df103,
+            0x9fafd429fc5df103,
+            0xd632e029fc5df103,
+            0x419fe029fc5df103,
+            0xf79fe029fc5df103,
+        ];
+        let key: Vec<u8> = (0..40u32).map(|i| (i * 37 + 11) as u8).collect();
+        for (n, pinned) in PINNED.into_iter().enumerate() {
+            let mut h = FxHasher::default();
+            h.write(&key[..n]);
+            assert_eq!(h.finish(), pinned, "a {n}-byte key");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Allocation budgets for the cold path.
 //!
 //! A counting global allocator counts the heap allocations (`alloc` and
-//! `alloc_zeroed`) and the reallocations made while three fixed workloads
+//! `alloc_zeroed`) and the reallocations made while four fixed workloads
 //! run, and each count must stay at or below its committed budget:
 //!
 //! 1. the in-process `accvv run --vendor pgi --version 12.6`: build the
@@ -10,9 +10,12 @@
 //!    cache, on one worker: the `accvv campaign --vendor caps` sweep;
 //! 3. the front end alone: parse, sema and resolve of each of the 436
 //!    corpus sources, rendered beforehand, so the front end's count is
-//!    pinned apart from the runs that include it.
+//!    pinned apart from the runs that include it;
+//! 4. lowering alone: the bytecode image of each corpus source PGI 12.6
+//!    compiles, built once more from its compiled executable
+//!    (`Executable::lower_again`).
 //!
-//! All three are deterministic, so the counts are exact: a change
+//! All four are deterministic, so the counts are exact: a change
 //! that adds allocations to the per-source pipeline fails here. The
 //! target runs without libtest (`harness = false`), so no other test
 //! thread allocates while a count is taken. When a change lowers a
@@ -21,7 +24,7 @@
 //! Run it with `cargo test --test alloc_budget`; debug and release builds
 //! make the same counts, so one budget serves both.
 
-use openacc_vv::compiler::{CompileCache, VendorCompiler, VendorId};
+use openacc_vv::compiler::{CompileCache, Executable, VendorCompiler, VendorId};
 use openacc_vv::frontend::{self, sema};
 use openacc_vv::spec::{Language, SpecVersion};
 use openacc_vv::validation::report::{self, ReportFormat};
@@ -89,18 +92,26 @@ struct Budget {
 // these workloads made 106,433 allocations and 4,065 reallocations
 // (`accvv run`) and 156,112 and 8,384 (the CAPS sweep), in debug and
 // release builds alike; before identifiers became inline `Name`s, 70,866
-// and 90,331 allocations, and the front end 31,551.
+// and 90,331 allocations, and the front end 31,551. Before images
+// referred to the program's nodes instead of copying them, lowered no
+// host fallbacks and kept their tables at final size, and before defect
+// usage became bitsets: 44,676 and 3,998 (`accvv run`), 64,225 and 3,690
+// (the CAPS sweep), and lowering 8,757 and 2,584.
 const RUN_PGI_12_6: Budget = Budget {
     name: "accvv run --vendor pgi --version 12.6",
-    limits: [44_676, 3_998],
+    limits: [39_165, 1_795],
 };
 const CAPS_SWEEP: Budget = Budget {
     name: "CAPS sweep over 8 releases",
-    limits: [64_225, 3_690],
+    limits: [57_730, 1_188],
 };
 const FRONT_END: Budget = Budget {
     name: "parse, sema and resolve of the 436 corpus sources",
     limits: [16_793, 281],
+};
+const LOWERING: Budget = Budget {
+    name: "lowering of the corpus sources PGI 12.6 compiles",
+    limits: [4_693, 223],
 };
 
 fn run_pgi_12_6() -> usize {
@@ -148,6 +159,24 @@ fn front_end(corpus: &[(Language, String)]) -> usize {
         .sum()
 }
 
+/// Every corpus source PGI 12.6 compiles, compiled.
+fn pgi_12_6_executables(corpus: &[(Language, String)]) -> Vec<Executable> {
+    let compiler = VendorCompiler::new(VendorId::Pgi, "12.6".parse().expect("a version"));
+    corpus
+        .iter()
+        .filter_map(|(lang, text)| compiler.compile(text, *lang).ok())
+        .collect()
+}
+
+fn lowering(executables: &[Executable]) -> usize {
+    let mut images = 0;
+    for exe in executables {
+        std::hint::black_box(exe.lower_again());
+        images += 1;
+    }
+    images
+}
+
 fn main() {
     let mut over = Vec::new();
     let mut check = |budget: &Budget, counts: Counts| {
@@ -181,6 +210,11 @@ fn main() {
     let (counts, functions) = count(|| front_end(&corpus));
     assert!(functions >= corpus.len(), "every source resolves");
     check(&FRONT_END, counts);
+    let executables = pgi_12_6_executables(&corpus);
+    assert_eq!(executables.len(), 430, "PGI 12.6 refuses 6 corpus sources");
+    let (counts, images) = count(|| lowering(&executables));
+    assert_eq!(images, executables.len(), "one image per executable");
+    check(&LOWERING, counts);
     if !over.is_empty() {
         eprintln!("allocation budget exceeded:\n  {}", over.join("\n  "));
         std::process::exit(1);

@@ -97,7 +97,11 @@ impl BenchReport {
         let _ = writeln!(s, "  \"iters\": {},", self.iters);
         let _ = writeln!(s, "  \"measurements\": [");
         for (i, m) in self.measurements.iter().enumerate() {
-            let comma = if i + 1 < self.measurements.len() { "," } else { "" };
+            let comma = if i + 1 < self.measurements.len() {
+                ","
+            } else {
+                ""
+            };
             let _ = writeln!(
                 s,
                 "    {{\"name\": \"{}\", \"median_ms\": {:.3}, \"min_ms\": {:.3}, \"cases_per_sec\": {:.1}}}{comma}",
@@ -112,7 +116,11 @@ impl BenchReport {
         );
         let _ = writeln!(s, "  \"cache\": {{");
         let _ = writeln!(s, "    \"frontend_hits\": {},", self.cache.frontend_hits);
-        let _ = writeln!(s, "    \"frontend_misses\": {},", self.cache.frontend_misses);
+        let _ = writeln!(
+            s,
+            "    \"frontend_misses\": {},",
+            self.cache.frontend_misses
+        );
         let _ = writeln!(s, "    \"hit_rate\": {:.4}", self.cache.hit_rate());
         let _ = writeln!(s, "  }}");
         s.push_str("}\n");
@@ -314,9 +322,8 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
     };
     let suite = acc_testsuite::full_suite();
     let campaign = Campaign::new(suite.clone());
-    let traced = |recorder: acc_obs::Recorder| {
-        Executor::new(ExecutorPolicy::new().with_recorder(recorder))
-    };
+    let traced =
+        |recorder: acc_obs::Recorder| Executor::new(ExecutorPolicy::new().with_recorder(recorder));
     let mut measurements = Vec::new();
 
     // 1. Template expansion: render every functional + cross source in
@@ -388,7 +395,10 @@ pub fn run_bench(iters: u32, use_cache: bool) -> BenchReport {
         .map(|(vendor, v)| with_cache(VendorCompiler::new(vendor, v)))
         .collect();
     let timing = time_median(iters, || {
-        releases.iter().map(|r| campaign.run_one(r).results.len()).sum()
+        releases
+            .iter()
+            .map(|r| campaign.run_one(r).results.len())
+            .sum()
     });
     let full_suite_units = timing.total_units / iters as usize;
     let full_suite_min_ms = timing.min_ms;
@@ -491,7 +501,9 @@ mod tests {
         assert_eq!(median_in_json(&json, "missing"), None);
         assert_eq!(min_in_json(&json, FULL_SUITE), Some(450.5));
         // Pre-min_ms baselines simply don't have the field.
-        let legacy = json.replace(", \"min_ms\": 450.5", "").replace(", \"min_ms\": 11.0", "");
+        let legacy = json
+            .replace(", \"min_ms\": 450.5", "")
+            .replace(", \"min_ms\": 11.0", "");
         assert_eq!(min_in_json(&legacy, FULL_SUITE), None);
         assert_eq!(median_in_json(&legacy, FULL_SUITE), Some(456.789));
     }

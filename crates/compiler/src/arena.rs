@@ -45,9 +45,7 @@ thread_local! {
 macro_rules! pool {
     ($pool:ident, $take:ident, $give:ident, $t:ty, $init:expr) => {
         pub(crate) fn $take(len: usize) -> Vec<$t> {
-            let mut v: Vec<$t> = $pool
-                .with(|p| p.borrow_mut().pop())
-                .unwrap_or_default();
+            let mut v: Vec<$t> = $pool.with(|p| p.borrow_mut().pop()).unwrap_or_default();
             v.clear();
             v.resize(len, $init);
             v
@@ -69,7 +67,13 @@ macro_rules! pool {
 
 pool!(DEV_SLOTS, take_slots, give_slots, Option<Value>, None);
 pool!(DEV_OWNERS, take_owners, give_owners, u32, 0);
-pool!(FRAME_SLOTS, take_frame_slots, give_frame_slots, Slot, Slot::default());
+pool!(
+    FRAME_SLOTS,
+    take_frame_slots,
+    give_frame_slots,
+    Slot,
+    Slot::default()
+);
 pool!(CONSTS, take_consts, give_consts, Value, Value::Int(0));
 
 /// A register file for one VM chunk activation; sized by the caller

@@ -168,9 +168,21 @@ pub(crate) enum Instr {
     /// the declared type).
     WriteVarH { src: u32, name: u32, slot: u32 },
     /// Array element read: `n` flat indices in `regs[idx..idx+n]`.
-    ReadIdxH { dst: u32, name: u32, slot: u32, idx: u32, n: u8 },
+    ReadIdxH {
+        dst: u32,
+        name: u32,
+        slot: u32,
+        idx: u32,
+        n: u8,
+    },
     /// Array element write.
-    WriteIdxH { src: u32, name: u32, slot: u32, idx: u32, n: u8 },
+    WriteIdxH {
+        src: u32,
+        name: u32,
+        slot: u32,
+        idx: u32,
+        n: u8,
+    },
     /// Fused index load: `regs[dst] = Int(read_var_host_at(..).as_int()?)`.
     /// Emitted for plain-variable subscripts (`A[i]`), collapsing the
     /// `ReadVarH`/`AsInt`/`Copy` triple on the hottest array-access path.
@@ -181,7 +193,11 @@ pub(crate) enum Instr {
     /// walker's direct `slots[i].val = Some(..)` in `exec_for_host`).
     SetSlot { slot: u32, src: u32 },
     /// Escape: evaluate `exprs[expr]` with the walker (`eval_host_with_hint`).
-    EvalHostExpr { dst: u32, expr: u32, hint: ScalarType },
+    EvalHostExpr {
+        dst: u32,
+        expr: u32,
+        hint: ScalarType,
+    },
     /// Escape: execute `stmts[stmt]` with the walker (`exec_stmt_host`,
     /// which does its own tick).
     HostStmt { stmt: u32 },
@@ -203,9 +219,19 @@ pub(crate) enum Instr {
     /// `write_scalar_device_at(names[name], slot, regs[src], ctx)`
     WriteVarD { src: u32, name: u32, slot: u32 },
     /// Device array element read (present table / deviceptr resolution).
-    ReadIdxD { dst: u32, name: u32, idx: u32, n: u8 },
+    ReadIdxD {
+        dst: u32,
+        name: u32,
+        idx: u32,
+        n: u8,
+    },
     /// Device array element write.
-    WriteIdxD { src: u32, name: u32, idx: u32, n: u8 },
+    WriteIdxD {
+        src: u32,
+        name: u32,
+        idx: u32,
+        n: u8,
+    },
     /// Fused index load, device side (see [`Instr::IdxVarH`]).
     IdxVarD { dst: u32, name: u32, slot: u32 },
     /// `ctx.set_local(slot, regs[src])` — scope-journaled device binding.
@@ -469,11 +495,7 @@ impl BytecodeProgram {
         }
         let _ = writeln!(s, "funcs:");
         for f in &self.funcs {
-            let _ = writeln!(
-                s,
-                "  {}: @{} regs={}",
-                f.name, f.chunk.start, f.chunk.regs
-            );
+            let _ = writeln!(s, "  {}: @{} regs={}", f.name, f.chunk.start, f.chunk.regs);
         }
         if !self.regions.is_empty() {
             let _ = writeln!(s, "regions:");
@@ -792,7 +814,11 @@ impl<'p> Lowerer<'p> {
                         let (name, slot) = self.var(n);
                         match op {
                             None => {
-                                buf.emit(Instr::WriteVarH { src: rhs, name, slot });
+                                buf.emit(Instr::WriteVarH {
+                                    src: rhs,
+                                    name,
+                                    slot,
+                                });
                             }
                             Some(o) => {
                                 let old = buf.alloc();
@@ -808,7 +834,11 @@ impl<'p> Lowerer<'p> {
                                     a: old,
                                     b: rhs,
                                 });
-                                buf.emit(Instr::WriteVarH { src: dst, name, slot });
+                                buf.emit(Instr::WriteVarH {
+                                    src: dst,
+                                    name,
+                                    slot,
+                                });
                             }
                         }
                     }
@@ -992,7 +1022,11 @@ impl<'p> Lowerer<'p> {
             Some(rt) => rt,
             None => self.lower_int_expr_h(buf, &l.to),
         };
-        let jexit = buf.emit(Instr::JumpIfGe { a: ri, b: rt, to: 0 });
+        let jexit = buf.emit(Instr::JumpIfGe {
+            a: ri,
+            b: rt,
+            to: 0,
+        });
         buf.emit(Instr::SetSlot {
             slot: slot as u32,
             src: ri,
@@ -1150,12 +1184,7 @@ impl<'p> Lowerer<'p> {
                     _ => {
                         let b = self.lower_expr_h(buf, r, hint);
                         let dst = buf.alloc();
-                        buf.emit(Instr::Binop {
-                            dst,
-                            op: *op,
-                            a,
-                            b,
-                        });
+                        buf.emit(Instr::Binop { dst, op: *op, a, b });
                         dst
                     }
                 }
@@ -1285,7 +1314,11 @@ impl<'p> Lowerer<'p> {
                         let (name, slot) = self.var(n);
                         match op {
                             None => {
-                                buf.emit(Instr::WriteVarD { src: rhs, name, slot });
+                                buf.emit(Instr::WriteVarD {
+                                    src: rhs,
+                                    name,
+                                    slot,
+                                });
                             }
                             Some(o) => {
                                 let old = buf.alloc();
@@ -1301,7 +1334,11 @@ impl<'p> Lowerer<'p> {
                                     a: old,
                                     b: rhs,
                                 });
-                                buf.emit(Instr::WriteVarD { src: dst, name, slot });
+                                buf.emit(Instr::WriteVarD {
+                                    src: dst,
+                                    name,
+                                    slot,
+                                });
                             }
                         }
                     }
@@ -1404,7 +1441,10 @@ impl<'p> Lowerer<'p> {
             }
             Stmt::Return(_) => {
                 buf.emit(Instr::TickDev);
-                self.emit_crash(buf, "return inside a compute region is not supported".into());
+                self.emit_crash(
+                    buf,
+                    "return inside a compute region is not supported".into(),
+                );
             }
             Stmt::AccLoop { dir, l } => {
                 buf.emit(Instr::TickDev);
@@ -1452,7 +1492,11 @@ impl<'p> Lowerer<'p> {
         let head = buf.here();
         // `while i < to` exits on `i >= to` — the same fused compare as the
         // host loop (operands are `Int` by construction).
-        let jexit = buf.emit(Instr::JumpIfGe { a: ri, b: rt, to: 0 });
+        let jexit = buf.emit(Instr::JumpIfGe {
+            a: ri,
+            b: rt,
+            to: 0,
+        });
         buf.emit(Instr::SetLocal {
             slot: slot as u32,
             src: ri,
@@ -1593,12 +1637,7 @@ impl<'p> Lowerer<'p> {
                     _ => {
                         let b = self.lower_expr_d(buf, r);
                         let dst = buf.alloc();
-                        buf.emit(Instr::Binop {
-                            dst,
-                            op: *op,
-                            a,
-                            b,
-                        });
+                        buf.emit(Instr::Binop { dst, op: *op, a, b });
                         dst
                     }
                 }

@@ -1753,7 +1753,11 @@ impl<'a> Machine<'a> {
         }
     }
 
-    pub(crate) fn exec_data_region(&mut self, dir: &'a AccDirective, body: HostRef<'a>) -> Exec<()> {
+    pub(crate) fn exec_data_region(
+        &mut self,
+        dir: &'a AccDirective,
+        body: HostRef<'a>,
+    ) -> Exec<()> {
         if self.profile.ignores_directive(DirectiveKind::Data) {
             return self.exec_host_ref(body).map(|_| ());
         }
@@ -2840,7 +2844,8 @@ impl NestDim {
 /// The iterations of the whole nest: the product of the trip counts,
 /// saturating (a step budget ends such a nest long before).
 pub(crate) fn nest_total(dims: &[NestDim]) -> u64 {
-    dims.iter().fold(1, |total, d| total.saturating_mul(d.count))
+    dims.iter()
+        .fold(1, |total, d| total.saturating_mul(d.count))
 }
 
 /// Set each loop's `at` for the nest's `flat`-th iteration (row-major),
@@ -2859,7 +2864,9 @@ pub(crate) fn place_nest(dims: &mut [NestDim], flat: u64) {
         d.at = d.from.wrapping_add(((rem % c) as i64).wrapping_mul(d.step));
         rem /= c;
     }
-    outer.at = outer.from.wrapping_add((rem as i64).wrapping_mul(outer.step));
+    outer.at = outer
+        .from
+        .wrapping_add((rem as i64).wrapping_mul(outer.step));
 }
 
 /// Iteration ownership predicate of one execution unit.

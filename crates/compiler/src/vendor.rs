@@ -47,7 +47,9 @@ impl VendorId {
             "pgi" => Ok(VendorId::Pgi),
             "cray" => Ok(VendorId::Cray),
             "reference" | "ref" => Ok(VendorId::Reference),
-            other => Err(format!("unknown vendor `{other}` (caps|pgi|cray|reference)")),
+            other => Err(format!(
+                "unknown vendor `{other}` (caps|pgi|cray|reference)"
+            )),
         }
     }
 

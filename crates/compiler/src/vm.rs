@@ -33,9 +33,7 @@ fn opt_slot(s: u32) -> Option<usize> {
 /// An internal-invariant crash: lowering emitted an instruction in the
 /// wrong kind of chunk. Never reachable from generated programs.
 fn wrong_chunk(ins: &Instr, which: &str) -> Abort {
-    Abort::Crash(format!(
-        "internal error: {ins:?} in a {which} chunk"
-    ))
+    Abort::Crash(format!("internal error: {ins:?} in a {which} chunk"))
 }
 
 impl<'a> Machine<'a> {
@@ -54,10 +52,7 @@ impl<'a> Machine<'a> {
     /// back to the thread-local arena so register files recycle across
     /// machine instances, not just within one run.
     fn take_regs(&mut self, n: u32) -> Vec<Value> {
-        let mut regs = self
-            .reg_pool
-            .pop()
-            .unwrap_or_else(crate::arena::take_regs);
+        let mut regs = self.reg_pool.pop().unwrap_or_else(crate::arena::take_regs);
         regs.clear();
         regs.resize(n as usize, Value::Int(0));
         regs
@@ -116,9 +111,7 @@ impl<'a> Machine<'a> {
                         pc = to as usize;
                     }
                 }
-                Instr::CrashMsg { msg } => {
-                    return Err(Abort::Crash(bp.msgs[msg as usize].clone()))
-                }
+                Instr::CrashMsg { msg } => return Err(Abort::Crash(bp.msgs[msg as usize].clone())),
                 Instr::CheckStep { src } => {
                     let step = regs[src as usize].as_int().map_err(crash)?;
                     if step <= 0 {
@@ -150,7 +143,13 @@ impl<'a> Machine<'a> {
                     let v = self.read_var_host_at(&bp.names[name as usize], opt_slot(slot))?;
                     regs[dst as usize] = Value::Int(v.as_int().map_err(crash)?);
                 }
-                Instr::ReadIdxH { dst, name, slot, idx, n } => {
+                Instr::ReadIdxH {
+                    dst,
+                    name,
+                    slot,
+                    idx,
+                    n,
+                } => {
                     let vals = int_block(regs, idx, n);
                     let nm = &bp.names[name as usize];
                     let (binding, flat) =
@@ -168,7 +167,13 @@ impl<'a> Machine<'a> {
                             .map_err(|e| Abort::Crash(e.to_string()))?,
                     };
                 }
-                Instr::WriteIdxH { src, name, slot, idx, n } => {
+                Instr::WriteIdxH {
+                    src,
+                    name,
+                    slot,
+                    idx,
+                    n,
+                } => {
                     let vals = int_block(regs, idx, n);
                     let nm = &bp.names[name as usize];
                     let (binding, flat) =
@@ -238,9 +243,7 @@ impl<'a> Machine<'a> {
             return Err(self.not_an_array(nm, slot));
         };
         let flat = match binding {
-            ArrBinding::Host(id) => {
-                crate::exec::flatten(nm, vals, &self.host_arrays[id].dims)?
-            }
+            ArrBinding::Host(id) => crate::exec::flatten(nm, vals, &self.host_arrays[id].dims)?,
             ArrBinding::Device(buf) => {
                 let dims = &self.world.mem.get(buf).map_err(crash)?.dims;
                 crate::exec::flatten(nm, vals, dims)?
@@ -280,12 +283,7 @@ impl<'a> Machine<'a> {
         r
     }
 
-    fn vm_dev_loop(
-        &mut self,
-        chunk: Chunk,
-        regs: &mut [Value],
-        ctx: &mut DevCtx,
-    ) -> Exec<Flow> {
+    fn vm_dev_loop(&mut self, chunk: Chunk, regs: &mut [Value], ctx: &mut DevCtx) -> Exec<Flow> {
         let bp = self
             .code
             .ok_or_else(|| Abort::Crash("internal error: VM dispatch without bytecode".into()))?;
@@ -328,9 +326,7 @@ impl<'a> Machine<'a> {
                         pc = to as usize;
                     }
                 }
-                Instr::CrashMsg { msg } => {
-                    return Err(Abort::Crash(bp.msgs[msg as usize].clone()))
-                }
+                Instr::CrashMsg { msg } => return Err(Abort::Crash(bp.msgs[msg as usize].clone())),
                 Instr::CheckStep { src } => {
                     let step = regs[src as usize].as_int().map_err(crash)?;
                     if step <= 0 {
@@ -447,7 +443,9 @@ impl<'a> Machine<'a> {
         let bp = self.image();
         let loops = bp.nest_loops(nest);
         if collapse_n > loops.len() {
-            return Err(Abort::Crash("collapse requires tightly nested loops".into()));
+            return Err(Abort::Crash(
+                "collapse requires tightly nested loops".into(),
+            ));
         }
         self.reset_dev_bufs();
         with_stack_list(collapse_n, NestDim::default(), |dims| {

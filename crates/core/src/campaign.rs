@@ -44,7 +44,11 @@ impl fmt::Display for FailureBreakdown {
         write!(
             f,
             "compile errors {}, wrong results {}, crashes {}, timeouts {}, infra {}, flaky {}",
-            self.compile_errors, self.wrong_results, self.crashes, self.timeouts, self.infra,
+            self.compile_errors,
+            self.wrong_results,
+            self.crashes,
+            self.timeouts,
+            self.infra,
             self.flaky
         )
     }

@@ -41,7 +41,7 @@
 
 use crate::campaign::{Campaign, SuiteRun};
 use crate::case::{TestCase, TestStatus};
-use crate::harness::{run_case_with, CaseResult, CasePolicy};
+use crate::harness::{run_case_with, CasePolicy, CaseResult};
 use crate::journal::{JournalRecord, JournalSink, Replay};
 use crate::stats::Certainty;
 use acc_compiler::exec::ExecMode;
@@ -193,15 +193,9 @@ impl fmt::Debug for ExecutorPolicy {
             .field("case_deadline_ms", &self.case_deadline_ms)
             .field("step_limit", &self.step_limit)
             .field("journal", &self.journal.as_ref().map(|_| "<sink>"))
-            .field(
-                "resume",
-                &self.resume.as_ref().map(|r| r.completed_count()),
-            )
+            .field("resume", &self.resume.as_ref().map(|r| r.completed_count()))
             .field("halt_after", &self.halt_after)
-            .field(
-                "cancel",
-                &self.cancel.as_ref().map(|c| c.is_cancelled()),
-            )
+            .field("cancel", &self.cancel.as_ref().map(|c| c.is_cancelled()))
             .field("run_deadline", &self.run_deadline)
             .field("exec_mode", &self.exec_mode)
             .field("recorder", &self.recorder)
@@ -411,7 +405,10 @@ impl Executor {
         compiler: &VendorCompiler,
     ) -> (SuiteRun, ExecStats) {
         let (mut runs, stats) = self.run_sweep(campaign, std::slice::from_ref(compiler));
-        (runs.pop().expect("a one-release sweep returns one run"), stats)
+        (
+            runs.pop().expect("a one-release sweep returns one run"),
+            stats,
+        )
     }
 
     /// Run every selected case of `campaign` under every release of
@@ -500,7 +497,13 @@ impl Executor {
                 let results: Vec<CaseResult> = rows.into_iter().flatten().collect();
                 // Only a one-release sweep may resume, so every cached row
                 // is this release's.
-                self.end_suite(run, &label, results.len() - stats.cached, stats.cached, stats.halted);
+                self.end_suite(
+                    run,
+                    &label,
+                    results.len() - stats.cached,
+                    stats.cached,
+                    stats.halted,
+                );
                 SuiteRun {
                     compiler: label,
                     results,
@@ -528,7 +531,11 @@ impl Executor {
                 total_jobs,
                 languages: languages.join("+"),
             });
-            obs::instant("journal", "meta", vec![obs::i("total_jobs", total_jobs as i64)]);
+            obs::instant(
+                "journal",
+                "meta",
+                vec![obs::i("total_jobs", total_jobs as i64)],
+            );
         }
         if let Some(resume) = &self.policy.resume {
             obs::instant(
@@ -570,7 +577,11 @@ impl Executor {
     /// in the replayed journal are emitted from cache without re-running;
     /// a tripped `halt_after` stops scheduling (the returned list is then
     /// partial — in slot order, with unfinished slots elided).
-    pub fn run_jobs_stats<F>(&self, metas: &[JobMeta], run_attempt: F) -> (Vec<CaseResult>, ExecStats)
+    pub fn run_jobs_stats<F>(
+        &self,
+        metas: &[JobMeta],
+        run_attempt: F,
+    ) -> (Vec<CaseResult>, ExecStats)
     where
         F: Fn(usize, u32) -> CaseResult + Sync,
     {
@@ -625,9 +636,18 @@ impl Executor {
         let mut p = progress.lock().expect("executor progress poisoned");
         if self.policy.halt_after.is_some_and(|h| p.executed >= h) {
             p.halted = true;
-        } else if self.policy.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+        } else if self
+            .policy
+            .cancel
+            .as_ref()
+            .is_some_and(|c| c.is_cancelled())
+        {
             p.cancelled = true;
-        } else if self.policy.run_deadline.is_some_and(|d| Instant::now() >= d) {
+        } else if self
+            .policy
+            .run_deadline
+            .is_some_and(|d| Instant::now() >= d)
+        {
             p.deadlined = true;
         }
         p.stopped_early()
@@ -649,7 +669,13 @@ impl Executor {
         if self.should_stop(progress) {
             return None;
         }
-        let _g = obs::scope(&self.policy.recorder, run, obs::PART_JOB, index as u32, worker);
+        let _g = obs::scope(
+            &self.policy.recorder,
+            run,
+            obs::PART_JOB,
+            index as u32,
+            worker,
+        );
         if let Some(row) = self.cached_result(meta) {
             obs::instant(
                 "case",
@@ -664,7 +690,10 @@ impl Executor {
             return Some(row);
         }
         let row = self.run_one_job(meta, run_attempt);
-        progress.lock().expect("executor progress poisoned").executed += 1;
+        progress
+            .lock()
+            .expect("executor progress poisoned")
+            .executed += 1;
         Some(row)
     }
 
@@ -722,11 +751,19 @@ impl Executor {
                     language: meta.language,
                     attempt,
                 });
-                obs::instant("journal", "attempt_start", vec![obs::i("attempt", attempt as i64)]);
+                obs::instant(
+                    "journal",
+                    "attempt_start",
+                    vec![obs::i("attempt", attempt as i64)],
+                );
             }
             let attempt_depth = obs::depth();
             if traced {
-                obs::begin("attempt", &meta.name, vec![obs::i("attempt", attempt as i64)]);
+                obs::begin(
+                    "attempt",
+                    &meta.name,
+                    vec![obs::i("attempt", attempt as i64)],
+                );
             }
             let started = Instant::now();
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_attempt(attempt)));
@@ -778,7 +815,11 @@ impl Executor {
                     status: result.status.clone(),
                     duration_ms: started.elapsed().as_millis() as u64,
                 });
-                obs::instant("journal", "attempt", vec![obs::i("attempt", attempt as i64)]);
+                obs::instant(
+                    "journal",
+                    "attempt",
+                    vec![obs::i("attempt", attempt as i64)],
+                );
             }
             attempts += 1;
             if result.passed() {
@@ -973,8 +1014,7 @@ mod tests {
     fn deterministic_failure_stays_hard_after_retries() {
         let ms = metas(1);
         let exec = Executor::new(ExecutorPolicy::new().with_retries(2));
-        let results =
-            exec.run_jobs_with(&ms, |i, _attempt| row(&ms[i], TestStatus::WrongResult));
+        let results = exec.run_jobs_with(&ms, |i, _attempt| row(&ms[i], TestStatus::WrongResult));
         assert_eq!(results[0].status, TestStatus::WrongResult);
         assert_eq!(results[0].attempts, 3, "1 attempt + 2 retries");
         assert!(!results[0].passed());
@@ -1010,7 +1050,9 @@ mod tests {
         let token = CancelToken::arc();
         for jobs in [1, 3] {
             let exec = Executor::new(
-                ExecutorPolicy::new().with_jobs(jobs).with_cancel(Arc::clone(&token)),
+                ExecutorPolicy::new()
+                    .with_jobs(jobs)
+                    .with_cancel(Arc::clone(&token)),
             );
             let trip = Arc::clone(&token);
             let ran = AtomicUsize::new(0);
@@ -1072,10 +1114,12 @@ mod tests {
         let exec = Executor::new(
             ExecutorPolicy::new().with_run_deadline(Instant::now() - Duration::from_millis(1)),
         );
-        let (results, stats) = exec.run_jobs_stats(&ms, |i, _attempt| {
-            row(&ms[i], TestStatus::Pass)
-        });
-        assert!(results.is_empty(), "expired work must be cancelled, not run");
+        let (results, stats) =
+            exec.run_jobs_stats(&ms, |i, _attempt| row(&ms[i], TestStatus::Pass));
+        assert!(
+            results.is_empty(),
+            "expired work must be cancelled, not run"
+        );
         assert!(stats.deadlined);
         assert_eq!(stats.executed, 0);
     }
@@ -1088,9 +1132,8 @@ mod tests {
                 .with_run_deadline(Instant::now() + Duration::from_secs(3600))
                 .with_cancel(CancelToken::arc()),
         );
-        let (results, stats) = exec.run_jobs_stats(&ms, |i, _attempt| {
-            row(&ms[i], TestStatus::Pass)
-        });
+        let (results, stats) =
+            exec.run_jobs_stats(&ms, |i, _attempt| row(&ms[i], TestStatus::Pass));
         assert_eq!(results.len(), 3);
         assert!(!stats.stopped_early());
     }
@@ -1117,9 +1160,7 @@ mod tests {
         let campaign = Campaign::new(vec![loop_case()])
             .with_config(crate::config::SuiteConfig::new().language(Language::C));
         for jobs in [1, 2] {
-            let exec = Executor::new(
-                ExecutorPolicy::new().with_jobs(jobs).with_step_limit(10),
-            );
+            let exec = Executor::new(ExecutorPolicy::new().with_jobs(jobs).with_step_limit(10));
             let run = exec.run_suite(&campaign, &VendorCompiler::reference());
             assert_eq!(run.results.len(), 1);
             assert_eq!(run.results[0].status, TestStatus::Timeout, "jobs={jobs}");
@@ -1152,8 +1193,7 @@ mod tests {
         let ms = metas(1);
         let exec = Executor::new(ExecutorPolicy::new().with_retries(2).with_backoff_ms(3));
         let started = Instant::now();
-        let results =
-            exec.run_jobs_with(&ms, |i, _attempt| row(&ms[i], TestStatus::WrongResult));
+        let results = exec.run_jobs_with(&ms, |i, _attempt| row(&ms[i], TestStatus::WrongResult));
         // Backoff: 3ms before retry 1, 6ms before retry 2 → ≥9ms total.
         assert!(started.elapsed() >= Duration::from_millis(9));
         assert_eq!(results[0].attempts, 3);

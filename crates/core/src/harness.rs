@@ -203,7 +203,9 @@ pub fn run_case_with(
     if cross_exe.profile.has_transient_faults() {
         obs::begin("exec", "cross", attrs(|| vec![obs::i("reps", m as i64)]));
         for k in 0..m {
-            let outcome = cross_exe.run_with_knobs(&case.env, knobs(1 + k as u64)).outcome;
+            let outcome = cross_exe
+                .run_with_knobs(&case.env, knobs(1 + k as u64))
+                .outcome;
             let incorrect = !matches!(outcome, RunOutcome::Completed(v) if v != 0);
             if incorrect {
                 nf += 1;

@@ -426,7 +426,12 @@ impl JournalRecord {
                 scope,
                 total_jobs,
                 languages,
-            } => format!("meta\t{}\t{}\t{}", escape(scope), total_jobs, escape(languages)),
+            } => format!(
+                "meta\t{}\t{}\t{}",
+                escape(scope),
+                total_jobs,
+                escape(languages)
+            ),
             JournalRecord::AttemptStart {
                 name,
                 language,
@@ -842,10 +847,7 @@ impl Replay {
             discarded.push(format!("{} corrupt line(s)", self.corrupt_discarded));
         }
         if self.duplicates_discarded > 0 {
-            discarded.push(format!(
-                "{} duplicate record(s)",
-                self.duplicates_discarded
-            ));
+            discarded.push(format!("{} duplicate record(s)", self.duplicates_discarded));
         }
         if !discarded.is_empty() {
             let _ = write!(s, "; discarded {}", discarded.join(", "));
@@ -989,7 +991,11 @@ mod tests {
         let replay = Replay::from_text(&text);
         assert_eq!(replay.completed_count(), 1, "prefix survives");
         assert!(replay.torn_tail_discarded);
-        assert!(replay.summary().contains("torn tail"), "{}", replay.summary());
+        assert!(
+            replay.summary().contains("torn tail"),
+            "{}",
+            replay.summary()
+        );
     }
 
     #[test]
@@ -1001,7 +1007,11 @@ mod tests {
         let bad = String::from_utf8(flip).unwrap();
         let after = done("c", TestStatus::Pass).encode();
         let replay = Replay::from_text(&format!("{good}{bad}{after}"));
-        assert_eq!(replay.completed_count(), 1, "only the pre-corruption prefix");
+        assert_eq!(
+            replay.completed_count(),
+            1,
+            "only the pre-corruption prefix"
+        );
         assert_eq!(replay.corrupt_discarded, 2, "bad line + everything after");
         assert!(!replay.torn_tail_discarded);
     }
@@ -1022,7 +1032,11 @@ mod tests {
         assert_eq!(replay.duplicates_discarded, 2);
         let kept = &replay.completed[&("a".to_string(), Language::C)];
         assert_eq!(kept.result.status, TestStatus::Pass, "first record wins");
-        assert!(replay.summary().contains("2 duplicate"), "{}", replay.summary());
+        assert!(
+            replay.summary().contains("2 duplicate"),
+            "{}",
+            replay.summary()
+        );
     }
 
     #[test]
@@ -1042,7 +1056,11 @@ mod tests {
         let replay = Replay::from_text(&text);
         assert_eq!(replay.node_deaths.get(&5), Some(&2));
         assert!(replay.quarantined.contains(&5));
-        assert!(replay.summary().contains("nid00005×2"), "{}", replay.summary());
+        assert!(
+            replay.summary().contains("nid00005×2"),
+            "{}",
+            replay.summary()
+        );
     }
 
     #[test]
@@ -1074,8 +1092,7 @@ mod tests {
     #[test]
     fn durable_records_are_synced_before_append_returns() {
         let fs = FaultFs::new(1);
-        let journal =
-            FileJournal::create_via(Arc::new(fs.clone()), "camp.journal").unwrap();
+        let journal = FileJournal::create_via(Arc::new(fs.clone()), "camp.journal").unwrap();
         journal.append(&done("a", TestStatus::Pass));
         let durable = fs.durable_contents("camp.journal").expect("name durable");
         assert_eq!(

@@ -65,8 +65,10 @@ pub use cross::CrossRule;
 pub use executor::{CancelToken, ExecStats, Executor, ExecutorPolicy, JobMeta};
 pub use harness::{run_case, run_case_with, CasePolicy, CaseResult};
 pub use journal::{
-    atomic_write, fsync_dir, CompletedCase, FileJournal, JournalRecord, JournalSink,
-    MemoryJournal, Replay,
+    atomic_write, fsync_dir, CompletedCase, FileJournal, JournalRecord, JournalSink, MemoryJournal,
+    Replay,
 };
 pub use stats::Certainty;
-pub use vfs::{atomic_write_via, DiskImage, FaultFs, FaultKind, Injection, OpKind, RealFs, Vfs, VfsFile};
+pub use vfs::{
+    atomic_write_via, DiskImage, FaultFs, FaultKind, Injection, OpKind, RealFs, Vfs, VfsFile,
+};

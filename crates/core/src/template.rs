@@ -137,8 +137,8 @@ fn parse_one(element: &str) -> Result<TestCase, TemplateError> {
     };
 
     // Parse the test base with the reference front-end for its language.
-    let mut program = acc_frontend::parse(&code, code_lang)
-        .map_err(|e| err(&name, format!("in <code>: {e}")))?;
+    let mut program =
+        acc_frontend::parse(&code, code_lang).map_err(|e| err(&name, format!("in <code>: {e}")))?;
     // Normalize to the canonical (C-flavoured) AST carrier; rendering per
     // target language happens at generation time.
     program.language = Language::C;
@@ -445,8 +445,12 @@ end function main
 "#;
         let case = &parse_templates(t).unwrap()[0];
         // Both variants generate, and the case is healthy.
-        assert!(case.source_for(Language::C).contains("#pragma acc parallel"));
-        assert!(case.source_for(Language::Fortran).contains("!$acc parallel"));
+        assert!(case
+            .source_for(Language::C)
+            .contains("#pragma acc parallel"));
+        assert!(case
+            .source_for(Language::Fortran)
+            .contains("!$acc parallel"));
         let problems = crate::harness::validate_case(case);
         assert!(problems.is_empty(), "{problems:?}");
     }

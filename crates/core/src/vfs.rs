@@ -254,9 +254,7 @@ impl FaultKind {
     fn to_error(self) -> io::Error {
         match self {
             FaultKind::Eio => io::Error::other("injected EIO"),
-            FaultKind::Enospc => {
-                io::Error::new(io::ErrorKind::StorageFull, "injected ENOSPC")
-            }
+            FaultKind::Enospc => io::Error::new(io::ErrorKind::StorageFull, "injected ENOSPC"),
         }
     }
 }
@@ -584,7 +582,11 @@ impl FaultFs {
 
     /// Add a fault injection.
     pub fn with_injection(self, inj: Injection) -> Self {
-        self.state.lock().expect("faultfs lock").injections.push(inj);
+        self.state
+            .lock()
+            .expect("faultfs lock")
+            .injections
+            .push(inj);
         self
     }
 
@@ -991,8 +993,8 @@ mod tests {
         write_file(&fs, "other.txt", b"z", false);
         let listing = fs.read_dir(Path::new("store")).unwrap();
         assert_eq!(listing.len(), 2);
-        let fs = FaultFs::new(1)
-            .with_injection(Injection::on(OpKind::Create, "locked", FaultKind::Eio));
+        let fs =
+            FaultFs::new(1).with_injection(Injection::on(OpKind::Create, "locked", FaultKind::Eio));
         assert!(fs.create(Path::new("locked.txt")).is_err());
         assert!(fs.create(Path::new("free.txt")).is_ok());
     }

@@ -490,8 +490,16 @@ mod tests {
 
     #[test]
     fn transient_classification() {
-        assert!(Defect::TransientMemcpyFault { rate_pct: 5, seed: 1 }.is_transient());
-        assert!(Defect::IntermittentAsyncStall { rate_pct: 5, seed: 1 }.is_transient());
+        assert!(Defect::TransientMemcpyFault {
+            rate_pct: 5,
+            seed: 1
+        }
+        .is_transient());
+        assert!(Defect::IntermittentAsyncStall {
+            rate_pct: 5,
+            seed: 1
+        }
+        .is_transient());
         assert!(!Defect::ScalarCopyOmitted.is_transient());
     }
 

@@ -230,10 +230,7 @@ fn collect_directive(dir: &AccDirective, layout: &mut FrameLayout) {
                     }
                 }
             }
-            AccClause::Seq
-            | AccClause::Independent
-            | AccClause::DefaultNone
-            | AccClause::Auto => {}
+            AccClause::Seq | AccClause::Independent | AccClause::DefaultNone | AccClause::Auto => {}
         }
     }
 }

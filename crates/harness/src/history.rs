@@ -124,7 +124,13 @@ pub fn render_table(rows: &[SeriesRow], by: GroupBy, latency: bool) -> String {
     let _ = write!(
         out,
         "{:<12} {:<28} {:>6} {:>6} {:>6} {:>6} {:>8}",
-        "bucket", by.as_str(), "pass", "flaky", "fail", "skip", "rate%"
+        "bucket",
+        by.as_str(),
+        "pass",
+        "flaky",
+        "fail",
+        "skip",
+        "rate%"
     );
     if latency {
         let _ = write!(out, " {:>9} {:>9} {:>9}", "p50us", "p90us", "p99us");
@@ -242,10 +248,7 @@ pub fn check_drift(
         .and_then(Json::as_arr)
         .ok_or("baseline: missing `rows` array")?;
     let latest = rows.iter().map(|r| r.bucket).max();
-    let current: Vec<&SeriesRow> = rows
-        .iter()
-        .filter(|r| Some(r.bucket) == latest)
-        .collect();
+    let current: Vec<&SeriesRow> = rows.iter().filter(|r| Some(r.bucket) == latest).collect();
     let hint = "regenerate with `accvv history --out <baseline>`";
     let mut lines = Vec::new();
     let mut seen = Vec::new();
@@ -259,12 +262,9 @@ pub fn check_drift(
             _ => return Err(format!("baseline: row `{key}` missing `pass_rate`")),
         };
         seen.push(key.to_string());
-        let cur = current
-            .iter()
-            .find(|r| r.key == key)
-            .ok_or_else(|| {
-                format!("baseline key `{key}` has no data in the latest bucket; {hint}")
-            })?;
+        let cur = current.iter().find(|r| r.key == key).ok_or_else(|| {
+            format!("baseline key `{key}` has no data in the latest bucket; {hint}")
+        })?;
         let cur_rate = cur.counts.pass_rate();
         let floor = base_rate - tol.pass_points;
         lines.push(format!(
@@ -355,12 +355,17 @@ mod tests {
         store
             .record_cases(
                 a,
-                &[case("loop", TestStatus::Pass), case("data.copy", TestStatus::WrongResult)],
+                &[
+                    case("loop", TestStatus::Pass),
+                    case("data.copy", TestStatus::WrongResult),
+                ],
             )
             .unwrap();
         now.store(5000, Ordering::SeqCst);
         let b = store.begin("alice", "PGI 13.4", "text").unwrap();
-        store.record_cases(b, &[case("loop", TestStatus::Flaky)]).unwrap();
+        store
+            .record_cases(b, &[case("loop", TestStatus::Flaky)])
+            .unwrap();
         let rows = history(
             &store,
             &HistoryRequest {
@@ -373,7 +378,10 @@ mod tests {
         assert_eq!((rows[0].counts.pass, rows[0].counts.fail), (1, 1));
         assert_eq!(rows[1].bucket, 3600);
         assert_eq!(rows[1].counts.flaky, 1);
-        assert!((rows[1].counts.pass_rate() - 100.0).abs() < 1e-9, "flaky passes");
+        assert!(
+            (rows[1].counts.pass_rate() - 100.0).abs() < 1e-9,
+            "flaky passes"
+        );
     }
 
     #[test]
@@ -382,7 +390,9 @@ mod tests {
         for (epoch, feature) in [(1000u64, "a"), (2000, "b"), (3000, "c")] {
             now.store(epoch, Ordering::SeqCst);
             let id = store.begin("t", "ref", "text").unwrap();
-            store.record_cases(id, &[case(feature, TestStatus::Pass)]).unwrap();
+            store
+                .record_cases(id, &[case(feature, TestStatus::Pass)])
+                .unwrap();
         }
         // Inclusive on both edges.
         let rows = history(
@@ -406,7 +416,9 @@ mod tests {
                 .unwrap()
                 .with_clock(Arc::new(|| 0));
             let id = store2.begin("t", "ref", "text").unwrap();
-            store2.record_cases(id, &[case("old", TestStatus::Pass)]).unwrap();
+            store2
+                .record_cases(id, &[case("old", TestStatus::Pass)])
+                .unwrap();
             (store2, ())
         };
         let rows = history(
@@ -449,7 +461,10 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let loop_row = rows.iter().find(|r| r.key == "loop").unwrap();
         assert_eq!((loop_row.counts.pass, loop_row.counts.fail), (1, 1));
-        assert!(rows.iter().all(|r| r.latency.is_empty()), "no per-case latency");
+        assert!(
+            rows.iter().all(|r| r.latency.is_empty()),
+            "no per-case latency"
+        );
         // Agreement with the point-in-time query: same counted totals.
         let q = store.query(&crate::store::QueryFilter::default());
         let q_loop = q.iter().find(|r| r.feature == "loop").unwrap();
@@ -463,7 +478,9 @@ mod tests {
     fn table_is_deterministic_and_latency_is_opt_in() {
         let (store, _) = seeded_store();
         let id = store.begin("t", "ref", "text").unwrap();
-        store.record_cases(id, &[case("loop", TestStatus::Pass)]).unwrap();
+        store
+            .record_cases(id, &[case("loop", TestStatus::Pass)])
+            .unwrap();
         let mut h = LatencyHist::new();
         h.record(1234);
         store.record_latency(id, &h).unwrap();
@@ -497,7 +514,10 @@ mod tests {
         store
             .record_cases(
                 id2,
-                &[case("a", TestStatus::WrongResult), case("b", TestStatus::WrongResult)],
+                &[
+                    case("a", TestStatus::WrongResult),
+                    case("b", TestStatus::WrongResult),
+                ],
             )
             .unwrap();
         let rows = history(&store, &HistoryRequest::default());
@@ -509,7 +529,9 @@ mod tests {
     fn drift_gate_compares_latency_when_baseline_has_it() {
         let (store, _) = seeded_store();
         let id = store.begin("t", "ref", "text").unwrap();
-        store.record_cases(id, &[case("a", TestStatus::Pass)]).unwrap();
+        store
+            .record_cases(id, &[case("a", TestStatus::Pass)])
+            .unwrap();
         let mut h = LatencyHist::new();
         h.record(1000);
         store.record_latency(id, &h).unwrap();
@@ -524,7 +546,9 @@ mod tests {
         assert_eq!(lines.len(), 3, "rate + two quantiles");
         // A 10x latency regression in a later submission trips the gate.
         let id2 = store.begin("t", "ref", "text").unwrap();
-        store.record_cases(id2, &[case("a", TestStatus::Pass)]).unwrap();
+        store
+            .record_cases(id2, &[case("a", TestStatus::Pass)])
+            .unwrap();
         let mut slow = LatencyHist::new();
         for _ in 0..50 {
             slow.record(10_000);
@@ -539,10 +563,13 @@ mod tests {
     fn drift_gate_hard_errors_on_key_mismatch() {
         let (store, _) = seeded_store();
         let id = store.begin("t", "PGI 13.4", "text").unwrap();
-        store.record_cases(id, &[case("a", TestStatus::Pass)]).unwrap();
+        store
+            .record_cases(id, &[case("a", TestStatus::Pass)])
+            .unwrap();
         let rows = history(&store, &HistoryRequest::default());
         // Baseline knows a profile the latest bucket doesn't cover.
-        let stale = r#"{"by":"profile","rows":[{"key":"CAPS 3.3.0","pass_rate":99.0,"counted":10}]}"#;
+        let stale =
+            r#"{"by":"profile","rows":[{"key":"CAPS 3.3.0","pass_rate":99.0,"counted":10}]}"#;
         let err = check_drift(&rows, stale, &DriftTolerance::default()).unwrap_err();
         assert!(err.contains("no data in the latest bucket"), "{err}");
         // Latest bucket covers a profile the baseline has never seen.

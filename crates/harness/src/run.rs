@@ -242,8 +242,8 @@ mod tests {
     fn flaky_seed(cluster_of: impl Fn(NodeFault) -> SimulatedCluster) -> Option<(u64, Vec<u32>)> {
         for seed in 0..32u64 {
             let cluster = cluster_of(NodeFault::FlakyMemcpy { rate_pct: 35, seed });
-            let run = HarnessRun::new(mini_suite(), 2)
-                .with_policy(ExecutorPolicy::new().with_retries(4));
+            let run =
+                HarnessRun::new(mini_suite(), 2).with_policy(ExecutorPolicy::new().with_retries(4));
             let report = run.execute(&cluster, 7);
             let flaky = report.flaky_nodes();
             if !flaky.is_empty() {
@@ -260,13 +260,17 @@ mod tests {
         assert_eq!(flaky, vec![1], "only the faulty node flakes");
         // Same seed → byte-identical matrix, including under a parallel pool.
         let fault = NodeFault::FlakyMemcpy { rate_pct: 35, seed };
-        let run1 = HarnessRun::new(mini_suite(), 2)
-            .with_policy(ExecutorPolicy::new().with_retries(4));
+        let run1 =
+            HarnessRun::new(mini_suite(), 2).with_policy(ExecutorPolicy::new().with_retries(4));
         let run2 = HarnessRun::new(mini_suite(), 2)
             .with_policy(ExecutorPolicy::new().with_retries(4).with_jobs(4));
         let a = run1.execute(&mk(fault), 7);
         let b = run2.execute(&mk(fault), 7);
-        assert_eq!(a.matrix(), b.matrix(), "fault draws are schedule-independent");
+        assert_eq!(
+            a.matrix(),
+            b.matrix(),
+            "fault draws are schedule-independent"
+        );
         assert!(a.matrix().contains("[flaky:"), "{}", a.matrix());
         // The healthy node never flakes.
         for r in a.results.iter().filter(|r| r.node == 0) {

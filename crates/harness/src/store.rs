@@ -640,7 +640,11 @@ impl ResultStore {
             new_gen.to_string().as_bytes(),
         )?;
         // 3. Only now is the old generation garbage.
-        let old_bytes = self.vfs.read(&old_data).map(|b| b.len() as u64).unwrap_or(0);
+        let old_bytes = self
+            .vfs
+            .read(&old_data)
+            .map(|b| b.len() as u64)
+            .unwrap_or(0);
         self.vfs.remove_file(&old_data)?;
         self.vfs.fsync_dir(&dir)?;
 
@@ -656,7 +660,12 @@ impl ResultStore {
 
     /// Look up one submission by id.
     pub fn submission(&self, id: u64) -> Option<StoredSubmission> {
-        self.inner.lock().expect("store lock").index.get(&id).cloned()
+        self.inner
+            .lock()
+            .expect("store lock")
+            .index
+            .get(&id)
+            .cloned()
     }
 
     /// Every stored submission, id-ordered.
@@ -738,7 +747,9 @@ fn apply(index: &mut BTreeMap<u64, StoredSubmission>, record: StoreRecord) {
         }
         StoreRecord::Latency { id, hist } => {
             if let Some(sub) = index.get_mut(&id) {
-                sub.latency.get_or_insert_with(LatencyHist::new).merge(&hist);
+                sub.latency
+                    .get_or_insert_with(LatencyHist::new)
+                    .merge(&hist);
             }
         }
         StoreRecord::State { id, state, detail } => {
@@ -804,7 +815,9 @@ mod tests {
                     ],
                 )
                 .unwrap();
-            store.record_report(id, "REPORT\nline two\ttabbed\n").unwrap();
+            store
+                .record_report(id, "REPORT\nline two\ttabbed\n")
+                .unwrap();
             store.set_state(id, "done", "").unwrap();
         }
         let store = ResultStore::open(&path).unwrap();
@@ -927,7 +940,10 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(pgi_data.len(), 2);
-        let copyin = pgi_data.iter().find(|r| r.feature == "data.copyin").unwrap();
+        let copyin = pgi_data
+            .iter()
+            .find(|r| r.feature == "data.copyin")
+            .unwrap();
         assert_eq!((copyin.total, copyin.passed), (1, 0));
         assert_eq!(copyin.pass_rate(), 0.0);
         let caps = store.query(&QueryFilter {
@@ -955,7 +971,9 @@ mod tests {
                 clock_now.load(std::sync::atomic::Ordering::SeqCst)
             }));
         let a = store.begin("t", "PGI 13.4", "text").unwrap();
-        store.record_cases(a, &[case("loop", "loop", TestStatus::Pass)]).unwrap();
+        store
+            .record_cases(a, &[case("loop", "loop", TestStatus::Pass)])
+            .unwrap();
         now.store(200, std::sync::atomic::Ordering::SeqCst);
         let b = store.begin("t", "PGI 13.4", "text").unwrap();
         store
@@ -994,7 +1012,9 @@ mod tests {
         for _ in 0..50 {
             store.set_state(id, "running", "still going").unwrap();
         }
-        store.record_cases(id, &[case("loop", "loop", TestStatus::Pass)]).unwrap();
+        store
+            .record_cases(id, &[case("loop", "loop", TestStatus::Pass)])
+            .unwrap();
         store.record_report(id, "REPORT\n").unwrap();
         store.set_state(id, "done", "").unwrap();
         let before_list = format!("{:?}", store.list());
@@ -1028,7 +1048,9 @@ mod tests {
         {
             let store = ResultStore::open_via(Arc::clone(&fs), "g.j1").unwrap();
             let id = store.begin("t", "PGI 13.4", "text").unwrap();
-            store.record_cases(id, &[case("loop", "loop", TestStatus::Pass)]).unwrap();
+            store
+                .record_cases(id, &[case("loop", "loop", TestStatus::Pass)])
+                .unwrap();
         }
         // Simulate a crash after the new generation was written but before
         // the pointer swap: an orphan .g1 with divergent content.
@@ -1046,7 +1068,9 @@ mod tests {
         let fs: Arc<dyn Vfs> = Arc::new(FaultFs::new(4));
         let store = ResultStore::open_via(Arc::clone(&fs), "lat.j1").unwrap();
         let id = store.begin("t", "PGI 13.4", "text").unwrap();
-        store.record_cases(id, &[case("loop", "loop", TestStatus::Pass)]).unwrap();
+        store
+            .record_cases(id, &[case("loop", "loop", TestStatus::Pass)])
+            .unwrap();
         let mut h1 = LatencyHist::new();
         h1.record(150);
         h1.record(9_000);

@@ -173,8 +173,12 @@ impl ClusterSweep {
             }
         }
         if let Some(j) = &journal {
-            let languages: Vec<String> =
-                self.config.languages.iter().map(|l| l.to_string()).collect();
+            let languages: Vec<String> = self
+                .config
+                .languages
+                .iter()
+                .map(|l| l.to_string())
+                .collect();
             j.append(&JournalRecord::Meta {
                 scope: scope.clone(),
                 total_jobs: n,
@@ -223,8 +227,7 @@ impl ClusterSweep {
                         break;
                     }
                     // Drain the dead node's queue round-robin onto survivors.
-                    let pending: Vec<usize> =
-                        (i..n).filter(|&u| owner[u] == plan.node).collect();
+                    let pending: Vec<usize> = (i..n).filter(|&u| owner[u] == plan.node).collect();
                     for (k, &u) in pending.iter().enumerate() {
                         owner[u] = alive[k % alive.len()];
                     }
@@ -564,7 +567,9 @@ mod tests {
             .expect("resumed sweep");
         assert!(!resumed.halted);
         assert_eq!(resumed.cached, 3);
-        let clean = ClusterSweep::new(mini_suite()).run(&cluster).expect("clean");
+        let clean = ClusterSweep::new(mini_suite())
+            .run(&cluster)
+            .expect("clean");
         assert_eq!(resumed.rows.len(), clean.rows.len());
         for (a, b) in resumed.rows.iter().zip(&clean.rows) {
             assert_eq!(a.node, b.node, "unit {}", a.unit);

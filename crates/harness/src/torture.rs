@@ -126,7 +126,11 @@ fn case(name: String, feature: &str, status: TestStatus) -> CaseResult {
 fn sub_cases(scope: &str) -> Vec<CaseResult> {
     vec![
         case(format!("{scope}/loop"), "loop", TestStatus::Pass),
-        case(format!("{scope}/copy"), "data.copy", TestStatus::WrongResult),
+        case(
+            format!("{scope}/copy"),
+            "data.copy",
+            TestStatus::WrongResult,
+        ),
         case(
             format!("{scope}/host"),
             "update.host",
@@ -433,7 +437,10 @@ fn check_frames(vfs: &dyn Vfs, path: &Path) -> Option<String> {
             })
             .unwrap_or(false);
         if !ok {
-            return Some(format!("line {} of recovered store is not a valid frame", i + 1));
+            return Some(format!(
+                "line {} of recovered store is not a valid frame",
+                i + 1
+            ));
         }
     }
     None
@@ -470,7 +477,10 @@ fn verify_image(
                 continue;
             };
             if sub.scope != *scope {
-                violations.push(format!("submission {id} scope {:?} != {scope:?}", sub.scope));
+                violations.push(format!(
+                    "submission {id} scope {:?} != {scope:?}",
+                    sub.scope
+                ));
             }
             let spec = SUBS.iter().find(|s| s.scope == *scope).map(|s| s.spec);
             if sub.spec.as_deref() != spec {
@@ -533,7 +543,9 @@ fn verify_image(
                 }
             }
             Some(bytes) => {
-                let found = versions.iter().position(|v| v.as_bytes() == bytes.as_slice());
+                let found = versions
+                    .iter()
+                    .position(|v| v.as_bytes() == bytes.as_slice());
                 match found {
                     None => violations.push(format!(
                         "sink {path} holds a torn write ({} bytes)",

@@ -116,8 +116,7 @@ impl FunctionalityTracker {
         let mut t = FunctionalityTracker::new();
         for line in text.lines() {
             let mut parts = line.splitn(3, '\t');
-            let (Some(key), Some(when), Some(rate)) =
-                (parts.next(), parts.next(), parts.next())
+            let (Some(key), Some(when), Some(rate)) = (parts.next(), parts.next(), parts.next())
             else {
                 continue;
             };

@@ -53,12 +53,20 @@ pub fn render(events: &[Event]) -> String {
         escape_into(&mut out, &e.kind);
         out.push(':');
         escape_into(&mut out, &e.name);
-        let _ = write!(out, "\",\"ph\":\"{ph}\",\"pid\":0,\"tid\":{},\"ts\":{ts}", e.run);
+        let _ = write!(
+            out,
+            "\",\"ph\":\"{ph}\",\"pid\":0,\"tid\":{},\"ts\":{ts}",
+            e.run
+        );
         if e.ph == Phase::Instant {
             out.push_str(",\"s\":\"t\"");
         }
         out.push_str(",\"args\":{");
-        let _ = write!(out, "\"part\":{},\"job\":{},\"seq\":{}", e.part, e.job, e.seq);
+        let _ = write!(
+            out,
+            "\"part\":{},\"job\":{},\"seq\":{}",
+            e.part, e.job, e.seq
+        );
         for (k, v) in &e.attrs {
             out.push_str(",\"");
             escape_into(&mut out, k);
@@ -131,9 +139,9 @@ pub fn validate(doc: &str) -> Result<usize, String> {
         match ph {
             "B" => stack.push(name.to_string()),
             "E" => {
-                let open = stack
-                    .pop()
-                    .ok_or_else(|| format!("event {idx}: E \"{name}\" with no open span on tid {tid}"))?;
+                let open = stack.pop().ok_or_else(|| {
+                    format!("event {idx}: E \"{name}\" with no open span on tid {tid}")
+                })?;
                 if open != name {
                     return Err(format!(
                         "event {idx}: E \"{name}\" closes mismatched span \"{open}\" on tid {tid}"

@@ -194,7 +194,10 @@ impl LatencyCollector {
 
     /// Record one sample (microseconds).
     pub fn record_us(&self, us: u64) {
-        self.0.lock().expect("latency collector poisoned").record(us);
+        self.0
+            .lock()
+            .expect("latency collector poisoned")
+            .record(us);
     }
 
     /// The merged histogram so far.
@@ -307,10 +310,10 @@ mod tests {
         for bad in [
             "",
             "h2;0;0;",
-            "h1;1;0;",          // count mismatch (no buckets)
-            "h1;2;0;3:1",       // count mismatch
-            "h1;1;0;3:0",       // zero-count bucket
-            "h1;2;0;3:1,3:1",   // duplicate bucket
+            "h1;1;0;",        // count mismatch (no buckets)
+            "h1;2;0;3:1",     // count mismatch
+            "h1;1;0;3:0",     // zero-count bucket
+            "h1;2;0;3:1,3:1", // duplicate bucket
             "h1;1;0;x:1",
             "h1;1;0;65535:1", // bucket index beyond any representable value
             "h1;;0;",

@@ -108,9 +108,7 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
     std::str::from_utf8(&b[start..*pos])
@@ -314,10 +312,7 @@ mod tests {
 
     #[test]
     fn surrogate_pairs_decode() {
-        assert_eq!(
-            parse("\"\\ud83d\\ude00\"").unwrap().as_str(),
-            Some("😀")
-        );
+        assert_eq!(parse("\"\\ud83d\\ude00\"").unwrap().as_str(), Some("😀"));
         assert_eq!(parse("\"\\ud83dX\"").unwrap().as_str(), Some("\u{FFFD}X"));
     }
 

@@ -443,11 +443,7 @@ pub fn counter(name: &str, v: i64) {
 /// Current open-span depth in this thread's scope; 0 when no scope is
 /// installed. Pair with [`unwind_to`] around `catch_unwind` boundaries.
 pub fn depth() -> u16 {
-    CTX.with(|ctx| {
-        ctx.borrow()
-            .as_ref()
-            .map_or(0, |c| c.stack.len() as u16)
-    })
+    CTX.with(|ctx| ctx.borrow().as_ref().map_or(0, |c| c.stack.len() as u16))
 }
 
 /// Close open spans until the stack is back down to `depth`, attaching an
@@ -522,10 +518,7 @@ mod tests {
         }
         let ev = r.snapshot();
         assert_eq!(ev.len(), 4);
-        assert_eq!(
-            ev.iter().map(|e| e.ph.code()).collect::<String>(),
-            "BBEE"
-        );
+        assert_eq!(ev.iter().map(|e| e.ph.code()).collect::<String>(), "BBEE");
         assert_eq!(ev[2].kind, "compile");
         assert_eq!(ev[2].name, "functional");
         assert_eq!(ev[2].attr_str("status"), Some("ok"));

@@ -87,10 +87,20 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 /// server concatenates both.
 pub fn render_server_metrics(c: &ServerCounters) -> String {
     let mut out = String::new();
-    family(&mut out, "accvv_server_queue_depth", "gauge", "Submissions currently queued.");
+    family(
+        &mut out,
+        "accvv_server_queue_depth",
+        "gauge",
+        "Submissions currently queued.",
+    );
     let _ = writeln!(out, "accvv_server_queue_depth {}", c.queue_depth);
     let name = "accvv_server_submissions_total";
-    family(&mut out, name, "counter", "Submission admissions by outcome.");
+    family(
+        &mut out,
+        name,
+        "counter",
+        "Submission admissions by outcome.",
+    );
     for (outcome, v) in [
         ("admitted", c.admitted_total),
         ("shed", c.shed_total),
@@ -102,10 +112,30 @@ pub fn render_server_metrics(c: &ServerCounters) -> String {
         let _ = writeln!(out, "{name}{{outcome=\"{outcome}\"}} {v}");
     }
     for (name, kind, v, help) in [
-        ("accvv_server_breaker_open", "gauge", c.breaker_open, "Vendor circuit breakers currently open."),
-        ("accvv_server_breaker_trips_total", "counter", c.breaker_trips_total, "Closed-to-open breaker transitions."),
-        ("accvv_server_connections", "gauge", c.connections_live, "Live HTTP connections, one thread each."),
-        ("accvv_server_connections_shed_total", "counter", c.connections_shed_total, "Connections answered 503 at the connection cap."),
+        (
+            "accvv_server_breaker_open",
+            "gauge",
+            c.breaker_open,
+            "Vendor circuit breakers currently open.",
+        ),
+        (
+            "accvv_server_breaker_trips_total",
+            "counter",
+            c.breaker_trips_total,
+            "Closed-to-open breaker transitions.",
+        ),
+        (
+            "accvv_server_connections",
+            "gauge",
+            c.connections_live,
+            "Live HTTP connections, one thread each.",
+        ),
+        (
+            "accvv_server_connections_shed_total",
+            "counter",
+            c.connections_shed_total,
+            "Connections answered 503 at the connection cap.",
+        ),
     ] {
         family(&mut out, name, kind, help);
         let _ = writeln!(out, "{name} {v}");
@@ -134,7 +164,12 @@ pub fn render_breakers(breakers: &[(String, String, u64)]) -> String {
         }
     }
     let help = "Closed-to-open transitions per profile.";
-    family(&mut out, "accvv_server_breaker_profile_trips_total", "counter", help);
+    family(
+        &mut out,
+        "accvv_server_breaker_profile_trips_total",
+        "counter",
+        help,
+    );
     for (profile, _, trips) in breakers {
         let _ = writeln!(
             out,
@@ -206,7 +241,10 @@ fn aggregate(events: &[Event]) -> Agg {
                 entry.0[slot] += 1;
                 entry.1 += e.dur_us;
                 entry.2 += 1;
-                agg.hists.entry(e.kind.clone()).or_default().record(e.dur_us);
+                agg.hists
+                    .entry(e.kind.clone())
+                    .or_default()
+                    .record(e.dur_us);
                 if e.kind == "case" {
                     if let Some(status) = e.attr_str("status") {
                         *agg.case_status.entry(status.to_string()).or_default() += 1;
@@ -214,8 +252,7 @@ fn aggregate(events: &[Event]) -> Agg {
                 }
             }
             Phase::Instant if e.kind == "ctr" => {
-                *agg.counters.entry(e.name.clone()).or_default() +=
-                    e.attr_int("v").unwrap_or(0);
+                *agg.counters.entry(e.name.clone()).or_default() += e.attr_int("v").unwrap_or(0);
             }
             Phase::Instant => {
                 *agg.instants.entry(e.kind.clone()).or_default() += 1;
@@ -249,7 +286,10 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
             "accvv_phase_duration_us_bucket{{kind=\"{kind}\",le=\"+Inf\"}} {cum}"
         );
         let _ = writeln!(out, "accvv_phase_duration_us_sum{{kind=\"{kind}\"}} {sum}");
-        let _ = writeln!(out, "accvv_phase_duration_us_count{{kind=\"{kind}\"}} {count}");
+        let _ = writeln!(
+            out,
+            "accvv_phase_duration_us_count{{kind=\"{kind}\"}} {count}"
+        );
     }
 
     let help = "Span-duration quantiles by kind, microseconds (log-bucketed estimate).";
@@ -262,29 +302,57 @@ pub fn render_prometheus(events: &[Event], cache: Option<&CacheCounters>) -> Str
                 hist.quantile_us(*q)
             );
         }
-        let _ = writeln!(out, "accvv_phase_latency_us_sum{{kind=\"{kind}\"}} {}", hist.sum_us());
-        let _ = writeln!(out, "accvv_phase_latency_us_count{{kind=\"{kind}\"}} {}", hist.count());
+        let _ = writeln!(
+            out,
+            "accvv_phase_latency_us_sum{{kind=\"{kind}\"}} {}",
+            hist.sum_us()
+        );
+        let _ = writeln!(
+            out,
+            "accvv_phase_latency_us_count{{kind=\"{kind}\"}} {}",
+            hist.count()
+        );
     }
 
-    family(&mut out, "accvv_case_status_total", "counter", "Case outcomes by taxonomy label.");
+    family(
+        &mut out,
+        "accvv_case_status_total",
+        "counter",
+        "Case outcomes by taxonomy label.",
+    );
     for (status, n) in &agg.case_status {
         let _ = writeln!(out, "accvv_case_status_total{{status=\"{status}\"}} {n}");
     }
 
-    family(&mut out, "accvv_events_total", "counter", "Instant events by kind.");
+    family(
+        &mut out,
+        "accvv_events_total",
+        "counter",
+        "Instant events by kind.",
+    );
     for (kind, n) in &agg.instants {
         let _ = writeln!(out, "accvv_events_total{{kind=\"{kind}\"}} {n}");
     }
 
     for (name, v) in &agg.counters {
         let family_name = format!("accvv_{name}_total");
-        family(&mut out, &family_name, "counter", &format!("Run counter `{name}`."));
+        family(
+            &mut out,
+            &family_name,
+            "counter",
+            &format!("Run counter `{name}`."),
+        );
         let _ = writeln!(out, "{family_name} {v}");
     }
 
     if let Some(c) = cache {
         let help = "Compile cache and run memo lookups by level and outcome.";
-        family(&mut out, "accvv_compile_cache_lookups_total", "counter", help);
+        family(
+            &mut out,
+            "accvv_compile_cache_lookups_total",
+            "counter",
+            help,
+        );
         for (level, outcome, v) in [
             ("frontend", "hit", c.frontend_hits),
             ("frontend", "miss", c.frontend_misses),
@@ -390,10 +458,7 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_to_inf() {
         let text = render_prometheus(&snapshot(), None);
-        let inf_lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.contains("le=\"+Inf\""))
-            .collect();
+        let inf_lines: Vec<&str> = text.lines().filter(|l| l.contains("le=\"+Inf\"")).collect();
         assert_eq!(inf_lines.len(), 2); // case + exec kinds
         assert!(inf_lines.iter().any(|l| l.ends_with(" 2")));
     }
@@ -407,15 +472,12 @@ mod tests {
             run_memo_misses: 2,
         };
         let text = render_prometheus(&[], Some(&c));
-        assert!(text.contains(
-            "accvv_compile_cache_lookups_total{level=\"frontend\",outcome=\"hit\"} 3"
-        ));
-        assert!(text.contains(
-            "accvv_compile_cache_lookups_total{level=\"run_memo\",outcome=\"hit\"} 7"
-        ));
-        assert!(text.contains(
-            "accvv_compile_cache_lookups_total{level=\"run_memo\",outcome=\"miss\"} 2"
-        ));
+        assert!(text
+            .contains("accvv_compile_cache_lookups_total{level=\"frontend\",outcome=\"hit\"} 3"));
+        assert!(text
+            .contains("accvv_compile_cache_lookups_total{level=\"run_memo\",outcome=\"hit\"} 7"));
+        assert!(text
+            .contains("accvv_compile_cache_lookups_total{level=\"run_memo\",outcome=\"miss\"} 2"));
         assert!(!text.contains("level=\"exec\""));
         // The hit rate is the front end's: memo lookups stay out.
         assert!(text.contains("accvv_compile_cache_hit_rate 0.7500"));
@@ -486,7 +548,9 @@ mod tests {
         h.record(2000);
         paths.insert("/v1/submit".to_string(), h);
         let text = render_http_latency(&paths);
-        assert!(text.contains("accvv_http_request_duration_us{path=\"/v1/submit\",quantile=\"0.5\"}"));
+        assert!(
+            text.contains("accvv_http_request_duration_us{path=\"/v1/submit\",quantile=\"0.5\"}")
+        );
         assert!(text.contains("accvv_http_request_duration_us_count{path=\"/v1/submit\"} 2"));
         assert!(render_http_latency(&BTreeMap::new()).is_empty());
     }
@@ -530,10 +594,7 @@ mod tests {
                 .trim_end_matches("_sum")
                 .trim_end_matches("_count")
                 .trim_end_matches("_bucket");
-            assert!(
-                helped.contains(name),
-                "series `{name}` lacks a # HELP line"
-            );
+            assert!(helped.contains(name), "series `{name}` lacks a # HELP line");
         }
     }
 
@@ -552,7 +613,10 @@ mod tests {
             run_memo_misses: 2,
         };
         let metrics_out = render_prometheus(&events, Some(&cache));
-        assert_eq!(metrics_out, include_str!("../tests/golden/metrics_out.prom"));
+        assert_eq!(
+            metrics_out,
+            include_str!("../tests/golden/metrics_out.prom")
+        );
         let counters = ServerCounters {
             queue_depth: 3,
             admitted_total: 10,

@@ -192,7 +192,10 @@ mod tests {
             assert_eq!(GroupBy::parse(name), Some(by));
         }
         assert_eq!(GroupBy::parse("bogus"), None);
-        assert_eq!(GroupBy::parse(GroupBy::Language.as_str()), Some(GroupBy::Language));
+        assert_eq!(
+            GroupBy::parse(GroupBy::Language.as_str()),
+            Some(GroupBy::Language)
+        );
     }
 
     #[test]
@@ -227,10 +230,39 @@ mod tests {
     #[test]
     fn rows_are_sorted_and_order_free() {
         let records = [
-            (9000u64, "pgi", SeriesCounts { pass: 1, ..Default::default() }),
-            (100, "caps", SeriesCounts { fail: 2, ..Default::default() }),
-            (9100, "caps", SeriesCounts { pass: 4, skip: 1, ..Default::default() }),
-            (150, "caps", SeriesCounts { pass: 5, ..Default::default() }),
+            (
+                9000u64,
+                "pgi",
+                SeriesCounts {
+                    pass: 1,
+                    ..Default::default()
+                },
+            ),
+            (
+                100,
+                "caps",
+                SeriesCounts {
+                    fail: 2,
+                    ..Default::default()
+                },
+            ),
+            (
+                9100,
+                "caps",
+                SeriesCounts {
+                    pass: 4,
+                    skip: 1,
+                    ..Default::default()
+                },
+            ),
+            (
+                150,
+                "caps",
+                SeriesCounts {
+                    pass: 5,
+                    ..Default::default()
+                },
+            ),
         ];
         let mut fwd = SeriesAgg::new(0, 3600);
         for (e, k, c) in &records {
@@ -244,14 +276,26 @@ mod tests {
         let rows = fwd.rows();
         assert_eq!(rows.len(), 3);
         // (0,"caps") merged two records; then (7200,"caps"), (7200,"pgi").
-        assert_eq!(rows[0].counts, SeriesCounts { pass: 5, fail: 2, ..Default::default() });
+        assert_eq!(
+            rows[0].counts,
+            SeriesCounts {
+                pass: 5,
+                fail: 2,
+                ..Default::default()
+            }
+        );
         assert_eq!((rows[1].bucket, rows[1].key.as_str()), (7200, "caps"));
         assert_eq!((rows[2].bucket, rows[2].key.as_str()), (7200, "pgi"));
     }
 
     #[test]
     fn pass_rate_counts_flaky_as_pass_and_excludes_skips() {
-        let c = SeriesCounts { pass: 7, flaky: 1, fail: 2, skip: 90 };
+        let c = SeriesCounts {
+            pass: 7,
+            flaky: 1,
+            fail: 2,
+            skip: 90,
+        };
         assert_eq!(c.counted(), 10);
         assert!((c.pass_rate() - 80.0).abs() < 1e-9);
         assert_eq!(SeriesCounts::default().pass_rate(), 100.0);
@@ -262,7 +306,14 @@ mod tests {
         let mut agg = SeriesAgg::new(0, 3600);
         let mut h = LatencyHist::new();
         h.record(500);
-        agg.add(10, "caps", &SeriesCounts { pass: 1, ..Default::default() });
+        agg.add(
+            10,
+            "caps",
+            &SeriesCounts {
+                pass: 1,
+                ..Default::default()
+            },
+        );
         agg.add_latency(10, "caps", &h);
         agg.add_latency(20, "caps", &h);
         agg.add_latency(20, "pgi", &LatencyHist::new()); // empty: no cell

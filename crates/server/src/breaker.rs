@@ -245,7 +245,10 @@ mod tests {
         let set = BreakerSet::new(3, Duration::from_secs(60));
         let t0 = Instant::now();
         set.observe_at("caps 3.3.4", &[infra(), infra()], t0);
-        assert_eq!(set.admit_at("caps 3.3.4", t0), BreakerDecision::Admit { trial: false });
+        assert_eq!(
+            set.admit_at("caps 3.3.4", t0),
+            BreakerDecision::Admit { trial: false }
+        );
         set.observe_at("caps 3.3.4", &[infra()], t0);
         match set.admit_at("caps 3.3.4", t0) {
             BreakerDecision::Degraded { reason } => {
@@ -261,19 +264,22 @@ mod tests {
     fn counted_success_resets_the_streak() {
         let set = BreakerSet::new(3, Duration::from_secs(60));
         let t0 = Instant::now();
-        set.observe_at("pgi 13.8", &[infra(), infra(), TestStatus::Pass, infra()], t0);
-        assert_eq!(set.admit_at("pgi 13.8", t0), BreakerDecision::Admit { trial: false });
+        set.observe_at(
+            "pgi 13.8",
+            &[infra(), infra(), TestStatus::Pass, infra()],
+            t0,
+        );
+        assert_eq!(
+            set.admit_at("pgi 13.8", t0),
+            BreakerDecision::Admit { trial: false }
+        );
     }
 
     #[test]
     fn skips_do_not_break_the_streak() {
         let set = BreakerSet::new(2, Duration::from_secs(60));
         let t0 = Instant::now();
-        set.observe_at(
-            "cray 8.2.0",
-            &[infra(), TestStatus::skipped(), infra()],
-            t0,
-        );
+        set.observe_at("cray 8.2.0", &[infra(), TestStatus::skipped(), infra()], t0);
         assert!(matches!(
             set.admit_at("cray 8.2.0", t0),
             BreakerDecision::Degraded { .. }
@@ -292,7 +298,10 @@ mod tests {
         ));
         // Cooldown elapsed → half-open trial.
         let t1 = t0 + Duration::from_millis(150);
-        assert_eq!(set.admit_at("caps 3.0.7", t1), BreakerDecision::Admit { trial: true });
+        assert_eq!(
+            set.admit_at("caps 3.0.7", t1),
+            BreakerDecision::Admit { trial: true }
+        );
         // Trial fails → open again, second trip counted.
         set.observe_at("caps 3.0.7", &[infra()], t1);
         assert!(matches!(
@@ -302,9 +311,15 @@ mod tests {
         assert_eq!(set.trips_total(), 2);
         // Another cooldown, another trial, this one clean → closed.
         let t2 = t1 + Duration::from_millis(150);
-        assert_eq!(set.admit_at("caps 3.0.7", t2), BreakerDecision::Admit { trial: true });
+        assert_eq!(
+            set.admit_at("caps 3.0.7", t2),
+            BreakerDecision::Admit { trial: true }
+        );
         set.observe_at("caps 3.0.7", &[TestStatus::Pass], t2);
-        assert_eq!(set.admit_at("caps 3.0.7", t2), BreakerDecision::Admit { trial: false });
+        assert_eq!(
+            set.admit_at("caps 3.0.7", t2),
+            BreakerDecision::Admit { trial: false }
+        );
         assert_eq!(set.open_count(), 0);
     }
 
@@ -340,7 +355,11 @@ mod tests {
         assert_eq!(set.trips_total(), 1);
         // The straggler lands halfway through the cooldown.
         set.observe_at("pgi 13.8", &[infra(), infra()], t0 + cooldown / 2);
-        assert_eq!(set.trips_total(), 1, "already-open breaker must not re-trip");
+        assert_eq!(
+            set.trips_total(),
+            1,
+            "already-open breaker must not re-trip"
+        );
         // The original cooldown clock still governs: the trial is admitted
         // at t0 + cooldown, not pushed out by the straggler.
         assert_eq!(
@@ -358,7 +377,10 @@ mod tests {
         let t0 = Instant::now();
         set.observe_at("cray 8.2.0", &[infra()], t0);
         let t1 = t0 + Duration::from_millis(150);
-        assert_eq!(set.admit_at("cray 8.2.0", t1), BreakerDecision::Admit { trial: true });
+        assert_eq!(
+            set.admit_at("cray 8.2.0", t1),
+            BreakerDecision::Admit { trial: true }
+        );
         set.observe_at("cray 8.2.0", &[TestStatus::skipped()], t1);
         assert_eq!(
             set.admit_at("cray 8.2.0", t1),
@@ -378,7 +400,10 @@ mod tests {
             set.admit_at("caps 3.3.4", t0),
             BreakerDecision::Degraded { .. }
         ));
-        assert_eq!(set.admit_at("pgi 13.8", t0), BreakerDecision::Admit { trial: false });
+        assert_eq!(
+            set.admit_at("pgi 13.8", t0),
+            BreakerDecision::Admit { trial: false }
+        );
     }
 
     #[test]
@@ -389,7 +414,10 @@ mod tests {
         set.observe_at("pgi 13.8", &[TestStatus::Pass], t0);
         // Re-trip caps via a failed half-open trial: per-profile count 2.
         let t1 = t0 + Duration::from_millis(150);
-        assert_eq!(set.admit_at("caps 3.3.4", t1), BreakerDecision::Admit { trial: true });
+        assert_eq!(
+            set.admit_at("caps 3.3.4", t1),
+            BreakerDecision::Admit { trial: true }
+        );
         set.observe_at("caps 3.3.4", &[infra()], t1);
         let snap = set.snapshot();
         assert_eq!(snap.len(), 2);

@@ -313,7 +313,10 @@ mod tests {
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         server.join().unwrap();
-        assert!(out.starts_with("HTTP/1.1 429 Too Many Requests\r\n"), "{out}");
+        assert!(
+            out.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
+            "{out}"
+        );
         assert!(out.contains("Connection: close\r\n"));
         assert!(out.contains("Retry-After: 2\r\n"));
         assert!(out.ends_with("{\"error\":\"queue full\"}"));

@@ -70,8 +70,8 @@ use acc_obs as obs;
 use acc_obs::hist::{LatencyCollector, LatencyHist};
 use acc_obs::json::{self, Json};
 use acc_obs::metrics::{
-    render_breakers, render_http_latency, render_prometheus, render_server_metrics,
-    CacheCounters, ServerCounters,
+    render_breakers, render_http_latency, render_prometheus, render_server_metrics, CacheCounters,
+    ServerCounters,
 };
 use acc_obs::series::GroupBy;
 use acc_spec::version::CompilerVersion;
@@ -359,17 +359,21 @@ impl SubmissionSpec {
         }
         if let Some(ms) = u64_field(body, "deadline_ms")? {
             if ms == 0 {
-                return Err("`deadline_ms` of 0 is already expired; omit it or give the \
+                return Err(
+                    "`deadline_ms` of 0 is already expired; omit it or give the \
                             submission time to run"
-                    .to_string());
+                        .to_string(),
+                );
             }
             spec.deadline_ms = Some(ms);
         }
         if let Some(ms) = u64_field(body, "case_deadline_ms")? {
             if ms == 0 {
-                return Err("`case_deadline_ms` of 0 would time out every case before it \
+                return Err(
+                    "`case_deadline_ms` of 0 would time out every case before it \
                             starts"
-                    .to_string());
+                        .to_string(),
+                );
             }
             spec.case_deadline_ms = Some(ms);
         }
@@ -1040,9 +1044,10 @@ fn share_result(inner: &ServerInner, leader: u64, spec: &SubmissionSpec, run: &S
     for (sid, q) in sharers {
         if q.deadline.is_some_and(|d| Instant::now() >= d) {
             inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            let _ = inner
-                .store
-                .set_state(sid, "cancelled", "deadline expired while queued; not run");
+            let _ =
+                inner
+                    .store
+                    .set_state(sid, "cancelled", "deadline expired while queued; not run");
             continue;
         }
         let text = report::render(run, q.spec.format);
@@ -1357,7 +1362,10 @@ fn handle_history(inner: &ServerInner, req: &Request) -> Response {
         scope: req.query_param("scope").unwrap_or("").to_string(),
     };
     let rows = history(&inner.store, &hreq);
-    let mut body = format!("{{\"bucket\":{bucket},\"by\":\"{}\",\"series\":[", by.as_str());
+    let mut body = format!(
+        "{{\"bucket\":{bucket},\"by\":\"{}\",\"series\":[",
+        by.as_str()
+    );
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
             body.push(',');
@@ -1566,7 +1574,10 @@ mod tests {
             (r#"{"vendor":"pgi","lang":"cobol"}"#, "unknown language"),
             (r#"{"vendor":"pgi","format":"pdf"}"#, "unknown format"),
             (r#"{"vendor":"pgi","exec_mode":"par"}"#, "unknown exec mode"),
-            (r#"{"vendor":"pgi","exec_mode":"par:2"}"#, "unknown exec mode"),
+            (
+                r#"{"vendor":"pgi","exec_mode":"par:2"}"#,
+                "unknown exec mode",
+            ),
             (r#"{"vendor":"pgi","weight":0}"#, "`weight`"),
             (r#"{"vendor":"pgi","deadline_ms":0}"#, "`deadline_ms`"),
             (
@@ -1614,7 +1625,10 @@ mod tests {
         assert!(!a.same_execution(&c), "language is execution-relevant");
         let mut c = a.clone();
         c.features = vec!["data.".to_string()];
-        assert!(!a.same_execution(&c), "feature selection is execution-relevant");
+        assert!(
+            !a.same_execution(&c),
+            "feature selection is execution-relevant"
+        );
         let mut c = a.clone();
         c.repetitions = None;
         assert!(!a.same_execution(&c), "repetitions are execution-relevant");
@@ -1623,7 +1637,10 @@ mod tests {
         assert!(!a.same_execution(&c), "engine choice is execution-relevant");
         let mut c = a.clone();
         c.case_deadline_ms = None;
-        assert!(!a.same_execution(&c), "per-case deadline is execution-relevant");
+        assert!(
+            !a.same_execution(&c),
+            "per-case deadline is execution-relevant"
+        );
     }
 
     #[test]
@@ -1660,7 +1677,10 @@ mod tests {
         )
         .unwrap();
         let cold = run_submission(&spec, &RunOptions::default()).unwrap();
-        assert_eq!(warm.report, cold.report, "cache must not change report bytes");
+        assert_eq!(
+            warm.report, cold.report,
+            "cache must not change report bytes"
+        );
         assert!(!warm.stats.stopped_early());
     }
 

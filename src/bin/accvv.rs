@@ -348,7 +348,8 @@ fn named_source(args: &[String], cmd: &str) -> Result<(TestCase, Language, Strin
         return Err(format!("`{name}` is not generated for {lang}"));
     }
     let source = if flag(args, "--cross") {
-        case.cross_source_for(lang).ok_or_else(|| format!("`{name}` has no cross test"))?
+        case.cross_source_for(lang)
+            .ok_or_else(|| format!("`{name}` has no cross test"))?
     } else {
         case.source_for(lang)
     };
@@ -468,7 +469,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if stats.cached > 0 {
         errln!(
             "accvv: resume skipped {} completed case(s); {} executed this run",
-            stats.cached, stats.executed
+            stats.cached,
+            stats.executed
         );
     }
     // A journal that dropped a record cannot resume this run, so its
@@ -490,9 +492,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .as_ref()
             .or(resume_path.as_ref())
             .map(|p| format!("; resume with `accvv run --resume {p}`"))
-            .unwrap_or_else(|| {
-                "; use --journal to make interrupted runs resumable".to_string()
-            });
+            .unwrap_or_else(|| "; use --journal to make interrupted runs resumable".to_string());
         return Err(format!(
             "interrupted by signal after {} executed job(s); journal and telemetry sinks \
              flushed{hint}",
@@ -550,7 +550,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let jobs = parse_jobs(args, 1)?;
     let queue_cap: usize = parse_opt_or(args, "--queue-cap", 8usize)?;
     if queue_cap == 0 {
-        return Err("--queue-cap must be at least 1 (a zero-slot queue sheds everything)".to_string());
+        return Err(
+            "--queue-cap must be at least 1 (a zero-slot queue sheds everything)".to_string(),
+        );
     }
     let breaker_threshold: u32 = parse_opt_or(args, "--breaker-threshold", 5u32)?;
     if breaker_threshold == 0 {
@@ -564,11 +566,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.jobs = jobs;
     config.queue_cap = queue_cap;
     config.breaker_threshold = breaker_threshold;
-    config.breaker_cooldown = std::time::Duration::from_millis(parse_opt_or(
-        args,
-        "--breaker-cooldown-ms",
-        30_000u64,
-    )?);
+    config.breaker_cooldown =
+        std::time::Duration::from_millis(parse_opt_or(args, "--breaker-cooldown-ms", 30_000u64)?);
     config.retry_after_secs = parse_opt_or(args, "--retry-after-secs", 2u64)?;
     config.recorder = tele.recorder.clone();
     let server = openacc_vv::server::Server::bind(config).map_err(|e| format!("serve: {e}"))?;
@@ -611,11 +610,7 @@ fn parse_jobs(args: &[String], default: usize) -> Result<usize, String> {
 }
 
 /// Parse `--key value` as `T`, with a default when the flag is absent.
-fn parse_opt_or<T: std::str::FromStr>(
-    args: &[String],
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn parse_opt_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
     match opt(args, key) {
         Some(v) => v.parse().map_err(|_| format!("bad {key} value `{v}`")),
         None => Ok(default),
@@ -702,7 +697,9 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     for m in &report.measurements {
         outln!(
             "{:<30} {:>12.2} {:>14.1}",
-            m.name, m.median_ms, m.cases_per_sec
+            m.name,
+            m.median_ms,
+            m.cases_per_sec
         )?;
     }
     if use_cache {
@@ -905,8 +902,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("trace export requires a JSONL trace file (from --trace-out)")?;
-            let text =
-                std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
+            let text = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
             let events = obs::trace::parse_jsonl(&text).map_err(|e| format!("{input}: {e}"))?;
             let doc = obs::chrome::render(&events);
             // Self-check before writing: an export that Perfetto would
@@ -930,8 +926,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             outln!("accvv: {input} OK ({spans} properly nested span(s))")?;
             Ok(())
         }
-        _ => Err("trace requires a subcommand: export TRACE.jsonl [--out FILE] | check FILE"
-            .to_string()),
+        _ => Err(
+            "trace requires a subcommand: export TRACE.jsonl [--out FILE] | check FILE".to_string(),
+        ),
     }
 }
 
@@ -1137,7 +1134,11 @@ fn cmd_titan_sweep(args: &[String]) -> Result<(), String> {
             Err(e) => return Err(format!("--track {track}: {e}")),
         };
         let runs_so_far = tracker.history(&out.scope).map(|h| h.len()).unwrap_or(0);
-        tracker.record(&out.scope, format!("run{}", runs_so_far + 1), out.pass_rate());
+        tracker.record(
+            &out.scope,
+            format!("run{}", runs_so_far + 1),
+            out.pass_rate(),
+        );
         for drift in tracker.latest_drifts() {
             outln!("{drift}")?;
         }

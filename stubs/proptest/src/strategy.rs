@@ -106,7 +106,10 @@ impl<T> Union<T> {
     /// Build from `(weight, strategy)` pairs; weights must not all be zero.
     pub fn new(arms: Vec<(u32, BoxedStrategy<T>)>) -> Self {
         let total_weight: u64 = arms.iter().map(|(w, _)| *w as u64).sum();
-        assert!(total_weight > 0, "prop_oneof requires positive total weight");
+        assert!(
+            total_weight > 0,
+            "prop_oneof requires positive total weight"
+        );
         Union { arms, total_weight }
     }
 }

@@ -339,7 +339,10 @@ fn journal_resume_composes_with_cache() {
     assert!(stats.halted, "halt_after(3) should interrupt the suite");
     let warm_lookups = cache.stats().lookups();
     assert!(warm_lookups > 0, "first leg should have used the cache");
-    assert!(cache.frontend_entries() > 0, "the compiler's cache keeps its entries");
+    assert!(
+        cache.frontend_entries() > 0,
+        "the compiler's cache keeps its entries"
+    );
 
     // Second leg: resume from the journal with the SAME warm cache — the
     // replayed rows skip execution, the remainder compiles through the cache.

@@ -44,7 +44,13 @@ fn seeded_store(vfs: Arc<dyn Vfs>) -> ResultStore {
         store.set_state(a, state, "").expect("state");
     }
     store
-        .record_cases(a, &[case("t1", TestStatus::Pass), case("t2", TestStatus::WrongResult)])
+        .record_cases(
+            a,
+            &[
+                case("t1", TestStatus::Pass),
+                case("t2", TestStatus::WrongResult),
+            ],
+        )
         .expect("cases");
     store.record_report(a, "REPORT A\n").expect("report");
     let b = store.begin("bob", "CAPS 3.3.0", "text").expect("begin b");
@@ -172,9 +178,8 @@ fn enospc_mid_record_is_reported_and_recoverable() {
     let id = store.begin("alice", "PGI 13.4", "text").expect("begin");
     // Arm the fault only now: FaultFs clones share state, so the disk
     // "fills up" between the acked begin and the verdict append.
-    let fs = fs.with_injection(
-        Injection::on(OpKind::Write, "results.j1", FaultKind::Enospc).times(1),
-    );
+    let fs =
+        fs.with_injection(Injection::on(OpKind::Write, "results.j1", FaultKind::Enospc).times(1));
     let err = store
         .record_cases(id, &[case("t1", TestStatus::Pass)])
         .expect_err("ENOSPC must be reported");
@@ -193,11 +198,12 @@ fn failed_fsync_poisons_the_ack_path() {
     // fsyncgate semantics: after a failed fsync the buffered bytes are
     // GONE. The store must keep failing the ack path rather than retry
     // and pretend the data landed.
-    let fs = FaultFs::new(5).with_injection(
-        Injection::on(OpKind::Sync, "results.j1", FaultKind::Eio).times(1),
-    );
+    let fs = FaultFs::new(5)
+        .with_injection(Injection::on(OpKind::Sync, "results.j1", FaultKind::Eio).times(1));
     let store = ResultStore::open_via(arc(&fs), "results.j1").expect("open");
-    let err = store.begin("alice", "PGI 13.4", "text").expect_err("failed fsync must fail begin");
+    let err = store
+        .begin("alice", "PGI 13.4", "text")
+        .expect_err("failed fsync must fail begin");
     assert_eq!(err.kind(), std::io::ErrorKind::Other);
 
     // Nothing from the failed ack may surface after reboot.
@@ -255,9 +261,7 @@ fn journal_crash_points_preserve_acked_verdicts() {
         };
         for name in &acked {
             assert!(
-                replay
-                    .completed
-                    .contains_key(&(name.clone(), Language::C)),
+                replay.completed.contains_key(&(name.clone(), Language::C)),
                 "crash@{k}: acked verdict {name} lost"
             );
         }
@@ -301,7 +305,9 @@ fn torn_frames_never_reach_a_query() {
     bytes.extend_from_slice(b"J1 nothexa garbage\n\xff\xfe");
     let torn = FaultFs::new(17);
     {
-        let mut f = torn.create(Path::new("results.j1")).expect("seed torn file");
+        let mut f = torn
+            .create(Path::new("results.j1"))
+            .expect("seed torn file");
         f.write_all(&bytes).expect("write");
         f.sync_all().expect("sync");
     }
@@ -309,11 +315,17 @@ fn torn_frames_never_reach_a_query() {
     let rows = store.query(&QueryFilter::default());
     assert!(rows.len() <= intact_rows.len());
     for row in &rows {
-        assert!(intact_rows.contains(row), "query surfaced a frame the intact store never had");
+        assert!(
+            intact_rows.contains(row),
+            "query surfaced a frame the intact store never had"
+        );
     }
     // After open, the on-disk file holds only whole frames.
     let text = read_to_string(arc(&torn).as_ref(), Path::new("results.j1")).expect("readback");
     for line in text.lines().filter(|l| !l.is_empty()) {
-        assert!(line.starts_with("J1 "), "non-frame line survived open: {line:?}");
+        assert!(
+            line.starts_with("J1 "),
+            "non-frame line survived open: {line:?}"
+        );
     }
 }

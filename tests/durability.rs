@@ -48,11 +48,7 @@ fn compiler_for(buggy: bool) -> VendorCompiler {
 
 /// Run the suite journaled and uninterrupted; return the journal text and
 /// the rendered report.
-fn journaled_run(
-    campaign: &Campaign,
-    compiler: &VendorCompiler,
-    jobs: usize,
-) -> (String, String) {
+fn journaled_run(campaign: &Campaign, compiler: &VendorCompiler, jobs: usize) -> (String, String) {
     let journal = Arc::new(MemoryJournal::default());
     let exec = Executor::new(
         ExecutorPolicy::new()
@@ -66,7 +62,12 @@ fn journaled_run(
 }
 
 /// Resume from `journal_prefix` and render the final report.
-fn resumed_report(campaign: &Campaign, compiler: &VendorCompiler, journal_prefix: &str, jobs: usize) -> String {
+fn resumed_report(
+    campaign: &Campaign,
+    compiler: &VendorCompiler,
+    journal_prefix: &str,
+    jobs: usize,
+) -> String {
     let replay = Replay::from_text(journal_prefix);
     let exec = Executor::new(
         ExecutorPolicy::new()

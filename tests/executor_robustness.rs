@@ -80,10 +80,8 @@ fn parallel_reports_are_byte_identical_on_fault_free_runs() {
 
 /// Status sequence of a campaign under a transient memcpy fault.
 fn faulted_statuses(seed: u64, jobs: usize) -> Vec<TestStatus> {
-    let compiler = VendorCompiler::reference().with_extra_defect(Defect::TransientMemcpyFault {
-        rate_pct: 35,
-        seed,
-    });
+    let compiler = VendorCompiler::reference()
+        .with_extra_defect(Defect::TransientMemcpyFault { rate_pct: 35, seed });
     let policy = ExecutorPolicy::new().with_retries(4).with_jobs(jobs);
     let run = Executor::new(policy).run_suite(&small_campaign(), &compiler);
     run.results.into_iter().map(|r| r.status).collect()
@@ -102,10 +100,8 @@ fn seeded_transient_faults_classify_flaky_deterministically() {
     let c = faulted_statuses(seed, 4);
     assert_eq!(a, c, "classification is independent of the worker count");
     // And a flaky case folds the attempt series into the certainty model.
-    let compiler = VendorCompiler::reference().with_extra_defect(Defect::TransientMemcpyFault {
-        rate_pct: 35,
-        seed,
-    });
+    let compiler = VendorCompiler::reference()
+        .with_extra_defect(Defect::TransientMemcpyFault { rate_pct: 35, seed });
     let run = Executor::new(ExecutorPolicy::new().with_retries(4))
         .run_suite(&small_campaign(), &compiler);
     let flaky = run
@@ -153,7 +149,15 @@ fn step_budget_watchdog_times_out_deterministically_under_parallelism() {
 fn accvv_exits_nonzero_on_failures_and_prints_taxonomy() {
     // A clean reference run exits zero and prints the taxonomy line…
     let ok = Command::new(env!("CARGO_BIN_EXE_accvv"))
-        .args(["run", "--vendor", "reference", "--features", "loop", "--lang", "c"])
+        .args([
+            "run",
+            "--vendor",
+            "reference",
+            "--features",
+            "loop",
+            "--lang",
+            "c",
+        ])
         .output()
         .expect("spawn accvv");
     let stdout = String::from_utf8_lossy(&ok.stdout);
@@ -248,14 +252,22 @@ fn journal_or_resume_on_a_multi_release_sweep_is_refused() {
         let exec = Executor::new(policy);
         let sweep = panic::catch_unwind(AssertUnwindSafe(|| exec.run_sweep(&campaign, &releases)));
         let payload = sweep.expect_err("a multi-release sweep must refuse a journal or resume");
-        let message = payload.downcast_ref::<String>().expect("formatted panic message");
-        assert!(message.contains("a journal records one release"), "{message}");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            message.contains("a journal records one release"),
+            "{message}"
+        );
         // One release is the journaled `run_suite` path, and runs.
         let (runs, stats) = exec.run_sweep(&campaign, &releases[..1]);
         assert_eq!(runs.len(), 1);
         assert!(!stats.stopped_early());
     }
-    assert!(journal.text().starts_with("J1 "), "the one-release sweep journaled");
+    assert!(
+        journal.text().starts_with("J1 "),
+        "the one-release sweep journaled"
+    );
 }
 
 /// Run `accvv` with `args`; return its exit success and stderr.
@@ -264,18 +276,38 @@ fn accvv(args: &[&str]) -> (bool, String) {
         .args(args)
         .output()
         .expect("spawn accvv");
-    (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
 fn accvv_rejects_unknown_and_valueless_flags() {
     let refused: &[(&[&str], &str)] = &[
         (
-            &["run", "--vendor", "reference", "--features", "loop", "--exec-mod", "walk", "--jobz", "3"],
+            &[
+                "run",
+                "--vendor",
+                "reference",
+                "--features",
+                "loop",
+                "--exec-mod",
+                "walk",
+                "--jobz",
+                "3",
+            ],
             "unknown flag `--exec-mod` for `accvv run`",
         ),
         (
-            &["run", "--vendor", "reference", "--features", "loop", "--retries"],
+            &[
+                "run",
+                "--vendor",
+                "reference",
+                "--features",
+                "loop",
+                "--retries",
+            ],
             "flag `--retries` needs a value",
         ),
         (
@@ -286,7 +318,10 @@ fn accvv_rejects_unknown_and_valueless_flags() {
             &["campaign", "--vendor", "caps", "--jobz", "4"],
             "unknown flag `--jobz` for `accvv campaign`",
         ),
-        (&["matrix", "--vendor", "caps", "--jobs", "2"], "unknown flag `--jobs` for `accvv matrix`"),
+        (
+            &["matrix", "--vendor", "caps", "--jobs", "2"],
+            "unknown flag `--jobs` for `accvv matrix`",
+        ),
         (&["titan", "--nodes", "x"], "bad --nodes value `x`"),
         (
             &["titan", "--sweep", "--nodes", "2", "--jobs", "2"],
@@ -296,26 +331,51 @@ fn accvv_rejects_unknown_and_valueless_flags() {
         // Each titan mode takes only its own usage line's flags.
         (
             &[
-                "titan", "--sweep", "--nodes", "2", "--sample", "1", "--fault-rate", "90", "--seed",
+                "titan",
+                "--sweep",
+                "--nodes",
+                "2",
+                "--sample",
+                "1",
+                "--fault-rate",
+                "90",
+                "--seed",
                 "5",
             ],
             "`--sample` does not apply to `accvv titan --sweep`",
         ),
         (
             &[
-                "titan", "--nodes", "2", "--sample", "2", "--out", "f.txt", "--quarantine-after",
+                "titan",
+                "--nodes",
+                "2",
+                "--sample",
+                "2",
+                "--out",
+                "f.txt",
+                "--quarantine-after",
                 "3",
             ],
             "`--out` does not apply to the sampled `accvv titan`",
         ),
         (
             &[
-                "run", "--vendor", "reference", "--features", "none.such", "--format", "csv",
-                "--format", "html",
+                "run",
+                "--vendor",
+                "reference",
+                "--features",
+                "none.such",
+                "--format",
+                "csv",
+                "--format",
+                "html",
             ],
             "flag `--format` is given twice; `accvv run` takes it once",
         ),
-        (&["disasm", "loop.gang", "--hot"], "unknown flag `--hot` for `accvv disasm`"),
+        (
+            &["disasm", "loop.gang", "--hot"],
+            "unknown flag `--hot` for `accvv disasm`",
+        ),
     ];
     for (args, message) in refused {
         let (ok, stderr) = accvv(args);
@@ -324,13 +384,34 @@ fn accvv_rejects_unknown_and_valueless_flags() {
     }
     // Every flag CI, the docs and the benchmark pass is still taken.
     let (ok, stderr) = accvv(&[
-        "run", "--vendor", "reference", "--version", "1.0", "--lang", "c", "--features",
-        "none.such", "--exec-mode", "walk", "--no-cache", "--jobs", "2", "--format", "csv",
+        "run",
+        "--vendor",
+        "reference",
+        "--version",
+        "1.0",
+        "--lang",
+        "c",
+        "--features",
+        "none.such",
+        "--exec-mode",
+        "walk",
+        "--no-cache",
+        "--jobs",
+        "2",
+        "--format",
+        "csv",
     ]);
     assert!(ok, "{stderr}");
     // The flags both titan modes read are on both usage lines.
     let (ok, stderr) = accvv(&[
-        "titan", "--sweep", "--nodes", "2", "--retries", "1", "--exec-mode", "walk",
+        "titan",
+        "--sweep",
+        "--nodes",
+        "2",
+        "--retries",
+        "1",
+        "--exec-mode",
+        "walk",
     ]);
     assert!(ok, "{stderr}");
 }

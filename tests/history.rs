@@ -112,7 +112,10 @@ fn series_survives_compaction_and_reopen_with_latency() {
     // Latency columns included: the merge law makes even the quantiles
     // stable across log rewrites.
     let before = render_table(&history(&store, &req), GroupBy::Tenant, true);
-    assert!(before.contains("alice") && before.contains("bob"), "{before}");
+    assert!(
+        before.contains("alice") && before.contains("bob"),
+        "{before}"
+    );
 
     store.compact().expect("compact");
     let after_compact = render_table(&history(&store, &req), GroupBy::Tenant, true);
@@ -165,7 +168,11 @@ fn window_edges_are_inclusive_and_epoch_zero_joins_first_bucket() {
     // Both window edges are inclusive…
     assert_eq!(count(10_000, 17_200), 3);
     assert_eq!(count(10_001, 17_199), 1, "interior only");
-    assert_eq!(count(10_000, 10_000), 1, "single-point window keeps its edge row");
+    assert_eq!(
+        count(10_000, 10_000),
+        1,
+        "single-point window keeps its edge row"
+    );
     // …and the bucket grid aligns to the absolute epoch, so a shifted
     // window reports the same bucket start for a shared submission.
     let full = history(
@@ -225,7 +232,10 @@ fn window_edges_are_inclusive_and_epoch_zero_joins_first_bucket() {
         },
     );
     assert_eq!(rows.len(), 1, "epoch-0 row dropped");
-    assert_eq!(rows[0].bucket, 46_800, "first bucket of the window (50_000 aligned down)");
+    assert_eq!(
+        rows[0].bucket, 46_800,
+        "first bucket of the window (50_000 aligned down)"
+    );
 
     let _ = std::fs::remove_dir_all(dir);
     let _ = std::fs::remove_dir_all(zero_dir);

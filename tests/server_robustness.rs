@@ -123,9 +123,7 @@ impl HttpReply {
         if let Some(stripped) = rest.strip_prefix('"') {
             Some(stripped[..stripped.find('"')?].to_string())
         } else {
-            let end = rest
-                .find([',', '}', ']'])
-                .unwrap_or(rest.len());
+            let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
             Some(rest[..end].trim().to_string())
         }
     }
@@ -293,10 +291,7 @@ fn breaker_half_open_failure_reopens_immediately() {
         [&TestStatus::Skipped(Some("degraded".into()))],
         trial_time,
     );
-    assert!(matches!(
-        set.snapshot()[0].1,
-        BreakerState::Open { .. }
-    ));
+    assert!(matches!(set.snapshot()[0].1, BreakerState::Open { .. }));
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +362,8 @@ fn deadline_expired_while_queued_is_cancelled_not_run() {
     let addr = server.addr;
 
     assert_eq!(http(addr, "POST", "/v1/pause", None).status, 200);
-    let body = "{\"vendor\":\"reference\",\"lang\":\"c\",\"features\":[\"loop\"],\"deadline_ms\":40}";
+    let body =
+        "{\"vendor\":\"reference\",\"lang\":\"c\",\"features\":[\"loop\"],\"deadline_ms\":40}";
     let reply = http(addr, "POST", "/v1/submit", Some(body));
     assert_eq!(reply.status, 202, "{}", reply.body);
     let id = reply.json_field("id").expect("id");
@@ -456,7 +452,8 @@ fn served_report_matches_run_submission_cold_and_warm() {
 
     let server = TestServer::start("identity", |c| c.jobs = 2);
     let addr = server.addr;
-    let body = "{\"vendor\":\"caps\",\"version\":\"3.0.8\",\"lang\":\"c\",\"features\":[\"data.copy\"]}";
+    let body =
+        "{\"vendor\":\"caps\",\"version\":\"3.0.8\",\"lang\":\"c\",\"features\":[\"data.copy\"]}";
 
     // Cold cache, then warm: the cache must never leak into the bytes.
     for pass in ["cold", "warm"] {
@@ -555,7 +552,10 @@ fn identical_inflight_submissions_share_one_execution() {
         })
         .collect();
     assert_eq!(
-        details.iter().filter(|d| d.contains("shared execution")).count(),
+        details
+            .iter()
+            .filter(|d| d.contains("shared execution"))
+            .count(),
         2,
         "two of three identical submissions must be shared: {details:?}"
     );
@@ -576,10 +576,7 @@ fn identical_inflight_submissions_share_one_execution() {
     assert_eq!(alpha.status, 200);
     assert_eq!(alpha.body, beta.body, "shared text reports diverged");
     assert!(
-        gamma
-            .header("Content-Type")
-            .unwrap_or("")
-            .contains("csv"),
+        gamma.header("Content-Type").unwrap_or("").contains("csv"),
         "csv sharer must be served csv"
     );
     assert_ne!(gamma.body, alpha.body, "csv body re-rendered, not copied");
@@ -588,7 +585,10 @@ fn identical_inflight_submissions_share_one_execution() {
     let solo_detail = http(addr, "GET", &format!("/v1/status/{solo_id}"), None)
         .json_field("detail")
         .unwrap_or_default();
-    assert_eq!(solo_detail, "", "walk-mode submission must not share a vm run");
+    assert_eq!(
+        solo_detail, "",
+        "walk-mode submission must not share a vm run"
+    );
 
     let summary = server.drain_and_join();
     assert_eq!(summary.admitted, 4);
@@ -623,7 +623,11 @@ fn report_before_completion_is_409_and_unknown_ids_404() {
     assert_eq!(http(addr, "POST", "/v1/submit", Some("{nope")).status, 400);
     let bad_vendor = http(addr, "POST", "/v1/submit", Some("{\"vendor\":\"gcc\"}"));
     assert_eq!(bad_vendor.status, 400);
-    assert!(bad_vendor.body.contains("unknown vendor"), "{}", bad_vendor.body);
+    assert!(
+        bad_vendor.body.contains("unknown vendor"),
+        "{}",
+        bad_vendor.body
+    );
 
     assert_eq!(http(addr, "POST", "/v1/resume", None).status, 200);
     poll_state(addr, &id, &["done"], Duration::from_secs(60));
@@ -656,7 +660,11 @@ fn history_survives_compaction_and_restart() {
     let path = "/v1/history?bucket=3600&by=profile";
     let before = http(addr, "GET", path, None);
     assert_eq!(before.status, 200);
-    assert!(before.body.contains("\"by\":\"profile\""), "{}", before.body);
+    assert!(
+        before.body.contains("\"by\":\"profile\""),
+        "{}",
+        before.body
+    );
     assert!(before.body.contains("\"pass_rate\":"), "{}", before.body);
     assert!(
         before.body.contains("\"p50_us\":"),
@@ -675,7 +683,11 @@ fn history_survives_compaction_and_restart() {
 
     // Tenant grouping and filter agree with the full series.
     let by_tenant = http(addr, "GET", "/v1/history?by=tenant", None);
-    assert!(by_tenant.body.contains("\"key\":\"alice\""), "{}", by_tenant.body);
+    assert!(
+        by_tenant.body.contains("\"key\":\"alice\""),
+        "{}",
+        by_tenant.body
+    );
     let only_bob = http(addr, "GET", "/v1/history?tenant=bob", None);
     assert!(!only_bob.body.contains("alice"), "{}", only_bob.body);
 
@@ -689,7 +701,11 @@ fn history_survives_compaction_and_restart() {
         "# TYPE accvv_http_request_duration_us summary",
         "accvv_http_request_duration_us{path=\"/v1/submit\",quantile=\"0.5\"}",
     ] {
-        assert!(metrics.body.contains(needle), "missing `{needle}`:\n{}", metrics.body);
+        assert!(
+            metrics.body.contains(needle),
+            "missing `{needle}`:\n{}",
+            metrics.body
+        );
     }
 
     // Compaction rewrites the log; the served series must not move.
@@ -724,7 +740,10 @@ fn history_survives_compaction_and_restart() {
         "history changed across restart"
     );
     drain.cancel();
-    handle.join().expect("second server thread panicked").expect("run");
+    handle
+        .join()
+        .expect("second server thread panicked")
+        .expect("run");
     let _ = std::fs::remove_dir_all(&store_dir);
 }
 

@@ -64,7 +64,10 @@ fn merged_jsonl_is_byte_identical_across_jobs() {
         let serial = traced_jsonl(&compiler, 1, true);
         let parallel = traced_jsonl(&compiler, 4, true);
         assert!(!serial.is_empty());
-        assert_eq!(serial, parallel, "trace diverged across --jobs (buggy={buggy})");
+        assert_eq!(
+            serial, parallel,
+            "trace diverged across --jobs (buggy={buggy})"
+        );
     }
 }
 
@@ -213,7 +216,11 @@ fn resumed_cases_are_marked_cached_resume_and_never_re_execute() {
 fn chrome_export_validates_and_agrees_with_parsed_jsonl() {
     let recorder = obs::Recorder::enabled();
     let campaign = Campaign::new(small_suite()).with_cache(CompileCache::shared());
-    let exec = Executor::new(ExecutorPolicy::new().with_jobs(4).with_recorder(recorder.clone()));
+    let exec = Executor::new(
+        ExecutorPolicy::new()
+            .with_jobs(4)
+            .with_recorder(recorder.clone()),
+    );
     exec.run_suite_stats(&campaign, &VendorCompiler::reference());
     let events = recorder.snapshot();
     let jsonl = obs::trace::render_jsonl(&events);

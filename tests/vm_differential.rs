@@ -129,9 +129,8 @@ fn transient_memcpy_faults_classify_identically() {
     // Scan a small seed window for one that actually flips a verdict across
     // retries, so the Flaky path itself is part of the comparison.
     let statuses = |mode: ExecMode, seed: u64, jobs: usize| -> Vec<TestStatus> {
-        let compiler = VendorCompiler::reference().with_extra_defect(
-            Defect::TransientMemcpyFault { rate_pct: 35, seed },
-        );
+        let compiler = VendorCompiler::reference()
+            .with_extra_defect(Defect::TransientMemcpyFault { rate_pct: 35, seed });
         let policy = ExecutorPolicy::new()
             .with_exec_mode(mode)
             .with_retries(4)

@@ -35,6 +35,16 @@
 //! two engines are byte-identical by construction, not by
 //! re-implementation.
 //!
+//! ## One lowering for both chunk kinds
+//!
+//! Expressions, subscripts, assignments and `if` lower once, for a `Side`
+//! (host or device) that picks the instruction wherever the two chunk
+//! kinds differ: the statement tick, variable reads and writes, the fused
+//! index load, element reads and writes (a device element has no slot
+//! operand), and the expression and statement escapes. Declarations,
+//! loops, `return`, calls and directives still lower apart
+//! (`lower_stmt_h`/`lower_stmt_d`, `lower_for_h_core`/`lower_for_d_core`).
+//!
 //! ## Launch-plan parameterization
 //!
 //! Nothing vendor-specific is baked into the instruction stream: gang,
@@ -607,6 +617,13 @@ impl ChunkBuf {
         (self.code.len() - 1) as u32
     }
 
+    /// `regs[dst] = regs[a] op regs[b]` into a fresh register `dst`.
+    fn binop(&mut self, op: BinOp, a: u32, b: u32) -> u32 {
+        let dst = self.alloc();
+        self.emit(Instr::Binop { dst, op, a, b });
+        dst
+    }
+
     fn here(&self) -> u32 {
         self.code.len() as u32
     }
@@ -632,6 +649,103 @@ impl ChunkBuf {
         Chunk {
             start,
             regs: self.maxr,
+        }
+    }
+}
+
+/// The kind of chunk a lowering emits into. Host and device code lower
+/// through the same functions, and a `Side` picks the instruction at each
+/// point where the two kinds differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Host,
+    Device,
+}
+
+impl Side {
+    /// The statement prologue.
+    #[inline]
+    fn tick(self) -> Instr {
+        match self {
+            Side::Host => Instr::TickHost,
+            Side::Device => Instr::TickDev,
+        }
+    }
+
+    /// `regs[dst]` = the variable `names[name]`.
+    #[inline]
+    fn read_var(self, dst: u32, name: u32, slot: u32) -> Instr {
+        match self {
+            Side::Host => Instr::ReadVarH { dst, name, slot },
+            Side::Device => Instr::ReadVarD { dst, name, slot },
+        }
+    }
+
+    /// The variable `names[name]` = `regs[src]`.
+    #[inline]
+    fn write_var(self, src: u32, name: u32, slot: u32) -> Instr {
+        match self {
+            Side::Host => Instr::WriteVarH { src, name, slot },
+            Side::Device => Instr::WriteVarD { src, name, slot },
+        }
+    }
+
+    /// The fused index load of a plain-variable subscript.
+    #[inline]
+    fn idx_var(self, dst: u32, name: u32, slot: u32) -> Instr {
+        match self {
+            Side::Host => Instr::IdxVarH { dst, name, slot },
+            Side::Device => Instr::IdxVarD { dst, name, slot },
+        }
+    }
+
+    /// An element read. A device element has no slot operand: the VM
+    /// finds its buffer by name.
+    #[inline]
+    fn read_idx(self, dst: u32, name: u32, slot: u32, idx: u32, n: u8) -> Instr {
+        match self {
+            Side::Host => Instr::ReadIdxH {
+                dst,
+                name,
+                slot,
+                idx,
+                n,
+            },
+            Side::Device => Instr::ReadIdxD { dst, name, idx, n },
+        }
+    }
+
+    /// An element write (see [`Side::read_idx`]).
+    #[inline]
+    fn write_idx(self, src: u32, name: u32, slot: u32, idx: u32, n: u8) -> Instr {
+        match self {
+            Side::Host => Instr::WriteIdxH {
+                src,
+                name,
+                slot,
+                idx,
+                n,
+            },
+            Side::Device => Instr::WriteIdxD { src, name, idx, n },
+        }
+    }
+
+    /// Escape: evaluate `exprs[expr]` with the walker. Only host
+    /// evaluation takes the lvalue `hint`.
+    #[inline]
+    fn eval_expr(self, dst: u32, expr: u32, hint: ScalarType) -> Instr {
+        match self {
+            Side::Host => Instr::EvalHostExpr { dst, expr, hint },
+            Side::Device => Instr::EvalDevExpr { dst, expr },
+        }
+    }
+
+    /// Escape: execute `stmts[stmt]` with the walker.
+    #[inline]
+    fn stmt(self, stmt: u32) -> Instr {
+        match self {
+            Side::Host => Instr::HostStmt { stmt },
+            Side::Device => Instr::DevStmt { stmt },
         }
     }
 }
@@ -686,7 +800,7 @@ pub(crate) fn lower(program: &Arc<Program>, resolved: &ResolvedProgram) -> Bytec
         // A function without a layout is unreachable (call_function errors
         // first); its chunk stays empty.
         if layout.is_some() {
-            lw.lower_body_h(&mut buf, &f.body);
+            lw.lower_body(&mut buf, Side::Host, &f.body);
         }
         let chunk = buf.seal(&mut lw.bp.code);
         lw.bp.funcs.push(FuncCode {
@@ -774,12 +888,17 @@ impl<'p> Lowerer<'p> {
         dst
     }
 
-    // ---- host statements ----
+    // ---- statements ----
 
-    fn lower_body_h(&mut self, buf: &mut ChunkBuf, body: &'p [Stmt]) {
+    /// Lower `body` into a chunk of `side`, each statement starting from
+    /// the register mark taken before it.
+    fn lower_body(&mut self, buf: &mut ChunkBuf, side: Side, body: &'p [Stmt]) {
         for s in body {
             let m = buf.mark();
-            self.lower_stmt_h(buf, s);
+            match side {
+                Side::Host => self.lower_stmt_h(buf, s),
+                Side::Device => self.lower_stmt_d(buf, s),
+            }
             buf.reset(m);
         }
     }
@@ -787,112 +906,19 @@ impl<'p> Lowerer<'p> {
     fn lower_stmt_h(&mut self, buf: &mut ChunkBuf, s: &'p Stmt) {
         match s {
             // Escapes: calls (runtime routines, user functions, deferred
-            // effects), array declarations (arena allocation), and scalar
-            // assignments whose value observes the runtime lvalue hint or
-            // whose target exceeds the inline index arity.
+            // effects) and array declarations (arena allocation).
             Stmt::Call { .. } | Stmt::DeclArray { .. } => {
                 let i = self.add_stmt(s);
                 buf.emit(Instr::HostStmt { stmt: i });
             }
             Stmt::Assign { target, op, value } => {
-                let escape = match target {
-                    LValue::Var(_) => hinted_call(value),
-                    LValue::Index { indices, .. } => indices.len() > MAX_IDX,
-                };
-                if escape {
-                    let i = self.add_stmt(s);
-                    buf.emit(Instr::HostStmt { stmt: i });
-                    return;
-                }
-                buf.emit(Instr::TickHost);
-                // The hint only reaches calls chained through unary/binary
-                // operators; those assignments escaped above, so `Float`
-                // (the walker's default) is exact here.
-                let rhs = self.lower_expr_h(buf, value, ScalarType::Float);
-                match target {
-                    LValue::Var(n) => {
-                        let (name, slot) = self.var(n);
-                        match op {
-                            None => {
-                                buf.emit(Instr::WriteVarH {
-                                    src: rhs,
-                                    name,
-                                    slot,
-                                });
-                            }
-                            Some(o) => {
-                                let old = buf.alloc();
-                                buf.emit(Instr::ReadVarH {
-                                    dst: old,
-                                    name,
-                                    slot,
-                                });
-                                let dst = buf.alloc();
-                                buf.emit(Instr::Binop {
-                                    dst,
-                                    op: *o,
-                                    a: old,
-                                    b: rhs,
-                                });
-                                buf.emit(Instr::WriteVarH {
-                                    src: dst,
-                                    name,
-                                    slot,
-                                });
-                            }
-                        }
-                    }
-                    LValue::Index { base, indices } => {
-                        let (name, slot) = self.var(base);
-                        let n = indices.len() as u8;
-                        match op {
-                            None => {
-                                let idx = self.lower_index_block_h(buf, indices);
-                                buf.emit(Instr::WriteIdxH {
-                                    src: rhs,
-                                    name,
-                                    slot,
-                                    idx,
-                                    n,
-                                });
-                            }
-                            Some(o) => {
-                                let idx1 = self.lower_index_block_h(buf, indices);
-                                let old = buf.alloc();
-                                buf.emit(Instr::ReadIdxH {
-                                    dst: old,
-                                    name,
-                                    slot,
-                                    idx: idx1,
-                                    n,
-                                });
-                                let dst = buf.alloc();
-                                buf.emit(Instr::Binop {
-                                    dst,
-                                    op: *o,
-                                    a: old,
-                                    b: rhs,
-                                });
-                                // C semantics: the walker re-evaluates the
-                                // index expressions for the write.
-                                let idx2 = self.lower_index_block_h(buf, indices);
-                                buf.emit(Instr::WriteIdxH {
-                                    src: dst,
-                                    name,
-                                    slot,
-                                    idx: idx2,
-                                    n,
-                                });
-                            }
-                        }
-                    }
-                }
+                self.lower_assign(buf, Side::Host, s, target, *op, value)
             }
             Stmt::DeclScalar { name, ty, init } => {
                 buf.emit(Instr::TickHost);
                 let r = match init {
                     Some(e) => {
-                        let r = self.lower_expr_h(buf, e, ty.scalar());
+                        let r = self.lower_expr(buf, Side::Host, e, ty.scalar());
                         // Pointer declarations keep the raw value
                         // (DevPtr / null int); scalars convert.
                         if let Type::Scalar(t) = ty {
@@ -928,21 +954,10 @@ impl<'p> Lowerer<'p> {
                 cond,
                 then_body,
                 else_body,
-            } => {
-                buf.emit(Instr::TickHost);
-                let rc = self.lower_expr_h(buf, cond, ScalarType::Float);
-                let jel = buf.emit(Instr::JumpIfFalse { cond: rc, to: 0 });
-                self.lower_body_h(buf, then_body);
-                let jend = buf.emit(Instr::Jump { to: 0 });
-                let here = buf.here();
-                buf.patch(jel, here);
-                self.lower_body_h(buf, else_body);
-                let here = buf.here();
-                buf.patch(jend, here);
-            }
+            } => self.lower_if(buf, Side::Host, cond, then_body, else_body),
             Stmt::Return(e) => {
                 buf.emit(Instr::TickHost);
-                let r = self.lower_expr_h(buf, e, ScalarType::Float);
+                let r = self.lower_expr(buf, Side::Host, e, ScalarType::Float);
                 buf.emit(Instr::Return { src: r });
             }
             Stmt::AccBlock { dir, body } => {
@@ -990,14 +1005,190 @@ impl<'p> Lowerer<'p> {
         }
     }
 
+    fn lower_stmt_d(&mut self, buf: &mut ChunkBuf, s: &'p Stmt) {
+        match s {
+            // Escape: device calls (acc_on_device, intrinsic/user
+            // rejection). `exec_stmt_device` does its own tick and
+            // region-cost accounting.
+            Stmt::Call { .. } => {
+                let i = self.add_stmt(s);
+                buf.emit(Instr::DevStmt { stmt: i });
+            }
+            Stmt::Assign { target, op, value } => {
+                self.lower_assign(buf, Side::Device, s, target, *op, value)
+            }
+            Stmt::DeclScalar { name, ty, init } => {
+                buf.emit(Instr::TickDev);
+                let r = match init {
+                    Some(e) => {
+                        let r = self.lower_expr(buf, Side::Device, e, ty.scalar());
+                        // Device declarations always convert (no pointer
+                        // exemption on this path).
+                        buf.emit(Instr::ConvertTo { r, ty: ty.scalar() });
+                        r
+                    }
+                    None => {
+                        let r = buf.alloc();
+                        buf.emit(Instr::Garbage {
+                            dst: r,
+                            ty: ty.scalar(),
+                        });
+                        r
+                    }
+                };
+                match self.layout.slot(name) {
+                    Some(slot) => {
+                        buf.emit(Instr::SetLocal {
+                            slot: slot as u32,
+                            src: r,
+                        });
+                    }
+                    None => self.emit_unresolved(buf, name),
+                }
+            }
+            Stmt::DeclArray { .. } => {
+                buf.emit(Instr::TickDev);
+                self.emit_crash(
+                    buf,
+                    "array declarations inside compute regions are not supported".into(),
+                );
+            }
+            Stmt::For(l) => {
+                buf.emit(Instr::TickDev);
+                self.lower_for_d_core(buf, l);
+            }
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => self.lower_if(buf, Side::Device, cond, then_body, else_body),
+            Stmt::Return(_) => {
+                buf.emit(Instr::TickDev);
+                self.emit_crash(
+                    buf,
+                    "return inside a compute region is not supported".into(),
+                );
+            }
+            Stmt::AccLoop { dir, l } => {
+                buf.emit(Instr::TickDev);
+                let dir_id = self.add_dir(dir);
+                let nest = self.lower_nest(dir_id, dir, l);
+                buf.emit(Instr::DevLoopDir { nest });
+            }
+            Stmt::AccBlock { dir, .. } => {
+                buf.emit(Instr::TickDev);
+                self.emit_crash(
+                    buf,
+                    format!(
+                        "nested `{}` regions inside compute constructs are not supported in 1.0",
+                        dir.kind.name()
+                    ),
+                );
+            }
+            Stmt::AccStandalone { dir } => {
+                buf.emit(Instr::TickDev);
+                match dir.kind {
+                    DirectiveKind::Cache => {}
+                    other => self.emit_crash(
+                        buf,
+                        format!("`{}` directive inside a compute region", other.name()),
+                    ),
+                }
+            }
+        }
+    }
+
+    /// The assignment `s` on `side`. It escapes whole when its target
+    /// exceeds the inline index arity, and on the host also when it
+    /// assigns a scalar a value whose calls observe the walker's runtime
+    /// lvalue hint (device evaluation takes no hint). Otherwise the value
+    /// lowers first, then the target.
+    fn lower_assign(
+        &mut self,
+        buf: &mut ChunkBuf,
+        side: Side,
+        s: &'p Stmt,
+        target: &'p LValue,
+        op: Option<BinOp>,
+        value: &'p Expr,
+    ) {
+        let escape = match target {
+            LValue::Var(_) => side == Side::Host && hinted_call(value),
+            LValue::Index { indices, .. } => indices.len() > MAX_IDX,
+        };
+        if escape {
+            let i = self.add_stmt(s);
+            buf.emit(side.stmt(i));
+            return;
+        }
+        buf.emit(side.tick());
+        // The hint only reaches calls chained through unary/binary
+        // operators; those host assignments escaped above, so `Float`
+        // (the walker's default) is exact here.
+        let rhs = self.lower_expr(buf, side, value, ScalarType::Float);
+        match target {
+            LValue::Var(n) => {
+                let (name, slot) = self.var(n);
+                let src = match op {
+                    None => rhs,
+                    Some(op) => {
+                        let old = buf.alloc();
+                        buf.emit(side.read_var(old, name, slot));
+                        buf.binop(op, old, rhs)
+                    }
+                };
+                buf.emit(side.write_var(src, name, slot));
+            }
+            LValue::Index { base, indices } => {
+                let (name, slot) = self.var(base);
+                let n = indices.len() as u8;
+                let src = match op {
+                    None => rhs,
+                    Some(op) => {
+                        let idx = self.lower_index_block(buf, side, indices);
+                        let old = buf.alloc();
+                        buf.emit(side.read_idx(old, name, slot, idx, n));
+                        buf.binop(op, old, rhs)
+                    }
+                };
+                // C semantics: the walker evaluates the index expressions
+                // again for the write.
+                let idx = self.lower_index_block(buf, side, indices);
+                buf.emit(side.write_idx(src, name, slot, idx, n));
+            }
+        }
+    }
+
+    /// `if`/`else` on `side`: the condition, then each body behind a
+    /// patched jump.
+    fn lower_if(
+        &mut self,
+        buf: &mut ChunkBuf,
+        side: Side,
+        cond: &'p Expr,
+        then_body: &'p [Stmt],
+        else_body: &'p [Stmt],
+    ) {
+        buf.emit(side.tick());
+        let rc = self.lower_expr(buf, side, cond, ScalarType::Float);
+        let jel = buf.emit(Instr::JumpIfFalse { cond: rc, to: 0 });
+        self.lower_body(buf, side, then_body);
+        let jend = buf.emit(Instr::Jump { to: 0 });
+        let here = buf.here();
+        buf.patch(jel, here);
+        self.lower_body(buf, side, else_body);
+        let here = buf.here();
+        buf.patch(jend, here);
+    }
+
     /// The counted-loop core, shared by `Stmt::For` (after its statement
     /// tick) and a `loop` directive outside compute constructs, which the
     /// walker enters without a statement tick.
     /// Mirrors `exec_for_host`: bounds/step once, per-iteration tick before
     /// the re-evaluated upper bound, raw slot store of the induction value.
     fn lower_for_h_core(&mut self, buf: &mut ChunkBuf, l: &'p ForLoop) {
-        let rf = self.lower_int_expr_h(buf, &l.from);
-        let rs = self.lower_int_expr_h(buf, &l.step);
+        let rf = self.lower_int_expr(buf, Side::Host, &l.from);
+        let rs = self.lower_int_expr(buf, Side::Host, &l.step);
         buf.emit(Instr::CheckStep { src: rs });
         let Some(slot) = self.layout.slot(&l.var) else {
             self.emit_unresolved(buf, &l.var);
@@ -1020,7 +1211,7 @@ impl<'p> Lowerer<'p> {
         buf.emit(Instr::TickLoop);
         let rt = match hoisted {
             Some(rt) => rt,
-            None => self.lower_int_expr_h(buf, &l.to),
+            None => self.lower_int_expr(buf, Side::Host, &l.to),
         };
         let jexit = buf.emit(Instr::JumpIfGe {
             a: ri,
@@ -1031,7 +1222,7 @@ impl<'p> Lowerer<'p> {
             slot: slot as u32,
             src: ri,
         });
-        self.lower_body_h(buf, &l.body);
+        self.lower_body(buf, Side::Host, &l.body);
         buf.emit(Instr::Binop {
             dst: ri,
             op: BinOp::Add,
@@ -1043,16 +1234,58 @@ impl<'p> Lowerer<'p> {
         buf.patch(jexit, here);
     }
 
+    /// A sequential device loop (`exec_for_device` with every iteration
+    /// selected — the unannotated-loop, gang-redundant case): bounds
+    /// evaluated once up front, no per-iteration tick.
+    fn lower_for_d_core(&mut self, buf: &mut ChunkBuf, l: &'p ForLoop) {
+        let rf = self.lower_int_expr(buf, Side::Device, &l.from);
+        let rt = self.lower_int_expr(buf, Side::Device, &l.to);
+        let rs = self.lower_int_expr(buf, Side::Device, &l.step);
+        buf.emit(Instr::CheckStep { src: rs });
+        let Some(slot) = self.layout.slot(&l.var) else {
+            self.emit_unresolved(buf, &l.var);
+            return;
+        };
+        let ri = buf.alloc();
+        buf.emit(Instr::Copy { dst: ri, src: rf });
+        let head = buf.here();
+        // `while i < to` exits on `i >= to` — the same fused compare as the
+        // host loop (operands are `Int` by construction).
+        let jexit = buf.emit(Instr::JumpIfGe {
+            a: ri,
+            b: rt,
+            to: 0,
+        });
+        buf.emit(Instr::SetLocal {
+            slot: slot as u32,
+            src: ri,
+        });
+        buf.emit(Instr::DevIter);
+        self.lower_body(buf, Side::Device, &l.body);
+        buf.emit(Instr::Binop {
+            dst: ri,
+            op: BinOp::Add,
+            a: ri,
+            b: rs,
+        });
+        buf.emit(Instr::Jump { to: head });
+        let here = buf.here();
+        buf.patch(jexit, here);
+    }
+
+    // ---- expressions ----
+
     /// Lower an expression the walker immediately `.as_int()`s, yielding a
     /// register guaranteed to hold `Value::Int`. Plain variables fuse to a
-    /// single `IdxVarH`, literals to a `Const`; anything else takes the
-    /// general lowering followed by `AsInt` (same eval → as_int order).
-    fn lower_int_expr_h(&mut self, buf: &mut ChunkBuf, e: &'p Expr) -> u32 {
+    /// single index load (`IdxVarH`/`IdxVarD`), literals to a `Const`;
+    /// anything else takes the general lowering followed by `AsInt` (same
+    /// eval → as_int order).
+    fn lower_int_expr(&mut self, buf: &mut ChunkBuf, side: Side, e: &'p Expr) -> u32 {
         match e {
             Expr::Var(n) => {
                 let dst = buf.alloc();
                 let (name, slot) = self.var(n);
-                buf.emit(Instr::IdxVarH { dst, name, slot });
+                buf.emit(side.idx_var(dst, name, slot));
                 dst
             }
             Expr::Int(v) => {
@@ -1062,7 +1295,7 @@ impl<'p> Lowerer<'p> {
                 dst
             }
             _ => {
-                let r = self.lower_expr_h(buf, e, ScalarType::Float);
+                let r = self.lower_expr(buf, side, e, ScalarType::Float);
                 buf.emit(Instr::AsInt { r });
                 r
             }
@@ -1072,7 +1305,7 @@ impl<'p> Lowerer<'p> {
     /// Lower index expressions into `n` consecutive registers, each
     /// evaluated then integer-converted in sequence (the walker's
     /// per-index `eval → as_int` interleave, preserving crash order).
-    fn lower_index_block_h(&mut self, buf: &mut ChunkBuf, indices: &'p [Expr]) -> u32 {
+    fn lower_index_block(&mut self, buf: &mut ChunkBuf, side: Side, indices: &'p [Expr]) -> u32 {
         let block = buf.alloc_n(indices.len() as u32);
         for (k, e) in indices.iter().enumerate() {
             let dst = block + k as u32;
@@ -1081,14 +1314,14 @@ impl<'p> Lowerer<'p> {
                 // eval-then-as_int order per index is unchanged.
                 Expr::Var(n) => {
                     let (name, slot) = self.var(n);
-                    buf.emit(Instr::IdxVarH { dst, name, slot });
+                    buf.emit(side.idx_var(dst, name, slot));
                 }
                 Expr::Int(v) => {
                     let k = self.const_id(Value::Int(*v));
                     buf.emit(Instr::Const { dst, k });
                 }
                 _ => {
-                    let r = self.lower_expr_h(buf, e, ScalarType::Float);
+                    let r = self.lower_expr(buf, side, e, ScalarType::Float);
                     buf.emit(Instr::AsInt { r });
                     buf.emit(Instr::Copy { dst, src: r });
                 }
@@ -1097,9 +1330,10 @@ impl<'p> Lowerer<'p> {
         block
     }
 
-    // ---- host expressions ----
-
-    fn lower_expr_h(&mut self, buf: &mut ChunkBuf, e: &'p Expr, hint: ScalarType) -> u32 {
+    /// Lower `e` on `side` into a fresh register. `hint` is the walker's
+    /// lvalue hint for a call the expression escapes to, which only host
+    /// evaluation observes.
+    fn lower_expr(&mut self, buf: &mut ChunkBuf, side: Side, e: &'p Expr, hint: ScalarType) -> u32 {
         match e {
             Expr::Int(v) => self.emit_const(buf, Value::Int(*v)),
             Expr::Real(v, t) => self.emit_const(
@@ -1113,22 +1347,16 @@ impl<'p> Lowerer<'p> {
             Expr::Var(n) => {
                 let (name, slot) = self.var(n);
                 let dst = buf.alloc();
-                buf.emit(Instr::ReadVarH { dst, name, slot });
+                buf.emit(side.read_var(dst, name, slot));
                 dst
             }
             Expr::Index { base, indices } if indices.len() <= MAX_IDX => {
                 // Index subexpressions always evaluate under the default
                 // hint in the walker (`eval_host`).
-                let idx = self.lower_index_block_h(buf, indices);
+                let idx = self.lower_index_block(buf, side, indices);
                 let (name, slot) = self.var(base);
                 let dst = buf.alloc();
-                buf.emit(Instr::ReadIdxH {
-                    dst,
-                    name,
-                    slot,
-                    idx,
-                    n: indices.len() as u8,
-                });
+                buf.emit(side.read_idx(dst, name, slot, idx, indices.len() as u8));
                 dst
             }
             Expr::Index { .. } | Expr::Call { .. } => {
@@ -1137,57 +1365,40 @@ impl<'p> Lowerer<'p> {
                 // index expressions skip the fixed-arity fast path.
                 let id = self.add_expr(e);
                 let dst = buf.alloc();
-                buf.emit(Instr::EvalHostExpr {
-                    dst,
-                    expr: id,
-                    hint,
-                });
+                buf.emit(side.eval_expr(dst, id, hint));
                 dst
             }
             Expr::Unary(op, inner) => {
-                let src = self.lower_expr_h(buf, inner, hint);
+                let src = self.lower_expr(buf, side, inner, hint);
                 let dst = buf.alloc();
                 buf.emit(Instr::Unop { dst, op: *op, src });
                 dst
             }
-            Expr::Binary(op, l, r) => {
-                let a = self.lower_expr_h(buf, l, hint);
-                match op {
+            Expr::Binary(op @ (BinOp::And | BinOp::Or), l, r) => {
+                // Short circuit: `dst` starts as the value `a` alone
+                // decides (0 for `&&`, 1 for `||`), and the jump skips
+                // `r` when `a` decides it.
+                let a = self.lower_expr(buf, side, l, hint);
+                let (dst, jend) = match op {
                     BinOp::And => {
                         let dst = self.emit_const(buf, Value::Int(0));
-                        let jend = buf.emit(Instr::JumpIfFalse { cond: a, to: 0 });
-                        let b = self.lower_expr_h(buf, r, hint);
-                        buf.emit(Instr::Binop {
-                            dst,
-                            op: BinOp::And,
-                            a,
-                            b,
-                        });
-                        let here = buf.here();
-                        buf.patch(jend, here);
-                        dst
-                    }
-                    BinOp::Or => {
-                        let dst = self.emit_const(buf, Value::Int(1));
-                        let jend = buf.emit(Instr::JumpIfTrue { cond: a, to: 0 });
-                        let b = self.lower_expr_h(buf, r, hint);
-                        buf.emit(Instr::Binop {
-                            dst,
-                            op: BinOp::Or,
-                            a,
-                            b,
-                        });
-                        let here = buf.here();
-                        buf.patch(jend, here);
-                        dst
+                        (dst, buf.emit(Instr::JumpIfFalse { cond: a, to: 0 }))
                     }
                     _ => {
-                        let b = self.lower_expr_h(buf, r, hint);
-                        let dst = buf.alloc();
-                        buf.emit(Instr::Binop { dst, op: *op, a, b });
-                        dst
+                        let dst = self.emit_const(buf, Value::Int(1));
+                        (dst, buf.emit(Instr::JumpIfTrue { cond: a, to: 0 }))
                     }
-                }
+                };
+                let b = self.lower_expr(buf, side, r, hint);
+                buf.emit(Instr::Binop { dst, op: *op, a, b });
+                let here = buf.here();
+                buf.patch(jend, here);
+                dst
+            }
+            Expr::Binary(op, l, r) => {
+                let a = self.lower_expr(buf, side, l, hint);
+                let b = self.lower_expr(buf, side, r, hint);
+                buf.binop(*op, a, b)
             }
         }
     }
@@ -1227,7 +1438,7 @@ impl<'p> Lowerer<'p> {
     fn lower_host_block(&mut self, dir: &'p AccDirective, body: &'p [Stmt]) -> u32 {
         let dir_id = self.add_dir(dir);
         let mut buf = ChunkBuf::new();
-        self.lower_body_h(&mut buf, body);
+        self.lower_body(&mut buf, Side::Host, body);
         let chunk = buf.seal(&mut self.bp.code);
         self.bp.blocks.push(HostBlock { dir: dir_id, chunk });
         (self.bp.blocks.len() - 1) as u32
@@ -1276,372 +1487,9 @@ impl<'p> Lowerer<'p> {
         (self.bp.nests.len() - 1) as u32
     }
 
-    // ---- device statements ----
-
     fn lower_dev_chunk(&mut self, body: &'p [Stmt]) -> Chunk {
         let mut buf = ChunkBuf::new();
-        self.lower_body_d(&mut buf, body);
+        self.lower_body(&mut buf, Side::Device, body);
         buf.seal(&mut self.bp.code)
-    }
-
-    fn lower_body_d(&mut self, buf: &mut ChunkBuf, body: &'p [Stmt]) {
-        for s in body {
-            let m = buf.mark();
-            self.lower_stmt_d(buf, s);
-            buf.reset(m);
-        }
-    }
-
-    fn lower_stmt_d(&mut self, buf: &mut ChunkBuf, s: &'p Stmt) {
-        match s {
-            // Escapes: device calls (acc_on_device, intrinsic/user
-            // rejection) and over-arity index targets. `exec_stmt_device`
-            // does its own tick and region-cost accounting.
-            Stmt::Call { .. } => {
-                let i = self.add_stmt(s);
-                buf.emit(Instr::DevStmt { stmt: i });
-            }
-            Stmt::Assign { target, op, value } => {
-                if matches!(target, LValue::Index { indices, .. } if indices.len() > MAX_IDX) {
-                    let i = self.add_stmt(s);
-                    buf.emit(Instr::DevStmt { stmt: i });
-                    return;
-                }
-                buf.emit(Instr::TickDev);
-                let rhs = self.lower_expr_d(buf, value);
-                match target {
-                    LValue::Var(n) => {
-                        let (name, slot) = self.var(n);
-                        match op {
-                            None => {
-                                buf.emit(Instr::WriteVarD {
-                                    src: rhs,
-                                    name,
-                                    slot,
-                                });
-                            }
-                            Some(o) => {
-                                let old = buf.alloc();
-                                buf.emit(Instr::ReadVarD {
-                                    dst: old,
-                                    name,
-                                    slot,
-                                });
-                                let dst = buf.alloc();
-                                buf.emit(Instr::Binop {
-                                    dst,
-                                    op: *o,
-                                    a: old,
-                                    b: rhs,
-                                });
-                                buf.emit(Instr::WriteVarD {
-                                    src: dst,
-                                    name,
-                                    slot,
-                                });
-                            }
-                        }
-                    }
-                    LValue::Index { base, indices } => {
-                        let (name, _) = self.var(base);
-                        let n = indices.len() as u8;
-                        match op {
-                            None => {
-                                let idx = self.lower_index_block_d(buf, indices);
-                                buf.emit(Instr::WriteIdxD {
-                                    src: rhs,
-                                    name,
-                                    idx,
-                                    n,
-                                });
-                            }
-                            Some(o) => {
-                                let idx1 = self.lower_index_block_d(buf, indices);
-                                let old = buf.alloc();
-                                buf.emit(Instr::ReadIdxD {
-                                    dst: old,
-                                    name,
-                                    idx: idx1,
-                                    n,
-                                });
-                                let dst = buf.alloc();
-                                buf.emit(Instr::Binop {
-                                    dst,
-                                    op: *o,
-                                    a: old,
-                                    b: rhs,
-                                });
-                                let idx2 = self.lower_index_block_d(buf, indices);
-                                buf.emit(Instr::WriteIdxD {
-                                    src: dst,
-                                    name,
-                                    idx: idx2,
-                                    n,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            Stmt::DeclScalar { name, ty, init } => {
-                buf.emit(Instr::TickDev);
-                let r = match init {
-                    Some(e) => {
-                        let r = self.lower_expr_d(buf, e);
-                        // Device declarations always convert (no pointer
-                        // exemption on this path).
-                        buf.emit(Instr::ConvertTo { r, ty: ty.scalar() });
-                        r
-                    }
-                    None => {
-                        let r = buf.alloc();
-                        buf.emit(Instr::Garbage {
-                            dst: r,
-                            ty: ty.scalar(),
-                        });
-                        r
-                    }
-                };
-                match self.layout.slot(name) {
-                    Some(slot) => {
-                        buf.emit(Instr::SetLocal {
-                            slot: slot as u32,
-                            src: r,
-                        });
-                    }
-                    None => self.emit_unresolved(buf, name),
-                }
-            }
-            Stmt::DeclArray { .. } => {
-                buf.emit(Instr::TickDev);
-                self.emit_crash(
-                    buf,
-                    "array declarations inside compute regions are not supported".into(),
-                );
-            }
-            Stmt::For(l) => {
-                buf.emit(Instr::TickDev);
-                self.lower_for_d_core(buf, l);
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                buf.emit(Instr::TickDev);
-                let rc = self.lower_expr_d(buf, cond);
-                let jel = buf.emit(Instr::JumpIfFalse { cond: rc, to: 0 });
-                self.lower_body_d(buf, then_body);
-                let jend = buf.emit(Instr::Jump { to: 0 });
-                let here = buf.here();
-                buf.patch(jel, here);
-                self.lower_body_d(buf, else_body);
-                let here = buf.here();
-                buf.patch(jend, here);
-            }
-            Stmt::Return(_) => {
-                buf.emit(Instr::TickDev);
-                self.emit_crash(
-                    buf,
-                    "return inside a compute region is not supported".into(),
-                );
-            }
-            Stmt::AccLoop { dir, l } => {
-                buf.emit(Instr::TickDev);
-                let dir_id = self.add_dir(dir);
-                let nest = self.lower_nest(dir_id, dir, l);
-                buf.emit(Instr::DevLoopDir { nest });
-            }
-            Stmt::AccBlock { dir, .. } => {
-                buf.emit(Instr::TickDev);
-                self.emit_crash(
-                    buf,
-                    format!(
-                        "nested `{}` regions inside compute constructs are not supported in 1.0",
-                        dir.kind.name()
-                    ),
-                );
-            }
-            Stmt::AccStandalone { dir } => {
-                buf.emit(Instr::TickDev);
-                match dir.kind {
-                    DirectiveKind::Cache => {}
-                    other => self.emit_crash(
-                        buf,
-                        format!("`{}` directive inside a compute region", other.name()),
-                    ),
-                }
-            }
-        }
-    }
-
-    /// A sequential device loop (`exec_for_device` with every iteration
-    /// selected — the unannotated-loop, gang-redundant case): bounds
-    /// evaluated once up front, no per-iteration tick.
-    fn lower_for_d_core(&mut self, buf: &mut ChunkBuf, l: &'p ForLoop) {
-        let rf = self.lower_int_expr_d(buf, &l.from);
-        let rt = self.lower_int_expr_d(buf, &l.to);
-        let rs = self.lower_int_expr_d(buf, &l.step);
-        buf.emit(Instr::CheckStep { src: rs });
-        let Some(slot) = self.layout.slot(&l.var) else {
-            self.emit_unresolved(buf, &l.var);
-            return;
-        };
-        let ri = buf.alloc();
-        buf.emit(Instr::Copy { dst: ri, src: rf });
-        let head = buf.here();
-        // `while i < to` exits on `i >= to` — the same fused compare as the
-        // host loop (operands are `Int` by construction).
-        let jexit = buf.emit(Instr::JumpIfGe {
-            a: ri,
-            b: rt,
-            to: 0,
-        });
-        buf.emit(Instr::SetLocal {
-            slot: slot as u32,
-            src: ri,
-        });
-        buf.emit(Instr::DevIter);
-        self.lower_body_d(buf, &l.body);
-        buf.emit(Instr::Binop {
-            dst: ri,
-            op: BinOp::Add,
-            a: ri,
-            b: rs,
-        });
-        buf.emit(Instr::Jump { to: head });
-        let here = buf.here();
-        buf.patch(jexit, here);
-    }
-
-    /// Device-side twin of [`Self::lower_int_expr_h`].
-    fn lower_int_expr_d(&mut self, buf: &mut ChunkBuf, e: &'p Expr) -> u32 {
-        match e {
-            Expr::Var(n) => {
-                let dst = buf.alloc();
-                let (name, slot) = self.var(n);
-                buf.emit(Instr::IdxVarD { dst, name, slot });
-                dst
-            }
-            Expr::Int(v) => {
-                let dst = buf.alloc();
-                let k = self.const_id(Value::Int(*v));
-                buf.emit(Instr::Const { dst, k });
-                dst
-            }
-            _ => {
-                let r = self.lower_expr_d(buf, e);
-                buf.emit(Instr::AsInt { r });
-                r
-            }
-        }
-    }
-
-    fn lower_index_block_d(&mut self, buf: &mut ChunkBuf, indices: &'p [Expr]) -> u32 {
-        let block = buf.alloc_n(indices.len() as u32);
-        for (k, e) in indices.iter().enumerate() {
-            let dst = block + k as u32;
-            match e {
-                Expr::Var(n) => {
-                    let (name, slot) = self.var(n);
-                    buf.emit(Instr::IdxVarD { dst, name, slot });
-                }
-                Expr::Int(v) => {
-                    let k = self.const_id(Value::Int(*v));
-                    buf.emit(Instr::Const { dst, k });
-                }
-                _ => {
-                    let r = self.lower_expr_d(buf, e);
-                    buf.emit(Instr::AsInt { r });
-                    buf.emit(Instr::Copy { dst, src: r });
-                }
-            }
-        }
-        block
-    }
-
-    // ---- device expressions ----
-
-    fn lower_expr_d(&mut self, buf: &mut ChunkBuf, e: &'p Expr) -> u32 {
-        match e {
-            Expr::Int(v) => self.emit_const(buf, Value::Int(*v)),
-            Expr::Real(v, t) => self.emit_const(
-                buf,
-                match t {
-                    ScalarType::Float => Value::F32(*v as f32),
-                    _ => Value::F64(*v),
-                },
-            ),
-            Expr::SizeOf(t) => self.emit_const(buf, Value::Int(t.size_bytes() as i64)),
-            Expr::Var(n) => {
-                let (name, slot) = self.var(n);
-                let dst = buf.alloc();
-                buf.emit(Instr::ReadVarD { dst, name, slot });
-                dst
-            }
-            Expr::Index { base, indices } if indices.len() <= MAX_IDX => {
-                let idx = self.lower_index_block_d(buf, indices);
-                let (name, _) = self.var(base);
-                let dst = buf.alloc();
-                buf.emit(Instr::ReadIdxD {
-                    dst,
-                    name,
-                    idx,
-                    n: indices.len() as u8,
-                });
-                dst
-            }
-            Expr::Index { .. } | Expr::Call { .. } => {
-                let id = self.add_expr(e);
-                let dst = buf.alloc();
-                buf.emit(Instr::EvalDevExpr { dst, expr: id });
-                dst
-            }
-            Expr::Unary(op, inner) => {
-                let src = self.lower_expr_d(buf, inner);
-                let dst = buf.alloc();
-                buf.emit(Instr::Unop { dst, op: *op, src });
-                dst
-            }
-            Expr::Binary(op, l, r) => {
-                let a = self.lower_expr_d(buf, l);
-                match op {
-                    BinOp::And => {
-                        let dst = self.emit_const(buf, Value::Int(0));
-                        let jend = buf.emit(Instr::JumpIfFalse { cond: a, to: 0 });
-                        let b = self.lower_expr_d(buf, r);
-                        buf.emit(Instr::Binop {
-                            dst,
-                            op: BinOp::And,
-                            a,
-                            b,
-                        });
-                        let here = buf.here();
-                        buf.patch(jend, here);
-                        dst
-                    }
-                    BinOp::Or => {
-                        let dst = self.emit_const(buf, Value::Int(1));
-                        let jend = buf.emit(Instr::JumpIfTrue { cond: a, to: 0 });
-                        let b = self.lower_expr_d(buf, r);
-                        buf.emit(Instr::Binop {
-                            dst,
-                            op: BinOp::Or,
-                            a,
-                            b,
-                        });
-                        let here = buf.here();
-                        buf.patch(jend, here);
-                        dst
-                    }
-                    _ => {
-                        let b = self.lower_expr_d(buf, r);
-                        let dst = buf.alloc();
-                        buf.emit(Instr::Binop { dst, op: *op, a, b });
-                        dst
-                    }
-                }
-            }
-        }
     }
 }

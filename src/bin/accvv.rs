@@ -998,6 +998,14 @@ fn cmd_titan(args: &[String]) -> Result<(), String> {
     }
     let nodes: u32 = parse_opt_or(args, "--nodes", 16)?;
     let sample: usize = parse_opt_or(args, "--sample", 8)?;
+    // A run that checks no node would print `no suspect nodes`, an
+    // all-clear it has not earned.
+    if nodes == 0 {
+        return Err("--nodes must be at least 1".to_string());
+    }
+    if sample == 0 {
+        return Err("--sample must be at least 1: a sample of 0 checks no node".to_string());
+    }
     let seed: u64 = parse_opt_or(args, "--seed", 1)?;
     let fault_rate: u8 = parse_opt_or(args, "--fault-rate", 0u8)?;
     if fault_rate > 100 {

@@ -323,6 +323,12 @@ fn accvv_rejects_unknown_and_valueless_flags() {
             "unknown flag `--jobs` for `accvv matrix`",
         ),
         (&["titan", "--nodes", "x"], "bad --nodes value `x`"),
+        // A sampled run that checks no node is refused, not an all-clear.
+        (&["titan", "--nodes", "0"], "--nodes must be at least 1"),
+        (
+            &["titan", "--nodes", "2", "--sample", "0"],
+            "--sample must be at least 1",
+        ),
         (
             &["titan", "--sweep", "--nodes", "2", "--jobs", "2"],
             "`--jobs` does not apply to `accvv titan --sweep`: the sweep runs its units one at a \

@@ -31,7 +31,8 @@ pub struct CasePolicy {
     pub exec_mode: ExecMode,
     /// Allow the executable's run-result memo to serve repeated identical
     /// executions (campaign paths set this; benches that measure raw
-    /// engine speed leave it off).
+    /// engine speed leave it off). It takes effect only when the compiler
+    /// has a compile cache, the one place an executable can recur.
     pub memo: bool,
 }
 
@@ -108,11 +109,14 @@ pub fn run_case_with(
         functional_source: src,
         attempts: 1,
     };
+    // An executable compiled without a cache is built afresh for this
+    // case, so its run memo could never serve a later run.
+    let memo = policy.memo && compiler.cache().is_some();
     let knobs = |offset: u64| RunKnobs {
         step_limit: policy.step_limit,
         run_index: policy.run_index_base + offset,
         exec_mode: policy.exec_mode,
-        memo: policy.memo,
+        memo,
     };
     if !case.supports(language) {
         return mk(TestStatus::skipped(), None, String::new());
